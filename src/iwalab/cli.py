@@ -22,23 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, DegenerateField, EmptyGap, EmptyInterior,
-                     GapClosed, IrrationalFlux, IrrationalSlope, NoCommonGap,
-                     NonHermitianPerturbation, NotInterfaceLocalized,
-                     NotProjection, PrecisionExhausted, SlabExceedsWindow)
+from .errors import ConfigError, IwalabError, NoCommonGap
 from .hull import cantor_diagnostics, enumerate_hull
-from .invariants import chern_momentum, chern_realspace, verify_bic, winding
+from .invariants import (DEFAULT_BUFFER, DEFAULT_RAMP, chern_momentum,
+                         chern_realspace, verify_bic, winding)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope, SlabWindow)
 from .operators import (SpectralData, band_structure, bloch_spectrum,
                         fermi_projection, interface_shift_unitary,
                         iwatsuka_hamiltonian)
-
-_GUARD_ERRORS = (NoCommonGap, PrecisionExhausted, GapClosed, EmptyGap,
-                 DegenerateField, NotInterfaceLocalized, SlabExceedsWindow,
-                 IrrationalFlux, IrrationalSlope, NonHermitianPerturbation,
-                 NotProjection, EmptyInterior)
 
 _FLUX_RE = re.compile(r"^(-?)2pi\*(\d+)(?:/(\d+))?$")
 
@@ -245,7 +238,8 @@ def cmd_conductance(cfg, t0):
     L_values = cfg["L"] if isinstance(cfg["L"], list) else [cfg["L"]]
     rows = []
     for L in L_values:
-        window = SlabWindow(slope, L / 2.0 + 8.0 + 18.0, cfg["normal_half"])
+        window = SlabWindow(slope, L / 2.0 + DEFAULT_RAMP + DEFAULT_BUFFER,
+                            cfg["normal_half"])
         u = interface_shift_unitary(field, window, variant=variant)
         w = winding(u, slope, float(L))
         rows.append((float(L), variant, w, w))
@@ -377,7 +371,7 @@ def main(argv=None):
         json.dump({"error": "config", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except _GUARD_ERRORS as exc:
+    except IwalabError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NoCommonGap):
             payload["gaps_plus"] = exc.gaps_plus

@@ -112,16 +112,6 @@ class Pattern:
         return f"Pattern(M={self.half_width})"
 
 
-def _offset_grid(slope, M):
-    """Exact offsets x_n for all window sites, as a (2M+1, 2M+1) object
-    grid indexed [n1 + M, n2 + M]."""
-    grid = np.empty((2 * M + 1, 2 * M + 1), dtype=object)
-    for n1 in range(-M, M + 1):
-        for n2 in range(-M, M + 1):
-            grid[n1 + M, n2 + M] = slope.offset((n1, n2))
-    return grid
-
-
 def point_pattern(point, slope, M):
     """Restriction of a hull point to [-M, M]^2."""
     size = 2 * M + 1

@@ -236,16 +236,20 @@ class QuadraticIrrationalSlope:
         return _sqrt_sign(self.c * n[1] - self.a * n[0], -self.b * n[0], self.d)
 
     def offset_signs_array(self, n1, n2):
-        n1 = np.asarray(n1, dtype=np.int64)
-        n2 = np.asarray(n2, dtype=np.int64)
+        n1, n2 = np.broadcast_arrays(np.asarray(n1, dtype=np.int64),
+                                     np.asarray(n2, dtype=np.int64))
+        # A*A and B*B*d must fit in int64 (and so must A and B): bound them
+        # in Python integers first; desk-scale windows stay far below it
+        m1 = int(np.abs(n1).max(initial=0))
+        m2 = int(np.abs(n2).max(initial=0))
+        max_a = self.c * m2 + abs(self.a) * m1
+        max_b = abs(self.b) * m1
+        if max(max_a * max_a, max_b * max_b * self.d) >= 2**62:
+            return np.array([self.offset_sign((int(a), int(b)))
+                             for a, b in zip(n1.ravel(), n2.ravel())],
+                            dtype=np.int64).reshape(n1.shape)
         A = self.c * n2 - self.a * n1
         B = -self.b * n1
-        # integer-square comparison needs headroom; desk-scale windows stay
-        # far below the guard
-        if max(np.abs(A).max(initial=0), np.abs(B).max(initial=0)) > 2**30:
-            return np.array([_sqrt_sign(int(aa), int(bb), self.d)
-                             for aa, bb in zip(A.ravel(), B.ravel())],
-                            dtype=np.int64).reshape(A.shape)
         sA = np.sign(A)
         sB = np.sign(B)
         mixed = np.where(A * A > B * B * self.d, sA, sB)

@@ -263,11 +263,18 @@ class BandStructure:
 
 def band_structure(flux, nk=60):
     """Band intervals and open gaps of the Harper spectrum at rational
-    flux, from an nk x nk Bloch sweep."""
+    flux, from an nk x nk Bloch sweep.  By Chambers' relation
+    det(E - H(k)) = P(E) - 2cos(q k1) - 2cos(k2), every band edge is
+    attained at k = (0, 0) or (pi/q, pi); both points are folded in, so the
+    touching central bands of even q never show a spurious gap."""
     flux = _as_flux_fraction(flux)
-    ev = bloch_spectrum(flux, nk)
-    lo = ev.min(axis=(0, 1))
-    hi = ev.max(axis=(0, 1))
+    q = flux.denominator
+    edges = np.linalg.eigvalsh(np.stack([
+        harper_bloch_matrix(flux, (0.0, 0.0)),
+        harper_bloch_matrix(flux, (math.pi / q, math.pi))]))
+    ev = bloch_spectrum(flux, nk).reshape(-1, q)
+    lo = np.minimum(ev.min(axis=0), edges.min(axis=0))
+    hi = np.maximum(ev.max(axis=0), edges.max(axis=0))
     gaps = tuple((float(hi[i]), float(lo[i + 1]))
                  for i in range(len(lo) - 1) if lo[i + 1] > hi[i] + 1e-9)
     return BandStructure(flux, nk, tuple(map(float, lo)), tuple(map(float, hi)), gaps)
@@ -354,18 +361,23 @@ class SwitchFunction:
         return 140.0 * t ** 3 * (1.0 - t) ** 3 / (2.0 * self.delta)
 
 
+def require_spectrum_beyond(interval, E):
+    """Raise EmptyGap unless the eigenvalues E reach strictly below and
+    strictly above the interval."""
+    lo, hi = interval
+    if not lo < hi:
+        raise ValueError("empty interval")
+    if not (E.min() < lo and E.max() > hi):
+        raise EmptyGap(f"interval ({lo:.4f}, {hi:.4f}) not inside the "
+                       f"numerical spectral range [{E.min():.4f}, {E.max():.4f}]")
+
+
 def gap_switch_operators(spectral, interval):
     """Switch calculus for a bulk gap interval: returns (g(h), g'(h),
     u = exp(2*pi*i g(h))).  Raises EmptyGap unless spectrum exists strictly
     below and above the interval."""
-    lo, hi = interval
-    if not lo < hi:
-        raise ValueError("empty interval")
-    E = spectral.eigenvalues
-    if not (E.min() < lo and E.max() > hi):
-        raise EmptyGap(f"interval ({lo:.4f}, {hi:.4f}) not inside the "
-                       f"numerical spectral range [{E.min():.4f}, {E.max():.4f}]")
-    sw = SwitchFunction.from_interval(lo, hi)
+    require_spectrum_beyond(interval, spectral.eigenvalues)
+    sw = SwitchFunction.from_interval(*interval)
     g_of_h = spectral.apply(sw.g)
     gp_of_h = spectral.apply(sw.gprime)
     u = spectral.apply(lambda x: np.exp(2j * np.pi * sw.g(x)), hermitian=False)

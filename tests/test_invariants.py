@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import iwalab as il
+from iwalab import invariants
 from iwalab.invariants import (TANGENTIAL_ORIENTATION,
-                               reference_orientation_sign)
+                               reference_orientation_sign, slab_geometry)
 from iwalab.operators import (hull_projection, magnetic_translation,
                               strip_projection, translation_by)
 
@@ -265,6 +266,75 @@ class TestGapUnitaryLocalization:
         assert abs(rep.winding_gap_unitary - 2.0) < 0.1
         assert rep.cross_residual < 0.02
         assert rep.conductance == rep.winding_gap_unitary
+
+
+def dense_switch_traces(sd, interval, slope, L):
+    """The full-spectrum reference: g'(h) and u as dense operators, the
+    current from diag(g'(h) grad_t h) over all sites, the winding of u."""
+    _, gp, u = il.gap_switch_operators(sd, interval)
+    geom = slab_geometry(sd.window, slope, L)
+    t = geom.tangential * TANGENTIAL_ORIENTATION
+    H = sd.source.matrix
+    gh = np.einsum("ik,ki->i", gp.matrix, H)
+    ght = np.einsum("ik,ki,k->i", gp.matrix, H, t)
+    current = float((geom.weights * (1j * (ght - t * gh)).real).sum() / geom.norm)
+    w = il.winding(u, slope, L)
+    target = -w / (2.0 * np.pi)
+    return current, w, abs(current - target) / abs(target)
+
+
+class TestInIntervalSwitchTraces:
+    # the window verify_bic builds for L = 8, normal_half = 18, buffer = 10
+    SLOPE = ONE
+    SIZE = dict(L=8.0, normal_half=18.0, buffer=10.0)
+
+    @pytest.fixture(scope="class")
+    def small_slab(self):
+        field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
+        win = il.SlabWindow(self.SLOPE, 4.0 + 8.0 + 10.0, 18.0)
+        h = il.iwatsuka_hamiltonian(field, win)
+        return h, il.SpectralData.from_operator(h)
+
+    def test_interface_current_matches_dense(self, small_slab):
+        _, sd = small_slab
+        interval = common_gap_interval()
+        rep = il.interface_current(sd, interval, self.SLOPE, 8.0)
+        current, w, cross = dense_switch_traces(sd, interval, self.SLOPE, 8.0)
+        assert abs(rep.winding_gap_unitary - w) < 1e-10
+        assert abs(rep.current - current) < 1e-10
+        assert abs(rep.cross_residual - cross) < 1e-10
+        assert abs(w) > 0.5                 # the interface channels are seen
+
+    def test_verify_bic_matches_dense(self, small_slab):
+        _, sd = small_slab
+        field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
+        rep = il.verify_bic(field, **self.SIZE)
+        assert rep.window_sites == sd.window.size
+        current, w, cross = dense_switch_traces(sd, rep.delta, self.SLOPE, 8.0)
+        assert abs(rep.winding - w) < 1e-10
+        assert abs(rep.current - current) < 1e-10
+        assert abs(rep.residual_cross - cross) < 1e-10
+
+    def test_empty_gap_witness(self, small_slab, monkeypatch):
+        h, sd = small_slab
+
+        def no_full_spectrum(*args, **kwargs):
+            raise AssertionError("the witnesses should have decided")
+
+        # a bulk gap has slab spectrum on both sides: the Rayleigh-quotient
+        # witnesses decide without the full eigenvalues
+        monkeypatch.setattr(invariants, "eigvalsh", no_full_spectrum)
+        invariants._check_spectrum_beyond(h, common_gap_interval())
+
+    def test_empty_gap_outside_spectrum(self, small_slab):
+        h, sd = small_slab
+        top = sd.eigenvalues.max()
+        for interval in ((top + 0.1, top + 0.5),
+                         (sd.eigenvalues.min() - 1.0, top + 1.0)):
+            with pytest.raises(il.EmptyGap):
+                invariants._check_spectrum_beyond(h, interval)
+            with pytest.raises(il.EmptyGap):
+                il.interface_current(sd, interval, self.SLOPE, 8.0)
 
 
 class TestBulkInterface:

@@ -102,6 +102,30 @@ class TestSlopes:
             want = int(mpmath.sign(-al * n1 + n2))
         assert slope.offset_sign((n1, n2)) == want
 
+    @given(a=st.integers(-5, 5), b=st.integers(-5, 5).filter(lambda x: x != 0),
+           c=st.integers(1, 5), d=st.sampled_from([2, 3, 13, 101]),
+           n1=st.integers(-2**31, 2**31), n2=st.integers(-2**28, 2**28))
+    @settings(max_examples=300, deadline=None)
+    def test_quadratic_signs_array_at_int64_guard(self, a, b, c, d, n1, n2):
+        # sites up to |n1| = 2^31, the ones where (b*n1)^2 * d crosses 2^62
+        # (the int64 headroom of the vectorized integer-square comparison),
+        # and |b*n1| = 2^30, where that square overflowed for d > 8
+        slope = il.QuadraticIrrationalSlope(a, b, c, d)
+        edge = math.isqrt(2**62 // (d * b * b))
+        top = 2**30 // abs(b)
+        for n1s in ([n1], [edge - 1, edge, edge + 1],
+                    [-edge, 1 - edge, -1 - edge], [top], [-top]):
+            n2s = [n2] * len(n1s)
+            got = slope.offset_signs_array(np.array(n1s), np.array(n2s))
+            assert got.tolist() == [slope.offset_sign((x, y))
+                                    for x, y in zip(n1s, n2s)]
+
+    def test_quadratic_signs_array_sqrt13_overflow(self):
+        # B*B*d = 2^60 * 13 overflowed int64 here and flipped the sign
+        slope = il.QuadraticIrrationalSlope(0, 1, 1, 13)
+        got = slope.offset_signs_array(np.array([-2**30]), np.array([-1]))
+        assert got.tolist() == [slope.offset_sign((-2**30, -1))] == [1]
+
     def test_sqrt_expr_order_and_floor(self):
         x = SqrtExpr(0, 1, 1, 2)          # sqrt(2)
         assert math.floor(x) == 1

@@ -128,6 +128,14 @@ class TestBloch:
         assert bs.gaps == ()
         assert abs(bs.band_max[0]) < 1e-9 and abs(bs.band_min[1]) < 1e-9
 
+    def test_even_q_central_bands_touch(self):
+        # Chambers' relation puts every band edge at k = (0, 0) or
+        # (pi/q, pi); a coarse grid alone misses the central touching
+        assert il.band_structure(Fraction(1, 2), nk=30).gaps == ()
+        assert len(il.band_structure(Fraction(1, 6), nk=30).gaps) == 4
+        # gap 3 of flux 1/6 lies above four bands: TKNN 4 = 6s + t, t = -2
+        assert abs(il.chern_momentum(Fraction(1, 6), gap_index=3) + 2.0) < 1e-8
+
     def test_third_flux_bands_and_gaps(self):
         bs = il.band_structure(Fraction(1, 3), nk=40)
         assert bs.num_bands == 3
