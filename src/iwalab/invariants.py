@@ -261,13 +261,12 @@ class CurrentReport:
         return self.winding_gap_unitary
 
 
-def _switch_traces(E, V, h, interval, slope, L, ramp, normal_cut, check):
+def _switch_traces(E, V, h, interval, geom, check):
     """Current, winding of the gap unitary and their cross residual from the
     eigenpairs (E, V) of h inside the switch interval.  Outside that
     spectral subspace g'(h) and u - 1 vanish, so only the rows of g'(h) and
-    the columns of u - 1 on the slab-trace support S are formed."""
+    the columns of u - 1 on the slab-trace support S of geom are formed."""
     sw = SwitchFunction.from_interval(*interval)
-    geom = slab_geometry(h.window, slope, L, ramp, normal_cut)
     S = np.flatnonzero(geom.weights > 0)
     VS = V[S]
     tan = geom.tangential
@@ -301,11 +300,11 @@ def interface_current(spectral, interval, slope, L, ramp=DEFAULT_RAMP,
     truncation error."""
     E = spectral.eigenvalues
     require_spectrum_beyond(interval, E)
+    geom = slab_geometry(spectral.window, slope, L, ramp, normal_cut)
     lo, hi = interval
     inside = (E > lo) & (E <= hi)       # the (lo, hi] of the evr subset solve
     return _switch_traces(E[inside], spectral.eigenvectors[:, inside],
-                          spectral.source, interval, slope, L, ramp,
-                          normal_cut, check)
+                          spectral.source, interval, geom, check)
 
 
 def _check_spectrum_beyond(h, interval):
@@ -419,11 +418,12 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     ch_minus = chern_momentum(minus_turns, mu=mu) if minus_turns.denominator > 1 else 0.0
 
     window = SlabWindow(slope, L / 2.0 + ramp + buffer, normal_half)
+    # raises SlabExceedsWindow before any matrix is built
+    geom = slab_geometry(window, slope, L, ramp)
     h = iwatsuka_hamiltonian(field, window)
     _check_spectrum_beyond(h, interval)
     E, V = eigh(h.matrix, driver="evr", subset_by_value=interval)
-    report = _switch_traces(E, V, h, interval, slope, L, ramp,
-                            normal_cut=None, check=True)
+    report = _switch_traces(E, V, h, interval, geom, check=True)
 
     d_ch = ch_plus - ch_minus
     res_bic = abs(report.winding_gap_unitary - d_ch)

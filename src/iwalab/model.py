@@ -154,7 +154,33 @@ class SqrtExpr:
 # ---------------------------------------------------------------------------
 # slopes
 
-class RationalSlope:
+class _RationalOffsets:
+    """Floor and fractional part of offsets that are exact rationals (the
+    rational and the two infinite slopes)."""
+
+    def floor(self, x):
+        return math.floor(x)
+
+    def mod_one(self, x):
+        return x - math.floor(x)
+
+
+class _FloatFrame:
+    """Unit tangent and normal from the float value of an irrational
+    slope."""
+
+    def tangent(self):
+        al = self.as_float()
+        r = math.sqrt(1.0 + al * al)
+        return np.array([1.0 / r, al / r])
+
+    def normal(self):
+        al = self.as_float()
+        r = math.sqrt(1.0 + al * al)
+        return np.array([-al / r, 1.0 / r])
+
+
+class RationalSlope(_RationalOffsets):
     """alpha = p/q in lowest terms, q > 0; alpha = 0 is Rational(0, 1)."""
 
     is_rational = True
@@ -178,17 +204,24 @@ class RationalSlope:
     def offset_sign(self, n):
         return _sign(-self.p * n[0] + self.q * n[1])
 
+    def _scaled_offsets(self, n1, n2):
+        """q * x_n = -p*n1 + q*n2 for arrays of sites, exact: int64 while
+        it fits, Python integers (an object array) past 2^62."""
+        n1, n2 = np.broadcast_arrays(np.asarray(n1, dtype=np.int64),
+                                     np.asarray(n2, dtype=np.int64))
+        # bound the int64 result in Python integers first; desk-scale
+        # windows stay far below it
+        m1 = int(np.abs(n1).max(initial=0))
+        m2 = int(np.abs(n2).max(initial=0))
+        if abs(self.p) * m1 + self.q * m2 >= 2**62:
+            n1, n2 = n1.astype(object), n2.astype(object)
+        return -self.p * n1 + self.q * n2
+
     def offset_signs_array(self, n1, n2):
-        return np.sign(-self.p * n1 + self.q * n2).astype(np.int64)
+        return np.sign(self._scaled_offsets(n1, n2)).astype(np.int64)
 
     def compare(self, u, v):
         return _sign(u - v)
-
-    def floor(self, x):
-        return math.floor(x)
-
-    def mod_one(self, x):
-        return x - math.floor(x)
 
     def tangent(self):
         r = math.hypot(self.p, self.q)
@@ -208,7 +241,7 @@ class RationalSlope:
         return hash(("rat", self.p, self.q))
 
 
-class QuadraticIrrationalSlope:
+class QuadraticIrrationalSlope(_FloatFrame):
     """alpha = (a + b*sqrt(d))/c with b != 0, c > 0 and d a nonsquare
     positive integer; all offset signs decided by integer comparisons."""
 
@@ -271,16 +304,6 @@ class QuadraticIrrationalSlope:
     def mod_one(self, x):
         return self._as_expr(x) - math.floor(self._as_expr(x))
 
-    def tangent(self):
-        al = self.as_float()
-        r = math.sqrt(1.0 + al * al)
-        return np.array([1.0 / r, al / r])
-
-    def normal(self):
-        al = self.as_float()
-        r = math.sqrt(1.0 + al * al)
-        return np.array([-al / r, 1.0 / r])
-
     def __repr__(self):
         return f"QuadraticIrrationalSlope(({self.a}{self.b:+d}*sqrt({self.d}))/{self.c})"
 
@@ -292,7 +315,7 @@ class QuadraticIrrationalSlope:
         return hash(("quad", self.a, self.b, self.c, self.d))
 
 
-class FloatIrrationalSlope:
+class FloatIrrationalSlope(_FloatFrame):
     """Fallback slope held as an extended-precision real (>= 128-bit
     mantissa).  Sign decisions use interval arithmetic and raise
     PrecisionExhausted when zero cannot be excluded."""
@@ -358,21 +381,11 @@ class FloatIrrationalSlope:
             raise PrecisionExhausted(f"mod-1 of {x} unresolved")
         return f
 
-    def tangent(self):
-        al = self.as_float()
-        r = math.sqrt(1.0 + al * al)
-        return np.array([1.0 / r, al / r])
-
-    def normal(self):
-        al = self.as_float()
-        r = math.sqrt(1.0 + al * al)
-        return np.array([-al / r, 1.0 / r])
-
     def __repr__(self):
         return f"FloatIrrationalSlope({float(self.value)!r})"
 
 
-class _InfiniteSlope:
+class _InfiniteSlope(_RationalOffsets):
     """Common behaviour of the two vertical-interface slopes; the offset is
     x_n = -n1 for +infinity and x_n = +n1 for -infinity."""
 
@@ -396,12 +409,6 @@ class _InfiniteSlope:
 
     def compare(self, u, v):
         return _sign(u - v)
-
-    def floor(self, x):
-        return math.floor(x)
-
-    def mod_one(self, x):
-        return x - math.floor(x)
 
     def tangent(self):
         return np.array([0.0, 1.0 * self._sign])
@@ -447,6 +454,15 @@ def _check_nondegenerate(b_plus, b_minus, b_plus_turns, b_minus_turns):
         raise DegenerateField("b+ - b- lies in 2*pi*Z")
 
 
+def _perturbation_pair(perturbation_turns, perturbation):
+    """(radians, turns) perturbation dicts of a from_turns constructor; the
+    turns dict is None when only float radians were given."""
+    if perturbation_turns is not None:
+        pert_t = dict(perturbation_turns)
+        return {s: TWO_PI * float(v) for s, v in pert_t.items()}, pert_t
+    return dict(perturbation or {}), None if perturbation else {}
+
+
 @dataclass(frozen=True)
 class ConstantField:
     """Uniform magnetic field of b radians of flux per plaquette, plus an
@@ -469,23 +485,13 @@ class ConstantField:
         extra = (self.perturbation_turns or {}).get(tuple(n), Fraction(0))
         return self.b_turns + extra
 
-    @property
-    def has_turns(self):
-        return self.b_turns is not None and (
-            not self.perturbation or self.perturbation_turns is not None)
-
     @staticmethod
     def from_turns(turns, perturbation_turns=None, perturbation=None):
         """Exact constructor; a float `perturbation` (radians) may be given
         instead of exact turn fractions, in which case only the unperturbed
         part keeps an exact representation."""
         turns = Fraction(turns)
-        if perturbation_turns is not None:
-            pert_t = dict(perturbation_turns)
-            pert = {s: TWO_PI * float(v) for s, v in pert_t.items()}
-        else:
-            pert_t = None if perturbation else {}
-            pert = dict(perturbation or {})
+        pert, pert_t = _perturbation_pair(perturbation_turns, perturbation)
         return ConstantField(TWO_PI * float(turns), pert, turns, pert_t)
 
 
@@ -516,12 +522,7 @@ class IwatsukaField:
         part keeps an exact representation."""
         plus_turns = Fraction(plus_turns)
         minus_turns = Fraction(minus_turns)
-        if perturbation_turns is not None:
-            pert_t = dict(perturbation_turns)
-            pert = {s: TWO_PI * float(v) for s, v in pert_t.items()}
-        else:
-            pert_t = None if perturbation else {}
-            pert = dict(perturbation or {})
+        pert, pert_t = _perturbation_pair(perturbation_turns, perturbation)
         return IwatsukaField(slope, TWO_PI * float(plus_turns), TWO_PI * float(minus_turns),
                              pert, plus_turns, minus_turns, pert_t)
 
@@ -545,11 +546,6 @@ class IwatsukaField:
         base = self.b_plus_turns if self._plus_side(n) else self.b_minus_turns
         extra = (self.perturbation_turns or {}).get(tuple(n), Fraction(0))
         return base + extra
-
-    @property
-    def has_turns(self):
-        return (self.b_plus_turns is not None and self.b_minus_turns is not None
-                and (not self.perturbation or self.perturbation_turns is not None))
 
     def plus_side_array(self, n1, n2):
         """Boolean mask of sites taking the b_plus value (perturbation

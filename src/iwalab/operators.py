@@ -7,6 +7,11 @@ All operators are dense complex matrices over a window's site ordering with
 open boundary conditions: a translation row whose source site leaves the
 window is zero, so algebraic identities hold exactly on interior sites and
 flags record where unitarity can be trusted.
+
+The translations, the Hamiltonian and the interface shift unitary all write
+the (row, column, phase) entries of one function, `_translation_entries`,
+which takes the standard gauge as column sums of the field on a grid over
+the window; `model.vector_potential` is its scalar reference.
 """
 
 import math
@@ -18,8 +23,7 @@ from scipy.linalg import eigh
 
 from .errors import (DegenerateField, EmptyGap, IrrationalFlux,
                      IrrationalSlope, NonHermitianPerturbation)
-from .model import (ConstantField, IwatsukaField, PlusInfinity,
-                    vector_potential)
+from .model import ConstantField, IwatsukaField, PlusInfinity
 
 HERMITIAN_TOL = 1e-12
 
@@ -60,46 +64,71 @@ def product_diagonal(a, b):
 
 
 # ---------------------------------------------------------------------------
-# gauge data on a window
+# magnetic translations in the standard gauge
 
-def _column_field_values(field, n1, m_lo, m_hi):
-    """B(n1, m) for m = m_lo..m_hi, vectorized where the field allows."""
-    ms = np.arange(m_lo, m_hi + 1)
+def _field_grid(field, r1, r2):
+    """B(n1, n2), perturbation included, on the grid r1 x r2."""
     if isinstance(field, ConstantField):
-        vals = np.full(ms.size, field.b, dtype=float)
+        B = np.full((r1.size, r2.size), field.b, dtype=float)
     else:
-        plus = field.plus_side_array(np.full(ms.size, n1), ms)
-        vals = np.where(plus, field.b_plus, field.b_minus)
-    if field.perturbation:
-        for (p1, p2), dv in field.perturbation.items():
-            if p1 == n1 and m_lo <= p2 <= m_hi:
-                vals[p2 - m_lo] += dv
-    return vals
+        n1, n2 = np.meshgrid(r1, r2, indexing="ij")
+        B = np.where(field.plus_side_array(n1, n2), field.b_plus, field.b_minus)
+    for (p1, p2), dv in field.perturbation.items():
+        if r1[0] <= p1 <= r1[-1] and r2[0] <= p2 <= r2[-1]:
+            B[p1 - r1[0], p2 - r2[0]] += dv
+    return B
 
 
-def horizontal_bond_potentials(field, window):
-    """A(n, n - e1) of the standard gauge for every window site."""
-    out = np.zeros(window.size)
-    cols = {}
-    for i, (n1, n2) in enumerate(window.sites):
-        cols.setdefault(n1, []).append((n2, i))
-    for n1, entries in cols.items():
-        n2s = [e[0] for e in entries]
-        hi, lo = max(max(n2s), 0), min(min(n2s), 0)
-        b = _column_field_values(field, n1, lo, hi)
-        F = np.zeros(hi - lo + 1)
-        idx0 = -lo
-        acc = 0.0
-        for m in range(1, hi + 1):
-            acc += b[idx0 + m]
-            F[idx0 + m] = acc
-        acc = 0.0
-        for m in range(0, -lo):
-            acc -= b[idx0 - m]
-            F[idx0 - m - 1] = acc
-        for n2, i in entries:
-            out[i] = F[n2 - lo]
-    return out
+def _translation_entries(field, window, gamma, periodic=False):
+    """(rows, cols, phases) of the nonzero entries of s^gamma =
+    s_1^{g1} s_2^{g2} on a window: row n, column n - gamma, phase the sum
+    of the horizontal bond potentials A(m, m - e1) along the g1 leg ending
+    at n (vertical bonds carry none in this gauge).  A source outside the
+    window drops the entry, unless periodic wraps a square window into a
+    torus."""
+    g1, g2 = gamma
+    pos = window.positions()
+    n1, n2 = pos[:, 0], pos[:, 1]
+    # one grid over the window's bounding box, padded by gamma and
+    # stretched to row 0 where the gauge's column sums start
+    r1 = np.arange(n1.min() - abs(g1), n1.max() + abs(g1) + 1)
+    r2 = np.arange(min(n2.min() - abs(g2), 0), max(n2.max() + abs(g2), 0) + 1)
+    o1, o2 = r1[0], r2[0]
+    index = np.full((r1.size, r2.size), -1)
+    index[n1 - o1, n2 - o2] = np.arange(window.size)
+    s1, s2 = n1 - g1, n2 - g2
+    M = getattr(window, "half_width", None)
+    if periodic and M is not None:
+        s1 = (s1 + M) % (2 * M + 1) - M
+        s2 = (s2 + M) % (2 * M + 1) - M
+    cols = index[s1 - o1, s2 - o2]
+    rows = np.flatnonzero(cols >= 0)
+    cols = cols[rows]
+    if g1 == 0:
+        return rows, cols, np.zeros(rows.size)
+    # A(n, n - e1) is the signed column sum of B from row 0 to n: over rows
+    # 1..n2 above it, minus over rows n2+1..0 below it, accumulated in that
+    # order outward from row 0
+    B = _field_grid(field, r1, r2)
+    z = -o2
+    A = np.zeros_like(B)
+    A[:, z + 1:] = np.cumsum(B[:, z + 1:], axis=1)
+    A[:, :z] = -np.cumsum(B[:, z:0:-1], axis=1)[:, ::-1]
+    t1, t2 = n1[rows] - o1, n2[rows] - o2
+    phases = np.zeros(rows.size)
+    for a in (range(g1) if g1 > 0 else range(-1, g1 - 1, -1)):
+        phases += A[t1 - a, t2]
+    return rows, cols, phases if g1 > 0 else -phases
+
+
+def _translation_matrix(field, window, gammas, periodic=False):
+    """Dense sum of the translations s^gamma, gamma in gammas, whose
+    supports must be disjoint."""
+    S = np.zeros((window.size, window.size), dtype=complex)
+    for gamma in gammas:
+        rows, cols, phases = _translation_entries(field, window, gamma, periodic)
+        S[rows, cols] = np.exp(1j * phases)
+    return S
 
 
 def magnetic_translation(field, window, j, periodic=False):
@@ -109,46 +138,16 @@ def magnetic_translation(field, window, j, periodic=False):
     total flux through the torus is a 2*pi multiple)."""
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
-    n = window.size
-    S = np.zeros((n, n), dtype=complex)
-    phases = horizontal_bond_potentials(field, window) if j == 1 else None
-    M = getattr(window, "half_width", None)
-    width = 2 * M + 1 if M is not None else None
-    for i, (n1, n2) in enumerate(window.sites):
-        src = (n1 - 1, n2) if j == 1 else (n1, n2 - 1)
-        if not window.contains(src):
-            if not (periodic and width):
-                continue
-            src = ((src[0] + M) % width - M, (src[1] + M) % width - M)
-        S[i, window.index(src)] = np.exp(1j * phases[i]) if j == 1 else 1.0
+    S = _translation_matrix(field, window, [(1, 0) if j == 1 else (0, 1)],
+                            periodic)
     return LatticeOperator(window, S, unitary_on_interior=True)
-
-
-def translation_phase(field, target, gamma):
-    """Phase of s^gamma = s_1^{g1} s_2^{g2} on the target site: the product
-    of the horizontal bond phases along the g1 leg (vertical legs are free
-    in this gauge)."""
-    g1 = gamma[0]
-    n1, n2 = target
-    if g1 >= 0:
-        acc = math.fsum(vector_potential(field, (n1 - a, n2), 1) for a in range(g1))
-    else:
-        acc = -math.fsum(vector_potential(field, (n1 + a, n2), 1)
-                         for a in range(1, -g1 + 1))
-    return acc
 
 
 def translation_by(field, window, gamma):
     """Dense magnetic translation by an arbitrary lattice vector,
     s^gamma = s_1^{g1} s_2^{g2}, with open boundary."""
-    n = window.size
-    S = np.zeros((n, n), dtype=complex)
-    g1, g2 = gamma
-    for i, (n1, n2) in enumerate(window.sites):
-        src = (n1 - g1, n2 - g2)
-        if window.contains(src):
-            S[i, window.index(src)] = np.exp(1j * translation_phase(field, (n1, n2), gamma))
-    return LatticeOperator(window, S, unitary_on_interior=True)
+    return LatticeOperator(window, _translation_matrix(field, window, [gamma]),
+                           unitary_on_interior=True)
 
 
 def flux_operator(field, window):
@@ -286,9 +285,8 @@ def band_structure(flux, nk=60):
 def iwatsuka_hamiltonian(field, window, v=None):
     """Hopping Hamiltonian s1 + s1* + s2 + s2* for the given field, plus an
     optional Hermitian perturbation supported near the interface."""
-    s1 = magnetic_translation(field, window, 1).matrix
-    s2 = magnetic_translation(field, window, 2).matrix
-    H = s1 + s1.conj().T + s2 + s2.conj().T
+    S = _translation_matrix(field, window, [(1, 0), (0, 1)])      # s1 + s2
+    H = S + S.conj().T
     if v is not None:
         vm = v.matrix if isinstance(v, LatticeOperator) else np.asarray(v, dtype=complex)
         if vm.shape != H.shape:
@@ -311,7 +309,7 @@ class SpectralData:
     def from_operator(op):
         if not op.hermitian:
             raise ValueError("spectral calculus needs a Hermitian operator")
-        w, v = eigh(op.matrix, driver="evd")
+        w, v = eigh(op.matrix, driver="evr")
         return SpectralData(w, v, op)
 
     @property
@@ -408,18 +406,24 @@ def _tangential_vector_and_width(slope, variant):
     return gamma, 1
 
 
-def strip_projection(field, window, variant="minimal"):
-    """Diagonal indicator of the interface strip: offsets x in (0, w] with
-    w the offset step of the chosen variant (one transversal point for
-    "minimal", p^2+q^2 of them for "wide")."""
+def _strip_mask(field, window, variant):
+    """Tangential vector gamma and the boolean strip of the variant: sites
+    with offsets x in (0, w], w the offset step of the variant."""
     slope = field.slope
     gamma, k_hi = _tangential_vector_and_width(slope, variant)
     pos = window.positions()
     if slope.is_finite:
-        k = -slope.p * pos[:, 0] + slope.q * pos[:, 1]      # q * offset
+        k = slope._scaled_offsets(pos[:, 0], pos[:, 1])     # q * offset
     else:
         k = -pos[:, 0] if slope == PlusInfinity else pos[:, 0]
-    mask = (k >= 1) & (k <= k_hi)
+    return gamma, (k >= 1) & (k <= k_hi)
+
+
+def strip_projection(field, window, variant="minimal"):
+    """Diagonal indicator of the interface strip: offsets x in (0, w] with
+    w the offset step of the chosen variant (one transversal point for
+    "minimal", p^2+q^2 of them for "wide")."""
+    _, mask = _strip_mask(field, window, variant)
     return LatticeOperator(window, np.diag(mask.astype(complex)), hermitian=True)
 
 
@@ -429,16 +433,11 @@ def interface_shift_unitary(field, window, variant="minimal"):
     primitive tangential vector (q, p).  The "minimal" strip holds a single
     transversal point; "wide" uses the full transversal period vector whose
     strip holds p^2 + q^2 of them."""
-    slope = field.slope
-    gamma, k_hi = _tangential_vector_and_width(slope, variant)
-    strip = strip_projection(field, window, variant).diagonal().real > 0.5
-    n = window.size
-    U = np.eye(n, dtype=complex)
-    for j in np.nonzero(strip)[0]:
-        site = window.sites[j]
-        U[j, j] = 0.0
-        tgt = (site[0] + gamma[0], site[1] + gamma[1])
-        if window.contains(tgt):
-            U[window.index(tgt), j] = np.exp(
-                1j * translation_phase(field, tgt, gamma))
+    gamma, strip = _strip_mask(field, window, variant)
+    rows, cols, phases = _translation_entries(field, window, gamma)
+    on = strip[cols]
+    U = np.eye(window.size, dtype=complex)
+    diag = np.flatnonzero(strip)
+    U[diag, diag] = 0.0
+    U[rows[on], cols[on]] = np.exp(1j * phases[on])
     return LatticeOperator(window, U, unitary_on_interior=True)

@@ -326,6 +326,16 @@ class TestInIntervalSwitchTraces:
         monkeypatch.setattr(invariants, "eigvalsh", no_full_spectrum)
         invariants._check_spectrum_beyond(h, common_gap_interval())
 
+    def test_slab_exceeds_window_before_eigensolve(self, monkeypatch):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("the slab check should come first")
+
+        monkeypatch.setattr(invariants, "eigh", no_eigensolve)
+        monkeypatch.setattr(invariants, "eigvalsh", no_eigensolve)
+        field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
+        with pytest.raises(il.SlabExceedsWindow):
+            il.verify_bic(field, L=8.0, normal_half=18.0, buffer=4.0)
+
     def test_empty_gap_outside_spectrum(self, small_slab):
         h, sd = small_slab
         top = sd.eigenvalues.max()

@@ -120,6 +120,32 @@ class TestSlopes:
             assert got.tolist() == [slope.offset_sign((x, y))
                                     for x, y in zip(n1s, n2s)]
 
+    @given(p=st.integers(-2**33, 2**33), q=st.integers(1, 2**10),
+           n1=st.integers(-2**31, 2**31), n2=st.integers(-2**31, 2**31))
+    @settings(max_examples=300, deadline=None)
+    def test_rational_signs_array_at_int64_guard(self, p, q, n1, n2):
+        # sites where |p*n1| + q*|n2| crosses 2^62 (the int64 headroom of
+        # the vectorized offsets) and where p*n1 alone leaves int64
+        slope = il.RationalSlope(p, q)
+        a = max(abs(slope.p), 1)
+        edge = (2**62 - slope.q * abs(n2)) // a
+        top = min(2**63 // a, 2**63 - 1)
+        for n1s in ([n1], [edge - 1, edge, edge + 1],
+                    [-edge - 1, -edge, 1 - edge], [top], [-top]):
+            n2s = [n2] * len(n1s)
+            got = slope.offset_signs_array(np.array(n1s), np.array(n2s))
+            assert got.tolist() == [slope.offset_sign((x, y))
+                                    for x, y in zip(n1s, n2s)]
+
+    def test_rational_signs_array_regressions(self):
+        # list inputs are sites, not sequences to repeat
+        got = il.RationalSlope(1, 2).offset_signs_array([5, 2], [1, 4])
+        assert got.tolist() == [-1, 1]
+        # -p*n1 = -10^19 overflowed int64 and flipped the sign
+        slope = il.RationalSlope(10**10, 1)
+        got = slope.offset_signs_array(np.array([10**9]), np.array([0]))
+        assert got.tolist() == [slope.offset_sign((10**9, 0))] == [-1]
+
     def test_quadratic_signs_array_sqrt13_overflow(self):
         # B*B*d = 2^60 * 13 overflowed int64 here and flipped the sign
         slope = il.QuadraticIrrationalSlope(0, 1, 1, 13)

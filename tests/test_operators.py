@@ -16,6 +16,10 @@ FIELD_MATRIX = [
     il.IwatsukaField.from_turns(HALF, Fraction(1, 3), Fraction(2, 3)),
     il.IwatsukaField.from_turns(SQRT2, Fraction(1, 3), Fraction(2, 3)),
 ]
+PERTURBED = il.IwatsukaField.from_turns(
+    il.RationalSlope(-2, 3), Fraction(1, 3), Fraction(2, 3),
+    perturbation_turns={(0, 0): Fraction(1, 7), (1, -2): Fraction(-1, 5),
+                        (-3, 4): Fraction(1, 4)})
 
 
 def interior_dev(win, m, margin=1):
@@ -60,6 +64,29 @@ class TestTranslations:
         s2 = magnetic_translation(field, win, 2).matrix
         t = translation_by(field, win, (2, -1)).matrix
         direct = s1 @ s1 @ np.conj(s2).T
+        assert interior_dev(win, t - direct, margin=3) < 1e-12
+
+    @pytest.mark.parametrize("field", FIELD_MATRIX + [PERTURBED])
+    def test_phases_match_scalar_gauge(self, field):
+        # the column sums of the vectorized gauge against the scalar fsum
+        # reference, entry by entry
+        win = il.LatticeWindow(8)
+        s1 = magnetic_translation(field, win, 1).matrix
+        want = np.zeros_like(s1)
+        for i, (n1, n2) in enumerate(win.sites):
+            if win.contains((n1 - 1, n2)):
+                want[i, win.index((n1 - 1, n2))] = np.exp(
+                    1j * il.vector_potential(field, (n1, n2), 1))
+        assert np.abs(s1 - want).max() < 1e-12
+
+    @pytest.mark.parametrize("field", [FIELD_MATRIX[3], PERTURBED])
+    def test_translation_by_negative_leg(self, field):
+        win = il.LatticeWindow(7)
+        s1 = magnetic_translation(field, win, 1).matrix
+        s2 = magnetic_translation(field, win, 2).matrix
+        t = translation_by(field, win, (-3, 2)).matrix
+        s1a = s1.conj().T
+        direct = s1a @ s1a @ s1a @ s2 @ s2
         assert interior_dev(win, t - direct, margin=3) < 1e-12
 
     def test_torus_matches_bloch_grid(self):
@@ -279,6 +306,21 @@ class TestInterfaceShiftUnitary:
         want = np.eye(win.size) + (s2 - np.eye(win.size)) @ strip
         # rows whose source leaves the window differ; compare interior
         assert interior_dev(win, u - want, margin=1) < 1e-12
+
+    @pytest.mark.parametrize("variant", ["minimal", "wide"])
+    @pytest.mark.parametrize("slope", [il.RationalSlope(0, 1),
+                                       il.RationalSlope(2, 3), il.PlusInfinity])
+    def test_is_translation_on_strip_columns(self, slope, variant):
+        # u = 1 + (s_gamma - 1) P on every column, window edge included
+        field = il.IwatsukaField.from_turns(slope, Fraction(1, 3), Fraction(2, 3))
+        win = il.SlabWindow(slope, 10.0, 7.0)
+        u = il.interface_shift_unitary(field, win, variant).matrix
+        gamma = (slope.q, slope.p) if slope.is_finite else (0, 1)
+        s = translation_by(field, win, gamma).matrix
+        P = il.strip_projection(field, win, variant).matrix
+        eye = np.eye(win.size)
+        assert P.diagonal().real.sum() > 0
+        assert np.abs(u - (eye + (s - eye) @ P)).max() < 1e-14
 
     def test_irrational_slope_rejected(self):
         field = il.IwatsukaField.from_turns(SQRT2, Fraction(1, 3), Fraction(2, 3))
