@@ -13,6 +13,7 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh, eigvalsh
 
 from .errors import (EmptyInterior, GapClosed, NoCommonGap,
@@ -47,10 +48,16 @@ SHELL_TOLERANCE = 1e-3
 
 def derivation(op, v):
     """Directional derivation i[(v.n), op], evaluated exactly as an
-    elementwise matrix operation."""
+    elementwise matrix operation: entry (k, i) scales by i (t_k - t_i), so
+    a sparse operator keeps its sparsity."""
     pos = op.window.positions().astype(float)
     t = pos @ np.asarray(v, dtype=float)
-    m = 1j * (t[:, None] - t[None, :]) * op.matrix
+    if sparse.issparse(op.matrix):
+        c = op.matrix.tocoo()
+        m = sparse.coo_array((1j * (t[c.row] - t[c.col]) * c.data,
+                              (c.row, c.col)), shape=c.shape)
+    else:
+        m = 1j * (t[:, None] - t[None, :]) * op.matrix
     return LatticeOperator(op.window, m)
 
 
@@ -216,10 +223,15 @@ def chern_realspace(P, margin=6):
 
 def _winding_moments(u, tvals, tcols=None, chunk=512):
     """sum_k |u_ki|^2 (t_k - t_i) per column i, with t_i = tcols[i] (by
-    default the columns are all sites, tcols = tvals), streamed so no second
-    dense matrix is allocated."""
+    default the columns are all sites, tcols = tvals): over the stored
+    entries of a sparse u, streamed over column chunks of a dense one so no
+    second dense matrix is allocated."""
     tcols = tvals if tcols is None else tcols
     n = u.shape[1]
+    if sparse.issparse(u):
+        c = u.tocoo()
+        a2 = c.data.real ** 2 + c.data.imag ** 2
+        return np.bincount(c.col, a2 * (tvals[c.row] - tcols[c.col]), minlength=n)
     out = np.empty(n)
     for s in range(0, n, chunk):
         cols = u[:, s:s + chunk]
@@ -244,9 +256,9 @@ def winding(u, slope, L, ramp=DEFAULT_RAMP, normal_cut=None, check=True):
     """Noncommutative winding number i T_alpha(u* grad_t u) of an
     interface-localized unitary, with grad_t the oriented tangential
     derivation and T_alpha the tapered slab trace."""
-    um = u.matrix if isinstance(u, LatticeOperator) else np.asarray(u)
     geom = slab_geometry(u.window, slope, L, ramp, normal_cut)
-    return _winding_trace(_winding_moments(um, geom.tangential), geom, check)
+    return _winding_trace(_winding_moments(u.matrix, geom.tangential), geom,
+                          check)
 
 
 @dataclass
@@ -271,14 +283,13 @@ def _switch_traces(E, V, h, interval, geom, check):
     VS = V[S]
     tan = geom.tangential
     t = tan * TANGENTIAL_ORIENTATION
-    # rows S of g'(h); diag(g'(h) @ gradH)_i
-    #   = i [ sum_k gp_ik H_ki t_k - t_i sum_k gp_ik H_ki ]
+    # rows S of g'(h); diag(g'(h) @ gradH)_i = i sum_k gp_ik H_ki (t_k - t_i),
+    # summed over the stored entries H_ki of the columns S of H
     G = (VS * sw.gprime(E)) @ V.conj().T
-    HS = h.matrix[:, S]
-    gh = np.einsum("ik,ki->i", G, HS)
-    ght = np.einsum("ik,ki,k->i", G, HS, t)
+    hs = sparse.coo_array(h.matrix[:, S])
+    terms = 1j * G[hs.col, hs.row] * hs.data * (t[hs.row] - t[S[hs.col]])
     diag = np.zeros(tan.size)
-    diag[S] = (1j * (ght - t[S] * gh)).real
+    diag[S] = np.bincount(hs.col, terms.real, minlength=S.size)
     J = _slab_trace(diag, geom, "interface_current", check)
     # columns S of u - 1; the identity adds nothing to the moments since
     # its entries are weighted by t_i - t_i = 0
@@ -312,13 +323,12 @@ def _check_spectrum_beyond(h, interval):
     interval.  A Rayleigh quotient x*hx / x*x below lo (above hi) proves an
     eigenvalue there; extremal Lanczos vectors serve as the witnesses, and
     the full eigenvalues decide only when a witness does not."""
-    # imported here, on the one path that needs them, to keep scipy.sparse
-    # out of the package's import time
-    from scipy.sparse import csr_matrix
+    # imported here, on the one path that needs it, to keep
+    # scipy.sparse.linalg out of the package's import time
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     lo, hi = interval
-    hs = csr_matrix(h.matrix)
+    hs = h.matrix
     v0 = np.ones(hs.shape[0], dtype=complex)
 
     def quotient(which):
@@ -333,7 +343,7 @@ def _check_spectrum_beyond(h, interval):
 
     if lo < hi and quotient("SA") < lo and quotient("LA") > hi:
         return
-    require_spectrum_beyond(interval, eigvalsh(h.matrix))
+    require_spectrum_beyond(interval, eigvalsh(h.dense()))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +432,7 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     geom = slab_geometry(window, slope, L, ramp)
     h = iwatsuka_hamiltonian(field, window)
     _check_spectrum_beyond(h, interval)
-    E, V = eigh(h.matrix, driver="evr", subset_by_value=interval)
+    E, V = eigh(h.dense(), driver="evr", subset_by_value=interval)
     report = _switch_traces(E, V, h, interval, geom, check=True)
 
     d_ch = ch_plus - ch_minus

@@ -3,10 +3,14 @@ the flux operator, hull projections, Harper/Iwatsuka Hamiltonians, dense
 spectral calculus, switch functions with their gap unitary, and the
 interface shift unitary.
 
-All operators are dense complex matrices over a window's site ordering with
-open boundary conditions: a translation row whose source site leaves the
-window is zero, so algebraic identities hold exactly on interior sites and
-flags record where unitarity can be trusted.
+Operators act on a window's site ordering with open boundary conditions: a
+translation row whose source site leaves the window is zero, so algebraic
+identities hold exactly on interior sites and flags record where unitarity
+can be trusted.  Each operator is held in the form it needs: translations,
+the Hamiltonian, the interface shift unitary and the diagonal operators
+(flux, hull projections, strip) as `scipy.sparse` arrays with at most a few
+nonzeros per row, and dense matrices only for the results of spectral
+calculus, where the Hamiltonian is diagonalized.
 
 The translations, the Hamiltonian and the interface shift unitary all write
 the (row, column, phase) entries of one function, `_translation_entries`,
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
 
 from .errors import (DegenerateField, EmptyGap, IrrationalFlux,
@@ -30,26 +35,36 @@ HERMITIAN_TOL = 1e-12
 
 @dataclass
 class LatticeOperator:
-    """Dense operator over a window's sites with Hermiticity/unitarity
-    metadata."""
+    """Operator over a window's sites with Hermiticity/unitarity metadata.
+    `matrix` holds the form it was built in: a sparse CSR array, or a dense
+    ndarray for spectral-calculus results; `dense()` returns an ndarray."""
 
     window: object
-    matrix: np.ndarray
+    matrix: object
     hermitian: bool = False
     unitary_on_interior: bool = False
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        if sparse.issparse(self.matrix):
+            self.matrix = sparse.csr_array(self.matrix, dtype=complex)
+        else:
+            self.matrix = np.asarray(self.matrix, dtype=complex)
         n = self.window.size
         if self.matrix.shape != (n, n):
             raise ValueError("matrix does not match the window size")
         if self.hermitian:
-            dev = np.abs(self.matrix - self.matrix.conj().T).max()
+            dev = abs(self.matrix - self.matrix.conj().T).max()
             if dev > HERMITIAN_TOL:
                 raise ValueError(f"hermitian flag set but deviation {dev:.2e}")
 
+    def dense(self):
+        """The matrix as an ndarray (a fresh one if it is held sparse)."""
+        if sparse.issparse(self.matrix):
+            return self.matrix.toarray()
+        return self.matrix
+
     def diagonal(self):
-        return np.diagonal(self.matrix)
+        return self.matrix.diagonal()
 
     def adjoint(self):
         return LatticeOperator(self.window, self.matrix.conj().T,
@@ -66,16 +81,16 @@ def product_diagonal(a, b):
 # ---------------------------------------------------------------------------
 # magnetic translations in the standard gauge
 
-def _field_grid(field, r1, r2):
-    """B(n1, n2), perturbation included, on the grid r1 x r2."""
+def _field_values(field, n1, n2, perturbed=True):
+    """B at the sites (n1, n2), integer arrays of one shape: the value of
+    `field.value` per site, or of `field.base_value` if not perturbed."""
     if isinstance(field, ConstantField):
-        B = np.full((r1.size, r2.size), field.b, dtype=float)
+        B = np.full(np.shape(n1), field.b, dtype=float)
     else:
-        n1, n2 = np.meshgrid(r1, r2, indexing="ij")
         B = np.where(field.plus_side_array(n1, n2), field.b_plus, field.b_minus)
-    for (p1, p2), dv in field.perturbation.items():
-        if r1[0] <= p1 <= r1[-1] and r2[0] <= p2 <= r2[-1]:
-            B[p1 - r1[0], p2 - r2[0]] += dv
+    if perturbed:
+        for (p1, p2), dv in field.perturbation.items():
+            B[(n1 == p1) & (n2 == p2)] += dv
     return B
 
 
@@ -109,7 +124,7 @@ def _translation_entries(field, window, gamma, periodic=False):
     # A(n, n - e1) is the signed column sum of B from row 0 to n: over rows
     # 1..n2 above it, minus over rows n2+1..0 below it, accumulated in that
     # order outward from row 0
-    B = _field_grid(field, r1, r2)
+    B = _field_values(field, *np.meshgrid(r1, r2, indexing="ij"))
     z = -o2
     A = np.zeros_like(B)
     A[:, z + 1:] = np.cumsum(B[:, z + 1:], axis=1)
@@ -122,13 +137,12 @@ def _translation_entries(field, window, gamma, periodic=False):
 
 
 def _translation_matrix(field, window, gammas, periodic=False):
-    """Dense sum of the translations s^gamma, gamma in gammas, whose
+    """Sparse sum of the translations s^gamma, gamma in gammas, whose
     supports must be disjoint."""
-    S = np.zeros((window.size, window.size), dtype=complex)
-    for gamma in gammas:
-        rows, cols, phases = _translation_entries(field, window, gamma, periodic)
-        S[rows, cols] = np.exp(1j * phases)
-    return S
+    rows, cols, phases = (np.concatenate(part) for part in zip(
+        *(_translation_entries(field, window, g, periodic) for g in gammas)))
+    return sparse.csr_array((np.exp(1j * phases), (rows, cols)),
+                            shape=(window.size, window.size))
 
 
 def magnetic_translation(field, window, j, periodic=False):
@@ -144,7 +158,7 @@ def magnetic_translation(field, window, j, periodic=False):
 
 
 def translation_by(field, window, gamma):
-    """Dense magnetic translation by an arbitrary lattice vector,
+    """Magnetic translation by an arbitrary lattice vector,
     s^gamma = s_1^{g1} s_2^{g2}, with open boundary."""
     return LatticeOperator(window, _translation_matrix(field, window, [gamma]),
                            unitary_on_interior=True)
@@ -152,16 +166,17 @@ def translation_by(field, window, gamma):
 
 def flux_operator(field, window):
     """Diagonal operator of the flux phases e^{i B(n)}."""
-    vals = np.array([np.exp(1j * field.value(s)) for s in window.sites])
-    return LatticeOperator(window, np.diag(vals))
+    pos = window.positions()
+    vals = np.exp(1j * _field_values(field, pos[:, 0], pos[:, 1]))
+    return LatticeOperator(window, sparse.diags_array(vals))
 
 
 def shifted_flux_diagonal(field, window, shift):
     """Diagonal of the shifted flux operator, entries e^{i B(m - shift)}
     from the unperturbed two-valued field."""
-    s1, s2 = shift
-    return np.array([np.exp(1j * field.base_value((m1 - s1, m2 - s2)))
-                     for m1, m2 in window.sites])
+    pos = window.positions() - np.asarray(shift)
+    return np.exp(1j * _field_values(field, pos[:, 0], pos[:, 1],
+                                     perturbed=False))
 
 
 def hull_projection(field, window, kind, base=(0, 0)):
@@ -191,7 +206,7 @@ def hull_projection(field, window, kind, base=(0, 0)):
         diag = (f2 - f0) / (zm - zp)
     else:
         raise ValueError(f"unknown projection kind {kind!r}")
-    return LatticeOperator(window, np.diag(diag))
+    return LatticeOperator(window, sparse.diags_array(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +303,11 @@ def iwatsuka_hamiltonian(field, window, v=None):
     S = _translation_matrix(field, window, [(1, 0), (0, 1)])      # s1 + s2
     H = S + S.conj().T
     if v is not None:
-        vm = v.matrix if isinstance(v, LatticeOperator) else np.asarray(v, dtype=complex)
-        if vm.shape != H.shape:
+        vm = v.matrix if isinstance(v, LatticeOperator) else v
+        if np.shape(vm) != H.shape:
             raise NonHermitianPerturbation("perturbation shape mismatch")
-        if np.abs(vm - vm.conj().T).max() > HERMITIAN_TOL:
+        vm = sparse.csr_array(vm, dtype=complex)
+        if abs(vm - vm.conj().T).max() > HERMITIAN_TOL:
             raise NonHermitianPerturbation("perturbation is not Hermitian")
         H = H + vm
     return LatticeOperator(window, H, hermitian=True)
@@ -309,7 +325,7 @@ class SpectralData:
     def from_operator(op):
         if not op.hermitian:
             raise ValueError("spectral calculus needs a Hermitian operator")
-        w, v = eigh(op.matrix, driver="evr")
+        w, v = eigh(op.dense(), driver="evr")
         return SpectralData(w, v, op)
 
     @property
@@ -424,7 +440,8 @@ def strip_projection(field, window, variant="minimal"):
     w the offset step of the chosen variant (one transversal point for
     "minimal", p^2+q^2 of them for "wide")."""
     _, mask = _strip_mask(field, window, variant)
-    return LatticeOperator(window, np.diag(mask.astype(complex)), hermitian=True)
+    return LatticeOperator(window, sparse.diags_array(mask.astype(complex)),
+                           hermitian=True)
 
 
 def interface_shift_unitary(field, window, variant="minimal"):
@@ -436,8 +453,9 @@ def interface_shift_unitary(field, window, variant="minimal"):
     gamma, strip = _strip_mask(field, window, variant)
     rows, cols, phases = _translation_entries(field, window, gamma)
     on = strip[cols]
-    U = np.eye(window.size, dtype=complex)
-    diag = np.flatnonzero(strip)
-    U[diag, diag] = 0.0
-    U[rows[on], cols[on]] = np.exp(1j * phases[on])
+    off = np.flatnonzero(~strip)
+    U = sparse.csr_array(
+        (np.concatenate([np.ones(off.size), np.exp(1j * phases[on])]),
+         (np.concatenate([off, rows[on]]), np.concatenate([off, cols[on]]))),
+        shape=(window.size, window.size))
     return LatticeOperator(window, U, unitary_on_interior=True)

@@ -62,6 +62,15 @@ class TestDerivation:
         dastar = il.derivation(il.LatticeOperator(win, a.conj().T), v).matrix
         assert np.abs(dastar - da.conj().T).max() < 1e-12
 
+    @pytest.mark.parametrize("v", [HALF.tangent(), [0.3, -0.8]])
+    def test_sparse_matches_dense(self, v):
+        win = il.SlabWindow(HALF, 12.0, 8.0)
+        s = translation_by(iw_field(HALF), win, (2, 1))
+        d = il.derivation(s, v)
+        assert d.matrix.nnz <= s.matrix.nnz
+        dense = il.derivation(il.LatticeOperator(win, s.dense()), v).matrix
+        assert np.array_equal(d.dense(), dense)
+
 
 class TestTraceBulk:
     def test_identity_and_shift(self):
@@ -202,6 +211,17 @@ class TestWinding:
             u = il.interface_shift_unitary(field, win, "minimal")
             assert abs(il.winding(u, slope, 24.0) - 1.0) < 0.05
 
+    # the shift_wind benchmark pool: window, slab length, slopes, variants
+    @pytest.mark.parametrize("variant", ["minimal", "wide"])
+    @pytest.mark.parametrize("slope", [ZERO, HALF, ONE, il.RationalSlope(2, 3),
+                                       il.PlusInfinity, il.MinusInfinity])
+    def test_sparse_matches_dense(self, slope, variant):
+        win = il.SlabWindow(slope, 40.0, 30.0)
+        u = il.interface_shift_unitary(iw_field(slope), win, variant)
+        w_sparse = il.winding(u, slope, 46.0)
+        w_dense = il.winding(il.LatticeOperator(win, u.dense()), slope, 46.0)
+        assert abs(w_sparse - w_dense) < 1e-13
+
     def test_orientation_calibration_recorded(self):
         assert reference_orientation_sign() == TANGENTIAL_ORIENTATION
 
@@ -274,7 +294,7 @@ def dense_switch_traces(sd, interval, slope, L):
     _, gp, u = il.gap_switch_operators(sd, interval)
     geom = slab_geometry(sd.window, slope, L)
     t = geom.tangential * TANGENTIAL_ORIENTATION
-    H = sd.source.matrix
+    H = sd.source.dense()
     gh = np.einsum("ik,ki->i", gp.matrix, H)
     ght = np.einsum("ik,ki,k->i", gp.matrix, H, t)
     current = float((geom.weights * (1j * (ght - t * gh)).real).sum() / geom.norm)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import iwalab as il
-from iwalab.operators import magnetic_translation, translation_by
+from iwalab.operators import (magnetic_translation, shifted_flux_diagonal,
+                              translation_by)
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
 HALF = il.RationalSlope(1, 2)
@@ -71,7 +72,7 @@ class TestTranslations:
         # the column sums of the vectorized gauge against the scalar fsum
         # reference, entry by entry
         win = il.LatticeWindow(8)
-        s1 = magnetic_translation(field, win, 1).matrix
+        s1 = magnetic_translation(field, win, 1).dense()
         want = np.zeros_like(s1)
         for i, (n1, n2) in enumerate(win.sites):
             if win.contains((n1 - 1, n2)):
@@ -94,8 +95,8 @@ class TestTranslations:
         # with the Bloch eigenvalues on the commensurate momentum grid
         field = il.ConstantField.from_turns(Fraction(1, 3))
         win = il.LatticeWindow(10)
-        s1 = magnetic_translation(field, win, 1, periodic=True).matrix
-        s2 = magnetic_translation(field, win, 2, periodic=True).matrix
+        s1 = magnetic_translation(field, win, 1, periodic=True).dense()
+        s2 = magnetic_translation(field, win, 2, periodic=True).dense()
         H = s1 + s1.conj().T + s2 + s2.conj().T
         ev_torus = np.sort(np.linalg.eigvalsh(H))
         evs = []
@@ -141,6 +142,35 @@ class TestHullProjections:
         with pytest.raises(il.DegenerateField):
             il.hull_projection(il.ConstantField.from_turns(Fraction(1, 3)),
                                win, "q")
+
+
+GOLDEN = il.QuadraticIrrationalSlope(1, 1, 2, 5)
+CRITERION_7_PERTURBATION = {
+    (a, b): Fraction(1, 6) if (a + b) % 2 else -Fraction(1, 6)
+    for a in range(-4, 4) for b in (0, 1)}
+DIAGONAL_FIELDS = [
+    il.IwatsukaField.from_turns(slope, Fraction(1, 3), Fraction(2, 3))
+    for slope in (il.RationalSlope(0, 1), HALF, il.RationalSlope(2, 3), SQRT2,
+                  GOLDEN, il.FloatIrrationalSlope(math.sqrt(3)),
+                  il.PlusInfinity, il.MinusInfinity)
+] + [il.IwatsukaField.from_turns(HALF, Fraction(1, 3), Fraction(2, 3),
+                                 perturbation_turns=CRITERION_7_PERTURBATION)]
+
+
+class TestDiagonals:
+    @pytest.mark.parametrize("field", DIAGONAL_FIELDS)
+    def test_match_per_site_field_values(self, field):
+        # the vectorized field evaluation against field.value / base_value
+        # site by site, byte for byte
+        win = il.LatticeWindow(6)
+        want = np.array([np.exp(1j * field.value(n)) for n in win.sites])
+        assert il.flux_operator(field, win).diagonal().tobytes() == want.tobytes()
+        for shift in ((0, 0), (1, 0), (0, 1), (-2, 3)):
+            want = np.array([np.exp(1j * field.base_value((n1 - shift[0],
+                                                           n2 - shift[1])))
+                             for n1, n2 in win.sites])
+            got = shifted_flux_diagonal(field, win, shift)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBloch:
@@ -321,6 +351,16 @@ class TestInterfaceShiftUnitary:
         eye = np.eye(win.size)
         assert P.diagonal().real.sum() > 0
         assert np.abs(u - (eye + (s - eye) @ P)).max() < 1e-14
+
+    @pytest.mark.parametrize("variant", ["minimal", "wide"])
+    def test_sparse_on_criterion_5_window(self, variant):
+        # at most one stored entry per column: the identity off the strip,
+        # the translation on it
+        field = il.IwatsukaField.from_turns(il.RationalSlope(0, 1),
+                                            Fraction(1, 3), Fraction(2, 3))
+        win = il.SlabWindow(il.RationalSlope(0, 1), 50.0, 61.0)
+        u = il.interface_shift_unitary(field, win, variant)
+        assert u.matrix.nnz <= win.size
 
     def test_irrational_slope_rejected(self):
         field = il.IwatsukaField.from_turns(SQRT2, Fraction(1, 3), Fraction(2, 3))
