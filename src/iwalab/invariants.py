@@ -21,10 +21,10 @@ from .errors import (EmptyInterior, GapClosed, NoCommonGap,
 from .model import SlabWindow
 # gap_switch_operators is no longer called here but stays importable under
 # this module, where perfbench's tracer tests look for it
-from .operators import (LatticeOperator, SwitchFunction, band_structure,
-                        gap_switch_operators, harper_bloch_matrix,
-                        interface_shift_unitary, iwatsuka_hamiltonian,
-                        product_diagonal, require_spectrum_beyond)
+from .operators import (LatticeOperator, SwitchFunction, _as_flux_fraction,
+                        band_structure, gap_switch_operators,
+                        harper_bloch_matrix, interface_shift_unitary,
+                        iwatsuka_hamiltonian, require_spectrum_beyond)
 
 # Tangential orientation of the interface.  The compounded sign conventions
 # (shift direction of the translations, the i[v.n, .] derivation, and the
@@ -128,10 +128,7 @@ def trace_interface(op, slope, L, convention="tangential", ramp=DEFAULT_RAMP,
     the rational transversal constant 1/sqrt(p^2+q^2)); convention
     "offset-lebesgue" rescales by sqrt(1 + alpha^2)."""
     geom = slab_geometry(op.window, slope, L, ramp, normal_cut)
-    diag = op.diagonal()
-    if check:
-        _localization_check(diag, geom, "trace_interface")
-    val = complex((geom.weights * diag).sum() / geom.norm)
+    val = complex(_slab_trace(op.diagonal(), geom, "trace_interface", check))
     if convention == "tangential":
         return val
     if convention == "offset-lebesgue":
@@ -145,14 +142,13 @@ def trace_interface(op, slope, L, convention="tangential", ramp=DEFAULT_RAMP,
 # ---------------------------------------------------------------------------
 # Chern numbers
 
-def _occupied_count(flux, mu, nk):
-    bs = band_structure(flux, nk=max(nk, 30))
+def _occupied_count(bs, mu):
     below = sum(1 for hi in bs.band_max if hi < mu)
     # mu must sit strictly between band `below` and the next one
     if below < bs.num_bands and bs.band_min[below] <= mu:
-        raise GapClosed(f"mu={mu:.4f} is not in a gap of flux {flux}")
+        raise GapClosed(f"mu={mu:.4f} is not in a gap of flux {bs.flux}")
     if below == 0 or below == bs.num_bands:
-        raise GapClosed(f"mu={mu:.4f} lies outside the open gaps of flux {flux}")
+        raise GapClosed(f"mu={mu:.4f} lies outside the open gaps of flux {bs.flux}")
     return below
 
 
@@ -163,40 +159,35 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
 
     gap_index counts open gaps from the bottom (1-based); alternatively give
     mu inside a gap."""
-    flux = Fraction(flux)
+    flux = _as_flux_fraction(flux)
     if flux.denominator == 1:
         return 0.0   # single trivial band
+    if gap_index is None and mu is None:
+        raise ValueError("need gap_index or mu")
+    bs = band_structure(flux, nk=max(nk, 30))
     if gap_index is not None:
-        bs = band_structure(flux, nk=max(nk, 30))
         if not 1 <= gap_index <= len(bs.gaps):
             raise GapClosed(f"flux {flux} has {len(bs.gaps)} open gaps, "
                             f"gap_index {gap_index} requested")
         lo, hi = bs.gaps[gap_index - 1]
         mu = 0.5 * (lo + hi)
-    if mu is None:
-        raise ValueError("need gap_index or mu")
-    r = _occupied_count(flux, mu, nk)
-    q = flux.denominator
+    r = _occupied_count(bs, mu)
     ks = 2.0 * np.pi * np.arange(nk) / nk
-    V = np.empty((nk, nk, q, r), dtype=complex)
-    for i, k1 in enumerate(ks):
-        for j, k2 in enumerate(ks):
-            w, v = np.linalg.eigh(harper_bloch_matrix(flux, (k1, k2)))
-            if w[r - 1] > mu or (r < q and w[r] < mu):
-                raise GapClosed(f"band crossing through mu={mu:.4f} at "
-                                f"k=({k1:.3f},{k2:.3f})")
-            V[i, j] = v[:, :r]
-    total = 0.0
-    for i in range(nk):
-        i2 = (i + 1) % nk
-        for j in range(nk):
-            j2 = (j + 1) % nk
-            u1 = np.linalg.det(V[i, j].conj().T @ V[i2, j])
-            u2 = np.linalg.det(V[i2, j].conj().T @ V[i2, j2])
-            u3 = np.linalg.det(V[i2, j2].conj().T @ V[i, j2])
-            u4 = np.linalg.det(V[i, j2].conj().T @ V[i, j])
-            total += np.angle(u1 * u2 * u3 * u4)
-    return total / (2.0 * np.pi)
+    w, v = np.linalg.eigh(
+        harper_bloch_matrix(flux, np.meshgrid(ks, ks, indexing="ij")))
+    closed = (w[..., r - 1] > mu) | (w[..., r] < mu)
+    if closed.any():
+        i, j = np.argwhere(closed)[0]
+        raise GapClosed(f"band crossing through mu={mu:.4f} at "
+                        f"k=({ks[i]:.3f},{ks[j]:.3f})")
+    # occupied frames at the corners of each plaquette, counterclockwise
+    # from (k1, k2); the links join consecutive corners
+    V = v[..., :r]
+    corners = np.stack([V, np.roll(V, -1, axis=0),
+                        np.roll(V, (-1, -1), axis=(0, 1)), np.roll(V, -1, axis=1)])
+    links = np.linalg.det(corners.conj().swapaxes(-1, -2)
+                          @ np.roll(corners, -1, axis=0))
+    return np.angle(links.prod(axis=0)).sum() / (2.0 * np.pi)
 
 
 def chern_realspace(P, margin=6):
@@ -206,12 +197,11 @@ def chern_realspace(P, margin=6):
     pm = P.matrix
     if np.abs(pm @ pm - pm).max() > 1e-6:
         raise NotProjection("operator is not idempotent to 1e-6")
-    pos = P.window.positions().astype(float)
-    d1 = 1j * (pos[:, 0][:, None] - pos[:, 0][None, :]) * pm
-    d2 = 1j * (pos[:, 1][:, None] - pos[:, 1][None, :]) * pm
+    d1 = derivation(P, (1, 0)).matrix
+    d2 = derivation(P, (0, 1)).matrix
     comm = d1 @ d2
     comm -= d2 @ d1
-    diag = product_diagonal(pm, comm)
+    diag = np.einsum("ik,ki->i", pm, comm)      # diag(P @ comm)
     mask = P.window.interior_mask(margin)
     if not mask.any():
         raise EmptyInterior(f"margin {margin} leaves no interior sites")
@@ -241,15 +231,18 @@ def _winding_moments(u, tvals, tcols=None, chunk=512):
 
 
 def _slab_trace(diag, geom, what, check):
+    """Tapered slab sum of a diagonal over the slab norm, after the
+    localization check; real or complex as the diagonal is."""
     if check:
         _localization_check(diag, geom, what)
-    return float((geom.weights * diag).sum() / geom.norm)
+    return (geom.weights * diag).sum() / geom.norm
 
 
 def _winding_trace(moments, geom, check):
     # diag(u^dag grad u)_i = i * orientation * moments_i, and the winding is
     # i times its slab trace
-    return _slab_trace(-TANGENTIAL_ORIENTATION * moments, geom, "winding", check)
+    return float(_slab_trace(-TANGENTIAL_ORIENTATION * moments, geom,
+                             "winding", check))
 
 
 def winding(u, slope, L, ramp=DEFAULT_RAMP, normal_cut=None, check=True):
@@ -290,7 +283,7 @@ def _switch_traces(E, V, h, interval, geom, check):
     terms = 1j * G[hs.col, hs.row] * hs.data * (t[hs.row] - t[S[hs.col]])
     diag = np.zeros(tan.size)
     diag[S] = np.bincount(hs.col, terms.real, minlength=S.size)
-    J = _slab_trace(diag, geom, "interface_current", check)
+    J = float(_slab_trace(diag, geom, "interface_current", check))
     # columns S of u - 1; the identity adds nothing to the moments since
     # its entries are weighted by t_i - t_i = 0
     du = V @ ((np.exp(2j * np.pi * sw.g(E)) - 1.0)[:, None] * VS.conj().T)
@@ -351,8 +344,8 @@ def _check_spectrum_beyond(h, interval):
 
 def common_gaps(flux_plus, flux_minus, nk=60):
     """Open intervals lying in gaps of both bulk band structures."""
-    bp = band_structure(Fraction(flux_plus), nk=nk)
-    bm = band_structure(Fraction(flux_minus), nk=nk)
+    bp = band_structure(flux_plus, nk=nk)
+    bm = band_structure(flux_minus, nk=nk)
     out = []
     for lo1, hi1 in bp.gaps:
         for lo2, hi2 in bm.gaps:
@@ -424,8 +417,8 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     delta = 0.8 * half
     interval = (mu - delta, mu + delta)
 
-    ch_plus = chern_momentum(plus_turns, mu=mu) if plus_turns.denominator > 1 else 0.0
-    ch_minus = chern_momentum(minus_turns, mu=mu) if minus_turns.denominator > 1 else 0.0
+    ch_plus = chern_momentum(plus_turns, mu=mu)
+    ch_minus = chern_momentum(minus_turns, mu=mu)
 
     window = SlabWindow(slope, L / 2.0 + ramp + buffer, normal_half)
     # raises SlabExceedsWindow before any matrix is built

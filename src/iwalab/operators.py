@@ -71,13 +71,6 @@ class LatticeOperator:
                                hermitian=self.hermitian)
 
 
-def product_diagonal(a, b):
-    """diag(a @ b) without forming the product."""
-    am = a.matrix if isinstance(a, LatticeOperator) else np.asarray(a)
-    bm = b.matrix if isinstance(b, LatticeOperator) else np.asarray(b)
-    return np.einsum("ik,ki->i", am, bm)
-
-
 # ---------------------------------------------------------------------------
 # magnetic translations in the standard gauge
 
@@ -227,36 +220,31 @@ def harper_bloch_matrix(flux, k):
     flux (in units of 2*pi per plaquette): cosine diagonal from the
     horizontal hops, unit vertical hops inside the magnetic cell, Bloch
     phase e^{+-i k2} on the wrap.  Sweeping k over [0, 2*pi)^2 traces the q
-    magnetic bands."""
+    magnetic bands.  k = (k1, k2) holds scalars or arrays of one shape; the
+    result is the stack of shape k1.shape + (q, q)."""
     flux = _as_flux_fraction(flux)
     p, q = flux.numerator, flux.denominator
-    k1, k2 = k
+    k1, k2 = np.asarray(k, dtype=float)
     b = 2.0 * math.pi * p / q
-    h = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        h[j, j] = 2.0 * math.cos(k1 + b * j)
+    j = np.arange(q)
+    h = np.zeros(k1.shape + (q, q), dtype=complex)
+    h[..., j, j] = 2.0 * np.cos(np.add.outer(k1, b * j))
     if q == 1:
-        h[0, 0] += 2.0 * math.cos(k2)
+        h[..., 0, 0] += 2.0 * np.cos(k2)
         return h
-    for j in range(q - 1):
-        h[j, j + 1] += 1.0
-        h[j + 1, j] += 1.0
-    h[q - 1, 0] += np.exp(1j * k2)
-    h[0, q - 1] += np.exp(-1j * k2)
+    h[..., j[:-1], j[1:]] = 1.0
+    h[..., j[1:], j[:-1]] = 1.0
+    h[..., q - 1, 0] += np.exp(1j * k2)
+    h[..., 0, q - 1] += np.exp(-1j * k2)
     return h
 
 
 def bloch_spectrum(flux, nk=60):
     """Eigenvalues of the Bloch matrix on an nk x nk grid over [0, 2*pi)^2,
     shape (nk, nk, q), ascending along the last axis."""
-    flux = _as_flux_fraction(flux)
-    q = flux.denominator
     ks = 2.0 * np.pi * np.arange(nk) / nk
-    H = np.empty((nk, nk, q, q), dtype=complex)
-    for i, k1 in enumerate(ks):
-        for j, k2 in enumerate(ks):
-            H[i, j] = harper_bloch_matrix(flux, (k1, k2))
-    return np.linalg.eigvalsh(H)
+    return np.linalg.eigvalsh(
+        harper_bloch_matrix(flux, np.meshgrid(ks, ks, indexing="ij")))
 
 
 @dataclass(frozen=True)
@@ -283,9 +271,8 @@ def band_structure(flux, nk=60):
     touching central bands of even q never show a spurious gap."""
     flux = _as_flux_fraction(flux)
     q = flux.denominator
-    edges = np.linalg.eigvalsh(np.stack([
-        harper_bloch_matrix(flux, (0.0, 0.0)),
-        harper_bloch_matrix(flux, (math.pi / q, math.pi))]))
+    edges = np.linalg.eigvalsh(
+        harper_bloch_matrix(flux, ([0.0, math.pi / q], [0.0, math.pi])))
     ev = bloch_spectrum(flux, nk).reshape(-1, q)
     lo = np.minimum(ev.min(axis=0), edges.min(axis=0))
     hi = np.maximum(ev.max(axis=0), edges.max(axis=0))

@@ -130,6 +130,35 @@ class TestTraceInterface:
             il.trace_interface(small, HALF, 60.0)
 
 
+def chern_plaquette_loop(flux, mu, nk=30, r=None):
+    """Reference plaquette sum: one eigh per k-point, four link determinants
+    per plaquette, accumulated in a loop.  The r lowest bands are occupied
+    (by default those below mu); returns the first k, in row-major order,
+    where the gap at mu closes instead of a Chern number."""
+    q = flux.denominator
+    ks = 2.0 * np.pi * np.arange(nk) / nk
+    V = {}
+    for i, k1 in enumerate(ks):
+        for j, k2 in enumerate(ks):
+            w, v = np.linalg.eigh(il.harper_bloch_matrix(flux, (k1, k2)))
+            if r is None:
+                r = int((w < mu).sum())
+            if w[r - 1] > mu or (r < q and w[r] < mu):
+                return k1, k2
+            V[i, j] = v[:, :r]
+    total = 0.0
+    for i in range(nk):
+        i2 = (i + 1) % nk
+        for j in range(nk):
+            j2 = (j + 1) % nk
+            u1 = np.linalg.det(V[i, j].conj().T @ V[i2, j])
+            u2 = np.linalg.det(V[i2, j].conj().T @ V[i2, j2])
+            u3 = np.linalg.det(V[i2, j2].conj().T @ V[i, j2])
+            u4 = np.linalg.det(V[i, j2].conj().T @ V[i, j])
+            total += np.angle(u1 * u2 * u3 * u4)
+    return total / (2.0 * np.pi)
+
+
 class TestChernMomentum:
     def test_pinned_values(self):
         assert il.chern_momentum(Fraction(0)) == 0.0
@@ -145,6 +174,40 @@ class TestChernMomentum:
             il.chern_momentum(THIRD, mu=0.0)        # inside the central band
         with pytest.raises(il.GapClosed):
             il.chern_momentum(THIRD, gap_index=5)
+
+    def test_matches_plaquette_loop(self):
+        checked = set()
+        for q in range(2, 8):
+            for p in range(1, q):
+                if math.gcd(p, q) != 1:
+                    continue
+                flux = Fraction(p, q)
+                for g, (lo, hi) in enumerate(il.band_structure(flux, nk=30).gaps,
+                                             start=1):
+                    got = il.chern_momentum(flux, gap_index=g)
+                    want = chern_plaquette_loop(flux, 0.5 * (lo + hi))
+                    assert abs(got - want) < 1e-12
+                    checked.add((flux, g))
+        assert (Fraction(1, 6), 3) in checked and len(checked) == 68
+
+    def test_gap_closed_reports_first_crossing(self, monkeypatch):
+        # band structure claims band 1 of flux 1/3 ends below mu = -2.1; on
+        # the grid it reaches -2, so the plaquette sum must refuse
+        fake = il.BandStructure(THIRD, 30, (-2.9, -0.5, 2.0),
+                                (-2.2, 0.8, 2.9), ((-2.2, -0.5), (0.8, 2.0)))
+        monkeypatch.setattr(invariants, "band_structure", lambda *a, **k: fake)
+        with pytest.raises(il.GapClosed) as excinfo:
+            il.chern_momentum(THIRD, mu=-2.1)
+        k = chern_plaquette_loop(THIRD, -2.1, r=1)
+        assert str(excinfo.value) == (f"band crossing through mu=-2.1000 at "
+                                      f"k=({k[0]:.3f},{k[1]:.3f})")
+
+    def test_inexact_flux_is_irrational(self):
+        # Fraction(0.333) has denominator 2**54; it must not reach numpy
+        with pytest.raises(il.IrrationalFlux):
+            il.chern_momentum(0.333, gap_index=1)
+        with pytest.raises(il.IrrationalFlux):
+            il.common_gaps(0.333, TWO_THIRDS)
 
     def test_conjugate_flux_antisymmetry(self):
         # complex conjugation maps flux p/q to (q-p)/q and flips the Chern

@@ -203,6 +203,29 @@ class TestBloch:
         with pytest.raises(il.IrrationalFlux):
             il.harper_bloch_matrix(0.333, (0, 0))
 
+    @pytest.mark.parametrize("flux", [Fraction(0), Fraction(1, 2),
+                                      Fraction(2, 3), Fraction(3, 7)])
+    @pytest.mark.parametrize("shape", [(), (2,), (4, 5)])
+    def test_array_k_stacks_scalar_calls(self, flux, shape):
+        q = flux.denominator
+        k1, k2 = np.random.default_rng(q).uniform(-7.0, 7.0, (2,) + shape)
+        got = il.harper_bloch_matrix(flux, (k1, k2))
+        assert got.shape == shape + (q, q)
+        want = np.array([il.harper_bloch_matrix(flux, (float(a), float(b)))
+                         for a, b in zip(k1.ravel(), k2.ravel())])
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+        # each scalar call is the q x q matrix written out entry by entry
+        b = 2 * math.pi * flux
+        for a, c, h in zip(k1.ravel(), k2.ravel(), want):
+            ref = np.diag([2 * math.cos(a + b * j) for j in range(q)]).astype(complex)
+            if q == 1:
+                ref[0, 0] += 2 * math.cos(c)
+            else:
+                ref += np.eye(q, k=1) + np.eye(q, k=-1)
+                ref[q - 1, 0] += np.exp(1j * c)
+                ref[0, q - 1] += np.exp(-1j * c)
+            assert np.abs(h - ref).max() < 1e-14
+
     def test_interior_states_lie_in_bands(self):
         field = il.ConstantField.from_turns(Fraction(1, 3))
         win = il.LatticeWindow(14)
