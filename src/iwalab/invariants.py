@@ -171,10 +171,16 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
                             f"gap_index {gap_index} requested")
         lo, hi = bs.gaps[gap_index - 1]
         mu = 0.5 * (lo + hi)
+    return _chern_below(bs, mu, nk)
+
+
+def _chern_below(bs, mu, nk=30):
+    """Plaquette Chern number of the bands below mu on an nk x nk grid; the
+    band structure bs decides which bands those are."""
     r = _occupied_count(bs, mu)
     ks = 2.0 * np.pi * np.arange(nk) / nk
     w, v = np.linalg.eigh(
-        harper_bloch_matrix(flux, np.meshgrid(ks, ks, indexing="ij")))
+        harper_bloch_matrix(bs.flux, np.meshgrid(ks, ks, indexing="ij")))
     closed = (w[..., r - 1] > mu) | (w[..., r] < mu)
     if closed.any():
         i, j = np.argwhere(closed)[0]
@@ -339,6 +345,57 @@ def _check_spectrum_beyond(h, interval):
     require_spectrum_beyond(interval, eigvalsh(h.dense()))
 
 
+def _count_below(hs, x):
+    """Number of eigenvalues below x of the Hermitian matrix hs, by
+    Sylvester's law of inertia: the negative pivots of a sparse LU of
+    hs - x with a symmetric ordering and no row pivoting (so LU = L D L^H).
+    None when the factorization pivoted off the diagonal or met a zero
+    pivot."""
+    from scipy.sparse.linalg import splu
+
+    shifted = sparse.csc_array(hs - x * sparse.eye_array(hs.shape[0]))
+    try:
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+    except RuntimeError:            # an exactly singular pivot
+        return None
+    pivots = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and pivots.all()):
+        return None
+    return int((pivots.real < 0).sum())
+
+
+def _interval_eigenpairs(h, interval):
+    """Eigenpairs of h with eigenvalue in (lo, hi], sorted: the set of the
+    dense evr subset solve.  The inertia counts of h - lo and h - hi give
+    their number k; shift-invert Lanczos about the midpoint returns the
+    k + 1 eigenvalues nearest it, and the pairs stand only if exactly k of
+    those lie in (lo, hi], so the count and the solve certify each other.
+    Every other outcome falls back to the dense solve."""
+    from scipy.sparse.linalg import eigsh
+
+    lo, hi = interval
+    hs = h.matrix
+    n = hs.shape[0]
+    below_lo, below_hi = _count_below(hs, lo), _count_below(hs, hi)
+    if below_lo is not None and below_hi is not None:
+        k = below_hi - below_lo
+        if 0 <= k and k + 1 < n - 1:
+            # a fixed start vector keeps the result byte-stable across runs
+            v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+            try:
+                E, V = eigsh(hs, k=k + 1, sigma=0.5 * (lo + hi), which="LM",
+                             v0=v0)
+            except RuntimeError:    # ArpackNoConvergence, ArpackError
+                pass
+            else:
+                inside = np.flatnonzero((E > lo) & (E <= hi))
+                if inside.size == k:
+                    inside = inside[np.argsort(E[inside])]
+                    return E[inside], V[:, inside]
+    return eigh(h.dense(), driver="evr", subset_by_value=interval)
+
+
 # ---------------------------------------------------------------------------
 # bulk-interface correspondence
 
@@ -417,15 +474,16 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     delta = 0.8 * half
     interval = (mu - delta, mu + delta)
 
-    ch_plus = chern_momentum(plus_turns, mu=mu)
-    ch_minus = chern_momentum(minus_turns, mu=mu)
+    # the band structures that chose mu also decide the occupied bands
+    ch_plus = _chern_below(bp, mu)
+    ch_minus = _chern_below(bm, mu)
 
     window = SlabWindow(slope, L / 2.0 + ramp + buffer, normal_half)
     # raises SlabExceedsWindow before any matrix is built
     geom = slab_geometry(window, slope, L, ramp)
     h = iwatsuka_hamiltonian(field, window)
     _check_spectrum_beyond(h, interval)
-    E, V = eigh(h.dense(), driver="evr", subset_by_value=interval)
+    E, V = _interval_eigenpairs(h, interval)
     report = _switch_traces(E, V, h, interval, geom, check=True)
 
     d_ch = ch_plus - ch_minus

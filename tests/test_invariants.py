@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
+from scipy import sparse
 
 import iwalab as il
 from iwalab import invariants
@@ -12,11 +15,15 @@ from iwalab.operators import (hull_projection, magnetic_translation,
                               strip_projection, translation_by)
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
+GOLDEN = il.QuadraticIrrationalSlope(1, 1, 2, 5)
 HALF = il.RationalSlope(1, 2)
 ONE = il.RationalSlope(1, 1)
 ZERO = il.RationalSlope(0, 1)
 THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
+# the 16-plaquette interface perturbation of acceptance criterion 7
+PERTURBATION = {(a, b): Fraction(1, 6) if (a + b) % 2 else -Fraction(1, 6)
+                for a in range(-4, 4) for b in (0, 1)}
 
 
 def iw_field(slope):
@@ -332,16 +339,27 @@ def common_gap_interval():
 class TestGapUnitaryLocalization:
     def test_deviation_decays_away_from_interface(self, half_slab_spectral):
         win, sd = half_slab_spectral
-        _, _, u = il.gap_switch_operators(sd, common_gap_interval())
-        dev = np.abs(u.matrix - np.eye(win.size))
+        lo, hi = interval = common_gap_interval()
+        # u - 1 = V_J diag(e^{2 pi i g(E_J)} - 1) V_J^H over the eigenpairs J
+        # in the switch interval (g is 0 below it and 1 above), so its rows
+        # need no dense u
+        E = sd.eigenvalues
+        J = (E > lo) & (E <= hi)
+        VJ = sd.eigenvectors[:, J]
+        c = np.exp(2j * np.pi * il.SwitchFunction.from_interval(*interval)
+                   .g(E[J])) - 1.0
+
+        def dev(rows):
+            return np.abs((VJ[rows] * c) @ VJ.conj().T)
+
         nu = np.abs(win.normal())
         # far from the interface but clear of the window's own boundary,
         # whose open ends carry their own circulating gap channel
         far = (nu > 15.0) & (nu <= 17.0) & (np.abs(win.tangential()) <= 10.0)
         assert far.sum() > 50
-        assert dev[far, :].max() < 1e-3
+        assert dev(far).max() < 1e-3
         near = nu <= 2.0
-        assert dev[near, :].max() > 0.1      # and it does act at the interface
+        assert dev(near).max() > 0.1      # and it does act at the interface
 
     def test_direct_current_cross_check(self, half_slab_spectral):
         win, sd = half_slab_spectral
@@ -415,6 +433,8 @@ class TestInIntervalSwitchTraces:
 
         monkeypatch.setattr(invariants, "eigh", no_eigensolve)
         monkeypatch.setattr(invariants, "eigvalsh", no_eigensolve)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_eigensolve)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigensolve)
         field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
         with pytest.raises(il.SlabExceedsWindow):
             il.verify_bic(field, L=8.0, normal_half=18.0, buffer=4.0)
@@ -428,6 +448,130 @@ class TestInIntervalSwitchTraces:
                 invariants._check_spectrum_beyond(h, interval)
             with pytest.raises(il.EmptyGap):
                 il.interface_current(sd, interval, self.SLOPE, 8.0)
+
+    def test_one_band_structure_per_flux(self, monkeypatch):
+        calls = []
+
+        def counted(flux, nk=60):
+            calls.append((flux, nk))
+            return il.band_structure(flux, nk=nk)
+
+        monkeypatch.setattr(invariants, "band_structure", counted)
+        field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
+        rep = il.verify_bic(field, **self.SIZE)
+        assert calls == [(THIRD, 60), (TWO_THIRDS, 60)]
+        monkeypatch.undo()
+        # the same Chern numbers as the bulk oracle on its own band structure
+        assert abs(rep.chern_plus - il.chern_momentum(THIRD, mu=rep.mu)) < 1e-12
+        assert abs(rep.chern_minus
+                   - il.chern_momentum(TWO_THIRDS, mu=rep.mu)) < 1e-12
+
+    def test_verify_bic_is_deterministic(self):
+        field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
+        assert (il.verify_bic(field, **self.SIZE).to_dict()
+                == il.verify_bic(field, **self.SIZE).to_dict())
+
+
+def spy_dense_eigh(monkeypatch):
+    """Record the dense eigh calls of invariants; the spy still runs them."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return scipy.linalg.eigh(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "eigh", spy)
+    return calls
+
+
+def dense_interval_eigenpairs(h, interval):
+    return scipy.linalg.eigh(h.dense(), driver="evr", subset_by_value=interval)
+
+
+class TestIntervalEigenpairs:
+    # the bic_slab benchmark pool: its slopes, with its flux pairs and the
+    # criterion-7 perturbation spread over them, on the window verify_bic
+    # builds for L = 8, normal_half = 18, buffer = 10
+    SIZE = TestInIntervalSwitchTraces.SIZE
+    POOL = [(HALF, (THIRD, TWO_THIRDS), False),
+            (ONE, (Fraction(1, 4), Fraction(3, 4)), True),
+            (il.RationalSlope(2, 3), (Fraction(2, 5), Fraction(3, 5)), False),
+            (SQRT2, (Fraction(1, 5), Fraction(4, 5)), True),
+            (GOLDEN, (THIRD, TWO_THIRDS), True)]
+
+    @pytest.fixture(scope="class")
+    def small_slab(self):
+        field = iw_field(ONE)
+        win = il.SlabWindow(ONE, 4.0 + 8.0 + 10.0, 18.0)
+        return il.iwatsuka_hamiltonian(field, win), common_gap_interval()
+
+    @pytest.mark.parametrize("slope,pair,perturbed", POOL)
+    def test_matches_evr_on_pool(self, slope, pair, perturbed, monkeypatch):
+        field = il.IwatsukaField.from_turns(
+            slope, *pair, perturbation_turns=PERTURBATION if perturbed else None)
+        calls = spy_dense_eigh(monkeypatch)
+        rep = il.verify_bic(field, **self.SIZE)
+        assert calls == []                  # the sparse solve was certified
+        L, ramp = self.SIZE["L"], invariants.DEFAULT_RAMP
+        win = il.SlabWindow(slope, L / 2 + ramp + self.SIZE["buffer"],
+                            self.SIZE["normal_half"])
+        h = il.iwatsuka_hamiltonian(field, win)
+        interval = rep.delta
+        E, V = invariants._interval_eigenpairs(h, interval)
+        Ed, Vd = dense_interval_eigenpairs(h, interval)
+        assert calls == [] and E.size == Ed.size > 0
+        assert np.abs(E - Ed).max() < 1e-12
+        geom = slab_geometry(win, slope, L)
+        got = invariants._switch_traces(E, V, h, interval, geom, True)
+        want = invariants._switch_traces(Ed, Vd, h, interval, geom, True)
+        assert abs(got.winding_gap_unitary - want.winding_gap_unitary) < 1e-12
+        assert abs(got.current - want.current) < 1e-12
+        assert abs(got.cross_residual - want.cross_residual) < 1e-12
+        assert rep.winding == got.winding_gap_unitary
+
+    def test_inertia_counts(self, small_slab):
+        h, (lo, hi) = small_slab
+        E = scipy.linalg.eigvalsh(h.dense())
+        for x in (lo, hi, E.min() - 0.5, 0.1, E.max() + 0.5):
+            assert invariants._count_below(h.matrix, x) == (E < x).sum()
+
+    def test_no_convergence_falls_back(self, small_slab, monkeypatch):
+        h, interval = small_slab
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "no convergence", np.zeros(0), np.zeros((h.matrix.shape[0], 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        calls = spy_dense_eigh(monkeypatch)
+        E, V = invariants._interval_eigenpairs(h, interval)
+        Ed, Vd = dense_interval_eigenpairs(h, interval)
+        assert len(calls) == 1
+        assert np.array_equal(E, Ed) and np.array_equal(V, Vd)
+
+    @pytest.mark.parametrize("error", [-1, 1])
+    def test_wrong_count_falls_back(self, small_slab, monkeypatch, error):
+        h, interval = small_slab
+        count = invariants._count_below
+        monkeypatch.setattr(
+            invariants, "_count_below",
+            lambda hs, x: count(hs, x) + (error if x == interval[1] else 0))
+        calls = spy_dense_eigh(monkeypatch)
+        E, V = invariants._interval_eigenpairs(h, interval)
+        Ed, Vd = dense_interval_eigenpairs(h, interval)
+        assert len(calls) == 1
+        assert np.array_equal(E, Ed) and np.array_equal(V, Vd)
+
+    def test_empty_interval(self, monkeypatch):
+        win = il.LatticeWindow(4)
+        half = win.size // 2                    # no level in (-0.5, 0.5]
+        levels = np.concatenate([np.linspace(-3.0, -1.0, half),
+                                 np.linspace(1.0, 3.0, win.size - half)])
+        op = il.LatticeOperator(win, sparse.diags_array(levels))
+        calls = spy_dense_eigh(monkeypatch)
+        E, V = invariants._interval_eigenpairs(op, (-0.5, 0.5))
+        assert calls == []
+        assert E.shape == (0,) and V.shape == (win.size, 0)
 
 
 class TestBulkInterface:
