@@ -16,13 +16,13 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, eigvalsh
 
-from .errors import (EmptyInterior, GapClosed, NoCommonGap,
+from .errors import (EmptyGap, EmptyInterior, GapClosed, NoCommonGap,
                      NotInterfaceLocalized, NotProjection, SlabExceedsWindow)
 from .model import SlabWindow
 # gap_switch_operators is no longer called here but stays importable under
 # this module, where perfbench's tracer tests look for it
 from .operators import (LatticeOperator, SwitchFunction, _as_flux_fraction,
-                        band_structure, gap_switch_operators,
+                        _smoothstep, band_structure, gap_switch_operators,
                         harper_bloch_matrix, interface_shift_unitary,
                         iwatsuka_hamiltonian, require_spectrum_beyond)
 
@@ -71,8 +71,7 @@ def trace_bulk(op, margin=0):
 
 
 def _taper(t, L, ramp):
-    s = np.clip((L / 2.0 + ramp - np.abs(t)) / ramp, 0.0, 1.0)
-    return s ** 4 * (35.0 - 84.0 * s + 70.0 * s ** 2 - 20.0 * s ** 3)
+    return _smoothstep(np.clip((L / 2.0 + ramp - np.abs(t)) / ramp, 0.0, 1.0))
 
 
 @dataclass
@@ -217,22 +216,20 @@ def chern_realspace(P, margin=6):
 # ---------------------------------------------------------------------------
 # winding numbers and currents
 
-def _winding_moments(u, tvals, tcols=None, chunk=512):
-    """sum_k |u_ki|^2 (t_k - t_i) per column i, with t_i = tcols[i] (by
-    default the columns are all sites, tcols = tvals): over the stored
-    entries of a sparse u, streamed over column chunks of a dense one so no
-    second dense matrix is allocated."""
-    tcols = tvals if tcols is None else tcols
+def _winding_moments(u, tvals, chunk=512):
+    """sum_k |u_ki|^2 (t_k - t_i) per column i: over the stored entries of a
+    sparse u, streamed over column chunks of a dense one so no second dense
+    matrix is allocated."""
     n = u.shape[1]
     if sparse.issparse(u):
         c = u.tocoo()
         a2 = c.data.real ** 2 + c.data.imag ** 2
-        return np.bincount(c.col, a2 * (tvals[c.row] - tcols[c.col]), minlength=n)
+        return np.bincount(c.col, a2 * (tvals[c.row] - tvals[c.col]), minlength=n)
     out = np.empty(n)
     for s in range(0, n, chunk):
         cols = u[:, s:s + chunk]
         a2 = cols.real ** 2 + cols.imag ** 2
-        out[s:s + chunk] = a2.T @ tvals - a2.sum(axis=0) * tcols[s:s + chunk]
+        out[s:s + chunk] = a2.T @ tvals - a2.sum(axis=0) * tvals[s:s + chunk]
     return out
 
 
@@ -274,27 +271,33 @@ class CurrentReport:
 
 def _switch_traces(E, V, h, interval, geom, check):
     """Current, winding of the gap unitary and their cross residual from the
-    eigenpairs (E, V) of h inside the switch interval.  Outside that
-    spectral subspace g'(h) and u - 1 vanish, so only the rows of g'(h) and
-    the columns of u - 1 on the slab-trace support S of geom are formed."""
+    |J| orthonormal eigenpairs (E, V) of h inside the switch interval.
+    Outside that spectral subspace g'(h) and u - 1 vanish, so both traces
+    are read on the slab-trace support S of geom through rank-|J| factors:
+    no N x |S| matrix is formed, and memory is O(N |J|)."""
     sw = SwitchFunction.from_interval(*interval)
     S = np.flatnonzero(geom.weights > 0)
     VS = V[S]
     tan = geom.tangential
     t = tan * TANGENTIAL_ORIENTATION
-    # rows S of g'(h); diag(g'(h) @ gradH)_i = i sum_k gp_ik H_ki (t_k - t_i),
-    # summed over the stored entries H_ki of the columns S of H
-    G = (VS * sw.gprime(E)) @ V.conj().T
+    # diag(g'(h) grad h)_i = i sum_k g'(h)_ik H_ki (t_k - t_i) for i in S, with
+    # g'(h)_ik = sum_J V_iJ g'(E_J) conj(V_kJ), so the sum over k is one
+    # sparse product of conj(V) with the stored entries H_ki of the columns
+    # S of H, each scaled by t_k - t_i
     hs = sparse.coo_array(h.matrix[:, S])
-    terms = 1j * G[hs.col, hs.row] * hs.data * (t[hs.row] - t[S[hs.col]])
+    dh = sparse.csr_array((hs.data * (t[hs.row] - t[S[hs.col]]),
+                           (hs.col, hs.row)), shape=(S.size, tan.size))
     diag = np.zeros(tan.size)
-    diag[S] = np.bincount(hs.col, terms.real, minlength=S.size)
+    diag[S] = (1j * ((VS * sw.gprime(E)) * (dh @ V.conj())).sum(axis=1)).real
     J = float(_slab_trace(diag, geom, "interface_current", check))
-    # columns S of u - 1; the identity adds nothing to the moments since
-    # its entries are weighted by t_i - t_i = 0
-    du = V @ ((np.exp(2j * np.pi * sw.g(E)) - 1.0)[:, None] * VS.conj().T)
+    # column i in S of u - 1 is V a_i, a_i = (e^{2 pi i g(E)} - 1) conj(V_i,:),
+    # so its moment is a_i^H (V^H T V - t_i) a_i: |V a_i| = |a_i| holds since
+    # the Lanczos and the evr eigenvectors are both orthonormal.  The identity
+    # adds nothing: its entries are weighted by t_i - t_i = 0
+    b = (np.exp(-2j * np.pi * sw.g(E)) - 1.0) * VS       # rows conj(a_i)
+    vtv = (V.conj().T * tan) @ V
     moments = np.zeros(tan.size)
-    moments[S] = _winding_moments(du, tan, tan[S])
+    moments[S] = ((b @ vtv - tan[S, None] * b) * b.conj()).real.sum(axis=1)
     w = _winding_trace(moments, geom, check)
     target = -w / (2.0 * np.pi)
     denom = abs(target)
@@ -315,34 +318,6 @@ def interface_current(spectral, interval, slope, L, ramp=DEFAULT_RAMP,
     inside = (E > lo) & (E <= hi)       # the (lo, hi] of the evr subset solve
     return _switch_traces(E[inside], spectral.eigenvectors[:, inside],
                           spectral.source, interval, geom, check)
-
-
-def _check_spectrum_beyond(h, interval):
-    """Raise EmptyGap unless h has spectrum strictly below and above the
-    interval.  A Rayleigh quotient x*hx / x*x below lo (above hi) proves an
-    eigenvalue there; extremal Lanczos vectors serve as the witnesses, and
-    the full eigenvalues decide only when a witness does not."""
-    # imported here, on the one path that needs it, to keep
-    # scipy.sparse.linalg out of the package's import time
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-    lo, hi = interval
-    hs = h.matrix
-    v0 = np.ones(hs.shape[0], dtype=complex)
-
-    def quotient(which):
-        try:
-            x = eigsh(hs, k=1, which=which, v0=v0, tol=1e-3)[1]
-        except ArpackNoConvergence as exc:
-            x = exc.eigenvectors
-        if x.shape[1] == 0:
-            return math.nan
-        x = x[:, 0]
-        return np.vdot(x, hs @ x).real / np.vdot(x, x).real
-
-    if lo < hi and quotient("SA") < lo and quotient("LA") > hi:
-        return
-    require_spectrum_beyond(interval, eigvalsh(h.dense()))
 
 
 def _count_below(hs, x):
@@ -367,18 +342,30 @@ def _count_below(hs, x):
 
 def _interval_eigenpairs(h, interval):
     """Eigenpairs of h with eigenvalue in (lo, hi], sorted: the set of the
-    dense evr subset solve.  The inertia counts of h - lo and h - hi give
-    their number k; shift-invert Lanczos about the midpoint returns the
-    k + 1 eigenvalues nearest it, and the pairs stand only if exactly k of
-    those lie in (lo, hi], so the count and the solve certify each other.
-    Every other outcome falls back to the dense solve."""
+    dense evr subset solve.  The inertia counts of h - lo and h - hi raise
+    EmptyGap when no eigenvalue lies below lo or every one below hi (whose
+    pivots are nonzero, so none equals hi), and give the number k of pairs
+    in between; without a count the full eigenvalues decide EmptyGap.
+    Shift-invert Lanczos about the midpoint returns the k + 1 eigenvalues
+    nearest it, and the pairs stand only if exactly k of those lie in
+    (lo, hi], so the count and the solve certify each other.  Every other
+    outcome falls back to the dense solve.  lo >= hi is a ValueError."""
+    # imported here, on the one path that needs it, to keep
+    # scipy.sparse.linalg out of the package's import time
     from scipy.sparse.linalg import eigsh
 
     lo, hi = interval
+    if not lo < hi:
+        raise ValueError("empty interval")
     hs = h.matrix
     n = hs.shape[0]
     below_lo, below_hi = _count_below(hs, lo), _count_below(hs, hi)
-    if below_lo is not None and below_hi is not None:
+    if below_lo is None or below_hi is None:
+        require_spectrum_beyond(interval, eigvalsh(h.dense()))
+    elif below_lo == 0 or below_hi == n:
+        raise EmptyGap(f"interval ({lo:.4f}, {hi:.4f}) has {below_lo} of {n} "
+                       f"eigenvalues below it and {n - below_hi} above")
+    else:
         k = below_hi - below_lo
         if 0 <= k and k + 1 < n - 1:
             # a fixed start vector keeps the result byte-stable across runs
@@ -470,7 +457,8 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
             raise NoCommonGap(f"mu={mu} not in a common gap",
                               gaps_plus=bp.gaps, gaps_minus=bm.gaps)
         lo, hi = match[0]
-    half = 0.5 * (hi - lo)
+    # mu's distance to the nearer gap edge; exactly 0.5 * (hi - lo) at center
+    half = 0.5 * (hi - lo) - abs(mu - 0.5 * (lo + hi))
     delta = 0.8 * half
     interval = (mu - delta, mu + delta)
 
@@ -482,7 +470,6 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     # raises SlabExceedsWindow before any matrix is built
     geom = slab_geometry(window, slope, L, ramp)
     h = iwatsuka_hamiltonian(field, window)
-    _check_spectrum_beyond(h, interval)
     E, V = _interval_eigenpairs(h, interval)
     report = _switch_traces(E, V, h, interval, geom, check=True)
 

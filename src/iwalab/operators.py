@@ -335,6 +335,11 @@ def fermi_projection(spectral, mu):
     return spectral.apply(lambda E: (E <= mu).astype(float))
 
 
+def _smoothstep(s):
+    """Degree-7 smoothstep on [0, 1], flat to third order at both ends."""
+    return s ** 4 * (35.0 - 84.0 * s + 70.0 * s ** 2 - 20.0 * s ** 3)
+
+
 @dataclass(frozen=True)
 class SwitchFunction:
     """C^3 polynomial switch: 0 below mu - delta, 1 above mu + delta, the
@@ -354,7 +359,7 @@ class SwitchFunction:
     def g(self, E):
         t = np.clip((np.asarray(E, dtype=float) - (self.mu - self.delta))
                     / (2.0 * self.delta), 0.0, 1.0)
-        return t ** 4 * (35.0 - 84.0 * t + 70.0 * t ** 2 - 20.0 * t ** 3)
+        return _smoothstep(t)
 
     def gprime(self, E):
         t = np.clip((np.asarray(E, dtype=float) - (self.mu - self.delta))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -416,16 +417,25 @@ class TestInIntervalSwitchTraces:
         assert abs(rep.current - current) < 1e-10
         assert abs(rep.residual_cross - cross) < 1e-10
 
-    def test_empty_gap_witness(self, small_slab, monkeypatch):
+    def test_switch_traces_memory_is_rank_j(self, small_slab):
+        # the traces are read through rank-|J| factors: one call allocates
+        # less than a single N x |S| complex array
         h, sd = small_slab
-
-        def no_full_spectrum(*args, **kwargs):
-            raise AssertionError("the witnesses should have decided")
-
-        # a bulk gap has slab spectrum on both sides: the Rayleigh-quotient
-        # witnesses decide without the full eigenvalues
-        monkeypatch.setattr(invariants, "eigvalsh", no_full_spectrum)
-        invariants._check_spectrum_beyond(h, common_gap_interval())
+        interval = common_gap_interval()
+        lo, hi = interval
+        E = sd.eigenvalues
+        inside = (E > lo) & (E <= hi)
+        geom = slab_geometry(sd.window, self.SLOPE, 8.0)
+        support = int((geom.weights > 0).sum())
+        tracemalloc.start()
+        try:
+            invariants._switch_traces(E[inside], sd.eigenvectors[:, inside], h,
+                                      interval, geom, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < inside.sum() < support
+        assert peak < 16 * sd.window.size * support
 
     def test_slab_exceeds_window_before_eigensolve(self, monkeypatch):
         def no_eigensolve(*args, **kwargs):
@@ -439,15 +449,55 @@ class TestInIntervalSwitchTraces:
         with pytest.raises(il.SlabExceedsWindow):
             il.verify_bic(field, L=8.0, normal_half=18.0, buffer=4.0)
 
-    def test_empty_gap_outside_spectrum(self, small_slab):
+    def test_empty_gap_outside_spectrum(self, small_slab, monkeypatch):
         h, sd = small_slab
-        top = sd.eigenvalues.max()
-        for interval in ((top + 0.1, top + 0.5),
-                         (sd.eigenvalues.min() - 1.0, top + 1.0)):
+        bottom, top = sd.eigenvalues.min(), sd.eigenvalues.max()
+        dense = [spy(monkeypatch, invariants, "eigh"),
+                 spy(monkeypatch, invariants, "eigvalsh")]
+        for interval in ((top + 0.1, top + 0.5), (bottom - 0.5, bottom - 0.1),
+                         (bottom - 1.0, top + 1.0)):
+            # the inertia counts decide, without the full eigenvalues
             with pytest.raises(il.EmptyGap):
-                invariants._check_spectrum_beyond(h, interval)
+                invariants._interval_eigenpairs(h, interval)
+            assert dense == [[], []]
             with pytest.raises(il.EmptyGap):
                 il.interface_current(sd, interval, self.SLOPE, 8.0)
+
+    def test_empty_gap_without_counts(self, small_slab, monkeypatch):
+        h, sd = small_slab
+        monkeypatch.setattr(invariants, "_count_below", lambda hs, x: None)
+        calls = spy(monkeypatch, invariants, "eigvalsh")
+        top = sd.eigenvalues.max()
+        with pytest.raises(il.EmptyGap):
+            invariants._interval_eigenpairs(h, (top + 0.1, top + 0.5))
+        assert len(calls) == 1
+
+    def test_empty_interval_before_factorization(self, small_slab,
+                                                 monkeypatch):
+        h, _ = small_slab
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("the interval check should come first")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factorization)
+        for interval in ((0.5, 0.5), (0.5, -0.5)):
+            with pytest.raises(ValueError):
+                invariants._interval_eigenpairs(h, interval)
+
+    def test_mu_keeps_switch_inside_gap(self):
+        # with mu off the gap center the switch interval is sized from the
+        # nearer gap edge, not from the gap's half-width
+        field = iw_field(HALF)
+        gaps, _, _ = il.common_gaps(THIRD, TWO_THIRDS)
+        lo, hi = gaps[0]
+        rep = il.verify_bic(field, mu=lo + 0.3 * (hi - lo), **self.SIZE)
+        assert lo < rep.delta[0] < rep.delta[1] < hi
+
+    def test_mu_at_gap_center_is_default(self):
+        field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
+        rep = il.verify_bic(field, **self.SIZE)
+        assert (il.verify_bic(field, mu=rep.mu, **self.SIZE).to_dict()
+                == rep.to_dict())
 
     def test_one_band_structure_per_flux(self, monkeypatch):
         calls = []
@@ -472,15 +522,15 @@ class TestInIntervalSwitchTraces:
                 == il.verify_bic(field, **self.SIZE).to_dict())
 
 
-def spy_dense_eigh(monkeypatch):
-    """Record the dense eigh calls of invariants; the spy still runs them."""
-    calls = []
+def spy(monkeypatch, module, name):
+    """Record the calls of module.name; the spy still runs them."""
+    calls, original = [], getattr(module, name)
 
-    def spy(*args, **kwargs):
+    def recorded(*args, **kwargs):
         calls.append(kwargs)
-        return scipy.linalg.eigh(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(invariants, "eigh", spy)
+    monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -509,9 +559,15 @@ class TestIntervalEigenpairs:
     def test_matches_evr_on_pool(self, slope, pair, perturbed, monkeypatch):
         field = il.IwatsukaField.from_turns(
             slope, *pair, perturbation_turns=PERTURBATION if perturbed else None)
-        calls = spy_dense_eigh(monkeypatch)
+        calls = spy(monkeypatch, invariants, "eigh")
+        full = spy(monkeypatch, invariants, "eigvalsh")
+        arpack = spy(monkeypatch, scipy.sparse.linalg, "eigsh")
+        counts = spy(monkeypatch, scipy.sparse.linalg, "splu")
         rep = il.verify_bic(field, **self.SIZE)
-        assert calls == []                  # the sparse solve was certified
+        # the sparse solve was certified: two inertia counts decide the gap
+        # and |J|, one shift-invert Lanczos run finds the pairs
+        assert calls == [] and full == []
+        assert len(counts) == 2 and len(arpack) == 1 and "sigma" in arpack[0]
         L, ramp = self.SIZE["L"], invariants.DEFAULT_RAMP
         win = il.SlabWindow(slope, L / 2 + ramp + self.SIZE["buffer"],
                             self.SIZE["normal_half"])
@@ -543,7 +599,7 @@ class TestIntervalEigenpairs:
                 "no convergence", np.zeros(0), np.zeros((h.matrix.shape[0], 0)))
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        calls = spy_dense_eigh(monkeypatch)
+        calls = spy(monkeypatch, invariants, "eigh")
         E, V = invariants._interval_eigenpairs(h, interval)
         Ed, Vd = dense_interval_eigenpairs(h, interval)
         assert len(calls) == 1
@@ -556,7 +612,7 @@ class TestIntervalEigenpairs:
         monkeypatch.setattr(
             invariants, "_count_below",
             lambda hs, x: count(hs, x) + (error if x == interval[1] else 0))
-        calls = spy_dense_eigh(monkeypatch)
+        calls = spy(monkeypatch, invariants, "eigh")
         E, V = invariants._interval_eigenpairs(h, interval)
         Ed, Vd = dense_interval_eigenpairs(h, interval)
         assert len(calls) == 1
@@ -568,7 +624,7 @@ class TestIntervalEigenpairs:
         levels = np.concatenate([np.linspace(-3.0, -1.0, half),
                                  np.linspace(1.0, 3.0, win.size - half)])
         op = il.LatticeOperator(win, sparse.diags_array(levels))
-        calls = spy_dense_eigh(monkeypatch)
+        calls = spy(monkeypatch, invariants, "eigh")
         E, V = invariants._interval_eigenpairs(op, (-0.5, 0.5))
         assert calls == []
         assert E.shape == (0,) and V.shape == (win.size, 0)
