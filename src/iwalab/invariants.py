@@ -202,15 +202,16 @@ def chern_realspace(P, margin=6):
     pm = P.matrix
     if np.abs(pm @ pm - pm).max() > 1e-6:
         raise NotProjection("operator is not idempotent to 1e-6")
-    d1 = derivation(P, (1, 0)).matrix
-    d2 = derivation(P, (0, 1)).matrix
-    comm = d1 @ d2
-    comm -= d2 @ d1
-    diag = np.einsum("ik,ki->i", pm, comm)      # diag(P @ comm)
     mask = P.window.interior_mask(margin)
     if not mask.any():
         raise EmptyInterior(f"margin {margin} leaves no interior sites")
-    return float((2j * np.pi * diag[mask].mean()).real)
+    d1 = derivation(P, (1, 0)).matrix
+    d2 = derivation(P, (0, 1)).matrix
+    # only the interior columns of the commutator reach the trace
+    comm = d1 @ d2[:, mask]
+    comm -= d2 @ d1[:, mask]
+    diag = np.einsum("ik,ki->i", pm[mask], comm)    # interior diag(P @ comm)
+    return float((2j * np.pi * diag.mean()).real)
 
 
 # ---------------------------------------------------------------------------

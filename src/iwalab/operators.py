@@ -300,6 +300,37 @@ def iwatsuka_hamiltonian(field, window, v=None):
     return LatticeOperator(window, H, hermitian=True)
 
 
+def _parity_sectors(window, h):
+    """Isometries (Q+, Q-) onto the even and odd sectors of the inversion
+    n -> -n, or None unless the window is closed under it and the sparse
+    operator h equals its inverted copy exactly.  Q+ holds the origin when
+    it is a site, so it has (N+1)/2 columns on an odd window and Q- (N-1)/2."""
+    pos = window.positions()
+    a = np.lexsort((pos[:, 1], pos[:, 0]))
+    b = np.lexsort((-pos[:, 1], -pos[:, 0]))
+    if not np.array_equal(pos[a], -pos[b]):
+        return None
+    perm = np.empty_like(a)
+    perm[b] = a                                 # pos[perm] == -pos
+    if (h[perm][:, perm] != h).nnz:
+        return None
+    site = np.arange(perm.size)
+    lead = np.flatnonzero(site < perm)          # one site of each pair n, -n
+    fixed = np.flatnonzero(site == perm)        # the origin
+    pair = np.arange(lead.size)
+    r = math.sqrt(0.5)
+    even = sparse.csr_array(
+        (np.concatenate([np.full(2 * lead.size, r), np.ones(fixed.size)]),
+         (np.concatenate([lead, perm[lead], fixed]),
+          np.concatenate([pair, pair, lead.size + np.arange(fixed.size)]))),
+        shape=(perm.size, lead.size + fixed.size))
+    odd = sparse.csr_array(
+        (np.concatenate([np.full(lead.size, r), np.full(lead.size, -r)]),
+         (np.concatenate([lead, perm[lead]]), np.concatenate([pair, pair]))),
+        shape=(perm.size, lead.size))
+    return even, odd
+
+
 @dataclass
 class SpectralData:
     """Dense eigendecomposition of a Hermitian lattice operator."""
@@ -310,19 +341,44 @@ class SpectralData:
 
     @staticmethod
     def from_operator(op):
+        """Eigenvalues ascending and orthonormal eigenvectors.  An operator
+        that commutes exactly with the inversion n -> -n of its window is
+        diagonalized on its two parity blocks Q*HQ, each about half the
+        size, and V = Q v; any other is diagonalized whole."""
         if not op.hermitian:
             raise ValueError("spectral calculus needs a Hermitian operator")
-        w, v = eigh(op.dense(), driver="evr")
-        return SpectralData(w, v, op)
+        h = sparse.csr_array(op.matrix)
+        sectors = _parity_sectors(op.window, h)
+        if sectors is None:
+            w, v = eigh(op.dense(), driver="evr")
+            return SpectralData(w, v, op)
+        blocks = [(q, *eigh((q.T @ h @ q).toarray(), driver="evd"))
+                  for q in sectors]
+        w = np.concatenate([wb for _, wb, _ in blocks])
+        order = np.argsort(w, kind="stable")
+        column = np.empty_like(order)
+        column[order] = np.arange(w.size)
+        v = np.empty((w.size, w.size), dtype=complex)
+        start = 0
+        for q, wb, vb in blocks:
+            v[:, column[start:start + wb.size]] = q @ vb
+            start += wb.size
+        return SpectralData(w[order], v, op)
 
     @property
     def window(self):
         return self.source.window
 
     def apply(self, func, hermitian=None):
-        """Operator func(H) = V diag(func(E)) V*."""
+        """Operator func(H) = V diag(func(E)) V*, summed over the
+        eigenvectors whose weight func(E) is nonzero, so a rank-r Fermi
+        projection costs N^2 r."""
         fvals = np.asarray(func(self.eigenvalues))
-        m = (self.eigenvectors * fvals) @ self.eigenvectors.conj().T
+        v = self.eigenvectors
+        keep = fvals != 0
+        if not keep.all():
+            v, fvals = v[:, keep], fvals[keep]
+        m = (v * fvals) @ v.conj().T
         if hermitian is None:
             hermitian = bool(np.isrealobj(fvals))
         if hermitian:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,17 @@ class TestCommands:
         dump = json.loads((tmp_path / "hull_patterns.json").read_text())
         assert set(dump["patterns"]) == {"1", "2", "3", "4"}
         assert len(dump["patterns"]["1"]) == 10
+
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "iwalab", "hull", "--slope", "rational:1,2",
+             "--Mmax", "2", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "hull.csv").is_file()
 
     def test_hull_determinism(self, tmp_path):
         args = ["hull", "--slope", "rational:1,2", "--Mmax", "3",

@@ -225,6 +225,20 @@ class TestChernMomentum:
             assert abs(a + b) < 1e-8
 
 
+def chern_realspace_full(P, margin=6):
+    """Reference real-space Chern number: the whole commutator
+    [D1 P, D2 P] and the whole diagonal of P times it, read on the
+    interior afterwards."""
+    pm = P.matrix
+    d1 = il.derivation(P, (1, 0)).matrix
+    d2 = il.derivation(P, (0, 1)).matrix
+    comm = d1 @ d2
+    comm -= d2 @ d1
+    diag = np.einsum("ik,ki->i", pm, comm)      # diag(P @ comm)
+    mask = P.window.interior_mask(margin)
+    return float((2j * np.pi * diag[mask].mean()).real)
+
+
 class TestChernRealspace:
     def test_trivial_projections(self):
         win = il.LatticeWindow(6)
@@ -243,6 +257,28 @@ class TestChernRealspace:
         P = il.fermi_projection(sd, -1.366)
         ch = il.chern_realspace(P, margin=6)
         assert abs(ch - il.chern_momentum(THIRD, gap_index=1)) < 0.1
+        assert abs(ch - chern_realspace_full(P, margin=6)) < 1e-12
+
+    def test_slab_projector_matches_full_commutator(self):
+        win = il.SlabWindow(HALF, 12.0, 8.0)
+        sd = il.SpectralData.from_operator(
+            il.iwatsuka_hamiltonian(iw_field(HALF), win))
+        lo, hi = common_gap_interval()
+        P = il.fermi_projection(sd, 0.5 * (lo + hi))
+        ch = il.chern_realspace(P, margin=3)
+        assert abs(ch - chern_realspace_full(P, margin=3)) < 1e-12
+
+    def test_empty_interior_before_commutator(self, monkeypatch):
+        calls = spy(monkeypatch, invariants, "derivation")
+        win = il.LatticeWindow(2)
+        with pytest.raises(il.EmptyInterior):
+            il.chern_realspace(
+                il.LatticeOperator(win, np.zeros((win.size, win.size))),
+                margin=6)
+        assert calls == []
+        with pytest.raises(il.NotProjection):
+            il.chern_realspace(il.LatticeOperator(win, 0.5 * np.eye(win.size)),
+                               margin=6)
 
     @pytest.mark.parametrize("flux,gap,M,tol", [
         (Fraction(1, 5), 1, 25, 0.05),

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import iwalab as il
+from iwalab import operators
 from iwalab.operators import (magnetic_translation, shifted_flux_diagonal,
                               translation_by)
 
@@ -283,6 +285,102 @@ class TestHamiltonianSpectral:
         assert np.abs(il.fermi_projection(sd, -5.0).matrix).max() == 0.0
         ident = il.fermi_projection(sd, 5.0).matrix
         assert np.abs(ident - np.eye(win.size)).max() < 1e-12
+
+
+def spy_eigh(monkeypatch):
+    """Record (matrix shape, driver) of every operators.eigh call."""
+    calls, original = [], operators.eigh
+
+    def recorded(a, **kwargs):
+        calls.append((a.shape, kwargs.get("driver")))
+        return original(a, **kwargs)
+
+    monkeypatch.setattr(operators, "eigh", recorded)
+    return calls
+
+
+class ListedWindow:
+    """A window of the given sites in the given order."""
+
+    def __init__(self, positions):
+        self._positions = np.asarray(positions)
+        self.size = len(self._positions)
+
+    def positions(self):
+        return self._positions.copy()
+
+
+SYMMETRIC_SLAB = il.SlabWindow(HALF, 10.0, 6.0)
+# the sites of LatticeWindow(4) in a random order, so that the inversion is
+# not the reversal of the site list
+SHUFFLED_SQUARE = ListedWindow(il.LatticeWindow(4).positions()[
+    np.random.default_rng(7).permutation(81)])
+THIRD_FIELD = il.ConstantField.from_turns(Fraction(1, 3))
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("field,win", [
+        (il.ConstantField.from_turns(flux), il.LatticeWindow(M))
+        for flux in (0, Fraction(1, 3), Fraction(2, 5), Fraction(3, 7))
+        for M in (3, 8)] + [
+        (THIRD_FIELD, SYMMETRIC_SLAB), (THIRD_FIELD, SHUFFLED_SQUARE)])
+    def test_matches_evr(self, field, win, monkeypatch):
+        H = il.iwatsuka_hamiltonian(field, win)
+        w0, v0 = scipy.linalg.eigh(H.dense(), driver="evr")
+        calls = spy_eigh(monkeypatch)
+        sd = il.SpectralData.from_operator(H)
+        n = win.size
+        assert sorted(calls) == [(((n - 1) // 2,) * 2, "evd"),
+                                 (((n + 1) // 2,) * 2, "evd")]
+        V, E = sd.eigenvectors, sd.eigenvalues
+        assert np.abs(E - w0).max() < 1e-12
+        assert np.abs(H.matrix @ V - V * E).max() < 1e-12
+        assert np.abs(V.conj().T @ V - np.eye(n)).max() < 1e-12
+        k = int(np.argmax(np.diff(w0)))
+        mu = 0.5 * (w0[k] + w0[k + 1])
+        occupied = v0[:, w0 <= mu]
+        P = il.fermi_projection(sd, mu).matrix
+        assert np.abs(P - occupied @ occupied.conj().T).max() < 1e-12
+
+    @pytest.mark.parametrize("field,win", [
+        (il.IwatsukaField.from_turns(HALF, Fraction(1, 3), Fraction(2, 3)),
+         SYMMETRIC_SLAB),
+        # the criterion-7 perturbation breaks the inversion symmetry
+        (il.ConstantField.from_turns(
+            Fraction(1, 3), perturbation_turns=CRITERION_7_PERTURBATION),
+         SYMMETRIC_SLAB),
+        # a window without the inverse of its last site
+        (THIRD_FIELD, ListedWindow(il.LatticeWindow(3).positions()[:-1]))])
+    def test_asymmetric_h_is_solved_whole(self, field, win, monkeypatch):
+        H = il.iwatsuka_hamiltonian(field, win)
+        calls = spy_eigh(monkeypatch)
+        il.SpectralData.from_operator(H)
+        assert calls == [((win.size, win.size), "evr")]
+
+
+class TestApply:
+    @pytest.fixture(scope="class")
+    def spectral(self):
+        return il.SpectralData.from_operator(
+            il.iwatsuka_hamiltonian(THIRD_FIELD, il.LatticeWindow(6)))
+
+    def test_fermi_weights_match_full_product(self, spectral):
+        V = spectral.eigenvectors
+        f = (spectral.eigenvalues <= -1.366).astype(float)
+        assert 0 < f.sum() < f.size
+        full = (V * f) @ V.conj().T
+        P = spectral.apply(lambda E: (E <= -1.366).astype(float))
+        assert np.abs(P.matrix - full).max() < 1e-13
+
+    def test_nowhere_zero_weights_are_unchanged(self, spectral):
+        sw = il.SwitchFunction.from_interval(-1.8, -1.0)
+        V, E = spectral.eigenvectors, spectral.eigenvalues
+
+        def unitary(x):
+            return np.exp(2j * np.pi * sw.g(x))
+
+        u = spectral.apply(unitary, hermitian=False)
+        assert np.array_equal(u.matrix, (V * unitary(E)) @ V.conj().T)
 
 
 class TestSwitch:
