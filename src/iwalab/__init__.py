@@ -14,7 +14,7 @@ from .errors import (ConfigError, DegenerateField, EmptyGap, EmptyInterior,
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope, SlabWindow,
-                    SqrtExpr, circulation, field_value, flux_phase,
+                    SqrtExpr, circulation, flux_phase,
                     offset_sign, offset_value, vector_potential, zero_field)
 from .hull import (HullPoint, MeasureWeights, Pattern, cantor_diagnostics,
                    enumerate_hull, hull_metric, interface_measure,

@@ -185,9 +185,19 @@ def cmd_spectrum(cfg, t0):
     return [str(out)]
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def cmd_hull(cfg, t0):
     slope = parse_slope(cfg["slope"])
-    M_list = cfg.get("M_list") or list(range(1, cfg["Mmax"] + 1))
+    M_list = cfg.get("M_list")
+    if not M_list:
+        if not _is_int(cfg["Mmax"]):
+            raise ConfigError("Mmax must be an integer")
+        M_list = list(range(1, cfg["Mmax"] + 1))
+    if not (isinstance(M_list, list) and all(_is_int(M) and M >= 0 for M in M_list)):
+        raise ConfigError("hull window radii M must be integers >= 0")
     rows = []
     for r in cantor_diagnostics(slope, M_list):
         rows.append((r.M, r.pattern_count, r.min_gap,
@@ -209,6 +219,11 @@ def cmd_hull(cfg, t0):
 
 def cmd_chern(cfg, t0):
     flux = parse_flux(cfg["flux"])
+    if cfg.get("realspace"):
+        if not 1 <= cfg["M"] <= 40:
+            raise ConfigError("window half-width M must be in 1..40")
+        if cfg["margin"] < 0:
+            raise ConfigError("margin must be >= 0")
     gap_index = cfg["gap"]
     ch = chern_momentum(flux, gap_index=gap_index, nk=cfg["kgrid"])
     row = [float(flux), gap_index, ch]
@@ -236,6 +251,8 @@ def cmd_conductance(cfg, t0):
     if variant not in ("minimal", "wide"):
         raise ConfigError("variant must be 'minimal' or 'wide'")
     L_values = cfg["L"] if isinstance(cfg["L"], list) else [cfg["L"]]
+    if not (all(L > 0 for L in L_values) and cfg["normal_half"] > 0):
+        raise ConfigError("L and normal_half must be > 0")
     rows = []
     for L in L_values:
         window = SlabWindow(slope, L / 2.0 + DEFAULT_RAMP + DEFAULT_BUFFER,
@@ -253,6 +270,8 @@ def cmd_verify_bic(cfg, t0):
     slope = parse_slope(cfg["slope"])
     field = build_field(slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
                         parse_perturbation(cfg.get("perturbation")))
+    if not (cfg["L"] > 0 and cfg["normal_half"] > 0):
+        raise ConfigError("L and normal_half must be > 0")
     report = verify_bic(field, slope=slope, mu=cfg.get("mu"), L=cfg["L"],
                         normal_half=cfg["normal_half"], buffer=cfg["buffer"])
     out = Path(cfg["out"]) / "verify_bic.json"

@@ -213,27 +213,23 @@ def enumerate_hull(slope, M, with_points=False):
     return list(seen.keys())
 
 
-def _interval_has_lattice_offset(slope, lo, hi, search_cap):
-    """Exact decision (up to the search cap for irrational slopes) of
-    whether some lattice offset x_m lies strictly inside (lo, hi)."""
+def _least(slope, xs):
+    """First least element of xs in the slope's exact order."""
+    return min(xs, key=functools.cmp_to_key(slope.compare))
+
+
+def _offset_below(slope, delta):
+    """Exact decision of whether a lattice offset lies in (0, delta), for
+    0 < delta <= 1.  Rational offsets form (1/q)Z (Z at the infinite
+    slopes); otherwise some column e <= floor(1/delta) has
+    0 < ||e*alpha|| < delta (Dirichlet), and the spare column covers the
+    rounding of float(delta)."""
     if slope.is_rational:
-        # offsets form (1/q)Z (Z at the infinite slopes); membership in the
-        # open interval is a floor computation
-        q = slope.q if slope.is_finite else 1
-        k = math.floor(Fraction(hi) * q)
-        if Fraction(k, q) == Fraction(hi):
-            k -= 1
-        return Fraction(k, q) > Fraction(lo)
-    for a1 in range(0, search_cap + 1):
-        for n1 in ((a1,) if a1 == 0 else (a1, -a1)):
-            shift = slope.offset((n1, 0))   # -alpha*n1
-            lo_n2 = lo - shift              # n2 must be in (lo_n2, hi_n2)
-            hi_n2 = hi - shift
-            k = slope.floor(hi_n2)
-            if slope.compare(hi_n2, k) == 0:
-                k -= 1
-            if slope.compare(k, lo_n2) > 0:
-                return True
+        return Fraction(1, slope.q if slope.is_finite else 1) < delta
+    for e in range(1, math.floor(1 / float(delta)) + 2):
+        f = slope.mod_one(slope.offset((e, 0)))
+        if 0 < min(f, 1 - f) < delta:
+            return True
     return False
 
 
@@ -246,20 +242,19 @@ class DiagnosticsRow:
     non_isolated: bool
 
 
-def cantor_diagnostics(slope, M_list, search_cap=96):
+def cantor_diagnostics(slope, M_list):
     """Finite-resolution topology table: per window radius M, the number of
     distinct hull patterns, the minimal positive gap of the window offsets
     taken modulo one (the three-distance regime; plain line gaps stall
     between continued-fraction denominators), and whether every pattern is
-    certified non-isolated.
+    non-isolated.
 
-    A pattern is certified non-isolated when the open interval of thresholds
-    producing it contains a further lattice offset, so that at least two
-    hull points share the pattern; for rational slopes the offsets form the
-    discrete group (1/q)Z and the adjacent intervals are exactly empty,
-    which is the discrete (two-point compactification) side of the
-    dichotomy.  For irrational slopes offsets are dense and the search
-    (bounded by search_cap columns) succeeds at every interval."""
+    A pattern is non-isolated when the open interval of thresholds
+    producing it holds a further lattice offset, so that two hull points
+    share it.  Offsets form a group, so every interval between consecutive
+    window offsets holds one exactly when a lattice offset lies in
+    (0, delta), delta the least such interval: an exact decision for every
+    slope class (see _offset_below)."""
     rows = []
     for M in M_list:
         values = _sorted_distinct_offsets(slope, M)
@@ -272,13 +267,9 @@ def cantor_diagnostics(slope, M_list, search_cap=96):
         else:
             gaps = [residues[i + 1] - residues[i] for i in range(len(residues) - 1)]
             gaps.append(1 - residues[-1] + residues[0])
-            gap_exact = gaps[0]
-            for g in gaps[1:]:
-                if slope.compare(g, gap_exact) < 0:
-                    gap_exact = g
-        non_iso = all(
-            _interval_has_lattice_offset(slope, values[j], values[j + 1], search_cap)
-            for j in range(len(values) - 1))
+            gap_exact = _least(slope, gaps)
+        non_iso = len(values) < 2 or _offset_below(
+            slope, _least(slope, [b - a for a, b in zip(values, values[1:])]))
         rows.append(DiagnosticsRow(M, count, float(gap_exact), gap_exact, non_iso))
     return rows
 

@@ -561,11 +561,6 @@ def zero_field():
     return ConstantField.from_turns(0)
 
 
-def field_value(field, n):
-    """Magnetic field at site n, perturbation included, in radians."""
-    return field.value(n)
-
-
 # ---------------------------------------------------------------------------
 # standard gauge
 

@@ -5,12 +5,12 @@ interface shift unitary.
 
 Operators act on a window's site ordering with open boundary conditions: a
 translation row whose source site leaves the window is zero, so algebraic
-identities hold exactly on interior sites and flags record where unitarity
-can be trusted.  Each operator is held in the form it needs: translations,
-the Hamiltonian, the interface shift unitary and the diagonal operators
-(flux, hull projections, strip) as `scipy.sparse` arrays with at most a few
-nonzeros per row, and dense matrices only for the results of spectral
-calculus, where the Hamiltonian is diagonalized.
+identities hold exactly on interior sites.  Each operator is held in the
+form it needs: translations, the Hamiltonian, the interface shift unitary
+and the diagonal operators (flux, hull projections, strip) as
+`scipy.sparse` arrays with at most a few nonzeros per row, and dense
+matrices only for the results of spectral calculus, where the Hamiltonian
+is diagonalized.
 
 The translations, the Hamiltonian and the interface shift unitary all write
 the (row, column, phase) entries of one function, `_translation_entries`,
@@ -35,14 +35,13 @@ HERMITIAN_TOL = 1e-12
 
 @dataclass
 class LatticeOperator:
-    """Operator over a window's sites with Hermiticity/unitarity metadata.
+    """Operator over a window's sites with a Hermiticity flag.
     `matrix` holds the form it was built in: a sparse CSR array, or a dense
     ndarray for spectral-calculus results; `dense()` returns an ndarray."""
 
     window: object
     matrix: object
     hermitian: bool = False
-    unitary_on_interior: bool = False
 
     def __post_init__(self):
         if sparse.issparse(self.matrix):
@@ -65,10 +64,6 @@ class LatticeOperator:
 
     def diagonal(self):
         return self.matrix.diagonal()
-
-    def adjoint(self):
-        return LatticeOperator(self.window, self.matrix.conj().T,
-                               hermitian=self.hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +142,13 @@ def magnetic_translation(field, window, j, periodic=False):
         raise ValueError("j must be 1 or 2")
     S = _translation_matrix(field, window, [(1, 0) if j == 1 else (0, 1)],
                             periodic)
-    return LatticeOperator(window, S, unitary_on_interior=True)
+    return LatticeOperator(window, S)
 
 
 def translation_by(field, window, gamma):
     """Magnetic translation by an arbitrary lattice vector,
     s^gamma = s_1^{g1} s_2^{g2}, with open boundary."""
-    return LatticeOperator(window, _translation_matrix(field, window, [gamma]),
-                           unitary_on_interior=True)
+    return LatticeOperator(window, _translation_matrix(field, window, [gamma]))
 
 
 def flux_operator(field, window):
@@ -443,7 +437,6 @@ def gap_switch_operators(spectral, interval):
     g_of_h = spectral.apply(sw.g)
     gp_of_h = spectral.apply(sw.gprime)
     u = spectral.apply(lambda x: np.exp(2j * np.pi * sw.g(x)), hermitian=False)
-    u.unitary_on_interior = True
     return g_of_h, gp_of_h, u
 
 
@@ -506,4 +499,4 @@ def interface_shift_unitary(field, window, variant="minimal"):
         (np.concatenate([np.ones(off.size), np.exp(1j * phases[on])]),
          (np.concatenate([off, rows[on]]), np.concatenate([off, cols[on]]))),
         shape=(window.size, window.size))
-    return LatticeOperator(window, U, unitary_on_interior=True)
+    return LatticeOperator(window, U)

@@ -159,6 +159,29 @@ class TestCommands:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    @pytest.mark.parametrize("argv,config", [
+        (["hull"], {"M_list": [-1]}),
+        (["hull"], {"M_list": [2.5]}),
+        (["hull"], {"Mmax": 2.5}),
+        (["chern", "--realspace", "--M", "-1"], None),
+        (["chern", "--realspace", "--M", "41"], None),
+        (["chern", "--realspace", "--margin", "-1"], None),
+        (["conductance", "--L", "-5"], None),
+        (["conductance", "--normal-half", "0"], None),
+        (["verify-bic", "--L", "-5"], None),
+        (["verify-bic", "--normal-half", "-1"], None)],
+        ids=["hull-M-1", "hull-M2.5", "hull-Mmax2.5", "chern-M-1", "chern-M41",
+             "chern-margin-1", "conductance-L-5", "conductance-normal0",
+             "verify-bic-L-5", "verify-bic-normal-1"])
+    def test_invalid_numeric_config_exits_2(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        rc = cli.main(argv + ["--out", str(tmp_path)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
     def test_no_common_gap_exits_3(self, tmp_path, capsys):
         rc = cli.main(["verify-bic", "--slope", "rational:1,2",
                        "--bplus", "2pi*1/2", "--bminus", "2pi*1/3",

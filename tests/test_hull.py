@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 
 import iwalab as il
+from iwalab import hull
 from iwalab.hull import HullPoint, _sorted_distinct_offsets
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
 HALF = il.RationalSlope(1, 2)
 ZERO = il.RationalSlope(0, 1)
+Q = il.QuadraticIrrationalSlope
+# alpha = 1/2 + sqrt2/1000 and sqrt2/1000: irrational, but within 0.0015 of
+# a rational with a small denominator
+NEAR_RATIONAL = [Q(500, 1, 1000, 2), Q(0, 1, 1000, 2)]
+RATIONALS = [il.RationalSlope(p, q) for p, q in
+             [(0, 1), (1, 2), (2, 3), (-5, 7), (7, 3), (13, 1), (1, 9)]]
+QUADRATICS = [s for a, b, c, d in [(0, 1, 1, 2), (1, 1, 2, 5), (1, 1, 2, 3),
+                                   (0, 2, 3, 6)]
+              for s in (Q(a, b, c, d), Q(-a, -b, c, d))]
 
 
 class TestPointPattern:
@@ -185,6 +195,65 @@ class TestDiagnostics:
         assert rows[0].pattern_count == 2 * 3 + 2
         assert rows[0].min_gap == 1.0
         assert not rows[0].non_isolated
+
+
+def interval_has_lattice_offset(slope, lo, hi, search_cap=96):
+    """Reference: whether some lattice offset lies strictly inside (lo, hi),
+    by a floor computation for rational slopes and a column search over
+    |n1| <= search_cap otherwise (a bound that can miss a far witness)."""
+    if slope.is_rational:
+        q = slope.q if slope.is_finite else 1
+        k = math.floor(Fraction(hi) * q)
+        if Fraction(k, q) == Fraction(hi):
+            k -= 1
+        return Fraction(k, q) > Fraction(lo)
+    for a1 in range(0, search_cap + 1):
+        for n1 in ((a1,) if a1 == 0 else (a1, -a1)):
+            shift = slope.offset((n1, 0))   # -alpha*n1
+            lo_n2 = lo - shift              # n2 must be in (lo_n2, hi_n2)
+            hi_n2 = hi - shift
+            k = slope.floor(hi_n2)
+            if slope.compare(hi_n2, k) == 0:
+                k -= 1
+            if slope.compare(k, lo_n2) > 0:
+                return True
+    return False
+
+
+class TestNonIsolated:
+    @pytest.mark.parametrize("slope", NEAR_RATIONAL, ids=repr)
+    def test_near_rational_irrational_is_non_isolated(self, slope):
+        rows = il.cantor_diagnostics(slope, range(1, 5))
+        assert [r.non_isolated for r in rows] == [True] * 4
+
+    @pytest.mark.parametrize("slope,Ms", [
+        *[(s, range(0, 11)) for s in RATIONALS + [il.PlusInfinity, il.MinusInfinity]],
+        *[(s, range(0, 9)) for s in QUADRATICS],
+        (il.FloatIrrationalSlope(math.sqrt(2)), range(0, 5)),
+        (il.FloatIrrationalSlope(0.5), range(0, 5))], ids=repr)
+    def test_matches_per_interval_reference(self, slope, Ms):
+        for row in il.cantor_diagnostics(slope, list(Ms)):
+            values = _sorted_distinct_offsets(slope, row.M)
+            assert row.non_isolated == all(
+                interval_has_lattice_offset(slope, a, b)
+                for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("slope", NEAR_RATIONAL + QUADRATICS[:4], ids=repr)
+    def test_irrational_search_stops_by_dirichlet_bound(self, slope, monkeypatch):
+        for M in (1, 2, 4, 8):
+            values = _sorted_distinct_offsets(slope, M)
+            delta = hull._least(slope, [b - a for a, b in zip(values, values[1:])])
+            calls = []
+            mod_one = type(slope).mod_one
+
+            def spy(x):
+                calls.append(x)
+                return mod_one(slope, x)
+
+            monkeypatch.setattr(slope, "mod_one", spy)
+            assert hull._offset_below(slope, delta)
+            monkeypatch.undo()
+            assert 1 <= len(calls) <= math.floor(1 / float(delta)) + 1
 
 
 class TestMeasures:
