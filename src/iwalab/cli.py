@@ -170,23 +170,39 @@ def cmd_butterfly(cfg, t0):
     return [str(out)]
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _window_M(cfg):
+    """The square window's half-width M, an integer in 1..40 (the dense
+    eigensolve of a larger window would not fit in memory)."""
+    M = cfg["M"]
+    if not (_is_int(M) and 1 <= M <= 40):
+        raise ConfigError("window half-width M must be an integer in 1..40")
+    return M
+
+
+def _require_positive(*values):
+    if not all(_is_real(v) and v > 0 for v in values):
+        raise ConfigError("L and normal_half must be numbers > 0")
+
+
 def cmd_spectrum(cfg, t0):
     slope = parse_slope(cfg["slope"])
     field = build_field(slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
                         parse_perturbation(cfg.get("perturbation")))
-    M = cfg["M"]
-    if not 1 <= M <= 40:
-        raise ConfigError("window half-width M must be in 1..40")
+    M = _window_M(cfg)
     window = LatticeWindow(M)
     spectral = SpectralData.from_operator(iwatsuka_hamiltonian(field, window))
     rows = [(M, i, e) for i, e in enumerate(spectral.eigenvalues)]
     out = Path(cfg["out"]) / "spectrum.csv"
     write_csv(out, _meta(cfg, t0), ["parameter", "index", "eigenvalue"], rows)
     return [str(out)]
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def cmd_hull(cfg, t0):
@@ -220,16 +236,14 @@ def cmd_hull(cfg, t0):
 def cmd_chern(cfg, t0):
     flux = parse_flux(cfg["flux"])
     if cfg.get("realspace"):
-        if not 1 <= cfg["M"] <= 40:
-            raise ConfigError("window half-width M must be in 1..40")
-        if cfg["margin"] < 0:
-            raise ConfigError("margin must be >= 0")
+        M = _window_M(cfg)
+        if not (_is_real(cfg["margin"]) and cfg["margin"] >= 0):
+            raise ConfigError("margin must be a number >= 0")
     gap_index = cfg["gap"]
     ch = chern_momentum(flux, gap_index=gap_index, nk=cfg["kgrid"])
     row = [float(flux), gap_index, ch]
     columns = ["parameter", "gap_index", "chern_momentum"]
     if cfg.get("realspace"):
-        M = cfg["M"]
         bs = band_structure(flux, nk=max(cfg["kgrid"], 30))
         lo, hi = bs.gaps[gap_index - 1]
         field = ConstantField.from_turns(flux)
@@ -251,8 +265,7 @@ def cmd_conductance(cfg, t0):
     if variant not in ("minimal", "wide"):
         raise ConfigError("variant must be 'minimal' or 'wide'")
     L_values = cfg["L"] if isinstance(cfg["L"], list) else [cfg["L"]]
-    if not (all(L > 0 for L in L_values) and cfg["normal_half"] > 0):
-        raise ConfigError("L and normal_half must be > 0")
+    _require_positive(*L_values, cfg["normal_half"])
     rows = []
     for L in L_values:
         window = SlabWindow(slope, L / 2.0 + DEFAULT_RAMP + DEFAULT_BUFFER,
@@ -270,8 +283,7 @@ def cmd_verify_bic(cfg, t0):
     slope = parse_slope(cfg["slope"])
     field = build_field(slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
                         parse_perturbation(cfg.get("perturbation")))
-    if not (cfg["L"] > 0 and cfg["normal_half"] > 0):
-        raise ConfigError("L and normal_half must be > 0")
+    _require_positive(cfg["L"], cfg["normal_half"])
     report = verify_bic(field, slope=slope, mu=cfg.get("mu"), L=cfg["L"],
                         normal_half=cfg["normal_half"], buffer=cfg["buffer"])
     out = Path(cfg["out"]) / "verify_bic.json"

@@ -166,11 +166,9 @@ def hull_metric(p1, p2, slope, depth):
 
 def _sorted_distinct_offsets(slope, M):
     """Distinct window offsets, exactly sorted ascending."""
-    vals = {}
-    for n1 in range(-M, M + 1):
-        for n2 in range(-M, M + 1):
-            vals.setdefault(slope.offset((n1, n2)), None)
-    return sorted(vals.keys(), key=functools.cmp_to_key(slope.compare))
+    r = range(-M, M + 1)
+    return sorted({slope.offset((n1, n2)) for n1 in r for n2 in r},
+                  key=functools.cmp_to_key(slope.compare))
 
 def _rank_grid(slope, M, values):
     """Rank of each site's offset within the sorted distinct values."""
@@ -221,15 +219,28 @@ def _least(slope, xs):
 def _offset_below(slope, delta):
     """Exact decision of whether a lattice offset lies in (0, delta), for
     0 < delta <= 1.  Rational offsets form (1/q)Z (Z at the infinite
-    slopes); otherwise some column e <= floor(1/delta) has
-    0 < ||e*alpha|| < delta (Dirichlet), and the spare column covers the
-    rounding of float(delta)."""
+    slopes).  Otherwise Euclid's algorithm on 1 and {alpha}, each remainder
+    held as the site of its offset, walks the remainders ||q_k alpha|| of
+    the convergent denominators q_k: no column below q_(k+1) comes closer
+    to Z, and they halve every two steps (to 0 only for a float slope
+    holding a rational), so the walk takes O(log 1/delta) steps."""
     if slope.is_rational:
         return Fraction(1, slope.q if slope.is_finite else 1) < delta
-    for e in range(1, math.floor(1 / float(delta)) + 2):
-        f = slope.mod_one(slope.offset((e, 0)))
-        if 0 < min(f, 1 - f) < delta:
+
+    def fits(k):   # a - k*b >= 0
+        return slope.offset_sign((a[0] - k * b[0], a[1] - k * b[1])) >= 0
+
+    a, b = (0, 1), (-1, -slope.floor(slope.offset((-1, 0))))   # 1 and {alpha}
+    while slope.offset_sign(b) > 0:
+        if slope.compare(slope.offset(b), delta) < 0:
             return True
+        k = 1   # the quotient, the largest k that fits: doubling, bisection
+        while fits(2 * k):
+            k *= 2
+        for j in reversed(range(k.bit_length() - 1)):
+            if fits(k + 2**j):
+                k += 2**j
+        a, b = b, (a[0] - k * b[0], a[1] - k * b[1])
     return False
 
 
@@ -262,12 +273,8 @@ def cantor_diagnostics(slope, M_list):
         # minimal positive gap on the offset circle (mod 1)
         residues = sorted({slope.mod_one(v) for v in values},
                           key=functools.cmp_to_key(slope.compare))
-        if len(residues) == 1:
-            gap_exact = 1
-        else:
-            gaps = [residues[i + 1] - residues[i] for i in range(len(residues) - 1)]
-            gaps.append(1 - residues[-1] + residues[0])
-            gap_exact = _least(slope, gaps)
+        gaps = [b - a for a, b in zip(residues, residues[1:])]
+        gap_exact = _least(slope, gaps + [1 - residues[-1] + residues[0]]) if gaps else 1
         non_iso = len(values) < 2 or _offset_below(
             slope, _least(slope, [b - a for a, b in zip(values, values[1:])]))
         rows.append(DiagnosticsRow(M, count, float(gap_exact), gap_exact, non_iso))

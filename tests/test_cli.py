@@ -169,10 +169,18 @@ class TestCommands:
         (["conductance", "--L", "-5"], None),
         (["conductance", "--normal-half", "0"], None),
         (["verify-bic", "--L", "-5"], None),
-        (["verify-bic", "--normal-half", "-1"], None)],
+        (["verify-bic", "--normal-half", "-1"], None),
+        (["spectrum"], {"M": 2.5}),
+        (["chern", "--realspace"], {"M": "3"}),
+        (["chern", "--realspace"], {"margin": None}),
+        (["conductance"], {"L": "5"}),
+        (["conductance"], {"L": [12.0, None]}),
+        (["verify-bic"], {"normal_half": None})],
         ids=["hull-M-1", "hull-M2.5", "hull-Mmax2.5", "chern-M-1", "chern-M41",
              "chern-margin-1", "conductance-L-5", "conductance-normal0",
-             "verify-bic-L-5", "verify-bic-normal-1"])
+             "verify-bic-L-5", "verify-bic-normal-1", "spectrum-M2.5",
+             "chern-M-str", "chern-margin-null", "conductance-L-str",
+             "conductance-L-list-null", "verify-bic-normal-null"])
     def test_invalid_numeric_config_exits_2(self, tmp_path, capsys, argv, config):
         if config is not None:
             cfg = tmp_path / "cfg.json"

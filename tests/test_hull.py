@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ Q = il.QuadraticIrrationalSlope
 # alpha = 1/2 + sqrt2/1000 and sqrt2/1000: irrational, but within 0.0015 of
 # a rational with a small denominator
 NEAR_RATIONAL = [Q(500, 1, 1000, 2), Q(0, 1, 1000, 2)]
+# within 1e-16 and 1.5e-9 of 1/10 and 0
+CLOSE_TO_SMALL_DENOMINATOR = [il.FloatIrrationalSlope(0.1), Q(0, 1, 10**9, 2)]
 RATIONALS = [il.RationalSlope(p, q) for p, q in
              [(0, 1), (1, 2), (2, 3), (-5, 7), (7, 3), (13, 1), (1, 9)]]
 QUADRATICS = [s for a, b, c, d in [(0, 1, 1, 2), (1, 1, 2, 5), (1, 1, 2, 3),
@@ -238,22 +241,45 @@ class TestNonIsolated:
                 interval_has_lattice_offset(slope, a, b)
                 for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("slope", NEAR_RATIONAL + QUADRATICS[:4], ids=repr)
-    def test_irrational_search_stops_by_dirichlet_bound(self, slope, monkeypatch):
-        for M in (1, 2, 4, 8):
-            values = _sorted_distinct_offsets(slope, M)
-            delta = hull._least(slope, [b - a for a, b in zip(values, values[1:])])
-            calls = []
-            mod_one = type(slope).mod_one
+    @pytest.mark.parametrize("slope,M", [
+        *[(s, M) for s in NEAR_RATIONAL + QUADRATICS[:4] for M in (1, 2, 4, 8)],
+        *[(s, 10) for s in CLOSE_TO_SMALL_DENOMINATOR]], ids=str)
+    def test_witness_walk_is_logarithmic(self, slope, M, monkeypatch):
+        # each Euclid step takes 2*log2(a_k) + 2 offset signs for its
+        # quotient a_k and one compare; the quotients multiply to at most
+        # 1/delta and the remainders halve every two steps, so the walk
+        # decides at most 8*log2(1/delta) + 8 signs
+        values = _sorted_distinct_offsets(slope, M)
+        delta = hull._least(slope, [b - a for a, b in zip(values, values[1:])])
+        calls = []
+        for name in ("offset_sign", "compare"):
+            method = getattr(type(slope), name)
 
-            def spy(x):
-                calls.append(x)
-                return mod_one(slope, x)
+            def spy(*args, method=method):
+                calls.append(args)
+                return method(slope, *args)
 
-            monkeypatch.setattr(slope, "mod_one", spy)
-            assert hull._offset_below(slope, delta)
-            monkeypatch.undo()
-            assert 1 <= len(calls) <= math.floor(1 / float(delta)) + 1
+            monkeypatch.setattr(slope, name, spy)
+        assert hull._offset_below(slope, delta)
+        monkeypatch.undo()
+        assert len(calls) <= 8 * math.log2(1 / float(delta)) + 8
+
+    @pytest.mark.parametrize("slope", CLOSE_TO_SMALL_DENOMINATOR, ids=repr)
+    def test_close_to_small_denominator_finishes(self, slope):
+        # the least window gaps are 5.6e-17 (10*0.1 - 1 for the double 0.1,
+        # which holds 3602879701896397/2**55, so 2**-55 is a smaller
+        # offset) and 1.4e-9; a column search would need ~1/delta columns
+        def timeout(signum, frame):
+            raise TimeoutError("cantor_diagnostics ran past 30 s")
+
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(30)
+        try:
+            rows = il.cantor_diagnostics(slope, [1, 10])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert [r.non_isolated for r in rows] == [True, True]
 
 
 class TestMeasures:
