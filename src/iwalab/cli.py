@@ -155,10 +155,9 @@ def _meta(config, t0):
 # commands
 
 def cmd_butterfly(cfg, t0):
+    _require_count(cfg, "qmax", "kgrid")
     qmax = cfg["qmax"]
     nk = cfg["kgrid"]
-    if qmax < 1 or nk < 1:
-        raise ConfigError("qmax and kgrid must be positive")
     rows = []
     fluxes = sorted({Fraction(p, q) for q in range(1, qmax + 1)
                      for p in range(0, q + 1) if math.gcd(p, q) == 1})
@@ -187,6 +186,13 @@ def _window_M(cfg):
     return M
 
 
+def _require_count(cfg, *names):
+    """Each named field is an integer >= 1."""
+    for name in names:
+        if not (_is_int(cfg[name]) and cfg[name] >= 1):
+            raise ConfigError(f"{name} must be an integer >= 1")
+
+
 def _require_positive(*values):
     if not all(_is_real(v) and v > 0 for v in values):
         raise ConfigError("L and normal_half must be numbers > 0")
@@ -209,8 +215,7 @@ def cmd_hull(cfg, t0):
     slope = parse_slope(cfg["slope"])
     M_list = cfg.get("M_list")
     if not M_list:
-        if not _is_int(cfg["Mmax"]):
-            raise ConfigError("Mmax must be an integer")
+        _require_count(cfg, "Mmax")
         M_list = list(range(1, cfg["Mmax"] + 1))
     if not (isinstance(M_list, list) and all(_is_int(M) and M >= 0 for M in M_list)):
         raise ConfigError("hull window radii M must be integers >= 0")
@@ -235,6 +240,7 @@ def cmd_hull(cfg, t0):
 
 def cmd_chern(cfg, t0):
     flux = parse_flux(cfg["flux"])
+    _require_count(cfg, "gap", "kgrid")
     if cfg.get("realspace"):
         M = _window_M(cfg)
         if not (_is_real(cfg["margin"]) and cfg["margin"] >= 0):

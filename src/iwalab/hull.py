@@ -181,34 +181,22 @@ def _rank_grid(slope, M, values):
 
 
 def enumerate_hull(slope, M, with_points=False):
-    """All distinct restrictions of hull points to [-M, M]^2.
+    """All distinct restrictions of hull points to [-M, M]^2, in ascending
+    j from all-plus (j = 0) to all-minus (j = K).
 
-    Generates the threshold points at every window offset with both
-    closedness flags, plus the two constants, and deduplicates by exact
-    pattern equality.  This exhausts the finite-resolution hull because a
-    window pattern depends only on how the threshold splits the window
-    offsets."""
+    A window pattern depends only on how the threshold cuts the K sorted
+    distinct window offsets v_0 < ... < v_(K-1), so the finite-resolution
+    hull is the K + 1 up-sets [rank >= j], j = 0..K, each distinct because
+    every rank is taken.  with_points maps each pattern to its two
+    generating points: plus or open(v_(j-1)), then closed(v_j) or minus."""
     values = _sorted_distinct_offsets(slope, M)
     rank = _rank_grid(slope, M, values)
-    seen = {}
-    generators = [(HullPoint.plus(), None), (HullPoint.minus(), None)]
-    for j, v in enumerate(values):
-        generators.append((HullPoint.threshold(v, closed=False), ("open", j)))
-        generators.append((HullPoint.threshold(v, closed=True), ("closed", j)))
-    for point, tagged in generators:
-        if point.kind == "plus":
-            mask = np.ones_like(rank, dtype=bool)
-        elif point.kind == "minus":
-            mask = np.zeros_like(rank, dtype=bool)
-        elif tagged[0] == "open":
-            mask = rank > tagged[1]
-        else:
-            mask = rank >= tagged[1]
-        pat = Pattern(M, mask)
-        seen.setdefault(pat, []).append(point)
-    if with_points:
-        return seen
-    return list(seen.keys())
+    patterns = [Pattern(M, rank >= j) for j in range(len(values) + 1)]
+    if not with_points:
+        return patterns
+    opens = [HullPoint.plus()] + [HullPoint.threshold(v) for v in values]
+    closes = [HullPoint.threshold(v, True) for v in values] + [HullPoint.minus()]
+    return {pat: [a, b] for pat, a, b in zip(patterns, opens, closes)}
 
 
 def _least(slope, xs):
@@ -260,6 +248,11 @@ def cantor_diagnostics(slope, M_list):
     between continued-fraction denominators), and whether every pattern is
     non-isolated.
 
+    The patterns are the K + 1 cuts of the K sorted distinct window
+    offsets (see enumerate_hull), so pattern_count is K + 1 and no pattern
+    is built.  An offset's value mod 1 does not depend on n2, so the circle
+    residues come from the 2M + 1 columns n1 = -M..M alone.
+
     A pattern is non-isolated when the open interval of thresholds
     producing it holds a further lattice offset, so that two hull points
     share it.  Offsets form a group, so every interval between consecutive
@@ -269,15 +262,16 @@ def cantor_diagnostics(slope, M_list):
     rows = []
     for M in M_list:
         values = _sorted_distinct_offsets(slope, M)
-        count = len(enumerate_hull(slope, M))
         # minimal positive gap on the offset circle (mod 1)
-        residues = sorted({slope.mod_one(v) for v in values},
+        residues = sorted({slope.mod_one(slope.offset((n1, 0)))
+                           for n1 in range(-M, M + 1)},
                           key=functools.cmp_to_key(slope.compare))
         gaps = [b - a for a, b in zip(residues, residues[1:])]
         gap_exact = _least(slope, gaps + [1 - residues[-1] + residues[0]]) if gaps else 1
         non_iso = len(values) < 2 or _offset_below(
             slope, _least(slope, [b - a for a, b in zip(values, values[1:])]))
-        rows.append(DiagnosticsRow(M, count, float(gap_exact), gap_exact, non_iso))
+        rows.append(DiagnosticsRow(M, len(values) + 1, float(gap_exact), gap_exact,
+                                   non_iso))
     return rows
 
 

@@ -158,9 +158,11 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
 
     gap_index counts open gaps from the bottom (1-based); alternatively give
     mu inside a gap."""
+    if nk < 1:
+        raise ValueError("nk must be >= 1")
     flux = _as_flux_fraction(flux)
-    if flux.denominator == 1:
-        return 0.0   # single trivial band
+    if flux.denominator == 1 and gap_index is None:
+        return 0.0   # single trivial band; it has no gap to index
     if gap_index is None and mu is None:
         raise ValueError("need gap_index or mu")
     bs = band_structure(flux, nk=max(nk, 30))

@@ -327,6 +327,8 @@ class FloatIrrationalSlope(_FloatFrame):
         self.prec = max(int(prec), _FLOAT_SLOPE_PREC)
         with mpmath.workprec(self.prec):
             self.value = mpmath.mpf(value)
+        if not mpmath.isfinite(self.value):
+            raise ValueError("slope must be finite; use PlusInfinity/MinusInfinity")
 
     def as_float(self):
         return float(self.value)

@@ -33,6 +33,12 @@ class TestParsing:
         assert cli.parse_slope("+inf") is il.PlusInfinity
         assert cli.parse_slope("-inf") is il.MinusInfinity
 
+    @pytest.mark.parametrize("bad", ["float:nan", "float:inf", "float:-inf",
+                                     {"type": "float", "value": float("nan")}])
+    def test_slope_rejects_non_finite_float(self, bad):
+        with pytest.raises(il.ConfigError):
+            cli.parse_slope(bad)
+
     def test_slope_json_objects(self):
         assert cli.parse_slope({"type": "rational", "p": 1, "q": 3}).q == 3
         assert cli.parse_slope({"type": "quadratic", "a": 0, "b": 1,
@@ -68,6 +74,9 @@ class TestCommands:
         dump = json.loads((tmp_path / "hull_patterns.json").read_text())
         assert set(dump["patterns"]) == {"1", "2", "3", "4"}
         assert len(dump["patterns"]["1"]) == 10
+        # ascending cuts of the sorted offsets: all plus first, all minus last
+        assert dump["patterns"]["1"][0] == ["+++"] * 3
+        assert dump["patterns"]["1"][-1] == ["---"] * 3
 
     def test_module_entry_point(self, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -175,12 +184,24 @@ class TestCommands:
         (["chern", "--realspace"], {"margin": None}),
         (["conductance"], {"L": "5"}),
         (["conductance"], {"L": [12.0, None]}),
-        (["verify-bic"], {"normal_half": None})],
+        (["verify-bic"], {"normal_half": None}),
+        (["hull", "--Mmax", "0"], None),
+        (["chern", "--gap", "0"], None),
+        (["chern"], {"gap": "1"}),
+        (["chern", "--kgrid", "0"], None),
+        (["chern", "--kgrid", "-3"], None),
+        (["butterfly"], {"qmax": "3"}),
+        (["verify-bic", "--slope", "float:nan"], None),
+        (["hull", "--slope", "float:inf"], None),
+        (["hull"], {"slope": {"type": "float", "value": "-inf"}})],
         ids=["hull-M-1", "hull-M2.5", "hull-Mmax2.5", "chern-M-1", "chern-M41",
              "chern-margin-1", "conductance-L-5", "conductance-normal0",
              "verify-bic-L-5", "verify-bic-normal-1", "spectrum-M2.5",
              "chern-M-str", "chern-margin-null", "conductance-L-str",
-             "conductance-L-list-null", "verify-bic-normal-null"])
+             "conductance-L-list-null", "verify-bic-normal-null", "hull-Mmax0",
+             "chern-gap0", "chern-gap-str", "chern-kgrid0", "chern-kgrid-3",
+             "butterfly-qmax-str", "verify-bic-slope-nan", "hull-slope-inf",
+             "hull-slope-obj-inf"])
     def test_invalid_numeric_config_exits_2(self, tmp_path, capsys, argv, config):
         if config is not None:
             cfg = tmp_path / "cfg.json"
@@ -189,6 +210,16 @@ class TestCommands:
         rc = cli.main(argv + ["--out", str(tmp_path)])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize("argv", [
+        ["--flux", "2pi*1/3", "--gap", "3"],
+        ["--flux", "0", "--gap", "1", "--realspace", "--M", "4", "--margin", "1"]],
+        ids=["third-gap3", "zero-flux-realspace"])
+    def test_gap_past_last_open_gap_exits_3(self, tmp_path, capsys, argv):
+        # how many gaps are open is a numerical result, not configuration
+        rc = cli.main(["chern"] + argv + ["--out", str(tmp_path)])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "GapClosed"
 
     def test_no_common_gap_exits_3(self, tmp_path, capsys):
         rc = cli.main(["verify-bic", "--slope", "rational:1,2",

@@ -169,6 +169,25 @@ class TestEnumerate:
             d = len(_sorted_distinct_offsets(slope, M))
             assert len(il.enumerate_hull(slope, M)) == d + 1
 
+    @pytest.mark.parametrize("slope", [HALF, SQRT2, il.PlusInfinity,
+                                       il.MinusInfinity], ids=repr)
+    def test_listed_points_generate_their_pattern(self, slope):
+        for M in range(0, 4):
+            by_pattern = il.enumerate_hull(slope, M, with_points=True)
+            for pat, points in by_pattern.items():
+                assert len(points) == 2
+                for point in points:
+                    assert il.point_pattern(point, slope, M) == pat
+
+    @pytest.mark.parametrize("slope", [HALF, SQRT2, il.PlusInfinity], ids=repr)
+    def test_order_runs_from_all_plus_to_all_minus(self, slope):
+        for M in range(0, 4):
+            patterns = il.enumerate_hull(slope, M)
+            assert patterns[0].plus_mask().all()
+            assert not patterns[-1].plus_mask().any()
+            counts = [int(p.plus_mask().sum()) for p in patterns]
+            assert counts == sorted(counts, reverse=True)
+
 
 class TestDiagnostics:
     def test_rational_half(self):
@@ -198,6 +217,31 @@ class TestDiagnostics:
         assert rows[0].pattern_count == 2 * 3 + 2
         assert rows[0].min_gap == 1.0
         assert not rows[0].non_isolated
+
+    def test_builds_no_pattern(self, monkeypatch):
+        want = il.cantor_diagnostics(SQRT2, [1, 3])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cantor_diagnostics built the patterns")
+
+        monkeypatch.setattr(hull, "enumerate_hull", refuse)
+        assert il.cantor_diagnostics(SQRT2, [1, 3]) == want
+
+    @pytest.mark.parametrize("slope", [HALF, SQRT2, il.PlusInfinity], ids=repr)
+    def test_residues_from_columns(self, slope, monkeypatch):
+        # x_n mod 1 does not depend on n2, so one residue per column
+        calls = []
+        mod_one = type(slope).mod_one
+
+        def spy(x):
+            calls.append(x)
+            return mod_one(slope, x)
+
+        monkeypatch.setattr(slope, "mod_one", spy)
+        for M in (0, 2, 5):
+            calls.clear()
+            il.cantor_diagnostics(slope, [M])
+            assert len(calls) <= 2 * M + 1
 
 
 def interval_has_lattice_offset(slope, lo, hi, search_cap=96):

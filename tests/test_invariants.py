@@ -182,6 +182,14 @@ class TestChernMomentum:
             il.chern_momentum(THIRD, mu=0.0)        # inside the central band
         with pytest.raises(il.GapClosed):
             il.chern_momentum(THIRD, gap_index=5)
+        with pytest.raises(il.GapClosed):
+            il.chern_momentum(Fraction(1), gap_index=1)   # one band, no gap
+
+    @pytest.mark.parametrize("nk", [0, -3])
+    def test_rejects_empty_grid(self, nk):
+        # an empty grid would sum no plaquettes and report Chern 0
+        with pytest.raises(ValueError):
+            il.chern_momentum(THIRD, gap_index=1, nk=nk)
 
     def test_matches_plaquette_loop(self):
         checked = set()

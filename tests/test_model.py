@@ -167,6 +167,11 @@ class TestSlopes:
         assert s.offset_sign((2, 2)) == 1
         assert s.floor(s.offset((2, 2))) == 1
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "nan"])
+    def test_float_slope_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            il.FloatIrrationalSlope(value)
+
     def test_float_slope_precision_exhausted(self):
         with mpmath.workprec(128):
             v = mpmath.mpf(1) / 3
