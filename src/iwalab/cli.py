@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, IwalabError, NoCommonGap
 from .hull import cantor_diagnostics, enumerate_hull
-from .invariants import (DEFAULT_BUFFER, DEFAULT_RAMP, chern_momentum,
-                         chern_realspace, verify_bic, winding)
+from .invariants import (DEFAULT_BUFFER, DEFAULT_RAMP, _chern_below,
+                         _gap_midpoint, chern_realspace, verify_bic, winding)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope, SlabWindow)
@@ -246,16 +246,17 @@ def cmd_chern(cfg, t0):
         if not (_is_real(cfg["margin"]) and cfg["margin"] >= 0):
             raise ConfigError("margin must be a number >= 0")
     gap_index = cfg["gap"]
-    ch = chern_momentum(flux, gap_index=gap_index, nk=cfg["kgrid"])
-    row = [float(flux), gap_index, ch]
+    # one band structure decides the gap and the occupied bands, as in
+    # chern_momentum, and gives the Fermi level of the real-space projection
+    bs = band_structure(flux, nk=max(cfg["kgrid"], 30))
+    mu = _gap_midpoint(bs, gap_index)
+    row = [float(flux), gap_index, _chern_below(bs, mu, cfg["kgrid"])]
     columns = ["parameter", "gap_index", "chern_momentum"]
     if cfg.get("realspace"):
-        bs = band_structure(flux, nk=max(cfg["kgrid"], 30))
-        lo, hi = bs.gaps[gap_index - 1]
         field = ConstantField.from_turns(flux)
         spectral = SpectralData.from_operator(
             iwatsuka_hamiltonian(field, LatticeWindow(M)))
-        P = fermi_projection(spectral, 0.5 * (lo + hi))
+        P = fermi_projection(spectral, mu)
         row.append(chern_realspace(P, margin=cfg["margin"]))
         columns.append("chern_realspace")
     out = Path(cfg["out"]) / "chern.csv"

@@ -167,12 +167,18 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
         raise ValueError("need gap_index or mu")
     bs = band_structure(flux, nk=max(nk, 30))
     if gap_index is not None:
-        if not 1 <= gap_index <= len(bs.gaps):
-            raise GapClosed(f"flux {flux} has {len(bs.gaps)} open gaps, "
-                            f"gap_index {gap_index} requested")
-        lo, hi = bs.gaps[gap_index - 1]
-        mu = 0.5 * (lo + hi)
+        mu = _gap_midpoint(bs, gap_index)
     return _chern_below(bs, mu, nk)
+
+
+def _gap_midpoint(bs, gap_index):
+    """Midpoint of the open gap gap_index (1-based, from the bottom) of the
+    band structure bs; GapClosed if it has no such gap."""
+    if not 1 <= gap_index <= len(bs.gaps):
+        raise GapClosed(f"flux {bs.flux} has {len(bs.gaps)} open gaps, "
+                        f"gap_index {gap_index} requested")
+    lo, hi = bs.gaps[gap_index - 1]
+    return 0.5 * (lo + hi)
 
 
 def _chern_below(bs, mu, nk=30):

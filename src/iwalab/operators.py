@@ -294,40 +294,67 @@ def iwatsuka_hamiltonian(field, window, v=None):
     return LatticeOperator(window, H, hermitian=True)
 
 
-def _parity_sectors(window, h):
-    """Isometries (Q+, Q-) onto the even and odd sectors of the inversion
-    n -> -n, or None unless the window is closed under it and the sparse
-    operator h equals its inverted copy exactly.  Q+ holds the origin when
-    it is a site, so it has (N+1)/2 columns on an odd window and Q- (N-1)/2."""
-    pos = window.positions()
+def _site_permutation(pos, image):
+    """The permutation perm with pos[perm] == image, or None unless the rows
+    of image are the rows of pos in some order."""
     a = np.lexsort((pos[:, 1], pos[:, 0]))
-    b = np.lexsort((-pos[:, 1], -pos[:, 0]))
-    if not np.array_equal(pos[a], -pos[b]):
+    b = np.lexsort((image[:, 1], image[:, 0]))
+    if not np.array_equal(pos[a], image[b]):
         return None
     perm = np.empty_like(a)
-    perm[b] = a                                 # pos[perm] == -pos
-    if (h[perm][:, perm] != h).nnz:
+    perm[b] = a
+    return perm
+
+
+def _symmetry_sectors(window, h):
+    """Isometries (G+, G-) onto the even and odd sectors of the inversion
+    P: n -> -n, and whether G*hG is real on them; None unless the window is
+    closed under P and the sparse operator h equals its inverted copy
+    exactly.  G+ holds the origin when it is a site, so it has (N+1)/2
+    columns on an odd window and G- (N-1)/2.
+
+    If the window is also closed under the reflection R: n2 -> -n2 and h
+    equals the complex conjugate of its reflected copy exactly, as a
+    constant field does in the standard gauge A(n, n - e1) = b n2, then the
+    antiunitary K R (K complex conjugation) commutes with h and with P, and
+    each sector is spanned by K R-invariant vectors, in which h is real
+    symmetric: on the orbit {n, -n, Rn, -Rn}, sector s = +-1 takes
+    (c + Rc)/sqrt2 and i(c - Rc)/sqrt2 with c = (d_n + s d_-n)/sqrt2,
+    those that are nonzero, normalized (one vector on the axes, where
+    Rn = +-n).  Otherwise R is taken as the identity, which leaves the real
+    parity vectors c, and G*hG is complex Hermitian."""
+    pos = window.positions()
+    inv = _site_permutation(pos, -pos)
+    if inv is None or (h[inv][:, inv] != h).nnz:
         return None
-    site = np.arange(perm.size)
-    lead = np.flatnonzero(site < perm)          # one site of each pair n, -n
-    fixed = np.flatnonzero(site == perm)        # the origin
-    pair = np.arange(lead.size)
-    r = math.sqrt(0.5)
-    even = sparse.csr_array(
-        (np.concatenate([np.full(2 * lead.size, r), np.ones(fixed.size)]),
-         (np.concatenate([lead, perm[lead], fixed]),
-          np.concatenate([pair, pair, lead.size + np.arange(fixed.size)]))),
-        shape=(perm.size, lead.size + fixed.size))
-    odd = sparse.csr_array(
-        (np.concatenate([np.full(lead.size, r), np.full(lead.size, -r)]),
-         (np.concatenate([lead, perm[lead]]), np.concatenate([pair, pair]))),
-        shape=(perm.size, lead.size))
-    return even, odd
+    ref = _site_permutation(pos, pos * (1, -1))
+    real = ref is not None and (h[ref][:, ref].conj() != h).nnz == 0
+    site = np.arange(inv.size)
+    if not real:
+        ref = site
+    orbit = np.stack([site, inv, ref, inv[ref]])     # n, -n, Rn, -Rn
+    orbit = orbit[:, orbit.min(axis=0) == site]      # one column per orbit
+    k = orbit.shape[1]
+    rows = np.tile(orbit, 2)
+    cols = np.broadcast_to(np.arange(2 * k), rows.shape)
+    sectors = []
+    for s in (1, -1):
+        # columns c + Rc, then i(c - Rc), up to normalization; coinciding
+        # sites of an orbit add up, and vanishing columns are dropped
+        coef = np.array([[1, 1j], [s, 1j * s], [1, -1j], [s, -1j * s]])
+        g = sparse.csc_array((np.repeat(coef, k, axis=1).ravel(),
+                              (rows.ravel(), cols.ravel())),
+                             shape=(site.size, 2 * k))
+        norms = np.sqrt(abs(g).power(2).sum(axis=0))
+        keep = np.flatnonzero(norms)
+        sectors.append(g[:, keep] @ sparse.diags_array(1.0 / norms[keep]))
+    return sectors, real
 
 
 @dataclass
 class SpectralData:
-    """Dense eigendecomposition of a Hermitian lattice operator."""
+    """Dense eigendecomposition of a Hermitian lattice operator, solved on
+    real or complex parity blocks where the operator's symmetries allow."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -337,25 +364,32 @@ class SpectralData:
     def from_operator(op):
         """Eigenvalues ascending and orthonormal eigenvectors.  An operator
         that commutes exactly with the inversion n -> -n of its window is
-        diagonalized on its two parity blocks Q*HQ, each about half the
-        size, and V = Q v; any other is diagonalized whole."""
+        diagonalized on its two parity blocks G*HG, each about half the
+        size, and V = G v: real symmetric blocks if it also commutes with
+        the antiunitary K R (complex conjugation after n2 -> -n2), as
+        constant fields on windows closed under both maps do, and complex
+        Hermitian ones if not (see `_symmetry_sectors`).  Any other
+        operator is diagonalized whole."""
         if not op.hermitian:
             raise ValueError("spectral calculus needs a Hermitian operator")
         h = sparse.csr_array(op.matrix)
-        sectors = _parity_sectors(op.window, h)
-        if sectors is None:
+        found = _symmetry_sectors(op.window, h)
+        if found is None:
             w, v = eigh(op.dense(), driver="evr")
             return SpectralData(w, v, op)
-        blocks = [(q, *eigh((q.T @ h @ q).toarray(), driver="evd"))
-                  for q in sectors]
+        sectors, real = found
+        blocks = []
+        for g in sectors:
+            b = (g.conj().T @ h @ g).toarray()
+            blocks.append((g, *eigh(b.real if real else b, driver="evd")))
         w = np.concatenate([wb for _, wb, _ in blocks])
         order = np.argsort(w, kind="stable")
         column = np.empty_like(order)
         column[order] = np.arange(w.size)
         v = np.empty((w.size, w.size), dtype=complex)
         start = 0
-        for q, wb, vb in blocks:
-            v[:, column[start:start + wb.size]] = q @ vb
+        for g, wb, vb in blocks:
+            v[:, column[start:start + wb.size]] = g @ vb
             start += wb.size
         return SpectralData(w[order], v, op)
 

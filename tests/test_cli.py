@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import iwalab as il
-from iwalab import cli
+from iwalab import cli, invariants, operators
 
 
 class TestParsing:
@@ -125,6 +125,20 @@ class TestCommands:
         row = lines[1].split(",")
         assert abs(float(row[2]) - 1.0) < 1e-8
         assert abs(float(row[3]) - 1.0) < 0.35   # small window, loose bound
+
+    def test_realspace_builds_one_band_structure(self, tmp_path, monkeypatch):
+        calls = []
+        for module in (cli, invariants, operators):
+            def counted(*args, original=module.band_structure, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, "band_structure", counted)
+        rc = cli.main(["chern", "--flux", "2pi*1/3", "--gap", "1",
+                       "--realspace", "--M", "6", "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == [(Fraction(1, 3),)]
+        row = payload_lines(tmp_path / "chern.csv")[1].split(",")
+        assert abs(float(row[2]) - 1.0) < 1e-8
 
     def test_conductance(self, tmp_path):
         rc = cli.main(["conductance", "--slope", "rational:0,1",

@@ -364,13 +364,16 @@ class TestCommonGaps:
 
 
 @pytest.fixture(scope="module")
-def half_slab_spectral():
-    """Iwatsuka(1/2) slab sized tall in the normal direction, shared by the
-    localization and current tests."""
+def half_slab_pairs():
+    """Iwatsuka(1/2) slab sized tall in the normal direction, its
+    Hamiltonian, and the eigenpairs inside the common-gap switch interval,
+    shared by the localization and current tests.  The slab has no
+    inversion symmetry, so the certified interval solve takes the place of
+    a whole dense eigensolve."""
     field = iw_field(HALF)
     win = il.SlabWindow(HALF, 30.0, 34.0)
-    sd = il.SpectralData.from_operator(il.iwatsuka_hamiltonian(field, win))
-    return win, sd
+    h = il.iwatsuka_hamiltonian(field, win)
+    return win, h, invariants._interval_eigenpairs(h, common_gap_interval())
 
 
 def common_gap_interval():
@@ -382,17 +385,14 @@ def common_gap_interval():
 
 
 class TestGapUnitaryLocalization:
-    def test_deviation_decays_away_from_interface(self, half_slab_spectral):
-        win, sd = half_slab_spectral
-        lo, hi = interval = common_gap_interval()
+    def test_deviation_decays_away_from_interface(self, half_slab_pairs):
+        win, _, (E, VJ) = half_slab_pairs
+        interval = common_gap_interval()
         # u - 1 = V_J diag(e^{2 pi i g(E_J)} - 1) V_J^H over the eigenpairs J
         # in the switch interval (g is 0 below it and 1 above), so its rows
         # need no dense u
-        E = sd.eigenvalues
-        J = (E > lo) & (E <= hi)
-        VJ = sd.eigenvectors[:, J]
         c = np.exp(2j * np.pi * il.SwitchFunction.from_interval(*interval)
-                   .g(E[J])) - 1.0
+                   .g(E)) - 1.0
 
         def dev(rows):
             return np.abs((VJ[rows] * c) @ VJ.conj().T)
@@ -406,9 +406,13 @@ class TestGapUnitaryLocalization:
         near = nu <= 2.0
         assert dev(near).max() > 0.1      # and it does act at the interface
 
-    def test_direct_current_cross_check(self, half_slab_spectral):
-        win, sd = half_slab_spectral
-        rep = il.interface_current(sd, common_gap_interval(), HALF, 26.0)
+    def test_direct_current_cross_check(self, half_slab_pairs):
+        win, h, (E, V) = half_slab_pairs
+        interval = common_gap_interval()
+        # the traces interface_current reads from a full SpectralData, here
+        # from the in-interval pairs alone
+        rep = invariants._switch_traces(E, V, h, interval,
+                                        slab_geometry(win, HALF, 26.0), True)
         assert abs(rep.winding_gap_unitary - 2.0) < 0.1
         assert rep.cross_residual < 0.02
         assert rep.conductance == rep.winding_gap_unitary

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 
 import iwalab as il
 from iwalab import operators
@@ -287,12 +288,13 @@ class TestHamiltonianSpectral:
         assert np.abs(ident - np.eye(win.size)).max() < 1e-12
 
 
-def spy_eigh(monkeypatch):
-    """Record (matrix shape, driver) of every operators.eigh call."""
+def spy_eigh(monkeypatch, record=lambda a, kwargs: (a.shape, kwargs.get("driver"))):
+    """Record (matrix shape, driver), or what `record` makes of the matrix
+    and the keywords, of every operators.eigh call."""
     calls, original = [], operators.eigh
 
     def recorded(a, **kwargs):
-        calls.append((a.shape, kwargs.get("driver")))
+        calls.append(record(a, kwargs))
         return original(a, **kwargs)
 
     monkeypatch.setattr(operators, "eigh", recorded)
@@ -356,6 +358,72 @@ class TestParitySectors:
         calls = spy_eigh(monkeypatch)
         il.SpectralData.from_operator(H)
         assert calls == [((win.size, win.size), "evr")]
+
+
+class TestRealParityBlocks:
+    """Constant fields commute with the antiunitary K R (R: n2 -> -n2, K
+    complex conjugation) and with the inversion, so their parity blocks are
+    real symmetric; breaking either K R or the window's closure under R
+    leaves complex blocks."""
+
+    @pytest.mark.parametrize("field,win", [
+        (il.ConstantField.from_turns(flux), win)
+        for flux in (0, Fraction(1, 2), Fraction(1, 3), Fraction(3, 7),
+                     Fraction(1, 6))
+        for win in (il.LatticeWindow(3), il.LatticeWindow(8), SHUFFLED_SQUARE)])
+    def test_constant_field_takes_two_real_blocks(self, field, win, monkeypatch):
+        self._assert_blocks(il.iwatsuka_hamiltonian(field, win), np.float64,
+                            monkeypatch)
+
+    @pytest.mark.parametrize("win", [il.LatticeWindow(3), SHUFFLED_SQUARE])
+    def test_sectors_are_sparse_isometries(self, win):
+        h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix
+        (even, odd), real = operators._symmetry_sectors(win, h)
+        assert real
+        assert max(np.diff(even.indptr).max(), np.diff(odd.indptr).max()) <= 4
+        G = sparse.hstack([even, odd]).toarray()
+        assert np.abs(G.conj().T @ G - np.eye(win.size)).max() < 1e-15
+        site = {tuple(p): i for i, p in enumerate(win.positions())}
+        inverted = [site[tuple(-p)] for p in win.positions()]
+        for g, s in ((even, 1), (odd, -1)):
+            # each column is an eigenvector of the inversion with sign s
+            assert np.array_equal(g.toarray()[inverted], s * g.toarray())
+            assert np.abs((g.conj().T @ h @ g).toarray().imag).max() < 1e-15
+
+    def _assert_blocks(self, H, dtype, monkeypatch):
+        """Two evd blocks of the dtype, with the evr eigenvalues."""
+        calls = spy_eigh(monkeypatch, lambda a, kwargs: (
+            a.shape[0], kwargs.get("driver"), a.dtype))
+        sd = il.SpectralData.from_operator(H)
+        n = H.window.size
+        assert sorted(calls) == [((n - 1) // 2, "evd", dtype),
+                                 ((n + 1) // 2, "evd", dtype)]
+        w0 = scipy.linalg.eigh(H.dense(), driver="evr", eigvals_only=True)
+        V, E = sd.eigenvectors, sd.eigenvalues
+        assert np.abs(E - w0).max() < 1e-12
+        assert np.abs(H.matrix @ V - V * E).max() < 1e-12
+        assert np.abs(V.conj().T @ V - np.eye(n)).max() < 1e-12
+
+    def test_broken_conjugation_keeps_complex_blocks(self, monkeypatch):
+        win = il.LatticeWindow(4)
+        # i(|a><b| - |b><a|) at a, b = (1, 2), (2, 3) and at -a, -b is
+        # inversion-symmetric, but R moves both pairs off the pairs they
+        # are added at, so K R does not commute with it
+        site = {tuple(p): i for i, p in enumerate(win.positions())}
+        a = [site[(1, 2)], site[(-1, -2)]]
+        b = [site[(2, 3)], site[(-2, -3)]]
+        v = sparse.csr_array(([1j, 1j, -1j, -1j], (a + b, b + a)),
+                             shape=(win.size, win.size))
+        self._assert_blocks(il.iwatsuka_hamiltonian(THIRD_FIELD, win, v),
+                            np.complex128, monkeypatch)
+
+    def test_window_without_reflection_keeps_complex_blocks(self, monkeypatch):
+        # closed under n -> -n, but (1, -2) has lost its reflection (1, 2)
+        pos = il.LatticeWindow(3).positions()
+        win = ListedWindow([p for p in pos
+                            if tuple(p) not in ((1, 2), (-1, -2))])
+        self._assert_blocks(il.iwatsuka_hamiltonian(THIRD_FIELD, win),
+                            np.complex128, monkeypatch)
 
 
 class TestApply:
