@@ -61,10 +61,10 @@ def parse_slope(spec):
         t = spec.get("type")
         try:
             if t == "rational":
-                return RationalSlope(int(spec["p"]), int(spec["q"]))
+                return RationalSlope(*_int_fields(spec, "p", "q"))
             if t == "quadratic":
-                return QuadraticIrrationalSlope(int(spec["a"]), int(spec["b"]),
-                                                int(spec["c"]), int(spec["d"]))
+                return QuadraticIrrationalSlope(*_int_fields(spec, "a", "b",
+                                                             "c", "d"))
             if t == "float":
                 return FloatIrrationalSlope(spec["value"])
             if t == "+inf":
@@ -94,6 +94,14 @@ def parse_slope(spec):
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad slope spec {text!r}: {exc}") from exc
     raise ConfigError(f"unknown slope spec {text!r}")
+
+
+def _int_fields(spec, *names):
+    """The named fields of a JSON slope object, each a JSON integer."""
+    values = [spec[name] for name in names]
+    if not all(_is_int(v) for v in values):
+        raise ValueError(f"{', '.join(names)} must be integers")
+    return values
 
 
 def parse_perturbation(entries):

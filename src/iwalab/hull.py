@@ -67,17 +67,6 @@ class Pattern:
         M = self.half_width
         return bool(self._mask[n[0] + M, n[1] + M])
 
-    def tag(self, n):
-        return "b_plus" if self.is_plus(n) else "b_minus"
-
-    def restrict(self, half_width):
-        if half_width > self.half_width:
-            raise ValueError("cannot restrict to a larger window")
-        k = self.half_width - half_width
-        if k == 0:
-            return self
-        return Pattern(half_width, self._mask[k:-k, k:-k])
-
     def translate(self, gamma, half_width):
         """Pattern of the shifted configuration, new(n) = old(n + gamma),
         on the window [-half_width, half_width]^2."""

@@ -42,6 +42,11 @@ DEFAULT_BUFFER = 18.0     # window sites beyond the taper end
 # below the invariant tolerances (truncation error <~ 0.1%).
 SHELL_TOLERANCE = 1e-3
 
+# Acceptance tolerances of verify_bic: |winding - (Ch+ - Ch-)| and the
+# relative current cross residual.
+WINDING_TOL = 0.1
+CROSS_TOL = 0.02
+
 
 # ---------------------------------------------------------------------------
 # derivations and traces
@@ -70,25 +75,22 @@ def trace_bulk(op, margin=0):
     return complex(np.mean(op.diagonal()[mask]))
 
 
-def _taper(t, L, ramp):
-    return _smoothstep(np.clip((L / 2.0 + ramp - np.abs(t)) / ramp, 0.0, 1.0))
-
-
 @dataclass
 class SlabGeometry:
     tangential: np.ndarray      # v.n per site
     weights: np.ndarray         # taper * normal cutoff indicator
-    norm: float                 # integral of the taper profile, L + ramp
+    norm: float                 # integral of the taper, L + DEFAULT_RAMP
     normal_cut: float
     shell_mask: np.ndarray      # outer 20% of the included normal range
 
 
-def slab_geometry(window, slope, L, ramp=DEFAULT_RAMP, normal_cut=None):
+def slab_geometry(window, slope, L):
     """Weights of the tapered slab trace on a window: a C^3 ramp of width
-    `ramp` beyond the flat region |v.n| <= L/2 (suppressing the site-count
-    quantization a hard cutoff suffers), and a normal cutoff that excludes
-    the window's own boundary region where open-boundary edge states live.
-    The taper must end at least 8 sites inside the window."""
+    DEFAULT_RAMP beyond the flat region |v.n| <= L/2 (suppressing the
+    site-count quantization a hard cutoff suffers), and a normal cutoff at
+    half the window's normal extent that excludes the window's own boundary
+    region where open-boundary edge states live.  The taper must end at
+    least 8 sites inside the window."""
     pos = window.positions().astype(float)
     t = pos @ slope.tangent()
     nu = pos @ slope.normal()
@@ -96,19 +98,23 @@ def slab_geometry(window, slope, L, ramp=DEFAULT_RAMP, normal_cut=None):
     nu_max = np.abs(nu).max(initial=0.0)
     if L <= 0:
         raise ValueError("slab length must be positive")
-    if L / 2.0 + ramp + 8.0 > t_max + 1e-9:
+    if L / 2.0 + DEFAULT_RAMP + 8.0 > t_max + 1e-9:
         raise SlabExceedsWindow(
-            f"slab L={L} with ramp {ramp} needs tangential half-extent "
-            f">= {L / 2 + ramp + 8:.1f}, window has {t_max:.1f}")
-    if normal_cut is None:
-        normal_cut = nu_max / 2.0
+            f"slab L={L} with ramp {DEFAULT_RAMP} needs tangential "
+            f"half-extent >= {L / 2 + DEFAULT_RAMP + 8:.1f}, window has "
+            f"{t_max:.1f}")
+    normal_cut = nu_max / 2.0
     inside = np.abs(nu) <= normal_cut
-    weights = _taper(t, L, ramp) * inside
+    ramp = (L / 2.0 + DEFAULT_RAMP - np.abs(t)) / DEFAULT_RAMP
+    weights = _smoothstep(np.clip(ramp, 0.0, 1.0)) * inside
     shell = inside & (np.abs(nu) > 0.8 * normal_cut)
-    return SlabGeometry(t, weights, L + ramp, normal_cut, shell)
+    return SlabGeometry(t, weights, L + DEFAULT_RAMP, normal_cut, shell)
 
 
-def _localization_check(diag, geom, what):
+def _slab_trace(diag, geom, what):
+    """Tapered slab sum of a diagonal over the slab norm, real or complex
+    as the diagonal is, after the localization check: NotInterfaceLocalized
+    unless the diagonal has decayed at the normal cutoff."""
     total = float(np.abs(diag[geom.weights > 0]).sum())
     shell = float(np.abs(diag[geom.shell_mask & (geom.weights > 0)]).sum())
     # the shell mass bounds how much the trace could move if the normal
@@ -117,17 +123,18 @@ def _localization_check(diag, geom, what):
         raise NotInterfaceLocalized(
             f"{what}: diagonal mass {shell:.3e} in the outer shell vs total "
             f"{total:.3e}; not decayed at normal cutoff {geom.normal_cut:.1f}")
+    return (geom.weights * diag).sum() / geom.norm
 
 
-def trace_interface(op, slope, L, convention="tangential", ramp=DEFAULT_RAMP,
-                    normal_cut=None, check=True):
+def trace_interface(op, slope, L, convention="tangential"):
     """Trace per unit interface length: tapered slab average of the diagonal
-    over |v.n| <~ L/2, restricted to the inner normal region.  Convention
+    over |v.n| <~ L/2, restricted to the inner normal region of
+    `slab_geometry`, after the shell-mass check.  Convention
     "tangential" is mass per unit Euclidean tangential length (reproduces
     the rational transversal constant 1/sqrt(p^2+q^2)); convention
     "offset-lebesgue" rescales by sqrt(1 + alpha^2)."""
-    geom = slab_geometry(op.window, slope, L, ramp, normal_cut)
-    val = complex(_slab_trace(op.diagonal(), geom, "trace_interface", check))
+    geom = slab_geometry(op.window, slope, L)
+    val = complex(_slab_trace(op.diagonal(), geom, "trace_interface"))
     if convention == "tangential":
         return val
     if convention == "offset-lebesgue":
@@ -242,28 +249,19 @@ def _winding_moments(u, tvals, chunk=512):
     return out
 
 
-def _slab_trace(diag, geom, what, check):
-    """Tapered slab sum of a diagonal over the slab norm, after the
-    localization check; real or complex as the diagonal is."""
-    if check:
-        _localization_check(diag, geom, what)
-    return (geom.weights * diag).sum() / geom.norm
-
-
-def _winding_trace(moments, geom, check):
+def _winding_trace(moments, geom):
     # diag(u^dag grad u)_i = i * orientation * moments_i, and the winding is
     # i times its slab trace
     return float(_slab_trace(-TANGENTIAL_ORIENTATION * moments, geom,
-                             "winding", check))
+                             "winding"))
 
 
-def winding(u, slope, L, ramp=DEFAULT_RAMP, normal_cut=None, check=True):
+def winding(u, slope, L):
     """Noncommutative winding number i T_alpha(u* grad_t u) of an
     interface-localized unitary, with grad_t the oriented tangential
-    derivation and T_alpha the tapered slab trace."""
-    geom = slab_geometry(u.window, slope, L, ramp, normal_cut)
-    return _winding_trace(_winding_moments(u.matrix, geom.tangential), geom,
-                          check)
+    derivation and T_alpha the tapered slab trace of `slab_geometry`."""
+    geom = slab_geometry(u.window, slope, L)
+    return _winding_trace(_winding_moments(u.matrix, geom.tangential), geom)
 
 
 @dataclass
@@ -278,7 +276,7 @@ class CurrentReport:
         return self.winding_gap_unitary
 
 
-def _switch_traces(E, V, h, interval, geom, check):
+def _switch_traces(E, V, h, interval, geom):
     """Current, winding of the gap unitary and their cross residual from the
     |J| orthonormal eigenpairs (E, V) of h inside the switch interval.
     Outside that spectral subspace g'(h) and u - 1 vanish, so both traces
@@ -298,7 +296,7 @@ def _switch_traces(E, V, h, interval, geom, check):
                            (hs.col, hs.row)), shape=(S.size, tan.size))
     diag = np.zeros(tan.size)
     diag[S] = (1j * ((VS * sw.gprime(E)) * (dh @ V.conj())).sum(axis=1)).real
-    J = float(_slab_trace(diag, geom, "interface_current", check))
+    J = float(_slab_trace(diag, geom, "interface_current"))
     # column i in S of u - 1 is V a_i, a_i = (e^{2 pi i g(E)} - 1) conj(V_i,:),
     # so its moment is a_i^H (V^H T V - t_i) a_i: |V a_i| = |a_i| holds since
     # the Lanczos and the evr eigenvectors are both orthonormal.  The identity
@@ -307,26 +305,25 @@ def _switch_traces(E, V, h, interval, geom, check):
     vtv = (V.conj().T * tan) @ V
     moments = np.zeros(tan.size)
     moments[S] = ((b @ vtv - tan[S, None] * b) * b.conj()).real.sum(axis=1)
-    w = _winding_trace(moments, geom, check)
+    w = _winding_trace(moments, geom)
     target = -w / (2.0 * np.pi)
     denom = abs(target)
     residual = abs(J - target) / denom if denom > 1e-12 else abs(J - target)
     return CurrentReport(J, w, residual)
 
 
-def interface_current(spectral, interval, slope, L, ramp=DEFAULT_RAMP,
-                      normal_cut=None, check=True):
+def interface_current(spectral, interval, slope, L):
     """Interface current density T_alpha(g'(h) grad_t h) for a switch
     supported in the bulk gap interval, together with the winding of the gap
-    unitary; the two must satisfy current = -winding/(2 pi) up to slab
-    truncation error."""
+    unitary, both on the slab of `slab_geometry`; the two must satisfy
+    current = -winding/(2 pi) up to slab truncation error."""
     E = spectral.eigenvalues
     require_spectrum_beyond(interval, E)
-    geom = slab_geometry(spectral.window, slope, L, ramp, normal_cut)
+    geom = slab_geometry(spectral.window, slope, L)
     lo, hi = interval
     inside = (E > lo) & (E <= hi)       # the (lo, hi] of the evr subset solve
     return _switch_traces(E[inside], spectral.eigenvectors[:, inside],
-                          spectral.source, interval, geom, check)
+                          spectral.source, interval, geom)
 
 
 def _count_below(hs, x):
@@ -435,15 +432,15 @@ class InvariantReport:
 
 
 def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
-               ramp=DEFAULT_RAMP, buffer=DEFAULT_BUFFER, nk=60,
-               winding_tol=0.1, cross_tol=0.02):
+               buffer=DEFAULT_BUFFER):
     """End-to-end bulk-interface correspondence check.
 
     Computes the two bulk Chern numbers in momentum space, builds the
     interface Hamiltonian on a slab window, forms the gap unitary for the
     widest common bulk gap (or the gap containing mu), and asserts
-    winding = Ch(+) - Ch(-) within winding_tol with the current cross-check
-    within cross_tol."""
+    winding = Ch(+) - Ch(-) within WINDING_TOL with the current cross-check
+    within CROSS_TOL.  The slab is that of `slab_geometry` on a window
+    reaching buffer sites beyond the taper."""
     if slope is None:
         slope = field.slope
     turns = _bulk_turns(field)
@@ -451,7 +448,7 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
         raise ValueError("verify_bic needs exact rational fluxes; build the "
                          "field with from_turns")
     plus_turns, minus_turns = turns
-    gaps, bp, bm = common_gaps(plus_turns, minus_turns, nk=nk)
+    gaps, bp, bm = common_gaps(plus_turns, minus_turns)
     if not gaps:
         raise NoCommonGap("no common bulk gap", gaps_plus=bp.gaps,
                           gaps_minus=bm.gaps)
@@ -475,12 +472,12 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     ch_plus = _chern_below(bp, mu)
     ch_minus = _chern_below(bm, mu)
 
-    window = SlabWindow(slope, L / 2.0 + ramp + buffer, normal_half)
+    window = SlabWindow(slope, L / 2.0 + DEFAULT_RAMP + buffer, normal_half)
     # raises SlabExceedsWindow before any matrix is built
-    geom = slab_geometry(window, slope, L, ramp)
+    geom = slab_geometry(window, slope, L)
     h = iwatsuka_hamiltonian(field, window)
     E, V = _interval_eigenpairs(h, interval)
-    report = _switch_traces(E, V, h, interval, geom, check=True)
+    report = _switch_traces(E, V, h, interval, geom)
 
     d_ch = ch_plus - ch_minus
     res_bic = abs(report.winding_gap_unitary - d_ch)
@@ -488,7 +485,7 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
                   - round(report.winding_gap_unitary))
     res_ch_int = max(abs(ch_plus - round(ch_plus)),
                      abs(ch_minus - round(ch_minus)))
-    passed = res_bic <= winding_tol and report.cross_residual <= cross_tol
+    passed = res_bic <= WINDING_TOL and report.cross_residual <= CROSS_TOL
     return InvariantReport(
         slope=repr(slope),
         flux_plus=str(plus_turns), flux_minus=str(minus_turns),
@@ -519,14 +516,14 @@ def _bulk_turns(field):
     return None
 
 
-def reference_orientation_sign(window_half=36, normal_half=14, L=32.0):
+def reference_orientation_sign():
     """Recompute the orientation calibration from scratch: the sign that
     gives the minimal-strip interface shift unitary winding +1 on the
     reference configuration (slope 0, fluxes 1/3 and 2/3)."""
     from .model import IwatsukaField, RationalSlope
     slope = RationalSlope(0, 1)
     field = IwatsukaField.from_turns(slope, Fraction(1, 3), Fraction(2, 3))
-    window = SlabWindow(slope, window_half, normal_half)
+    window = SlabWindow(slope, 36, 14)
     u = interface_shift_unitary(field, window, variant="minimal")
-    w = winding(u, slope, L)
+    w = winding(u, slope, 32.0)
     return TANGENTIAL_ORIENTATION if w > 0 else -TANGENTIAL_ORIENTATION

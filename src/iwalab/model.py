@@ -316,16 +316,15 @@ class QuadraticIrrationalSlope(_FloatFrame):
 
 
 class FloatIrrationalSlope(_FloatFrame):
-    """Fallback slope held as an extended-precision real (>= 128-bit
+    """Fallback slope held as an extended-precision real (128-bit
     mantissa).  Sign decisions use interval arithmetic and raise
     PrecisionExhausted when zero cannot be excluded."""
 
     is_rational = False
     is_finite = True
 
-    def __init__(self, value, prec=_FLOAT_SLOPE_PREC):
-        self.prec = max(int(prec), _FLOAT_SLOPE_PREC)
-        with mpmath.workprec(self.prec):
+    def __init__(self, value):
+        with mpmath.workprec(_FLOAT_SLOPE_PREC):
             self.value = mpmath.mpf(value)
         if not mpmath.isfinite(self.value):
             raise ValueError("slope must be finite; use PlusInfinity/MinusInfinity")
@@ -334,7 +333,7 @@ class FloatIrrationalSlope(_FloatFrame):
         return float(self.value)
 
     def offset(self, n):
-        with mpmath.workprec(self.prec):
+        with mpmath.workprec(_FLOAT_SLOPE_PREC):
             return -self.value * n[0] + n[1]
 
     def offset_sign(self, n):
@@ -350,7 +349,7 @@ class FloatIrrationalSlope(_FloatFrame):
         iv = mpmath.iv
         old = iv.prec
         try:
-            iv.prec = self.prec
+            iv.prec = _FLOAT_SLOPE_PREC
             x = make(iv)
             if x.a > 0:
                 return 1
@@ -359,7 +358,7 @@ class FloatIrrationalSlope(_FloatFrame):
             if x.a == x.b == 0:
                 return 0
             raise PrecisionExhausted(
-                f"sign of {x} unresolved at {self.prec}-bit precision")
+                f"sign of {x} unresolved at {_FLOAT_SLOPE_PREC}-bit precision")
         finally:
             iv.prec = old
 
@@ -367,19 +366,19 @@ class FloatIrrationalSlope(_FloatFrame):
         return self._iv_sign(lambda iv: iv.mpf(u) - iv.mpf(v))
 
     def floor(self, x):
-        with mpmath.workprec(self.prec):
+        with mpmath.workprec(_FLOAT_SLOPE_PREC):
             k = int(mpmath.floor(x))
         if self.compare(x, k) < 0 or self.compare(x, k + 1) >= 0:
             raise PrecisionExhausted(f"floor of {x} unresolved")
         return k
 
     def mod_one(self, x):
-        with mpmath.workprec(self.prec):
+        with mpmath.workprec(_FLOAT_SLOPE_PREC):
             f = x - mpmath.floor(x)
         # a fractional part indistinguishable from 0 or 1 means the floor
         # itself was not resolvable
-        if f != 0 and (f < mpmath.mpf(2) ** (16 - self.prec)
-                       or 1 - f < mpmath.mpf(2) ** (16 - self.prec)):
+        if f != 0 and (f < mpmath.mpf(2) ** (16 - _FLOAT_SLOPE_PREC)
+                       or 1 - f < mpmath.mpf(2) ** (16 - _FLOAT_SLOPE_PREC)):
             raise PrecisionExhausted(f"mod-1 of {x} unresolved")
         return f
 

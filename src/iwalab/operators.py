@@ -253,9 +253,6 @@ class BandStructure:
     def num_bands(self):
         return len(self.band_min)
 
-    def spectrum_bounds(self):
-        return self.band_min[0], self.band_max[-1]
-
 
 def band_structure(flux, nk=60):
     """Band intervals and open gaps of the Harper spectrum at rational
@@ -397,21 +394,19 @@ class SpectralData:
     def window(self):
         return self.source.window
 
-    def apply(self, func, hermitian=None):
+    def apply(self, func):
         """Operator func(H) = V diag(func(E)) V*, summed over the
         eigenvectors whose weight func(E) is nonzero, so a rank-r Fermi
-        projection costs N^2 r."""
+        projection costs N^2 r.  Real weights give a Hermitian operator,
+        which `LatticeOperator` checks to HERMITIAN_TOL."""
         fvals = np.asarray(func(self.eigenvalues))
         v = self.eigenvectors
         keep = fvals != 0
         if not keep.all():
             v, fvals = v[:, keep], fvals[keep]
         m = (v * fvals) @ v.conj().T
-        if hermitian is None:
-            hermitian = bool(np.isrealobj(fvals))
-        if hermitian:
-            m = 0.5 * (m + m.conj().T)
-        return LatticeOperator(self.window, m, hermitian=hermitian)
+        return LatticeOperator(self.window, m,
+                               hermitian=bool(np.isrealobj(fvals)))
 
 
 def fermi_projection(spectral, mu):
@@ -435,10 +430,6 @@ class SwitchFunction:
     @staticmethod
     def from_interval(lo, hi):
         return SwitchFunction(0.5 * (lo + hi), 0.5 * (hi - lo))
-
-    @property
-    def interval(self):
-        return self.mu - self.delta, self.mu + self.delta
 
     def g(self, E):
         t = np.clip((np.asarray(E, dtype=float) - (self.mu - self.delta))
@@ -470,7 +461,7 @@ def gap_switch_operators(spectral, interval):
     sw = SwitchFunction.from_interval(*interval)
     g_of_h = spectral.apply(sw.g)
     gp_of_h = spectral.apply(sw.gprime)
-    u = spectral.apply(lambda x: np.exp(2j * np.pi * sw.g(x)), hermitian=False)
+    u = spectral.apply(lambda x: np.exp(2j * np.pi * sw.g(x)))
     return g_of_h, gp_of_h, u
 
 

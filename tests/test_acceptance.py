@@ -199,7 +199,7 @@ def test_criterion_8_trace_properties():
     for name, (a, b) in pairs.items():
         da = il.derivation(il.LatticeOperator(win, a), HALF.tangent())
         for L in Ls:
-            assert abs(il.trace_interface(da, HALF, L, check=False)) < 1e-14
+            assert abs(il.trace_interface(da, HALF, L)) < 1e-14
         ab = il.LatticeOperator(win, a @ b)
         ba = il.LatticeOperator(win, b @ a)
         res = [abs(il.trace_interface(ab, HALF, L) - il.trace_interface(ba, HALF, L))

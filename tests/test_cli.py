@@ -207,7 +207,10 @@ class TestCommands:
         (["butterfly"], {"qmax": "3"}),
         (["verify-bic", "--slope", "float:nan"], None),
         (["hull", "--slope", "float:inf"], None),
-        (["hull"], {"slope": {"type": "float", "value": "-inf"}})],
+        (["hull"], {"slope": {"type": "float", "value": "-inf"}}),
+        (["hull"], {"slope": {"type": "rational", "p": 1.5, "q": 2}}),
+        (["hull"], {"slope": {"type": "quadratic", "a": 0, "b": True,
+                              "c": 1, "d": 2.9}})],
         ids=["hull-M-1", "hull-M2.5", "hull-Mmax2.5", "chern-M-1", "chern-M41",
              "chern-margin-1", "conductance-L-5", "conductance-normal0",
              "verify-bic-L-5", "verify-bic-normal-1", "spectrum-M2.5",
@@ -215,7 +218,8 @@ class TestCommands:
              "conductance-L-list-null", "verify-bic-normal-null", "hull-Mmax0",
              "chern-gap0", "chern-gap-str", "chern-kgrid0", "chern-kgrid-3",
              "butterfly-qmax-str", "verify-bic-slope-nan", "hull-slope-inf",
-             "hull-slope-obj-inf"])
+             "hull-slope-obj-inf", "hull-slope-obj-p-float",
+             "hull-slope-obj-b-bool"])
     def test_invalid_numeric_config_exits_2(self, tmp_path, capsys, argv, config):
         if config is not None:
             cfg = tmp_path / "cfg.json"

@@ -412,7 +412,7 @@ class TestGapUnitaryLocalization:
         # the traces interface_current reads from a full SpectralData, here
         # from the in-interval pairs alone
         rep = invariants._switch_traces(E, V, h, interval,
-                                        slab_geometry(win, HALF, 26.0), True)
+                                        slab_geometry(win, HALF, 26.0))
         assert abs(rep.winding_gap_unitary - 2.0) < 0.1
         assert rep.cross_residual < 0.02
         assert rep.conductance == rep.winding_gap_unitary
@@ -478,7 +478,7 @@ class TestInIntervalSwitchTraces:
         tracemalloc.start()
         try:
             invariants._switch_traces(E[inside], sd.eigenvectors[:, inside], h,
-                                      interval, geom, True)
+                                      interval, geom)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -626,8 +626,8 @@ class TestIntervalEigenpairs:
         assert calls == [] and E.size == Ed.size > 0
         assert np.abs(E - Ed).max() < 1e-12
         geom = slab_geometry(win, slope, L)
-        got = invariants._switch_traces(E, V, h, interval, geom, True)
-        want = invariants._switch_traces(Ed, Vd, h, interval, geom, True)
+        got = invariants._switch_traces(E, V, h, interval, geom)
+        want = invariants._switch_traces(Ed, Vd, h, interval, geom)
         assert abs(got.winding_gap_unitary - want.winding_gap_unitary) < 1e-12
         assert abs(got.current - want.current) < 1e-12
         assert abs(got.cross_residual - want.cross_residual) < 1e-12
@@ -708,7 +708,7 @@ class TestTraceProperties:
         a = hull_projection(field, win, "l").matrix @ \
             magnetic_translation(field, win, 1).matrix
         d = il.derivation(il.LatticeOperator(win, a), HALF.tangent())
-        assert abs(il.trace_interface(d, HALF, 24.0, check=False)) == 0.0
+        assert abs(il.trace_interface(d, HALF, 24.0)) == 0.0
 
     def test_cyclicity_residual_decreases(self):
         field = iw_field(HALF)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from scipy import sparse
 
@@ -447,7 +448,7 @@ class TestApply:
         def unitary(x):
             return np.exp(2j * np.pi * sw.g(x))
 
-        u = spectral.apply(unitary, hermitian=False)
+        u = spectral.apply(unitary)
         assert np.array_equal(u.matrix, (V * unitary(E)) @ V.conj().T)
 
 
@@ -460,7 +461,7 @@ class TestSwitch:
         g = sw.g(E)
         assert np.all(np.diff(g) >= -1e-15)
         assert sw.gprime(-1.0) == 0.0 and sw.gprime(1.0) == 0.0
-        integral = np.trapezoid(sw.gprime(E), E)
+        integral = scipy.integrate.trapezoid(sw.gprime(E), E)
         assert abs(integral - 1.0) < 1e-6
 
     def test_gap_unitary_identity_when_gap_empty(self):
