@@ -19,13 +19,13 @@ from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
 from .hull import (HullPoint, MeasureWeights, Pattern, cantor_diagnostics,
                    enumerate_hull, hull_metric, interface_measure,
                    offset_coordinate, point_pattern, shift_point)
-from .operators import (BandStructure, LatticeOperator, SpectralData,
-                        SwitchFunction, band_structure, bloch_spectrum,
-                        fermi_projection, flux_operator, gap_switch_operators,
-                        harper_bloch_matrix, hull_projection,
-                        interface_shift_unitary, iwatsuka_hamiltonian,
-                        magnetic_translation, strip_projection,
-                        translation_by)
+from .operators import (BandStructure, LatticeOperator, Projection,
+                        SpectralData, SwitchFunction, band_structure,
+                        bloch_spectrum, fermi_projection, flux_operator,
+                        gap_switch_operators, harper_bloch_matrix,
+                        hull_projection, interface_shift_unitary,
+                        iwatsuka_hamiltonian, magnetic_translation,
+                        strip_projection, translation_by)
 from .invariants import (CurrentReport, InvariantReport,
                          TANGENTIAL_ORIENTATION, chern_momentum,
                          chern_realspace, common_gaps, derivation,

@@ -24,11 +24,11 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, IwalabError, NoCommonGap
 from .hull import cantor_diagnostics, enumerate_hull
-from .invariants import (DEFAULT_BUFFER, DEFAULT_RAMP, _chern_below,
-                         _gap_midpoint, chern_realspace, verify_bic, winding)
+from .invariants import (_chern_below, _gap_midpoint, chern_realspace,
+                         slab_window, verify_bic, winding)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
-                    QuadraticIrrationalSlope, RationalSlope, SlabWindow)
+                    QuadraticIrrationalSlope, RationalSlope)
 from .operators import (SpectralData, band_structure, bloch_spectrum,
                         fermi_projection, interface_shift_unitary,
                         iwatsuka_hamiltonian)
@@ -283,8 +283,7 @@ def cmd_conductance(cfg, t0):
     _require_positive(*L_values, cfg["normal_half"])
     rows = []
     for L in L_values:
-        window = SlabWindow(slope, L / 2.0 + DEFAULT_RAMP + DEFAULT_BUFFER,
-                            cfg["normal_half"])
+        window = slab_window(slope, L, cfg["normal_half"])
         u = interface_shift_unitary(field, window, variant=variant)
         w = winding(u, slope, float(L))
         rows.append((float(L), variant, w, w))

@@ -21,10 +21,11 @@ from .errors import (EmptyGap, EmptyInterior, GapClosed, NoCommonGap,
 from .model import SlabWindow
 # gap_switch_operators is no longer called here but stays importable under
 # this module, where perfbench's tracer tests look for it
-from .operators import (LatticeOperator, SwitchFunction, _as_flux_fraction,
-                        _smoothstep, band_structure, gap_switch_operators,
-                        harper_bloch_matrix, interface_shift_unitary,
-                        iwatsuka_hamiltonian, require_spectrum_beyond)
+from .operators import (LatticeOperator, Projection, SwitchFunction,
+                        _as_flux_fraction, _smoothstep, band_structure,
+                        gap_switch_operators, harper_bloch_matrix,
+                        interface_shift_unitary, iwatsuka_hamiltonian,
+                        require_spectrum_beyond)
 
 # Tangential orientation of the interface.  The compounded sign conventions
 # (shift direction of the translations, the i[v.n, .] derivation, and the
@@ -41,6 +42,10 @@ DEFAULT_BUFFER = 18.0     # window sites beyond the taper end
 # range.  Certifies that moving the normal cutoff changes the trace well
 # below the invariant tolerances (truncation error <~ 0.1%).
 SHELL_TOLERANCE = 1e-3
+
+# Bound on ||F*F - 1||_F for the frames F of a real-space Chern
+# projection; it certifies max |P^2 - P| <= 1e-6 for P = F F*.
+GRAM_TOL = 5e-7
 
 # Acceptance tolerances of verify_bic: |winding - (Ch+ - Ch-)| and the
 # relative current cross residual.
@@ -73,6 +78,13 @@ def trace_bulk(op, margin=0):
     if not mask.any():
         raise EmptyInterior(f"margin {margin} leaves no interior sites")
     return complex(np.mean(op.diagonal()[mask]))
+
+
+def slab_window(slope, L, normal_half, buffer=DEFAULT_BUFFER):
+    """The slab window for a slab trace of length L: tangential half-extent
+    L/2 + DEFAULT_RAMP + buffer, so the taper of `slab_geometry` ends
+    buffer sites inside it, and normal half-width normal_half."""
+    return SlabWindow(slope, L / 2.0 + DEFAULT_RAMP + buffer, normal_half)
 
 
 @dataclass
@@ -210,23 +222,81 @@ def _chern_below(bs, mu, nk=30):
     return np.angle(links.prod(axis=0)).sum() / (2.0 * np.pi)
 
 
+def _sandwich(a, y, b):
+    """a* y b for dense a, b and a sparse y, as real products when a and b
+    are real (y's real and imaginary parts taken apart); None when y has no
+    nonzero entry."""
+    parts = ((y, 1.0),) if np.iscomplexobj(a) or np.iscomplexobj(b) else \
+        ((y.real, 1.0), (y.imag, 1j))
+    out = None
+    for part, unit in parts:
+        if part.count_nonzero():
+            term = unit * (a.conj().T @ (part @ b))
+            out = term if out is None else out + term
+    return out
+
+
+def _frame_blocks(frames, x):
+    """The blocks (s, t) -> (G_s v_s)* diag(x) G_t v_t of F* diag(x) F that
+    are not zero, read off the sparse G_s* diag(x) G_t; the Hermitian
+    matrix's lower blocks are the adjoints of its upper ones."""
+    xs = sparse.diags_array(x)
+    out = {}
+    for s, (gs, vs) in enumerate(frames):
+        for t in range(s, len(frames)):
+            gt, vt = frames[t]
+            block = _sandwich(vs, gs.conj().T @ xs @ gt, vt)
+            if block is not None:
+                out[s, t] = block
+                if s != t:
+                    out[t, s] = block.conj().T
+    return out
+
+
 def chern_realspace(P, margin=6):
     """Real-space Chern number 2*pi*i <P [D1 P, D2 P]> with D_j = i[n_j, .]
     and <.> the interior trace per unit volume; converges to the momentum
-    value as the window grows."""
-    pm = P.matrix
-    if np.abs(pm @ pm - pm).max() > 1e-6:
-        raise NotProjection("operator is not idempotent to 1e-6")
+    value as the window grows.
+
+    P is a `Projection` F F* with F the columns G_s v_s of its frames.  For
+    orthonormal F, P [D1 P, D2 P] = -F [A1, A2] F* with A_j = F* X_j F and
+    X_j the position n_j, so only r x r matrices are multiplied (r the
+    rank) and the diagonal is read on the interior rows of F.  X_j is odd
+    under n -> -n, so on the parity sectors of `SpectralData` the blocks
+    G_s* X_j G_s vanish: each A_j is the off-diagonal pair of half-size
+    blocks, real products for real frames, and A1 A2 is
+    sector-diagonal.  ||F*F - 1||_F <= GRAM_TOL certifies
+    max |P^2 - P| <= GRAM_TOL (1 + GRAM_TOL) < 1e-6; NotProjection if
+    not, or if P is not a `Projection`."""
+    if not isinstance(P, Projection):
+        raise NotProjection("chern_realspace reads the frames of a "
+                            "Projection, not a LatticeOperator")
+    frames = P.frames
+    pos = P.window.positions().astype(float)
+    gram = _frame_blocks(frames, np.ones(P.window.size))
+    for s, (_, v) in enumerate(frames):
+        gram[s, s] = gram.get((s, s), 0.0) - np.eye(v.shape[1])
+    dev = math.hypot(*(np.linalg.norm(block) for block in gram.values()))
+    if dev > GRAM_TOL:
+        raise NotProjection(f"frames are not orthonormal: ||F*F - 1||_F = "
+                            f"{dev:.2e} > {GRAM_TOL:.0e}")
     mask = P.window.interior_mask(margin)
     if not mask.any():
         raise EmptyInterior(f"margin {margin} leaves no interior sites")
-    d1 = derivation(P, (1, 0)).matrix
-    d2 = derivation(P, (0, 1)).matrix
-    # only the interior columns of the commutator reach the trace
-    comm = d1 @ d2[:, mask]
-    comm -= d2 @ d1[:, mask]
-    diag = np.einsum("ik,ki->i", pm[mask], comm)    # interior diag(P @ comm)
-    return float((2j * np.pi * diag.mean()).real)
+    # A2 A1 = (A1 A2)*, so [A1, A2] = D - D* with D = A1 A2, and the
+    # interior diagonal of -F (D - D*) F* is -2i Im diag(F D F*)
+    a2 = _frame_blocks(frames, pos[:, 1])
+    d = {}
+    for (s, t), x in _frame_blocks(frames, pos[:, 0]).items():
+        for (t2, u), y in a2.items():
+            if t == t2:
+                d[s, u] = d.get((s, u), 0.0) + x @ y
+    inner = np.flatnonzero(mask)
+    rows = [g[inner] @ v for g, v in frames]          # interior rows of F
+    im = np.zeros(inner.size)
+    for (s, u), x in d.items():
+        im += ((rows[s] @ x) * rows[u].conj()).sum(axis=1).imag
+    return float(4.0 * np.pi * im.mean())     # 2 pi i <-2i Im diag(F D F*)>
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +542,7 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     ch_plus = _chern_below(bp, mu)
     ch_minus = _chern_below(bm, mu)
 
-    window = SlabWindow(slope, L / 2.0 + DEFAULT_RAMP + buffer, normal_half)
+    window = slab_window(slope, L, normal_half, buffer)
     # raises SlabExceedsWindow before any matrix is built
     geom = slab_geometry(window, slope, L)
     h = iwatsuka_hamiltonian(field, window)

@@ -350,11 +350,16 @@ def _symmetry_sectors(window, h):
 
 @dataclass
 class SpectralData:
-    """Dense eigendecomposition of a Hermitian lattice operator, solved on
-    real or complex parity blocks where the operator's symmetries allow."""
+    """Dense eigendecomposition of a Hermitian lattice operator, held as
+    the sectors it was solved on: triples (G, w, v) of a sparse isometry G
+    onto a parity block, the block's ascending eigenvalues w and its
+    eigenvectors v, so the eigenvectors of the operator are the columns of
+    G v.  A whole solve is one sector whose G is the identity.
+    `eigenvalues` holds the eigenvalues of all sectors in ascending order,
+    and `eigenvectors` the merged N x N matrix of the matching G v."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    sectors: tuple
     source: LatticeOperator
 
     @staticmethod
@@ -362,43 +367,54 @@ class SpectralData:
         """Eigenvalues ascending and orthonormal eigenvectors.  An operator
         that commutes exactly with the inversion n -> -n of its window is
         diagonalized on its two parity blocks G*HG, each about half the
-        size, and V = G v: real symmetric blocks if it also commutes with
-        the antiunitary K R (complex conjugation after n2 -> -n2), as
-        constant fields on windows closed under both maps do, and complex
-        Hermitian ones if not (see `_symmetry_sectors`).  Any other
-        operator is diagonalized whole."""
+        size: real symmetric blocks if it also commutes with the
+        antiunitary K R (complex conjugation after n2 -> -n2), as constant
+        fields on windows closed under both maps do, and complex Hermitian
+        ones if not (see `_symmetry_sectors`).  Any other operator is
+        diagonalized whole."""
         if not op.hermitian:
             raise ValueError("spectral calculus needs a Hermitian operator")
         h = sparse.csr_array(op.matrix)
         found = _symmetry_sectors(op.window, h)
         if found is None:
             w, v = eigh(op.dense(), driver="evr")
-            return SpectralData(w, v, op)
+            identity = sparse.eye_array(w.size, dtype=complex, format="csr")
+            return SpectralData(w, ((identity, w, v),), op)
         sectors, real = found
         blocks = []
         for g in sectors:
             b = (g.conj().T @ h @ g).toarray()
             blocks.append((g, *eigh(b.real if real else b, driver="evd")))
-        w = np.concatenate([wb for _, wb, _ in blocks])
-        order = np.argsort(w, kind="stable")
-        column = np.empty_like(order)
-        column[order] = np.arange(w.size)
-        v = np.empty((w.size, w.size), dtype=complex)
-        start = 0
-        for g, wb, vb in blocks:
-            v[:, column[start:start + wb.size]] = g @ vb
-            start += wb.size
-        return SpectralData(w[order], v, op)
+        w = np.sort(np.concatenate([wb for _, wb, _ in blocks]), kind="stable")
+        return SpectralData(w, tuple(blocks), op)
 
     @property
     def window(self):
         return self.source.window
 
+    @property
+    def eigenvectors(self):
+        """The N x N matrix whose column i is the eigenvector of
+        eigenvalues[i]: the columns G v of the sectors, merged in the
+        stable order of their eigenvalues (v itself for a whole solve)."""
+        if len(self.sectors) == 1:
+            return self.sectors[0][2]
+        w = np.concatenate([wb for _, wb, _ in self.sectors])
+        order = np.argsort(w, kind="stable")
+        column = np.empty_like(order)
+        column[order] = np.arange(w.size)
+        v = np.empty((w.size, w.size), dtype=complex)
+        start = 0
+        for g, wb, vb in self.sectors:
+            v[:, column[start:start + wb.size]] = g @ vb
+            start += wb.size
+        return v
+
     def apply(self, func):
         """Operator func(H) = V diag(func(E)) V*, summed over the
-        eigenvectors whose weight func(E) is nonzero, so a rank-r Fermi
-        projection costs N^2 r.  Real weights give a Hermitian operator,
-        which `LatticeOperator` checks to HERMITIAN_TOL."""
+        eigenvectors whose weight func(E) is nonzero.  Real weights give a
+        Hermitian operator, which `LatticeOperator` checks to
+        HERMITIAN_TOL."""
         fvals = np.asarray(func(self.eigenvalues))
         v = self.eigenvectors
         keep = fvals != 0
@@ -409,9 +425,40 @@ class SpectralData:
                                hermitian=bool(np.isrealobj(fvals)))
 
 
+@dataclass(frozen=True)
+class Projection:
+    """Orthogonal projection F F* held as its frames: pairs (G, v) of a
+    sparse isometry G and a block of columns v, with F the columns G v of
+    all pairs side by side.  Nothing here forms the N x N matrix except
+    `dense()`."""
+
+    window: object
+    frames: tuple
+
+    def dense(self):
+        """The projection as an N x N ndarray."""
+        m = np.zeros((self.window.size,) * 2, dtype=complex)
+        for g, v in self.frames:
+            f = g @ v
+            m += f @ f.conj().T
+        return m
+
+    def diagonal(self):
+        """Diagonal of F F*: the squared row norms of the frames."""
+        d = np.zeros(self.window.size)
+        for g, v in self.frames:
+            f = g @ v
+            d += (f.real ** 2 + f.imag ** 2).sum(axis=1)
+        return d
+
+
 def fermi_projection(spectral, mu):
-    """Spectral projection onto energies <= mu."""
-    return spectral.apply(lambda E: (E <= mu).astype(float))
+    """Spectral projection onto energies <= mu, as the frames (G, v_occ)
+    of the occupied eigenvectors of each sector: O(N r) memory for rank r,
+    with no N x N matrix."""
+    return Projection(spectral.window, tuple(
+        (g, v[:, :np.searchsorted(w, mu, side="right")])
+        for g, w, v in spectral.sectors))
 
 
 def _smoothstep(s):

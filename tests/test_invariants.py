@@ -237,9 +237,10 @@ def chern_realspace_full(P, margin=6):
     """Reference real-space Chern number: the whole commutator
     [D1 P, D2 P] and the whole diagonal of P times it, read on the
     interior afterwards."""
-    pm = P.matrix
-    d1 = il.derivation(P, (1, 0)).matrix
-    d2 = il.derivation(P, (0, 1)).matrix
+    pm = P.dense()
+    dense = il.LatticeOperator(P.window, pm)
+    d1 = il.derivation(dense, (1, 0)).matrix
+    d2 = il.derivation(dense, (0, 1)).matrix
     comm = d1 @ d2
     comm -= d2 @ d1
     diag = np.einsum("ik,ki->i", pm, comm)      # diag(P @ comm)
@@ -247,16 +248,102 @@ def chern_realspace_full(P, margin=6):
     return float((2j * np.pi * diag[mask].mean()).real)
 
 
+def frame(win, v):
+    """The projection v v* as one frame on the whole window."""
+    return il.Projection(win, ((sparse.eye_array(win.size, format="csr"), v),))
+
+
+def sector_case(kind):
+    """(spectral data, mu, margin) whose sectors are two real parity
+    blocks, two complex ones, or one whole solve."""
+    win = il.LatticeWindow(8)
+    if kind == "real":
+        h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(THIRD), win)
+    elif kind == "complex":
+        # the inversion-symmetric perturbation that breaks K R, as in
+        # test_operators' test_broken_conjugation_keeps_complex_blocks
+        site = {tuple(p): i for i, p in enumerate(win.positions())}
+        a = [site[(1, 2)], site[(-1, -2)]]
+        b = [site[(2, 3)], site[(-2, -3)]]
+        v = sparse.csr_array(([1j, 1j, -1j, -1j], (a + b, b + a)),
+                             shape=(win.size, win.size))
+        h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(THIRD), win, v)
+    else:
+        win = il.SlabWindow(HALF, 12.0, 8.0)
+        h = il.iwatsuka_hamiltonian(iw_field(HALF), win)
+    lo, hi = common_gap_interval()
+    return il.SpectralData.from_operator(h), 0.5 * (lo + hi), 3
+
+
+SECTOR_KINDS = {"real": (2, np.float64), "complex": (2, np.complex128),
+                "whole": (1, np.complex128)}
+
+
 class TestChernRealspace:
     def test_trivial_projections(self):
         win = il.LatticeWindow(6)
-        zero = il.LatticeOperator(win, np.zeros((win.size, win.size)))
-        ident = il.LatticeOperator(win, np.eye(win.size))
+        zero = frame(win, np.zeros((win.size, 0)))
+        ident = frame(win, np.eye(win.size))
         assert il.chern_realspace(zero, margin=2) == 0.0
         assert il.chern_realspace(ident, margin=2) == 0.0
         with pytest.raises(il.NotProjection):
-            il.chern_realspace(il.LatticeOperator(win, 0.5 * np.eye(win.size)),
+            il.chern_realspace(frame(win, math.sqrt(0.5) * np.eye(win.size)),
                                margin=2)
+
+    @pytest.mark.parametrize("kind", sorted(SECTOR_KINDS))
+    def test_frames_match_dense_oracle(self, kind):
+        sd, mu, margin = sector_case(kind)
+        count, dtype = SECTOR_KINDS[kind]
+        assert len(sd.sectors) == count
+        assert all(v.dtype == dtype for _, _, v in sd.sectors)
+        P = il.fermi_projection(sd, mu)
+        assert 0 < sum(v.shape[1] for _, v in P.frames) < sd.window.size
+        ch = il.chern_realspace(P, margin=margin)
+        assert abs(ch - chern_realspace_full(P, margin=margin)) < 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(SECTOR_KINDS))
+    def test_projection_matches_dense_fermi_product(self, kind):
+        # V diag(E <= mu) V* over the merged eigenvectors, the dense
+        # projection the frames stand for
+        sd, mu, _ = sector_case(kind)
+        full = sd.apply(lambda E: (E <= mu).astype(float)).matrix
+        P = il.fermi_projection(sd, mu)
+        assert not hasattr(P, "matrix")
+        assert np.abs(P.dense() - full).max() < 1e-13
+        assert np.abs(P.diagonal() - full.diagonal()).max() < 1e-13
+
+    def test_non_orthonormal_frames_rejected(self):
+        sd, mu, margin = sector_case("real")
+        P = il.fermi_projection(sd, mu)
+        (g, v), other = P.frames
+        tilted = v.copy()
+        tilted[:, 0] *= 1.0 + 1e-6
+        with pytest.raises(il.NotProjection):
+            il.chern_realspace(il.Projection(P.window, ((g, tilted), other)),
+                               margin=margin)
+        # orthonormal frames whose columns overlap between the frames
+        with pytest.raises(il.NotProjection):
+            il.chern_realspace(il.Projection(P.window, ((g, v), (g, v))),
+                               margin=margin)
+        with pytest.raises(il.NotProjection):
+            il.chern_realspace(il.LatticeOperator(P.window, P.dense()),
+                               margin=margin)
+
+    def test_frame_path_memory_below_one_dense_matrix(self):
+        # from_operator, fermi_projection and chern_realspace together
+        # allocate less than one complex N x N matrix
+        h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(THIRD),
+                                    il.LatticeWindow(20))
+        n = h.window.size
+        tracemalloc.start()
+        try:
+            sd = il.SpectralData.from_operator(h)
+            ch = il.chern_realspace(il.fermi_projection(sd, -1.366), margin=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(ch - 1.0) < 0.05
+        assert peak < 16 * n * n
 
     def test_agrees_with_momentum_flux_third(self):
         field = il.ConstantField.from_turns(THIRD)
@@ -280,12 +367,10 @@ class TestChernRealspace:
         calls = spy(monkeypatch, invariants, "derivation")
         win = il.LatticeWindow(2)
         with pytest.raises(il.EmptyInterior):
-            il.chern_realspace(
-                il.LatticeOperator(win, np.zeros((win.size, win.size))),
-                margin=6)
+            il.chern_realspace(frame(win, np.zeros((win.size, 0))), margin=6)
         assert calls == []
         with pytest.raises(il.NotProjection):
-            il.chern_realspace(il.LatticeOperator(win, 0.5 * np.eye(win.size)),
+            il.chern_realspace(frame(win, math.sqrt(0.5) * np.eye(win.size)),
                                margin=6)
 
     @pytest.mark.parametrize("flux,gap,M,tol", [

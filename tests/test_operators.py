@@ -276,16 +276,16 @@ class TestHamiltonianSpectral:
         scale = np.abs(H.matrix).max()
         assert np.abs(rebuilt - H.matrix).max() < 1e-9 * scale
         P = il.fermi_projection(sd, 0.0)
-        assert np.abs(P.matrix @ H.matrix - H.matrix @ P.matrix).max() < 1e-9 * scale
-        assert np.abs(P.matrix @ P.matrix - P.matrix).max() < 1e-9
-        assert np.abs(P.matrix - P.matrix.conj().T).max() < 1e-9
+        assert np.abs(P.dense() @ H.matrix - H.matrix @ P.dense()).max() < 1e-9 * scale
+        assert np.abs(P.dense() @ P.dense() - P.dense()).max() < 1e-9
+        assert np.abs(P.dense() - P.dense().conj().T).max() < 1e-9
 
     def test_fermi_extremes(self):
         win = il.LatticeWindow(3)
         sd = il.SpectralData.from_operator(
             il.iwatsuka_hamiltonian(il.zero_field(), win))
-        assert np.abs(il.fermi_projection(sd, -5.0).matrix).max() == 0.0
-        ident = il.fermi_projection(sd, 5.0).matrix
+        assert np.abs(il.fermi_projection(sd, -5.0).dense()).max() == 0.0
+        ident = il.fermi_projection(sd, 5.0).dense()
         assert np.abs(ident - np.eye(win.size)).max() < 1e-12
 
 
@@ -342,7 +342,7 @@ class TestParitySectors:
         k = int(np.argmax(np.diff(w0)))
         mu = 0.5 * (w0[k] + w0[k + 1])
         occupied = v0[:, w0 <= mu]
-        P = il.fermi_projection(sd, mu).matrix
+        P = il.fermi_projection(sd, mu).dense()
         assert np.abs(P - occupied @ occupied.conj().T).max() < 1e-12
 
     @pytest.mark.parametrize("field,win", [
