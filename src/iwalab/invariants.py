@@ -8,6 +8,7 @@ calibrated once against the interface shift unitary of the minimal strip,
 whose winding must be +1, and recorded in every report.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
@@ -223,34 +224,60 @@ def _chern_below(bs, mu, nk=30):
 
 
 def _sandwich(a, y, b):
-    """a* y b for dense a, b and a sparse y, as real products when a and b
-    are real (y's real and imaginary parts taken apart); None when y has no
-    nonzero entry."""
-    parts = ((y, 1.0),) if np.iscomplexobj(a) or np.iscomplexobj(b) else \
-        ((y.real, 1.0), (y.imag, 1j))
-    out = None
-    for part, unit in parts:
-        if part.count_nonzero():
-            term = unit * (a.conj().T @ (part @ b))
-            out = term if out is None else out + term
-    return out
+    """a* y b for dense a, b and a sparse y, as a pair (unit, m) with
+    a* y b = unit m: for real a and b, m is a real product when y is real
+    (unit 1) or imaginary (unit 1j), and y's parts are taken apart
+    otherwise; None when y has no nonzero entry."""
+    if not y.count_nonzero():
+        return None
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return 1.0, a.conj().T @ (y @ b)
+    re, im = (a.T @ (part @ b) if part.count_nonzero() else None
+              for part in (y.real, y.imag))
+    if im is None:
+        return 1.0, re
+    if re is None:
+        return 1j, im
+    return 1.0, re + 1j * im
 
 
 def _frame_blocks(frames, x):
-    """The blocks (s, t) -> (G_s v_s)* diag(x) G_t v_t of F* diag(x) F that
-    are not zero, read off the sparse G_s* diag(x) G_t; the Hermitian
-    matrix's lower blocks are the adjoints of its upper ones."""
+    """The upper blocks s <= t of the Hermitian F* diag(x) F that are not
+    zero, as ((s, t), (unit, m)) with (G_s v_s)* diag(x) G_t v_t = unit m,
+    read off the sparse G_s* diag(x) G_t."""
     xs = sparse.diags_array(x)
-    out = {}
     for s, (gs, vs) in enumerate(frames):
         for t in range(s, len(frames)):
             gt, vt = frames[t]
             block = _sandwich(vs, gs.conj().T @ xs @ gt, vt)
             if block is not None:
-                out[s, t] = block
-                if s != t:
-                    out[t, s] = block.conj().T
-    return out
+                yield (s, t), block
+
+
+def _block(upper, s, t):
+    """Block (s, t) of a Hermitian matrix held as its upper blocks, as
+    (unit, m); None when it is zero.  A lower block of real m is a view."""
+    if (min(s, t), max(s, t)) not in upper:
+        return None
+    if s <= t:
+        return upper[s, t]
+    unit, m = upper[t, s]
+    return unit.conjugate(), m.conj().T
+
+
+def _gram_deviation(frames, size):
+    """||F*F - 1||_F, one block of F*F at a time; an off-diagonal block
+    counts twice, once more for its adjoint."""
+    # squared norms per sector; ||1||^2 stands while the diagonal block is
+    # absent, and (s, s) comes before every (s, t)
+    sq = [float(v.shape[1]) for _, v in frames]
+    for (s, t), (unit, m) in _frame_blocks(frames, np.ones(size)):
+        if s == t:
+            m = unit * m
+            m[np.diag_indices_from(m)] -= 1.0
+            sq[s] = 0.0
+        sq[s] += (1 if s == t else 2) * np.linalg.norm(m) ** 2
+    return math.sqrt(sum(sq))
 
 
 def chern_realspace(P, margin=6):
@@ -260,43 +287,37 @@ def chern_realspace(P, margin=6):
 
     P is a `Projection` F F* with F the columns G_s v_s of its frames.  For
     orthonormal F, P [D1 P, D2 P] = -F [A1, A2] F* with A_j = F* X_j F and
-    X_j the position n_j, so only r x r matrices are multiplied (r the
-    rank) and the diagonal is read on the interior rows of F.  X_j is odd
-    under n -> -n, so on the parity sectors of `SpectralData` the blocks
-    G_s* X_j G_s vanish: each A_j is the off-diagonal pair of half-size
-    blocks, real products for real frames, and A1 A2 is
-    sector-diagonal.  ||F*F - 1||_F <= GRAM_TOL certifies
+    X_j the position n_j, so the interior trace is -tr([A1, A2] C) with
+    C = F* M F and M the interior mask: only r x r matrices are formed (r
+    the rank).  X_j is odd and M even under n -> -n, so on the parity
+    sectors of `SpectralData` the blocks G_s* X_j G_s and G_s* M G_t
+    (s != t) vanish: each A_j is one off-diagonal half-size block and its
+    adjoint, and C is sector-diagonal.  For real frames every block is a
+    real product times 1 or 1j.  ||F*F - 1||_F <= GRAM_TOL certifies
     max |P^2 - P| <= GRAM_TOL (1 + GRAM_TOL) < 1e-6; NotProjection if
     not, or if P is not a `Projection`."""
     if not isinstance(P, Projection):
         raise NotProjection("chern_realspace reads the frames of a "
                             "Projection, not a LatticeOperator")
     frames = P.frames
-    pos = P.window.positions().astype(float)
-    gram = _frame_blocks(frames, np.ones(P.window.size))
-    for s, (_, v) in enumerate(frames):
-        gram[s, s] = gram.get((s, s), 0.0) - np.eye(v.shape[1])
-    dev = math.hypot(*(np.linalg.norm(block) for block in gram.values()))
+    dev = _gram_deviation(frames, P.window.size)
     if dev > GRAM_TOL:
         raise NotProjection(f"frames are not orthonormal: ||F*F - 1||_F = "
                             f"{dev:.2e} > {GRAM_TOL:.0e}")
     mask = P.window.interior_mask(margin)
     if not mask.any():
         raise EmptyInterior(f"margin {margin} leaves no interior sites")
-    # A2 A1 = (A1 A2)*, so [A1, A2] = D - D* with D = A1 A2, and the
-    # interior diagonal of -F (D - D*) F* is -2i Im diag(F D F*)
-    a2 = _frame_blocks(frames, pos[:, 1])
-    d = {}
-    for (s, t), x in _frame_blocks(frames, pos[:, 0]).items():
-        for (t2, u), y in a2.items():
-            if t == t2:
-                d[s, u] = d.get((s, u), 0.0) + x @ y
-    inner = np.flatnonzero(mask)
-    rows = [g[inner] @ v for g, v in frames]          # interior rows of F
-    im = np.zeros(inner.size)
-    for (s, u), x in d.items():
-        im += ((rows[s] @ x) * rows[u].conj()).sum(axis=1).imag
-    return float(4.0 * np.pi * im.mean())     # 2 pi i <-2i Im diag(F D F*)>
+    pos = P.window.positions().astype(float)
+    a1, a2, c = (dict(_frame_blocks(frames, x))
+                 for x in (pos[:, 0], pos[:, 1], mask.astype(float)))
+    # A2 A1 = (A1 A2)*, so tr([A1, A2] C) = 2i Im tr(A1 A2 C) for the
+    # Hermitian C, summed over the sector triples (s, t, u) of A1 A2 C
+    tr = 0j
+    for s, t, u in itertools.product(range(len(frames)), repeat=3):
+        x, y, z = _block(a1, s, t), _block(a2, t, u), _block(c, u, s)
+        if x is not None and y is not None and z is not None:
+            tr += x[0] * y[0] * z[0] * np.einsum("ij,ji->", x[1] @ y[1], z[1])
+    return float(4.0 * np.pi * tr.imag / mask.sum())  # 2 pi i <-2i Im tr>
 
 
 # ---------------------------------------------------------------------------

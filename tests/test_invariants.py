@@ -345,6 +345,27 @@ class TestChernRealspace:
         assert abs(ch - 1.0) < 0.05
         assert peak < 16 * n * n
 
+    @pytest.mark.parametrize("flux,gap", [(THIRD, 1), (Fraction(4, 5), 4)])
+    def test_frame_kernel_memory_below_eigensolve(self, flux, gap):
+        # the Chern step on top of the eigenvectors allocates less than the
+        # eigensolve itself at a low and a high filling, so the rank does
+        # not set the peak of the path
+        lo, hi = il.band_structure(flux, nk=30).gaps[gap - 1]
+        h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(flux),
+                                    il.LatticeWindow(20))
+        tracemalloc.start()
+        try:
+            sd = il.SpectralData.from_operator(h)
+            eig_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            il.chern_realspace(il.fermi_projection(sd, 0.5 * (lo + hi)),
+                               margin=6)
+            chern_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert chern_peak < eig_peak
+
     def test_agrees_with_momentum_flux_third(self):
         field = il.ConstantField.from_turns(THIRD)
         win = il.LatticeWindow(14)
