@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, IwalabError, NoCommonGap
 from .hull import cantor_diagnostics, enumerate_hull
-from .invariants import (_chern_below, _gap_midpoint, chern_realspace,
-                         slab_window, verify_bic, winding)
+from .invariants import (DEFAULT_BUFFER, _chern_below, _gap_midpoint,
+                         chern_realspace, slab_window, verify_bic, winding)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope)
@@ -256,7 +256,7 @@ def cmd_chern(cfg, t0):
     gap_index = cfg["gap"]
     # one band structure decides the gap and the occupied bands, as in
     # chern_momentum, and gives the Fermi level of the real-space projection
-    bs = band_structure(flux, nk=max(cfg["kgrid"], 30))
+    bs = band_structure(flux)
     mu = _gap_midpoint(bs, gap_index)
     row = [float(flux), gap_index, _chern_below(bs, mu, cfg["kgrid"])]
     columns = ["parameter", "gap_index", "chern_momentum"]
@@ -320,7 +320,7 @@ _DEFAULTS = {
                     "normal_half": 22.0, "out": ".", "perturbation": []},
     "verify-bic": {"slope": "rational:1,2", "bplus": "2pi*1/3",
                    "bminus": "2pi*2/3", "mu": None, "L": 48.0,
-                   "normal_half": 22.0, "buffer": 18.0, "out": ".",
+                   "normal_half": 22.0, "buffer": DEFAULT_BUFFER, "out": ".",
                    "perturbation": []},
 }
 

@@ -185,7 +185,7 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
         return 0.0   # single trivial band; it has no gap to index
     if gap_index is None and mu is None:
         raise ValueError("need gap_index or mu")
-    bs = band_structure(flux, nk=max(nk, 30))
+    bs = band_structure(flux)
     if gap_index is not None:
         mu = _gap_midpoint(bs, gap_index)
     return _chern_below(bs, mu, nk)
@@ -483,10 +483,10 @@ def _interval_eigenpairs(h, interval):
 # ---------------------------------------------------------------------------
 # bulk-interface correspondence
 
-def common_gaps(flux_plus, flux_minus, nk=60):
+def common_gaps(flux_plus, flux_minus):
     """Open intervals lying in gaps of both bulk band structures."""
-    bp = band_structure(flux_plus, nk=nk)
-    bm = band_structure(flux_minus, nk=nk)
+    bp = band_structure(flux_plus)
+    bm = band_structure(flux_minus)
     out = []
     for lo1, hi1 in bp.gaps:
         for lo2, hi2 in bm.gaps:

@@ -255,18 +255,17 @@ class BandStructure:
 
 
 def band_structure(flux, nk=60):
-    """Band intervals and open gaps of the Harper spectrum at rational
-    flux, from an nk x nk Bloch sweep.  By Chambers' relation
-    det(E - H(k)) = P(E) - 2cos(q k1) - 2cos(k2), every band edge is
-    attained at k = (0, 0) or (pi/q, pi); both points are folded in, so the
-    touching central bands of even q never show a spurious gap."""
+    """Exact band intervals and open gaps of the Harper spectrum at rational
+    flux.  By Chambers' relation det(E - H(k)) = P(E) - c(k), with c(k) =
+    2cos(q k1) + 2cos(k2) in [-4, 4], the i-th eigenvalue of H(k) is the i-th
+    root of P(E) = c(k).  P is monotone on each band, so the edges are the
+    roots at c = +-4, at k = (0, 0) and (pi/q, pi); nk does not move them."""
+    if nk < 1:
+        raise ValueError("nk must be >= 1")
     flux = _as_flux_fraction(flux)
     q = flux.denominator
-    edges = np.linalg.eigvalsh(
-        harper_bloch_matrix(flux, ([0.0, math.pi / q], [0.0, math.pi])))
-    ev = bloch_spectrum(flux, nk).reshape(-1, q)
-    lo = np.minimum(ev.min(axis=0), edges.min(axis=0))
-    hi = np.maximum(ev.max(axis=0), edges.max(axis=0))
+    lo, hi = np.sort(np.linalg.eigvalsh(harper_bloch_matrix(
+        flux, ([0.0, math.pi / q], [0.0, math.pi]))), axis=0)
     gaps = tuple((float(hi[i]), float(lo[i + 1]))
                  for i in range(len(lo) - 1) if lo[i + 1] > hi[i] + 1e-9)
     return BandStructure(flux, nk, tuple(map(float, lo)), tuple(map(float, hi)), gaps)

@@ -161,6 +161,18 @@ class TestCommands:
         assert abs(report["winding"] - 2.0) < 0.25
         assert report["conductance_units"].startswith("e^2/h")
 
+    def test_verify_bic_default_buffer_is_library_default(self, tmp_path):
+        rc = cli.main(["verify-bic", "--slope", "rational:1,1", "--L", "8",
+                       "--normal-half", "18", "--out", str(tmp_path)])
+        assert rc == 0
+        report = json.loads((tmp_path / "verify_bic.json").read_text())["report"]
+        field = il.IwatsukaField.from_turns(il.RationalSlope(1, 1),
+                                            Fraction(1, 3), Fraction(2, 3))
+        want = il.verify_bic(field, L=8.0, normal_half=18.0)
+        assert report["window_sites"] == invariants.slab_window(
+            field.slope, 8.0, 18.0).size
+        assert report == json.loads(json.dumps(want.to_dict()))
+
     def test_config_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"Mmax": 2, "slope": "rational:1,2"}))

@@ -449,16 +449,16 @@ class TestWinding:
 
 class TestCommonGaps:
     def test_conjugate_fluxes_share_gaps(self):
-        gaps, bp, bm = il.common_gaps(THIRD, TWO_THIRDS, nk=40)
+        gaps, bp, bm = il.common_gaps(THIRD, TWO_THIRDS)
         assert len(gaps) == 2
         assert gaps[0][0] < gaps[0][1] < gaps[1][0]
 
     def test_no_common_gap(self):
         with pytest.raises(il.NoCommonGap) as e:
-            il.common_gaps(Fraction(1, 2), THIRD, nk=40)
+            il.common_gaps(Fraction(1, 2), THIRD)
             raise il.NoCommonGap("unreached")
         # flux 1/2 has no open gaps at all, so none can be shared
-        gaps, bp, bm = il.common_gaps(THIRD, THIRD, nk=40)
+        gaps, bp, bm = il.common_gaps(THIRD, THIRD)
         assert len(gaps) == 2
 
     def test_verify_bic_reports_gap_structures(self):
@@ -483,7 +483,7 @@ def half_slab_pairs():
 
 
 def common_gap_interval():
-    gaps, _, _ = il.common_gaps(THIRD, TWO_THIRDS, nk=40)
+    gaps, _, _ = il.common_gaps(THIRD, TWO_THIRDS)
     lo, hi = gaps[0]
     mu = 0.5 * (lo + hi)
     delta = 0.8 * 0.5 * (hi - lo)

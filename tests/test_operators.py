@@ -27,6 +27,21 @@ PERTURBED = il.IwatsukaField.from_turns(
                         (-3, 4): Fraction(1, 4)})
 
 
+CHAMBERS_FLUXES = sorted({Fraction(p, q) for q in range(1, 13)
+                          for p in range(q + 1)})
+
+
+def swept_band_edges(flux):
+    """Reference band edges: the extremes of the 60 x 60 Bloch spectrum
+    with the two Chambers points (0, 0) and (pi/q, pi) folded in."""
+    q = flux.denominator
+    ev = il.bloch_spectrum(flux, 60).reshape(-1, q)
+    pts = np.linalg.eigvalsh(
+        il.harper_bloch_matrix(flux, ([0.0, math.pi / q], [0.0, math.pi])))
+    return (np.minimum(ev.min(axis=0), pts.min(axis=0)),
+            np.maximum(ev.max(axis=0), pts.max(axis=0)))
+
+
 def interior_dev(win, m, margin=1):
     mask = win.interior_mask(margin)
     return np.abs(m[np.ix_(mask, mask)]).max()
@@ -191,7 +206,7 @@ class TestBloch:
 
     def test_even_q_central_bands_touch(self):
         # Chambers' relation puts every band edge at k = (0, 0) or
-        # (pi/q, pi); a coarse grid alone misses the central touching
+        # (pi/q, pi), where the central bands of even q touch
         assert il.band_structure(Fraction(1, 2), nk=30).gaps == ()
         assert len(il.band_structure(Fraction(1, 6), nk=30).gaps) == 4
         # gap 3 of flux 1/6 lies above four bands: TKNN 4 = 6s + t, t = -2
@@ -202,6 +217,46 @@ class TestBloch:
         assert bs.num_bands == 3
         assert len(bs.gaps) == 2
         assert all(hi - lo > 0.4 for lo, hi in bs.gaps)
+
+    @pytest.mark.parametrize("nk", [0, -3])
+    def test_rejects_empty_grid(self, nk):
+        with pytest.raises(ValueError, match="nk must be >= 1"):
+            il.band_structure(Fraction(1, 3), nk=nk)
+
+    def test_chambers_edges_bound_every_k(self):
+        rng = np.random.default_rng(14)
+        for flux in CHAMBERS_FLUXES:
+            bs = il.band_structure(flux)
+            k = rng.uniform(0.0, 2.0 * math.pi, (2, 500))
+            ev = np.linalg.eigvalsh(il.harper_bloch_matrix(flux, k))
+            assert (ev >= np.array(bs.band_min) - 1e-12).all(), flux
+            assert (ev <= np.array(bs.band_max) + 1e-12).all(), flux
+
+    def test_chambers_edges_match_grid_sweep(self):
+        for flux in CHAMBERS_FLUXES:
+            lo, hi = swept_band_edges(flux)
+            bs = il.band_structure(flux)
+            assert np.abs(np.array(bs.band_min) - lo).max() < 1e-13, flux
+            assert np.abs(np.array(bs.band_max) - hi).max() < 1e-13, flux
+            assert len(bs.gaps) == int((lo[1:] > hi[:-1] + 1e-9).sum()), flux
+
+    def test_band_structure_solves_only_chambers_points(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("band_structure swept the Bloch grid")
+
+        monkeypatch.setattr(operators, "bloch_spectrum", no_sweep)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        bs = il.band_structure(Fraction(2, 7), nk=60)
+        monkeypatch.undo()
+        assert shapes == [(2, 7, 7)]
+        assert bs.num_bands == 7
 
     def test_irrational_flux_rejected(self):
         with pytest.raises(il.IrrationalFlux):
