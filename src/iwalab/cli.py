@@ -108,12 +108,11 @@ def parse_perturbation(entries):
     """Perturbation list [[n1, n2, delta_b_radians], ...] to a dict."""
     out = {}
     for item in entries or []:
-        try:
-            n1, n2, db = item
-            out[(int(n1), int(n2))] = float(db)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad perturbation entry {item!r}: "
-                              "expected [n1, n2, delta_b]") from exc
+        if not (isinstance(item, (list, tuple)) and len(item) == 3
+                and _is_int(item[0]) and _is_int(item[1]) and _is_real(item[2])):
+            raise ConfigError(f"bad perturbation entry {item!r}: expected "
+                              "[n1, n2, delta_b], integer n1, n2, finite delta_b")
+        out[(item[0], item[1])] = float(item[2])
     return out
 
 
@@ -182,7 +181,8 @@ def _is_int(x):
 
 
 def _is_real(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _window_M(cfg):

@@ -26,7 +26,7 @@ from .operators import (LatticeOperator, Projection, SwitchFunction,
                         _as_flux_fraction, _smoothstep, band_structure,
                         gap_switch_operators, harper_bloch_matrix,
                         interface_shift_unitary, iwatsuka_hamiltonian,
-                        require_spectrum_beyond)
+                        require_hermitian, require_spectrum_beyond)
 
 # Tangential orientation of the interface.  The compounded sign conventions
 # (shift direction of the translations, the i[v.n, .] derivation, and the
@@ -52,6 +52,8 @@ GRAM_TOL = 5e-7
 # relative current cross residual.
 WINDING_TOL = 0.1
 CROSS_TOL = 0.02
+
+MOMENT_CHUNK = 512        # dense columns per block of `_winding_moments`
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +325,7 @@ def chern_realspace(P, margin=6):
 # ---------------------------------------------------------------------------
 # winding numbers and currents
 
-def _winding_moments(u, tvals, chunk=512):
+def _winding_moments(u, tvals):
     """sum_k |u_ki|^2 (t_k - t_i) per column i: over the stored entries of a
     sparse u, streamed over column chunks of a dense one so no second dense
     matrix is allocated."""
@@ -333,10 +335,10 @@ def _winding_moments(u, tvals, chunk=512):
         a2 = c.data.real ** 2 + c.data.imag ** 2
         return np.bincount(c.col, a2 * (tvals[c.row] - tvals[c.col]), minlength=n)
     out = np.empty(n)
-    for s in range(0, n, chunk):
-        cols = u[:, s:s + chunk]
-        a2 = cols.real ** 2 + cols.imag ** 2
-        out[s:s + chunk] = a2.T @ tvals - a2.sum(axis=0) * tvals[s:s + chunk]
+    for s in range(0, n, MOMENT_CHUNK):
+        c = slice(s, s + MOMENT_CHUNK)
+        a2 = u[:, c].real ** 2 + u[:, c].imag ** 2
+        out[c] = a2.T @ tvals - a2.sum(axis=0) * tvals[c]
     return out
 
 
@@ -403,18 +405,16 @@ def _switch_traces(E, V, h, interval, geom):
     return CurrentReport(J, w, residual)
 
 
-def interface_current(spectral, interval, slope, L):
+def interface_current(h, interval, slope, L):
     """Interface current density T_alpha(g'(h) grad_t h) for a switch
     supported in the bulk gap interval, together with the winding of the gap
     unitary, both on the slab of `slab_geometry`; the two must satisfy
-    current = -winding/(2 pi) up to slab truncation error."""
-    E = spectral.eigenvalues
-    require_spectrum_beyond(interval, E)
-    geom = slab_geometry(spectral.window, slope, L)
-    lo, hi = interval
-    inside = (E > lo) & (E <= hi)       # the (lo, hi] of the evr subset solve
-    return _switch_traces(E[inside], spectral.eigenvectors[:, inside],
-                          spectral.source, interval, geom)
+    current = -winding/(2 pi) up to slab truncation error.  Solves only the
+    eigenpairs inside the interval; ValueError unless h is Hermitian."""
+    require_hermitian(h)
+    geom = slab_geometry(h.window, slope, L)
+    E, V = _interval_eigenpairs(h, interval)
+    return _switch_traces(E, V, h, interval, geom)
 
 
 def _count_below(hs, x):
@@ -527,8 +527,8 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     """End-to-end bulk-interface correspondence check.
 
     Computes the two bulk Chern numbers in momentum space, builds the
-    interface Hamiltonian on a slab window, forms the gap unitary for the
-    widest common bulk gap (or the gap containing mu), and asserts
+    interface Hamiltonian on a slab window, reads its `interface_current`
+    for the widest common bulk gap (or the gap containing mu), and asserts
     winding = Ch(+) - Ch(-) within WINDING_TOL with the current cross-check
     within CROSS_TOL.  The slab is that of `slab_geometry` on a window
     reaching buffer sites beyond the taper."""
@@ -564,11 +564,8 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     ch_minus = _chern_below(bm, mu)
 
     window = slab_window(slope, L, normal_half, buffer)
-    # raises SlabExceedsWindow before any matrix is built
-    geom = slab_geometry(window, slope, L)
-    h = iwatsuka_hamiltonian(field, window)
-    E, V = _interval_eigenpairs(h, interval)
-    report = _switch_traces(E, V, h, interval, geom)
+    report = interface_current(iwatsuka_hamiltonian(field, window), interval,
+                               slope, L)
 
     d_ch = ch_plus - ch_minus
     res_bic = abs(report.winding_gap_unitary - d_ch)

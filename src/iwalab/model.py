@@ -8,6 +8,7 @@ are a fallback that raises PrecisionExhausted instead of silently rounding.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -627,19 +628,28 @@ def flux_phase(field, n):
 # ---------------------------------------------------------------------------
 # windows
 
-class LatticeWindow:
-    """Square site window [-M, M]^2 with the fixed row-major (n1-major)
-    site-to-index bijection."""
+class _SiteWindow:
+    """The sites of a window, held once as a read-only (N, 2) int64 array
+    in index order; the tuple `sites` and the site-to-index map behind
+    `index` and `contains` are built on first read."""
 
-    def __init__(self, half_width):
-        if half_width < 0:
-            raise ValueError("half_width must be >= 0")
-        self.half_width = int(half_width)
-        M = self.half_width
-        self.sites = tuple((n1, n2) for n1 in range(-M, M + 1)
-                           for n2 in range(-M, M + 1))
-        self._index = {s: i for i, s in enumerate(self.sites)}
-        self.size = len(self.sites)
+    def _hold_sites(self, n1, n2):
+        pos = np.stack([n1, n2], axis=1).astype(np.int64, copy=False)
+        pos.flags.writeable = False
+        self._positions = pos
+        self.size = len(pos)
+
+    def positions(self):
+        """The (N, 2) site array: the same read-only array on every call."""
+        return self._positions
+
+    @functools.cached_property
+    def sites(self):
+        return tuple(map(tuple, self._positions.tolist()))
+
+    @functools.cached_property
+    def _index(self):
+        return {s: i for i, s in enumerate(self.sites)}
 
     def index(self, n):
         return self._index[tuple(n)]
@@ -647,18 +657,27 @@ class LatticeWindow:
     def contains(self, n):
         return tuple(n) in self._index
 
-    def positions(self):
-        return np.array(self.sites, dtype=np.int64)
+
+class LatticeWindow(_SiteWindow):
+    """Square site window [-M, M]^2 with the fixed row-major (n1-major)
+    site-to-index bijection."""
+
+    def __init__(self, half_width):
+        if half_width < 0:
+            raise ValueError("half_width must be >= 0")
+        self.half_width = int(half_width)
+        r = np.arange(-self.half_width, self.half_width + 1)
+        n1, n2 = np.meshgrid(r, r, indexing="ij")
+        self._hold_sites(n1.ravel(), n2.ravel())
 
     def interior_mask(self, margin):
-        pos = self.positions()
-        return np.abs(pos).max(axis=1) <= self.half_width - margin
+        return np.abs(self._positions).max(axis=1) <= self.half_width - margin
 
     def __repr__(self):
         return f"LatticeWindow(M={self.half_width})"
 
 
-class SlabWindow:
+class SlabWindow(_SiteWindow):
     """Rotated rectangular window adapted to an interface: all lattice sites
     with |v.n| <= tangential_half and |v_perp.n| <= normal_half, where v is
     the unit tangent of the slope."""
@@ -674,20 +693,9 @@ class SlabWindow:
         t = v[0] * n1 + v[1] * n2
         nu = vp[0] * n1 + vp[1] * n2
         keep = (np.abs(t) <= self.tangential_half) & (np.abs(nu) <= self.normal_half)
-        self.sites = tuple(zip(n1[keep].tolist(), n2[keep].tolist()))
-        self._index = {s: i for i, s in enumerate(self.sites)}
-        self.size = len(self.sites)
+        self._hold_sites(n1[keep], n2[keep])
         self._t = t[keep]
         self._nu = nu[keep]
-
-    def index(self, n):
-        return self._index[tuple(n)]
-
-    def contains(self, n):
-        return tuple(n) in self._index
-
-    def positions(self):
-        return np.array(self.sites, dtype=np.int64)
 
     def tangential(self):
         """Tangential coordinates v.n of the window sites."""

@@ -35,13 +35,12 @@ HERMITIAN_TOL = 1e-12
 
 @dataclass
 class LatticeOperator:
-    """Operator over a window's sites with a Hermiticity flag.
-    `matrix` holds the form it was built in: a sparse CSR array, or a dense
-    ndarray for spectral-calculus results; `dense()` returns an ndarray."""
+    """Operator over a window's sites, held in the form it was built in: a
+    sparse CSR array, or a dense ndarray for spectral-calculus results;
+    `dense()` returns an ndarray.  `require_hermitian` checks Hermiticity."""
 
     window: object
     matrix: object
-    hermitian: bool = False
 
     def __post_init__(self):
         if sparse.issparse(self.matrix):
@@ -51,10 +50,6 @@ class LatticeOperator:
         n = self.window.size
         if self.matrix.shape != (n, n):
             raise ValueError("matrix does not match the window size")
-        if self.hermitian:
-            dev = abs(self.matrix - self.matrix.conj().T).max()
-            if dev > HERMITIAN_TOL:
-                raise ValueError(f"hermitian flag set but deviation {dev:.2e}")
 
     def dense(self):
         """The matrix as an ndarray (a fresh one if it is held sparse)."""
@@ -287,7 +282,7 @@ def iwatsuka_hamiltonian(field, window, v=None):
         if abs(vm - vm.conj().T).max() > HERMITIAN_TOL:
             raise NonHermitianPerturbation("perturbation is not Hermitian")
         H = H + vm
-    return LatticeOperator(window, H, hermitian=True)
+    return LatticeOperator(window, H)
 
 
 def _site_permutation(pos, image):
@@ -359,7 +354,7 @@ class SpectralData:
 
     eigenvalues: np.ndarray
     sectors: tuple
-    source: LatticeOperator
+    window: object
 
     @staticmethod
     def from_operator(op):
@@ -370,26 +365,21 @@ class SpectralData:
         antiunitary K R (complex conjugation after n2 -> -n2), as constant
         fields on windows closed under both maps do, and complex Hermitian
         ones if not (see `_symmetry_sectors`).  Any other operator is
-        diagonalized whole."""
-        if not op.hermitian:
-            raise ValueError("spectral calculus needs a Hermitian operator")
+        diagonalized whole.  ValueError unless op is Hermitian."""
+        require_hermitian(op)
         h = sparse.csr_array(op.matrix)
         found = _symmetry_sectors(op.window, h)
         if found is None:
             w, v = eigh(op.dense(), driver="evr")
             identity = sparse.eye_array(w.size, dtype=complex, format="csr")
-            return SpectralData(w, ((identity, w, v),), op)
+            return SpectralData(w, ((identity, w, v),), op.window)
         sectors, real = found
         blocks = []
         for g in sectors:
             b = (g.conj().T @ h @ g).toarray()
             blocks.append((g, *eigh(b.real if real else b, driver="evd")))
         w = np.sort(np.concatenate([wb for _, wb, _ in blocks]), kind="stable")
-        return SpectralData(w, tuple(blocks), op)
-
-    @property
-    def window(self):
-        return self.source.window
+        return SpectralData(w, tuple(blocks), op.window)
 
     @property
     def eigenvectors(self):
@@ -411,17 +401,13 @@ class SpectralData:
 
     def apply(self, func):
         """Operator func(H) = V diag(func(E)) V*, summed over the
-        eigenvectors whose weight func(E) is nonzero.  Real weights give a
-        Hermitian operator, which `LatticeOperator` checks to
-        HERMITIAN_TOL."""
+        eigenvectors whose weight func(E) is nonzero."""
         fvals = np.asarray(func(self.eigenvalues))
         v = self.eigenvectors
         keep = fvals != 0
         if not keep.all():
             v, fvals = v[:, keep], fvals[keep]
-        m = (v * fvals) @ v.conj().T
-        return LatticeOperator(self.window, m,
-                               hermitian=bool(np.isrealobj(fvals)))
+        return LatticeOperator(self.window, (v * fvals) @ v.conj().T)
 
 
 @dataclass(frozen=True)
@@ -499,6 +485,15 @@ def require_spectrum_beyond(interval, E):
                        f"numerical spectral range [{E.min():.4f}, {E.max():.4f}]")
 
 
+def require_hermitian(op):
+    """Raise ValueError unless the operator op is Hermitian to
+    HERMITIAN_TOL, ||h - h*||_max read off its sparse matrix in O(nnz)."""
+    h = sparse.csr_array(op.matrix)
+    dev = abs(h - h.conj().T).max()
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"operator is not Hermitian: ||h - h*||_max = {dev:.2e}")
+
+
 def gap_switch_operators(spectral, interval):
     """Switch calculus for a bulk gap interval: returns (g(h), g'(h),
     u = exp(2*pi*i g(h))).  Raises EmptyGap unless spectrum exists strictly
@@ -552,8 +547,7 @@ def strip_projection(field, window, variant="minimal"):
     w the offset step of the chosen variant (one transversal point for
     "minimal", p^2+q^2 of them for "wide")."""
     _, mask = _strip_mask(field, window, variant)
-    return LatticeOperator(window, sparse.diags_array(mask.astype(complex)),
-                           hermitian=True)
+    return LatticeOperator(window, sparse.diags_array(mask.astype(complex)))
 
 
 def interface_shift_unitary(field, window, variant="minimal"):

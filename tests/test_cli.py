@@ -53,8 +53,19 @@ class TestParsing:
 
     def test_perturbation_entries(self):
         assert cli.parse_perturbation([[0, 1, 0.5]]) == {(0, 1): 0.5}
+        assert cli.parse_perturbation([[-3, 2, 1]]) == {(-3, 2): 1.0}
         with pytest.raises(il.ConfigError):
             cli.parse_perturbation([[0, 1]])
+
+    @pytest.mark.parametrize("bad", [
+        [1.7, 0, 0.5], [True, 1, 0.25], ["3", 2, 0.1], [0, 1, "0.25"],
+        [0, 1, True], [0, 1, None], [0, 1, float("nan")], [0, 1, float("inf")],
+        [0, 1, 10 ** 400], "012", {"n1": 0}])
+    def test_perturbation_rejects_non_integer_sites_and_non_finite(self, bad):
+        # sites are JSON integers and delta_b a finite JSON number; nothing
+        # is truncated or converted from a string or a bool
+        with pytest.raises(il.ConfigError):
+            cli.parse_perturbation([[0, 0, 0.1], bad])
 
 
 def payload_lines(path):
@@ -222,7 +233,12 @@ class TestCommands:
         (["hull"], {"slope": {"type": "float", "value": "-inf"}}),
         (["hull"], {"slope": {"type": "rational", "p": 1.5, "q": 2}}),
         (["hull"], {"slope": {"type": "quadratic", "a": 0, "b": True,
-                              "c": 1, "d": 2.9}})],
+                              "c": 1, "d": 2.9}}),
+        (["verify-bic", "--L", "inf"], None),
+        (["conductance", "--normal-half", "inf"], None),
+        (["verify-bic"], {"perturbation": [[1.7, 0, 0.5]]}),
+        (["spectrum"], {"perturbation": [[0, 1, "0.25"]]}),
+        (["conductance"], {"perturbation": [[True, 1, 0.25]]})],
         ids=["hull-M-1", "hull-M2.5", "hull-Mmax2.5", "chern-M-1", "chern-M41",
              "chern-margin-1", "conductance-L-5", "conductance-normal0",
              "verify-bic-L-5", "verify-bic-normal-1", "spectrum-M2.5",
@@ -231,7 +247,9 @@ class TestCommands:
              "chern-gap0", "chern-gap-str", "chern-kgrid0", "chern-kgrid-3",
              "butterfly-qmax-str", "verify-bic-slope-nan", "hull-slope-inf",
              "hull-slope-obj-inf", "hull-slope-obj-p-float",
-             "hull-slope-obj-b-bool"])
+             "hull-slope-obj-b-bool", "verify-bic-L-inf",
+             "conductance-normal-inf", "verify-bic-perturbation-float-site",
+             "spectrum-perturbation-str-db", "conductance-perturbation-bool-site"])
     def test_invalid_numeric_config_exits_2(self, tmp_path, capsys, argv, config):
         if config is not None:
             cfg = tmp_path / "cfg.json"

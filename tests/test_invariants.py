@@ -515,8 +515,8 @@ class TestGapUnitaryLocalization:
     def test_direct_current_cross_check(self, half_slab_pairs):
         win, h, (E, V) = half_slab_pairs
         interval = common_gap_interval()
-        # the traces interface_current reads from a full SpectralData, here
-        # from the in-interval pairs alone
+        # the traces interface_current reads, here from the fixture's
+        # in-interval pairs
         rep = invariants._switch_traces(E, V, h, interval,
                                         slab_geometry(win, HALF, 26.0))
         assert abs(rep.winding_gap_unitary - 2.0) < 0.1
@@ -524,13 +524,14 @@ class TestGapUnitaryLocalization:
         assert rep.conductance == rep.winding_gap_unitary
 
 
-def dense_switch_traces(sd, interval, slope, L):
-    """The full-spectrum reference: g'(h) and u as dense operators, the
-    current from diag(g'(h) grad_t h) over all sites, the winding of u."""
+def dense_switch_traces(h, sd, interval, slope, L):
+    """The full-spectrum reference for h, whose spectral data is sd: g'(h)
+    and u as dense operators, the current from diag(g'(h) grad_t h) over
+    all sites, the winding of u."""
     _, gp, u = il.gap_switch_operators(sd, interval)
     geom = slab_geometry(sd.window, slope, L)
     t = geom.tangential * TANGENTIAL_ORIENTATION
-    H = sd.source.dense()
+    H = h.dense()
     gh = np.einsum("ik,ki->i", gp.matrix, H)
     ght = np.einsum("ik,ki,k->i", gp.matrix, H, t)
     current = float((geom.weights * (1j * (ght - t * gh)).real).sum() / geom.norm)
@@ -552,24 +553,53 @@ class TestInIntervalSwitchTraces:
         return h, il.SpectralData.from_operator(h)
 
     def test_interface_current_matches_dense(self, small_slab):
-        _, sd = small_slab
+        h, sd = small_slab
         interval = common_gap_interval()
-        rep = il.interface_current(sd, interval, self.SLOPE, 8.0)
-        current, w, cross = dense_switch_traces(sd, interval, self.SLOPE, 8.0)
+        rep = il.interface_current(h, interval, self.SLOPE, 8.0)
+        current, w, cross = dense_switch_traces(h, sd, interval, self.SLOPE,
+                                                8.0)
         assert abs(rep.winding_gap_unitary - w) < 1e-10
         assert abs(rep.current - current) < 1e-10
         assert abs(rep.cross_residual - cross) < 1e-10
         assert abs(w) > 0.5                 # the interface channels are seen
 
     def test_verify_bic_matches_dense(self, small_slab):
-        _, sd = small_slab
+        h, sd = small_slab
         field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
         rep = il.verify_bic(field, **self.SIZE)
         assert rep.window_sites == sd.window.size
-        current, w, cross = dense_switch_traces(sd, rep.delta, self.SLOPE, 8.0)
+        current, w, cross = dense_switch_traces(h, sd, rep.delta, self.SLOPE,
+                                                8.0)
         assert abs(rep.winding - w) < 1e-10
         assert abs(rep.current - current) < 1e-10
         assert abs(rep.residual_cross - cross) < 1e-10
+
+    def test_interface_current_rejects_non_hermitian(self, small_slab,
+                                                     monkeypatch):
+        h, _ = small_slab
+        field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
+        factorizations = spy(monkeypatch, scipy.sparse.linalg, "splu")
+        with pytest.raises(ValueError):
+            il.interface_current(magnetic_translation(field, h.window, 1),
+                                 common_gap_interval(), self.SLOPE, 8.0)
+        assert factorizations == []
+
+    def test_verify_bic_reads_interface_current(self, small_slab, monkeypatch):
+        h, _ = small_slab
+        calls, original = [], invariants.interface_current
+
+        def recorded(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(invariants, "interface_current", recorded)
+        field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
+        rep = il.verify_bic(field, **self.SIZE)
+        assert len(calls) == 1
+        direct = original(h, rep.delta, self.SLOPE, 8.0)
+        assert direct.winding_gap_unitary == rep.winding
+        assert direct.current == rep.current
+        assert direct.cross_residual == rep.residual_cross
 
     def test_switch_traces_memory_is_rank_j(self, small_slab):
         # the traces are read through rank-|J| factors: one call allocates
@@ -615,7 +645,7 @@ class TestInIntervalSwitchTraces:
                 invariants._interval_eigenpairs(h, interval)
             assert dense == [[], []]
             with pytest.raises(il.EmptyGap):
-                il.interface_current(sd, interval, self.SLOPE, 8.0)
+                il.interface_current(h, interval, self.SLOPE, 8.0)
 
     def test_empty_gap_without_counts(self, small_slab, monkeypatch):
         h, sd = small_slab

@@ -288,3 +288,15 @@ class TestWindows:
         assert np.allclose(w.tangential(), t)
         assert np.allclose(w.normal(), nu)
         assert w.contains((0, 0))
+
+    @pytest.mark.parametrize("w", [il.LatticeWindow(3),
+                                   il.SlabWindow(il.RationalSlope(1, 2), 10.0, 5.0)])
+    def test_positions_are_one_read_only_array(self, w):
+        pos = w.positions()
+        assert w.positions() is pos
+        assert pos.dtype == np.int64 and pos.shape == (w.size, 2)
+        assert not pos.flags.writeable
+        with pytest.raises(ValueError):
+            pos[0, 0] = 99
+        assert [tuple(p) for p in pos.tolist()] == list(w.sites)
+        assert all(w.index(s) == i for i, s in enumerate(w.sites))

@@ -313,6 +313,17 @@ class TestHamiltonianSpectral:
         assert sd.eigenvalues.min() >= -4 - 1e-9
         assert sd.eigenvalues.max() <= 4 + 1e-9
 
+    def test_from_operator_checks_hermiticity(self):
+        field = il.ConstantField.from_turns(Fraction(1, 3))
+        win = il.LatticeWindow(3)
+        s = il.magnetic_translation(field, win, 1).matrix
+        # an operator built by hand, with no flag to declare it Hermitian
+        sd = il.SpectralData.from_operator(il.LatticeOperator(win, s + s.conj().T))
+        assert np.abs(sd.eigenvalues - np.linalg.eigvalsh(
+            (s + s.conj().T).toarray())).max() < 1e-12
+        with pytest.raises(ValueError):
+            il.SpectralData.from_operator(il.magnetic_translation(field, win, 1))
+
     def test_perturbation_must_be_hermitian(self):
         win = il.LatticeWindow(3)
         v = np.zeros((win.size, win.size), dtype=complex)
