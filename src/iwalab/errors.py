@@ -5,11 +5,6 @@ class IwalabError(Exception):
     """Base class for all package errors."""
 
 
-class PrecisionExhausted(IwalabError):
-    """A sign decision for a float-valued slope could not be resolved at
-    the working precision."""
-
-
 class DegenerateField(IwalabError):
     """The two asymptotic flux phases coincide (b+ - b- in 2*pi*Z), so the
     interface projections are undefined."""

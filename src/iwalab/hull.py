@@ -153,11 +153,20 @@ def hull_metric(p1, p2, slope, depth):
     return float(lower), float(lower + tail)
 
 
+def _exact_sorted(slope, values):
+    """Distinct exact values sorted ascending in the slope's exact order.
+    A float pre-sort leaves a run that the exact comparator sort confirms
+    with K - 1 comparisons wherever float order was right, and reorders
+    wherever it was not (values closer than the float resolution)."""
+    return sorted(sorted(values, key=float),
+                  key=functools.cmp_to_key(slope.compare))
+
+
 def _sorted_distinct_offsets(slope, M):
     """Distinct window offsets, exactly sorted ascending."""
     r = range(-M, M + 1)
-    return sorted({slope.offset((n1, n2)) for n1 in r for n2 in r},
-                  key=functools.cmp_to_key(slope.compare))
+    return _exact_sorted(slope, {slope.offset((n1, n2)) for n1 in r for n2 in r})
+
 
 def _rank_grid(slope, M, values):
     """Rank of each site's offset within the sorted distinct values."""
@@ -199,8 +208,9 @@ def _offset_below(slope, delta):
     slopes).  Otherwise Euclid's algorithm on 1 and {alpha}, each remainder
     held as the site of its offset, walks the remainders ||q_k alpha|| of
     the convergent denominators q_k: no column below q_(k+1) comes closer
-    to Z, and they halve every two steps (to 0 only for a float slope
-    holding a rational), so the walk takes O(log 1/delta) steps."""
+    to Z, and they halve every two steps (to 0 only for a float slope,
+    whose value is a dyadic rational), so the walk takes O(log 1/delta)
+    steps."""
     if slope.is_rational:
         return Fraction(1, slope.q if slope.is_finite else 1) < delta
 
@@ -252,9 +262,8 @@ def cantor_diagnostics(slope, M_list):
     for M in M_list:
         values = _sorted_distinct_offsets(slope, M)
         # minimal positive gap on the offset circle (mod 1)
-        residues = sorted({slope.mod_one(slope.offset((n1, 0)))
-                           for n1 in range(-M, M + 1)},
-                          key=functools.cmp_to_key(slope.compare))
+        residues = _exact_sorted(slope, {slope.mod_one(slope.offset((n1, 0)))
+                                         for n1 in range(-M, M + 1)})
         gaps = [b - a for a, b in zip(residues, residues[1:])]
         gap_exact = _least(slope, gaps + [1 - residues[-1] + residues[0]]) if gaps else 1
         non_iso = len(values) < 2 or _offset_below(

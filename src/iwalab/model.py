@@ -2,9 +2,10 @@
 the standard lattice gauge, and finite index windows.
 
 Every topological quantity downstream hinges on exact decisions of the sign
-of the interface offset x_n = -alpha*n1 + n2.  Rational and quadratic
-irrational slopes decide signs with integer arithmetic only; float slopes
-are a fallback that raises PrecisionExhausted instead of silently rounding.
+of the interface offset x_n = -alpha*n1 + n2.  Every slope class decides
+them with integer arithmetic only: a rational slope and a float slope (a
+finite double is the dyadic rational m/2^k) hold alpha as an exact
+fraction, and a quadratic irrational slope compares integer squares.
 """
 
 import cmath
@@ -13,14 +14,11 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
-from .errors import DegenerateField, PrecisionExhausted
+from .errors import DegenerateField
 
 TWO_PI = 2.0 * math.pi
-
-_FLOAT_SLOPE_PREC = 128  # bits of mantissa for the float-slope fallback
 
 
 def _sign(x):
@@ -156,8 +154,8 @@ class SqrtExpr:
 # slopes
 
 class _RationalOffsets:
-    """Floor and fractional part of offsets that are exact rationals (the
-    rational and the two infinite slopes)."""
+    """Floor, fractional part and order of offsets that are exact
+    rationals (the rational, float and infinite slopes)."""
 
     def floor(self, x):
         return math.floor(x)
@@ -165,38 +163,13 @@ class _RationalOffsets:
     def mod_one(self, x):
         return x - math.floor(x)
 
-
-class _FloatFrame:
-    """Unit tangent and normal from the float value of an irrational
-    slope."""
-
-    def tangent(self):
-        al = self.as_float()
-        r = math.sqrt(1.0 + al * al)
-        return np.array([1.0 / r, al / r])
-
-    def normal(self):
-        al = self.as_float()
-        r = math.sqrt(1.0 + al * al)
-        return np.array([-al / r, 1.0 / r])
+    def compare(self, u, v):
+        return _sign(u - v)
 
 
-class RationalSlope(_RationalOffsets):
-    """alpha = p/q in lowest terms, q > 0; alpha = 0 is Rational(0, 1)."""
-
-    is_rational = True
-    is_finite = True
-
-    def __init__(self, p, q=1):
-        if q == 0:
-            raise ValueError("q must be positive; use PlusInfinity/MinusInfinity")
-        if q < 0:
-            p, q = -p, -q
-        g = math.gcd(abs(p), q)
-        self.p, self.q = p // g, q // g
-
-    def as_float(self):
-        return self.p / self.q
+class _FractionSlope(_RationalOffsets):
+    """alpha = p/q held as integers p and q > 0: every offset is an exact
+    Fraction and every sign an integer decision."""
 
     def offset(self, n):
         """x_n = -alpha*n1 + n2, exact."""
@@ -221,8 +194,38 @@ class RationalSlope(_RationalOffsets):
     def offset_signs_array(self, n1, n2):
         return np.sign(self._scaled_offsets(n1, n2)).astype(np.int64)
 
-    def compare(self, u, v):
-        return _sign(u - v)
+
+class _FloatFrame:
+    """Unit tangent and normal from the float value of an irrational
+    slope."""
+
+    def tangent(self):
+        al = self.as_float()
+        r = math.sqrt(1.0 + al * al)
+        return np.array([1.0 / r, al / r])
+
+    def normal(self):
+        al = self.as_float()
+        r = math.sqrt(1.0 + al * al)
+        return np.array([-al / r, 1.0 / r])
+
+
+class RationalSlope(_FractionSlope):
+    """alpha = p/q in lowest terms, q > 0; alpha = 0 is Rational(0, 1)."""
+
+    is_rational = True
+    is_finite = True
+
+    def __init__(self, p, q=1):
+        if q == 0:
+            raise ValueError("q must be positive; use PlusInfinity/MinusInfinity")
+        if q < 0:
+            p, q = -p, -q
+        g = math.gcd(abs(p), q)
+        self.p, self.q = p // g, q // g
+
+    def as_float(self):
+        return self.p / self.q
 
     def tangent(self):
         r = math.hypot(self.p, self.q)
@@ -316,72 +319,28 @@ class QuadraticIrrationalSlope(_FloatFrame):
         return hash(("quad", self.a, self.b, self.c, self.d))
 
 
-class FloatIrrationalSlope(_FloatFrame):
-    """Fallback slope held as an extended-precision real (128-bit
-    mantissa).  Sign decisions use interval arithmetic and raise
-    PrecisionExhausted when zero cannot be excluded."""
+class FloatIrrationalSlope(_FloatFrame, _FractionSlope):
+    """Slope given as a double.  A finite double is exactly a dyadic
+    rational m/2^k, held as the Fraction `value`, so offsets are exact
+    Fractions and every sign, order, floor and fractional part is decided
+    in integers.  A non-double input, such as a decimal string or a
+    128-bit mpmath number, is first rounded to the nearest double.  The
+    slope stands for an irrational alpha known to double precision, so it
+    is not rational in kind: constructions that need a rational direction
+    reject it, and its frame is the float one of the irrational slopes."""
 
     is_rational = False
     is_finite = True
 
     def __init__(self, value):
-        with mpmath.workprec(_FLOAT_SLOPE_PREC):
-            self.value = mpmath.mpf(value)
-        if not mpmath.isfinite(self.value):
+        x = float(value)
+        if not math.isfinite(x):
             raise ValueError("slope must be finite; use PlusInfinity/MinusInfinity")
+        self.value = Fraction(x)
+        self.p, self.q = self.value.numerator, self.value.denominator
 
     def as_float(self):
         return float(self.value)
-
-    def offset(self, n):
-        with mpmath.workprec(_FLOAT_SLOPE_PREC):
-            return -self.value * n[0] + n[1]
-
-    def offset_sign(self, n):
-        return self._iv_sign(lambda iv: -iv.mpf(self.value) * n[0] + n[1])
-
-    def offset_signs_array(self, n1, n2):
-        n1b, n2b = np.broadcast_arrays(np.asarray(n1), np.asarray(n2))
-        flat = [self.offset_sign((int(a), int(b)))
-                for a, b in zip(n1b.ravel(), n2b.ravel())]
-        return np.array(flat, dtype=np.int64).reshape(n1b.shape)
-
-    def _iv_sign(self, make):
-        iv = mpmath.iv
-        old = iv.prec
-        try:
-            iv.prec = _FLOAT_SLOPE_PREC
-            x = make(iv)
-            if x.a > 0:
-                return 1
-            if x.b < 0:
-                return -1
-            if x.a == x.b == 0:
-                return 0
-            raise PrecisionExhausted(
-                f"sign of {x} unresolved at {_FLOAT_SLOPE_PREC}-bit precision")
-        finally:
-            iv.prec = old
-
-    def compare(self, u, v):
-        return self._iv_sign(lambda iv: iv.mpf(u) - iv.mpf(v))
-
-    def floor(self, x):
-        with mpmath.workprec(_FLOAT_SLOPE_PREC):
-            k = int(mpmath.floor(x))
-        if self.compare(x, k) < 0 or self.compare(x, k + 1) >= 0:
-            raise PrecisionExhausted(f"floor of {x} unresolved")
-        return k
-
-    def mod_one(self, x):
-        with mpmath.workprec(_FLOAT_SLOPE_PREC):
-            f = x - mpmath.floor(x)
-        # a fractional part indistinguishable from 0 or 1 means the floor
-        # itself was not resolvable
-        if f != 0 and (f < mpmath.mpf(2) ** (16 - _FLOAT_SLOPE_PREC)
-                       or 1 - f < mpmath.mpf(2) ** (16 - _FLOAT_SLOPE_PREC)):
-            raise PrecisionExhausted(f"mod-1 of {x} unresolved")
-        return f
 
     def __repr__(self):
         return f"FloatIrrationalSlope({float(self.value)!r})"
@@ -408,9 +367,6 @@ class _InfiniteSlope(_RationalOffsets):
 
     def offset_signs_array(self, n1, n2):
         return np.sign(-self._sign * np.asarray(n1)).astype(np.int64)
-
-    def compare(self, u, v):
-        return _sign(u - v)
 
     def tangent(self):
         return np.array([0.0, 1.0 * self._sign])
@@ -549,6 +505,19 @@ class IwatsukaField:
         extra = (self.perturbation_turns or {}).get(tuple(n), Fraction(0))
         return base + extra
 
+    def _plus_rows(self, n1, lo, hi):
+        """Number of rows m in lo..hi whose site (n1, m) takes b_plus
+        (perturbation excluded).  At a finite slope the offset
+        -alpha*n1 + m is positive exactly when m > floor(alpha*n1); at the
+        infinite slopes the whole column lies on one side."""
+        if self.slope.is_finite:
+            first = self.slope.floor(-self.slope.offset((n1, 0))) + 1
+        elif self._plus_side((n1, 0)):
+            first = lo
+        else:
+            first = hi + 1
+        return max(0, hi - max(lo, first) + 1)
+
     def plus_side_array(self, n1, n2):
         """Boolean mask of sites taking the b_plus value (perturbation
         excluded)."""
@@ -566,32 +535,58 @@ def zero_field():
 # ---------------------------------------------------------------------------
 # standard gauge
 
-def vector_potential(field, n, j):
-    """Bond potential A(n, n - e_j) of the standard gauge: zero on vertical
-    bonds; on horizontal bonds the signed partial sum of the field along the
-    column of n."""
+def _column_sum(field, n1, lo, hi, exact):
+    """Sum of the field over the rows lo..hi of column n1, in turns if
+    exact: each side's base value once per row on that side, and each
+    perturbed site in the column its value less its base value.  The float
+    sum is held exactly and rounded once, so it equals the math.fsum of the
+    site values."""
+    rows = hi - lo + 1
+    if isinstance(field, ConstantField):
+        plus = rows
+        b_plus = b_minus = field.b_turns if exact else field.b
+    else:
+        plus = field._plus_rows(n1, lo, hi)
+        b_plus, b_minus = ((field.b_plus_turns, field.b_minus_turns) if exact
+                           else (field.b_plus, field.b_minus))
+    if b_plus is None or b_minus is None:
+        raise ValueError("field was not built from exact turn fractions")
+    # one Fraction built from the integer ratios of the two values (a
+    # float has one too): Fraction arithmetic dominates the cost here
+    (p1, q1), (p2, q2) = b_plus.as_integer_ratio(), b_minus.as_integer_ratio()
+    total = Fraction(plus * p1 * q2 + (rows - plus) * p2 * q1, q1 * q2)
+    pert = (field.perturbation_turns or {}) if exact else field.perturbation
+    for site, dv in pert.items():
+        if site[0] == n1 and lo <= site[1] <= hi:
+            total += dv if exact else (Fraction(field.value(site))
+                                       - Fraction(field.base_value(site)))
+    return total if exact else float(total)
+
+
+def _bond_potential(field, n, j, exact):
     if j == 2:
-        return 0.0
+        return Fraction(0) if exact else 0.0
     if j != 1:
         raise ValueError("j must be 1 or 2")
     n1, n2 = n
     if n2 > 0:
-        return math.fsum(field.value((n1, m)) for m in range(1, n2 + 1))
+        return _column_sum(field, n1, 1, n2, exact)
     if n2 < 0:
-        return -math.fsum(field.value((n1, -m)) for m in range(0, -n2))
-    return 0.0
+        return -_column_sum(field, n1, n2 + 1, 0, exact)
+    return Fraction(0) if exact else 0.0
+
+
+def vector_potential(field, n, j):
+    """Bond potential A(n, n - e_j) of the standard gauge: zero on vertical
+    bonds; on horizontal bonds the signed partial sum of the field along the
+    column of n, over rows 1..n2 above row 0 and minus over rows n2+1..0
+    below it."""
+    return _bond_potential(field, n, j, exact=False)
 
 
 def vector_potential_turns(field, n, j):
     """Exact bond potential in units of full turns (value / 2*pi)."""
-    if j == 2:
-        return Fraction(0)
-    n1, n2 = n
-    if n2 > 0:
-        return sum((field.value_turns((n1, m)) for m in range(1, n2 + 1)), Fraction(0))
-    if n2 < 0:
-        return -sum((field.value_turns((n1, -m)) for m in range(0, -n2)), Fraction(0))
-    return Fraction(0)
+    return _bond_potential(field, n, j, exact=True)
 
 
 def _bond(field, m, mp, pot):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import signal
@@ -8,7 +9,8 @@ import pytest
 
 import iwalab as il
 from iwalab import hull
-from iwalab.hull import HullPoint, _sorted_distinct_offsets
+from iwalab.hull import HullPoint, _exact_sorted, _sorted_distinct_offsets
+from iwalab.model import SqrtExpr
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
 HALF = il.RationalSlope(1, 2)
@@ -187,6 +189,34 @@ class TestEnumerate:
             assert not patterns[-1].plus_mask().any()
             counts = [int(p.plus_mask().sum()) for p in patterns]
             assert counts == sorted(counts, reverse=True)
+
+
+class TestExactSort:
+    @pytest.mark.parametrize("slope,collide", [
+        (Q(0, 1, 10**9, 2), False), (il.FloatIrrationalSlope(1e-9), False),
+        (il.FloatIrrationalSlope(2.0**-60), True),
+        (il.FloatIrrationalSlope(0.1), True)], ids=repr)
+    def test_float_seeded_sort_matches_comparator_sort(self, slope, collide):
+        # distinct offsets that round to one double leave the float
+        # pre-sort's order among them to the exact pass
+        M = 8
+        r = range(-M, M + 1)
+        values = {slope.offset((n1, n2)) for n1 in r for n2 in r}
+        assert (len({float(v) for v in values}) < len(values)) == collide
+        by_compare = functools.cmp_to_key(slope.compare)
+        assert _sorted_distinct_offsets(slope, M) == sorted(values, key=by_compare)
+        residues = {slope.mod_one(slope.offset((n1, 0))) for n1 in r}
+        assert _exact_sorted(slope, residues) == sorted(residues, key=by_compare)
+
+    def test_exact_pass_fixes_float_misorder(self):
+        # x = a - b*sqrt2 for the Pell pair a^2 - 2b^2 = 1 is 1/(a + b*sqrt2),
+        # about 1.2e-20, but its float cancels to 0.0, below 1e-30
+        a, b = 40114893348711941777, 28365513113449345692
+        assert a * a - 2 * b * b == 1
+        x = SqrtExpr(a, -b, 1, 2)
+        tiny = Fraction(1, 10**30)
+        assert float(x) < float(tiny)
+        assert _exact_sorted(SQRT2, {x, tiny, -tiny}) == [-tiny, tiny, x]
 
 
 class TestDiagnostics:

@@ -775,6 +775,15 @@ class TestIntervalEigenpairs:
         for x in (lo, hi, E.min() - 0.5, 0.1, E.max() + 0.5):
             assert invariants._count_below(h.matrix, x) == (E < x).sum()
 
+    def test_inertia_count_rejects_unstable_factors(self):
+        # the unpivoted factorization takes the tiny pivot 1e-20 first, and
+        # the rounded Schur complement loses the matrix: its pivots show one
+        # negative eigenvalue where there are two, so no count stands
+        eps = 1e-20
+        a = np.array([[eps, 1.0, 1.0], [1.0, eps, 1.0], [1.0, 1.0, eps]])
+        assert (scipy.linalg.eigvalsh(a) < 0).sum() == 2
+        assert invariants._count_below(sparse.csr_array(a), 0.0) is None
+
     def test_no_convergence_falls_back(self, small_slab, monkeypatch):
         h, interval = small_slab
 

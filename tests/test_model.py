@@ -172,13 +172,48 @@ class TestSlopes:
         with pytest.raises(ValueError):
             il.FloatIrrationalSlope(value)
 
-    def test_float_slope_precision_exhausted(self):
+    def test_float_slope_signs_exact_past_int64(self):
+        # the double nearest 1/3 is m/2^54 with 3m = 2^54 - 1, so the offset
+        # at (3N, N + d) is N/2^54 + d: it vanishes exactly at d = -N/2^54
+        # and changes sign one step either side, far below the resolution
+        # of a float evaluation (-alpha*3N rounds to -N at N = 2^60)
+        s = il.FloatIrrationalSlope(1 / 3)
+        m, k = s.value.numerator, s.value.denominator
+        assert k == 2**54 and 3 * m == k - 1
+
+        def sites(N):
+            d = N // 2**54
+            return [(3 * N, N), (3 * N, N - d), (3 * N, N - d - 1),
+                    (3 * N, N - d + 1), (-3 * N, d - N), (-3 * N, d - N + 1),
+                    (-3 * N, -N)]
+
+        want = [1, 0, -1, 1, 0, 1, -1]
+        assert [s.offset_sign(x) for x in sites(2**80)] == want
+        assert [(x > 0) - (x < 0) for x in map(s.offset, sites(2**80))] == want
+        # int64 sites whose scaled offsets q*x_n reach 2^116: the object path
+        n1, n2 = np.array(sites(2**60)).T
+        assert s.offset_signs_array(n1, n2).tolist() == want
+
+    @pytest.mark.parametrize("value", [math.sqrt(2), 0.1, 1e-9, -math.sqrt(3),
+                                       123.456, 2.0**-60])
+    def test_float_slope_is_its_dyadic_rational(self, value):
+        s = il.FloatIrrationalSlope(value)
+        r = Fraction(value)
+        assert s.value == r and r.denominator & (r.denominator - 1) == 0
+        assert s.as_float() == value and not s.is_rational
+        assert s.offset((3, -4)) == -r * 3 - 4
+        assert s.floor(s.offset((7, 0))) == math.floor(-7 * r)
+        assert s.mod_one(s.offset((7, 0))) == -7 * r - math.floor(-7 * r)
+        n1, n2 = np.meshgrid(np.arange(-20, 21), np.arange(-20, 21), indexing="ij")
+        want = [[(x > 0) - (x < 0) for x in (-r * a + b for a, b in zip(ra, rb))]
+                for ra, rb in zip(n1.tolist(), n2.tolist())]
+        assert s.offset_signs_array(n1, n2).tolist() == want
+
+    def test_float_slope_rounds_other_inputs_to_a_double(self):
         with mpmath.workprec(128):
-            v = mpmath.mpf(1) / 3
-        s = il.FloatIrrationalSlope(v)
-        # scale the residual of the rounded 1/3 below the interval width
-        with pytest.raises(il.PrecisionExhausted):
-            s.offset_sign((3 * 2 ** 60, 2 ** 60))
+            third = mpmath.mpf(1) / 3
+        assert il.FloatIrrationalSlope(third).value == Fraction(1 / 3)
+        assert il.FloatIrrationalSlope("0.1").value == Fraction(0.1)
 
     def test_tangent_normal(self):
         s = il.RationalSlope(1, 2)
@@ -221,6 +256,39 @@ class TestFields:
         assert np.isclose(f.value((1, 1)), f.base_value((1, 1)))
 
 
+def reference_potential(field, n, exact):
+    """A(n, n - e1) summed site by site along the column of n."""
+    n1, n2 = n
+    if exact:
+        total = lambda ms: sum((field.value_turns((n1, m)) for m in ms), Fraction(0))
+    else:
+        total = lambda ms: math.fsum(field.value((n1, m)) for m in ms)
+    if n2 > 0:
+        return total(range(1, n2 + 1))
+    if n2 < 0:
+        return -total(range(n2 + 1, 1))
+    return total(())
+
+
+CRITERION_7_PERTURBATION = {
+    (a, b): Fraction(1, 6) if (a + b) % 2 else -Fraction(1, 6)
+    for a in range(-4, 4) for b in (0, 1)}
+GAUGE_FIELDS = [
+    il.zero_field(),
+    il.ConstantField.from_turns(Fraction(1, 3),
+                                perturbation_turns={(2, -3): Fraction(1, 5)}),
+] + [il.IwatsukaField.from_turns(slope, Fraction(1, 3), Fraction(2, 3))
+     for slope in (il.RationalSlope(1, 2), il.RationalSlope(-5, 7),
+                   il.RationalSlope(0, 1), il.QuadraticIrrationalSlope(0, 1, 1, 2),
+                   il.QuadraticIrrationalSlope(-1, -1, 2, 5),
+                   il.FloatIrrationalSlope(math.sqrt(2)),
+                   il.FloatIrrationalSlope(-0.1),
+                   il.PlusInfinity, il.MinusInfinity)
+] + [il.IwatsukaField.from_turns(slope, Fraction(1, 3), Fraction(2, 3),
+                                 perturbation_turns=CRITERION_7_PERTURBATION)
+     for slope in (il.RationalSlope(1, 2), il.QuadraticIrrationalSlope(0, 1, 1, 2))]
+
+
 class TestGauge:
     def test_vertical_bonds_free(self):
         f = il.ConstantField.from_turns(Fraction(1, 6))
@@ -254,6 +322,17 @@ class TestGauge:
                     field.value_turns((n1, n2))
                 assert abs(il.circulation(field, (n1, n2))
                            - field.value((n1, n2))) < 1e-12
+
+    @pytest.mark.parametrize("field", GAUGE_FIELDS, ids=repr)
+    def test_closed_form_matches_site_sums(self, field):
+        # the row-count column sums against the per-site sums they replace:
+        # equal Fractions in turns, and equal doubles, since both float
+        # sums round the exact sum of the site values once
+        for n in il.LatticeWindow(10).sites:
+            assert il.model.vector_potential_turns(field, n, 1) == \
+                reference_potential(field, n, exact=True)
+            assert il.vector_potential(field, n, 1) == \
+                reference_potential(field, n, exact=False)
 
     def test_flux_phase(self):
         assert il.flux_phase(il.zero_field(), (3, 3)) == 1.0
