@@ -21,7 +21,7 @@ from .hull import (HullPoint, MeasureWeights, Pattern, cantor_diagnostics,
 from .operators import (BandStructure, LatticeOperator, Projection,
                         SpectralData, SwitchFunction, band_structure,
                         bloch_spectrum, fermi_projection, flux_operator,
-                        gap_switch_operators, harper_bloch_matrix,
+                        harper_bloch_matrix, hermitian_eigenvalues,
                         hull_projection, interface_shift_unitary,
                         iwatsuka_hamiltonian, magnetic_translation,
                         strip_projection, translation_by)

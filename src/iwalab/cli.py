@@ -6,8 +6,8 @@ metadata header echoing the fully resolved configuration, and the only
 non-reproducible field is the wall time, which comparisons should ignore.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical guard
-failure (no common gap, precision exhausted, ...).  Error payloads are
-serialized as JSON on stderr.
+failure (no common gap, a closed gap, an empty gap, ...).  Error payloads
+are serialized as JSON on stderr.
 """
 
 import argparse
@@ -30,8 +30,8 @@ from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope)
 from .operators import (SpectralData, band_structure, bloch_spectrum,
-                        fermi_projection, interface_shift_unitary,
-                        iwatsuka_hamiltonian)
+                        fermi_projection, hermitian_eigenvalues,
+                        interface_shift_unitary, iwatsuka_hamiltonian)
 
 _FLUX_RE = re.compile(r"^(-?)2pi\*(\d+)(?:/(\d+))?$")
 
@@ -212,8 +212,8 @@ def cmd_spectrum(cfg, t0):
                         parse_perturbation(cfg.get("perturbation")))
     M = _window_M(cfg)
     window = LatticeWindow(M)
-    spectral = SpectralData.from_operator(iwatsuka_hamiltonian(field, window))
-    rows = [(M, i, e) for i, e in enumerate(spectral.eigenvalues)]
+    eigenvalues = hermitian_eigenvalues(iwatsuka_hamiltonian(field, window))
+    rows = [(M, i, e) for i, e in enumerate(eigenvalues)]
     out = Path(cfg["out"]) / "spectrum.csv"
     write_csv(out, _meta(cfg, t0), ["parameter", "index", "eigenvalue"], rows)
     return [str(out)]
@@ -298,7 +298,9 @@ def cmd_verify_bic(cfg, t0):
     field = build_field(slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
                         parse_perturbation(cfg.get("perturbation")))
     _require_positive(cfg["L"], cfg["normal_half"])
-    report = verify_bic(field, slope=slope, mu=cfg.get("mu"), L=cfg["L"],
+    if not ((cfg["mu"] is None or _is_real(cfg["mu"])) and _is_real(cfg["buffer"])):
+        raise ConfigError("mu must be null or a finite number, buffer a finite number")
+    report = verify_bic(field, slope=slope, mu=cfg["mu"], L=cfg["L"],
                         normal_half=cfg["normal_half"], buffer=cfg["buffer"])
     out = Path(cfg["out"]) / "verify_bic.json"
     write_json(out, {"meta": _meta(cfg, t0), "report": report.to_dict()})

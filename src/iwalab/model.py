@@ -421,6 +421,13 @@ def _perturbation_pair(perturbation_turns, perturbation):
     return dict(perturbation or {}), None if perturbation else {}
 
 
+def _exact_perturbation(field):
+    """The perturbation in turns; ValueError if given only in radians."""
+    if field.perturbation_turns is None and field.perturbation:
+        raise ValueError("perturbation was not given in exact turn fractions")
+    return field.perturbation_turns or {}
+
+
 @dataclass(frozen=True)
 class ConstantField:
     """Uniform magnetic field of b radians of flux per plaquette, plus an
@@ -440,7 +447,7 @@ class ConstantField:
     def value_turns(self, n):
         if self.b_turns is None:
             raise ValueError("field was not built from exact turn fractions")
-        extra = (self.perturbation_turns or {}).get(tuple(n), Fraction(0))
+        extra = _exact_perturbation(self).get(tuple(n), Fraction(0))
         return self.b_turns + extra
 
     @staticmethod
@@ -502,7 +509,7 @@ class IwatsukaField:
         if self.b_plus_turns is None or self.b_minus_turns is None:
             raise ValueError("field was not built from exact turn fractions")
         base = self.b_plus_turns if self._plus_side(n) else self.b_minus_turns
-        extra = (self.perturbation_turns or {}).get(tuple(n), Fraction(0))
+        extra = _exact_perturbation(self).get(tuple(n), Fraction(0))
         return base + extra
 
     def _plus_rows(self, n1, lo, hi):
@@ -555,7 +562,7 @@ def _column_sum(field, n1, lo, hi, exact):
     # float has one too): Fraction arithmetic dominates the cost here
     (p1, q1), (p2, q2) = b_plus.as_integer_ratio(), b_minus.as_integer_ratio()
     total = Fraction(plus * p1 * q2 + (rows - plus) * p2 * q1, q1 * q2)
-    pert = (field.perturbation_turns or {}) if exact else field.perturbation
+    pert = _exact_perturbation(field) if exact else field.perturbation
     for site, dv in pert.items():
         if site[0] == n1 and lo <= site[1] <= hi:
             total += dv if exact else (Fraction(field.value(site))

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh
 
 from .errors import (DegenerateField, EmptyGap, IrrationalFlux,
                      IrrationalSlope, NonHermitianPerturbation)
@@ -342,6 +342,32 @@ def _symmetry_sectors(window, h):
     return sectors, real
 
 
+def _hermitian_blocks(op):
+    """The dense blocks an eigensolve of op runs on, as triples (G, block,
+    driver): the two parity blocks G*hG with `evd` if op commutes exactly
+    with the inversion n -> -n of its window, real symmetric if it also
+    commutes with K R (see `_symmetry_sectors`); else op whole, with G the
+    identity and `evr`.  ValueError unless op is Hermitian."""
+    require_hermitian(op)
+    h = sparse.csr_array(op.matrix)
+    found = _symmetry_sectors(op.window, h)
+    if found is None:
+        identity = sparse.eye_array(op.window.size, dtype=complex, format="csr")
+        yield identity, op.dense(), "evr"
+        return
+    sectors, real = found
+    for g in sectors:
+        b = (g.conj().T @ h @ g).toarray()
+        yield g, (b.real if real else b), "evd"
+
+
+def hermitian_eigenvalues(op):
+    """The ascending eigenvalues of the Hermitian operator op, solved
+    without eigenvectors on the blocks `SpectralData.from_operator` solves."""
+    return np.sort(np.concatenate([eigvalsh(b, driver=driver) for _, b, driver
+                                   in _hermitian_blocks(op)]), kind="stable")
+
+
 @dataclass
 class SpectralData:
     """Dense eigendecomposition of a Hermitian lattice operator, held as
@@ -349,8 +375,7 @@ class SpectralData:
     onto a parity block, the block's ascending eigenvalues w and its
     eigenvectors v, so the eigenvectors of the operator are the columns of
     G v.  A whole solve is one sector whose G is the identity.
-    `eigenvalues` holds the eigenvalues of all sectors in ascending order,
-    and `eigenvectors` the merged N x N matrix of the matching G v."""
+    `eigenvalues` holds the eigenvalues of all sectors in ascending order."""
 
     eigenvalues: np.ndarray
     sectors: tuple
@@ -358,56 +383,12 @@ class SpectralData:
 
     @staticmethod
     def from_operator(op):
-        """Eigenvalues ascending and orthonormal eigenvectors.  An operator
-        that commutes exactly with the inversion n -> -n of its window is
-        diagonalized on its two parity blocks G*HG, each about half the
-        size: real symmetric blocks if it also commutes with the
-        antiunitary K R (complex conjugation after n2 -> -n2), as constant
-        fields on windows closed under both maps do, and complex Hermitian
-        ones if not (see `_symmetry_sectors`).  Any other operator is
-        diagonalized whole.  ValueError unless op is Hermitian."""
-        require_hermitian(op)
-        h = sparse.csr_array(op.matrix)
-        found = _symmetry_sectors(op.window, h)
-        if found is None:
-            w, v = eigh(op.dense(), driver="evr")
-            identity = sparse.eye_array(w.size, dtype=complex, format="csr")
-            return SpectralData(w, ((identity, w, v),), op.window)
-        sectors, real = found
-        blocks = []
-        for g in sectors:
-            b = (g.conj().T @ h @ g).toarray()
-            blocks.append((g, *eigh(b.real if real else b, driver="evd")))
-        w = np.sort(np.concatenate([wb for _, wb, _ in blocks]), kind="stable")
-        return SpectralData(w, tuple(blocks), op.window)
-
-    @property
-    def eigenvectors(self):
-        """The N x N matrix whose column i is the eigenvector of
-        eigenvalues[i]: the columns G v of the sectors, merged in the
-        stable order of their eigenvalues (v itself for a whole solve)."""
-        if len(self.sectors) == 1:
-            return self.sectors[0][2]
-        w = np.concatenate([wb for _, wb, _ in self.sectors])
-        order = np.argsort(w, kind="stable")
-        column = np.empty_like(order)
-        column[order] = np.arange(w.size)
-        v = np.empty((w.size, w.size), dtype=complex)
-        start = 0
-        for g, wb, vb in self.sectors:
-            v[:, column[start:start + wb.size]] = g @ vb
-            start += wb.size
-        return v
-
-    def apply(self, func):
-        """Operator func(H) = V diag(func(E)) V*, summed over the
-        eigenvectors whose weight func(E) is nonzero."""
-        fvals = np.asarray(func(self.eigenvalues))
-        v = self.eigenvectors
-        keep = fvals != 0
-        if not keep.all():
-            v, fvals = v[:, keep], fvals[keep]
-        return LatticeOperator(self.window, (v * fvals) @ v.conj().T)
+        """Eigenvalues and orthonormal eigenvectors of the Hermitian
+        operator op, solved on the blocks `_hermitian_blocks` gives."""
+        sectors = tuple((g, *eigh(b, driver=driver))
+                        for g, b, driver in _hermitian_blocks(op))
+        w = np.sort(np.concatenate([wb for _, wb, _ in sectors]), kind="stable")
+        return SpectralData(w, sectors, op.window)
 
 
 @dataclass(frozen=True)
@@ -496,14 +477,22 @@ def require_hermitian(op):
 
 def gap_switch_operators(spectral, interval):
     """Switch calculus for a bulk gap interval: returns (g(h), g'(h),
-    u = exp(2*pi*i g(h))).  Raises EmptyGap unless spectrum exists strictly
-    below and above the interval."""
+    u = exp(2*pi*i g(h))), each f(h) summed over the sectors as
+    (G v) diag f(w) (G v)* with the columns of zero weight skipped, in no
+    eigenvalue order (a whole solve reads v, not G v).  Raises EmptyGap
+    unless spectrum exists strictly below and above the interval."""
     require_spectrum_beyond(interval, spectral.eigenvalues)
     sw = SwitchFunction.from_interval(*interval)
-    g_of_h = spectral.apply(sw.g)
-    gp_of_h = spectral.apply(sw.gprime)
-    u = spectral.apply(lambda x: np.exp(2j * np.pi * sw.g(x)))
-    return g_of_h, gp_of_h, u
+    funcs = (sw.g, sw.gprime, lambda x: np.exp(2j * np.pi * sw.g(x)))
+    out = [np.zeros((spectral.window.size,) * 2, dtype=complex) for _ in funcs]
+    for g, w, v in spectral.sectors:
+        f = v if len(spectral.sectors) == 1 else g @ v
+        for m, func in zip(out, funcs):
+            fw = np.asarray(func(w))
+            keep = fw != 0
+            fk = f if keep.all() else f[:, keep]
+            m += (fk * fw[keep]) @ fk.conj().T
+    return tuple(LatticeOperator(spectral.window, m) for m in out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,35 @@
+"""Dense references for `SpectralData`: the merged N x N eigenvector matrix
+and func(h) = V diag func(E) V* over it, which the library never forms."""
+
+import numpy as np
+
+import iwalab as il
+
+
+def merged_eigenvectors(sd):
+    """The N x N matrix whose column i is the eigenvector of
+    sd.eigenvalues[i]: the columns G v of the sectors, merged in the
+    stable order of their eigenvalues (v itself for a whole solve)."""
+    if len(sd.sectors) == 1:
+        return sd.sectors[0][2]
+    w = np.concatenate([wb for _, wb, _ in sd.sectors])
+    order = np.argsort(w, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(w.size)
+    v = np.empty((w.size, w.size), dtype=complex)
+    start = 0
+    for g, wb, vb in sd.sectors:
+        v[:, column[start:start + wb.size]] = g @ vb
+        start += wb.size
+    return v
+
+
+def spectral_apply(sd, func):
+    """Operator func(H) = V diag(func(E)) V* over the merged eigenvectors,
+    summed over those whose weight func(E) is nonzero."""
+    fvals = np.asarray(func(sd.eigenvalues))
+    v = merged_eigenvectors(sd)
+    keep = fvals != 0
+    if not keep.all():
+        v, fvals = v[:, keep], fvals[keep]
+    return il.LatticeOperator(sd.window, (v * fvals) @ v.conj().T)

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import iwalab as il
@@ -68,6 +69,13 @@ class TestParsing:
             cli.parse_perturbation([[0, 0, 0.1], bad])
 
 
+def source_env():
+    """The environment of a child Python that imports iwalab from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def payload_lines(path):
     return [ln for ln in path.read_text().splitlines()
             if not ln.startswith("#")]
@@ -89,14 +97,21 @@ class TestCommands:
         assert dump["patterns"]["1"][0] == ["+++"] * 3
         assert dump["patterns"]["1"][-1] == ["---"] * 3
 
+    def test_import_leaves_heavy_modules_unloaded(self):
+        # mpmath is a test dependency only, and scipy.sparse.linalg is
+        # imported where the inertia counts and the interval solve run
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, iwalab; print(sorted(m for m in "
+             "('mpmath', 'scipy.sparse.linalg') if m in sys.modules))"],
+            env=source_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[]"]
+
     def test_module_entry_point(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-m", "iwalab", "hull", "--slope", "rational:1,2",
              "--Mmax", "2", "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=source_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "hull.csv").is_file()
 
@@ -126,6 +141,29 @@ class TestCommands:
         assert rc == 0
         lines = payload_lines(tmp_path / "spectrum.csv")
         assert len(lines) - 1 == 81
+
+    @pytest.mark.parametrize("bminus,sectors", [("2pi*2/3", 1), ("2pi*1/3", 2)],
+                             ids=["iwatsuka-whole", "constant-sectors"])
+    def test_spectrum_solves_values_only(self, tmp_path, monkeypatch, bminus,
+                                         sectors):
+        field = cli.build_field(il.RationalSlope(1, 2), Fraction(1, 3),
+                                cli.parse_flux(bminus))
+        sd = il.SpectralData.from_operator(
+            il.iwatsuka_hamiltonian(field, il.LatticeWindow(5)))
+        assert len(sd.sectors) == sectors
+
+        def no_eigenvectors(*args, **kwargs):
+            raise AssertionError("spectrum solved for eigenvectors")
+
+        monkeypatch.setattr(operators, "eigh", no_eigenvectors)
+        rc = cli.main(["spectrum", "--slope", "rational:1,2", "--bminus", bminus,
+                       "--M", "5", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = [ln.split(",") for ln in payload_lines(tmp_path / "spectrum.csv")[1:]]
+        assert [int(r[1]) for r in rows] == list(range(sd.eigenvalues.size))
+        # the CSV rounds to 12 significant digits, 1e-11 at |E| <= 4
+        assert np.abs(np.array([float(r[2]) for r in rows])
+                      - sd.eigenvalues).max() < 1e-11
 
     def test_chern_momentum_and_realspace(self, tmp_path):
         rc = cli.main(["chern", "--flux", "2pi*1/3", "--gap", "1",
@@ -238,7 +276,11 @@ class TestCommands:
         (["conductance", "--normal-half", "inf"], None),
         (["verify-bic"], {"perturbation": [[1.7, 0, 0.5]]}),
         (["spectrum"], {"perturbation": [[0, 1, "0.25"]]}),
-        (["conductance"], {"perturbation": [[True, 1, 0.25]]})],
+        (["conductance"], {"perturbation": [[True, 1, 0.25]]}),
+        (["verify-bic"], {"buffer": "x"}),
+        (["verify-bic"], {"buffer": 1e400}),
+        (["verify-bic"], {"mu": "0.1"}),
+        (["verify-bic"], {"mu": True})],
         ids=["hull-M-1", "hull-M2.5", "hull-Mmax2.5", "chern-M-1", "chern-M41",
              "chern-margin-1", "conductance-L-5", "conductance-normal0",
              "verify-bic-L-5", "verify-bic-normal-1", "spectrum-M2.5",
@@ -249,7 +291,9 @@ class TestCommands:
              "hull-slope-obj-inf", "hull-slope-obj-p-float",
              "hull-slope-obj-b-bool", "verify-bic-L-inf",
              "conductance-normal-inf", "verify-bic-perturbation-float-site",
-             "spectrum-perturbation-str-db", "conductance-perturbation-bool-site"])
+             "spectrum-perturbation-str-db", "conductance-perturbation-bool-site",
+             "verify-bic-buffer-str", "verify-bic-buffer-inf", "verify-bic-mu-str",
+             "verify-bic-mu-bool"])
     def test_invalid_numeric_config_exits_2(self, tmp_path, capsys, argv, config):
         if config is not None:
             cfg = tmp_path / "cfg.json"

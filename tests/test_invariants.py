@@ -9,11 +9,13 @@ import scipy.sparse.linalg
 from scipy import sparse
 
 import iwalab as il
-from iwalab import invariants
+from iwalab import invariants, operators
 from iwalab.invariants import (TANGENTIAL_ORIENTATION,
                                reference_orientation_sign, slab_geometry)
 from iwalab.operators import (hull_projection, magnetic_translation,
                               strip_projection, translation_by)
+
+from dense_spectral import merged_eigenvectors, spectral_apply
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
 GOLDEN = il.QuadraticIrrationalSlope(1, 1, 2, 5)
@@ -306,7 +308,7 @@ class TestChernRealspace:
         # V diag(E <= mu) V* over the merged eigenvectors, the dense
         # projection the frames stand for
         sd, mu, _ = sector_case(kind)
-        full = sd.apply(lambda E: (E <= mu).astype(float)).matrix
+        full = spectral_apply(sd, lambda E: (E <= mu).astype(float)).matrix
         P = il.fermi_projection(sd, mu)
         assert not hasattr(P, "matrix")
         assert np.abs(P.dense() - full).max() < 1e-13
@@ -528,7 +530,7 @@ def dense_switch_traces(h, sd, interval, slope, L):
     """The full-spectrum reference for h, whose spectral data is sd: g'(h)
     and u as dense operators, the current from diag(g'(h) grad_t h) over
     all sites, the winding of u."""
-    _, gp, u = il.gap_switch_operators(sd, interval)
+    _, gp, u = operators.gap_switch_operators(sd, interval)
     geom = slab_geometry(sd.window, slope, L)
     t = geom.tangential * TANGENTIAL_ORIENTATION
     H = h.dense()
@@ -613,7 +615,8 @@ class TestInIntervalSwitchTraces:
         support = int((geom.weights > 0).sum())
         tracemalloc.start()
         try:
-            invariants._switch_traces(E[inside], sd.eigenvectors[:, inside], h,
+            invariants._switch_traces(E[inside],
+                                      merged_eigenvectors(sd)[:, inside], h,
                                       interval, geom)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

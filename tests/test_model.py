@@ -255,6 +255,34 @@ class TestFields:
         assert f.value_turns((0, 1)) == Fraction(1, 3) + Fraction(1, 12)
         assert np.isclose(f.value((1, 1)), f.base_value((1, 1)))
 
+    @pytest.mark.parametrize("make,base", [
+        (lambda **kw: il.ConstantField.from_turns(Fraction(1, 3), **kw),
+         Fraction(1, 3)),
+        (lambda **kw: il.IwatsukaField.from_turns(
+            il.RationalSlope(1, 2), Fraction(1, 3), Fraction(2, 3), **kw),
+         Fraction(2, 3))],                                  # x = 0 at (0, 0)
+        ids=["constant", "iwatsuka"])
+    def test_radian_perturbation_has_no_exact_value(self, make, base):
+        # pi/3 radians at the origin is a turn fraction no Fraction holds
+        # exactly, so every exact read refuses the field instead of leaving
+        # the perturbation out; the float reads keep it
+        f = make(perturbation={(0, 0): math.pi / 3})
+        assert np.isclose(f.value((0, 0)), 2 * math.pi * float(base) + math.pi / 3)
+        assert abs(il.circulation(f, (0, 0)) - f.value((0, 0))) < 1e-12
+        for exact_read in (lambda: f.value_turns((0, 0)),
+                           lambda: f.value_turns((3, 3)),
+                           lambda: il.circulation(f, (0, 0), exact=True),
+                           lambda: il.model.vector_potential_turns(f, (0, 1), 1)):
+            with pytest.raises(ValueError, match="perturbation"):
+                exact_read()
+        # given in turns, or absent, the perturbation is read exactly
+        for exact, extra in ((make(perturbation_turns={(0, 0): Fraction(1, 6)}),
+                              Fraction(1, 6)), (make(), 0)):
+            assert exact.value_turns((0, 0)) == base + extra
+            assert il.circulation(exact, (0, 0), exact=True) == base + extra
+            assert il.model.vector_potential_turns(exact, (0, -1), 1) == \
+                -(base + extra)
+
 
 def reference_potential(field, n, exact):
     """A(n, n - e1) summed site by site along the column of n."""

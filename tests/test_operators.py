@@ -12,6 +12,8 @@ from iwalab import operators
 from iwalab.operators import (magnetic_translation, shifted_flux_diagonal,
                               translation_by)
 
+from dense_spectral import merged_eigenvectors, spectral_apply
+
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
 HALF = il.RationalSlope(1, 2)
 
@@ -291,7 +293,7 @@ class TestBloch:
         sd = il.SpectralData.from_operator(il.iwatsuka_hamiltonian(field, win))
         bs = il.band_structure(Fraction(1, 3), nk=40)
         mask = win.interior_mask(4)
-        weights = (np.abs(sd.eigenvectors[mask, :]) ** 2).sum(axis=0)
+        weights = (np.abs(merged_eigenvectors(sd)[mask, :]) ** 2).sum(axis=0)
         bulk_like = sd.eigenvalues[weights >= 0.6]
 
         def dist(E):
@@ -338,7 +340,8 @@ class TestHamiltonianSpectral:
         win = il.LatticeWindow(6)
         H = il.iwatsuka_hamiltonian(field, win)
         sd = il.SpectralData.from_operator(H)
-        rebuilt = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.conj().T
+        V = merged_eigenvectors(sd)
+        rebuilt = (V * sd.eigenvalues) @ V.conj().T
         scale = np.abs(H.matrix).max()
         assert np.abs(rebuilt - H.matrix).max() < 1e-9 * scale
         P = il.fermi_projection(sd, 0.0)
@@ -401,7 +404,7 @@ class TestParitySectors:
         n = win.size
         assert sorted(calls) == [(((n - 1) // 2,) * 2, "evd"),
                                  (((n + 1) // 2,) * 2, "evd")]
-        V, E = sd.eigenvectors, sd.eigenvalues
+        V, E = merged_eigenvectors(sd), sd.eigenvalues
         assert np.abs(E - w0).max() < 1e-12
         assert np.abs(H.matrix @ V - V * E).max() < 1e-12
         assert np.abs(V.conj().T @ V - np.eye(n)).max() < 1e-12
@@ -466,7 +469,7 @@ class TestRealParityBlocks:
         assert sorted(calls) == [((n - 1) // 2, "evd", dtype),
                                  ((n + 1) // 2, "evd", dtype)]
         w0 = scipy.linalg.eigh(H.dense(), driver="evr", eigvals_only=True)
-        V, E = sd.eigenvectors, sd.eigenvalues
+        V, E = merged_eigenvectors(sd), sd.eigenvalues
         assert np.abs(E - w0).max() < 1e-12
         assert np.abs(H.matrix @ V - V * E).max() < 1e-12
         assert np.abs(V.conj().T @ V - np.eye(n)).max() < 1e-12
@@ -493,6 +496,40 @@ class TestRealParityBlocks:
                             np.complex128, monkeypatch)
 
 
+SOLVE_KINDS = {
+    "real": (THIRD_FIELD, il.LatticeWindow(6), "evd", np.float64),
+    "complex": (THIRD_FIELD, SYMMETRIC_SLAB, "evd", np.complex128),
+    "whole": (il.IwatsukaField.from_turns(HALF, Fraction(1, 3), Fraction(2, 3)),
+              il.LatticeWindow(6), "evr", np.complex128)}
+
+
+class TestHermitianEigenvalues:
+    @pytest.mark.parametrize("kind", sorted(SOLVE_KINDS))
+    def test_values_only_on_the_same_blocks(self, kind, monkeypatch):
+        field, win, driver, dtype = SOLVE_KINDS[kind]
+        H = il.iwatsuka_hamiltonian(field, win)
+        want = il.SpectralData.from_operator(H).eigenvalues
+        vectors = spy_eigh(monkeypatch)
+        values, original = [], operators.eigvalsh
+
+        def recorded(a, **kwargs):
+            values.append((a.shape[0], kwargs.get("driver"), a.dtype))
+            return original(a, **kwargs)
+
+        monkeypatch.setattr(operators, "eigvalsh", recorded)
+        E = il.hermitian_eigenvalues(H)
+        n = win.size
+        sizes = [n] if driver == "evr" else [(n - 1) // 2, (n + 1) // 2]
+        assert vectors == []
+        assert sorted(values) == [(m, driver, dtype) for m in sizes]
+        assert np.abs(E - want).max() < 1e-12
+
+    def test_checks_hermiticity(self):
+        win = il.LatticeWindow(3)
+        with pytest.raises(ValueError):
+            il.hermitian_eigenvalues(il.magnetic_translation(THIRD_FIELD, win, 1))
+
+
 class TestApply:
     @pytest.fixture(scope="class")
     def spectral(self):
@@ -500,21 +537,21 @@ class TestApply:
             il.iwatsuka_hamiltonian(THIRD_FIELD, il.LatticeWindow(6)))
 
     def test_fermi_weights_match_full_product(self, spectral):
-        V = spectral.eigenvectors
+        V = merged_eigenvectors(spectral)
         f = (spectral.eigenvalues <= -1.366).astype(float)
         assert 0 < f.sum() < f.size
         full = (V * f) @ V.conj().T
-        P = spectral.apply(lambda E: (E <= -1.366).astype(float))
+        P = spectral_apply(spectral, lambda E: (E <= -1.366).astype(float))
         assert np.abs(P.matrix - full).max() < 1e-13
 
     def test_nowhere_zero_weights_are_unchanged(self, spectral):
         sw = il.SwitchFunction.from_interval(-1.8, -1.0)
-        V, E = spectral.eigenvectors, spectral.eigenvalues
+        V, E = merged_eigenvectors(spectral), spectral.eigenvalues
 
         def unitary(x):
             return np.exp(2j * np.pi * sw.g(x))
 
-        u = spectral.apply(unitary)
+        u = spectral_apply(spectral, unitary)
         assert np.array_equal(u.matrix, (V * unitary(E)) @ V.conj().T)
 
 
@@ -530,6 +567,19 @@ class TestSwitch:
         integral = scipy.integrate.trapezoid(sw.gprime(E), E)
         assert abs(integral - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("kind", ["real", "whole"])
+    def test_sector_sums_match_merged_reference(self, kind):
+        field, win, _, _ = SOLVE_KINDS[kind]
+        sd = il.SpectralData.from_operator(il.iwatsuka_hamiltonian(field, win))
+        interval = (-1.8, -1.0)
+        sw = il.SwitchFunction.from_interval(*interval)
+        want = [spectral_apply(sd, f) for f in (
+            sw.g, sw.gprime, lambda x: np.exp(2j * np.pi * sw.g(x)))]
+        got = operators.gap_switch_operators(sd, interval)
+        assert len(sd.sectors) == (1 if kind == "whole" else 2)
+        for a, b in zip(got, want):
+            assert np.abs(a.matrix - b.matrix).max() < 1e-13
+
     def test_gap_unitary_identity_when_gap_empty(self):
         win = il.LatticeWindow(4)
         sd = il.SpectralData.from_operator(
@@ -538,7 +588,7 @@ class TestSwitch:
         k = int(np.argmax(spacing[10:-10])) + 10
         lo = sd.eigenvalues[k] + 0.25 * spacing[k]
         hi = sd.eigenvalues[k] + 0.75 * spacing[k]
-        g, gp, u = il.gap_switch_operators(sd, (lo, hi))
+        g, gp, u = operators.gap_switch_operators(sd, (lo, hi))
         assert np.abs(u.matrix - np.eye(win.size)).max() < 1e-9
         assert np.abs(u.matrix @ u.matrix.conj().T - np.eye(win.size)).max() < 1e-9
 
@@ -547,7 +597,7 @@ class TestSwitch:
         sd = il.SpectralData.from_operator(
             il.iwatsuka_hamiltonian(il.zero_field(), win))
         with pytest.raises(il.EmptyGap):
-            il.gap_switch_operators(sd, (10.0, 11.0))
+            operators.gap_switch_operators(sd, (10.0, 11.0))
 
 
 class TestInterfaceShiftUnitary:
