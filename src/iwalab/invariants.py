@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, eigvalsh
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 
 from .errors import (EmptyGap, EmptyInterior, GapClosed, NoCommonGap,
                      NotInterfaceLocalized, NotProjection, SlabExceedsWindow)
@@ -60,6 +60,17 @@ WINDING_TOL = 0.1
 CROSS_TOL = 0.02
 
 MOMENT_CHUNK = 512        # dense columns per block of `_winding_moments`
+
+# Shift-invert Lanczos of `_lanczos_pairs`.  A second Gram-Schmidt pass runs
+# when the first leaves less than DGKS of the vector's norm (the test of
+# Daniel, Gragg, Kaufman and Stewart that ARPACK uses).  EPS is ARPACK's
+# tol = 0 (LAPACK's dlamch('E')), the relative bound on Ritz residuals; a
+# new vector within N * EPS of the basis, the rounding bound of a length-N
+# inner product, is a breakdown.  The Ritz values are checked every
+# RITZ_STRIDE steps.
+DGKS = 0.717
+EPS = 2.0 ** -53
+RITZ_STRIDE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +464,86 @@ def _count_below(hs, x):
     return int((pivots.real < 0).sum())
 
 
+def _lanczos_pairs(hs, lo, hi, k):
+    """The k eigenpairs of the Hermitian hs in (lo, hi], sorted, by Lanczos
+    on (hs - sigma)^-1 about sigma = (lo + hi) / 2 from a fixed start
+    vector, with one pivoted LU of hs - sigma and every new vector fully
+    reorthogonalized.  The pairs stand once exactly k Ritz values lie in
+    (lo, hi] and each Ritz value theta of the inverse meets ARPACK's tol = 0
+    bound |beta_m s_mi| <= EPS |theta|.  None when more than k lie inside;
+    when fewer do, all converged, and so are the nearest Ritz values below
+    lo and above hi (the start vector misses the rest: a wrong count or a
+    degenerate level); on breakdown (an invariant subspace); or when the
+    Krylov dimension reaches N."""
+    # imported here, on the one path that needs it, to keep
+    # scipy.sparse.linalg out of the package's import time
+    from scipy.sparse.linalg import splu
+
+    n = hs.shape[0]
+    if k == 0:
+        return np.zeros(0), np.zeros((n, 0), complex)
+    sigma = 0.5 * (lo + hi)
+    solve = splu(sparse.csc_array(hs - sigma * sparse.eye_array(n))).solve
+    dtype = np.result_type(hs.dtype, float)
+    # a fixed start vector keeps the result byte-stable across runs
+    start = np.random.default_rng(0).standard_normal(n).astype(dtype)
+    # row j: Lanczos vector j; runs take about 3k steps, and rows not yet
+    # written stay untouched memory
+    basis = np.empty((min(n, 4 * k), n), dtype)
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = [], []
+    for m in range(1, n):
+        q = basis[:m]
+        w = solve(q[-1])
+        w_norm = np.linalg.norm(w)
+        c = (q @ w.conj()).conj()
+        w -= c @ q
+        norm = np.linalg.norm(w)
+        if norm < DGKS * w_norm:
+            d = (q @ w.conj()).conj()
+            w -= d @ q
+            c += d
+            norm = np.linalg.norm(w)
+        if norm <= n * EPS * w_norm:       # rounding noise: breakdown
+            return None
+        alpha.append(c[-1].real)
+        beta.append(norm)
+        if m > k and m % RITZ_STRIDE == 0:
+            theta, s = eigh_tridiagonal(alpha, beta[:-1])
+            E = sigma + 1.0 / theta
+            inside = (E > lo) & (E <= hi)
+            found = np.count_nonzero(inside)
+            done = norm * np.abs(s[-1]) <= EPS * np.abs(theta)
+            if found > k:
+                return None
+            if done[inside].all():
+                if found == k:
+                    order = np.flatnonzero(inside)[np.argsort(E[inside])]
+                    return E[order], (s[:, order].T @ q).T
+                # theta ascends: the pairs inside lead and trail, so the
+                # outermost of the rest are the nearest below lo and above hi
+                first, last = np.flatnonzero(~inside)[[0, -1]]
+                if theta[first] < 0 < theta[last] and done[first] and done[last]:
+                    return None
+        if m == basis.shape[0]:
+            grown = np.empty((min(n, 2 * m), n), dtype)
+            grown[:m] = basis
+            basis = grown
+        basis[m] = w / norm
+    return None
+
+
 def _interval_eigenpairs(h, interval):
     """Eigenpairs of h with eigenvalue in (lo, hi], sorted: the set of the
     dense evr subset solve.  The inertia counts of h - lo and h - hi raise
     EmptyGap when no eigenvalue lies below lo or every one below hi (whose
     pivots are nonzero, so none equals hi), and give the number k of pairs
-    in between; without a count the full eigenvalues decide EmptyGap.
-    Shift-invert Lanczos about the midpoint returns the k + 1 eigenvalues
-    nearest it, and the pairs stand only if exactly k of those lie in
-    (lo, hi], so the count and the solve certify each other.  Every other
-    outcome falls back to the dense solve.  lo >= hi is a ValueError."""
-    # imported here, on the one path that needs it, to keep
-    # scipy.sparse.linalg out of the package's import time
-    from scipy.sparse.linalg import eigsh
-
+    in between; k = 0 returns no pairs without a further factorization.
+    Otherwise `_lanczos_pairs` solves for them, and its pairs stand only
+    if exactly k converged Ritz values lie in (lo, hi], so the count and
+    the solve certify each other.  Without a count, the full eigenvalues
+    decide EmptyGap; then, and whenever the Lanczos run returns no pairs,
+    the dense solve answers.  lo >= hi is a ValueError."""
     lo, hi = interval
     if not lo < hi:
         raise ValueError("empty interval")
@@ -478,21 +555,10 @@ def _interval_eigenpairs(h, interval):
     elif below_lo == 0 or below_hi == n:
         raise EmptyGap(f"interval ({lo:.4f}, {hi:.4f}) has {below_lo} of {n} "
                        f"eigenvalues below it and {n - below_hi} above")
-    else:
-        k = below_hi - below_lo
-        if 0 <= k and k + 1 < n - 1:
-            # a fixed start vector keeps the result byte-stable across runs
-            v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-            try:
-                E, V = eigsh(hs, k=k + 1, sigma=0.5 * (lo + hi), which="LM",
-                             v0=v0)
-            except RuntimeError:    # ArpackNoConvergence, ArpackError
-                pass
-            else:
-                inside = np.flatnonzero((E > lo) & (E <= hi))
-                if inside.size == k:
-                    inside = inside[np.argsort(E[inside])]
-                    return E[inside], V[:, inside]
+    elif below_hi >= below_lo:
+        pairs = _lanczos_pairs(hs, lo, hi, below_hi - below_lo)
+        if pairs is not None:
+            return pairs
     return eigh(h.dense(), driver="evr", subset_by_value=interval)
 
 
@@ -580,6 +646,8 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     ch_minus = _chern_below(bm, mu)
 
     window = slab_window(slope, L, normal_half, buffer)
+    # SlabExceedsWindow before assembly, which an empty window would fail
+    slab_geometry(window, slope, L)
     report = interface_current(iwatsuka_hamiltonian(field, window), interval,
                                slope, L)
 

@@ -313,6 +313,15 @@ class TestCommands:
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "GapClosed"
 
+    @pytest.mark.parametrize("buffer", [-10, -40])
+    def test_slab_exceeding_window_exits_3(self, tmp_path, capsys, buffer):
+        # at -40 the window is empty
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"buffer": buffer}))
+        rc = cli.main(["verify-bic", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "SlabExceedsWindow"
+
     def test_no_common_gap_exits_3(self, tmp_path, capsys):
         rc = cli.main(["verify-bic", "--slope", "rational:1,2",
                        "--bplus", "2pi*1/2", "--bminus", "2pi*1/3",

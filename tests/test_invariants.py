@@ -636,6 +636,18 @@ class TestInIntervalSwitchTraces:
         with pytest.raises(il.SlabExceedsWindow):
             il.verify_bic(field, L=8.0, normal_half=18.0, buffer=4.0)
 
+    def test_empty_slab_window_before_assembly(self, monkeypatch):
+        # a negative buffer empties the window, whose assembly would fail
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("the slab check should come first")
+
+        monkeypatch.setattr(invariants, "iwatsuka_hamiltonian", no_assembly)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_assembly)
+        field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
+        assert invariants.slab_window(self.SLOPE, 48.0, 22.0, -40.0).size == 0
+        with pytest.raises(il.SlabExceedsWindow):
+            il.verify_bic(field, buffer=-40.0)
+
     def test_empty_gap_outside_spectrum(self, small_slab, monkeypatch):
         h, sd = small_slab
         bottom, top = sd.eigenvalues.min(), sd.eigenvalues.max()
@@ -748,13 +760,15 @@ class TestIntervalEigenpairs:
             slope, *pair, perturbation_turns=PERTURBATION if perturbed else None)
         calls = spy(monkeypatch, invariants, "eigh")
         full = spy(monkeypatch, invariants, "eigvalsh")
-        arpack = spy(monkeypatch, scipy.sparse.linalg, "eigsh")
+        arpack = [spy(monkeypatch, scipy.sparse.linalg, "eigsh"),
+                  spy(monkeypatch, scipy.sparse.linalg, "eigs")]
         counts = spy(monkeypatch, scipy.sparse.linalg, "splu")
         rep = il.verify_bic(field, **self.SIZE)
         # the sparse solve was certified: two inertia counts decide the gap
-        # and |J|, one shift-invert Lanczos run finds the pairs
-        assert calls == [] and full == []
-        assert len(counts) == 2 and len(arpack) == 1 and "sigma" in arpack[0]
+        # and |J|, one shift-invert Lanczos run on a pivoted LU finds the
+        # pairs
+        assert calls == [] and full == [] and arpack == [[], []]
+        assert len(counts) == 3 and "diag_pivot_thresh" not in counts[2]
         L, ramp = self.SIZE["L"], invariants.DEFAULT_RAMP
         win = il.SlabWindow(slope, L / 2 + ramp + self.SIZE["buffer"],
                             self.SIZE["normal_half"])
@@ -764,6 +778,8 @@ class TestIntervalEigenpairs:
         Ed, Vd = dense_interval_eigenpairs(h, interval)
         assert calls == [] and E.size == Ed.size > 0
         assert np.abs(E - Ed).max() < 1e-12
+        # _switch_traces reads |V a| = |a|
+        assert np.abs(V.conj().T @ V - np.eye(E.size)).max() <= 1e-13
         geom = slab_geometry(win, slope, L)
         got = invariants._switch_traces(E, V, h, interval, geom)
         want = invariants._switch_traces(Ed, Vd, h, interval, geom)
@@ -787,14 +803,12 @@ class TestIntervalEigenpairs:
         assert (scipy.linalg.eigvalsh(a) < 0).sum() == 2
         assert invariants._count_below(sparse.csr_array(a), 0.0) is None
 
-    def test_no_convergence_falls_back(self, small_slab, monkeypatch):
-        h, interval = small_slab
-
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence(
-                "no convergence", np.zeros(0), np.zeros((h.matrix.shape[0], 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    def test_no_convergence_falls_back(self, monkeypatch):
+        # with the Ritz values never checked the Lanczos run ends at Krylov
+        # dimension N, here 379
+        h = il.iwatsuka_hamiltonian(iw_field(ONE), il.SlabWindow(ONE, 12.0, 8.0))
+        interval = common_gap_interval()
+        monkeypatch.setattr(invariants, "RITZ_STRIDE", h.matrix.shape[0])
         calls = spy(monkeypatch, invariants, "eigh")
         E, V = invariants._interval_eigenpairs(h, interval)
         Ed, Vd = dense_interval_eigenpairs(h, interval)
@@ -821,9 +835,37 @@ class TestIntervalEigenpairs:
                                  np.linspace(1.0, 3.0, win.size - half)])
         op = il.LatticeOperator(win, sparse.diags_array(levels))
         calls = spy(monkeypatch, invariants, "eigh")
+        counts = spy(monkeypatch, scipy.sparse.linalg, "splu")
         E, V = invariants._interval_eigenpairs(op, (-0.5, 0.5))
-        assert calls == []
+        assert calls == [] and len(counts) == 2
         assert E.shape == (0,) and V.shape == (win.size, 0)
+
+    def test_degenerate_level_falls_back(self, monkeypatch):
+        # three distinct levels, 0.1 twice inside the interval: the Krylov
+        # space of one start vector is invariant after three steps and holds
+        # one copy, so the dense solve answers
+        win = il.LatticeWindow(4)
+        levels = np.full(win.size, -2.0)
+        levels[40:42] = 0.1
+        levels[42:] = 2.0
+        op = il.LatticeOperator(win, sparse.diags_array(levels))
+        calls = spy(monkeypatch, invariants, "eigh")
+        with np.errstate(all="raise"):
+            E, V = invariants._interval_eigenpairs(op, (-0.5, 0.5))
+        Ed, Vd = dense_interval_eigenpairs(op, (-0.5, 0.5))
+        assert len(calls) == 1 and Ed.size == 2
+        assert np.array_equal(E, Ed) and np.array_equal(V, Vd)
+
+    def test_count_too_high_stops_early(self, small_slab, monkeypatch):
+        # asked for one pair more than (lo, hi] holds, the run stops once
+        # the Ritz values inside and the nearest ones beyond both ends have
+        # converged, long before the Krylov dimension reaches N
+        h, (lo, hi) = small_slab
+        E = scipy.linalg.eigvalsh(h.dense())
+        k = int(((E > lo) & (E <= hi)).sum())
+        checks = spy(monkeypatch, invariants, "eigh_tridiagonal")
+        assert invariants._lanczos_pairs(h.matrix, lo, hi, k + 1) is None
+        assert len(checks) < h.matrix.shape[0] / (4 * invariants.RITZ_STRIDE)
 
 
 class TestBulkInterface:
