@@ -117,8 +117,6 @@ def parse_perturbation(entries):
 
 
 def build_field(slope, plus_turns, minus_turns, perturbation=None):
-    if plus_turns == minus_turns:
-        return ConstantField.from_turns(plus_turns, perturbation=perturbation)
     return IwatsukaField.from_turns(slope, plus_turns, minus_turns,
                                     perturbation=perturbation)
 

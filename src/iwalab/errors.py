@@ -6,8 +6,9 @@ class IwalabError(Exception):
 
 
 class DegenerateField(IwalabError):
-    """The two asymptotic flux phases coincide (b+ - b- in 2*pi*Z), so the
-    interface projections are undefined."""
+    """The two asymptotic flux phases coincide: b+ - b- is a nonzero
+    multiple of 2*pi (the same phases under two names), or the interface
+    projections of a constant field (b+ = b-) were requested."""
 
 
 class IrrationalFlux(IwalabError):

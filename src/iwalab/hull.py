@@ -158,8 +158,11 @@ def _exact_sorted(slope, values):
     A float pre-sort leaves a run that the exact comparator sort confirms
     with K - 1 comparisons wherever float order was right, and reorders
     wherever it was not (values closer than the float resolution)."""
-    return sorted(sorted(values, key=float),
-                  key=functools.cmp_to_key(slope.compare))
+    try:
+        values = sorted(values, key=float)
+    except OverflowError:      # |alpha|*M past the double range
+        pass
+    return sorted(values, key=functools.cmp_to_key(slope.compare))
 
 
 def _sorted_distinct_offsets(slope, M):

@@ -200,9 +200,9 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
     if nk < 1:
         raise ValueError("nk must be >= 1")
     flux = _as_flux_fraction(flux)
-    if flux.denominator == 1 and gap_index is None:
-        return 0.0   # single trivial band; it has no gap to index
     if gap_index is None and mu is None:
+        if flux.denominator == 1:
+            return 0.0   # single trivial band; it has no gap to index
         raise ValueError("need gap_index or mu")
     bs = band_structure(flux)
     if gap_index is not None:
@@ -616,11 +616,10 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     reaching buffer sites beyond the taper."""
     if slope is None:
         slope = field.slope
-    turns = _bulk_turns(field)
-    if turns is None:
+    plus_turns, minus_turns = field.b_plus_turns, field.b_minus_turns
+    if plus_turns is None or minus_turns is None:
         raise ValueError("verify_bic needs exact rational fluxes; build the "
                          "field with from_turns")
-    plus_turns, minus_turns = turns
     gaps, bp, bm = common_gaps(plus_turns, minus_turns)
     if not gaps:
         raise NoCommonGap("no common bulk gap", gaps_plus=bp.gaps,
@@ -673,19 +672,6 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
         residual_chern_integrality=float(res_ch_int),
         orientation_sign=TANGENTIAL_ORIENTATION,
         passed=bool(passed))
-
-
-def _bulk_turns(field):
-    """Exact (plus, minus) flux fractions of a field, or None."""
-    if hasattr(field, "b_plus_turns"):
-        if field.b_plus_turns is None or field.b_minus_turns is None:
-            return None
-        return field.b_plus_turns, field.b_minus_turns
-    if hasattr(field, "b_turns"):
-        if field.b_turns is None:
-            return None
-        return field.b_turns, field.b_turns
-    return None
 
 
 def reference_orientation_sign():

@@ -404,11 +404,12 @@ def offset_sign(slope, n):
 
 def _check_nondegenerate(b_plus, b_minus, b_plus_turns, b_minus_turns):
     if b_plus_turns is not None and b_minus_turns is not None:
-        if (b_plus_turns - b_minus_turns).denominator == 1:
+        turns = b_plus_turns - b_minus_turns
+        if turns != 0 and turns.denominator == 1:
             raise DegenerateField("b+ - b- is an integer number of turns")
         return
     delta = (b_plus - b_minus) / TWO_PI
-    if abs(delta - round(delta)) <= 1e-12:
+    if round(delta) != 0 and abs(delta - round(delta)) <= 1e-12:
         raise DegenerateField("b+ - b- lies in 2*pi*Z")
 
 
@@ -429,43 +430,12 @@ def _exact_perturbation(field):
 
 
 @dataclass(frozen=True)
-class ConstantField:
-    """Uniform magnetic field of b radians of flux per plaquette, plus an
-    optional finite-support perturbation (also in radians)."""
-
-    b: float
-    perturbation: dict = dc_field(default_factory=dict)
-    b_turns: Fraction = None               # exact b/(2*pi) when known
-    perturbation_turns: dict = None
-
-    def base_value(self, n):
-        return self.b
-
-    def value(self, n):
-        return self.b + self.perturbation.get(tuple(n), 0.0)
-
-    def value_turns(self, n):
-        if self.b_turns is None:
-            raise ValueError("field was not built from exact turn fractions")
-        extra = _exact_perturbation(self).get(tuple(n), Fraction(0))
-        return self.b_turns + extra
-
-    @staticmethod
-    def from_turns(turns, perturbation_turns=None, perturbation=None):
-        """Exact constructor; a float `perturbation` (radians) may be given
-        instead of exact turn fractions, in which case only the unperturbed
-        part keeps an exact representation."""
-        turns = Fraction(turns)
-        pert, pert_t = _perturbation_pair(perturbation_turns, perturbation)
-        return ConstantField(TWO_PI * float(turns), pert, turns, pert_t)
-
-
-@dataclass(frozen=True)
 class IwatsukaField:
-    """Two-valued magnetic field: b_plus radians on the side of the
-    interface where the offset is positive, b_minus otherwise; the slopes
-    +/-infinity follow the swapped convention b_-/+ for n1 > 0.  Requires
-    b_plus - b_minus outside 2*pi*Z."""
+    """Magnetic field of b_plus radians on the side of the interface where
+    the offset is positive and b_minus otherwise; the slopes +/-infinity
+    follow the swapped convention b_-/+ for n1 > 0.  b_plus = b_minus is
+    the constant field; values a nonzero whole number of turns apart raise
+    DegenerateField."""
 
     slope: object
     b_plus: float
@@ -479,8 +449,8 @@ class IwatsukaField:
         _check_nondegenerate(self.b_plus, self.b_minus,
                              self.b_plus_turns, self.b_minus_turns)
 
-    @staticmethod
-    def from_turns(slope, plus_turns, minus_turns, perturbation_turns=None,
+    @classmethod
+    def from_turns(cls, slope, plus_turns, minus_turns, perturbation_turns=None,
                    perturbation=None):
         """Exact constructor; a float `perturbation` (radians) may be given
         instead of exact turn fractions, in which case only the unperturbed
@@ -488,8 +458,8 @@ class IwatsukaField:
         plus_turns = Fraction(plus_turns)
         minus_turns = Fraction(minus_turns)
         pert, pert_t = _perturbation_pair(perturbation_turns, perturbation)
-        return IwatsukaField(slope, TWO_PI * float(plus_turns), TWO_PI * float(minus_turns),
-                             pert, plus_turns, minus_turns, pert_t)
+        return cls(slope, TWO_PI * float(plus_turns), TWO_PI * float(minus_turns),
+                   pert, plus_turns, minus_turns, pert_t)
 
     def _plus_side(self, n):
         if self.slope.is_finite:
@@ -535,6 +505,17 @@ class IwatsukaField:
         return np.asarray(n1) > 0
 
 
+class ConstantField(IwatsukaField):
+    """Uniform field: the Iwatsuka field at slope 0 whose two values are
+    equal."""
+
+    @classmethod
+    def from_turns(cls, turns, perturbation_turns=None, perturbation=None):
+        """`turns` on both sides of the slope-0 interface."""
+        return super().from_turns(RationalSlope(0, 1), turns, turns,
+                                  perturbation_turns, perturbation)
+
+
 def zero_field():
     return ConstantField.from_turns(0)
 
@@ -549,13 +530,9 @@ def _column_sum(field, n1, lo, hi, exact):
     sum is held exactly and rounded once, so it equals the math.fsum of the
     site values."""
     rows = hi - lo + 1
-    if isinstance(field, ConstantField):
-        plus = rows
-        b_plus = b_minus = field.b_turns if exact else field.b
-    else:
-        plus = field._plus_rows(n1, lo, hi)
-        b_plus, b_minus = ((field.b_plus_turns, field.b_minus_turns) if exact
-                           else (field.b_plus, field.b_minus))
+    plus = field._plus_rows(n1, lo, hi)
+    b_plus, b_minus = ((field.b_plus_turns, field.b_minus_turns) if exact
+                       else (field.b_plus, field.b_minus))
     if b_plus is None or b_minus is None:
         raise ValueError("field was not built from exact turn fractions")
     # one Fraction built from the integer ratios of the two values (a

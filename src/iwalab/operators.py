@@ -28,7 +28,7 @@ from scipy.linalg import eigh, eigvalsh
 
 from .errors import (DegenerateField, EmptyGap, IrrationalFlux,
                      IrrationalSlope, NonHermitianPerturbation)
-from .model import ConstantField, IwatsukaField, PlusInfinity
+from .model import PlusInfinity
 
 HERMITIAN_TOL = 1e-12
 
@@ -67,10 +67,7 @@ class LatticeOperator:
 def _field_values(field, n1, n2, perturbed=True):
     """B at the sites (n1, n2), integer arrays of one shape: the value of
     `field.value` per site, or of `field.base_value` if not perturbed."""
-    if isinstance(field, ConstantField):
-        B = np.full(np.shape(n1), field.b, dtype=float)
-    else:
-        B = np.where(field.plus_side_array(n1, n2), field.b_plus, field.b_minus)
+    B = np.where(field.plus_side_array(n1, n2), field.b_plus, field.b_minus)
     if perturbed:
         for (p1, p2), dv in field.perturbation.items():
             B[(n1 == p1) & (n2 == p2)] += dv
@@ -165,9 +162,8 @@ def hull_projection(field, window, kind, base=(0, 0)):
     """Diagonal interface projections built from shifted flux operators:
     kind "q" is the indicator of the b_plus side seen from the base site,
     "q_perp" its complement, "r"/"l" the single-strip differences across
-    e1/e2.  Entries are exactly 0/1 for an unperturbed two-valued field."""
-    if not isinstance(field, IwatsukaField):
-        raise DegenerateField("hull projections need a two-valued field")
+    e1/e2.  Entries are exactly 0/1 for an unperturbed two-valued field;
+    a constant field has none and raises DegenerateField."""
     zp = np.exp(1j * field.b_plus)
     zm = np.exp(1j * field.b_minus)
     denom = zp - zm

@@ -322,6 +322,23 @@ class TestCommands:
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "SlabExceedsWindow"
 
+    @pytest.mark.parametrize("argv,code", [
+        (["conductance", "--bplus", "2pi*1/3", "--bminus", "2pi*1/3"], 0),
+        (["hull", "--slope", "float:1e308", "--Mmax", "2"], 0),
+        (["conductance", "--bminus", "2pi*4/3"], 3),
+        (["chern", "--kgrid", "0"], 2)],
+        ids=["conductance-constant", "hull-float-1e308",
+             "conductance-degenerate", "chern-kgrid0"])
+    def test_exit_codes_without_traceback(self, tmp_path, argv, code):
+        done = subprocess.run(
+            [sys.executable, "-m", "iwalab", *argv, "--out", str(tmp_path)],
+            env=source_env(), capture_output=True, text=True, timeout=300)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        if argv[0] == "conductance" and code == 0:
+            row = payload_lines(tmp_path / "conductance.csv")[1].split(",")
+            assert abs(float(row[2]) - 1.0) < 0.05
+
     def test_no_common_gap_exits_3(self, tmp_path, capsys):
         rc = cli.main(["verify-bic", "--slope", "rational:1,2",
                        "--bplus", "2pi*1/2", "--bminus", "2pi*1/3",

@@ -208,6 +208,17 @@ class TestExactSort:
         residues = {slope.mod_one(slope.offset((n1, 0))) for n1 in r}
         assert _exact_sorted(slope, residues) == sorted(residues, key=by_compare)
 
+    @pytest.mark.parametrize("alpha", [1e308, -1e307])
+    def test_offsets_past_the_double_range(self, alpha):
+        # |alpha|*M overflows float(offset); the exact sort alone decides
+        slope = il.FloatIrrationalSlope(alpha)
+        values = {slope.offset((n1, n2)) for n1 in range(-2, 3)
+                  for n2 in range(-2, 3)}
+        by_compare = functools.cmp_to_key(slope.compare)
+        assert _exact_sorted(slope, values) == sorted(values, key=by_compare)
+        rows = il.cantor_diagnostics(slope, [20])
+        assert rows[0].pattern_count == 41 * 41 + 1
+
     def test_exact_pass_fixes_float_misorder(self):
         # x = a - b*sqrt2 for the Pell pair a^2 - 2b^2 = 1 is 1/(a + b*sqrt2),
         # about 1.2e-20, but its float cancels to 0.0, below 1e-30

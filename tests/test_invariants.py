@@ -187,6 +187,12 @@ class TestChernMomentum:
         with pytest.raises(il.GapClosed):
             il.chern_momentum(Fraction(1), gap_index=1)   # one band, no gap
 
+    @pytest.mark.parametrize("mu", [0.0, 10.0], ids=["inside", "above"])
+    def test_integer_flux_mu_has_no_gap(self, mu):
+        # the single band has no gap, so no mu lies in one
+        with pytest.raises(il.GapClosed):
+            il.chern_momentum(Fraction(0), mu=mu)
+
     @pytest.mark.parametrize("nk", [0, -3])
     def test_rejects_empty_grid(self, nk):
         # an empty grid would sum no plaquettes and report Chern 0
@@ -444,6 +450,12 @@ class TestWinding:
         w_sparse = il.winding(u, slope, 46.0)
         w_dense = il.winding(il.LatticeOperator(win, u.dense()), slope, 46.0)
         assert abs(w_sparse - w_dense) < 1e-13
+
+    def test_constant_field_shift_winds_once(self):
+        field = il.ConstantField.from_turns(THIRD)
+        win = il.SlabWindow(field.slope, 30.0, 16.0)
+        u = il.interface_shift_unitary(field, win, "minimal")
+        assert abs(il.winding(u, field.slope, 24.0) - 1.0) < 0.05
 
     def test_orientation_calibration_recorded(self):
         assert reference_orientation_sign() == TANGENTIAL_ORIENTATION
@@ -886,6 +898,16 @@ class TestBulkInterface:
         assert abs(rep.winding) < 0.05
         assert abs(rep.current) < 0.02
         assert rep.chern_plus == rep.chern_minus
+        assert rep.passed
+
+    def test_constant_field_runs_at_its_own_slope(self):
+        # at slope 0 the edge-state leak of a window with normal_half 18
+        # reaches the outer shell (NotInterfaceLocalized); 30 clears it
+        rep = il.verify_bic(il.ConstantField.from_turns(THIRD), L=8.0,
+                            normal_half=30.0, buffer=10.0)
+        assert rep.slope == repr(ZERO)
+        assert rep.chern_plus == rep.chern_minus
+        assert abs(rep.winding) < 0.05
         assert rep.passed
 
 

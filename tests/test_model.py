@@ -248,6 +248,18 @@ class TestFields:
         with pytest.raises(il.DegenerateField):
             il.IwatsukaField(self.slope, 1.0, 1.0 - 2 * np.pi)
 
+    def test_equal_values_are_the_constant_field(self):
+        exact = il.IwatsukaField.from_turns(self.slope, Fraction(1, 3),
+                                            Fraction(1, 3))
+        const = il.ConstantField.from_turns(Fraction(1, 3))
+        assert isinstance(const, il.IwatsukaField)
+        assert const.slope == il.RationalSlope(0, 1)
+        for n in [(0, 0), (0, 1), (-3, 2), (4, -5)]:
+            assert exact.value_turns(n) == const.value_turns(n) == Fraction(1, 3)
+            assert exact.value(n) == const.value(n) == 2 * np.pi / 3
+        radians = il.IwatsukaField(self.slope, 1.0, 1.0)
+        assert radians.value((0, 1)) == radians.value((0, 0)) == 1.0
+
     def test_perturbation(self):
         f = il.IwatsukaField.from_turns(self.slope, Fraction(1, 3), Fraction(2, 3),
                                         perturbation_turns={(0, 1): Fraction(1, 12)})
@@ -324,8 +336,8 @@ class TestGauge:
 
     def test_column_sums(self):
         f = il.ConstantField.from_turns(Fraction(1, 6))
-        assert np.isclose(il.vector_potential(f, (7, 3), 1), 3 * f.b)
-        assert np.isclose(il.vector_potential(f, (7, -2), 1), -2 * f.b)
+        assert np.isclose(il.vector_potential(f, (7, 3), 1), 3 * f.b_plus)
+        assert np.isclose(il.vector_potential(f, (7, -2), 1), -2 * f.b_plus)
         assert il.vector_potential(f, (7, 0), 1) == 0.0
 
     def test_landau_form_for_row_independent_fields(self):

@@ -326,6 +326,15 @@ class TestHamiltonianSpectral:
         with pytest.raises(ValueError):
             il.SpectralData.from_operator(il.magnetic_translation(field, win, 1))
 
+    def test_equal_values_at_any_slope_are_the_constant_field(self):
+        win = il.LatticeWindow(6)
+        want = il.iwatsuka_hamiltonian(
+            il.ConstantField.from_turns(Fraction(1, 3)), win).matrix
+        got = il.iwatsuka_hamiltonian(il.IwatsukaField.from_turns(
+            il.RationalSlope(1, 2), Fraction(1, 3), Fraction(1, 3)), win).matrix
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
     def test_perturbation_must_be_hermitian(self):
         win = il.LatticeWindow(3)
         v = np.zeros((win.size, win.size), dtype=complex)
