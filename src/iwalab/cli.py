@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, IwalabError, NoCommonGap
 from .hull import cantor_diagnostics, enumerate_hull
-from .invariants import (DEFAULT_BUFFER, _chern_below, _gap_midpoint,
-                         chern_realspace, slab_window, verify_bic, winding)
+from .invariants import (DEFAULT_BUFFER, chern_momentum, chern_realspace,
+                         slab_window, verify_bic, winding)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope)
@@ -252,13 +252,17 @@ def cmd_chern(cfg, t0):
         if not (_is_real(cfg["margin"]) and cfg["margin"] >= 0):
             raise ConfigError("margin must be a number >= 0")
     gap_index = cfg["gap"]
-    # one band structure decides the gap and the occupied bands, as in
-    # chern_momentum, and gives the Fermi level of the real-space projection
+    # one band structure decides the gap and the occupied bands, and gives
+    # the Fermi level of the real-space projection
     bs = band_structure(flux)
-    mu = _gap_midpoint(bs, gap_index)
-    row = [float(flux), gap_index, _chern_below(bs, mu, cfg["kgrid"])]
+    row = [float(flux), gap_index,
+           chern_momentum(bs, gap_index=gap_index, nk=cfg["kgrid"])]
     columns = ["parameter", "gap_index", "chern_momentum"]
     if cfg.get("realspace"):
+        # chern_momentum's Fermi level: the midpoint of the gap, which it
+        # found open
+        lo, hi = bs.gaps[gap_index - 1]
+        mu = 0.5 * (lo + hi)
         field = ConstantField.from_turns(flux)
         spectral = SpectralData.from_operator(
             iwatsuka_hamiltonian(field, LatticeWindow(M)))

@@ -22,11 +22,12 @@ from .errors import (EmptyGap, EmptyInterior, GapClosed, NoCommonGap,
 from .model import SlabWindow
 # gap_switch_operators is no longer called here but stays importable under
 # this module, where perfbench's tracer tests look for it
-from .operators import (LatticeOperator, Projection, SwitchFunction,
-                        _as_flux_fraction, _smoothstep, band_structure,
-                        gap_switch_operators, harper_bloch_matrix,
-                        interface_shift_unitary, iwatsuka_hamiltonian,
-                        require_hermitian, require_spectrum_beyond)
+from .operators import (BandStructure, LatticeOperator, Projection,
+                        SwitchFunction, _as_flux_fraction, _smoothstep,
+                        band_structure, gap_switch_operators,
+                        harper_bloch_matrix, interface_shift_unitary,
+                        iwatsuka_hamiltonian, require_hermitian,
+                        require_spectrum_beyond)
 
 # Tangential orientation of the interface.  The compounded sign conventions
 # (shift direction of the translations, the i[v.n, .] derivation, and the
@@ -54,6 +55,17 @@ GRAM_TOL = 5e-7
 # matrices came from factors with a relative error of 3 or more.
 INERTIA_BACKWARD_TOL = 1e-8
 
+# Threshold of the partial pivoting in the LU of H - sigma behind
+# `_lanczos_pairs`: SuperLU's symmetric mode keeps a diagonal pivot unless
+# it is below LANCZOS_PIVOT_THRESH times the largest entry of its column.
+# On the 40 bic_slab pool configurations (1637-1669 sites) it cuts the fill
+# of L + U from 66-73k nonzeros (COLAMD with full partial pivoting) to
+# 39-56k, median 42k, and one solve from 0.38 to 0.21 ms (median, 2 cores).
+# With 0 (no pivoting) the Ritz test accepted pairs with residuals up to
+# 7e-2 ||h||_1 at fluxes 1/4|3/4; with 0.01 the largest was 9e-14 ||h||_1.
+# The residual certificate of `_lanczos_pairs` checks every factor.
+LANCZOS_PIVOT_THRESH = 0.01
+
 # Acceptance tolerances of verify_bic: |winding - (Ch+ - Ch-)| and the
 # relative current cross residual.
 WINDING_TOL = 0.1
@@ -71,6 +83,7 @@ MOMENT_CHUNK = 512        # dense columns per block of `_winding_moments`
 DGKS = 0.717
 EPS = 2.0 ** -53
 RITZ_STRIDE = 8
+RESIDUAL_CHUNK = 32       # eigenvector columns per block of `_residual_norms`
 
 
 # ---------------------------------------------------------------------------
@@ -193,40 +206,35 @@ def _occupied_count(bs, mu):
 def chern_momentum(flux, gap_index=None, mu=None, nk=30):
     """Chern number of the Fermi projection below a bulk gap, by plaquette
     Berry curvature (lattice field strength) summed over the magnetic
-    Brillouin zone; exactly integer-valued for a resolved gap.
+    Brillouin zone; exactly integer-valued for a resolved gap.  The band
+    structure of the flux decides which bands lie below the Fermi level.
 
-    gap_index counts open gaps from the bottom (1-based); alternatively give
-    mu inside a gap."""
+    flux is an exact rational flux, or its `BandStructure`, which is then
+    read instead of a new one.  gap_index counts open gaps from the bottom
+    (1-based), with the Fermi level at the gap's midpoint; alternatively
+    give mu inside a gap."""
     if nk < 1:
         raise ValueError("nk must be >= 1")
-    flux = _as_flux_fraction(flux)
+    if isinstance(flux, BandStructure):
+        bs, flux = flux, flux.flux
+    else:
+        bs, flux = None, _as_flux_fraction(flux)
     if gap_index is None and mu is None:
         if flux.denominator == 1:
             return 0.0   # single trivial band; it has no gap to index
         raise ValueError("need gap_index or mu")
-    bs = band_structure(flux)
+    if bs is None:
+        bs = band_structure(flux)
     if gap_index is not None:
-        mu = _gap_midpoint(bs, gap_index)
-    return _chern_below(bs, mu, nk)
-
-
-def _gap_midpoint(bs, gap_index):
-    """Midpoint of the open gap gap_index (1-based, from the bottom) of the
-    band structure bs; GapClosed if it has no such gap."""
-    if not 1 <= gap_index <= len(bs.gaps):
-        raise GapClosed(f"flux {bs.flux} has {len(bs.gaps)} open gaps, "
-                        f"gap_index {gap_index} requested")
-    lo, hi = bs.gaps[gap_index - 1]
-    return 0.5 * (lo + hi)
-
-
-def _chern_below(bs, mu, nk=30):
-    """Plaquette Chern number of the bands below mu on an nk x nk grid; the
-    band structure bs decides which bands those are."""
+        if not 1 <= gap_index <= len(bs.gaps):
+            raise GapClosed(f"flux {bs.flux} has {len(bs.gaps)} open gaps, "
+                            f"gap_index {gap_index} requested")
+        lo, hi = bs.gaps[gap_index - 1]
+        mu = 0.5 * (lo + hi)
     r = _occupied_count(bs, mu)
     ks = 2.0 * np.pi * np.arange(nk) / nk
     w, v = np.linalg.eigh(
-        harper_bloch_matrix(bs.flux, np.meshgrid(ks, ks, indexing="ij")))
+        harper_bloch_matrix(flux, np.meshgrid(ks, ks, indexing="ij")))
     closed = (w[..., r - 1] > mu) | (w[..., r] < mu)
     if closed.any():
         i, j = np.argwhere(closed)[0]
@@ -452,14 +460,16 @@ def _count_below(hs, x):
                   options=dict(SymmetricMode=True))
     except RuntimeError:            # an exactly singular pivot
         return None
-    pivots = lu.U.diagonal()
+    L, U = lu.L, lu.U
+    pivots = U.diagonal()
     if not (np.array_equal(lu.perm_r, lu.perm_c) and pivots.all()):
         return None
-    ones, order = np.ones(n), np.arange(n)
-    p_r = sparse.csc_array((ones, (lu.perm_r, order)), shape=(n, n))
-    p_c = sparse.csc_array((ones, (order, lu.perm_c)), shape=(n, n))
-    residual = p_r @ shifted @ p_c - lu.L @ lu.U
-    if abs(residual).max() > INERTIA_BACKWARD_TOL * abs(shifted).max():
+    # P_r A P_c with P_r = P_c^T is A with rows and columns both taken in
+    # the order argsort(perm_c)
+    p = np.argsort(lu.perm_c)
+    residual = shifted[p][:, p] - L @ U
+    if (np.abs(residual.data).max(initial=0.0)
+            > INERTIA_BACKWARD_TOL * np.abs(shifted.data).max(initial=0.0)):
         return None
     return int((pivots.real < 0).sum())
 
@@ -467,14 +477,20 @@ def _count_below(hs, x):
 def _lanczos_pairs(hs, lo, hi, k):
     """The k eigenpairs of the Hermitian hs in (lo, hi], sorted, by Lanczos
     on (hs - sigma)^-1 about sigma = (lo + hi) / 2 from a fixed start
-    vector, with one pivoted LU of hs - sigma and every new vector fully
-    reorthogonalized.  The pairs stand once exactly k Ritz values lie in
-    (lo, hi] and each Ritz value theta of the inverse meets ARPACK's tol = 0
-    bound |beta_m s_mi| <= EPS |theta|.  None when more than k lie inside;
-    when fewer do, all converged, and so are the nearest Ritz values below
-    lo and above hi (the start vector misses the rest: a wrong count or a
-    degenerate level); on breakdown (an invariant subspace); or when the
-    Krylov dimension reaches N."""
+    vector, with one LU of hs - sigma and every new vector fully
+    reorthogonalized.  The LU is SuperLU's symmetric mode: a minimum-degree
+    ordering of hs^T + hs and threshold pivoting that keeps a diagonal
+    pivot unless it is below LANCZOS_PIVOT_THRESH of its column.  Candidate
+    pairs are ready once exactly k Ritz values lie in (lo, hi] and each Ritz
+    value theta of the inverse meets ARPACK's tol = 0 bound
+    |beta_m s_mi| <= EPS |theta|.  That bound holds for the inverse as the
+    factor computes it, which need not be backward stable, so the pairs
+    stand only if each (E, v) also has ||hs v - E v||_2 <= N EPS
+    ||hs - sigma||_F.  None when a pair fails that certificate; when more
+    than k Ritz values lie inside; when fewer do, all converged, and so are
+    the nearest Ritz values below lo and above hi (the start vector misses
+    the rest: a wrong count or a degenerate level); on breakdown (an
+    invariant subspace); or when the Krylov dimension reaches N."""
     # imported here, on the one path that needs it, to keep
     # scipy.sparse.linalg out of the package's import time
     from scipy.sparse.linalg import splu
@@ -483,7 +499,10 @@ def _lanczos_pairs(hs, lo, hi, k):
     if k == 0:
         return np.zeros(0), np.zeros((n, 0), complex)
     sigma = 0.5 * (lo + hi)
-    solve = splu(sparse.csc_array(hs - sigma * sparse.eye_array(n))).solve
+    shifted = sparse.csc_array(hs - sigma * sparse.eye_array(n))
+    solve = splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                 diag_pivot_thresh=LANCZOS_PIVOT_THRESH,
+                 options=dict(SymmetricMode=True)).solve
     dtype = np.result_type(hs.dtype, float)
     # a fixed start vector keeps the result byte-stable across runs
     start = np.random.default_rng(0).standard_normal(n).astype(dtype)
@@ -519,7 +538,13 @@ def _lanczos_pairs(hs, lo, hi, k):
             if done[inside].all():
                 if found == k:
                     order = np.flatnonzero(inside)[np.argsort(E[inside])]
-                    return E[order], (s[:, order].T @ q).T
+                    E, V = E[order], (s[:, order].T @ q).T
+                    # the certificate's temporaries reuse the basis memory
+                    del q, basis
+                    bound = n * EPS * np.linalg.norm(shifted.data)
+                    if _residual_norms(hs, E, V).max() > bound:
+                        return None
+                    return E, V
                 # theta ascends: the pairs inside lead and trail, so the
                 # outermost of the rest are the nearest below lo and above hi
                 first, last = np.flatnonzero(~inside)[[0, -1]]
@@ -533,17 +558,31 @@ def _lanczos_pairs(hs, lo, hi, k):
     return None
 
 
+def _residual_norms(hs, E, V):
+    """||hs v_j - E_j v_j||_2 per eigenpair, over RESIDUAL_CHUNK columns of
+    V at a time, so no N x |J| temporary is formed."""
+    out = np.empty(E.size)
+    for s in range(0, E.size, RESIDUAL_CHUNK):
+        c = slice(s, s + RESIDUAL_CHUNK)
+        r = hs @ V[:, c]
+        r -= V[:, c] * E[c]
+        out[c] = np.linalg.norm(r, axis=0)
+    return out
+
+
 def _interval_eigenpairs(h, interval):
     """Eigenpairs of h with eigenvalue in (lo, hi], sorted: the set of the
     dense evr subset solve.  The inertia counts of h - lo and h - hi raise
     EmptyGap when no eigenvalue lies below lo or every one below hi (whose
     pivots are nonzero, so none equals hi), and give the number k of pairs
     in between; k = 0 returns no pairs without a further factorization.
-    Otherwise `_lanczos_pairs` solves for them, and its pairs stand only
-    if exactly k converged Ritz values lie in (lo, hi], so the count and
-    the solve certify each other.  Without a count, the full eigenvalues
-    decide EmptyGap; then, and whenever the Lanczos run returns no pairs,
-    the dense solve answers.  lo >= hi is a ValueError."""
+    Otherwise `_lanczos_pairs` solves for them on a threshold-pivoted
+    factor, and its pairs stand only if exactly k converged Ritz values lie
+    in (lo, hi], so the count and the solve certify each other, and if
+    each pair's residual on h itself is within rounding of the factor's
+    size.  Without a count, the full eigenvalues decide EmptyGap; then,
+    and whenever the Lanczos run returns no pairs, the dense solve
+    answers.  lo >= hi is a ValueError."""
     lo, hi = interval
     if not lo < hi:
         raise ValueError("empty interval")
@@ -641,8 +680,8 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     interval = (mu - delta, mu + delta)
 
     # the band structures that chose mu also decide the occupied bands
-    ch_plus = _chern_below(bp, mu)
-    ch_minus = _chern_below(bm, mu)
+    ch_plus = chern_momentum(bp, mu=mu)
+    ch_minus = chern_momentum(bm, mu=mu)
 
     window = slab_window(slope, L, normal_half, buffer)
     # SlabExceedsWindow before assembly, which an empty window would fail

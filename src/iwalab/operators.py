@@ -190,14 +190,30 @@ def hull_projection(field, window, kind, base=(0, 0)):
 # ---------------------------------------------------------------------------
 # Bloch side
 
+# Largest flux denominator q of a Bloch construction.  The plaquette sum of
+# `chern_momentum` holds an nk x nk stack of q x q complex Bloch matrices,
+# nk^2 q^2 16 bytes (and as many again for its eigenvectors): 0.94 GB at
+# its default nk = 30 and q = 256.  A float number of turns, such as 1/3
+# read as a float, is a dyadic fraction with q up to 2^54.
+MAX_FLUX_DENOMINATOR = 256
+
+
 def _as_flux_fraction(flux):
-    if isinstance(flux, Fraction):
-        return flux
+    """The flux as an exact Fraction of a turn; IrrationalFlux if it is not
+    one, or if its denominator exceeds MAX_FLUX_DENOMINATOR."""
     if isinstance(flux, int):
-        return Fraction(flux)
-    if isinstance(flux, tuple) and len(flux) == 2:
-        return Fraction(flux[0], flux[1])
-    raise IrrationalFlux(f"flux {flux!r} is not an exact rational multiple of 2*pi")
+        flux = Fraction(flux)
+    elif isinstance(flux, tuple) and len(flux) == 2:
+        flux = Fraction(flux[0], flux[1])
+    elif not isinstance(flux, Fraction):
+        raise IrrationalFlux(
+            f"flux {flux!r} is not an exact rational multiple of 2*pi")
+    if flux.denominator > MAX_FLUX_DENOMINATOR:
+        raise IrrationalFlux(
+            f"flux {flux} has denominator {flux.denominator} > "
+            f"{MAX_FLUX_DENOMINATOR}, too large for a Bloch construction (a "
+            "float number of turns has a power of 2 up to 2^54 for one)")
+    return flux
 
 
 def harper_bloch_matrix(flux, k):

@@ -233,6 +233,34 @@ class TestChernMomentum:
         with pytest.raises(il.IrrationalFlux):
             il.common_gaps(0.333, TWO_THIRDS)
 
+    def test_band_structure_argument(self, monkeypatch):
+        # a BandStructure stands for its flux and is read, not rebuilt
+        bs = il.band_structure(Fraction(2, 5))
+        want = [il.chern_momentum(Fraction(2, 5), gap_index=g) for g in (1, 2)]
+        monkeypatch.setattr(invariants, "band_structure", None)
+        assert [il.chern_momentum(bs, gap_index=g) for g in (1, 2)] == want
+        assert il.chern_momentum(bs, mu=bs.gaps[0][1] - 1e-3) == want[0]
+
+    def test_float_turns_raise_before_any_bloch_matrix(self, monkeypatch):
+        # from_turns(1/3) as a float stores the dyadic p / 2**54, whose Bloch
+        # stack numpy would be asked to allocate (128 PiB for np.arange)
+        def refused(*args, **kwargs):
+            raise AssertionError("a Bloch matrix was started")
+
+        monkeypatch.setattr(operators, "harper_bloch_matrix", refused)
+        monkeypatch.setattr(invariants, "harper_bloch_matrix", refused)
+        field = il.IwatsukaField.from_turns(HALF, 1 / 3, 2 / 3)
+        assert field.b_plus_turns.denominator == 2 ** 54
+        with pytest.raises(il.IrrationalFlux):
+            il.verify_bic(field)
+        q = operators.MAX_FLUX_DENOMINATOR
+        for flux in (Fraction(1, q + 1), (1, q + 1)):
+            with pytest.raises(il.IrrationalFlux):
+                il.chern_momentum(flux, gap_index=1)
+            with pytest.raises(il.IrrationalFlux):
+                il.band_structure(flux)
+        assert operators._as_flux_fraction((2, 2 * q)) == Fraction(1, q)
+
     def test_conjugate_flux_antisymmetry(self):
         # complex conjugation maps flux p/q to (q-p)/q and flips the Chern
         for p, q in ((1, 3), (1, 5), (2, 5)):
@@ -777,10 +805,13 @@ class TestIntervalEigenpairs:
         counts = spy(monkeypatch, scipy.sparse.linalg, "splu")
         rep = il.verify_bic(field, **self.SIZE)
         # the sparse solve was certified: two inertia counts decide the gap
-        # and |J|, one shift-invert Lanczos run on a pivoted LU finds the
-        # pairs
+        # and |J|, one shift-invert Lanczos run on a symmetric-mode,
+        # threshold-pivoted LU finds the pairs
         assert calls == [] and full == [] and arpack == [[], []]
-        assert len(counts) == 3 and "diag_pivot_thresh" not in counts[2]
+        assert len(counts) == 3
+        assert counts[2]["options"] == dict(SymmetricMode=True)
+        assert (counts[2]["diag_pivot_thresh"]
+                == invariants.LANCZOS_PIVOT_THRESH)
         L, ramp = self.SIZE["L"], invariants.DEFAULT_RAMP
         win = il.SlabWindow(slope, L / 2 + ramp + self.SIZE["buffer"],
                             self.SIZE["normal_half"])
@@ -799,6 +830,41 @@ class TestIntervalEigenpairs:
         assert abs(got.current - want.current) < 1e-12
         assert abs(got.cross_residual - want.cross_residual) < 1e-12
         assert rep.winding == got.winding_gap_unitary
+
+    def test_residual_certificate_rejects_unpivoted_factor(self,
+                                                           monkeypatch):
+        # at the bic_slab size, with the shift-invert factor unpivoted, the
+        # Ritz test (which checks the inverse only as the factor computes
+        # it) converges to pairs with residual 6.9e-2 ||h||_1; the residual
+        # certificate on h turns them away and the dense solve answers.
+        # The inertia counts already factor unpivoted and do not change
+        size = dict(L=12.0, normal_half=18.0, buffer=9.0)
+        field = il.IwatsukaField.from_turns(
+            GOLDEN, Fraction(1, 4), Fraction(3, 4),
+            perturbation_turns=PERTURBATION)
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "splu",
+            lambda *a, **kw: splu(*a, **{**kw, "diag_pivot_thresh": 0.0}))
+        returned = {}
+        for name in ("_residual_norms", "_lanczos_pairs",
+                     "_interval_eigenpairs"):
+            def recorded(*args, name=name, original=getattr(invariants, name)):
+                returned[name] = original(*args)
+                return returned[name]
+            monkeypatch.setattr(invariants, name, recorded)
+        calls = spy(monkeypatch, invariants, "eigh")
+        rep = il.verify_bic(field, **size)
+        assert rep.passed and len(calls) == 1
+        assert returned["_lanczos_pairs"] is None
+        h = il.iwatsuka_hamiltonian(field,
+                                    invariants.slab_window(GOLDEN, **size))
+        h_norm1 = abs(h.matrix).sum(axis=0).max()
+        assert returned["_residual_norms"].max() > 1e-2 * h_norm1
+        E, V = returned["_interval_eigenpairs"]
+        Ed, Vd = dense_interval_eigenpairs(h, rep.delta)
+        assert E.size == Ed.size > 0
+        assert np.abs(E - Ed).max() < 1e-12 and np.abs(V - Vd).max() < 1e-12
 
     def test_inertia_counts(self, small_slab):
         h, (lo, hi) = small_slab
