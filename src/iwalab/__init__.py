@@ -15,9 +15,8 @@ from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     QuadraticIrrationalSlope, RationalSlope, SlabWindow,
                     SqrtExpr, circulation, flux_phase,
                     offset_sign, offset_value, vector_potential, zero_field)
-from .hull import (HullPoint, MeasureWeights, Pattern, cantor_diagnostics,
-                   enumerate_hull, hull_metric, interface_measure,
-                   offset_coordinate, point_pattern, shift_point)
+from .hull import (HullPoint, Pattern, cantor_diagnostics, enumerate_hull,
+                   hull_metric, offset_coordinate, point_pattern, shift_point)
 from .operators import (BandStructure, LatticeOperator, Projection,
                         SpectralData, SwitchFunction, band_structure,
                         bloch_spectrum, fermi_projection, flux_operator,

@@ -71,7 +71,7 @@ def parse_slope(spec):
                 return PlusInfinity
             if t == "-inf":
                 return MinusInfinity
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad slope object {spec!r}: {exc}") from exc
         raise ConfigError(f"unknown slope type {t!r}")
     text = str(spec).strip()

@@ -1,6 +1,7 @@
 """The magnetic hull as a two-letter subshift: symbolic hull points,
 pattern windows, the shift action, the offset (pi) map, the pattern metric,
-finite-resolution enumeration, and the invariant measures.
+finite-resolution enumeration, and the finite-resolution diagnostics of
+the discrete/Cantor dichotomy.
 
 Hull points are never stored as infinite patterns.  A point is either one
 of the two constant configurations or a threshold description (offset x,
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .model import QuadraticIrrationalSlope
 
 
 @dataclass(frozen=True)
@@ -200,130 +203,68 @@ def enumerate_hull(slope, M, with_points=False):
     return {pat: [a, b] for pat, a, b in zip(patterns, opens, closes)}
 
 
-def _least(slope, xs):
-    """First least element of xs in the slope's exact order."""
-    return min(xs, key=functools.cmp_to_key(slope.compare))
-
-
-def _offset_below(slope, delta):
-    """Exact decision of whether a lattice offset lies in (0, delta), for
-    0 < delta <= 1.  Rational offsets form (1/q)Z (Z at the infinite
-    slopes).  Otherwise Euclid's algorithm on 1 and {alpha}, each remainder
-    held as the site of its offset, walks the remainders ||q_k alpha|| of
-    the convergent denominators q_k: no column below q_(k+1) comes closer
-    to Z, and they halve every two steps (to 0 only for a float slope,
-    whose value is a dyadic rational), so the walk takes O(log 1/delta)
-    steps."""
-    if slope.is_rational:
-        return Fraction(1, slope.q if slope.is_finite else 1) < delta
-
-    def fits(k):   # a - k*b >= 0
-        return slope.offset_sign((a[0] - k * b[0], a[1] - k * b[1])) >= 0
-
-    a, b = (0, 1), (-1, -slope.floor(slope.offset((-1, 0))))   # 1 and {alpha}
-    while slope.offset_sign(b) > 0:
-        if slope.compare(slope.offset(b), delta) < 0:
-            return True
-        k = 1   # the quotient, the largest k that fits: doubling, bisection
-        while fits(2 * k):
-            k *= 2
-        for j in reversed(range(k.bit_length() - 1)):
-            if fits(k + 2**j):
-                k += 2**j
-        a, b = b, (a[0] - k * b[0], a[1] - k * b[1])
-    return False
-
-
 @dataclass(frozen=True)
 class DiagnosticsRow:
     M: int
     pattern_count: int
-    min_gap: float
     min_gap_exact: object
     non_isolated: bool
+
+    @property
+    def min_gap(self):
+        return float(self.min_gap_exact)
+
+
+def _circle_gap(slope, M):
+    """Least positive circle distance ||d*alpha|| over the column
+    differences d = 1..2M, and 1 when there is none.  Two window residues
+    differ by the residue of their column difference, and the least gap
+    between neighbouring residues on the circle is the least distance of
+    any two of them."""
+    gap = 1
+    for d in range(1, 2 * M + 1):
+        r = slope.mod_one(slope.offset((d, 0)))
+        if slope.compare(r, 1 - r) > 0:
+            r = 1 - r
+        if slope.compare(r, 0) > 0 and slope.compare(r, gap) < 0:
+            gap = r
+    return gap
 
 
 def cantor_diagnostics(slope, M_list):
     """Finite-resolution topology table: per window radius M, the number of
-    distinct hull patterns, the minimal positive gap of the window offsets
+    distinct hull patterns, the least positive gap of the window offsets
     taken modulo one (the three-distance regime; plain line gaps stall
     between continued-fraction denominators), and whether every pattern is
-    non-isolated.
+    non-isolated.  Each number is read from its definition in O(M) exact
+    operations; no offset is sorted and no pattern is built.
 
-    The patterns are the K + 1 cuts of the K sorted distinct window
-    offsets (see enumerate_hull), so pattern_count is K + 1 and no pattern
-    is built.  An offset's value mod 1 does not depend on n2, so the circle
-    residues come from the 2M + 1 columns n1 = -M..M alone.
+    The patterns are the K + 1 cuts of the K distinct window offsets (see
+    enumerate_hull).  With n = 2M + 1, the offsets -(p/q)n1 + n2 of a
+    fraction-class slope (rational or float) coincide along chains in the
+    direction (q, p), so K = n^2 - max(0, n - q)*max(0, n - |p|); the
+    infinite slopes give the n integers -/+n1, and a quadratic irrational
+    gives n^2 distinct offsets.  An offset's value mod 1 does not depend on
+    n2, so the circle gap comes from the columns alone (_circle_gap).
 
     A pattern is non-isolated when the open interval of thresholds
     producing it holds a further lattice offset, so that two hull points
-    share it.  Offsets form a group, so every interval between consecutive
-    window offsets holds one exactly when a lattice offset lies in
-    (0, delta), delta the least such interval: an exact decision for every
-    slope class (see _offset_below)."""
+    share it.  A quadratic slope's offsets are dense, so it always is.  A
+    fraction-class slope's offsets are (1/q)Z, so it is exactly when no two
+    window offsets lie 1/q apart: no column difference (d1, d2) in
+    [-2M, 2M]^2 solves -p*d1 + q*d2 = 1.  The integer offsets of the
+    infinite slopes are 1 apart once M >= 1."""
     rows = []
     for M in M_list:
-        values = _sorted_distinct_offsets(slope, M)
-        # minimal positive gap on the offset circle (mod 1)
-        residues = _exact_sorted(slope, {slope.mod_one(slope.offset((n1, 0)))
-                                         for n1 in range(-M, M + 1)})
-        gaps = [b - a for a, b in zip(residues, residues[1:])]
-        gap_exact = _least(slope, gaps + [1 - residues[-1] + residues[0]]) if gaps else 1
-        non_iso = len(values) < 2 or _offset_below(
-            slope, _least(slope, [b - a for a, b in zip(values, values[1:])]))
-        rows.append(DiagnosticsRow(M, len(values) + 1, float(gap_exact), gap_exact,
-                                   non_iso))
-    return rows
-
-
-@dataclass(frozen=True)
-class MeasureWeights:
-    """Weights realizing one of the three invariant measures at desk scale.
-
-    kind "bulk_plus"/"bulk_minus": unit mass on the constant point.
-    kind "interface", rational slope: the constant weight per transversal
-    point, 1/sqrt(p^2+q^2) (1 at the infinite slopes).
-    kind "interface", irrational slope: per sorted window offset, the length
-    of the gap interval it owns (Lebesgue pushforward), rescaled to the
-    chosen normalization."""
-
-    kind: str
-    convention: str = "tangential"
-    point_mass: float = None
-    weight_per_point: float = None
-    offsets: tuple = None
-    weights: tuple = None
-
-
-def interface_measure(slope, kind="interface", M=None, convention="tangential"):
-    """Measure data for the bulk or interface invariant measures.
-
-    convention "tangential" is trace mass per unit Euclidean length along
-    the interface (reproduces the rational constant exactly); convention
-    "offset-lebesgue" is Lebesgue in the offset coordinate normalized by
-    unit offset intervals, which differs by the factor sqrt(1 + alpha^2)."""
-    if kind in ("bulk_plus", "bulk_minus"):
-        return MeasureWeights(kind=kind, point_mass=1.0)
-    if kind != "interface":
-        raise ValueError(f"unknown measure kind {kind!r}")
-    if slope.is_rational:
-        if slope.is_finite:
-            c = 1.0 / math.hypot(slope.p, slope.q)
+        n = 2 * M + 1
+        if not slope.is_finite:
+            K, non_iso = n, M == 0
+        elif isinstance(slope, QuadraticIrrationalSlope):
+            K, non_iso = n * n, True
         else:
-            c = 1.0
-        return MeasureWeights(kind=kind, convention=convention, weight_per_point=c)
-    if M is None:
-        raise ValueError("irrational interface measure needs a window radius M")
-    values = _sorted_distinct_offsets(slope, M)
-    gaps = [float(values[j + 1] - values[j]) for j in range(len(values) - 1)]
-    gaps.append(gaps[-1] if gaps else 1.0)   # the last point owns a nominal gap
-    if convention == "tangential":
-        al = slope.as_float()
-        scale = 1.0 / math.sqrt(1.0 + al * al)
-    elif convention == "offset-lebesgue":
-        scale = 1.0
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return MeasureWeights(kind=kind, convention=convention,
-                          offsets=tuple(float(v) for v in values),
-                          weights=tuple(g * scale for g in gaps))
+            p, q = slope.p, slope.q
+            K = n * n - max(0, n - q) * max(0, n - abs(p))
+            non_iso = not any((1 + p * d1) % q == 0 and abs(1 + p * d1) <= 2 * M * q
+                              for d1 in range(-2 * M, 2 * M + 1))
+        rows.append(DiagnosticsRow(M, K + 1, _circle_gap(slope, M), non_iso))
+    return rows

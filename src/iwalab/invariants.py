@@ -171,23 +171,14 @@ def _slab_trace(diag, geom, what):
     return (geom.weights * diag).sum() / geom.norm
 
 
-def trace_interface(op, slope, L, convention="tangential"):
+def trace_interface(op, slope, L):
     """Trace per unit interface length: tapered slab average of the diagonal
     over |v.n| <~ L/2, restricted to the inner normal region of
-    `slab_geometry`, after the shell-mass check.  Convention
-    "tangential" is mass per unit Euclidean tangential length (reproduces
-    the rational transversal constant 1/sqrt(p^2+q^2)); convention
-    "offset-lebesgue" rescales by sqrt(1 + alpha^2)."""
+    `slab_geometry`, after the shell-mass check.  It is mass per unit
+    Euclidean tangential length, so it reproduces the rational transversal
+    constant 1/sqrt(p^2+q^2)."""
     geom = slab_geometry(op.window, slope, L)
-    val = complex(_slab_trace(op.diagonal(), geom, "trace_interface"))
-    if convention == "tangential":
-        return val
-    if convention == "offset-lebesgue":
-        al = slope.as_float()
-        if math.isinf(al):
-            return val
-        return val * math.sqrt(1.0 + al * al)
-    raise ValueError(f"unknown convention {convention!r}")
+    return complex(_slab_trace(op.diagonal(), geom, "trace_interface"))
 
 
 # ---------------------------------------------------------------------------

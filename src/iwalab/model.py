@@ -131,7 +131,19 @@ class SqrtExpr:
         return hash((self.a, self.b, self.c, self.d))
 
     def __float__(self):
-        return (self.a + self.b * math.sqrt(self.d)) / self.c
+        try:
+            x = (self.a + self.b * math.sqrt(self.d)) / self.c
+            if math.isfinite(x):
+                return x
+        except OverflowError:      # a, b, c or sqrt(d) past the double range
+            pass
+        # from integers: |a + b*sqrt(d)| >= 1/(|a| + |b|*sqrt(d)) when b != 0,
+        # so 2^k times it, with b*sqrt(d)*2^k floored by isqrt, carries more
+        # than 64 exact bits and one integer division rounds it
+        k = 68 + max(abs(self.a).bit_length(),
+                     abs(self.b).bit_length() + self.d.bit_length())
+        root = math.isqrt(self.b * self.b * self.d << 2 * k)
+        return ((self.a << k) + (root if self.b >= 0 else -root)) / (self.c << k)
 
     def __floor__(self):
         # bracket b*sqrt(d) between consecutive integers, then fix up exactly

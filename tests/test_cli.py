@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import iwalab as il
 from iwalab import cli, invariants, operators
+from test_hull import sorted_diagnostics
 
 
 class TestParsing:
@@ -325,9 +330,10 @@ class TestCommands:
     @pytest.mark.parametrize("argv,code", [
         (["conductance", "--bplus", "2pi*1/3", "--bminus", "2pi*1/3"], 0),
         (["hull", "--slope", "float:1e308", "--Mmax", "2"], 0),
+        (["hull", "--slope", f"quadratic:0,1,1,{10**400 + 1}", "--Mmax", "1"], 0),
         (["conductance", "--bminus", "2pi*4/3"], 3),
         (["chern", "--kgrid", "0"], 2)],
-        ids=["conductance-constant", "hull-float-1e308",
+        ids=["conductance-constant", "hull-float-1e308", "hull-quadratic-huge-d",
              "conductance-degenerate", "chern-kgrid0"])
     def test_exit_codes_without_traceback(self, tmp_path, argv, code):
         done = subprocess.run(
@@ -347,3 +353,41 @@ class TestCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NoCommonGap"
         assert err["gaps_plus"] == []
+
+
+HUGE = 10**400
+_INTS = st.one_of(st.integers(-12, 12), st.sampled_from([HUGE, -HUGE, 2**64]))
+_RADICANDS = st.one_of(st.sampled_from([2, 3, 5, HUGE + 1]), _INTS)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_SLOPES = st.one_of(
+    st.builds("rational:{},{}".format, _INTS, _INTS),
+    st.builds("quadratic:{},{},{},{}".format, _INTS, _INTS, _INTS, _RADICANDS),
+    _FLOATS.map("float:{!r}".format),
+    st.sampled_from(["+inf", "-inf", "inf"]),
+    st.builds(lambda p, q: {"type": "rational", "p": p, "q": q}, _INTS, _INTS),
+    st.builds(lambda a, b, c, d: {"type": "quadratic", "a": a, "b": b, "c": c, "d": d},
+              _INTS, _INTS, _INTS, _RADICANDS),
+    st.one_of(_FLOATS, _INTS, st.none(), st.just("x")).map(
+        lambda v: {"type": "float", "value": v}),
+    st.sampled_from([{"type": "+inf"}, {"type": "-inf"}, {"type": "nope"}, {}]))
+
+
+class TestHullFuzz:
+    @given(slope=_SLOPES, M_list=st.lists(st.integers(0, 30), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_hull_exits_typed_and_matches_sorted_reference(self, slope, M_list):
+        # every slope the CLI grammar admits, valid or not, ends in a typed
+        # exit, and a run's rows are the sorted reference's
+        with tempfile.TemporaryDirectory() as out:
+            cfg = Path(out) / "cfg.json"
+            cfg.write_text(json.dumps({"slope": slope, "M_list": M_list}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["hull", "--config", str(cfg), "--out", out])
+            assert rc in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if rc == 0:
+                want = [",".join(cli._fmt(x) for x in (M, count, float(gap), non_iso))
+                        for M, count, gap, non_iso in
+                        sorted_diagnostics(cli.parse_slope(slope), M_list)]
+                assert payload_lines(Path(out) / "hull.csv")[1:] == want

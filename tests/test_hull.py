@@ -230,7 +230,79 @@ class TestExactSort:
         assert _exact_sorted(SQRT2, {x, tiny, -tiny}) == [-tiny, tiny, x]
 
 
+def _least(slope, xs):
+    """First least element of xs in the slope's exact order."""
+    return min(xs, key=functools.cmp_to_key(slope.compare))
+
+
+def _offset_below(slope, delta):
+    """Exact decision of whether a lattice offset lies in (0, delta), for
+    0 < delta <= 1.  Rational offsets form (1/q)Z (Z at the infinite
+    slopes).  Otherwise Euclid's algorithm on 1 and {alpha}, each remainder
+    held as the site of its offset, walks the remainders ||q_k alpha|| of
+    the convergent denominators q_k: no column below q_(k+1) comes closer
+    to Z, and they halve every two steps (to 0 only for a float slope,
+    whose value is a dyadic rational), so the walk takes O(log 1/delta)
+    steps."""
+    if slope.is_rational:
+        return Fraction(1, slope.q if slope.is_finite else 1) < delta
+
+    def fits(k):   # a - k*b >= 0
+        return slope.offset_sign((a[0] - k * b[0], a[1] - k * b[1])) >= 0
+
+    a, b = (0, 1), (-1, -slope.floor(slope.offset((-1, 0))))   # 1 and {alpha}
+    while slope.offset_sign(b) > 0:
+        if slope.compare(slope.offset(b), delta) < 0:
+            return True
+        k = 1   # the quotient, the largest k that fits: doubling, bisection
+        while fits(2 * k):
+            k *= 2
+        for j in reversed(range(k.bit_length() - 1)):
+            if fits(k + 2**j):
+                k += 2**j
+        a, b = b, (a[0] - k * b[0], a[1] - k * b[1])
+    return False
+
+
+def sorted_diagnostics(slope, M_list):
+    """Reference for cantor_diagnostics from the exactly sorted window
+    offsets, as rows (M, pattern_count, min_gap_exact, non_isolated): the
+    K sorted distinct offsets give K + 1 patterns, the sorted column
+    residues give the least circle gap, and non-isolation is a lattice
+    offset in (0, delta), delta the least interval between consecutive
+    offsets, found by a continued-fraction walk (_offset_below)."""
+    rows = []
+    for M in M_list:
+        values = _sorted_distinct_offsets(slope, M)
+        residues = _exact_sorted(slope, {slope.mod_one(slope.offset((n1, 0)))
+                                         for n1 in range(-M, M + 1)})
+        gaps = [b - a for a, b in zip(residues, residues[1:])]
+        gap_exact = _least(slope, gaps + [1 - residues[-1] + residues[0]]) if gaps else 1
+        non_iso = len(values) < 2 or _offset_below(
+            slope, _least(slope, [b - a for a, b in zip(values, values[1:])]))
+        rows.append((M, len(values) + 1, gap_exact, non_iso))
+    return rows
+
+
+ORACLE_FLOATS = [il.FloatIrrationalSlope(x) for x in
+                 (math.sqrt(2), -math.sqrt(3), 0.5, 1e-9, 2.0**-60, 1e308,
+                  -1e307, 3.0)]
+ORACLE_SLOPES = (RATIONALS + [il.PlusInfinity, il.MinusInfinity] + QUADRATICS
+                 + NEAR_RATIONAL + CLOSE_TO_SMALL_DENOMINATOR + ORACLE_FLOATS)
+
+
 class TestDiagnostics:
+    @pytest.mark.parametrize("slope", ORACLE_SLOPES, ids=repr)
+    def test_matches_sorted_reference(self, slope):
+        # field for field, with the exact gap's representation and its
+        # double's bits
+        Ms = list(range(0, 11)) + [20]
+        got = [(r.M, r.pattern_count, repr(r.min_gap_exact), r.min_gap.hex(),
+                r.non_isolated) for r in il.cantor_diagnostics(slope, Ms)]
+        want = [(M, count, repr(gap), float(gap).hex(), non_iso)
+                for M, count, gap, non_iso in sorted_diagnostics(slope, Ms)]
+        assert got == want
+
     def test_rational_half(self):
         rows = il.cantor_diagnostics(HALF, range(1, 11))
         for r in rows:
@@ -329,13 +401,9 @@ class TestNonIsolated:
     @pytest.mark.parametrize("slope,M", [
         *[(s, M) for s in NEAR_RATIONAL + QUADRATICS[:4] for M in (1, 2, 4, 8)],
         *[(s, 10) for s in CLOSE_TO_SMALL_DENOMINATOR]], ids=str)
-    def test_witness_walk_is_logarithmic(self, slope, M, monkeypatch):
-        # each Euclid step takes 2*log2(a_k) + 2 offset signs for its
-        # quotient a_k and one compare; the quotients multiply to at most
-        # 1/delta and the remainders halve every two steps, so the walk
-        # decides at most 8*log2(1/delta) + 8 signs
-        values = _sorted_distinct_offsets(slope, M)
-        delta = hull._least(slope, [b - a for a, b in zip(values, values[1:])])
+    def test_exact_decisions_linear_in_M(self, slope, M, monkeypatch):
+        # the row reads its circle gap from the 2M column differences, with
+        # three exact comparisons each, and decides nothing per window site
         calls = []
         for name in ("offset_sign", "compare"):
             method = getattr(type(slope), name)
@@ -345,9 +413,9 @@ class TestNonIsolated:
                 return method(slope, *args)
 
             monkeypatch.setattr(slope, name, spy)
-        assert hull._offset_below(slope, delta)
+        il.cantor_diagnostics(slope, [M])
         monkeypatch.undo()
-        assert len(calls) <= 8 * math.log2(1 / float(delta)) + 8
+        assert 0 < len(calls) <= 3 * (2 * M)
 
     @pytest.mark.parametrize("slope", CLOSE_TO_SMALL_DENOMINATOR, ids=repr)
     def test_close_to_small_denominator_finishes(self, slope):
@@ -365,27 +433,3 @@ class TestNonIsolated:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, old)
         assert [r.non_isolated for r in rows] == [True, True]
-
-
-class TestMeasures:
-    def test_bulk_measures(self):
-        w = il.interface_measure(HALF, kind="bulk_plus")
-        assert w.point_mass == 1.0
-
-    def test_rational_constant(self):
-        w = il.interface_measure(HALF)
-        assert math.isclose(w.weight_per_point, 1 / math.sqrt(5))
-        w = il.interface_measure(il.RationalSlope(2, 3))
-        assert math.isclose(w.weight_per_point, 1 / math.sqrt(13))
-        assert il.interface_measure(il.PlusInfinity).weight_per_point == 1.0
-
-    def test_irrational_pushforward(self):
-        # gap weights push forward to Lebesgue: unit offset interval carries
-        # total weight 1/sqrt(1 + alpha^2) in the tangential convention
-        M = 12
-        w = il.interface_measure(SQRT2, M=M)
-        total = sum(wt for off, wt in zip(w.offsets, w.weights) if 0 <= off < 1)
-        assert math.isclose(total, 1 / math.sqrt(3), rel_tol=0.1)
-        w2 = il.interface_measure(SQRT2, M=M, convention="offset-lebesgue")
-        assert math.isclose(sum(w2.weights) / sum(w.weights), math.sqrt(3),
-                            rel_tol=1e-9)

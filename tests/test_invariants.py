@@ -126,9 +126,6 @@ class TestTraceInterface:
         p = strip_projection(field, win, "minimal")
         val = il.trace_interface(p, HALF, 40.0).real
         assert abs(val - 1 / math.sqrt(5)) < 0.02
-        lebesgue = il.trace_interface(p, HALF, 40.0,
-                                      convention="offset-lebesgue").real
-        assert math.isclose(lebesgue, val * math.sqrt(1.25), rel_tol=1e-12)
 
     def test_guards(self):
         win = il.SlabWindow(HALF, 38.0, 14.0)

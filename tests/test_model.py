@@ -161,6 +161,16 @@ class TestSlopes:
         assert x - Fraction(3, 2) < 0
         assert hash(SqrtExpr(2, 0, 2, 2)) == hash(Fraction(1))
 
+    @pytest.mark.parametrize("a,b,c,d,want", [
+        (-10**200, 1, 1, 10**400 + 1, 5e-201),      # sqrt(d) past the double range
+        (10**200, -1, 1, 10**400 + 1, -5e-201),
+        (-10**400, 10**200, 1, 10**400 + 1, 0.5),   # a past it
+        (0, 10**200, 10**100 + 1, 10**300 + 1, 1e250),   # b*sqrt(d) past it
+        (3, -2, 1, 2, 3 - 2 * math.sqrt(2))])
+    def test_sqrt_expr_float_past_the_double_range(self, a, b, c, d, want):
+        # each value lies well inside the double range, a, b or sqrt(d) not
+        assert math.isclose(float(SqrtExpr(a, b, c, d)), want, rel_tol=1e-15)
+
     def test_float_slope_basics(self):
         s = il.FloatIrrationalSlope(0.5)
         assert s.offset_sign((2, 1)) == 0      # exactly representable
