@@ -6,15 +6,15 @@ two-letter subshift (hull), finite-volume operator realizations
 bulk-interface correspondence verifier (invariants).
 """
 
-from .errors import (ConfigError, DegenerateField, EmptyGap, EmptyInterior,
-                     GapClosed, IrrationalFlux, IrrationalSlope, IwalabError,
-                     NoCommonGap, NonHermitianPerturbation,
+from .errors import (ChernMismatch, ConfigError, DegenerateField, EmptyGap,
+                     EmptyInterior, GapClosed, IrrationalFlux, IrrationalSlope,
+                     IwalabError, NoCommonGap, NonHermitianPerturbation,
                      NotInterfaceLocalized, NotProjection, SlabExceedsWindow)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope, SlabWindow,
-                    SqrtExpr, circulation, flux_phase,
-                    offset_sign, offset_value, vector_potential, zero_field)
+                    SqrtExpr, circulation, flux_phase, vector_potential,
+                    zero_field)
 from .hull import (HullPoint, Pattern, cantor_diagnostics, enumerate_hull,
                    hull_metric, offset_coordinate, point_pattern, shift_point)
 from .operators import (BandStructure, LatticeOperator, Projection,
@@ -26,7 +26,7 @@ from .operators import (BandStructure, LatticeOperator, Projection,
                         strip_projection, translation_by)
 from .invariants import (CurrentReport, InvariantReport,
                          TANGENTIAL_ORIENTATION, chern_momentum,
-                         chern_realspace, common_gaps, derivation,
+                         chern_realspace, chern_tknn, common_gaps, derivation,
                          interface_current, trace_bulk, trace_interface,
                          verify_bic, winding)
 

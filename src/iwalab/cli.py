@@ -116,11 +116,6 @@ def parse_perturbation(entries):
     return out
 
 
-def build_field(slope, plus_turns, minus_turns, perturbation=None):
-    return IwatsukaField.from_turns(slope, plus_turns, minus_turns,
-                                    perturbation=perturbation)
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -206,8 +201,9 @@ def _require_positive(*values):
 
 def cmd_spectrum(cfg, t0):
     slope = parse_slope(cfg["slope"])
-    field = build_field(slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
-                        parse_perturbation(cfg.get("perturbation")))
+    field = IwatsukaField.from_turns(
+        slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
+        perturbation=parse_perturbation(cfg.get("perturbation")))
     M = _window_M(cfg)
     window = LatticeWindow(M)
     eigenvalues = hermitian_eigenvalues(iwatsuka_hamiltonian(field, window))
@@ -252,16 +248,13 @@ def cmd_chern(cfg, t0):
         if not (_is_real(cfg["margin"]) and cfg["margin"] >= 0):
             raise ConfigError("margin must be a number >= 0")
     gap_index = cfg["gap"]
-    # one band structure decides the gap and the occupied bands, and gives
-    # the Fermi level of the real-space projection
-    bs = band_structure(flux)
     row = [float(flux), gap_index,
-           chern_momentum(bs, gap_index=gap_index, nk=cfg["kgrid"])]
+           chern_momentum(flux, gap_index=gap_index, nk=cfg["kgrid"])]
     columns = ["parameter", "gap_index", "chern_momentum"]
     if cfg.get("realspace"):
         # chern_momentum's Fermi level: the midpoint of the gap, which it
         # found open
-        lo, hi = bs.gaps[gap_index - 1]
+        lo, hi = band_structure(flux).gaps[gap_index - 1]
         mu = 0.5 * (lo + hi)
         field = ConstantField.from_turns(flux)
         spectral = SpectralData.from_operator(
@@ -276,8 +269,9 @@ def cmd_chern(cfg, t0):
 
 def cmd_conductance(cfg, t0):
     slope = parse_slope(cfg["slope"])
-    field = build_field(slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
-                        parse_perturbation(cfg.get("perturbation")))
+    field = IwatsukaField.from_turns(
+        slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
+        perturbation=parse_perturbation(cfg.get("perturbation")))
     variant = cfg["variant"]
     if variant not in ("minimal", "wide"):
         raise ConfigError("variant must be 'minimal' or 'wide'")
@@ -297,8 +291,9 @@ def cmd_conductance(cfg, t0):
 
 def cmd_verify_bic(cfg, t0):
     slope = parse_slope(cfg["slope"])
-    field = build_field(slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
-                        parse_perturbation(cfg.get("perturbation")))
+    field = IwatsukaField.from_turns(
+        slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
+        perturbation=parse_perturbation(cfg.get("perturbation")))
     _require_positive(cfg["L"], cfg["normal_half"])
     if not ((cfg["mu"] is None or _is_real(cfg["mu"])) and _is_real(cfg["buffer"])):
         raise ConfigError("mu must be null or a finite number, buffer a finite number")

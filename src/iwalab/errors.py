@@ -35,6 +35,12 @@ class GapClosed(IwalabError):
     crosses it), so the Fermi projection is not gapped."""
 
 
+class ChernMismatch(IwalabError):
+    """The plaquette sum of a momentum Chern number rounds to another
+    integer than the TKNN Diophantine equation gives: the k-grid is too
+    coarse to resolve the Berry curvature."""
+
+
 class NotProjection(IwalabError):
     """An operator expected to be an orthogonal projection is not one to
     the required tolerance."""

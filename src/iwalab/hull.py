@@ -241,30 +241,30 @@ def cantor_diagnostics(slope, M_list):
 
     The patterns are the K + 1 cuts of the K distinct window offsets (see
     enumerate_hull).  With n = 2M + 1, the offsets -(p/q)n1 + n2 of a
-    fraction-class slope (rational or float) coincide along chains in the
-    direction (q, p), so K = n^2 - max(0, n - q)*max(0, n - |p|); the
-    infinite slopes give the n integers -/+n1, and a quadratic irrational
-    gives n^2 distinct offsets.  An offset's value mod 1 does not depend on
-    n2, so the circle gap comes from the columns alone (_circle_gap).
+    fraction-class slope (rational, float, or the vertical +/-1/0) coincide
+    along chains in the direction (q, p), so
+    K = n^2 - max(0, n - q)*max(0, n - |p|), which is n at q = 0; a
+    quadratic irrational gives n^2 distinct offsets.  An offset's value
+    mod 1 does not depend on n2, so the circle gap comes from the columns
+    alone (_circle_gap).
 
     A pattern is non-isolated when the open interval of thresholds
     producing it holds a further lattice offset, so that two hull points
     share it.  A quadratic slope's offsets are dense, so it always is.  A
     fraction-class slope's offsets are (1/q)Z, so it is exactly when no two
-    window offsets lie 1/q apart: no column difference (d1, d2) in
-    [-2M, 2M]^2 solves -p*d1 + q*d2 = 1.  The integer offsets of the
-    infinite slopes are 1 apart once M >= 1."""
+    window offsets lie 1/q apart (1 apart at q = 0): no column difference
+    (d1, d2) in [-2M, 2M]^2 solves -p*d1 + q*d2 = 1."""
     rows = []
     for M in M_list:
         n = 2 * M + 1
-        if not slope.is_finite:
-            K, non_iso = n, M == 0
-        elif isinstance(slope, QuadraticIrrationalSlope):
+        if isinstance(slope, QuadraticIrrationalSlope):
             K, non_iso = n * n, True
         else:
             p, q = slope.p, slope.q
             K = n * n - max(0, n - q) * max(0, n - abs(p))
-            non_iso = not any((1 + p * d1) % q == 0 and abs(1 + p * d1) <= 2 * M * q
-                              for d1 in range(-2 * M, 2 * M + 1))
+            # r = q*d2 for some |d2| <= 2M, which at q = 0 is r = 0
+            rs = (1 + p * d1 for d1 in range(-2 * M, 2 * M + 1))
+            non_iso = not any(abs(r) <= 2 * M * q and r % max(q, 1) == 0
+                              for r in rs)
         rows.append(DiagnosticsRow(M, K + 1, _circle_gap(slope, M), non_iso))
     return rows

@@ -17,17 +17,17 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 
-from .errors import (EmptyGap, EmptyInterior, GapClosed, NoCommonGap,
-                     NotInterfaceLocalized, NotProjection, SlabExceedsWindow)
+from .errors import (ChernMismatch, EmptyGap, EmptyInterior, GapClosed,
+                     NoCommonGap, NotInterfaceLocalized, NotProjection,
+                     SlabExceedsWindow)
 from .model import SlabWindow
 # gap_switch_operators is no longer called here but stays importable under
 # this module, where perfbench's tracer tests look for it
-from .operators import (BandStructure, LatticeOperator, Projection,
-                        SwitchFunction, _as_flux_fraction, _smoothstep,
-                        band_structure, gap_switch_operators,
-                        harper_bloch_matrix, interface_shift_unitary,
-                        iwatsuka_hamiltonian, require_hermitian,
-                        require_spectrum_beyond)
+from .operators import (LatticeOperator, Projection, SwitchFunction,
+                        _as_flux_fraction, _smoothstep, band_structure,
+                        gap_switch_operators, harper_bloch_matrix,
+                        interface_shift_unitary, iwatsuka_hamiltonian,
+                        require_hermitian, require_spectrum_beyond)
 
 # Tangential orientation of the interface.  The compounded sign conventions
 # (shift direction of the translations, the i[v.n, .] derivation, and the
@@ -194,28 +194,38 @@ def _occupied_count(bs, mu):
     return below
 
 
+def chern_tknn(flux, filled):
+    """Chern number of the lowest `filled` Harper bands at the flux p/q, an
+    exact integer: the t of the TKNN Diophantine equation
+    filled = q*s + p*t with |t| < q/2 (Thouless, Kohmoto, Nightingale and
+    den Nijs, PRL 49, 405 (1982)).  GapClosed when there is none: the
+    central gap of an even q, where the two middle bands touch."""
+    flux = _as_flux_fraction(flux)
+    p, q = flux.numerator, flux.denominator
+    t = filled * pow(p, -1, q) % q            # p*t = filled mod q
+    if 2 * t == q:
+        raise GapClosed(f"flux {flux} has no open gap above {filled} bands")
+    return t - q if 2 * t > q else t
+
+
 def chern_momentum(flux, gap_index=None, mu=None, nk=30):
     """Chern number of the Fermi projection below a bulk gap, by plaquette
     Berry curvature (lattice field strength) summed over the magnetic
     Brillouin zone; exactly integer-valued for a resolved gap.  The band
-    structure of the flux decides which bands lie below the Fermi level.
+    structure of the exact rational flux decides which bands lie below the
+    Fermi level, and the sum must round to their `chern_tknn`, else
+    ChernMismatch.
 
-    flux is an exact rational flux, or its `BandStructure`, which is then
-    read instead of a new one.  gap_index counts open gaps from the bottom
-    (1-based), with the Fermi level at the gap's midpoint; alternatively
-    give mu inside a gap."""
+    gap_index counts open gaps from the bottom (1-based), with the Fermi
+    level at the gap's midpoint; alternatively give mu inside a gap."""
     if nk < 1:
         raise ValueError("nk must be >= 1")
-    if isinstance(flux, BandStructure):
-        bs, flux = flux, flux.flux
-    else:
-        bs, flux = None, _as_flux_fraction(flux)
+    flux = _as_flux_fraction(flux)
     if gap_index is None and mu is None:
         if flux.denominator == 1:
             return 0.0   # single trivial band; it has no gap to index
         raise ValueError("need gap_index or mu")
-    if bs is None:
-        bs = band_structure(flux)
+    bs = band_structure(flux)
     if gap_index is not None:
         if not 1 <= gap_index <= len(bs.gaps):
             raise GapClosed(f"flux {bs.flux} has {len(bs.gaps)} open gaps, "
@@ -238,7 +248,13 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
                         np.roll(V, (-1, -1), axis=(0, 1)), np.roll(V, -1, axis=1)])
     links = np.linalg.det(corners.conj().swapaxes(-1, -2)
                           @ np.roll(corners, -1, axis=0))
-    return np.angle(links.prod(axis=0)).sum() / (2.0 * np.pi)
+    ch = np.angle(links.prod(axis=0)).sum() / (2.0 * np.pi)
+    want = chern_tknn(flux, r)
+    if round(ch) != want:
+        raise ChernMismatch(f"plaquette sum {ch:.4f} on the {nk} x {nk} "
+                            f"k-grid is not the TKNN Chern number {want} of "
+                            f"the {r} bands below mu={mu:.4f} at flux {flux}")
+    return ch
 
 
 def _sandwich(a, y, b):
@@ -670,9 +686,8 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     delta = 0.8 * half
     interval = (mu - delta, mu + delta)
 
-    # the band structures that chose mu also decide the occupied bands
-    ch_plus = chern_momentum(bp, mu=mu)
-    ch_minus = chern_momentum(bm, mu=mu)
+    ch_plus = chern_momentum(plus_turns, mu=mu)
+    ch_minus = chern_momentum(minus_turns, mu=mu)
 
     window = slab_window(slope, L, normal_half, buffer)
     # SlabExceedsWindow before assembly, which an empty window would fail

@@ -5,7 +5,9 @@ Every topological quantity downstream hinges on exact decisions of the sign
 of the interface offset x_n = -alpha*n1 + n2.  Every slope class decides
 them with integer arithmetic only: a rational slope and a float slope (a
 finite double is the dyadic rational m/2^k) hold alpha as an exact
-fraction, and a quadratic irrational slope compares integer squares.
+fraction p/q, and a quadratic irrational slope compares integer squares.
+The vertical slopes +/-infinity are the rational slopes +/-1/0, whose
+offset is -p*n1 = -/+n1.
 """
 
 import cmath
@@ -131,15 +133,10 @@ class SqrtExpr:
         return hash((self.a, self.b, self.c, self.d))
 
     def __float__(self):
-        try:
-            x = (self.a + self.b * math.sqrt(self.d)) / self.c
-            if math.isfinite(x):
-                return x
-        except OverflowError:      # a, b, c or sqrt(d) past the double range
-            pass
-        # from integers: |a + b*sqrt(d)| >= 1/(|a| + |b|*sqrt(d)) when b != 0,
-        # so 2^k times it, with b*sqrt(d)*2^k floored by isqrt, carries more
-        # than 64 exact bits and one integer division rounds it
+        # from integers, free of the cancellation of a + b*math.sqrt(d):
+        # |a + b*sqrt(d)| >= 1/(|a| + |b|*sqrt(d)) when b != 0, so 2^k times
+        # it, with b*sqrt(d)*2^k floored by isqrt, carries more than 64
+        # exact bits and one integer division rounds it
         k = 68 + max(abs(self.a).bit_length(),
                      abs(self.b).bit_length() + self.d.bit_length())
         root = math.isqrt(self.b * self.b * self.d << 2 * k)
@@ -165,34 +162,23 @@ class SqrtExpr:
 # ---------------------------------------------------------------------------
 # slopes
 
-class _RationalOffsets:
-    """Floor, fractional part and order of offsets that are exact
-    rationals (the rational, float and infinite slopes)."""
-
-    def floor(self, x):
-        return math.floor(x)
-
-    def mod_one(self, x):
-        return x - math.floor(x)
-
-    def compare(self, u, v):
-        return _sign(u - v)
-
-
-class _FractionSlope(_RationalOffsets):
-    """alpha = p/q held as integers p and q > 0: every offset is an exact
-    Fraction and every sign an integer decision."""
+class _FractionSlope:
+    """alpha = p/q held as integers p and q >= 0: every offset is an exact
+    rational and every sign an integer decision.  q = 0 is the vertical
+    slope p/0 = +/-infinity, whose offset -p*n1 is an integer."""
 
     def offset(self, n):
-        """x_n = -alpha*n1 + n2, exact."""
-        return Fraction(-self.p * n[0] + self.q * n[1], self.q)
+        """x_n = -alpha*n1 + n2, exact: the integer -p*n1 at q = 0."""
+        x = -self.p * n[0] + self.q * n[1]
+        return Fraction(x, self.q) if self.q else x
 
     def offset_sign(self, n):
         return _sign(-self.p * n[0] + self.q * n[1])
 
     def _scaled_offsets(self, n1, n2):
-        """q * x_n = -p*n1 + q*n2 for arrays of sites, exact: int64 while
-        it fits, Python integers (an object array) past 2^62."""
+        """q * x_n = -p*n1 + q*n2 for arrays of sites (-p*n1 at q = 0),
+        exact: int64 while it fits, Python integers (an object array) past
+        2^62."""
         n1, n2 = np.broadcast_arrays(np.asarray(n1, dtype=np.int64),
                                      np.asarray(n2, dtype=np.int64))
         # bound the int64 result in Python integers first; desk-scale
@@ -205,6 +191,15 @@ class _FractionSlope(_RationalOffsets):
 
     def offset_signs_array(self, n1, n2):
         return np.sign(self._scaled_offsets(n1, n2)).astype(np.int64)
+
+    def floor(self, x):
+        return math.floor(x)
+
+    def mod_one(self, x):
+        return x - math.floor(x)
+
+    def compare(self, u, v):
+        return _sign(u - v)
 
 
 class _FloatFrame:
@@ -223,21 +218,27 @@ class _FloatFrame:
 
 
 class RationalSlope(_FractionSlope):
-    """alpha = p/q in lowest terms, q > 0; alpha = 0 is Rational(0, 1)."""
+    """alpha = p/q in lowest terms, q > 0; alpha = 0 is Rational(0, 1).
+    The vertical slopes +/-infinity are the rational slopes +/-1/0, the
+    two instances PlusInfinity and MinusInfinity, which the constructor
+    does not make."""
 
     is_rational = True
-    is_finite = True
 
     def __init__(self, p, q=1):
         if q == 0:
-            raise ValueError("q must be positive; use PlusInfinity/MinusInfinity")
+            raise ValueError("q must be nonzero; use PlusInfinity/MinusInfinity")
         if q < 0:
             p, q = -p, -q
         g = math.gcd(abs(p), q)
         self.p, self.q = p // g, q // g
 
+    @property
+    def is_finite(self):
+        return self.q != 0
+
     def as_float(self):
-        return self.p / self.q
+        return self.p / self.q if self.q else math.inf * self.p
 
     def tangent(self):
         r = math.hypot(self.p, self.q)
@@ -248,6 +249,8 @@ class RationalSlope(_FractionSlope):
         return np.array([-self.p / r, self.q / r])
 
     def __repr__(self):
+        if not self.q:
+            return "PlusInfinity" if self.p > 0 else "MinusInfinity"
         return f"RationalSlope({self.p}/{self.q})"
 
     def __eq__(self, other):
@@ -358,57 +361,15 @@ class FloatIrrationalSlope(_FloatFrame, _FractionSlope):
         return f"FloatIrrationalSlope({float(self.value)!r})"
 
 
-class _InfiniteSlope(_RationalOffsets):
-    """Common behaviour of the two vertical-interface slopes; the offset is
-    x_n = -n1 for +infinity and x_n = +n1 for -infinity."""
-
-    is_rational = True
-    is_finite = False
-
-    def __init__(self, sign):
-        self._sign = sign  # +1 for PlusInfinity
-
-    def as_float(self):
-        return math.inf * self._sign
-
-    def offset(self, n):
-        return -self._sign * n[0]
-
-    def offset_sign(self, n):
-        return _sign(-self._sign * n[0])
-
-    def offset_signs_array(self, n1, n2):
-        return np.sign(-self._sign * np.asarray(n1)).astype(np.int64)
-
-    def tangent(self):
-        return np.array([0.0, 1.0 * self._sign])
-
-    def normal(self):
-        return np.array([1.0 * self._sign, 0.0])
-
-    def __repr__(self):
-        return "PlusInfinity" if self._sign > 0 else "MinusInfinity"
-
-    def __eq__(self, other):
-        return isinstance(other, _InfiniteSlope) and other._sign == self._sign
-
-    def __hash__(self):
-        return hash(("inf", self._sign))
+def _vertical(p):
+    """The slope p/0, p = +/-1, which RationalSlope(p, 0) refuses."""
+    slope = object.__new__(RationalSlope)
+    slope.p, slope.q = p, 0
+    return slope
 
 
-PlusInfinity = _InfiniteSlope(+1)
-MinusInfinity = _InfiniteSlope(-1)
-
-
-def offset_value(slope, n):
-    """Interface offset x_n = -alpha*n1 + n2 (x_n = -/+ n1 at slope
-    +/-infinity), in the slope's exact arithmetic class."""
-    return slope.offset(n)
-
-
-def offset_sign(slope, n):
-    """Exact sign of the interface offset; in {-1, 0, +1}."""
-    return slope.offset_sign(n)
+PlusInfinity = _vertical(1)
+MinusInfinity = _vertical(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +405,9 @@ def _exact_perturbation(field):
 @dataclass(frozen=True)
 class IwatsukaField:
     """Magnetic field of b_plus radians on the side of the interface where
-    the offset is positive and b_minus otherwise; the slopes +/-infinity
-    follow the swapped convention b_-/+ for n1 > 0.  b_plus = b_minus is
+    the offset is positive and b_minus otherwise, except that at slope
+    +infinity the column n1 = 0, where the offset is 0, takes b_plus too
+    (the paper's b_- for n1 > 0 and b_+ elsewhere).  b_plus = b_minus is
     the constant field; values a nonzero whole number of turns apart raise
     DegenerateField."""
 
@@ -474,12 +436,8 @@ class IwatsukaField:
                    pert, plus_turns, minus_turns, pert_t)
 
     def _plus_side(self, n):
-        if self.slope.is_finite:
-            return self.slope.offset_sign(n) > 0
-        # verbatim convention at the infinite slopes: b_-/+ for n1 > 0
-        if self.slope == PlusInfinity:
-            return not n[0] > 0
-        return n[0] > 0
+        sign = self.slope.offset_sign(n)
+        return sign > 0 or (sign == 0 and self.slope == PlusInfinity)
 
     def base_value(self, n):
         return self.b_plus if self._plus_side(n) else self.b_minus
@@ -498,7 +456,7 @@ class IwatsukaField:
         """Number of rows m in lo..hi whose site (n1, m) takes b_plus
         (perturbation excluded).  At a finite slope the offset
         -alpha*n1 + m is positive exactly when m > floor(alpha*n1); at the
-        infinite slopes the whole column lies on one side."""
+        vertical slopes the offset -p*n1 is one for the whole column."""
         if self.slope.is_finite:
             first = self.slope.floor(-self.slope.offset((n1, 0))) + 1
         elif self._plus_side((n1, 0)):
@@ -510,11 +468,8 @@ class IwatsukaField:
     def plus_side_array(self, n1, n2):
         """Boolean mask of sites taking the b_plus value (perturbation
         excluded)."""
-        if self.slope.is_finite:
-            return self.slope.offset_signs_array(n1, n2) > 0
-        if self.slope == PlusInfinity:
-            return ~(np.asarray(n1) > 0)
-        return np.asarray(n1) > 0
+        signs = self.slope.offset_signs_array(n1, n2)
+        return signs >= 0 if self.slope == PlusInfinity else signs > 0
 
 
 class ConstantField(IwatsukaField):

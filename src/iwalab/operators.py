@@ -28,7 +28,6 @@ from scipy.linalg import eigh, eigvalsh
 
 from .errors import (DegenerateField, EmptyGap, IrrationalFlux,
                      IrrationalSlope, NonHermitianPerturbation)
-from .model import PlusInfinity
 
 HERMITIAN_TOL = 1e-12
 
@@ -511,35 +510,29 @@ def gap_switch_operators(spectral, interval):
 # interface shift unitary
 
 def _tangential_vector_and_width(slope, variant):
-    """Translation vector along the interface and the exact strip width in
-    offset units times q (so strip membership is an integer condition)."""
+    """Translation vector (q, p) along the interface and the exact strip
+    width in the scaled offset -p*n1 + q*n2 (so strip membership is an
+    integer condition); at the vertical slopes +/-1/0 that is (0, +/-1)
+    and -/+n1."""
     if not slope.is_rational:
         raise IrrationalSlope("the interface shift unitary needs a rational "
                               "direction vector")
-    if slope.is_finite:
-        p, q = slope.p, slope.q
-        gamma = (q, p)
-        if variant == "minimal":
-            k_hi = 1                      # offsets with 1 <= q*x <= 1
-        elif variant == "wide":
-            k_hi = p * p + q * q          # 1 <= q*x <= p^2 + q^2
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        return gamma, k_hi
-    gamma = (0, 1) if slope == PlusInfinity else (0, -1)
-    return gamma, 1
+    p, q = slope.p, slope.q
+    if variant == "minimal":
+        k_hi = 1                      # offsets with 1 <= q*x <= 1
+    elif variant == "wide":
+        k_hi = p * p + q * q          # 1 <= q*x <= p^2 + q^2
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return (q, p), k_hi
 
 
 def _strip_mask(field, window, variant):
     """Tangential vector gamma and the boolean strip of the variant: sites
-    with offsets x in (0, w], w the offset step of the variant."""
-    slope = field.slope
-    gamma, k_hi = _tangential_vector_and_width(slope, variant)
+    with scaled offsets -p*n1 + q*n2 in [1, k_hi]."""
+    gamma, k_hi = _tangential_vector_and_width(field.slope, variant)
     pos = window.positions()
-    if slope.is_finite:
-        k = slope._scaled_offsets(pos[:, 0], pos[:, 1])     # q * offset
-    else:
-        k = -pos[:, 0] if slope == PlusInfinity else pos[:, 0]
+    k = field.slope._scaled_offsets(pos[:, 0], pos[:, 1])
     return gamma, (k >= 1) & (k <= k_hi)
 
 
@@ -554,9 +547,10 @@ def strip_projection(field, window, variant="minimal"):
 def interface_shift_unitary(field, window, variant="minimal"):
     """Unitary 1 + (s_gamma - 1) P acting as the magnetic translation along
     the interface on the strip P and as the identity elsewhere; gamma is the
-    primitive tangential vector (q, p).  The "minimal" strip holds a single
-    transversal point; "wide" uses the full transversal period vector whose
-    strip holds p^2 + q^2 of them."""
+    primitive tangential vector (q, p), which is (0, +/-1) at the vertical
+    slopes +/-1/0.  The "minimal" strip holds a single transversal point;
+    "wide" uses the full transversal period vector whose strip holds
+    p^2 + q^2 of them."""
     gamma, strip = _strip_mask(field, window, variant)
     rows, cols, phases = _translation_entries(field, window, gamma)
     on = strip[cols]

@@ -151,8 +151,8 @@ class TestCommands:
                              ids=["iwatsuka-whole", "constant-sectors"])
     def test_spectrum_solves_values_only(self, tmp_path, monkeypatch, bminus,
                                          sectors):
-        field = cli.build_field(il.RationalSlope(1, 2), Fraction(1, 3),
-                                cli.parse_flux(bminus))
+        field = il.IwatsukaField.from_turns(
+            il.RationalSlope(1, 2), Fraction(1, 3), cli.parse_flux(bminus))
         sd = il.SpectralData.from_operator(
             il.iwatsuka_hamiltonian(field, il.LatticeWindow(5)))
         assert len(sd.sectors) == sectors
@@ -180,19 +180,31 @@ class TestCommands:
         assert abs(float(row[2]) - 1.0) < 1e-8
         assert abs(float(row[3]) - 1.0) < 0.35   # small window, loose bound
 
-    def test_realspace_builds_one_band_structure(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("realspace", [False, True])
+    def test_band_structures_built(self, tmp_path, monkeypatch, realspace):
+        # chern_momentum's own, and one more for the real-space Fermi level
         calls = []
         for module in (cli, invariants, operators):
             def counted(*args, original=module.band_structure, **kwargs):
                 calls.append(args)
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, "band_structure", counted)
-        rc = cli.main(["chern", "--flux", "2pi*1/3", "--gap", "1",
-                       "--realspace", "--M", "6", "--out", str(tmp_path)])
+        rc = cli.main(["chern", "--flux", "2pi*1/3", "--gap", "1", "--M", "6",
+                       "--out", str(tmp_path)] + ["--realspace"] * realspace)
         assert rc == 0
-        assert calls == [(Fraction(1, 3),)]
+        assert calls == [(Fraction(1, 3),)] * (1 + realspace)
         row = payload_lines(tmp_path / "chern.csv")[1].split(",")
         assert abs(float(row[2]) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("kgrid", ["3", "4"])
+    def test_coarse_kgrid_exits_3(self, tmp_path, capsys, kgrid):
+        # the 3 x 3 plaquette sum at 2/5 gap 1 rounds to 1, the TKNN
+        # integer is -2
+        rc = cli.main(["chern", "--flux", "2pi*2/5", "--gap", "1",
+                       "--kgrid", kgrid, "--out", str(tmp_path)])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "ChernMismatch"
+        assert not (tmp_path / "chern.csv").exists()
 
     def test_conductance(self, tmp_path):
         rc = cli.main(["conductance", "--slope", "rational:0,1",

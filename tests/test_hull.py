@@ -221,13 +221,15 @@ class TestExactSort:
 
     def test_exact_pass_fixes_float_misorder(self):
         # x = a - b*sqrt2 for the Pell pair a^2 - 2b^2 = 1 is 1/(a + b*sqrt2),
-        # about 1.2e-20, but its float cancels to 0.0, below 1e-30
+        # about 1.2e-20; y lies 1e-40 above it, far below its float
+        # resolution, so the stable float pre-sort keeps them as given
         a, b = 40114893348711941777, 28365513113449345692
         assert a * a - 2 * b * b == 1
         x = SqrtExpr(a, -b, 1, 2)
+        y = x + Fraction(1, 10**40)
         tiny = Fraction(1, 10**30)
-        assert float(x) < float(tiny)
-        assert _exact_sorted(SQRT2, {x, tiny, -tiny}) == [-tiny, tiny, x]
+        assert float(x) == float(y) and sorted([y, x], key=float) == [y, x]
+        assert _exact_sorted(SQRT2, [y, tiny, x, -tiny]) == [-tiny, tiny, x, y]
 
 
 def _least(slope, xs):

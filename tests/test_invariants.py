@@ -203,11 +203,13 @@ class TestChernMomentum:
                 if math.gcd(p, q) != 1:
                     continue
                 flux = Fraction(p, q)
-                for g, (lo, hi) in enumerate(il.band_structure(flux, nk=30).gaps,
-                                             start=1):
+                bs = il.band_structure(flux, nk=30)
+                for g, (lo, hi) in enumerate(bs.gaps, start=1):
                     got = il.chern_momentum(flux, gap_index=g)
                     want = chern_plaquette_loop(flux, 0.5 * (lo + hi))
                     assert abs(got - want) < 1e-12
+                    filled = sum(top <= lo for top in bs.band_max)
+                    assert round(got) == il.chern_tknn(flux, filled)
                     checked.add((flux, g))
         assert (Fraction(1, 6), 3) in checked and len(checked) == 68
 
@@ -230,13 +232,19 @@ class TestChernMomentum:
         with pytest.raises(il.IrrationalFlux):
             il.common_gaps(0.333, TWO_THIRDS)
 
-    def test_band_structure_argument(self, monkeypatch):
-        # a BandStructure stands for its flux and is read, not rebuilt
-        bs = il.band_structure(Fraction(2, 5))
-        want = [il.chern_momentum(Fraction(2, 5), gap_index=g) for g in (1, 2)]
-        monkeypatch.setattr(invariants, "band_structure", None)
-        assert [il.chern_momentum(bs, gap_index=g) for g in (1, 2)] == want
-        assert il.chern_momentum(bs, mu=bs.gaps[0][1] - 1e-3) == want[0]
+    @pytest.mark.parametrize("nk", [3, 4])
+    def test_coarse_grid_disagrees_with_tknn(self, nk):
+        # at 2/5 gap 1 the 3 x 3 sum rounds to 1 and the 4 x 4 one to 0,
+        # where the TKNN integer is -2
+        assert il.chern_tknn(Fraction(2, 5), 1) == -2
+        with pytest.raises(il.ChernMismatch):
+            il.chern_momentum(Fraction(2, 5), gap_index=1, nk=nk)
+
+    def test_tknn_central_gap_of_even_q_is_closed(self):
+        assert il.chern_tknn(Fraction(1, 6), 4) == -2
+        assert il.chern_tknn(Fraction(-1, 3), 1) == il.chern_tknn(Fraction(2, 3), 1)
+        with pytest.raises(il.GapClosed):
+            il.chern_tknn(Fraction(1, 4), 2)
 
     def test_float_turns_raise_before_any_bloch_matrix(self, monkeypatch):
         # from_turns(1/3) as a float stores the dyadic p / 2**54, whose Bloch
@@ -735,7 +743,7 @@ class TestInIntervalSwitchTraces:
         assert (il.verify_bic(field, mu=rep.mu, **self.SIZE).to_dict()
                 == rep.to_dict())
 
-    def test_one_band_structure_per_flux(self, monkeypatch):
+    def test_band_structures_per_flux(self, monkeypatch):
         calls = []
 
         def counted(flux, nk=60):
@@ -745,12 +753,22 @@ class TestInIntervalSwitchTraces:
         monkeypatch.setattr(invariants, "band_structure", counted)
         field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
         rep = il.verify_bic(field, **self.SIZE)
-        assert calls == [(THIRD, 60), (TWO_THIRDS, 60)]
+        # common_gaps' pair, then each chern_momentum's own
+        assert calls == [(THIRD, 60), (TWO_THIRDS, 60)] * 2
         monkeypatch.undo()
         # the same Chern numbers as the bulk oracle on its own band structure
         assert abs(rep.chern_plus - il.chern_momentum(THIRD, mu=rep.mu)) < 1e-12
         assert abs(rep.chern_minus
                    - il.chern_momentum(TWO_THIRDS, mu=rep.mu)) < 1e-12
+
+    def test_tknn_disagreement_raises(self, monkeypatch):
+        # a plaquette sum off by one from TKNN must not reach the report
+        tknn = il.chern_tknn
+        monkeypatch.setattr(invariants, "chern_tknn",
+                            lambda flux, filled: tknn(flux, filled) + 1)
+        field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
+        with pytest.raises(il.ChernMismatch):
+            il.verify_bic(field, **self.SIZE)
 
     def test_verify_bic_is_deterministic(self):
         field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)

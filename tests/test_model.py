@@ -20,6 +20,17 @@ class TestSlopes:
         with pytest.raises(ValueError):
             il.RationalSlope(1, 0)
 
+    def test_vertical_slopes_are_rational(self):
+        # +/-infinity are the rational slopes +/-1/0, outside the constructor
+        for slope, p, name in ((il.PlusInfinity, 1, "PlusInfinity"),
+                               (il.MinusInfinity, -1, "MinusInfinity")):
+            assert isinstance(slope, il.RationalSlope) and slope.is_rational
+            assert (slope.p, slope.q) == (p, 0) and not slope.is_finite
+            assert repr(slope) == name and slope.as_float() == p * math.inf
+            assert slope.offset((3, 7)) == -3 * p
+        assert il.PlusInfinity != il.MinusInfinity
+        assert il.RationalSlope(1, 2).is_finite
+
     def test_quadratic_validation(self):
         with pytest.raises(ValueError):
             il.QuadraticIrrationalSlope(1, 0, 1, 2)      # rational
@@ -32,20 +43,20 @@ class TestSlopes:
 
     def test_offset_sign_examples(self):
         # -1 + 2 = 1 > 0
-        assert il.offset_sign(il.RationalSlope(1, 2), (1, 1)) == 1
+        assert il.RationalSlope(1, 2).offset_sign((1, 1)) == 1
         # 4^2 = 16 < 18 = (3 sqrt2)^2, integer-square comparison
         sqrt2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
-        assert il.offset_sign(sqrt2, (3, 4)) == -1
+        assert sqrt2.offset_sign((3, 4)) == -1
         # offset at +infinity is -n1
-        assert il.offset_sign(il.PlusInfinity, (2, 0)) == -1
-        assert il.offset_sign(il.MinusInfinity, (2, 0)) == 1
+        assert il.PlusInfinity.offset_sign((2, 0)) == -1
+        assert il.MinusInfinity.offset_sign((2, 0)) == 1
 
     def test_offset_values_exact(self):
-        assert il.offset_value(il.RationalSlope(1, 2), (1, 1)) == Fraction(1, 2)
+        assert il.RationalSlope(1, 2).offset((1, 1)) == Fraction(1, 2)
         sqrt2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
-        x = il.offset_value(sqrt2, (3, 4))
+        x = sqrt2.offset((3, 4))
         assert math.isclose(float(x), 4 - 3 * math.sqrt(2))
-        assert il.offset_value(il.PlusInfinity, (5, 7)) == -5
+        assert il.PlusInfinity.offset((5, 7)) == -5
 
     def test_sign_matches_256bit_evaluation(self):
         # rational offsets hit zero exactly, so their oracle is Fraction
@@ -166,10 +177,29 @@ class TestSlopes:
         (10**200, -1, 1, 10**400 + 1, -5e-201),
         (-10**400, 10**200, 1, 10**400 + 1, 0.5),   # a past it
         (0, 10**200, 10**100 + 1, 10**300 + 1, 1e250),   # b*sqrt(d) past it
-        (3, -2, 1, 2, 3 - 2 * math.sqrt(2))])
+        (3, -2, 1, 2, 0.1715728752538099)])      # 3 - 2 sqrt2 to 200 bits
     def test_sqrt_expr_float_past_the_double_range(self, a, b, c, d, want):
         # each value lies well inside the double range, a, b or sqrt(d) not
         assert math.isclose(float(SqrtExpr(a, b, c, d)), want, rel_tol=1e-15)
+
+    def test_sqrt_expr_float_matches_200_bit_evaluation(self):
+        # the circle gaps of sqrt2 are differences like 29*sqrt2 - 41 whose
+        # float evaluation cancels most of its bits; float() must not
+        def exact(x):
+            with mpmath.workprec(200):
+                return float((x.a + x.b * mpmath.sqrt(x.d)) / x.c)
+
+        gaps = [r.min_gap_exact for r in il.cantor_diagnostics(
+            il.QuadraticIrrationalSlope(0, 1, 1, 2), [5, 10, 20, 50, 100, 200])]
+        assert float(SqrtExpr(-41, 29, 1, 2)) == 0.012193308819756415
+        assert [float(g) for g in gaps] == [exact(g) for g in gaps]
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            a, b = (int(x) for x in rng.integers(-10**6, 10**6, 2))
+            c = int(rng.integers(1, 10**4))
+            d = int(rng.choice([2, 3, 5, 6, 7, 10, 13, 10**12 + 1]))
+            x = SqrtExpr(a, b, c, d)
+            assert float(x) == exact(x)
 
     def test_float_slope_basics(self):
         s = il.FloatIrrationalSlope(0.5)
@@ -230,8 +260,13 @@ class TestSlopes:
         v, w = s.tangent(), s.normal()
         assert np.allclose([v @ v, w @ w, v @ w], [1, 1, 0])
         assert np.allclose(il.PlusInfinity.tangent(), [0, 1])
-        assert np.allclose(il.PlusInfinity.normal(), [1, 0])
+        assert np.allclose(il.PlusInfinity.normal(), [-1, 0])
         assert np.allclose(il.MinusInfinity.tangent(), [0, -1])
+        # the normal is the tangent turned +90 degrees at every slope
+        for slope in (s, il.RationalSlope(-3, 1), il.PlusInfinity,
+                      il.MinusInfinity, il.QuadraticIrrationalSlope(0, 1, 1, 2)):
+            (t1, t2), w = slope.tangent(), slope.normal()
+            assert np.allclose(w, [-t2, t1])
 
 
 class TestFields:

@@ -140,8 +140,7 @@ class TestHullProjections:
         l0 = il.hull_projection(field, win, "l").diagonal()
         qe1 = il.hull_projection(field, win, "q", base=(1, 0)).diagonal()
         qe2 = il.hull_projection(field, win, "q", base=(0, 1)).diagonal()
-        for d in (q0, qperp, r0 * np.sign(slope.as_float()) if slope.is_finite
-                  else r0, l0):
+        for d in (q0, qperp, r0 * np.sign(slope.as_float()), l0):
             assert np.abs(d.imag).max() < 1e-12
         assert np.abs(q0 + qperp - 1.0).max() < 1e-12
         sgn = slope.offset_sign((-1, 0))
@@ -654,13 +653,14 @@ class TestInterfaceShiftUnitary:
 
     @pytest.mark.parametrize("variant", ["minimal", "wide"])
     @pytest.mark.parametrize("slope", [il.RationalSlope(0, 1),
-                                       il.RationalSlope(2, 3), il.PlusInfinity])
+                                       il.RationalSlope(2, 3), il.PlusInfinity,
+                                       il.MinusInfinity])
     def test_is_translation_on_strip_columns(self, slope, variant):
         # u = 1 + (s_gamma - 1) P on every column, window edge included
         field = il.IwatsukaField.from_turns(slope, Fraction(1, 3), Fraction(2, 3))
         win = il.SlabWindow(slope, 10.0, 7.0)
         u = il.interface_shift_unitary(field, win, variant).matrix
-        gamma = (slope.q, slope.p) if slope.is_finite else (0, 1)
+        gamma = (slope.q, slope.p)
         s = translation_by(field, win, gamma).matrix
         P = il.strip_projection(field, win, variant).matrix
         eye = np.eye(win.size)
