@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -72,6 +73,41 @@ class TestParsing:
         # is truncated or converted from a string or a bool
         with pytest.raises(il.ConfigError):
             cli.parse_perturbation([[0, 0, 0.1], bad])
+
+
+class TestFlagSet:
+    # (option, dest, type of the value parsed from "3", or from the bare flag)
+    SLAB = [("--slope", "slope", str), ("--bplus", "bplus", str),
+            ("--bminus", "bminus", str)]
+    FLAGS = {
+        "butterfly": [("--qmax", "qmax", int), ("--kgrid", "kgrid", int)],
+        "spectrum": SLAB + [("--M", "M", int)],
+        "hull": [("--slope", "slope", str), ("--Mmax", "Mmax", int)],
+        "chern": [("--flux", "flux", str), ("--gap", "gap", int),
+                  ("--kgrid", "kgrid", int), ("--realspace", "realspace", bool),
+                  ("--M", "M", int), ("--margin", "margin", int)],
+        "conductance": SLAB + [("--variant", "variant", str), ("--L", "L", float),
+                               ("--normal-half", "normal_half", float)],
+        "verify-bic": SLAB + [("--mu", "mu", float), ("--L", "L", float),
+                              ("--normal-half", "normal_half", float)],
+    }
+
+    def test_options_dests_and_types(self):
+        ap = cli._build_parser()
+        sub = next(a for a in ap._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(self.FLAGS)
+        for name, parser in sub.choices.items():
+            actions = parser._actions[1:]          # after -h/--help
+            argv = [name]
+            for a in actions:
+                argv += a.option_strings + ["3"] * (a.nargs != 0)
+            parsed = vars(ap.parse_args(argv))
+            got = [(" ".join(a.option_strings), a.dest, type(parsed[a.dest]))
+                   for a in actions]
+            assert got == [("--config", "config", str),
+                           ("--out", "out", str)] + self.FLAGS[name], name
+            assert all(a.default is None for a in actions)
 
 
 def source_env():
