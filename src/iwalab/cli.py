@@ -199,11 +199,15 @@ def _require_positive(*values):
         raise ConfigError("L and normal_half must be numbers > 0")
 
 
+def _field(cfg):
+    """The Iwatsuka field of the slope, bplus, bminus and perturbation fields."""
+    return IwatsukaField.from_turns(
+        parse_slope(cfg["slope"]), parse_flux(cfg["bplus"]),
+        parse_flux(cfg["bminus"]), perturbation=parse_perturbation(cfg["perturbation"]))
+
+
 def cmd_spectrum(cfg, t0):
-    slope = parse_slope(cfg["slope"])
-    field = IwatsukaField.from_turns(
-        slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
-        perturbation=parse_perturbation(cfg.get("perturbation")))
+    field = _field(cfg)
     M = _window_M(cfg)
     window = LatticeWindow(M)
     eigenvalues = hermitian_eigenvalues(iwatsuka_hamiltonian(field, window))
@@ -268,10 +272,7 @@ def cmd_chern(cfg, t0):
 
 
 def cmd_conductance(cfg, t0):
-    slope = parse_slope(cfg["slope"])
-    field = IwatsukaField.from_turns(
-        slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
-        perturbation=parse_perturbation(cfg.get("perturbation")))
+    field = _field(cfg)
     variant = cfg["variant"]
     if variant not in ("minimal", "wide"):
         raise ConfigError("variant must be 'minimal' or 'wide'")
@@ -279,9 +280,9 @@ def cmd_conductance(cfg, t0):
     _require_positive(*L_values, cfg["normal_half"])
     rows = []
     for L in L_values:
-        window = slab_window(slope, L, cfg["normal_half"])
+        window = slab_window(field.slope, L, cfg["normal_half"])
         u = interface_shift_unitary(field, window, variant=variant)
-        w = winding(u, slope, float(L))
+        w = winding(u, field.slope, float(L))
         rows.append((float(L), variant, w, w))
     out = Path(cfg["out"]) / "conductance.csv"
     write_csv(out, _meta(cfg, t0),
@@ -290,14 +291,11 @@ def cmd_conductance(cfg, t0):
 
 
 def cmd_verify_bic(cfg, t0):
-    slope = parse_slope(cfg["slope"])
-    field = IwatsukaField.from_turns(
-        slope, parse_flux(cfg["bplus"]), parse_flux(cfg["bminus"]),
-        perturbation=parse_perturbation(cfg.get("perturbation")))
+    field = _field(cfg)
     _require_positive(cfg["L"], cfg["normal_half"])
     if not ((cfg["mu"] is None or _is_real(cfg["mu"])) and _is_real(cfg["buffer"])):
         raise ConfigError("mu must be null or a finite number, buffer a finite number")
-    report = verify_bic(field, slope=slope, mu=cfg["mu"], L=cfg["L"],
+    report = verify_bic(field, mu=cfg["mu"], L=cfg["L"],
                         normal_half=cfg["normal_half"], buffer=cfg["buffer"])
     out = Path(cfg["out"]) / "verify_bic.json"
     write_json(out, {"meta": _meta(cfg, t0), "report": report.to_dict()})
@@ -307,29 +305,29 @@ def cmd_verify_bic(cfg, t0):
 # ---------------------------------------------------------------------------
 # argument handling
 
-_DEFAULTS = {
-    "butterfly": {"qmax": 10, "kgrid": 8, "out": "."},
-    "spectrum": {"slope": "rational:0,1", "bplus": "2pi*1/3", "bminus": "2pi*2/3",
-                 "M": 10, "out": ".", "perturbation": []},
-    "hull": {"slope": "rational:1,2", "Mmax": 6, "M_list": None, "out": "."},
-    "chern": {"flux": "2pi*1/3", "gap": 1, "kgrid": 30, "realspace": False,
-              "M": 20, "margin": 6, "out": "."},
-    "conductance": {"slope": "rational:1,2", "bplus": "2pi*1/3",
-                    "bminus": "2pi*2/3", "variant": "minimal", "L": 48.0,
-                    "normal_half": 22.0, "out": ".", "perturbation": []},
-    "verify-bic": {"slope": "rational:1,2", "bplus": "2pi*1/3",
-                   "bminus": "2pi*2/3", "mu": None, "L": 48.0,
-                   "normal_half": 22.0, "buffer": DEFAULT_BUFFER, "out": ".",
-                   "perturbation": []},
-}
+# The slope and fluxes of an Iwatsuka field (see _field)
+_FIELD = {"slope": ("rational:1,2", str), "bplus": ("2pi*1/3", str),
+          "bminus": ("2pi*2/3", str)}
 
-_RUNNERS = {
-    "butterfly": cmd_butterfly,
-    "spectrum": cmd_spectrum,
-    "hull": cmd_hull,
-    "chern": cmd_chern,
-    "conductance": cmd_conductance,
-    "verify-bic": cmd_verify_bic,
+# Each command's runner and config fields in flag order, field -> (default,
+# flag type), where the type None marks a config-file-only field.  Every
+# command has one more field, out, the output directory.
+_COMMANDS = {
+    "butterfly": (cmd_butterfly, {"qmax": (10, int), "kgrid": (8, int)}),
+    "spectrum": (cmd_spectrum, {**_FIELD, "slope": ("rational:0,1", str),
+                                "M": (10, int), "perturbation": ([], None)}),
+    "hull": (cmd_hull, {"slope": ("rational:1,2", str), "Mmax": (6, int),
+                        "M_list": (None, None)}),
+    "chern": (cmd_chern, {"flux": ("2pi*1/3", str), "gap": (1, int),
+                          "kgrid": (30, int), "realspace": (False, bool),
+                          "M": (20, int), "margin": (6, int)}),
+    "conductance": (cmd_conductance, {
+        **_FIELD, "variant": ("minimal", str), "L": (48.0, float),
+        "normal_half": (22.0, float), "perturbation": ([], None)}),
+    "verify-bic": (cmd_verify_bic, {
+        **_FIELD, "mu": (None, float), "L": (48.0, float),
+        "normal_half": (22.0, float), "buffer": (DEFAULT_BUFFER, None),
+        "perturbation": ([], None)}),
 }
 
 
@@ -337,53 +335,23 @@ def _build_parser():
     ap = argparse.ArgumentParser(prog="iwalab",
                                  description="magnetic interface lattice laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, *flags):
+    for name, (_, fields) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        for f, kw in flags:
-            p.add_argument(f, **kw)
-        return p
-
-    add("butterfly",
-        ("--qmax", dict(type=int, default=None)),
-        ("--kgrid", dict(type=int, default=None)))
-    add("spectrum",
-        ("--slope", dict(default=None)),
-        ("--bplus", dict(default=None)),
-        ("--bminus", dict(default=None)),
-        ("--M", dict(type=int, default=None)))
-    add("hull",
-        ("--slope", dict(default=None)),
-        ("--Mmax", dict(type=int, default=None)))
-    add("chern",
-        ("--flux", dict(default=None)),
-        ("--gap", dict(type=int, default=None)),
-        ("--kgrid", dict(type=int, default=None)),
-        ("--realspace", dict(action="store_true", default=None)),
-        ("--M", dict(type=int, default=None)),
-        ("--margin", dict(type=int, default=None)))
-    add("conductance",
-        ("--slope", dict(default=None)),
-        ("--bplus", dict(default=None)),
-        ("--bminus", dict(default=None)),
-        ("--variant", dict(default=None)),
-        ("--L", dict(type=float, default=None)),
-        ("--normal-half", dict(type=float, default=None, dest="normal_half")))
-    add("verify-bic",
-        ("--slope", dict(default=None)),
-        ("--bplus", dict(default=None)),
-        ("--bminus", dict(default=None)),
-        ("--mu", dict(type=float, default=None)),
-        ("--L", dict(type=float, default=None)),
-        ("--normal-half", dict(type=float, default=None, dest="normal_half")))
+        for field, (_, kind) in fields.items():
+            flag = "--" + field.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None)
+            elif kind is not None:
+                p.add_argument(flag, type=kind, default=None)
     return ap
 
 
 def resolve_config(args):
     """defaults < config file < explicit flags."""
-    cfg = dict(_DEFAULTS[args.command])
+    cfg = {"out": ".", **{field: default for field, (default, _)
+                          in _COMMANDS[args.command][1].items()}}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -410,7 +378,7 @@ def main(argv=None):
     try:
         cfg = resolve_config(args)
         Path(cfg["out"]).mkdir(parents=True, exist_ok=True)
-        written = _RUNNERS[args.command](cfg, t0)
+        written = _COMMANDS[args.command][0](cfg, t0)
     except ConfigError as exc:
         json.dump({"error": "config", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
