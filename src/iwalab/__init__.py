@@ -6,8 +6,8 @@ two-letter subshift (hull), finite-volume operator realizations
 bulk-interface correspondence verifier (invariants).
 """
 
-from .errors import (ChernMismatch, ConfigError, DegenerateField, EmptyGap,
-                     EmptyInterior, GapClosed, IrrationalFlux, IrrationalSlope,
+from .errors import (BudgetExceeded, ChernMismatch, ConfigError,
+                     DegenerateField, EmptyGap, EmptyInterior, GapClosed, IrrationalFlux, IrrationalSlope,
                      IwalabError, NoCommonGap, NonHermitianPerturbation,
                      NotInterfaceLocalized, NotProjection, SlabExceedsWindow)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,

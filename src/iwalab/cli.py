@@ -22,18 +22,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, IwalabError, NoCommonGap
+from .errors import ConfigError, IrrationalFlux, IwalabError, NoCommonGap
 from .hull import cantor_diagnostics, enumerate_hull
 from .invariants import (DEFAULT_BUFFER, chern_momentum, chern_realspace,
                          slab_window, verify_bic, winding)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope)
-from .operators import (SpectralData, band_structure, bloch_spectrum,
-                        fermi_projection, hermitian_eigenvalues,
+from .operators import (MAX_FLUX_DENOMINATOR, SpectralData, band_structure,
+                        bloch_spectrum, fermi_projection, hermitian_eigenvalues,
                         interface_shift_unitary, iwatsuka_hamiltonian)
 
 _FLUX_RE = re.compile(r"^(-?)2pi\*(\d+)(?:/(\d+))?$")
+# Largest hull window radius; a row of the table costs O(M) exact operations
+_HULL_MAX_M = 1000
 
 
 def parse_flux(text):
@@ -105,7 +107,9 @@ def _int_fields(spec, *names):
 
 
 def parse_perturbation(entries):
-    """Perturbation list [[n1, n2, delta_b_radians], ...] to a dict."""
+    """Perturbation list [[n1, n2, delta_b_radians], ...] (or null) to a dict."""
+    if not isinstance(entries, (list, type(None))):
+        raise ConfigError(f"perturbation {entries!r} must be a list of entries")
     out = {}
     for item in entries or []:
         if not (isinstance(item, (list, tuple)) and len(item) == 3
@@ -131,11 +135,8 @@ def _fmt(x):
 
 def write_csv(path, header_meta, columns, rows):
     lines = [f"# iwalab {__version__}"]
-    for k, v in header_meta.items():
-        lines.append(f"# {k}: {v}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += [f"# {k}: {v}" for k, v in header_meta.items()] + [",".join(columns)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -145,10 +146,8 @@ def write_json(path, payload):
 
 
 def _meta(config, t0):
-    return {
-        "config": json.dumps(config, sort_keys=True),
-        "wall_time_s": f"{time.time() - t0:.3f}",
-    }
+    return {"config": json.dumps(config, sort_keys=True),
+            "wall_time_s": f"{time.time() - t0:.3f}"}
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +157,9 @@ def cmd_butterfly(cfg, t0):
     _require_count(cfg, "qmax", "kgrid")
     qmax = cfg["qmax"]
     nk = cfg["kgrid"]
+    if qmax > MAX_FLUX_DENOMINATOR:
+        raise IrrationalFlux(f"qmax {qmax} exceeds the largest flux denominator "
+                             f"{MAX_FLUX_DENOMINATOR} of a Bloch construction")
     rows = []
     fluxes = sorted({Fraction(p, q) for q in range(1, qmax + 1)
                      for p in range(0, q + 1) if math.gcd(p, q) == 1})
@@ -219,24 +221,22 @@ def cmd_spectrum(cfg, t0):
 
 def cmd_hull(cfg, t0):
     slope = parse_slope(cfg["slope"])
-    M_list = cfg.get("M_list")
+    M_list = cfg["M_list"]
     if not M_list:
         _require_count(cfg, "Mmax")
-        M_list = list(range(1, cfg["Mmax"] + 1))
-    if not (isinstance(M_list, list) and all(_is_int(M) and M >= 0 for M in M_list)):
-        raise ConfigError("hull window radii M must be integers >= 0")
-    rows = []
-    for r in cantor_diagnostics(slope, M_list):
-        rows.append((r.M, r.pattern_count, r.min_gap,
-                     "true" if r.non_isolated else "false"))
+        M_list = range(1, cfg["Mmax"] + 1)
+    if not (isinstance(M_list, (list, range))
+            and all(_is_int(M) and 0 <= M <= _HULL_MAX_M for M in M_list)):
+        raise ConfigError(f"hull window radii M must be integers in 0..{_HULL_MAX_M}")
+    rows = [(r.M, r.pattern_count, r.min_gap, r.non_isolated)
+            for r in cantor_diagnostics(slope, M_list)]
     outdir = Path(cfg["out"])
     out_csv = outdir / "hull.csv"
     write_csv(out_csv, _meta(cfg, t0),
               ["M", "pattern_count", "min_gap", "non_isolated"], rows)
     written = [str(out_csv)]
-    dump = {}
-    for M in [m for m in M_list if m <= 4]:
-        dump[str(M)] = [p.to_strings() for p in enumerate_hull(slope, M)]
+    dump = {str(M): [p.to_strings() for p in enumerate_hull(slope, M)]
+            for M in M_list if M <= 4}
     if dump:
         out_json = outdir / "hull_patterns.json"
         write_json(out_json, {"meta": _meta(cfg, t0), "patterns": dump})
@@ -247,7 +247,10 @@ def cmd_hull(cfg, t0):
 def cmd_chern(cfg, t0):
     flux = parse_flux(cfg["flux"])
     _require_count(cfg, "gap", "kgrid")
-    if cfg.get("realspace"):
+    realspace = cfg["realspace"]
+    if not isinstance(realspace, bool):
+        raise ConfigError("realspace must be true or false")
+    if realspace:
         M = _window_M(cfg)
         if not (_is_real(cfg["margin"]) and cfg["margin"] >= 0):
             raise ConfigError("margin must be a number >= 0")
@@ -255,7 +258,7 @@ def cmd_chern(cfg, t0):
     row = [float(flux), gap_index,
            chern_momentum(flux, gap_index=gap_index, nk=cfg["kgrid"])]
     columns = ["parameter", "gap_index", "chern_momentum"]
-    if cfg.get("realspace"):
+    if realspace:
         # chern_momentum's Fermi level: the midpoint of the gap, which it
         # found open
         lo, hi = band_structure(flux).gaps[gap_index - 1]
@@ -276,7 +279,8 @@ def cmd_conductance(cfg, t0):
     variant = cfg["variant"]
     if variant not in ("minimal", "wide"):
         raise ConfigError("variant must be 'minimal' or 'wide'")
-    L_values = cfg["L"] if isinstance(cfg["L"], list) else [cfg["L"]]
+    # one L or a non-empty list of them
+    L_values = cfg["L"] if isinstance(cfg["L"], list) and cfg["L"] else [cfg["L"]]
     _require_positive(*L_values, cfg["normal_half"])
     rows = []
     for L in L_values:
@@ -377,20 +381,20 @@ def main(argv=None):
     t0 = time.time()
     try:
         cfg = resolve_config(args)
-        Path(cfg["out"]).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(cfg["out"]).mkdir(parents=True, exist_ok=True)
+        except (TypeError, OSError) as exc:
+            raise ConfigError(f"cannot make the output directory {cfg['out']!r}: "
+                              f"{exc}") from exc
         written = _COMMANDS[args.command][0](cfg, t0)
-    except ConfigError as exc:
-        json.dump({"error": "config", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
     except IwalabError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
+        config = isinstance(exc, ConfigError)
+        payload = {"error": "config" if config else type(exc).__name__,
+                   "message": str(exc)}
         if isinstance(exc, NoCommonGap):
-            payload["gaps_plus"] = exc.gaps_plus
-            payload["gaps_minus"] = exc.gaps_minus
-        json.dump(payload, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+            payload.update(gaps_plus=exc.gaps_plus, gaps_minus=exc.gaps_minus)
+        print(json.dumps(payload), file=sys.stderr)
+        return 2 if config else 3
     for path in written:
         print(path)
     return 0

@@ -56,6 +56,11 @@ class SlabExceedsWindow(IwalabError):
     the required margins."""
 
 
+class BudgetExceeded(IwalabError):
+    """A site window or Bloch grid would exceed its fixed size budget; it is
+    refused before anything is allocated."""
+
+
 class EmptyInterior(IwalabError):
     """The requested margin leaves no interior sites in the window."""
 

@@ -24,8 +24,8 @@ from .model import SlabWindow
 # gap_switch_operators is no longer called here but stays importable under
 # this module, where perfbench's tracer tests look for it
 from .operators import (LatticeOperator, Projection, SwitchFunction,
-                        _as_flux_fraction, _smoothstep, band_structure,
-                        gap_switch_operators, harper_bloch_matrix,
+                        _as_flux_fraction, _bloch_grid, _smoothstep,
+                        band_structure, gap_switch_operators,
                         interface_shift_unitary, iwatsuka_hamiltonian,
                         require_hermitian, require_spectrum_beyond)
 
@@ -233,9 +233,8 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
         lo, hi = bs.gaps[gap_index - 1]
         mu = 0.5 * (lo + hi)
     r = _occupied_count(bs, mu)
-    ks = 2.0 * np.pi * np.arange(nk) / nk
-    w, v = np.linalg.eigh(
-        harper_bloch_matrix(flux, np.meshgrid(ks, ks, indexing="ij")))
+    ks, h = _bloch_grid(flux, nk)
+    w, v = np.linalg.eigh(h)
     closed = (w[..., r - 1] > mu) | (w[..., r] < mu)
     if closed.any():
         i, j = np.argwhere(closed)[0]

@@ -18,9 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateField
+from .errors import BudgetExceeded, DegenerateField
 
 TWO_PI = 2.0 * math.pi
+# Sites of the (2R + 1)^2 box a SlabWindow scans, R = ceil(hypot) + 1.  The
+# L = 200 slab of verify_bic scans 259^2 sites, criterion 5's window 161^2.
+MAX_WINDOW_BOX = 2 ** 18
 
 
 def _sign(x):
@@ -634,7 +637,11 @@ class SlabWindow(_SiteWindow):
         self.normal_half = float(normal_half)
         v = slope.tangent()
         vp = slope.normal()
-        R = int(math.ceil(math.hypot(self.tangential_half, self.normal_half))) + 1
+        reach = math.hypot(self.tangential_half, self.normal_half)
+        R = math.ceil(reach) + 1 if math.isfinite(reach) else math.inf
+        if (2 * R + 1) ** 2 > MAX_WINDOW_BOX:
+            raise BudgetExceeded(f"a slab window of reach {reach:g} scans a box "
+                                 f"of more than {MAX_WINDOW_BOX} sites")
         n1, n2 = np.meshgrid(np.arange(-R, R + 1), np.arange(-R, R + 1), indexing="ij")
         t = v[0] * n1 + v[1] * n2
         nu = vp[0] * n1 + vp[1] * n2

@@ -26,8 +26,8 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, eigvalsh
 
-from .errors import (DegenerateField, EmptyGap, IrrationalFlux,
-                     IrrationalSlope, NonHermitianPerturbation)
+from .errors import (BudgetExceeded, DegenerateField, EmptyGap,
+                     IrrationalFlux, IrrationalSlope, NonHermitianPerturbation)
 
 HERMITIAN_TOL = 1e-12
 
@@ -193,8 +193,10 @@ def hull_projection(field, window, kind, base=(0, 0)):
 # `chern_momentum` holds an nk x nk stack of q x q complex Bloch matrices,
 # nk^2 q^2 16 bytes (and as many again for its eigenvectors): 0.94 GB at
 # its default nk = 30 and q = 256.  A float number of turns, such as 1/3
-# read as a float, is a dyadic fraction with q up to 2^54.
+# read as a float, is a dyadic fraction with q up to 2^54.  The stack itself
+# is bounded by the same sizing, nk^2 q^2 <= 30^2 256^2 entries.
 MAX_FLUX_DENOMINATOR = 256
+MAX_BLOCH_ENTRIES = (30 * MAX_FLUX_DENOMINATOR) ** 2
 
 
 def _as_flux_fraction(flux):
@@ -239,12 +241,21 @@ def harper_bloch_matrix(flux, k):
     return h
 
 
+def _bloch_grid(flux, nk):
+    """The k-grid 2*pi*j/nk, j < nk, and the Bloch matrices on its square,
+    shape (nk, nk, q, q); BudgetExceeded past MAX_BLOCH_ENTRIES entries."""
+    flux = _as_flux_fraction(flux)
+    if nk * nk * flux.denominator ** 2 > MAX_BLOCH_ENTRIES:
+        raise BudgetExceeded(f"the Bloch matrices at flux {flux} on the {nk} x "
+                             f"{nk} k-grid hold more than {MAX_BLOCH_ENTRIES} entries")
+    ks = 2.0 * np.pi * np.arange(nk) / nk
+    return ks, harper_bloch_matrix(flux, np.meshgrid(ks, ks, indexing="ij"))
+
+
 def bloch_spectrum(flux, nk=60):
     """Eigenvalues of the Bloch matrix on an nk x nk grid over [0, 2*pi)^2,
     shape (nk, nk, q), ascending along the last axis."""
-    ks = 2.0 * np.pi * np.arange(nk) / nk
-    return np.linalg.eigvalsh(
-        harper_bloch_matrix(flux, np.meshgrid(ks, ks, indexing="ij")))
+    return np.linalg.eigvalsh(_bloch_grid(flux, nk)[1])
 
 
 @dataclass(frozen=True)

@@ -380,12 +380,29 @@ class TestCommands:
         (["hull", "--slope", "float:1e308", "--Mmax", "2"], 0),
         (["hull", "--slope", f"quadratic:0,1,1,{10**400 + 1}", "--Mmax", "1"], 0),
         (["conductance", "--bminus", "2pi*4/3"], 3),
-        (["chern", "--kgrid", "0"], 2)],
+        (["chern", "--kgrid", "0"], 2),
+        (["butterfly", {"out": 5}], 2),
+        (["spectrum", {"perturbation": 5}], 2),
+        (["chern", {"realspace": "no"}], 2),
+        (["conductance", {"L": []}], 2),
+        (["verify-bic", {"buffer": 1e308}], 3),
+        (["chern", "--kgrid", "100000"], 3),
+        (["butterfly", "--qmax", str(10**20)], 3),
+        (["hull", "--Mmax", str(10**20)], 2)],
         ids=["conductance-constant", "hull-float-1e308", "hull-quadratic-huge-d",
-             "conductance-degenerate", "chern-kgrid0"])
+             "conductance-degenerate", "chern-kgrid0", "out-int",
+             "spectrum-perturbation-int", "chern-realspace-str",
+             "conductance-L-empty", "verify-bic-buffer-1e308", "chern-kgrid-huge",
+             "butterfly-qmax-huge", "hull-Mmax-huge"])
     def test_exit_codes_without_traceback(self, tmp_path, argv, code):
+        if isinstance(argv[-1], dict):      # a config file, which may set out
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"out": str(tmp_path), **argv[-1]}))
+            argv = argv[:-1] + ["--config", str(cfg)]
+        else:
+            argv = argv + ["--out", str(tmp_path)]
         done = subprocess.run(
-            [sys.executable, "-m", "iwalab", *argv, "--out", str(tmp_path)],
+            [sys.executable, "-m", "iwalab", *argv],
             env=source_env(), capture_output=True, text=True, timeout=300)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
@@ -439,3 +456,53 @@ class TestHullFuzz:
                         for M, count, gap, non_iso in
                         sorted_diagnostics(cli.parse_slope(slope), M_list)]
                 assert payload_lines(Path(out) / "hull.csv")[1:] == want
+
+
+# Values that no field takes as they stand: wrong JSON types, non-finite,
+# negative and huge numbers, and lists of them
+_ODD = [None, True, "x", {}, float("inf"), float("-inf"), float("nan"), -1, -2.5,
+        0, HUGE, 2**64, 1e308, -1e308]
+_BAD = st.recursive(st.sampled_from(_ODD), lambda s: st.lists(s, max_size=3),
+                    max_leaves=4)
+_FLUXES = st.sampled_from(["2pi*1/3", "2pi*2/3", "2pi*1/2", "2pi*3/5", "0"])
+_LENGTHS = st.floats(1, 10)
+# valid values, small enough that an accepted run stays well under a second
+_VALID = {
+    "qmax": st.integers(1, 4), "kgrid": st.integers(1, 6), "M": st.integers(1, 3),
+    "Mmax": st.integers(1, 4), "gap": st.integers(1, 3), "margin": st.integers(0, 3),
+    "M_list": st.one_of(st.none(), st.lists(st.integers(0, 4), max_size=3)),
+    "realspace": st.booleans(), "variant": st.sampled_from(["minimal", "wide"]),
+    "L": st.one_of(_LENGTHS, st.lists(_LENGTHS, min_size=1, max_size=2)),
+    "normal_half": st.floats(1, 6), "buffer": st.floats(0, 18),
+    "mu": st.one_of(st.none(), st.floats(-1, 1)),
+    "slope": st.sampled_from(["rational:1,2", "rational:0,1", "-inf",
+                              "quadratic:0,1,1,2", "float:0.75"]),
+    "flux": _FLUXES, "bplus": _FLUXES, "bminus": _FLUXES,
+    "perturbation": st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+                             .map(lambda n: n + [0.1]), max_size=2),
+}
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_every_field_exits_typed(self, command, data):
+        # a config of every field of the command, a few of them odd, ends
+        # in exit 0, 2 or 3 without a traceback; out is never a string but
+        # the temporary directory, so nothing is written elsewhere
+        fields = list(cli._COMMANDS[command][1])
+        odd = data.draw(st.sets(st.sampled_from(fields + ["out"]), max_size=2))
+        with tempfile.TemporaryDirectory() as out:
+            config = {field: data.draw(_BAD if field in odd else _VALID[field],
+                                       label=field) for field in fields}
+            config["out"] = (data.draw(_BAD.filter(lambda v: not isinstance(v, str)),
+                                       label="out") if "out" in odd else out)
+            cfg = Path(out) / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main([command, "--config", str(cfg)])
+            assert rc in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()

@@ -453,6 +453,26 @@ class TestWindows:
         assert np.allclose(w.normal(), nu)
         assert w.contains((0, 0))
 
+    @pytest.mark.parametrize("halves", [
+        (254.5, 0.0), (1e308, 1.0), (1.0, -1e308), (1.7e308, 1.7e308),
+        (math.inf, 1.0), (math.nan, 1.0)])
+    def test_slab_window_over_budget_allocates_nothing(self, monkeypatch, halves):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the window's box was allocated")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        with pytest.raises(il.BudgetExceeded):
+            il.SlabWindow(il.RationalSlope(1, 2), *halves)
+
+    def test_slab_window_budget_admits_the_largest_windows(self):
+        # a reach of 254 scans 511^2 sites; the L = 200 slab of verify_bic
+        # (tangential half 100 + ramp 8 + buffer 18) and criterion 5's
+        # window scan fewer
+        half = il.RationalSlope(1, 2)
+        assert il.SlabWindow(half, 254.0, 0.0).size > 0
+        assert il.SlabWindow(half, 126.0, 22.0).size == 11147
+        assert il.SlabWindow(il.RationalSlope(0, 1), 50.0, 61.0).size == 101 * 123
+
     @pytest.mark.parametrize("w", [il.LatticeWindow(3),
                                    il.SlabWindow(il.RationalSlope(1, 2), 10.0, 5.0)])
     def test_positions_are_one_read_only_array(self, w):

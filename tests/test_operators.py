@@ -263,6 +263,20 @@ class TestBloch:
         with pytest.raises(il.IrrationalFlux):
             il.harper_bloch_matrix(0.333, (0, 0))
 
+    @pytest.mark.parametrize("flux,nk", [(Fraction(1, 255), 31),
+                                         (Fraction(1, 3), 2561),
+                                         (Fraction(2, 5), 10 ** 20)])
+    def test_grid_over_budget_allocates_nothing(self, monkeypatch, flux, nk):
+        # nk^2 q^2 past 30^2 256^2 entries
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the k-grid was allocated")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        with pytest.raises(il.BudgetExceeded):
+            il.bloch_spectrum(flux, nk)
+        with pytest.raises(il.BudgetExceeded):
+            il.chern_momentum(flux, gap_index=1, nk=nk)
+
     @pytest.mark.parametrize("flux", [Fraction(0), Fraction(1, 2),
                                       Fraction(2, 3), Fraction(3, 7)])
     @pytest.mark.parametrize("shape", [(), (2,), (4, 5)])
