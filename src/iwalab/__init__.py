@@ -7,9 +7,10 @@ bulk-interface correspondence verifier (invariants).
 """
 
 from .errors import (BudgetExceeded, ChernMismatch, ConfigError,
-                     DegenerateField, EmptyGap, EmptyInterior, GapClosed, IrrationalFlux, IrrationalSlope,
-                     IwalabError, NoCommonGap, NonHermitianPerturbation,
-                     NotInterfaceLocalized, NotProjection, SlabExceedsWindow)
+                     DegenerateField, EmptyGap, EmptyInterior, GapClosed,
+                     IrrationalFlux, IrrationalSlope, IwalabError, NoCommonGap,
+                     NonHermitianPerturbation, NotInterfaceLocalized,
+                     NotProjection, SlabExceedsWindow)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope, SlabWindow,

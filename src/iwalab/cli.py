@@ -6,8 +6,8 @@ metadata header echoing the fully resolved configuration, and the only
 non-reproducible field is the wall time, which comparisons should ignore.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical guard
-failure (no common gap, a closed gap, an empty gap, ...).  Error payloads
-are serialized as JSON on stderr.
+failure (no common gap, a closed gap, an empty gap, a size past its budget,
+...).  Error payloads are serialized as JSON on stderr.
 """
 
 import argparse
@@ -133,21 +133,34 @@ def _fmt(x):
     return str(x)
 
 
-def write_csv(path, header_meta, columns, rows):
+def write_csv(cfg, t0, name, columns, rows):
+    """Write the CSV file `name` to the output directory under the metadata
+    header; returns its path."""
     lines = [f"# iwalab {__version__}"]
-    lines += [f"# {k}: {v}" for k, v in header_meta.items()] + [",".join(columns)]
-    lines += [",".join(map(_fmt, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for k, v in _meta(cfg, t0).items():
+        lines.append(f"# {k}: {v}")
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(_fmt(x) for x in row))
+    path = Path(cfg["out"]) / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
 
 
-def write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+def write_json(cfg, t0, name, key, value):
+    """Write {"meta": ..., key: value} as the JSON file `name` to the output
+    directory; returns its path."""
+    path = Path(cfg["out"]) / name
+    path.write_text(json.dumps({"meta": _meta(cfg, t0), key: value}, indent=2,
+                               sort_keys=True) + "\n", encoding="utf-8")
+    return str(path)
 
 
 def _meta(config, t0):
-    return {"config": json.dumps(config, sort_keys=True),
-            "wall_time_s": f"{time.time() - t0:.3f}"}
+    return {
+        "config": json.dumps(config, sort_keys=True),
+        "wall_time_s": f"{time.time() - t0:.3f}",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +179,8 @@ def cmd_butterfly(cfg, t0):
     for flux in fluxes:
         ev = np.sort(bloch_spectrum(flux, nk=nk).ravel())
         rows.extend((float(flux), i, e) for i, e in enumerate(ev))
-    out = Path(cfg["out"]) / "butterfly.csv"
-    write_csv(out, _meta(cfg, t0), ["parameter", "index", "eigenvalue"], rows)
-    return [str(out)]
+    return [write_csv(cfg, t0, "butterfly.csv",
+                      ["parameter", "index", "eigenvalue"], rows)]
 
 
 def _is_int(x):
@@ -214,9 +226,8 @@ def cmd_spectrum(cfg, t0):
     window = LatticeWindow(M)
     eigenvalues = hermitian_eigenvalues(iwatsuka_hamiltonian(field, window))
     rows = [(M, i, e) for i, e in enumerate(eigenvalues)]
-    out = Path(cfg["out"]) / "spectrum.csv"
-    write_csv(out, _meta(cfg, t0), ["parameter", "index", "eigenvalue"], rows)
-    return [str(out)]
+    return [write_csv(cfg, t0, "spectrum.csv",
+                      ["parameter", "index", "eigenvalue"], rows)]
 
 
 def cmd_hull(cfg, t0):
@@ -230,17 +241,12 @@ def cmd_hull(cfg, t0):
         raise ConfigError(f"hull window radii M must be integers in 0..{_HULL_MAX_M}")
     rows = [(r.M, r.pattern_count, r.min_gap, r.non_isolated)
             for r in cantor_diagnostics(slope, M_list)]
-    outdir = Path(cfg["out"])
-    out_csv = outdir / "hull.csv"
-    write_csv(out_csv, _meta(cfg, t0),
-              ["M", "pattern_count", "min_gap", "non_isolated"], rows)
-    written = [str(out_csv)]
+    written = [write_csv(cfg, t0, "hull.csv",
+                         ["M", "pattern_count", "min_gap", "non_isolated"], rows)]
     dump = {str(M): [p.to_strings() for p in enumerate_hull(slope, M)]
             for M in M_list if M <= 4}
     if dump:
-        out_json = outdir / "hull_patterns.json"
-        write_json(out_json, {"meta": _meta(cfg, t0), "patterns": dump})
-        written.append(str(out_json))
+        written.append(write_json(cfg, t0, "hull_patterns.json", "patterns", dump))
     return written
 
 
@@ -269,9 +275,7 @@ def cmd_chern(cfg, t0):
         P = fermi_projection(spectral, mu)
         row.append(chern_realspace(P, margin=cfg["margin"]))
         columns.append("chern_realspace")
-    out = Path(cfg["out"]) / "chern.csv"
-    write_csv(out, _meta(cfg, t0), columns, [tuple(row)])
-    return [str(out)]
+    return [write_csv(cfg, t0, "chern.csv", columns, [tuple(row)])]
 
 
 def cmd_conductance(cfg, t0):
@@ -288,10 +292,8 @@ def cmd_conductance(cfg, t0):
         u = interface_shift_unitary(field, window, variant=variant)
         w = winding(u, field.slope, float(L))
         rows.append((float(L), variant, w, w))
-    out = Path(cfg["out"]) / "conductance.csv"
-    write_csv(out, _meta(cfg, t0),
-              ["parameter", "variant", "winding", "conductance_e2_h"], rows)
-    return [str(out)]
+    return [write_csv(cfg, t0, "conductance.csv",
+                      ["parameter", "variant", "winding", "conductance_e2_h"], rows)]
 
 
 def cmd_verify_bic(cfg, t0):
@@ -301,9 +303,7 @@ def cmd_verify_bic(cfg, t0):
         raise ConfigError("mu must be null or a finite number, buffer a finite number")
     report = verify_bic(field, mu=cfg["mu"], L=cfg["L"],
                         normal_half=cfg["normal_half"], buffer=cfg["buffer"])
-    out = Path(cfg["out"]) / "verify_bic.json"
-    write_json(out, {"meta": _meta(cfg, t0), "report": report.to_dict()})
-    return [str(out)]
+    return [write_json(cfg, t0, "verify_bic.json", "report", report.to_dict())]
 
 
 # ---------------------------------------------------------------------------
