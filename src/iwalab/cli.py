@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, IrrationalFlux, IwalabError, NoCommonGap
+from .errors import (BudgetExceeded, ConfigError, IrrationalFlux, IwalabError,
+                     NoCommonGap)
 from .hull import cantor_diagnostics, enumerate_hull
 from .invariants import (DEFAULT_BUFFER, chern_momentum, chern_realspace,
                          slab_window, verify_bic, winding)
@@ -36,6 +37,10 @@ from .operators import (MAX_FLUX_DENOMINATOR, SpectralData, band_structure,
 _FLUX_RE = re.compile(r"^(-?)2pi\*(\d+)(?:/(\d+))?$")
 # Largest hull window radius; a row of the table costs O(M) exact operations
 _HULL_MAX_M = 1000
+# Most rows of a butterfly, nk^2 q per flux p/q: each is held in a list at
+# about 140 bytes before the CSV is written, so 2^22 rows take about 0.6 GB
+# (qmax 64 at the default kgrid 8 has 3.5 million)
+_BUTTERFLY_MAX_ROWS = 2 ** 22
 
 
 def parse_flux(text):
@@ -173,9 +178,13 @@ def cmd_butterfly(cfg, t0):
     if qmax > MAX_FLUX_DENOMINATOR:
         raise IrrationalFlux(f"qmax {qmax} exceeds the largest flux denominator "
                              f"{MAX_FLUX_DENOMINATOR} of a Bloch construction")
-    rows = []
     fluxes = sorted({Fraction(p, q) for q in range(1, qmax + 1)
                      for p in range(0, q + 1) if math.gcd(p, q) == 1})
+    count = nk * nk * sum(flux.denominator for flux in fluxes)
+    if count > _BUTTERFLY_MAX_ROWS:
+        raise BudgetExceeded(f"the butterfly of qmax {qmax} on the {nk} x {nk} "
+                             f"k-grid has {count} rows, more than {_BUTTERFLY_MAX_ROWS}")
+    rows = []
     for flux in fluxes:
         ev = np.sort(bloch_spectrum(flux, nk=nk).ravel())
         rows.extend((float(flux), i, e) for i, e in enumerate(ev))
@@ -193,8 +202,10 @@ def _is_real(x):
 
 
 def _window_M(cfg):
-    """The square window's half-width M, an integer in 1..40 (the dense
-    eigensolve of a larger window would not fit in memory)."""
+    """The square window's half-width M, an integer in 1..40.  The dense
+    eigensolve grows as M^6: at M = 40 (6561 sites) the whole-window
+    `spectrum` solve of an Iwatsuka field takes about 25 s and 0.4 GB on 2
+    cores."""
     M = cfg["M"]
     if not (_is_int(M) and 1 <= M <= 40):
         raise ConfigError("window half-width M must be an integer in 1..40")

@@ -17,9 +17,9 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 
-from .errors import (ChernMismatch, EmptyGap, EmptyInterior, GapClosed,
-                     NoCommonGap, NotInterfaceLocalized, NotProjection,
-                     SlabExceedsWindow)
+from .errors import (BudgetExceeded, ChernMismatch, EmptyGap, EmptyInterior,
+                     GapClosed, NoCommonGap, NotInterfaceLocalized,
+                     NotProjection, SlabExceedsWindow)
 from .model import SlabWindow
 # gap_switch_operators is no longer called here but stays importable under
 # this module, where perfbench's tracer tests look for it
@@ -84,6 +84,11 @@ DGKS = 0.717
 EPS = 2.0 ** -53
 RITZ_STRIDE = 8
 RESIDUAL_CHUNK = 32       # eigenvector columns per block of `_residual_norms`
+
+# Largest dense copy of h, 16 N^2 bytes, that the dense fallback of
+# `_interval_eigenpairs` may make: it admits the acceptance slabs (about
+# 4400 sites, 0.3 GB) and refuses the L = 200 slab (11147 sites, 2.0 GB).
+DENSE_FALLBACK_BYTES = 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +581,16 @@ def _residual_norms(hs, E, V):
     return out
 
 
+def _dense_fallback(h):
+    """The dense copy of h for the fallback solves of `_interval_eigenpairs`;
+    BudgetExceeded, before it is allocated, past DENSE_FALLBACK_BYTES."""
+    n = h.window.size
+    if 16 * n * n > DENSE_FALLBACK_BYTES:
+        raise BudgetExceeded(f"the dense fallback eigensolve of {n} sites needs "
+                             f"{16 * n * n} bytes, more than {DENSE_FALLBACK_BYTES}")
+    return h.dense()
+
+
 def _interval_eigenpairs(h, interval):
     """Eigenpairs of h with eigenvalue in (lo, hi], sorted: the set of the
     dense evr subset solve.  The inertia counts of h - lo and h - hi raise
@@ -588,7 +603,8 @@ def _interval_eigenpairs(h, interval):
     each pair's residual on h itself is within rounding of the factor's
     size.  Without a count, the full eigenvalues decide EmptyGap; then,
     and whenever the Lanczos run returns no pairs, the dense solve
-    answers.  lo >= hi is a ValueError."""
+    answers; past DENSE_FALLBACK_BYTES it raises BudgetExceeded instead.
+    lo >= hi is a ValueError."""
     lo, hi = interval
     if not lo < hi:
         raise ValueError("empty interval")
@@ -596,7 +612,7 @@ def _interval_eigenpairs(h, interval):
     n = hs.shape[0]
     below_lo, below_hi = _count_below(hs, lo), _count_below(hs, hi)
     if below_lo is None or below_hi is None:
-        require_spectrum_beyond(interval, eigvalsh(h.dense()))
+        require_spectrum_beyond(interval, eigvalsh(_dense_fallback(h)))
     elif below_lo == 0 or below_hi == n:
         raise EmptyGap(f"interval ({lo:.4f}, {hi:.4f}) has {below_lo} of {n} "
                        f"eigenvalues below it and {n - below_hi} above")
@@ -604,7 +620,7 @@ def _interval_eigenpairs(h, interval):
         pairs = _lanczos_pairs(hs, lo, hi, below_hi - below_lo)
         if pairs is not None:
             return pairs
-    return eigh(h.dense(), driver="evr", subset_by_value=interval)
+    return eigh(_dense_fallback(h), driver="evr", subset_by_value=interval)
 
 
 # ---------------------------------------------------------------------------

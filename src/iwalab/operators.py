@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, eigvalsh
+from scipy.linalg import eigh, eigvalsh, svd, svdvals
 
 from .errors import (BudgetExceeded, DegenerateField, EmptyGap,
                      IrrationalFlux, IrrationalSlope, NonHermitianPerturbation)
@@ -364,30 +364,94 @@ def _symmetry_sectors(window, h):
     return sectors, real
 
 
+def _sublattice_sides(window, h, g):
+    """Column indices (a, b) of the isometry g on the sublattices A
+    (n1 + n2 even) and B (odd), or None unless every stored entry of the
+    sparse h joins sites of opposite parity and every column of g lies on
+    one sublattice.  Then g*hg has zero diagonal blocks on (a, a) and
+    (b, b), and its off-diagonal half g_a* h g_b determines it: a
+    nearest-neighbour hopping Hamiltonian on Z^2 anticommutes with the
+    sublattice sign (-1)^(n1 + n2).  O(nnz(h) + nnz(g))."""
+    pos = window.positions()
+    odd = (pos[:, 0] + pos[:, 1]) % 2 == 1
+    coo = h.tocoo()
+    if (odd[coo.row] == odd[coo.col]).any():
+        return None
+    g = sparse.csc_array(g)
+    # the sublattice of each column's first entry; an isometry has no empty
+    # column
+    side = odd[g.indices[g.indptr[:-1]]]
+    if not np.array_equal(odd[g.indices], np.repeat(side, np.diff(g.indptr))):
+        return None
+    return np.flatnonzero(~side), np.flatnonzero(side)
+
+
 def _hermitian_blocks(op):
-    """The dense blocks an eigensolve of op runs on, as triples (G, block,
-    driver): the two parity blocks G*hG with `evd` if op commutes exactly
-    with the inversion n -> -n of its window, real symmetric if it also
-    commutes with K R (see `_symmetry_sectors`); else op whole, with G the
-    identity and `evr`.  ValueError unless op is Hermitian."""
+    """The dense blocks an eigensolve of op runs on, as (G, block, driver,
+    sides): G is the isometry onto the two parity sectors of the inversion
+    n -> -n if op commutes exactly with it (see `_symmetry_sectors`; the
+    blocks are real if op also commutes with K R), else the identity.  If
+    op hops only between the sublattices of n1 + n2 even and odd (see
+    `_sublattice_sides`), the block is the half block X = G_a* op G_b and
+    sides = (a, b), solved by `gesdd`; otherwise the block is G*op G, with
+    sides None, solved by `evd` on a parity sector and `evr` whole.
+    ValueError unless op is Hermitian."""
     require_hermitian(op)
     h = sparse.csr_array(op.matrix)
     found = _symmetry_sectors(op.window, h)
     if found is None:
-        identity = sparse.eye_array(op.window.size, dtype=complex, format="csr")
-        yield identity, op.dense(), "evr"
-        return
-    sectors, real = found
+        sectors = [sparse.eye_array(op.window.size, dtype=complex, format="csr")]
+        real = False
+    else:
+        sectors, real = found
     for g in sectors:
-        b = (g.conj().T @ h @ g).toarray()
-        yield g, (b.real if real else b), "evd"
+        sides = _sublattice_sides(op.window, h, g)
+        if sides is not None:
+            a, b = sides
+            x = (g[:, a].conj().T @ h @ g[:, b]).toarray()
+            yield g, (x.real if real else x), "gesdd", sides
+        elif found is None:
+            yield g, op.dense(), "evr", None
+        else:
+            b = (g.conj().T @ h @ g).toarray()
+            yield g, (b.real if real else b), "evd", None
+
+
+def _chiral_eigh(x, driver, a, b):
+    """Ascending eigenvalues and orthonormal eigenvectors of the Hermitian
+    matrix with zero diagonal blocks and off-diagonal half x on rows a and
+    columns b, from one SVD x = U diag(s) V* by the LAPACK driver:
+    eigenvalues -s and +s with eigenvectors (u; -v)/sqrt2 and
+    (u; v)/sqrt2, and |n_a - n_b| exact zeros, whose eigenvectors are the
+    null columns of U or V on the larger side."""
+    u, s, vh = svd(x, lapack_driver=driver)
+    k, n = s.size, a.size + b.size
+    v = vh.conj().T
+    pu, pv = math.sqrt(0.5) * u[:, :k], math.sqrt(0.5) * v[:, :k]
+    w = np.concatenate([-s, np.zeros(n - 2 * k), s[::-1]])
+    vec = np.zeros((n, n), dtype=u.dtype)
+    # s descends, so -s ascends on the first k columns and s on the last k
+    vec[a, :k], vec[b, :k] = pu, -pv
+    vec[a, n - k:], vec[b, n - k:] = pu[:, ::-1], pv[:, ::-1]
+    if a.size > b.size:
+        vec[a, k:n - k] = u[:, k:]
+    else:
+        vec[b, k:n - k] = v[:, k:]
+    return w, vec
 
 
 def hermitian_eigenvalues(op):
     """The ascending eigenvalues of the Hermitian operator op, solved
-    without eigenvectors on the blocks `SpectralData.from_operator` solves."""
-    return np.sort(np.concatenate([eigvalsh(b, driver=driver) for _, b, driver
-                                   in _hermitian_blocks(op)]), kind="stable")
+    without eigenvectors on the blocks `SpectralData.from_operator` solves:
+    +-s and |n_a - n_b| zeros from the singular values s of a half block."""
+    values = []
+    for _, b, driver, sides in _hermitian_blocks(op):
+        if sides is None:
+            values.append(eigvalsh(b, driver=driver))
+        else:
+            s = svdvals(b)
+            values += [-s, np.zeros(sum(b.shape) - 2 * s.size), s]
+    return np.sort(np.concatenate(values), kind="stable")
 
 
 @dataclass
@@ -407,8 +471,10 @@ class SpectralData:
     def from_operator(op):
         """Eigenvalues and orthonormal eigenvectors of the Hermitian
         operator op, solved on the blocks `_hermitian_blocks` gives."""
-        sectors = tuple((g, *eigh(b, driver=driver))
-                        for g, b, driver in _hermitian_blocks(op))
+        sectors = tuple(
+            (g, *(eigh(b, driver=driver) if sides is None
+                  else _chiral_eigh(b, driver, *sides)))
+            for g, b, driver, sides in _hermitian_blocks(op))
         w = np.sort(np.concatenate([wb for _, wb, _ in sectors]), kind="stable")
         return SpectralData(w, sectors, op.window)
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -374,6 +375,24 @@ class TestCommands:
         rc = cli.main(["verify-bic", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "SlabExceedsWindow"
+
+    def test_butterfly_over_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_bloch(*args, **kwargs):
+            raise AssertionError("a Bloch solve before the row budget")
+
+        monkeypatch.setattr(cli, "bloch_spectrum", no_bloch)
+        rc = cli.main(["butterfly", "--qmax", "256", "--out", str(tmp_path)])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
+        assert not (tmp_path / "butterfly.csv").exists()
+
+    def test_butterfly_defaults_write_their_rows(self, tmp_path):
+        assert cli.main(["butterfly", "--out", str(tmp_path)]) == 0
+        lines = payload_lines(tmp_path / "butterfly.csv")
+        # 64 k-points times the q bands of each p/q with q <= 10
+        assert len(lines) - 1 == 64 * sum(
+            q * sum(math.gcd(p, q) == 1 for p in range(q + 1))
+            for q in range(1, 11))
 
     @pytest.mark.parametrize("argv,code", [
         (["conductance", "--bplus", "2pi*1/3", "--bminus", "2pi*1/3"], 0),

@@ -949,6 +949,30 @@ class TestIntervalEigenpairs:
         assert len(calls) == 1 and Ed.size == 2
         assert np.array_equal(E, Ed) and np.array_equal(V, Vd)
 
+    @pytest.mark.parametrize("M,refused", [(44, False), (45, True)])
+    @pytest.mark.parametrize("path", ["no-count", "no-lanczos"])
+    def test_dense_fallback_is_bounded(self, monkeypatch, M, refused, path):
+        # 16 N^2 bytes: 89^2 = 7921 sites take 1.00e9, within 2^30, and
+        # 91^2 = 8281 sites take 1.10e9, past it
+        h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(THIRD),
+                                    il.LatticeWindow(M))
+        if path == "no-count":
+            monkeypatch.setattr(invariants, "_count_below", lambda hs, x: None)
+        else:
+            monkeypatch.setattr(invariants, "_count_below",
+                                lambda hs, x: 10 if x < 0 else 20)
+            monkeypatch.setattr(invariants, "_lanczos_pairs", lambda *args: None)
+
+        class Dense(Exception):
+            pass
+
+        def no_dense(self):
+            raise Dense
+
+        monkeypatch.setattr(il.LatticeOperator, "dense", no_dense)
+        with pytest.raises(il.BudgetExceeded if refused else Dense):
+            invariants._interval_eigenpairs(h, (-0.5, 0.5))
+
     def test_count_too_high_stops_early(self, small_slab, monkeypatch):
         # asked for one pair more than (lo, hi] holds, the run stops once
         # the Ritz values inside and the nearest ones beyond both ends have

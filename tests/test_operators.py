@@ -380,17 +380,39 @@ class TestHamiltonianSpectral:
         assert np.abs(ident - np.eye(win.size)).max() < 1e-12
 
 
-def spy_eigh(monkeypatch, record=lambda a, kwargs: (a.shape, kwargs.get("driver"))):
-    """Record (matrix shape, driver), or what `record` makes of the matrix
-    and the keywords, of every operators.eigh call."""
-    calls, original = [], operators.eigh
+def spy(monkeypatch, name, record=lambda a, kwargs: (a.shape, a.dtype)):
+    """Record what `record` makes of the matrix and the keywords of every
+    call of the solver operators.<name>; (shape, dtype) by default."""
+    calls, original = [], getattr(operators, name)
 
     def recorded(a, **kwargs):
         calls.append(record(a, kwargs))
         return original(a, **kwargs)
 
-    monkeypatch.setattr(operators, "eigh", recorded)
+    monkeypatch.setattr(operators, name, recorded)
     return calls
+
+
+def spy_eigh(monkeypatch, record=lambda a, kwargs: (a.shape, kwargs.get("driver"))):
+    """Record (matrix shape, driver), or what `record` makes of the matrix
+    and the keywords, of every operators.eigh call."""
+    return spy(monkeypatch, "eigh", record)
+
+
+def sublattice_sizes(win):
+    """Site counts (n_A, n_B) of the sublattices n1 + n2 even and odd."""
+    pos = win.positions()
+    odd = (pos[:, 0] + pos[:, 1]) % 2 == 1
+    return int((~odd).sum()), int(odd.sum())
+
+
+def half_block_shapes(win):
+    """Sorted shapes (rows on A, columns on B) of the half blocks of the
+    even and odd parity sectors: the origin, the one site n -> -n fixes,
+    lies on A and in the even sector, and the other sites pair up."""
+    n_a, n_b = sublattice_sizes(win)
+    o = int((win.positions() == 0).all(axis=1).any())
+    return sorted([((n_a + o) // 2, n_b // 2), ((n_a - o) // 2, n_b // 2)])
 
 
 class ListedWindow:
@@ -421,11 +443,11 @@ class TestParitySectors:
     def test_matches_evr(self, field, win, monkeypatch):
         H = il.iwatsuka_hamiltonian(field, win)
         w0, v0 = scipy.linalg.eigh(H.dense(), driver="evr")
-        calls = spy_eigh(monkeypatch)
+        calls, eighs = spy(monkeypatch, "svd"), spy_eigh(monkeypatch)
         sd = il.SpectralData.from_operator(H)
         n = win.size
-        assert sorted(calls) == [(((n - 1) // 2,) * 2, "evd"),
-                                 (((n + 1) // 2,) * 2, "evd")]
+        assert eighs == []
+        assert sorted(shape for shape, _ in calls) == half_block_shapes(win)
         V, E = merged_eigenvectors(sd), sd.eigenvalues
         assert np.abs(E - w0).max() < 1e-12
         assert np.abs(H.matrix @ V - V * E).max() < 1e-12
@@ -447,9 +469,26 @@ class TestParitySectors:
         (THIRD_FIELD, ListedWindow(il.LatticeWindow(3).positions()[:-1]))])
     def test_asymmetric_h_is_solved_whole(self, field, win, monkeypatch):
         H = il.iwatsuka_hamiltonian(field, win)
-        calls = spy_eigh(monkeypatch)
+        calls, eighs = spy(monkeypatch, "svd"), spy_eigh(monkeypatch)
         il.SpectralData.from_operator(H)
-        assert calls == [((win.size, win.size), "evr")]
+        assert eighs == []
+        assert calls == [(sublattice_sizes(win), np.complex128)]
+
+    @pytest.mark.parametrize("site,want", [
+        ((0, 0), [((24, 24), "evd"), ((25, 25), "evd")]),
+        ((1, 0), [((49, 49), "evr")])], ids=["origin", "off-origin"])
+    def test_onsite_entry_keeps_eigh(self, site, want, monkeypatch):
+        # an onsite entry joins a site to its own sublattice; at the origin
+        # it keeps the inversion symmetry, elsewhere it breaks it
+        win = il.LatticeWindow(3)
+        i = [tuple(p) for p in win.positions()].index(site)
+        v = sparse.csr_array(([0.5], ([i], [i])), shape=(win.size, win.size))
+        H = il.iwatsuka_hamiltonian(THIRD_FIELD, win, v)
+        calls, svds = spy_eigh(monkeypatch), spy(monkeypatch, "svd")
+        sd = il.SpectralData.from_operator(H)
+        assert svds == [] and sorted(calls) == want
+        w0 = scipy.linalg.eigh(H.dense(), driver="evr", eigvals_only=True)
+        assert np.abs(sd.eigenvalues - w0).max() < 1e-12
 
 
 class TestRealParityBlocks:
@@ -482,14 +521,22 @@ class TestRealParityBlocks:
             assert np.array_equal(g.toarray()[inverted], s * g.toarray())
             assert np.abs((g.conj().T @ h @ g).toarray().imag).max() < 1e-15
 
-    def _assert_blocks(self, H, dtype, monkeypatch):
-        """Two evd blocks of the dtype, with the evr eigenvalues."""
-        calls = spy_eigh(monkeypatch, lambda a, kwargs: (
+    def _assert_blocks(self, H, dtype, monkeypatch, chiral=True):
+        """Two blocks of the dtype, with the evr eigenvalues: the half
+        blocks of one SVD each, or two evd blocks unless chiral."""
+        calls = spy(monkeypatch, "svd")
+        eighs = spy_eigh(monkeypatch, lambda a, kwargs: (
             a.shape[0], kwargs.get("driver"), a.dtype))
         sd = il.SpectralData.from_operator(H)
         n = H.window.size
-        assert sorted(calls) == [((n - 1) // 2, "evd", dtype),
-                                 ((n + 1) // 2, "evd", dtype)]
+        if chiral:
+            assert eighs == []
+            assert sorted(calls) == [(shape, dtype)
+                                     for shape in half_block_shapes(H.window)]
+        else:
+            assert calls == []
+            assert sorted(eighs) == [((n - 1) // 2, "evd", dtype),
+                                     ((n + 1) // 2, "evd", dtype)]
         w0 = scipy.linalg.eigh(H.dense(), driver="evr", eigvals_only=True)
         V, E = merged_eigenvectors(sd), sd.eigenvalues
         assert np.abs(E - w0).max() < 1e-12
@@ -506,8 +553,9 @@ class TestRealParityBlocks:
         b = [site[(2, 3)], site[(-2, -3)]]
         v = sparse.csr_array(([1j, 1j, -1j, -1j], (a + b, b + a)),
                              shape=(win.size, win.size))
+        # a and b lie on one sublattice, so h is not chiral either
         self._assert_blocks(il.iwatsuka_hamiltonian(THIRD_FIELD, win, v),
-                            np.complex128, monkeypatch)
+                            np.complex128, monkeypatch, chiral=False)
 
     def test_window_without_reflection_keeps_complex_blocks(self, monkeypatch):
         # closed under n -> -n, but (1, -2) has lost its reflection (1, 2)
@@ -519,37 +567,107 @@ class TestRealParityBlocks:
 
 
 SOLVE_KINDS = {
-    "real": (THIRD_FIELD, il.LatticeWindow(6), "evd", np.float64),
-    "complex": (THIRD_FIELD, SYMMETRIC_SLAB, "evd", np.complex128),
+    "real": (THIRD_FIELD, il.LatticeWindow(6), "sectors", np.float64),
+    "complex": (THIRD_FIELD, SYMMETRIC_SLAB, "sectors", np.complex128),
     "whole": (il.IwatsukaField.from_turns(HALF, Fraction(1, 3), Fraction(2, 3)),
-              il.LatticeWindow(6), "evr", np.complex128)}
+              il.LatticeWindow(6), "whole", np.complex128)}
 
 
 class TestHermitianEigenvalues:
     @pytest.mark.parametrize("kind", sorted(SOLVE_KINDS))
     def test_values_only_on_the_same_blocks(self, kind, monkeypatch):
-        field, win, driver, dtype = SOLVE_KINDS[kind]
+        field, win, split, dtype = SOLVE_KINDS[kind]
         H = il.iwatsuka_hamiltonian(field, win)
         want = il.SpectralData.from_operator(H).eigenvalues
-        vectors = spy_eigh(monkeypatch)
-        values, original = [], operators.eigvalsh
-
-        def recorded(a, **kwargs):
-            values.append((a.shape[0], kwargs.get("driver"), a.dtype))
-            return original(a, **kwargs)
-
-        monkeypatch.setattr(operators, "eigvalsh", recorded)
+        eighs, svds = spy_eigh(monkeypatch), spy(monkeypatch, "svd")
+        eigvalshs = spy(monkeypatch, "eigvalsh")
+        values = spy(monkeypatch, "svdvals")
         E = il.hermitian_eigenvalues(H)
-        n = win.size
-        sizes = [n] if driver == "evr" else [(n - 1) // 2, (n + 1) // 2]
-        assert vectors == []
-        assert sorted(values) == [(m, driver, dtype) for m in sizes]
+        shapes = ([sublattice_sizes(win)] if split == "whole"
+                  else half_block_shapes(win))
+        assert eighs == svds == eigvalshs == []
+        assert sorted(values) == [(shape, dtype) for shape in shapes]
         assert np.abs(E - want).max() < 1e-12
 
     def test_checks_hermiticity(self):
         win = il.LatticeWindow(3)
         with pytest.raises(ValueError):
             il.hermitian_eigenvalues(il.magnetic_translation(THIRD_FIELD, win, 1))
+
+
+class TestChiralSolve:
+    """A nearest-neighbour h anticommutes with the sublattice sign
+    (-1)^(n1 + n2), so each block is solved from one SVD of its half block
+    X = G_A* h G_B."""
+
+    @pytest.mark.parametrize("flux", [Fraction(1, 3), Fraction(2, 5)])
+    @pytest.mark.parametrize("win", [il.LatticeWindow(3), SHUFFLED_SQUARE],
+                             ids=["square", "shuffled"])
+    def test_odd_window_blocks(self, flux, win, monkeypatch):
+        H = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(flux), win)
+        calls = spy(monkeypatch, "svd")
+        sd = il.SpectralData.from_operator(H)
+        assert len(calls) == len(sd.sectors) == 2
+        for ((rows, cols), _), (g, w, v) in zip(calls, sd.sectors):
+            # the null columns of the larger side are the only exact zeros
+            assert np.count_nonzero(w == 0) == abs(rows - cols)
+            block = (g.conj().T @ H.matrix @ g).toarray()
+            assert np.abs(block @ v - v * w).max() < 1e-12
+            assert np.abs(v.conj().T @ v - np.eye(w.size)).max() < 1e-12
+
+    def test_complex_whole_solve_matches_evr(self, monkeypatch):
+        win = il.LatticeWindow(6)
+        H = il.iwatsuka_hamiltonian(il.IwatsukaField.from_turns(
+            HALF, Fraction(1, 3), Fraction(2, 3)), win)
+        w0, v0 = scipy.linalg.eigh(H.dense(), driver="evr")
+        calls = spy(monkeypatch, "svd")
+        sd = il.SpectralData.from_operator(H)
+        assert calls == [((85, 84), np.complex128)]
+        V, E = merged_eigenvectors(sd), sd.eigenvalues
+        assert np.count_nonzero(E == 0) == 1
+        assert np.abs(E - w0).max() < 1e-12
+        assert np.abs(H.matrix @ V - V * E).max() < 1e-12
+        assert np.abs(V.conj().T @ V - np.eye(win.size)).max() < 1e-12
+        k = int(np.argmax(np.diff(w0)))
+        mu = 0.5 * (w0[k] + w0[k + 1])
+        occupied = v0[:, w0 <= mu]
+        P = il.fermi_projection(sd, mu).dense()
+        assert np.abs(P - occupied @ occupied.conj().T).max() < 1e-12
+
+    @pytest.mark.parametrize("flux,gap", [(Fraction(1, 3), 1), (Fraction(1, 4), 2)])
+    def test_chern_realspace_matches_eigh_path(self, flux, gap, monkeypatch):
+        H = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(flux),
+                                    il.LatticeWindow(20))
+        lo, hi = il.band_structure(flux).gaps[gap - 1]
+        mu = 0.5 * (lo + hi)
+
+        def chern():
+            P = il.fermi_projection(il.SpectralData.from_operator(H), mu)
+            return il.chern_realspace(P, margin=6)
+
+        chiral = chern()
+        monkeypatch.setattr(operators, "_sublattice_sides", lambda *args: None)
+        calls = spy_eigh(monkeypatch)
+        forced = chern()
+        assert sorted(driver for _, driver in calls) == ["evd", "evd"]
+        assert abs(chiral - forced) < 1e-13
+
+    def test_split_needs_both_checks(self):
+        win = il.LatticeWindow(2)
+        h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix
+        n = win.size
+        a, b = operators._sublattice_sides(win, h, sparse.eye_array(n))
+        assert (a.size, b.size) == sublattice_sizes(win)
+        # a column over a site and its neighbour spans both sublattices
+        site = {tuple(p): i for i, p in enumerate(win.positions())}
+        g = sparse.csc_array((np.full(2, math.sqrt(0.5)),
+                              ([site[(0, 0)], site[(1, 0)]], [0, 0])),
+                             shape=(n, 1))
+        assert operators._sublattice_sides(win, h, g) is None
+        # an onsite entry joins a site to its own sublattice
+        onsite = sparse.csr_array(([0.5], ([3], [3])), shape=(n, n))
+        assert operators._sublattice_sides(win, h + onsite,
+                                           sparse.eye_array(n)) is None
 
 
 class TestApply:
