@@ -47,6 +47,16 @@ def _sqrt_sign(a, b, d):
     return _sign(b)
 
 
+def _floor_sqrt(a, b, c, d):
+    """floor((a + b*sqrt(d))/c) for integers a, b, c > 0 and nonsquare d > 0,
+    in closed form: with r = isqrt(b^2*d), an irrational b*sqrt(d) puts
+    a + b*sqrt(d) strictly between the consecutive integers k = a + r
+    (b > 0) or k = a - r - 1 (b < 0) and k + 1, so it floors over c to
+    k // c; b = 0 gives r = 0 and a // c."""
+    r = math.isqrt(b * b * d)
+    return (a + r) // c if b >= 0 else (a - r - 1) // c
+
+
 class SqrtExpr:
     """Exact value (a + b*sqrt(d))/c with integer a, b, c > 0 and fixed
     nonsquare d.  Supports the arithmetic the hull needs: subtraction,
@@ -146,17 +156,7 @@ class SqrtExpr:
         return ((self.a << k) + (root if self.b >= 0 else -root)) / (self.c << k)
 
     def __floor__(self):
-        # bracket b*sqrt(d) between consecutive integers, then fix up exactly
-        if self.b >= 0:
-            lo = math.isqrt(self.b * self.b * self.d)
-        else:
-            lo = -math.isqrt(self.b * self.b * self.d) - 1
-        k = (self.a + lo) // self.c
-        while (self - (k + 1)).sign() >= 0:
-            k += 1
-        while (self - k).sign() < 0:
-            k -= 1
-        return k
+        return _floor_sqrt(self.a, self.b, self.c, self.d)
 
     def __repr__(self):
         return f"({self.a}{self.b:+d}*sqrt({self.d}))/{self.c}"
@@ -197,6 +197,10 @@ class _FractionSlope:
 
     def floor(self, x):
         return math.floor(x)
+
+    def floor_times(self, n1):
+        """floor(alpha*n1) for a finite slope, an integer."""
+        return (self.p * n1) // self.q
 
     def mod_one(self, x):
         return x - math.floor(x)
@@ -323,6 +327,10 @@ class QuadraticIrrationalSlope(_FloatFrame):
     def floor(self, x):
         return math.floor(self._as_expr(x))
 
+    def floor_times(self, n1):
+        """floor(alpha*n1), an integer."""
+        return _floor_sqrt(self.a * n1, self.b * n1, self.c, self.d)
+
     def mod_one(self, x):
         return self._as_expr(x) - math.floor(self._as_expr(x))
 
@@ -393,8 +401,8 @@ def _perturbation_pair(perturbation_turns, perturbation):
     """(radians, turns) perturbation dicts of a from_turns constructor; the
     turns dict is None when only float radians were given."""
     if perturbation_turns is not None:
-        pert_t = dict(perturbation_turns)
-        return {s: TWO_PI * float(v) for s, v in pert_t.items()}, pert_t
+        return ({s: TWO_PI * float(v) for s, v in perturbation_turns.items()},
+                perturbation_turns)
     return dict(perturbation or {}), None if perturbation else {}
 
 
@@ -423,6 +431,11 @@ class IwatsukaField:
     perturbation_turns: dict = None
 
     def __post_init__(self):
+        if self.perturbation_turns is not None:
+            # the field's own copy, a float as the dyadic Fraction it
+            # equals, so that the exact gauge and value_turns stay exact
+            object.__setattr__(self, "perturbation_turns", {
+                s: Fraction(v) for s, v in self.perturbation_turns.items()})
         _check_nondegenerate(self.b_plus, self.b_minus,
                              self.b_plus_turns, self.b_minus_turns)
 
@@ -452,8 +465,27 @@ class IwatsukaField:
         if self.b_plus_turns is None or self.b_minus_turns is None:
             raise ValueError("field was not built from exact turn fractions")
         base = self.b_plus_turns if self._plus_side(n) else self.b_minus_turns
-        extra = _exact_perturbation(self).get(tuple(n), Fraction(0))
-        return base + extra
+        extra = _exact_perturbation(self).get(tuple(n))
+        return base if extra is None else base + extra
+
+    @functools.cached_property
+    def _turn_numerators(self):
+        """The exact turns as integers over one denominator D, the lcm of
+        the denominators of b_plus_turns, b_minus_turns and the
+        perturbation: (D, b_plus numerator, b_minus numerator,
+        {n1: [(n2, perturbation numerator), ...]}).  ValueError if the
+        field has no exact turns."""
+        if self.b_plus_turns is None or self.b_minus_turns is None:
+            raise ValueError("field was not built from exact turn fractions")
+        pert = _exact_perturbation(self)
+        values = [Fraction(v) for v in (self.b_plus_turns, self.b_minus_turns,
+                                        *pert.values())]
+        D = math.lcm(*(v.denominator for v in values))
+        plus, minus, *extra = (v.numerator * (D // v.denominator) for v in values)
+        columns = {}
+        for (n1, n2), num in zip(pert, extra):
+            columns.setdefault(n1, []).append((n2, num))
+        return D, plus, minus, columns
 
     def _plus_rows(self, n1, lo, hi):
         """Number of rows m in lo..hi whose site (n1, m) takes b_plus
@@ -461,12 +493,15 @@ class IwatsukaField:
         -alpha*n1 + m is positive exactly when m > floor(alpha*n1); at the
         vertical slopes the offset -p*n1 is one for the whole column."""
         if self.slope.is_finite:
-            first = self.slope.floor(-self.slope.offset((n1, 0))) + 1
+            first = self.slope.floor_times(n1) + 1
         elif self._plus_side((n1, 0)):
             first = lo
         else:
             first = hi + 1
-        return max(0, hi - max(lo, first) + 1)
+        # max(0, hi - max(lo, first) + 1) without the two calls of max
+        if first <= lo:
+            return hi - lo + 1
+        return hi - first + 1 if first <= hi else 0
 
     def plus_side_array(self, n1, n2):
         """Boolean mask of sites taking the b_plus value (perturbation
@@ -493,41 +528,49 @@ def zero_field():
 # ---------------------------------------------------------------------------
 # standard gauge
 
-def _column_sum(field, n1, lo, hi, exact):
-    """Sum of the field over the rows lo..hi of column n1, in turns if
-    exact: each side's base value once per row on that side, and each
-    perturbed site in the column its value less its base value.  The float
-    sum is held exactly and rounded once, so it equals the math.fsum of the
-    site values."""
+def _column_sum(field, n1, lo, hi):
+    """Sum of the field in radians over the rows lo..hi of column n1: each
+    side's base value once per row on that side, and each perturbed site in
+    the column its value less its base value.  The sum is held exactly and
+    rounded once, so it equals the math.fsum of the site values."""
     rows = hi - lo + 1
     plus = field._plus_rows(n1, lo, hi)
-    b_plus, b_minus = ((field.b_plus_turns, field.b_minus_turns) if exact
-                       else (field.b_plus, field.b_minus))
-    if b_plus is None or b_minus is None:
-        raise ValueError("field was not built from exact turn fractions")
-    # one Fraction built from the integer ratios of the two values (a
-    # float has one too): Fraction arithmetic dominates the cost here
-    (p1, q1), (p2, q2) = b_plus.as_integer_ratio(), b_minus.as_integer_ratio()
+    # one Fraction built from the integer ratios of the two doubles:
+    # Fraction arithmetic dominates the cost here
+    (p1, q1), (p2, q2) = (field.b_plus.as_integer_ratio(),
+                          field.b_minus.as_integer_ratio())
     total = Fraction(plus * p1 * q2 + (rows - plus) * p2 * q1, q1 * q2)
-    pert = _exact_perturbation(field) if exact else field.perturbation
-    for site, dv in pert.items():
+    for site in field.perturbation:
         if site[0] == n1 and lo <= site[1] <= hi:
-            total += dv if exact else (Fraction(field.value(site))
-                                       - Fraction(field.base_value(site)))
-    return total if exact else float(total)
+            total += Fraction(field.value(site)) - Fraction(field.base_value(site))
+    return float(total)
 
 
-def _bond_potential(field, n, j, exact):
+def _column_numerator(field, n1, lo, hi):
+    """The column sum of _column_sum in turns, as its integer numerator
+    over the field's denominator D."""
+    _, plus_num, minus_num, columns = field._turn_numerators
+    plus = field._plus_rows(n1, lo, hi)
+    total = plus * plus_num + (hi - lo + 1 - plus) * minus_num
+    for n2, num in columns.get(n1, ()):
+        if lo <= n2 <= hi:
+            total += num
+    return total
+
+
+def _bond_potential(field, n, j, column_sum, zero):
+    """A(n, n - e_j) in the units of column_sum: `zero` on vertical bonds
+    and at row 0."""
     if j == 2:
-        return Fraction(0) if exact else 0.0
+        return zero
     if j != 1:
         raise ValueError("j must be 1 or 2")
     n1, n2 = n
     if n2 > 0:
-        return _column_sum(field, n1, 1, n2, exact)
+        return column_sum(field, n1, 1, n2)
     if n2 < 0:
-        return -_column_sum(field, n1, n2 + 1, 0, exact)
-    return Fraction(0) if exact else 0.0
+        return -column_sum(field, n1, n2 + 1, 0)
+    return zero
 
 
 def vector_potential(field, n, j):
@@ -535,12 +578,19 @@ def vector_potential(field, n, j):
     bonds; on horizontal bonds the signed partial sum of the field along the
     column of n, over rows 1..n2 above row 0 and minus over rows n2+1..0
     below it."""
-    return _bond_potential(field, n, j, exact=False)
+    return _bond_potential(field, n, j, _column_sum, 0.0)
+
+
+def _bond_numerator(field, n, j):
+    """vector_potential_turns as its integer numerator over D."""
+    return _bond_potential(field, n, j, _column_numerator, 0)
 
 
 def vector_potential_turns(field, n, j):
     """Exact bond potential in units of full turns (value / 2*pi)."""
-    return _bond_potential(field, n, j, exact=True)
+    num = _bond_numerator(field, n, j)
+    # a zero needs no denominator: a field without exact turns reads it too
+    return Fraction(num, field._turn_numerators[0]) if num else Fraction(0)
 
 
 def _bond(field, m, mp, pot):
@@ -559,14 +609,16 @@ def _bond(field, m, mp, pot):
 def circulation(field, n, exact=False):
     """Four-bond loop sum of the gauge around the plaquette at n; equals the
     field value there, which is the self-test the gauge must pass.  With
-    exact=True the sum is done in turn fractions and returned as a Fraction."""
-    pot = vector_potential_turns if exact else vector_potential
+    exact=True the sum is done on the integer numerators of the turns and
+    returned as one Fraction."""
+    pot = _bond_numerator if exact else vector_potential
     n1, n2 = n
     a = _bond(field, (n1, n2), (n1 - 1, n2), pot)
     b = _bond(field, (n1 - 1, n2), (n1 - 1, n2 - 1), pot)
     c = _bond(field, (n1 - 1, n2 - 1), (n1, n2 - 1), pot)
     d = _bond(field, (n1, n2 - 1), (n1, n2), pot)
-    return a + b + c + d
+    total = a + b + c + d
+    return Fraction(total, field._turn_numerators[0]) if exact else total
 
 
 def flux_phase(field, n):

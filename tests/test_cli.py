@@ -197,7 +197,9 @@ class TestCommands:
         def no_eigenvectors(*args, **kwargs):
             raise AssertionError("spectrum solved for eigenvectors")
 
+        # the general blocks solve by eigh, the bipartite ones by svd
         monkeypatch.setattr(operators, "eigh", no_eigenvectors)
+        monkeypatch.setattr(operators, "svd", no_eigenvectors)
         rc = cli.main(["spectrum", "--slope", "rational:1,2", "--bminus", bminus,
                        "--M", "5", "--out", str(tmp_path)])
         assert rc == 0

@@ -4,10 +4,36 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import iwalab as il
 from iwalab.model import SqrtExpr
+
+
+def loop_floor(x):
+    """Independent oracle for math.floor of a SqrtExpr: the bracket-and-fix
+    loop SqrtExpr used before its closed form, which brackets b*sqrt(d)
+    between consecutive integers and then steps k by exact sign tests of
+    x - k."""
+    if x.b >= 0:
+        lo = math.isqrt(x.b * x.b * x.d)
+    else:
+        lo = -math.isqrt(x.b * x.b * x.d) - 1
+    k = (x.a + lo) // x.c
+    while (x - (k + 1)).sign() >= 0:
+        k += 1
+    while (x - k).sign() < 0:
+        k -= 1
+    return k
+
+
+def _big_or_small(bound):
+    return st.one_of(st.integers(-12, 12), st.integers(-bound, bound))
+
+
+NONSQUARES = st.one_of(
+    st.sampled_from([2, 3, 5, 13, 101]),
+    st.integers(2, 2**130).filter(lambda d: math.isqrt(d) ** 2 != d))
 
 
 class TestSlopes:
@@ -171,6 +197,14 @@ class TestSlopes:
         assert SqrtExpr(3, -2, 1, 2) > 0
         assert x - Fraction(3, 2) < 0
         assert hash(SqrtExpr(2, 0, 2, 2)) == hash(Fraction(1))
+
+    @given(a=_big_or_small(2**200), b=_big_or_small(2**200),
+           c=st.one_of(st.integers(1, 12), st.integers(1, 2**100)), d=NONSQUARES)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_sqrt_expr_floor_matches_loop_oracle(self, a, b, c, d):
+        x = SqrtExpr(a, b, c, d)
+        assert math.floor(x) == loop_floor(x)
+        assert math.floor(-x) == loop_floor(-x)
 
     @pytest.mark.parametrize("a,b,c,d,want", [
         (-10**200, 1, 1, 10**400 + 1, 5e-201),      # sqrt(d) past the double range
@@ -355,6 +389,33 @@ def reference_potential(field, n, exact):
     return total(())
 
 
+def reference_column_sum(field, n1, lo, hi):
+    """Independent reference for the exact column sum: the Fraction sum the
+    gauge computed before it moved to integer numerators, with the first
+    b+ row from the exact offset and, on a quadratic slope, the loop floor."""
+    if field.slope.is_finite:
+        x = -field.slope.offset((n1, 0))              # alpha*n1, exact
+        first = (loop_floor(x) if isinstance(x, SqrtExpr) else math.floor(x)) + 1
+    else:
+        first = lo if field._plus_side((n1, 0)) else hi + 1
+    plus = max(0, hi - max(lo, first) + 1)
+    total = plus * field.b_plus_turns + (hi - lo + 1 - plus) * field.b_minus_turns
+    for site, dv in field.perturbation_turns.items():
+        if site[0] == n1 and lo <= site[1] <= hi:
+            total += dv
+    return total
+
+
+def reference_potential_turns(field, n):
+    """A(n, n - e1) in turns from reference_column_sum."""
+    n1, n2 = n
+    if n2 > 0:
+        return reference_column_sum(field, n1, 1, n2)
+    if n2 < 0:
+        return -reference_column_sum(field, n1, n2 + 1, 0)
+    return Fraction(0)
+
+
 CRITERION_7_PERTURBATION = {
     (a, b): Fraction(1, 6) if (a + b) % 2 else -Fraction(1, 6)
     for a in range(-4, 4) for b in (0, 1)}
@@ -418,6 +479,77 @@ class TestGauge:
                 reference_potential(field, n, exact=True)
             assert il.vector_potential(field, n, 1) == \
                 reference_potential(field, n, exact=False)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_exact_gauge_property(self, data):
+        # every slope class, flux pairs and perturbations of mixed
+        # denominators (floats among them), at sites up to 2^70
+        draw = data.draw
+        slope = draw(st.one_of(
+            st.builds(il.RationalSlope, st.integers(-9, 9), st.integers(1, 9)),
+            st.sampled_from([il.PlusInfinity, il.MinusInfinity]),
+            st.builds(il.QuadraticIrrationalSlope, st.integers(-9, 9),
+                      st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 9),
+                      st.sampled_from([2, 3, 5, 13, 10**30 + 1])),
+            st.builds(il.FloatIrrationalSlope,
+                      st.floats(-20, 20, allow_nan=False, allow_infinity=False))))
+        turns = st.one_of(st.fractions(-2, 2, max_denominator=30),
+                          st.floats(-2, 2, allow_nan=False))
+        coordinate = st.one_of(st.integers(-8, 8), st.integers(-2**70, 2**70))
+        plus, minus = draw(turns), draw(turns)
+        difference = Fraction(plus) - Fraction(minus)
+        assume(difference == 0 or difference.denominator != 1)
+        pert = draw(st.dictionaries(st.tuples(coordinate, coordinate), turns,
+                                    max_size=6))
+        field = il.IwatsukaField.from_turns(slope, plus, minus,
+                                            perturbation_turns=pert)
+        sites = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1,
+                              max_size=8))
+        # each perturbed site and the rows next to it in its column
+        sites += [(n1, n2 + dy) for n1, n2 in pert for dy in (-1, 0, 1)]
+        for n in sites:
+            got = il.model.vector_potential_turns(field, n, 1)
+            assert type(got) is Fraction
+            assert got == reference_potential_turns(field, n)
+            assert il.model.vector_potential_turns(field, n, 2) == 0
+            circ = il.circulation(field, n, exact=True)
+            assert type(circ) is Fraction and circ == field.value_turns(n)
+
+    def test_float_perturbation_turns_stay_exact(self):
+        # a float turns value is held, from either constructor, as the
+        # dyadic Fraction it equals, so the exact gauge is a Fraction equal
+        # to value_turns at every site; a float gauge read
+        # 0.3333333333333335 against 1/3 at (1, 5)
+        pert = {(0, 0): 0.1, (1, 1): 0.3}
+        f = il.IwatsukaField.from_turns(il.RationalSlope(1, 2), 1 / 3, 2 / 3,
+                                        perturbation_turns=pert)
+        assert f.perturbation == {s: il.model.TWO_PI * v for s, v in pert.items()}
+        direct = il.IwatsukaField(f.slope, f.b_plus, f.b_minus, f.perturbation,
+                                  f.b_plus_turns, f.b_minus_turns, pert)
+        for field in (f, direct):
+            assert field.perturbation_turns == {s: Fraction(v) for s, v in pert.items()}
+            assert all(type(v) is Fraction for v in field.perturbation_turns.values())
+            for n in il.LatticeWindow(5).sites:
+                circ = il.circulation(field, n, exact=True)
+                assert type(circ) is Fraction and circ == field.value_turns(n)
+            assert il.circulation(field, (1, 5), exact=True) == Fraction(1 / 3)
+
+    def test_exact_reads_refuse_fields_without_turns(self):
+        radians = il.IwatsukaField(il.RationalSlope(1, 2), 1.0, 2.0)
+        for exact_read in (lambda: radians.value_turns((0, 1)),
+                           lambda: il.circulation(radians, (0, 0), exact=True),
+                           lambda: il.model.vector_potential_turns(radians, (0, 1), 1),
+                           lambda: il.model.vector_potential_turns(radians, (0, -1), 1)):
+            with pytest.raises(ValueError, match="exact turn fractions"):
+                exact_read()
+        exact = il.IwatsukaField.from_turns(il.RationalSlope(1, 2), Fraction(1, 3),
+                                            Fraction(2, 3))
+        for f in (radians, exact):
+            with pytest.raises(ValueError, match="j must be 1 or 2"):
+                il.model.vector_potential_turns(f, (0, 1), 3)
+            with pytest.raises(ValueError, match="j must be 1 or 2"):
+                il.vector_potential(f, (0, 1), 3)
 
     def test_flux_phase(self):
         assert il.flux_phase(il.zero_field(), (3, 3)) == 1.0
