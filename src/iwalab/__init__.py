@@ -14,10 +14,8 @@ from .errors import (BudgetExceeded, ChernMismatch, ConfigError,
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope, SlabWindow,
-                    SqrtExpr, circulation, flux_phase, vector_potential,
-                    zero_field)
-from .hull import (HullPoint, Pattern, cantor_diagnostics, enumerate_hull,
-                   hull_metric, offset_coordinate, point_pattern, shift_point)
+                    SqrtExpr, circulation, zero_field)
+from .hull import Pattern, cantor_diagnostics, enumerate_hull
 from .operators import (BandStructure, LatticeOperator, Projection,
                         SpectralData, SwitchFunction, band_structure,
                         bloch_spectrum, fermi_projection, flux_operator,
@@ -28,7 +26,7 @@ from .operators import (BandStructure, LatticeOperator, Projection,
 from .invariants import (CurrentReport, InvariantReport,
                          TANGENTIAL_ORIENTATION, chern_momentum,
                          chern_realspace, chern_tknn, common_gaps, derivation,
-                         interface_current, trace_bulk, trace_interface,
-                         verify_bic, winding)
+                         interface_current, trace_interface, verify_bic,
+                         winding)
 
 __version__ = "0.1.0"

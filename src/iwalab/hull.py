@@ -1,50 +1,19 @@
-"""The magnetic hull as a two-letter subshift: symbolic hull points,
-pattern windows, the shift action, the offset (pi) map, the pattern metric,
-finite-resolution enumeration, and the finite-resolution diagnostics of
-the discrete/Cantor dichotomy.
+"""The magnetic hull as a two-letter subshift: finite-resolution pattern
+enumeration and the finite-resolution diagnostics of the discrete/Cantor
+dichotomy.
 
-Hull points are never stored as infinite patterns.  A point is either one
-of the two constant configurations or a threshold description (offset x,
-open/closed), and every topological question is answered on a finite window
-with exact tail bounds.
+A hull configuration is never stored as an infinite pattern.  Its
+restriction to a square window is a cut of the exactly sorted window
+offsets x_n = -alpha*n1 + n2 by a threshold, and every number is read on
+finite windows in the slope's exact arithmetic.
 """
 
 import functools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .model import QuadraticIrrationalSlope
-
-
-@dataclass(frozen=True)
-class HullPoint:
-    """Symbolic element of the hull.
-
-    kind "plus"/"minus" are the constant configurations; kind "threshold"
-    carries an offset x in the slope's arithmetic class and a closedness
-    flag: open realizes the pattern [x_n - x > 0], closed realizes
-    [x_n - x >= 0].  Threshold(0, open) is the flux configuration of the
-    unperturbed field itself.
-    """
-
-    kind: str
-    x: object = None
-    closed: bool = False
-
-    @staticmethod
-    def plus():
-        return HullPoint("plus")
-
-    @staticmethod
-    def minus():
-        return HullPoint("minus")
-
-    @staticmethod
-    def threshold(x, closed=False):
-        return HullPoint("threshold", x, bool(closed))
 
 
 class Pattern:
@@ -66,22 +35,6 @@ class Pattern:
     def plus_mask(self):
         return self._mask
 
-    def is_plus(self, n):
-        M = self.half_width
-        return bool(self._mask[n[0] + M, n[1] + M])
-
-    def translate(self, gamma, half_width):
-        """Pattern of the shifted configuration, new(n) = old(n + gamma),
-        on the window [-half_width, half_width]^2."""
-        g1, g2 = gamma
-        M = self.half_width
-        if half_width + max(abs(g1), abs(g2)) > M:
-            raise ValueError("translate leaves the stored window")
-        lo1 = M + g1 - half_width
-        lo2 = M + g2 - half_width
-        w = 2 * half_width + 1
-        return Pattern(half_width, self._mask[lo1:lo1 + w, lo2:lo2 + w])
-
     def to_strings(self):
         """Rows n2 = +M .. -M as '+'/'-' strings (row-major in n1 would be
         unreadable; this draws the lattice the usual way up)."""
@@ -102,58 +55,6 @@ class Pattern:
 
     def __repr__(self):
         return f"Pattern(M={self.half_width})"
-
-
-def point_pattern(point, slope, M):
-    """Restriction of a hull point to [-M, M]^2."""
-    size = 2 * M + 1
-    if point.kind == "plus":
-        return Pattern(M, np.ones((size, size), dtype=bool))
-    if point.kind == "minus":
-        return Pattern(M, np.zeros((size, size), dtype=bool))
-    mask = np.zeros((size, size), dtype=bool)
-    for n1 in range(-M, M + 1):
-        for n2 in range(-M, M + 1):
-            c = slope.compare(slope.offset((n1, n2)), point.x)
-            mask[n1 + M, n2 + M] = c > 0 or (point.closed and c == 0)
-    return Pattern(M, mask)
-
-
-def shift_point(point, gamma, slope):
-    """Image of a hull point under the pattern shift by gamma: constants are
-    fixed, Threshold(x, c) moves to Threshold(x - x_gamma, c)."""
-    if point.kind != "threshold":
-        return point
-    return HullPoint.threshold(point.x - slope.offset(tuple(gamma)), point.closed)
-
-
-def offset_coordinate(point):
-    """Offset coordinate of a hull point: +/-inf on the constant points, the
-    threshold offset otherwise.  Equivariant under shift_point with
-    offset_coordinate(shift(p, gamma)) = offset_coordinate(p) - x_gamma."""
-    if point.kind == "plus":
-        return math.inf
-    if point.kind == "minus":
-        return -math.inf
-    return point.x
-
-
-def hull_metric(p1, p2, slope, depth):
-    """Two-sided bound (lower, upper) on the prodiscrete metric
-    sum_i s_i / 2^(i+1) from the window comparisons through radius depth;
-    the tail bound is 2^-(depth+1)."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    a = point_pattern(p1, slope, depth)
-    b = point_pattern(p2, slope, depth)
-    diff = a.plus_mask() != b.plus_mask()
-    tail = Fraction(1, 2 ** (depth + 1))
-    if not diff.any():
-        return 0.0, float(tail)
-    idx = np.argwhere(diff) - depth
-    first = int(np.abs(idx).max(axis=1).min())
-    lower = Fraction(1, 2 ** first) - tail
-    return float(lower), float(lower + tail)
 
 
 def _exact_sorted(slope, values):
@@ -184,23 +85,17 @@ def _rank_grid(slope, M, values):
     return grid
 
 
-def enumerate_hull(slope, M, with_points=False):
-    """All distinct restrictions of hull points to [-M, M]^2, in ascending
-    j from all-plus (j = 0) to all-minus (j = K).
+def enumerate_hull(slope, M):
+    """All distinct restrictions of hull configurations to [-M, M]^2, in
+    ascending j from all-plus (j = 0) to all-minus (j = K).
 
     A window pattern depends only on how the threshold cuts the K sorted
     distinct window offsets v_0 < ... < v_(K-1), so the finite-resolution
     hull is the K + 1 up-sets [rank >= j], j = 0..K, each distinct because
-    every rank is taken.  with_points maps each pattern to its two
-    generating points: plus or open(v_(j-1)), then closed(v_j) or minus."""
+    every rank is taken."""
     values = _sorted_distinct_offsets(slope, M)
     rank = _rank_grid(slope, M, values)
-    patterns = [Pattern(M, rank >= j) for j in range(len(values) + 1)]
-    if not with_points:
-        return patterns
-    opens = [HullPoint.plus()] + [HullPoint.threshold(v) for v in values]
-    closes = [HullPoint.threshold(v, True) for v in values] + [HullPoint.minus()]
-    return {pat: [a, b] for pat, a, b in zip(patterns, opens, closes)}
+    return [Pattern(M, rank >= j) for j in range(len(values) + 1)]
 
 
 @dataclass(frozen=True)

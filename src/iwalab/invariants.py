@@ -11,7 +11,6 @@ whose winding must be +1, and recorded in every report.
 import itertools
 import math
 from dataclasses import dataclass, asdict
-from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
@@ -26,15 +25,16 @@ from .model import SlabWindow
 from .operators import (LatticeOperator, Projection, SwitchFunction,
                         _as_flux_fraction, _bloch_grid, _smoothstep,
                         band_structure, gap_switch_operators,
-                        interface_shift_unitary, iwatsuka_hamiltonian,
-                        require_hermitian, require_spectrum_beyond)
+                        iwatsuka_hamiltonian, require_hermitian,
+                        require_spectrum_beyond)
 
 # Tangential orientation of the interface.  The compounded sign conventions
 # (shift direction of the translations, the i[v.n, .] derivation, and the
 # exponential map behind the gap unitary) leave one global sign free; it is
 # fixed by requiring the minimal-strip interface shift unitary to have
 # winding +1 on the reference configuration (slope 0, fluxes 1/3 and 2/3 of
-# a turn), which also aligns winding(u_gap) with Ch(+) - Ch(-).
+# a turn), which also aligns winding(u_gap) with Ch(+) - Ch(-).  The test
+# suite recomputes it (tests/test_invariants.py).
 TANGENTIAL_ORIENTATION = -1.0
 
 DEFAULT_RAMP = 8.0        # tangential taper width of the slab trace
@@ -107,15 +107,6 @@ def derivation(op, v):
     else:
         m = 1j * (t[:, None] - t[None, :]) * op.matrix
     return LatticeOperator(op.window, m)
-
-
-def trace_bulk(op, margin=0):
-    """Trace per unit volume: mean diagonal entry over the sites at least
-    margin away from the window boundary."""
-    mask = op.window.interior_mask(margin)
-    if not mask.any():
-        raise EmptyInterior(f"margin {margin} leaves no interior sites")
-    return complex(np.mean(op.diagonal()[mask]))
 
 
 def slab_window(slope, L, normal_half, buffer=DEFAULT_BUFFER):
@@ -733,15 +724,3 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
         orientation_sign=TANGENTIAL_ORIENTATION,
         passed=bool(passed))
 
-
-def reference_orientation_sign():
-    """Recompute the orientation calibration from scratch: the sign that
-    gives the minimal-strip interface shift unitary winding +1 on the
-    reference configuration (slope 0, fluxes 1/3 and 2/3)."""
-    from .model import IwatsukaField, RationalSlope
-    slope = RationalSlope(0, 1)
-    field = IwatsukaField.from_turns(slope, Fraction(1, 3), Fraction(2, 3))
-    window = SlabWindow(slope, 36, 14)
-    u = interface_shift_unitary(field, window, variant="minimal")
-    w = winding(u, slope, 32.0)
-    return TANGENTIAL_ORIENTATION if w > 0 else -TANGENTIAL_ORIENTATION

@@ -10,7 +10,6 @@ The vertical slopes +/-infinity are the rational slopes +/-1/0, whose
 offset is -p*n1 = -/+n1.
 """
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -195,9 +194,6 @@ class _FractionSlope:
     def offset_signs_array(self, n1, n2):
         return np.sign(self._scaled_offsets(n1, n2)).astype(np.int64)
 
-    def floor(self, x):
-        return math.floor(x)
-
     def floor_times(self, n1):
         """floor(alpha*n1) for a finite slope, an integer."""
         return (self.p * n1) // self.q
@@ -324,9 +320,6 @@ class QuadraticIrrationalSlope(_FloatFrame):
             return x
         return SqrtExpr.from_rational(x, self.d)
 
-    def floor(self, x):
-        return math.floor(self._as_expr(x))
-
     def floor_times(self, n1):
         """floor(alpha*n1), an integer."""
         return _floor_sqrt(self.a * n1, self.b * n1, self.c, self.d)
@@ -431,9 +424,14 @@ class IwatsukaField:
     perturbation_turns: dict = None
 
     def __post_init__(self):
+        # exact turns held as Fractions, a float as the dyadic Fraction it
+        # equals, so that the exact gauge and value_turns stay exact
+        for name in ("b_plus_turns", "b_minus_turns"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, Fraction(value))
         if self.perturbation_turns is not None:
-            # the field's own copy, a float as the dyadic Fraction it
-            # equals, so that the exact gauge and value_turns stay exact
+            # the field's own copy
             object.__setattr__(self, "perturbation_turns", {
                 s: Fraction(v) for s, v in self.perturbation_turns.items()})
         _check_nondegenerate(self.b_plus, self.b_minus,
@@ -528,27 +526,11 @@ def zero_field():
 # ---------------------------------------------------------------------------
 # standard gauge
 
-def _column_sum(field, n1, lo, hi):
-    """Sum of the field in radians over the rows lo..hi of column n1: each
-    side's base value once per row on that side, and each perturbed site in
-    the column its value less its base value.  The sum is held exactly and
-    rounded once, so it equals the math.fsum of the site values."""
-    rows = hi - lo + 1
-    plus = field._plus_rows(n1, lo, hi)
-    # one Fraction built from the integer ratios of the two doubles:
-    # Fraction arithmetic dominates the cost here
-    (p1, q1), (p2, q2) = (field.b_plus.as_integer_ratio(),
-                          field.b_minus.as_integer_ratio())
-    total = Fraction(plus * p1 * q2 + (rows - plus) * p2 * q1, q1 * q2)
-    for site in field.perturbation:
-        if site[0] == n1 and lo <= site[1] <= hi:
-            total += Fraction(field.value(site)) - Fraction(field.base_value(site))
-    return float(total)
-
-
 def _column_numerator(field, n1, lo, hi):
-    """The column sum of _column_sum in turns, as its integer numerator
-    over the field's denominator D."""
+    """Sum of the field in turns over the rows lo..hi of column n1, as its
+    integer numerator over the field's denominator D: each side's base
+    value once per row on that side, plus each perturbed site in the
+    column."""
     _, plus_num, minus_num, columns = field._turn_numerators
     plus = field._plus_rows(n1, lo, hi)
     total = plus * plus_num + (hi - lo + 1 - plus) * minus_num
@@ -558,32 +540,21 @@ def _column_numerator(field, n1, lo, hi):
     return total
 
 
-def _bond_potential(field, n, j, column_sum, zero):
-    """A(n, n - e_j) in the units of column_sum: `zero` on vertical bonds
-    and at row 0."""
+def _bond_numerator(field, n, j):
+    """Bond potential A(n, n - e_j) of the standard gauge as its integer
+    numerator over D: zero on vertical bonds; on horizontal bonds the
+    signed partial sum of the field along the column of n, over rows
+    1..n2 above row 0 and minus over rows n2+1..0 below it."""
     if j == 2:
-        return zero
+        return 0
     if j != 1:
         raise ValueError("j must be 1 or 2")
     n1, n2 = n
     if n2 > 0:
-        return column_sum(field, n1, 1, n2)
+        return _column_numerator(field, n1, 1, n2)
     if n2 < 0:
-        return -column_sum(field, n1, n2 + 1, 0)
-    return zero
-
-
-def vector_potential(field, n, j):
-    """Bond potential A(n, n - e_j) of the standard gauge: zero on vertical
-    bonds; on horizontal bonds the signed partial sum of the field along the
-    column of n, over rows 1..n2 above row 0 and minus over rows n2+1..0
-    below it."""
-    return _bond_potential(field, n, j, _column_sum, 0.0)
-
-
-def _bond_numerator(field, n, j):
-    """vector_potential_turns as its integer numerator over D."""
-    return _bond_potential(field, n, j, _column_numerator, 0)
+        return -_column_numerator(field, n1, n2 + 1, 0)
+    return 0
 
 
 def vector_potential_turns(field, n, j):
@@ -593,37 +564,35 @@ def vector_potential_turns(field, n, j):
     return Fraction(num, field._turn_numerators[0]) if num else Fraction(0)
 
 
-def _bond(field, m, mp, pot):
+def _bond(field, m, mp):
     d = (mp[0] - m[0], mp[1] - m[1])
     if d == (-1, 0):
-        return pot(field, m, 1)
+        return _bond_numerator(field, m, 1)
     if d == (0, -1):
-        return pot(field, m, 2)
+        return _bond_numerator(field, m, 2)
     if d == (1, 0):
-        return -pot(field, mp, 1)
+        return -_bond_numerator(field, mp, 1)
     if d == (0, 1):
-        return -pot(field, mp, 2)
+        return -_bond_numerator(field, mp, 2)
     raise ValueError("sites are not nearest neighbours")
 
 
-def circulation(field, n, exact=False):
-    """Four-bond loop sum of the gauge around the plaquette at n; equals the
-    field value there, which is the self-test the gauge must pass.  With
-    exact=True the sum is done on the integer numerators of the turns and
-    returned as one Fraction."""
-    pot = _bond_numerator if exact else vector_potential
+def circulation(field, n, exact=True):
+    """Four-bond loop sum of the exact gauge around the plaquette at n, as
+    one Fraction of a turn; it equals value_turns(n), which is the
+    self-test the gauge must pass.  The sum is done on the integer
+    numerators of the turns.  The float gauge is the vectorized one of
+    `operators`: `exact` stays only for callers that pass exact=True, such
+    as perfbench/workloads.py, and exact=False is refused."""
+    if not exact:
+        raise ValueError("circulation is exact only; the float gauge is "
+                         "the vectorized one of iwalab.operators")
     n1, n2 = n
-    a = _bond(field, (n1, n2), (n1 - 1, n2), pot)
-    b = _bond(field, (n1 - 1, n2), (n1 - 1, n2 - 1), pot)
-    c = _bond(field, (n1 - 1, n2 - 1), (n1, n2 - 1), pot)
-    d = _bond(field, (n1, n2 - 1), (n1, n2), pot)
-    total = a + b + c + d
-    return Fraction(total, field._turn_numerators[0]) if exact else total
-
-
-def flux_phase(field, n):
-    """Unit complex e^{i B(n)}."""
-    return cmath.exp(1j * field.value(n))
+    a = _bond(field, (n1, n2), (n1 - 1, n2))
+    b = _bond(field, (n1 - 1, n2), (n1 - 1, n2 - 1))
+    c = _bond(field, (n1 - 1, n2 - 1), (n1, n2 - 1))
+    d = _bond(field, (n1, n2 - 1), (n1, n2))
+    return Fraction(a + b + c + d, field._turn_numerators[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ is diagonalized.
 The translations, the Hamiltonian and the interface shift unitary all write
 the (row, column, phase) entries of one function, `_translation_entries`,
 which takes the standard gauge as column sums of the field on a grid over
-the window; `model.vector_potential` is its scalar reference.
+the window.  It is the float gauge; the tests check its phases against the
+exact gauge, `model.vector_potential_turns`.
 """
 
 import math

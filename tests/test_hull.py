@@ -1,15 +1,13 @@
 import functools
-import itertools
 import math
 import signal
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import iwalab as il
 from iwalab import hull
-from iwalab.hull import HullPoint, _exact_sorted, _sorted_distinct_offsets
+from iwalab.hull import _exact_sorted, _sorted_distinct_offsets
 from iwalab.model import SqrtExpr
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
@@ -26,111 +24,6 @@ RATIONALS = [il.RationalSlope(p, q) for p, q in
 QUADRATICS = [s for a, b, c, d in [(0, 1, 1, 2), (1, 1, 2, 5), (1, 1, 2, 3),
                                    (0, 2, 3, 6)]
               for s in (Q(a, b, c, d), Q(-a, -b, c, d))]
-
-
-class TestPointPattern:
-    def test_constants(self):
-        pat = il.point_pattern(HullPoint.plus(), HALF, 2)
-        assert pat.plus_mask().all()
-        assert not il.point_pattern(HullPoint.minus(), HALF, 2).plus_mask().any()
-
-    def test_threshold_closedness_at_origin(self):
-        closed = il.point_pattern(HullPoint.threshold(Fraction(0), True), HALF, 1)
-        assert closed.is_plus((0, 0))           # x = 0 >= 0
-        open_ = il.point_pattern(HullPoint.threshold(Fraction(0), False), HALF, 1)
-        assert not open_.is_plus((0, 0))        # 0 > 0 is false
-
-    def test_open_threshold_matches_field(self):
-        # Threshold(0, open) restricted to a window is the flux configuration
-        field = il.IwatsukaField.from_turns(HALF, Fraction(1, 3), Fraction(2, 3))
-        pat = il.point_pattern(HullPoint.threshold(Fraction(0), False), HALF, 3)
-        for n1 in range(-3, 4):
-            for n2 in range(-3, 4):
-                want = field.value_turns((n1, n2)) == Fraction(1, 3)
-                assert pat.is_plus((n1, n2)) == want
-
-
-class TestShift:
-    def test_constants_fixed(self):
-        assert il.shift_point(HullPoint.plus(), (3, -2), HALF).kind == "plus"
-        assert il.shift_point(HullPoint.minus(), (0, 5), SQRT2).kind == "minus"
-
-    def test_threshold_moves_by_offset(self):
-        pt = il.shift_point(HullPoint.threshold(Fraction(0), False), (0, 1), HALF)
-        assert pt.x == Fraction(-1)
-        assert not pt.closed
-
-    def test_identity_shift(self):
-        p = HullPoint.threshold(Fraction(1, 2), True)
-        assert il.shift_point(p, (0, 0), HALF) == p
-
-    @pytest.mark.parametrize("slope", [ZERO, HALF, SQRT2, il.PlusInfinity])
-    def test_shift_pattern_equivariance(self, slope):
-        # shifted point restricted to M equals the translate of the larger
-        # pattern, for all |gamma|_inf <= 3
-        points = [HullPoint.plus(), HullPoint.minus(),
-                  HullPoint.threshold(slope.offset((0, 0)), False),
-                  HullPoint.threshold(slope.offset((0, 0)), True),
-                  HullPoint.threshold(slope.offset((1, 1)), False)]
-        M = 2
-        for p in points:
-            big = il.point_pattern(p, slope, M + 3)
-            for g1 in range(-3, 4):
-                for g2 in range(-3, 4):
-                    shifted = il.shift_point(p, (g1, g2), slope)
-                    assert il.point_pattern(shifted, slope, M) == \
-                        big.translate((g1, g2), M)
-
-
-class TestOffsetCoordinate:
-    def test_values(self):
-        assert il.offset_coordinate(HullPoint.plus()) == math.inf
-        assert il.offset_coordinate(HullPoint.minus()) == -math.inf
-        assert il.offset_coordinate(HullPoint.threshold(Fraction(1, 2))) == Fraction(1, 2)
-
-    def test_shift_equivariance_minus_sign(self):
-        # pattern-shift convention: coordinate moves by -x_gamma
-        p = HullPoint.threshold(Fraction(0), False)
-        for gamma in [(0, 1), (2, -1), (-3, 2)]:
-            shifted = il.shift_point(p, gamma, HALF)
-            assert il.offset_coordinate(shifted) == \
-                il.offset_coordinate(p) - HALF.offset(gamma)
-        assert il.offset_coordinate(il.shift_point(HullPoint.plus(), (5, 5), HALF)) == math.inf
-
-    def test_composed_example(self):
-        p = HullPoint.threshold(Fraction(0), False)
-        assert il.offset_coordinate(il.shift_point(p, (0, 1), HALF)) == Fraction(-1)
-
-
-class TestMetric:
-    def test_identical_points(self):
-        p = HullPoint.threshold(Fraction(0), False)
-        lo, hi = il.hull_metric(p, p, HALF, 6)
-        assert lo == 0.0 and hi == 2.0 ** -7
-
-    def test_constants_distance_one(self):
-        lo, hi = il.hull_metric(HullPoint.plus(), HullPoint.minus(), HALF, 10)
-        assert lo == 1 - 2.0 ** -11
-        assert hi == 1.0
-
-    def test_closedness_seen_at_origin(self):
-        lo, hi = il.hull_metric(HullPoint.threshold(Fraction(0), False),
-                                HullPoint.threshold(Fraction(0), True), HALF, 10)
-        assert lo > 0
-
-    def test_symmetry_and_triangle(self):
-        by_pattern = il.enumerate_hull(HALF, 3, with_points=True)
-        points = [pts[0] for pts in by_pattern.values()]
-        depth = 3
-        n = len(points)
-        lower = np.zeros((n, n))
-        for i, j in itertools.combinations(range(n), 2):
-            lo_ij, _ = il.hull_metric(points[i], points[j], HALF, depth)
-            lo_ji, _ = il.hull_metric(points[j], points[i], HALF, depth)
-            assert lo_ij == lo_ji
-            lower[i, j] = lower[j, i] = lo_ij
-        for i, j, k in itertools.product(range(n), repeat=3):
-            assert lower[i, k] <= lower[i, j] + lower[j, k] + 1e-15
 
 
 def brute_force_patterns(slope, M):
@@ -170,16 +63,6 @@ class TestEnumerate:
         for slope, M in [(HALF, 4), (SQRT2, 3), (il.MinusInfinity, 3)]:
             d = len(_sorted_distinct_offsets(slope, M))
             assert len(il.enumerate_hull(slope, M)) == d + 1
-
-    @pytest.mark.parametrize("slope", [HALF, SQRT2, il.PlusInfinity,
-                                       il.MinusInfinity], ids=repr)
-    def test_listed_points_generate_their_pattern(self, slope):
-        for M in range(0, 4):
-            by_pattern = il.enumerate_hull(slope, M, with_points=True)
-            for pat, points in by_pattern.items():
-                assert len(points) == 2
-                for point in points:
-                    assert il.point_pattern(point, slope, M) == pat
 
     @pytest.mark.parametrize("slope", [HALF, SQRT2, il.PlusInfinity], ids=repr)
     def test_order_runs_from_all_plus_to_all_minus(self, slope):
@@ -252,7 +135,7 @@ def _offset_below(slope, delta):
     def fits(k):   # a - k*b >= 0
         return slope.offset_sign((a[0] - k * b[0], a[1] - k * b[1])) >= 0
 
-    a, b = (0, 1), (-1, -slope.floor(slope.offset((-1, 0))))   # 1 and {alpha}
+    a, b = (0, 1), (-1, -math.floor(slope.offset((-1, 0))))   # 1 and {alpha}
     while slope.offset_sign(b) > 0:
         if slope.compare(slope.offset(b), delta) < 0:
             return True
@@ -374,7 +257,7 @@ def interval_has_lattice_offset(slope, lo, hi, search_cap=96):
             shift = slope.offset((n1, 0))   # -alpha*n1
             lo_n2 = lo - shift              # n2 must be in (lo_n2, hi_n2)
             hi_n2 = hi - shift
-            k = slope.floor(hi_n2)
+            k = math.floor(hi_n2)
             if slope.compare(hi_n2, k) == 0:
                 k -= 1
             if slope.compare(k, lo_n2) > 0:

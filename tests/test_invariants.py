@@ -10,8 +10,7 @@ from scipy import sparse
 
 import iwalab as il
 from iwalab import invariants, operators
-from iwalab.invariants import (TANGENTIAL_ORIENTATION,
-                               reference_orientation_sign, slab_geometry)
+from iwalab.invariants import TANGENTIAL_ORIENTATION, slab_geometry
 from iwalab.operators import (hull_projection, magnetic_translation,
                               strip_projection, translation_by)
 
@@ -83,23 +82,15 @@ class TestDerivation:
 
 
 class TestTraceBulk:
-    def test_identity_and_shift(self):
-        win = il.LatticeWindow(5)
-        ident = il.LatticeOperator(win, np.eye(win.size))
-        assert il.trace_bulk(ident, margin=1) == 1.0
-        field = il.ConstantField.from_turns(THIRD)
-        s = translation_by(field, win, (1, 1))
-        assert abs(il.trace_bulk(s, margin=1)) == 0.0
-        with pytest.raises(il.EmptyInterior):
-            il.trace_bulk(ident, margin=6)
-
     def test_fermi_filling_one_third(self):
+        # the trace per unit volume: the mean diagonal entry of P over the
+        # sites at least 4 from the window boundary
         field = il.ConstantField.from_turns(THIRD)
         win = il.LatticeWindow(16)
         sd = il.SpectralData.from_operator(il.iwatsuka_hamiltonian(field, win))
         mu = -1.366
         P = il.fermi_projection(sd, mu)
-        filling = il.trace_bulk(P, margin=4).real
+        filling = np.mean(P.diagonal()[win.interior_mask(4)]).real
         assert abs(filling - 1 / 3) < 0.02
         ids = float((sd.eigenvalues <= mu).sum()) / win.size
         assert abs(ids - 1 / 3) < 0.02
@@ -448,6 +439,16 @@ class TestChernRealspace:
         P = il.fermi_projection(sd, 0.5 * (lo + hi))
         ch = il.chern_realspace(P, margin=6)
         assert abs(ch - il.chern_momentum(flux, gap_index=gap)) < tol
+
+
+def reference_orientation_sign():
+    """Recompute the orientation calibration from scratch: the sign that
+    gives the minimal-strip interface shift unitary winding +1 on the
+    reference configuration (slope 0, fluxes 1/3 and 2/3)."""
+    window = il.SlabWindow(ZERO, 36, 14)
+    u = il.interface_shift_unitary(iw_field(ZERO), window, variant="minimal")
+    w = il.winding(u, ZERO, 32.0)
+    return TANGENTIAL_ORIENTATION if w > 0 else -TANGENTIAL_ORIENTATION
 
 
 class TestWinding:

@@ -13,6 +13,7 @@ from iwalab.operators import (magnetic_translation, shifted_flux_diagonal,
                               translation_by)
 
 from dense_spectral import merged_eigenvectors, spectral_apply
+from test_model import GAUGE_FIELDS
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
 HALF = il.RationalSlope(1, 2)
@@ -27,6 +28,9 @@ PERTURBED = il.IwatsukaField.from_turns(
     il.RationalSlope(-2, 3), Fraction(1, 3), Fraction(2, 3),
     perturbation_turns={(0, 0): Fraction(1, 7), (1, -2): Fraction(-1, 5),
                         (-3, 4): Fraction(1, 4)})
+# pi/3 radians at the origin: no exact turns, so no exact gauge to compare
+RADIAN_PERTURBED = il.IwatsukaField.from_turns(
+    HALF, Fraction(1, 3), Fraction(2, 3), perturbation={(0, 0): math.pi / 3})
 
 
 CHAMBERS_FLUXES = sorted({Fraction(p, q) for q in range(1, 13)
@@ -50,7 +54,7 @@ def interior_dev(win, m, margin=1):
 
 
 class TestTranslations:
-    @pytest.mark.parametrize("field", FIELD_MATRIX)
+    @pytest.mark.parametrize("field", FIELD_MATRIX + [PERTURBED, RADIAN_PERTURBED])
     def test_commutation_relations(self, field):
         win = il.LatticeWindow(8)
         s1 = magnetic_translation(field, win, 1).matrix
@@ -88,17 +92,18 @@ class TestTranslations:
         direct = s1 @ s1 @ np.conj(s2).T
         assert interior_dev(win, t - direct, margin=3) < 1e-12
 
-    @pytest.mark.parametrize("field", FIELD_MATRIX + [PERTURBED])
+    @pytest.mark.parametrize("field", FIELD_MATRIX + [PERTURBED] + [
+        f for f in GAUGE_FIELDS if f not in FIELD_MATRIX])
     def test_phases_match_scalar_gauge(self, field):
-        # the column sums of the vectorized gauge against the scalar fsum
-        # reference, entry by entry
+        # the column sums of the vectorized gauge against the exact scalar
+        # gauge, entry by entry, over the slope classes of the gauge tests
         win = il.LatticeWindow(8)
         s1 = magnetic_translation(field, win, 1).dense()
         want = np.zeros_like(s1)
         for i, (n1, n2) in enumerate(win.sites):
             if win.contains((n1 - 1, n2)):
-                want[i, win.index((n1 - 1, n2))] = np.exp(
-                    1j * il.vector_potential(field, (n1, n2), 1))
+                want[i, win.index((n1 - 1, n2))] = np.exp(2j * np.pi * float(
+                    il.model.vector_potential_turns(field, (n1, n2), 1)))
         assert np.abs(s1 - want).max() < 1e-12
 
     @pytest.mark.parametrize("field", [FIELD_MATRIX[3], PERTURBED])
