@@ -14,7 +14,7 @@ from .errors import (BudgetExceeded, ChernMismatch, ConfigError,
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope, SlabWindow,
-                    SqrtExpr, circulation, zero_field)
+                    circulation, zero_field)
 from .hull import Pattern, cantor_diagnostics, enumerate_hull
 from .operators import (BandStructure, LatticeOperator, Projection,
                         SpectralData, SwitchFunction, band_structure,

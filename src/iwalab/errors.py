@@ -75,5 +75,5 @@ class NoCommonGap(IwalabError):
 
 
 class ConfigError(IwalabError):
-    """A run configuration failed validation; message carries the field
-    diagnostic."""
+    """A run configuration, or a field's radians against its turns, failed
+    validation; message carries the field diagnostic."""

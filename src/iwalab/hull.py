@@ -5,7 +5,10 @@ dichotomy.
 A hull configuration is never stored as an infinite pattern.  Its
 restriction to a square window is a cut of the exactly sorted window
 offsets x_n = -alpha*n1 + n2 by a threshold, and every number is read on
-finite windows in the slope's exact arithmetic.
+finite windows in the slope's exact arithmetic.  Offsets are read only
+through the slope's offset, compare and mod_one, float() and integer
+subtraction, so the fraction slopes and the oracle-driven irrational
+slopes of `model` share this code.
 """
 
 import functools
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QuadraticIrrationalSlope
+from .model import _ExactIrrationalSlope
 
 
 class Pattern:
@@ -138,21 +141,21 @@ def cantor_diagnostics(slope, M_list):
     enumerate_hull).  With n = 2M + 1, the offsets -(p/q)n1 + n2 of a
     fraction-class slope (rational, float, or the vertical +/-1/0) coincide
     along chains in the direction (q, p), so
-    K = n^2 - max(0, n - q)*max(0, n - |p|), which is n at q = 0; a
-    quadratic irrational gives n^2 distinct offsets.  An offset's value
+    K = n^2 - max(0, n - q)*max(0, n - |p|), which is n at q = 0; an exact
+    irrational slope gives n^2 distinct offsets.  An offset's value
     mod 1 does not depend on n2, so the circle gap comes from the columns
     alone (_circle_gap).
 
     A pattern is non-isolated when the open interval of thresholds
     producing it holds a further lattice offset, so that two hull points
-    share it.  A quadratic slope's offsets are dense, so it always is.  A
-    fraction-class slope's offsets are (1/q)Z, so it is exactly when no two
-    window offsets lie 1/q apart (1 apart at q = 0): no column difference
-    (d1, d2) in [-2M, 2M]^2 solves -p*d1 + q*d2 = 1."""
+    share it.  An exact irrational slope's offsets are dense, so it always
+    is.  A fraction-class slope's offsets are (1/q)Z, so it is exactly when
+    no two window offsets lie 1/q apart (1 apart at q = 0): no column
+    difference (d1, d2) in [-2M, 2M]^2 solves -p*d1 + q*d2 = 1."""
     rows = []
     for M in M_list:
         n = 2 * M + 1
-        if isinstance(slope, QuadraticIrrationalSlope):
+        if isinstance(slope, _ExactIrrationalSlope):
             K, non_iso = n * n, True
         else:
             p, q = slope.p, slope.q

@@ -5,9 +5,12 @@ Every topological quantity downstream hinges on exact decisions of the sign
 of the interface offset x_n = -alpha*n1 + n2.  Every slope class decides
 them with integer arithmetic only: a rational slope and a float slope (a
 finite double is the dyadic rational m/2^k) hold alpha as an exact
-fraction p/q, and a quadratic irrational slope compares integer squares.
-The vertical slopes +/-infinity are the rational slopes +/-1/0, whose
-offset is -p*n1 = -/+n1.
+fraction p/q, and an exact irrational slope (the quadratic irrationals)
+reads every decision from one integer oracle, floor_times(m) =
+floor(m*alpha): its offsets are pairs (k, m) of k + m*alpha, and for m != 0
+such a value is positive exactly when floor(m*alpha) >= -k.  The vertical
+slopes +/-infinity are the rational slopes +/-1/0, whose offset is
+-p*n1 = -/+n1.
 """
 
 import functools
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateField
+from .errors import BudgetExceeded, ConfigError, DegenerateField
 
 TWO_PI = 2.0 * math.pi
 # Sites of the (2R + 1)^2 box a SlabWindow scans, R = ceil(hypot) + 1.  The
@@ -29,23 +32,6 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def _sqrt_sign(a, b, d):
-    """Exact sign of a + b*sqrt(d) for integers a, b and nonsquare d > 0."""
-    if b == 0:
-        return _sign(a)
-    if a == 0:
-        return _sign(b)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # mixed signs: compare a^2 against b^2*d; equality is impossible since
-    # d is not a perfect square
-    if a * a > b * b * d:
-        return _sign(a)
-    return _sign(b)
-
-
 def _floor_sqrt(a, b, c, d):
     """floor((a + b*sqrt(d))/c) for integers a, b, c > 0 and nonsquare d > 0,
     in closed form: with r = isqrt(b^2*d), an irrational b*sqrt(d) puts
@@ -54,111 +40,6 @@ def _floor_sqrt(a, b, c, d):
     k // c; b = 0 gives r = 0 and a // c."""
     r = math.isqrt(b * b * d)
     return (a + r) // c if b >= 0 else (a - r - 1) // c
-
-
-class SqrtExpr:
-    """Exact value (a + b*sqrt(d))/c with integer a, b, c > 0 and fixed
-    nonsquare d.  Supports the arithmetic the hull needs: subtraction,
-    total order, hashing, floor, and float conversion."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        if c == 0:
-            raise ZeroDivisionError("zero denominator")
-        if c < 0:
-            a, b, c = -a, -b, -c
-        g = math.gcd(math.gcd(abs(a), abs(b)), c)
-        if g > 1:
-            a //= g
-            b //= g
-            c //= g
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @staticmethod
-    def from_rational(r, d):
-        r = Fraction(r)
-        return SqrtExpr(r.numerator, 0, r.denominator, d)
-
-    def sign(self):
-        return _sqrt_sign(self.a, self.b, self.d)
-
-    def _coerce(self, other):
-        if isinstance(other, SqrtExpr):
-            if other.d != self.d and other.b != 0 and self.b != 0:
-                raise ValueError("mixed radicands")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return SqrtExpr.from_rational(other, self.d)
-        return NotImplemented
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return SqrtExpr(self.a * o.c - o.a * self.c,
-                        self.b * o.c - o.b * self.c,
-                        self.c * o.c, self.d)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return SqrtExpr(self.a * o.c + o.a * self.c,
-                        self.b * o.c + o.b * self.c,
-                        self.c * o.c, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SqrtExpr(-self.a, -self.b, self.c, self.d)
-
-    def _cmp(self, other):
-        return (self - other).sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other):
-        if isinstance(other, (SqrtExpr, int, Fraction)):
-            return self._cmp(other) == 0
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(Fraction(self.a, self.c))
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __float__(self):
-        # from integers, free of the cancellation of a + b*math.sqrt(d):
-        # |a + b*sqrt(d)| >= 1/(|a| + |b|*sqrt(d)) when b != 0, so 2^k times
-        # it, with b*sqrt(d)*2^k floored by isqrt, carries more than 64
-        # exact bits and one integer division rounds it
-        k = 68 + max(abs(self.a).bit_length(),
-                     abs(self.b).bit_length() + self.d.bit_length())
-        root = math.isqrt(self.b * self.b * self.d << 2 * k)
-        return ((self.a << k) + (root if self.b >= 0 else -root)) / (self.c << k)
-
-    def __floor__(self):
-        return _floor_sqrt(self.a, self.b, self.c, self.d)
-
-    def __repr__(self):
-        return f"({self.a}{self.b:+d}*sqrt({self.d}))/{self.c}"
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +144,121 @@ class RationalSlope(_FractionSlope):
         return hash(("rat", self.p, self.q))
 
 
-class QuadraticIrrationalSlope(_FloatFrame):
-    """alpha = (a + b*sqrt(d))/c with b != 0, c > 0 and d a nonsquare
-    positive integer; all offset signs decided by integer comparisons."""
+class _Offset:
+    """An exact value k + m*alpha of an irrational slope, for integers k and
+    m: the offset x_n = n2 - alpha*n1 is (n2, -n1), and sums and
+    differences of offsets and integers stay pairs.  alpha is irrational,
+    so equal values have equal pairs.  Floor and float are read from the
+    slope's oracle floor_times(m) = floor(m*alpha), and the slope writes
+    the repr."""
+
+    __slots__ = ("slope", "k", "m")
+
+    def __init__(self, slope, k, m):
+        self.slope, self.k, self.m = slope, k, m
+
+    def _pair(self, x):
+        if isinstance(x, _Offset):
+            if x.slope != self.slope:
+                raise ValueError("offsets of two different slopes")
+            return x.k, x.m
+        if isinstance(x, int):
+            return x, 0
+        raise TypeError(f"an offset does not combine with {type(x).__name__}")
+
+    def __add__(self, other):
+        k, m = self._pair(other)
+        return _Offset(self.slope, self.k + k, self.m + m)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Offset(self.slope, -self.k, -self.m)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __eq__(self, other):
+        if not isinstance(other, _Offset):
+            return NotImplemented
+        return (self.k, self.m) == self._pair(other)
+
+    def __hash__(self):
+        return hash((self.k, self.m))
+
+    def __floor__(self):
+        return self.k + self.slope.floor_times(self.m)
+
+    def __float__(self):
+        # 2^t times the value lies in (n, n + 1) for
+        # n = k*2^t + floor(m*alpha*2^t) when m != 0; once both ends round
+        # to one double the value does too, and t doubles until they do
+        k, m = self.k, self.m
+        t = 68 + max(abs(k).bit_length(), abs(m).bit_length())
+        while True:
+            n = (k << t) + self.slope.floor_times(m << t)
+            x = n / (1 << t)
+            if m == 0 or x == (n + 1) / (1 << t):
+                return x
+            t *= 2
+
+    def __repr__(self):
+        return self.slope._format(self.k, self.m)
+
+
+class _ExactIrrationalSlope:
+    """An irrational alpha known through its oracle floor_times(m) =
+    floor(m*alpha), exact for every integer m.  Every exact decision on an
+    offset is the sign of some k + m*alpha (_sign_of)."""
 
     is_rational = False
     is_finite = True
+
+    def offset(self, n):
+        """x_n = -alpha*n1 + n2, exact: the pair (n2, -n1)."""
+        return _Offset(self, n[1], -n[0])
+
+    def _sign_of(self, k, m):
+        """Sign of k + m*alpha, which for m != 0 is irrational: positive
+        exactly when floor(m*alpha) >= -k."""
+        if m == 0:
+            return _sign(k)
+        return 1 if self.floor_times(m) >= -k else -1
+
+    def offset_sign(self, n):
+        return self._sign_of(n[1], -n[0])
+
+    def offset_signs_array(self, n1, n2):
+        """Offset signs of arrays of sites, from one floor(alpha*n1) per
+        distinct column: off the column n1 = 0, alpha*n1 is irrational, so
+        the offset is positive exactly when n2 > floor(alpha*n1)."""
+        n1, n2 = np.broadcast_arrays(np.asarray(n1, dtype=np.int64),
+                                     np.asarray(n2, dtype=np.int64))
+        columns, inverse = np.unique(n1, return_inverse=True)
+        # the first plus row of each column, a Python integer, so that the
+        # comparison is exact at any int64 column
+        first = np.array([self.floor_times(c) + 1 for c in columns.tolist()],
+                         dtype=object)
+        signs = np.where(n2 >= first[inverse.reshape(n1.shape)], 1, -1)
+        signs[(n1 == 0) & (n2 == 0)] = 0
+        return signs
+
+    def compare(self, u, v):
+        """Sign of u - v for offsets or integers u and v."""
+        d = _Offset(self, 0, 0) + u - v
+        return self._sign_of(d.k, d.m)
+
+    def mod_one(self, x):
+        return x - math.floor(x)
+
+
+class QuadraticIrrationalSlope(_FloatFrame, _ExactIrrationalSlope):
+    """alpha = (a + b*sqrt(d))/c with b != 0, c > 0 and d a nonsquare
+    positive integer; its oracle floor_times is the closed isqrt form of
+    _floor_sqrt."""
 
     def __init__(self, a, b, c, d):
         if b == 0:
@@ -283,52 +273,18 @@ class QuadraticIrrationalSlope(_FloatFrame):
     def as_float(self):
         return (self.a + self.b * math.sqrt(self.d)) / self.c
 
-    def offset(self, n):
-        """x_n = -alpha*n1 + n2 = ((c*n2 - a*n1) - b*n1*sqrt(d))/c, exact."""
-        return SqrtExpr(self.c * n[1] - self.a * n[0], -self.b * n[0], self.c, self.d)
-
-    def offset_sign(self, n):
-        return _sqrt_sign(self.c * n[1] - self.a * n[0], -self.b * n[0], self.d)
-
-    def offset_signs_array(self, n1, n2):
-        n1, n2 = np.broadcast_arrays(np.asarray(n1, dtype=np.int64),
-                                     np.asarray(n2, dtype=np.int64))
-        # A*A and B*B*d must fit in int64 (and so must A and B): bound them
-        # in Python integers first; desk-scale windows stay far below it
-        m1 = int(np.abs(n1).max(initial=0))
-        m2 = int(np.abs(n2).max(initial=0))
-        max_a = self.c * m2 + abs(self.a) * m1
-        max_b = abs(self.b) * m1
-        if max(max_a * max_a, max_b * max_b * self.d) >= 2**62:
-            return np.array([self.offset_sign((int(a), int(b)))
-                             for a, b in zip(n1.ravel(), n2.ravel())],
-                            dtype=np.int64).reshape(n1.shape)
-        A = self.c * n2 - self.a * n1
-        B = -self.b * n1
-        sA = np.sign(A)
-        sB = np.sign(B)
-        mixed = np.where(A * A > B * B * self.d, sA, sB)
-        out = np.where(sB == 0, sA, np.where(sA == 0, sB,
-                       np.where(sA == sB, sA, mixed)))
-        return out.astype(np.int64)
-
-    def compare(self, u, v):
-        return (self._as_expr(u) - self._as_expr(v)).sign()
-
-    def _as_expr(self, x):
-        if isinstance(x, SqrtExpr):
-            return x
-        return SqrtExpr.from_rational(x, self.d)
-
     def floor_times(self, n1):
         """floor(alpha*n1), an integer."""
         return _floor_sqrt(self.a * n1, self.b * n1, self.c, self.d)
 
-    def mod_one(self, x):
-        return self._as_expr(x) - math.floor(self._as_expr(x))
+    def _format(self, k, m):
+        """k + m*alpha as (A+B*sqrt(d))/C in lowest terms, C > 0."""
+        A, B, C = self.c * k + self.a * m, self.b * m, self.c
+        g = math.gcd(A, B, C)
+        return f"({A // g}{B // g:+d}*sqrt({self.d}))/{C // g}"
 
     def __repr__(self):
-        return f"QuadraticIrrationalSlope(({self.a}{self.b:+d}*sqrt({self.d}))/{self.c})"
+        return f"QuadraticIrrationalSlope({self._format(0, 1)})"
 
     def __eq__(self, other):
         return (isinstance(other, QuadraticIrrationalSlope)
@@ -390,11 +346,16 @@ def _check_nondegenerate(b_plus, b_minus, b_plus_turns, b_minus_turns):
         raise DegenerateField("b+ - b- lies in 2*pi*Z")
 
 
+def _radians(turns):
+    """The radians a field stores for a number of turns."""
+    return TWO_PI * float(Fraction(turns))
+
+
 def _perturbation_pair(perturbation_turns, perturbation):
     """(radians, turns) perturbation dicts of a from_turns constructor; the
     turns dict is None when only float radians were given."""
     if perturbation_turns is not None:
-        return ({s: TWO_PI * float(v) for s, v in perturbation_turns.items()},
+        return ({s: _radians(v) for s, v in perturbation_turns.items()},
                 perturbation_turns)
     return dict(perturbation or {}), None if perturbation else {}
 
@@ -425,15 +386,23 @@ class IwatsukaField:
 
     def __post_init__(self):
         # exact turns held as Fractions, a float as the dyadic Fraction it
-        # equals, so that the exact gauge and value_turns stay exact
-        for name in ("b_plus_turns", "b_minus_turns"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, Fraction(value))
+        # equals, so that the exact gauge and value_turns stay exact; the
+        # radians the operators read must be the ones from_turns derives
+        # from those turns, or the gauge's self-test would vouch for
+        # another field
+        for name in ("b_plus", "b_minus"):
+            turns = getattr(self, name + "_turns")
+            if turns is not None:
+                object.__setattr__(self, name + "_turns", Fraction(turns))
+                if getattr(self, name) != _radians(turns):
+                    raise ConfigError(f"{name} is not 2*pi times {name}_turns")
         if self.perturbation_turns is not None:
             # the field's own copy
             object.__setattr__(self, "perturbation_turns", {
                 s: Fraction(v) for s, v in self.perturbation_turns.items()})
+            if self.perturbation != {s: _radians(v) for s, v
+                                     in self.perturbation_turns.items()}:
+                raise ConfigError("perturbation is not 2*pi times perturbation_turns")
         _check_nondegenerate(self.b_plus, self.b_minus,
                              self.b_plus_turns, self.b_minus_turns)
 
@@ -443,10 +412,8 @@ class IwatsukaField:
         """Exact constructor; a float `perturbation` (radians) may be given
         instead of exact turn fractions, in which case only the unperturbed
         part keeps an exact representation."""
-        plus_turns = Fraction(plus_turns)
-        minus_turns = Fraction(minus_turns)
         pert, pert_t = _perturbation_pair(perturbation_turns, perturbation)
-        return cls(slope, TWO_PI * float(plus_turns), TWO_PI * float(minus_turns),
+        return cls(slope, _radians(plus_turns), _radians(minus_turns),
                    pert, plus_turns, minus_turns, pert_t)
 
     def _plus_side(self, n):

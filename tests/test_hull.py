@@ -8,7 +8,6 @@ import pytest
 import iwalab as il
 from iwalab import hull
 from iwalab.hull import _exact_sorted, _sorted_distinct_offsets
-from iwalab.model import SqrtExpr
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
 HALF = il.RationalSlope(1, 2)
@@ -103,14 +102,18 @@ class TestExactSort:
         assert rows[0].pattern_count == 41 * 41 + 1
 
     def test_exact_pass_fixes_float_misorder(self):
-        # x = a - b*sqrt2 for the Pell pair a^2 - 2b^2 = 1 is 1/(a + b*sqrt2),
-        # about 1.2e-20; y lies 1e-40 above it, far below its float
-        # resolution, so the stable float pre-sort keeps them as given
-        a, b = 40114893348711941777, 28365513113449345692
-        assert a * a - 2 * b * b == 1
-        x = SqrtExpr(a, -b, 1, 2)
-        y = x + Fraction(1, 10**40)
-        tiny = Fraction(1, 10**30)
+        # a - b*sqrt2 for a Pell pair a^2 - 2b^2 = 1 is 1/(a + b*sqrt2): x is
+        # about 1.2e-20 and tiny 1.4e-30, and y lies 1.6e-40 above x, far
+        # below its float resolution, so the stable float pre-sort keeps
+        # them as given
+        def pell(a, b):
+            assert a * a - 2 * b * b == 1
+            return SQRT2.offset((b, a))
+
+        x = pell(40114893348711941777, 28365513113449345692)
+        y = x + pell(3218409336757067172026376119771675835457,
+                     2275759066655021041292938373174899549368)
+        tiny = pell(359313438791966819268004696899, 254072969141257218722003304910)
         assert float(x) == float(y) and sorted([y, x], key=float) == [y, x]
         assert _exact_sorted(SQRT2, [y, tiny, x, -tiny]) == [-tiny, tiny, x, y]
 
@@ -186,6 +189,22 @@ class TestDiagnostics:
                 r.non_isolated) for r in il.cantor_diagnostics(slope, Ms)]
         want = [(M, count, repr(gap), float(gap).hex(), non_iso)
                 for M, count, gap, non_iso in sorted_diagnostics(slope, Ms)]
+        assert got == want
+
+    @pytest.mark.parametrize("slope,want", [
+        (SQRT2, [(1, "(3-2*sqrt(2))/1", "0x1.5f619980c4337p-3"),
+                 (5, "(-7+5*sqrt(2))/1", "0x1.2318007c2afedp-4"),
+                 (20, "(-41+29*sqrt(2))/1", "0x1.8f8ce34e31630p-7"),
+                 (100, "(-239+169*sqrt(2))/1", "0x1.12353fcf416d8p-9")]),
+        (Q(-1, -1, 2, 5), [(1, "(-2+1*sqrt(5))/1", "0x1.e3779b97f4a7cp-3"),
+                           (5, "(9-4*sqrt(5))/1", "0x1.c8864680b583fp-5"),
+                           (20, "(-38+17*sqrt(5))/1", "0x1.af155173f23d7p-7"),
+                           (100, "(161-72*sqrt(5))/1", "0x1.970f50cc34675p-9")])],
+        ids=repr)
+    def test_quadratic_gaps_keep_their_text_and_bits(self, slope, want):
+        # the exact gap's text and its double's bits, as hull.csv writes them
+        got = [(r.M, repr(r.min_gap_exact), r.min_gap.hex())
+               for r in il.cantor_diagnostics(slope, [M for M, _, _ in want])]
         assert got == want
 
     def test_rational_half(self):

@@ -7,24 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import iwalab as il
-from iwalab.model import SqrtExpr
-
-
-def loop_floor(x):
-    """Independent oracle for math.floor of a SqrtExpr: the bracket-and-fix
-    loop SqrtExpr used before its closed form, which brackets b*sqrt(d)
-    between consecutive integers and then steps k by exact sign tests of
-    x - k."""
-    if x.b >= 0:
-        lo = math.isqrt(x.b * x.b * x.d)
-    else:
-        lo = -math.isqrt(x.b * x.b * x.d) - 1
-    k = (x.a + lo) // x.c
-    while (x - (k + 1)).sign() >= 0:
-        k += 1
-    while (x - k).sign() < 0:
-        k -= 1
-    return k
+from iwalab.invariants import slab_window
+from iwalab.model import TWO_PI, _floor_sqrt
+from sqrt_reference import SqrtExpr, reference_offset
 
 
 def _big_or_small(bound):
@@ -34,6 +19,15 @@ def _big_or_small(bound):
 NONSQUARES = st.one_of(
     st.sampled_from([2, 3, 5, 13, 101]),
     st.integers(2, 2**130).filter(lambda d: math.isqrt(d) ** 2 != d))
+# the quadratic slopes of the hull benchmark, sqrt2 and the golden ratio
+# among them, with both signs
+SIGNED_QUADRATICS = [s for a, b, c, d in [(0, 1, 1, 2), (1, 1, 2, 5), (1, 1, 2, 3),
+                                          (0, 2, 3, 6)]
+                     for s in (il.QuadraticIrrationalSlope(a, b, c, d),
+                               il.QuadraticIrrationalSlope(-a, -b, c, d))]
+COORDINATES = st.one_of(st.integers(-12, 12), st.integers(-10**6, 10**6),
+                        st.integers(-2**70, 2**70))
+SITES = st.tuples(COORDINATES, COORDINATES)
 
 
 class TestSlopes:
@@ -145,8 +139,8 @@ class TestSlopes:
     @settings(max_examples=300, deadline=None)
     def test_quadratic_signs_array_at_int64_guard(self, a, b, c, d, n1, n2):
         # sites up to |n1| = 2^31, the ones where (b*n1)^2 * d crosses 2^62
-        # (the int64 headroom of the vectorized integer-square comparison),
-        # and |b*n1| = 2^30, where that square overflowed for d > 8
+        # (the int64 headroom of the retired integer-square comparison), and
+        # |b*n1| = 2^30, where that square overflowed for d > 8
         slope = il.QuadraticIrrationalSlope(a, b, c, d)
         edge = math.isqrt(2**62 // (d * b * b))
         top = 2**30 // abs(b)
@@ -189,51 +183,104 @@ class TestSlopes:
         got = slope.offset_signs_array(np.array([-2**30]), np.array([-1]))
         assert got.tolist() == [slope.offset_sign((-2**30, -1))] == [1]
 
-    def test_sqrt_expr_order_and_floor(self):
-        x = SqrtExpr(0, 1, 1, 2)          # sqrt(2)
-        assert math.floor(x) == 1
-        assert math.floor(-x) == -2
-        assert math.floor(SqrtExpr(3, -2, 1, 2)) == 0     # 3 - 2 sqrt2 ~ 0.17
-        assert SqrtExpr(3, -2, 1, 2) > 0
-        assert x - Fraction(3, 2) < 0
-        assert hash(SqrtExpr(2, 0, 2, 2)) == hash(Fraction(1))
+    def test_offset_pairs_are_values(self):
+        # an irrational slope's offset is the pair (k, m) of k + m*alpha:
+        # equal exactly at equal sites, and sums and differences with
+        # offsets of the same slope or integers stay pairs
+        sqrt2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
+        x = sqrt2.offset((3, 4))                      # 4 - 3 sqrt2 ~ -0.24
+        assert math.floor(x) == -1 and math.floor(-x) == 0
+        assert sqrt2.compare(x, 0) < 0 < sqrt2.compare(x, -1)
+        assert x == sqrt2.offset((3, 4)) and x != sqrt2.offset((3, 5))
+        assert sqrt2.offset((3, 7)) - x == sqrt2.offset((0, 3))
+        assert 1 - x == sqrt2.offset((-3, -3)) and x + x == sqrt2.offset((6, 8))
+        assert sqrt2.mod_one(x) == x + 1 and sqrt2.mod_one(7) == 0
+        with pytest.raises(ValueError, match="two different slopes"):
+            x - il.QuadraticIrrationalSlope(1, 1, 2, 5).offset((3, 4))
+        for other in (0.5, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                x + other
+
+    @given(slope=st.sampled_from(SIGNED_QUADRATICS), n=SITES,
+           other=st.one_of(SITES, COORDINATES))
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_offsets_match_reference(self, slope, n, other):
+        # the floor oracle against the integer-square reference: sign,
+        # floor, float bits and repr of an offset and of its mod_one, and
+        # its order against another offset or an integer
+        x, ref = slope.offset(n), reference_offset(slope, n)
+        assert slope.offset_sign(n) == ref.sign()
+        assert math.floor(x) == math.floor(ref)
+        assert float(x) == float(ref) and repr(x) == repr(ref)
+        r, ref_r = slope.mod_one(x), ref - math.floor(ref)
+        assert float(r) == float(ref_r) and repr(r) == repr(ref_r)
+        if isinstance(other, tuple):
+            y, ref_y = slope.offset(other), reference_offset(slope, other)
+        else:
+            y = ref_y = other
+        assert slope.compare(x, y) == (ref - ref_y).sign() == -slope.compare(y, x)
+
+    @pytest.mark.parametrize("slope", SIGNED_QUADRATICS, ids=repr)
+    def test_signs_array_matches_per_site_signs(self, slope):
+        # one floor per column against one decision per site, on the slab
+        # window of verify_bic at its defaults and on sites far past 2^31,
+        # where (b*n1)^2*d outgrew the int64 of the retired integer-square
+        # comparison, out to the int64 ends; (n1, floor(alpha*n1)) and the
+        # row above it straddle the interface
+        pos = slab_window(slope, 48.0, 22.0).positions()
+        far = [(2**40 + 3, -7), (-2**62, 2**61), (2**63 - 1, 2**63 - 1),
+               (-2**63, 5), (2**63 - 1, -2**63), (0, -2**63), (0, 0)]
+        for n1 in (2**31 + 1, -2**40 - 5, 3 * 2**59, -(2**61) + 1):
+            f = slope.floor_times(n1)
+            far += [(n1, f), (n1, f + 1)]
+        for n1, n2 in (pos.T, np.array(far).T):
+            got = slope.offset_signs_array(n1, n2)
+            assert got.dtype == np.int64
+            assert got.tolist() == [slope.offset_sign(n)
+                                    for n in zip(n1.tolist(), n2.tolist())]
 
     @given(a=_big_or_small(2**200), b=_big_or_small(2**200),
            c=st.one_of(st.integers(1, 12), st.integers(1, 2**100)), d=NONSQUARES)
     @settings(max_examples=400, deadline=None, derandomize=True)
-    def test_sqrt_expr_floor_matches_loop_oracle(self, a, b, c, d):
-        x = SqrtExpr(a, b, c, d)
-        assert math.floor(x) == loop_floor(x)
-        assert math.floor(-x) == loop_floor(-x)
+    def test_floor_sqrt_matches_loop_oracle(self, a, b, c, d):
+        # the closed form behind every quadratic floor_times against the
+        # reference's bracket-and-fix loop
+        assert _floor_sqrt(a, b, c, d) == math.floor(SqrtExpr(a, b, c, d))
+        assert _floor_sqrt(-a, -b, c, d) == math.floor(SqrtExpr(-a, -b, c, d))
 
-    @pytest.mark.parametrize("a,b,c,d,want", [
-        (-10**200, 1, 1, 10**400 + 1, 5e-201),      # sqrt(d) past the double range
-        (10**200, -1, 1, 10**400 + 1, -5e-201),
-        (-10**400, 10**200, 1, 10**400 + 1, 0.5),   # a past it
-        (0, 10**200, 10**100 + 1, 10**300 + 1, 1e250),   # b*sqrt(d) past it
-        (3, -2, 1, 2, 0.1715728752538099)])      # 3 - 2 sqrt2 to 200 bits
-    def test_sqrt_expr_float_past_the_double_range(self, a, b, c, d, want):
-        # each value lies well inside the double range, a, b or sqrt(d) not
-        assert math.isclose(float(SqrtExpr(a, b, c, d)), want, rel_tol=1e-15)
+    @pytest.mark.parametrize("alpha,n,want", [
+        ((0, 1, 1, 10**400 + 1), (-1, -10**200), 5e-201),   # sqrt(d) past the double range
+        ((0, 1, 1, 10**400 + 1), (1, 10**200), -5e-201),
+        ((0, 1, 1, 10**400 + 1), (-10**200, -10**400), 0.5),   # k past it
+        ((0, 1, 10**100 + 1, 10**300 + 1), (-10**200, 0), 1e250),   # m*alpha past it
+        ((0, 1, 1, 2), (2, 3), 0.1715728752538099)])     # 3 - 2 sqrt2 to 200 bits
+    def test_offset_float_past_the_double_range(self, alpha, n, want):
+        # each value lies well inside the double range, k, m*alpha or
+        # sqrt(d) not
+        slope = il.QuadraticIrrationalSlope(*alpha)
+        assert math.isclose(float(slope.offset(n)), want, rel_tol=1e-15)
 
-    def test_sqrt_expr_float_matches_200_bit_evaluation(self):
+    def test_offset_float_matches_200_bit_evaluation(self):
         # the circle gaps of sqrt2 are differences like 29*sqrt2 - 41 whose
         # float evaluation cancels most of its bits; float() must not
-        def exact(x):
+        def exact(slope, x):
             with mpmath.workprec(200):
-                return float((x.a + x.b * mpmath.sqrt(x.d)) / x.c)
+                alpha = (slope.a + slope.b * mpmath.sqrt(slope.d)) / slope.c
+                return float(x.k + x.m * alpha)
 
+        sqrt2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
         gaps = [r.min_gap_exact for r in il.cantor_diagnostics(
-            il.QuadraticIrrationalSlope(0, 1, 1, 2), [5, 10, 20, 50, 100, 200])]
-        assert float(SqrtExpr(-41, 29, 1, 2)) == 0.012193308819756415
-        assert [float(g) for g in gaps] == [exact(g) for g in gaps]
+            sqrt2, [5, 10, 20, 50, 100, 200])]
+        assert float(sqrt2.offset((-29, -41))) == 0.012193308819756415
+        assert [float(g) for g in gaps] == [exact(sqrt2, g) for g in gaps]
         rng = np.random.default_rng(7)
         for _ in range(2000):
-            a, b = (int(x) for x in rng.integers(-10**6, 10**6, 2))
+            a, b, n1, n2 = (int(x) for x in rng.integers(-10**6, 10**6, 4))
             c = int(rng.integers(1, 10**4))
             d = int(rng.choice([2, 3, 5, 6, 7, 10, 13, 10**12 + 1]))
-            x = SqrtExpr(a, b, c, d)
-            assert float(x) == exact(x)
+            slope = il.QuadraticIrrationalSlope(a, b or 1, c, d)
+            x = slope.offset((n1, n2))
+            assert float(x) == exact(slope, x) == float(reference_offset(slope, (n1, n2)))
 
     def test_float_slope_basics(self):
         s = il.FloatIrrationalSlope(0.5)
@@ -331,13 +378,32 @@ class TestFields:
         # a float b+/b- turn count is held as the dyadic Fraction it equals,
         # as a float perturbation is, so the nondegeneracy check and the
         # exact gauge read Fractions
-        f = il.IwatsukaField(self.slope, 1.0, 2.0, {}, 1 / 3, 2 / 3)
+        f = il.IwatsukaField(self.slope, TWO_PI * (1 / 3), TWO_PI * (2 / 3), {},
+                             1 / 3, 2 / 3)
         assert (f.b_plus_turns, f.b_minus_turns) == (Fraction(1 / 3), Fraction(2 / 3))
         assert type(f.b_plus_turns) is Fraction and type(f.b_minus_turns) is Fraction
         for n in il.LatticeWindow(3).sites:
             assert il.circulation(f, n) == f.value_turns(n)
         with pytest.raises(il.DegenerateField):
-            il.IwatsukaField(self.slope, 1.0, 2.0, {}, 0.25, 1.25)
+            il.IwatsukaField(self.slope, TWO_PI * 0.25, TWO_PI * 1.25, {}, 0.25, 1.25)
+
+    def test_direct_constructor_refuses_radians_off_the_turns(self):
+        # the operators read the radians and the exact gauge with its
+        # circulation self-test reads the turns, so given both they must be
+        # one field: the radians from_turns stores, to the last bit
+        third, two_thirds = TWO_PI * (1 / 3), TWO_PI * (2 / 3)
+        for b_plus, b_minus, name in ((1.0, 2.0, "b_plus"), (third, 2.0, "b_minus"),
+                                      (math.nextafter(third, 0), two_thirds, "b_plus")):
+            with pytest.raises(il.ConfigError, match=name):
+                il.IwatsukaField(self.slope, b_plus, b_minus, {}, 1 / 3, 2 / 3)
+        f = il.IwatsukaField.from_turns(self.slope, Fraction(1, 3), Fraction(2, 3),
+                                        perturbation_turns={(0, 0): Fraction(1, 12)})
+        assert il.IwatsukaField(self.slope, f.b_plus, f.b_minus, f.perturbation,
+                                Fraction(1, 3), Fraction(2, 3), f.perturbation_turns) == f
+        for pert in ({(0, 0): 0.5}, {}, {**f.perturbation, (1, 1): 0.0}):
+            with pytest.raises(il.ConfigError, match="perturbation"):
+                il.IwatsukaField(self.slope, f.b_plus, f.b_minus, pert,
+                                 Fraction(1, 3), Fraction(2, 3), f.perturbation_turns)
 
     def test_equal_values_are_the_constant_field(self):
         exact = il.IwatsukaField.from_turns(self.slope, Fraction(1, 3),
@@ -397,10 +463,13 @@ def reference_potential(field, n):
 def reference_column_sum(field, n1, lo, hi):
     """Independent reference for the exact column sum: the Fraction sum the
     gauge computed before it moved to integer numerators, with the first
-    b+ row from the exact offset and, on a quadratic slope, the loop floor."""
-    if field.slope.is_finite:
-        x = -field.slope.offset((n1, 0))              # alpha*n1, exact
-        first = (loop_floor(x) if isinstance(x, SqrtExpr) else math.floor(x)) + 1
+    b+ row from the exact offset and, on a quadratic slope, the reference
+    loop floor."""
+    slope = field.slope
+    if isinstance(slope, il.QuadraticIrrationalSlope):
+        first = math.floor(SqrtExpr(slope.a * n1, slope.b * n1, slope.c, slope.d)) + 1
+    elif slope.is_finite:
+        first = math.floor(-slope.offset((n1, 0))) + 1    # alpha*n1, exact
     else:
         first = lo if field._plus_side((n1, 0)) else hi + 1
     plus = max(0, hi - max(lo, first) + 1)

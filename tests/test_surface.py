@@ -2,6 +2,7 @@
 module, and the pruned names stay out of the public namespace."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,12 @@ def test_pruned_names_stay_out():
                  "offset_coordinate", "hull_metric", "flux_phase",
                  "vector_potential", "trace_bulk"):
         assert not hasattr(iwalab, name)
+
+
+@pytest.mark.parametrize("name", ["SqrtExpr", "_sqrt_sign"])
+def test_retired_slope_arithmetic_stays_out(name):
+    # every irrational-slope decision is read from the slope's floor
+    # oracle; the surd arithmetic lives on only as a test reference
+    modules = [iwalab] + [importlib.import_module(f"iwalab.{p.stem}")
+                          for p in MODULES]
+    assert not any(hasattr(module, name) for module in modules)
