@@ -112,16 +112,21 @@ def _int_fields(spec, *names):
 
 
 def parse_perturbation(entries):
-    """Perturbation list [[n1, n2, delta_b_radians], ...] (or null) to a dict."""
+    """Perturbation list [[n1, n2, "2pi*p/q"], ...] (or null) to a dict of
+    exact turns, each delta_b a flux literal of parse_flux; a site given
+    twice is refused."""
     if not isinstance(entries, (list, type(None))):
         raise ConfigError(f"perturbation {entries!r} must be a list of entries")
     out = {}
     for item in entries or []:
         if not (isinstance(item, (list, tuple)) and len(item) == 3
-                and _is_int(item[0]) and _is_int(item[1]) and _is_real(item[2])):
+                and _is_int(item[0]) and _is_int(item[1]) and isinstance(item[2], str)):
             raise ConfigError(f"bad perturbation entry {item!r}: expected "
-                              "[n1, n2, delta_b], integer n1, n2, finite delta_b")
-        out[(item[0], item[1])] = float(item[2])
+                              '[n1, n2, "2pi*p/q"], integer n1, n2 and a flux literal')
+        site = (item[0], item[1])
+        if site in out:
+            raise ConfigError(f"perturbation site {list(site)} is given twice")
+        out[site] = parse_flux(item[2])
     return out
 
 
@@ -228,7 +233,8 @@ def _field(cfg):
     """The Iwatsuka field of the slope, bplus, bminus and perturbation fields."""
     return IwatsukaField.from_turns(
         parse_slope(cfg["slope"]), parse_flux(cfg["bplus"]),
-        parse_flux(cfg["bminus"]), perturbation=parse_perturbation(cfg["perturbation"]))
+        parse_flux(cfg["bminus"]),
+        perturbation_turns=parse_perturbation(cfg["perturbation"]))
 
 
 def cmd_spectrum(cfg, t0):

@@ -6,9 +6,10 @@ class IwalabError(Exception):
 
 
 class DegenerateField(IwalabError):
-    """The two asymptotic flux phases coincide: b+ - b- is a nonzero
-    multiple of 2*pi (the same phases under two names), or the interface
-    projections of a constant field (b+ = b-) were requested."""
+    """The two asymptotic flux phases coincide: b+ - b- is a nonzero whole
+    number of turns, decided exactly on the turns (the same phases under two
+    names), or the interface projections of a constant field (b+ = b-) were
+    requested."""
 
 
 class IrrationalFlux(IwalabError):
@@ -75,5 +76,5 @@ class NoCommonGap(IwalabError):
 
 
 class ConfigError(IwalabError):
-    """A run configuration, or a field's radians against its turns, failed
-    validation; message carries the field diagnostic."""
+    """A run configuration failed validation; message carries the field
+    diagnostic."""

@@ -669,9 +669,6 @@ def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
     if slope is None:
         slope = field.slope
     plus_turns, minus_turns = field.b_plus_turns, field.b_minus_turns
-    if plus_turns is None or minus_turns is None:
-        raise ValueError("verify_bic needs exact rational fluxes; build the "
-                         "field with from_turns")
     gaps, bp, bm = common_gaps(plus_turns, minus_turns)
     if not gaps:
         raise NoCommonGap("no common bulk gap", gaps_plus=bp.gaps,

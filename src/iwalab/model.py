@@ -11,16 +11,21 @@ floor(m*alpha): its offsets are pairs (k, m) of k + m*alpha, and for m != 0
 such a value is positive exactly when floor(m*alpha) >= -k.  The vertical
 slopes +/-infinity are the rational slopes +/-1/0, whose offset is
 -p*n1 = -/+n1.
+
+A field is held as exact turns per plaquette only, b_plus_turns,
+b_minus_turns and perturbation_turns, each a Fraction; the radians the
+operators read are derived from them, 2*pi*float(turns), so the exact gauge
+and the float operators always describe one field.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import KW_ONLY, dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError, DegenerateField
+from .errors import BudgetExceeded, DegenerateField
 
 TWO_PI = 2.0 * math.pi
 # Sites of the (2R + 1)^2 box a SlabWindow scans, R = ceil(hypot) + 1.  The
@@ -254,6 +259,10 @@ class _ExactIrrationalSlope:
     def mod_one(self, x):
         return x - math.floor(x)
 
+    def as_float(self):
+        """alpha correctly rounded to a double."""
+        return float(self.offset((-1, 0)))
+
 
 class QuadraticIrrationalSlope(_FloatFrame, _ExactIrrationalSlope):
     """alpha = (a + b*sqrt(d))/c with b != 0, c > 0 and d a nonsquare
@@ -269,9 +278,6 @@ class QuadraticIrrationalSlope(_FloatFrame, _ExactIrrationalSlope):
             raise ValueError("d must be a positive nonsquare integer")
         g = math.gcd(math.gcd(abs(a), abs(b)), c)
         self.a, self.b, self.c, self.d = a // g, b // g, c // g, d
-
-    def as_float(self):
-        return (self.a + self.b * math.sqrt(self.d)) / self.c
 
     def floor_times(self, n1):
         """floor(alpha*n1), an integer."""
@@ -335,86 +341,58 @@ MinusInfinity = _vertical(-1)
 # ---------------------------------------------------------------------------
 # magnetic fields
 
-def _check_nondegenerate(b_plus, b_minus, b_plus_turns, b_minus_turns):
-    if b_plus_turns is not None and b_minus_turns is not None:
-        turns = b_plus_turns - b_minus_turns
-        if turns != 0 and turns.denominator == 1:
-            raise DegenerateField("b+ - b- is an integer number of turns")
-        return
-    delta = (b_plus - b_minus) / TWO_PI
-    if round(delta) != 0 and abs(delta - round(delta)) <= 1e-12:
-        raise DegenerateField("b+ - b- lies in 2*pi*Z")
-
-
 def _radians(turns):
-    """The radians a field stores for a number of turns."""
-    return TWO_PI * float(Fraction(turns))
-
-
-def _perturbation_pair(perturbation_turns, perturbation):
-    """(radians, turns) perturbation dicts of a from_turns constructor; the
-    turns dict is None when only float radians were given."""
-    if perturbation_turns is not None:
-        return ({s: _radians(v) for s, v in perturbation_turns.items()},
-                perturbation_turns)
-    return dict(perturbation or {}), None if perturbation else {}
-
-
-def _exact_perturbation(field):
-    """The perturbation in turns; ValueError if given only in radians."""
-    if field.perturbation_turns is None and field.perturbation:
-        raise ValueError("perturbation was not given in exact turn fractions")
-    return field.perturbation_turns or {}
+    """The radians of a number of turns."""
+    return TWO_PI * float(turns)
 
 
 @dataclass(frozen=True)
 class IwatsukaField:
-    """Magnetic field of b_plus radians on the side of the interface where
-    the offset is positive and b_minus otherwise, except that at slope
-    +infinity the column n1 = 0, where the offset is 0, takes b_plus too
-    (the paper's b_- for n1 > 0 and b_+ elsewhere).  b_plus = b_minus is
-    the constant field; values a nonzero whole number of turns apart raise
+    """Magnetic field of b_plus_turns full turns per plaquette on the side
+    of the interface where the offset is positive and b_minus_turns
+    otherwise, except that at slope +infinity the column n1 = 0, where the
+    offset is 0, takes b_plus too (the paper's b_- for n1 > 0 and b_+
+    elsewhere), plus perturbation_turns at its sites.  The turns are the
+    field: each is held as a Fraction, a float as the dyadic Fraction it
+    equals, and the radians b_plus, b_minus and perturbation the operators
+    read are derived from them.  b_plus_turns = b_minus_turns is the
+    constant field; values a nonzero whole number of turns apart raise
     DegenerateField."""
 
     slope: object
-    b_plus: float
-    b_minus: float
-    perturbation: dict = dc_field(default_factory=dict)
-    b_plus_turns: Fraction = None
-    b_minus_turns: Fraction = None
-    perturbation_turns: dict = None
+    _: KW_ONLY
+    b_plus_turns: Fraction
+    b_minus_turns: Fraction
+    perturbation_turns: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        # exact turns held as Fractions, a float as the dyadic Fraction it
-        # equals, so that the exact gauge and value_turns stay exact; the
-        # radians the operators read must be the ones from_turns derives
-        # from those turns, or the gauge's self-test would vouch for
-        # another field
-        for name in ("b_plus", "b_minus"):
-            turns = getattr(self, name + "_turns")
-            if turns is not None:
-                object.__setattr__(self, name + "_turns", Fraction(turns))
-                if getattr(self, name) != _radians(turns):
-                    raise ConfigError(f"{name} is not 2*pi times {name}_turns")
-        if self.perturbation_turns is not None:
-            # the field's own copy
-            object.__setattr__(self, "perturbation_turns", {
-                s: Fraction(v) for s, v in self.perturbation_turns.items()})
-            if self.perturbation != {s: _radians(v) for s, v
-                                     in self.perturbation_turns.items()}:
-                raise ConfigError("perturbation is not 2*pi times perturbation_turns")
-        _check_nondegenerate(self.b_plus, self.b_minus,
-                             self.b_plus_turns, self.b_minus_turns)
+        for name in ("b_plus_turns", "b_minus_turns"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        # the field's own copy
+        object.__setattr__(self, "perturbation_turns", {
+            s: Fraction(v) for s, v in self.perturbation_turns.items()})
+        turns = self.b_plus_turns - self.b_minus_turns
+        if turns != 0 and turns.denominator == 1:
+            raise DegenerateField("b+ - b- is an integer number of turns")
 
     @classmethod
-    def from_turns(cls, slope, plus_turns, minus_turns, perturbation_turns=None,
-                   perturbation=None):
-        """Exact constructor; a float `perturbation` (radians) may be given
-        instead of exact turn fractions, in which case only the unperturbed
-        part keeps an exact representation."""
-        pert, pert_t = _perturbation_pair(perturbation_turns, perturbation)
-        return cls(slope, _radians(plus_turns), _radians(minus_turns),
-                   pert, plus_turns, minus_turns, pert_t)
+    def from_turns(cls, slope, plus_turns, minus_turns, perturbation_turns=None):
+        """The field of plus_turns and minus_turns on the two sides of the
+        slope's interface, perturbed by perturbation_turns."""
+        return cls(slope, b_plus_turns=plus_turns, b_minus_turns=minus_turns,
+                   perturbation_turns=perturbation_turns or {})
+
+    @functools.cached_property
+    def b_plus(self):
+        return _radians(self.b_plus_turns)
+
+    @functools.cached_property
+    def b_minus(self):
+        return _radians(self.b_minus_turns)
+
+    @functools.cached_property
+    def perturbation(self):
+        return {s: _radians(v) for s, v in self.perturbation_turns.items()}
 
     def _plus_side(self, n):
         sign = self.slope.offset_sign(n)
@@ -427,10 +405,8 @@ class IwatsukaField:
         return self.base_value(n) + self.perturbation.get(tuple(n), 0.0)
 
     def value_turns(self, n):
-        if self.b_plus_turns is None or self.b_minus_turns is None:
-            raise ValueError("field was not built from exact turn fractions")
         base = self.b_plus_turns if self._plus_side(n) else self.b_minus_turns
-        extra = _exact_perturbation(self).get(tuple(n))
+        extra = self.perturbation_turns.get(tuple(n))
         return base if extra is None else base + extra
 
     @functools.cached_property
@@ -438,13 +414,10 @@ class IwatsukaField:
         """The exact turns as integers over one denominator D, the lcm of
         the denominators of b_plus_turns, b_minus_turns and the
         perturbation: (D, b_plus numerator, b_minus numerator,
-        {n1: [(n2, perturbation numerator), ...]}).  ValueError if the
-        field has no exact turns."""
-        if self.b_plus_turns is None or self.b_minus_turns is None:
-            raise ValueError("field was not built from exact turn fractions")
-        pert = _exact_perturbation(self)
-        values = [Fraction(v) for v in (self.b_plus_turns, self.b_minus_turns,
-                                        *pert.values())]
+        {n1: [(n2, perturbation numerator), ...]}).  Every field has them,
+        since its turns are its only state."""
+        pert = self.perturbation_turns
+        values = [self.b_plus_turns, self.b_minus_turns, *pert.values()]
         D = math.lcm(*(v.denominator for v in values))
         plus, minus, *extra = (v.numerator * (D // v.denominator) for v in values)
         columns = {}
@@ -480,10 +453,10 @@ class ConstantField(IwatsukaField):
     equal."""
 
     @classmethod
-    def from_turns(cls, turns, perturbation_turns=None, perturbation=None):
+    def from_turns(cls, turns, perturbation_turns=None):
         """`turns` on both sides of the slope-0 interface."""
         return super().from_turns(RationalSlope(0, 1), turns, turns,
-                                  perturbation_turns, perturbation)
+                                  perturbation_turns)
 
 
 def zero_field():
@@ -526,9 +499,7 @@ def _bond_numerator(field, n, j):
 
 def vector_potential_turns(field, n, j):
     """Exact bond potential in units of full turns (value / 2*pi)."""
-    num = _bond_numerator(field, n, j)
-    # a zero needs no denominator: a field without exact turns reads it too
-    return Fraction(num, field._turn_numerators[0]) if num else Fraction(0)
+    return Fraction(_bond_numerator(field, n, j), field._turn_numerators[0])
 
 
 def _bond(field, m, mp):

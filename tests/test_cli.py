@@ -60,20 +60,29 @@ class TestParsing:
             cli.parse_slope(bad)
 
     def test_perturbation_entries(self):
-        assert cli.parse_perturbation([[0, 1, 0.5]]) == {(0, 1): 0.5}
-        assert cli.parse_perturbation([[-3, 2, 1]]) == {(-3, 2): 1.0}
+        # delta_b is the flux literal of bplus and bminus, read as exact turns
+        assert cli.parse_perturbation([[0, 1, "2pi*1/12"]]) == {(0, 1): Fraction(1, 12)}
+        assert cli.parse_perturbation([[-3, 2, "-2pi*1/5"], [0, 0, "0"]]) == \
+            {(-3, 2): Fraction(-1, 5), (0, 0): 0}
+        assert cli.parse_perturbation(None) == {}
         with pytest.raises(il.ConfigError):
             cli.parse_perturbation([[0, 1]])
+        # a number is refused with the literal it should have been
+        with pytest.raises(il.ConfigError, match=r"2pi\*p/q"):
+            cli.parse_perturbation([[0, 1, 0.5]])
+        # a site given twice is refused, not overwritten by the later entry
+        with pytest.raises(il.ConfigError, match="twice"):
+            cli.parse_perturbation([[0, 1, "2pi*1/6"], [0, 1, "2pi*1/3"]])
 
     @pytest.mark.parametrize("bad", [
         [1.7, 0, 0.5], [True, 1, 0.25], ["3", 2, 0.1], [0, 1, "0.25"],
         [0, 1, True], [0, 1, None], [0, 1, float("nan")], [0, 1, float("inf")],
         [0, 1, 10 ** 400], "012", {"n1": 0}])
     def test_perturbation_rejects_non_integer_sites_and_non_finite(self, bad):
-        # sites are JSON integers and delta_b a finite JSON number; nothing
-        # is truncated or converted from a string or a bool
+        # sites are JSON integers and delta_b a flux literal; nothing is
+        # truncated or converted from a number, a bool or another string
         with pytest.raises(il.ConfigError):
-            cli.parse_perturbation([[0, 0, 0.1], bad])
+            cli.parse_perturbation([[0, 0, "2pi*1/10"], bad])
 
 
 class TestFlagSet:
@@ -333,6 +342,7 @@ class TestCommands:
         (["verify-bic"], {"perturbation": [[1.7, 0, 0.5]]}),
         (["spectrum"], {"perturbation": [[0, 1, "0.25"]]}),
         (["conductance"], {"perturbation": [[True, 1, 0.25]]}),
+        (["spectrum"], {"perturbation": [[0, 1, "2pi*1/6"], [0, 1, "2pi*1/6"]]}),
         (["verify-bic"], {"buffer": "x"}),
         (["verify-bic"], {"buffer": 1e400}),
         (["verify-bic"], {"mu": "0.1"}),
@@ -348,8 +358,8 @@ class TestCommands:
              "hull-slope-obj-b-bool", "verify-bic-L-inf",
              "conductance-normal-inf", "verify-bic-perturbation-float-site",
              "spectrum-perturbation-str-db", "conductance-perturbation-bool-site",
-             "verify-bic-buffer-str", "verify-bic-buffer-inf", "verify-bic-mu-str",
-             "verify-bic-mu-bool"])
+             "spectrum-perturbation-repeated-site", "verify-bic-buffer-str",
+             "verify-bic-buffer-inf", "verify-bic-mu-str", "verify-bic-mu-bool"])
     def test_invalid_numeric_config_exits_2(self, tmp_path, capsys, argv, config):
         if config is not None:
             cfg = tmp_path / "cfg.json"
@@ -499,8 +509,9 @@ _VALID = {
     "slope": st.sampled_from(["rational:1,2", "rational:0,1", "-inf",
                               "quadratic:0,1,1,2", "float:0.75"]),
     "flux": _FLUXES, "bplus": _FLUXES, "bminus": _FLUXES,
-    "perturbation": st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2)
-                             .map(lambda n: n + [0.1]), max_size=2),
+    "perturbation": st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                       st.sampled_from(["2pi*1/10", "-2pi*1/6", "0"]))
+                             .map(list), max_size=2, unique_by=lambda e: tuple(e[:2])),
 }
 
 

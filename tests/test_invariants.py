@@ -257,6 +257,18 @@ class TestChernMomentum:
                 il.band_structure(flux)
         assert operators._as_flux_fraction((2, 2 * q)) == Fraction(1, q)
 
+    def test_every_field_reaches_a_typed_flux_error(self):
+        # a field is its turns, so verify_bic reads them from any field; a
+        # float number of turns, from either constructor, is a dyadic flux
+        # whose denominator no Bloch construction takes, a typed error
+        # (exit 3) rather than a bare ValueError
+        for field in (il.IwatsukaField(HALF, b_plus_turns=1 / 3,
+                                       b_minus_turns=TWO_THIRDS),
+                      il.ConstantField.from_turns(0.1),
+                      il.IwatsukaField.from_turns(HALF, THIRD, 2 / 3)):
+            with pytest.raises(il.IrrationalFlux):
+                il.verify_bic(field)
+
     def test_conjugate_flux_antisymmetry(self):
         # complex conjugation maps flux p/q to (q-p)/q and flips the Chern
         for p, q in ((1, 3), (1, 5), (2, 5)):

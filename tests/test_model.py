@@ -281,6 +281,7 @@ class TestSlopes:
             slope = il.QuadraticIrrationalSlope(a, b or 1, c, d)
             x = slope.offset((n1, n2))
             assert float(x) == exact(slope, x) == float(reference_offset(slope, (n1, n2)))
+            assert slope.as_float() == exact(slope, slope.offset((-1, 0)))
 
     def test_float_slope_basics(self):
         s = il.FloatIrrationalSlope(0.5)
@@ -372,38 +373,34 @@ class TestFields:
         with pytest.raises(il.DegenerateField):
             il.IwatsukaField.from_turns(self.slope, Fraction(1, 3), Fraction(4, 3))
         with pytest.raises(il.DegenerateField):
-            il.IwatsukaField(self.slope, 1.0, 1.0 - 2 * np.pi)
+            il.IwatsukaField(self.slope, b_plus_turns=0.25, b_minus_turns=-0.75)
 
     def test_direct_constructor_holds_float_turns_exactly(self):
         # a float b+/b- turn count is held as the dyadic Fraction it equals,
         # as a float perturbation is, so the nondegeneracy check and the
         # exact gauge read Fractions
-        f = il.IwatsukaField(self.slope, TWO_PI * (1 / 3), TWO_PI * (2 / 3), {},
-                             1 / 3, 2 / 3)
+        f = il.IwatsukaField(self.slope, b_plus_turns=1 / 3, b_minus_turns=2 / 3)
         assert (f.b_plus_turns, f.b_minus_turns) == (Fraction(1 / 3), Fraction(2 / 3))
         assert type(f.b_plus_turns) is Fraction and type(f.b_minus_turns) is Fraction
         for n in il.LatticeWindow(3).sites:
             assert il.circulation(f, n) == f.value_turns(n)
         with pytest.raises(il.DegenerateField):
-            il.IwatsukaField(self.slope, TWO_PI * 0.25, TWO_PI * 1.25, {}, 0.25, 1.25)
+            il.IwatsukaField(self.slope, b_plus_turns=0.25, b_minus_turns=1.25)
 
-    def test_direct_constructor_refuses_radians_off_the_turns(self):
-        # the operators read the radians and the exact gauge with its
-        # circulation self-test reads the turns, so given both they must be
-        # one field: the radians from_turns stores, to the last bit
-        third, two_thirds = TWO_PI * (1 / 3), TWO_PI * (2 / 3)
-        for b_plus, b_minus, name in ((1.0, 2.0, "b_plus"), (third, 2.0, "b_minus"),
-                                      (math.nextafter(third, 0), two_thirds, "b_plus")):
-            with pytest.raises(il.ConfigError, match=name):
-                il.IwatsukaField(self.slope, b_plus, b_minus, {}, 1 / 3, 2 / 3)
-        f = il.IwatsukaField.from_turns(self.slope, Fraction(1, 3), Fraction(2, 3),
-                                        perturbation_turns={(0, 0): Fraction(1, 12)})
-        assert il.IwatsukaField(self.slope, f.b_plus, f.b_minus, f.perturbation,
-                                Fraction(1, 3), Fraction(2, 3), f.perturbation_turns) == f
-        for pert in ({(0, 0): 0.5}, {}, {**f.perturbation, (1, 1): 0.0}):
-            with pytest.raises(il.ConfigError, match="perturbation"):
-                il.IwatsukaField(self.slope, f.b_plus, f.b_minus, pert,
-                                 Fraction(1, 3), Fraction(2, 3), f.perturbation_turns)
+    def test_radians_are_derived_from_the_turns(self):
+        # the turns are the field's only state: the radians the operators
+        # read are 2*pi*float(turns), and a positional radian call such as
+        # IwatsukaField(slope, 1.0, 2.0) is refused rather than read as turns
+        pert = {(0, 0): Fraction(1, 12), (1, 1): 0.1}
+        f = il.IwatsukaField(self.slope, b_plus_turns=Fraction(1, 3),
+                             b_minus_turns=Fraction(2, 3), perturbation_turns=pert)
+        assert f == il.IwatsukaField.from_turns(self.slope, Fraction(1, 3),
+                                                Fraction(2, 3), pert)
+        assert (f.b_plus, f.b_minus) == (TWO_PI * (1 / 3), TWO_PI * (2 / 3))
+        assert f.perturbation == {(0, 0): TWO_PI * (1 / 12), (1, 1): TWO_PI * 0.1}
+        assert f.value((0, 0)) == f.b_minus + TWO_PI * (1 / 12)
+        with pytest.raises(TypeError):
+            il.IwatsukaField(self.slope, 1.0, 2.0)
 
     def test_equal_values_are_the_constant_field(self):
         exact = il.IwatsukaField.from_turns(self.slope, Fraction(1, 3),
@@ -414,8 +411,6 @@ class TestFields:
         for n in [(0, 0), (0, 1), (-3, 2), (4, -5)]:
             assert exact.value_turns(n) == const.value_turns(n) == Fraction(1, 3)
             assert exact.value(n) == const.value(n) == 2 * np.pi / 3
-        radians = il.IwatsukaField(self.slope, 1.0, 1.0)
-        assert radians.value((0, 1)) == radians.value((0, 0)) == 1.0
 
     def test_perturbation(self):
         f = il.IwatsukaField.from_turns(self.slope, Fraction(1, 3), Fraction(2, 3),
@@ -431,18 +426,7 @@ class TestFields:
             il.RationalSlope(1, 2), Fraction(1, 3), Fraction(2, 3), **kw),
          Fraction(2, 3))],                                  # x = 0 at (0, 0)
         ids=["constant", "iwatsuka"])
-    def test_radian_perturbation_has_no_exact_value(self, make, base):
-        # pi/3 radians at the origin is a turn fraction no Fraction holds
-        # exactly, so every exact read refuses the field instead of leaving
-        # the perturbation out; the float reads keep it
-        f = make(perturbation={(0, 0): math.pi / 3})
-        assert np.isclose(f.value((0, 0)), 2 * math.pi * float(base) + math.pi / 3)
-        for exact_read in (lambda: f.value_turns((0, 0)),
-                           lambda: f.value_turns((3, 3)),
-                           lambda: il.circulation(f, (0, 0), exact=True),
-                           lambda: il.model.vector_potential_turns(f, (0, 1), 1)):
-            with pytest.raises(ValueError, match="perturbation"):
-                exact_read()
+    def test_turn_perturbation_is_read_exactly(self, make, base):
         # given in turns, or absent, the perturbation is read exactly
         for exact, extra in ((make(perturbation_turns={(0, 0): Fraction(1, 6)}),
                               Fraction(1, 6)), (make(), 0)):
@@ -595,8 +579,8 @@ class TestGauge:
         f = il.IwatsukaField.from_turns(il.RationalSlope(1, 2), 1 / 3, 2 / 3,
                                         perturbation_turns=pert)
         assert f.perturbation == {s: il.model.TWO_PI * v for s, v in pert.items()}
-        direct = il.IwatsukaField(f.slope, f.b_plus, f.b_minus, f.perturbation,
-                                  f.b_plus_turns, f.b_minus_turns, pert)
+        direct = il.IwatsukaField(f.slope, b_plus_turns=f.b_plus_turns,
+                                  b_minus_turns=f.b_minus_turns, perturbation_turns=pert)
         for field in (f, direct):
             assert field.perturbation_turns == {s: Fraction(v) for s, v in pert.items()}
             assert all(type(v) is Fraction for v in field.perturbation_turns.values())
@@ -605,19 +589,11 @@ class TestGauge:
                 assert type(circ) is Fraction and circ == field.value_turns(n)
             assert il.circulation(field, (1, 5), exact=True) == Fraction(1 / 3)
 
-    def test_exact_reads_refuse_fields_without_turns(self):
-        radians = il.IwatsukaField(il.RationalSlope(1, 2), 1.0, 2.0)
-        for exact_read in (lambda: radians.value_turns((0, 1)),
-                           lambda: il.circulation(radians, (0, 0), exact=True),
-                           lambda: il.model.vector_potential_turns(radians, (0, 1), 1),
-                           lambda: il.model.vector_potential_turns(radians, (0, -1), 1)):
-            with pytest.raises(ValueError, match="exact turn fractions"):
-                exact_read()
-        exact = il.IwatsukaField.from_turns(il.RationalSlope(1, 2), Fraction(1, 3),
-                                            Fraction(2, 3))
-        for f in (radians, exact):
-            with pytest.raises(ValueError, match="j must be 1 or 2"):
-                il.model.vector_potential_turns(f, (0, 1), 3)
+    def test_bond_direction_must_be_1_or_2(self):
+        f = il.IwatsukaField.from_turns(il.RationalSlope(1, 2), Fraction(1, 3),
+                                        Fraction(2, 3))
+        with pytest.raises(ValueError, match="j must be 1 or 2"):
+            il.model.vector_potential_turns(f, (0, 1), 3)
 
     def test_circulation_is_exact_only(self):
         # the float gauge is the vectorized one of operators; a float

@@ -28,9 +28,10 @@ PERTURBED = il.IwatsukaField.from_turns(
     il.RationalSlope(-2, 3), Fraction(1, 3), Fraction(2, 3),
     perturbation_turns={(0, 0): Fraction(1, 7), (1, -2): Fraction(-1, 5),
                         (-3, 4): Fraction(1, 4)})
-# pi/3 radians at the origin: no exact turns, so no exact gauge to compare
-RADIAN_PERTURBED = il.IwatsukaField.from_turns(
-    HALF, Fraction(1, 3), Fraction(2, 3), perturbation={(0, 0): math.pi / 3})
+# the float 1/6 of a turn at the origin, pi/3 radians: held as the dyadic
+# Fraction it equals, so its exact gauge is a Fraction too
+FLOAT_PERTURBED = il.IwatsukaField.from_turns(
+    HALF, Fraction(1, 3), Fraction(2, 3), perturbation_turns={(0, 0): 1 / 6})
 
 
 CHAMBERS_FLUXES = sorted({Fraction(p, q) for q in range(1, 13)
@@ -54,7 +55,7 @@ def interior_dev(win, m, margin=1):
 
 
 class TestTranslations:
-    @pytest.mark.parametrize("field", FIELD_MATRIX + [PERTURBED, RADIAN_PERTURBED])
+    @pytest.mark.parametrize("field", FIELD_MATRIX + [PERTURBED, FLOAT_PERTURBED])
     def test_commutation_relations(self, field):
         win = il.LatticeWindow(8)
         s1 = magnetic_translation(field, win, 1).matrix
@@ -93,7 +94,7 @@ class TestTranslations:
         assert interior_dev(win, t - direct, margin=3) < 1e-12
 
     @pytest.mark.parametrize("field", FIELD_MATRIX + [PERTURBED] + [
-        f for f in GAUGE_FIELDS if f not in FIELD_MATRIX])
+        f for f in GAUGE_FIELDS if f not in FIELD_MATRIX] + [FLOAT_PERTURBED])
     def test_phases_match_scalar_gauge(self, field):
         # the column sums of the vectorized gauge against the exact scalar
         # gauge, entry by entry, over the slope classes of the gauge tests

@@ -2,7 +2,9 @@
 module, and the pruned names stay out of the public namespace."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,13 @@ def test_retired_slope_arithmetic_stays_out(name):
     modules = [iwalab] + [importlib.import_module(f"iwalab.{p.stem}")
                           for p in MODULES]
     assert not any(hasattr(module, name) for module in modules)
+
+
+def test_a_field_is_its_turns():
+    # the exact turns are a field's only state, and the radians are derived
+    # from them, so no constructor takes radians
+    assert [f.name for f in dataclasses.fields(iwalab.IwatsukaField)] == [
+        "slope", "b_plus_turns", "b_minus_turns", "perturbation_turns"]
+    for from_turns in (iwalab.IwatsukaField.from_turns,
+                       iwalab.ConstantField.from_turns):
+        assert "perturbation" not in inspect.signature(from_turns).parameters
