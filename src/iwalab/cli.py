@@ -45,8 +45,10 @@ _BUTTERFLY_MAX_ROWS = 2 ** 22
 
 def parse_flux(text):
     """Flux literal '2pi*p/q' (optionally signed, or '0') to the exact
-    fraction of a full turn."""
-    text = str(text).strip()
+    fraction of a full turn; a flux is a string, never a JSON number."""
+    if not isinstance(text, str):
+        raise ConfigError(f"flux {text!r} must be a string 2pi*p/q (or \"0\")")
+    text = text.strip()
     if text == "0":
         return Fraction(0)
     m = _FLUX_RE.match(text)

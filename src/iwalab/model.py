@@ -12,10 +12,9 @@ such a value is positive exactly when floor(m*alpha) >= -k.  The vertical
 slopes +/-infinity are the rational slopes +/-1/0, whose offset is
 -p*n1 = -/+n1.
 
-A field is held as exact turns per plaquette only, b_plus_turns,
-b_minus_turns and perturbation_turns, each a Fraction; the radians the
-operators read are derived from them, 2*pi*float(turns), so the exact gauge
-and the float operators always describe one field.
+A field is held as exact turns per plaquette only, each a Fraction; its one
+standard gauge sums their integer numerators over one denominator D, per
+plaquette in `circulation` and per array of sites for the operators.
 """
 
 import functools
@@ -27,7 +26,6 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegenerateField
 
-TWO_PI = 2.0 * math.pi
 # Sites of the (2R + 1)^2 box a SlabWindow scans, R = ceil(hypot) + 1.  The
 # L = 200 slab of verify_bic scans 259^2 sites, criterion 5's window 161^2.
 MAX_WINDOW_BOX = 2 ** 18
@@ -341,11 +339,6 @@ MinusInfinity = _vertical(-1)
 # ---------------------------------------------------------------------------
 # magnetic fields
 
-def _radians(turns):
-    """The radians of a number of turns."""
-    return TWO_PI * float(turns)
-
-
 @dataclass(frozen=True)
 class IwatsukaField:
     """Magnetic field of b_plus_turns full turns per plaquette on the side
@@ -354,10 +347,9 @@ class IwatsukaField:
     offset is 0, takes b_plus too (the paper's b_- for n1 > 0 and b_+
     elsewhere), plus perturbation_turns at its sites.  The turns are the
     field: each is held as a Fraction, a float as the dyadic Fraction it
-    equals, and the radians b_plus, b_minus and perturbation the operators
-    read are derived from them.  b_plus_turns = b_minus_turns is the
-    constant field; values a nonzero whole number of turns apart raise
-    DegenerateField."""
+    equals, and the gauge reads them as integer numerators over one
+    denominator.  b_plus_turns = b_minus_turns is the constant field;
+    values a nonzero whole number of turns apart raise DegenerateField."""
 
     slope: object
     _: KW_ONLY
@@ -382,27 +374,9 @@ class IwatsukaField:
         return cls(slope, b_plus_turns=plus_turns, b_minus_turns=minus_turns,
                    perturbation_turns=perturbation_turns or {})
 
-    @functools.cached_property
-    def b_plus(self):
-        return _radians(self.b_plus_turns)
-
-    @functools.cached_property
-    def b_minus(self):
-        return _radians(self.b_minus_turns)
-
-    @functools.cached_property
-    def perturbation(self):
-        return {s: _radians(v) for s, v in self.perturbation_turns.items()}
-
     def _plus_side(self, n):
         sign = self.slope.offset_sign(n)
         return sign > 0 or (sign == 0 and self.slope == PlusInfinity)
-
-    def base_value(self, n):
-        return self.b_plus if self._plus_side(n) else self.b_minus
-
-    def value(self, n):
-        return self.base_value(n) + self.perturbation.get(tuple(n), 0.0)
 
     def value_turns(self, n):
         base = self.b_plus_turns if self._plus_side(n) else self.b_minus_turns
@@ -425,27 +399,52 @@ class IwatsukaField:
             columns.setdefault(n1, []).append((n2, num))
         return D, plus, minus, columns
 
-    def _plus_rows(self, n1, lo, hi):
-        """Number of rows m in lo..hi whose site (n1, m) takes b_plus
-        (perturbation excluded).  At a finite slope the offset
-        -alpha*n1 + m is positive exactly when m > floor(alpha*n1); at the
-        vertical slopes the offset -p*n1 is one for the whole column."""
+    def _first_plus_row(self, n1, lo, hi):
+        """The first of the rows lo..hi from which the sites (n1, m) of
+        column n1 take b_plus (perturbation excluded), hi + 1 if none.  At
+        a finite slope the offset -alpha*n1 + m is positive exactly when
+        m > floor(alpha*n1); at the vertical slopes the offset -p*n1 is one
+        for the whole column."""
         if self.slope.is_finite:
             first = self.slope.floor_times(n1) + 1
-        elif self._plus_side((n1, 0)):
-            first = lo
-        else:
-            first = hi + 1
-        # max(0, hi - max(lo, first) + 1) without the two calls of max
-        if first <= lo:
-            return hi - lo + 1
-        return hi - first + 1 if first <= hi else 0
+            # min(max(first, lo), hi + 1) without the two calls
+            return lo if first < lo else first if first <= hi else hi + 1
+        return lo if self._plus_side((n1, 0)) else hi + 1
 
-    def plus_side_array(self, n1, n2):
-        """Boolean mask of sites taking the b_plus value (perturbation
-        excluded)."""
-        signs = self.slope.offset_signs_array(n1, n2)
-        return signs >= 0 if self.slope == PlusInfinity else signs > 0
+    def gauge_numerators(self, n1, n2):
+        """(D, A, B): the numerators over the field's denominator D, reduced
+        mod D, of the bond potential A(n, n - e1) and the field value B(n)
+        at the arrays of sites n = (n1, n2), as the scalar gauge gives
+        them, from one `_first_plus_row` per distinct column.  int64 while
+        D*(rows + perturbed sites) < 2^62, Python integers past it."""
+        D, plus, minus, columns = self._turn_numerators
+        n1, n2 = np.broadcast_arrays(np.asarray(n1, dtype=np.int64),
+                                     np.asarray(n2, dtype=np.int64))
+        lo, hi = int(n2.min(initial=0)), int(n2.max(initial=0))
+        terms = hi - lo + 1 + len(self.perturbation_turns)
+        dtype = object if D * terms >= 2**62 else np.int64
+        heads, inverse = np.unique(n1, return_inverse=True)
+        first = np.array([self._first_plus_row(c, lo, hi) for c in heads.tolist()],
+                         dtype=dtype)[inverse.reshape(n1.shape)]
+        m = n2.astype(dtype)
+        plus, minus = (np.array(v % D, dtype=dtype) for v in (plus, minus))
+        # A sums the |m| rows min(m, 0) + 1 .. max(m, 0), signed as m; the
+        # k of them from first on take b_plus
+        k = np.minimum(np.maximum(np.maximum(m, 0) - first + 1, 0), abs(m))
+        A = k * plus + (abs(m) - k) * minus
+        A = np.where(m < 0, -A, A)
+        B = np.where(m >= first, plus, minus)
+        for c, entries in columns.items():
+            column = n1 == c
+            for p2, num in entries:
+                # a perturbed row p2 >= 1 adds to the sites on or above
+                # it, a row p2 <= 0 subtracts from the sites below it
+                if p2 >= 1:
+                    A[column & (n2 >= p2)] += num % D
+                else:
+                    A[column & (n2 < p2)] -= num % D
+                B[column & (n2 == p2)] += num % D
+        return D, A % D, B % D
 
 
 class ConstantField(IwatsukaField):
@@ -472,7 +471,7 @@ def _column_numerator(field, n1, lo, hi):
     value once per row on that side, plus each perturbed site in the
     column."""
     _, plus_num, minus_num, columns = field._turn_numerators
-    plus = field._plus_rows(n1, lo, hi)
+    plus = hi - field._first_plus_row(n1, lo, hi) + 1
     total = plus * plus_num + (hi - lo + 1 - plus) * minus_num
     for n2, num in columns.get(n1, ()):
         if lo <= n2 <= hi:
@@ -519,12 +518,12 @@ def circulation(field, n, exact=True):
     """Four-bond loop sum of the exact gauge around the plaquette at n, as
     one Fraction of a turn; it equals value_turns(n), which is the
     self-test the gauge must pass.  The sum is done on the integer
-    numerators of the turns.  The float gauge is the vectorized one of
-    `operators`: `exact` stays only for callers that pass exact=True, such
-    as perfbench/workloads.py, and exact=False is refused."""
+    numerators of the turns, which the operators read at arrays of sites
+    (`IwatsukaField.gauge_numerators`).  There is no float gauge: `exact`
+    stays only for callers that pass exact=True, such as
+    perfbench/workloads.py, and exact=False is refused."""
     if not exact:
-        raise ValueError("circulation is exact only; the float gauge is "
-                         "the vectorized one of iwalab.operators")
+        raise ValueError("circulation is exact only; there is no float gauge")
     n1, n2 = n
     a = _bond(field, (n1, n2), (n1 - 1, n2))
     b = _bond(field, (n1 - 1, n2), (n1 - 1, n2 - 1))

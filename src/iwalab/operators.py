@@ -12,11 +12,10 @@ and the diagonal operators (flux, hull projections, strip) as
 matrices only for the results of spectral calculus, where the Hamiltonian
 is diagonalized.
 
-The translations, the Hamiltonian and the interface shift unitary all write
-the (row, column, phase) entries of one function, `_translation_entries`,
-which takes the standard gauge as column sums of the field on a grid over
-the window.  It is the float gauge; the tests check its phases against the
-exact gauge, `model.vector_potential_turns`.
+Every phase is e^{2 pi i num/D} (`_turn_phases`) of an integer numerator
+of the exact standard gauge, `IwatsukaField.gauge_numerators`: the bond
+potentials for the translations, the Hamiltonian and the interface shift
+unitary (`_translation_entries`), the field values for the diagonals.
 """
 
 import math
@@ -64,32 +63,34 @@ class LatticeOperator:
 # ---------------------------------------------------------------------------
 # magnetic translations in the standard gauge
 
-def _field_values(field, n1, n2, perturbed=True):
-    """B at the sites (n1, n2), integer arrays of one shape: the value of
-    `field.value` per site, or of `field.base_value` if not perturbed."""
-    B = np.where(field.plus_side_array(n1, n2), field.b_plus, field.b_minus)
-    if perturbed:
-        for (p1, p2), dv in field.perturbation.items():
-            B[(n1 == p1) & (n2 == p2)] += dv
-    return B
+def _turn_phases(num, D):
+    """e^{2 pi i num/D} for integer numerators num over D, evaluated on the
+    residue r of num in [-D/2, D/2) with r = -D/2 exactly -1, so that -num
+    gives the conjugate bit for bit, as `_symmetry_sectors` needs.  r/D is
+    correctly rounded (in Python integers past 2^53), so the phase depends
+    only on the fraction num/D."""
+    r = np.asarray(num)
+    r = (r.astype(object) if D > 2**53 else r) % D
+    r = np.where(r > (D - 1) // 2, r - D, r)
+    z = np.exp(2j * np.pi * (r / D).astype(float))
+    z[2 * r == -D] = -1.0
+    return z
 
 
-def _translation_entries(field, window, gamma, periodic=False):
+def _translation_entries(field, window, gamma, periodic=False, keep=None):
     """(rows, cols, phases) of the nonzero entries of s^gamma =
-    s_1^{g1} s_2^{g2} on a window: row n, column n - gamma, phase the sum
-    of the horizontal bond potentials A(m, m - e1) along the g1 leg ending
-    at n (vertical bonds carry none in this gauge).  A source outside the
-    window drops the entry, unless periodic wraps a square window into a
-    torus."""
+    s_1^{g1} s_2^{g2} on a window: row n, column n - gamma, phase that of
+    the sum of the horizontal bond potentials A(m, m - e1) along the g1 leg
+    ending at n (vertical bonds carry none in this gauge).  A source
+    outside the window drops the entry, unless periodic wraps a square
+    window into a torus, and so does one outside the boolean site mask
+    `keep`, before any phase is computed."""
     g1, g2 = gamma
     pos = window.positions()
     n1, n2 = pos[:, 0], pos[:, 1]
-    # one grid over the window's bounding box, padded by gamma and
-    # stretched to row 0 where the gauge's column sums start
-    r1 = np.arange(n1.min() - abs(g1), n1.max() + abs(g1) + 1)
-    r2 = np.arange(min(n2.min() - abs(g2), 0), max(n2.max() + abs(g2), 0) + 1)
-    o1, o2 = r1[0], r2[0]
-    index = np.full((r1.size, r2.size), -1)
+    # one index grid over the window's bounding box, padded by gamma
+    o1, o2 = n1.min() - abs(g1), n2.min() - abs(g2)
+    index = np.full((n1.max() + abs(g1) - o1 + 1, n2.max() + abs(g2) - o2 + 1), -1)
     index[n1 - o1, n2 - o2] = np.arange(window.size)
     s1, s2 = n1 - g1, n2 - g2
     M = getattr(window, "half_width", None)
@@ -97,23 +98,18 @@ def _translation_entries(field, window, gamma, periodic=False):
         s1 = (s1 + M) % (2 * M + 1) - M
         s2 = (s2 + M) % (2 * M + 1) - M
     cols = index[s1 - o1, s2 - o2]
-    rows = np.flatnonzero(cols >= 0)
+    rows = np.flatnonzero(cols >= 0 if keep is None else (cols >= 0) & keep[cols])
     cols = cols[rows]
     if g1 == 0:
-        return rows, cols, np.zeros(rows.size)
-    # A(n, n - e1) is the signed column sum of B from row 0 to n: over rows
-    # 1..n2 above it, minus over rows n2+1..0 below it, accumulated in that
-    # order outward from row 0
-    B = _field_values(field, *np.meshgrid(r1, r2, indexing="ij"))
-    z = -o2
-    A = np.zeros_like(B)
-    A[:, z + 1:] = np.cumsum(B[:, z + 1:], axis=1)
-    A[:, :z] = -np.cumsum(B[:, z:0:-1], axis=1)[:, ::-1]
-    t1, t2 = n1[rows] - o1, n2[rows] - o2
-    phases = np.zeros(rows.size)
-    for a in (range(g1) if g1 > 0 else range(-1, g1 - 1, -1)):
-        phases += A[t1 - a, t2]
-    return rows, cols, phases if g1 > 0 else -phases
+        return rows, cols, np.ones(rows.size)
+    # the legs' numerators from one gauge_numerators call, summed mod D
+    legs = range(g1) if g1 > 0 else range(-1, g1 - 1, -1)
+    D, A, _ = field.gauge_numerators(np.concatenate([n1[rows] - a for a in legs]),
+                                     np.tile(n2[rows], len(legs)))
+    num = 0
+    for leg in A.reshape(len(legs), -1):
+        num = (num + leg) % D
+    return rows, cols, _turn_phases(num if g1 > 0 else -num, D)
 
 
 def _translation_matrix(field, window, gammas, periodic=False):
@@ -121,7 +117,7 @@ def _translation_matrix(field, window, gammas, periodic=False):
     supports must be disjoint."""
     rows, cols, phases = (np.concatenate(part) for part in zip(
         *(_translation_entries(field, window, g, periodic) for g in gammas)))
-    return sparse.csr_array((np.exp(1j * phases), (rows, cols)),
+    return sparse.csr_array((phases, (rows, cols)),
                             shape=(window.size, window.size))
 
 
@@ -146,16 +142,18 @@ def translation_by(field, window, gamma):
 def flux_operator(field, window):
     """Diagonal operator of the flux phases e^{i B(n)}."""
     pos = window.positions()
-    vals = np.exp(1j * _field_values(field, pos[:, 0], pos[:, 1]))
-    return LatticeOperator(window, sparse.diags_array(vals))
+    D, _, B = field.gauge_numerators(pos[:, 0], pos[:, 1])
+    return LatticeOperator(window, sparse.diags_array(_turn_phases(B, D)))
 
 
 def shifted_flux_diagonal(field, window, shift):
     """Diagonal of the shifted flux operator, entries e^{i B(m - shift)}
     from the unperturbed two-valued field."""
     pos = window.positions() - np.asarray(shift)
-    return np.exp(1j * _field_values(field, pos[:, 0], pos[:, 1],
-                                     perturbed=False))
+    unperturbed = type(field)(field.slope, b_plus_turns=field.b_plus_turns,
+                              b_minus_turns=field.b_minus_turns)
+    D, _, B = unperturbed.gauge_numerators(pos[:, 0], pos[:, 1])
+    return _turn_phases(B, D)
 
 
 def hull_projection(field, window, kind, base=(0, 0)):
@@ -164,8 +162,8 @@ def hull_projection(field, window, kind, base=(0, 0)):
     "q_perp" its complement, "r"/"l" the single-strip differences across
     e1/e2.  Entries are exactly 0/1 for an unperturbed two-valued field;
     a constant field has none and raises DegenerateField."""
-    zp = np.exp(1j * field.b_plus)
-    zm = np.exp(1j * field.b_minus)
+    zp, zm = (_turn_phases([t.numerator], t.denominator)[0]
+              for t in (field.b_plus_turns, field.b_minus_turns))
     denom = zp - zm
     if abs(denom) < 1e-12:
         raise DegenerateField("coinciding flux phases")
@@ -630,11 +628,10 @@ def interface_shift_unitary(field, window, variant="minimal"):
     "wide" uses the full transversal period vector whose strip holds
     p^2 + q^2 of them."""
     gamma, strip = _strip_mask(field, window, variant)
-    rows, cols, phases = _translation_entries(field, window, gamma)
-    on = strip[cols]
+    rows, cols, phases = _translation_entries(field, window, gamma, keep=strip)
     off = np.flatnonzero(~strip)
     U = sparse.csr_array(
-        (np.concatenate([np.ones(off.size), np.exp(1j * phases[on])]),
-         (np.concatenate([off, rows[on]]), np.concatenate([off, cols[on]]))),
+        (np.concatenate([np.ones(off.size), phases]),
+         (np.concatenate([off, rows]), np.concatenate([off, cols]))),
         shape=(window.size, window.size))
     return LatticeOperator(window, U)

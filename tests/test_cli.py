@@ -346,7 +346,9 @@ class TestCommands:
         (["verify-bic"], {"buffer": "x"}),
         (["verify-bic"], {"buffer": 1e400}),
         (["verify-bic"], {"mu": "0.1"}),
-        (["verify-bic"], {"mu": True})],
+        (["verify-bic"], {"mu": True}),
+        (["spectrum"], {"bplus": 0}),
+        (["chern"], {"flux": 0})],
         ids=["hull-M-1", "hull-M2.5", "hull-Mmax2.5", "chern-M-1", "chern-M41",
              "chern-margin-1", "conductance-L-5", "conductance-normal0",
              "verify-bic-L-5", "verify-bic-normal-1", "spectrum-M2.5",
@@ -359,7 +361,8 @@ class TestCommands:
              "conductance-normal-inf", "verify-bic-perturbation-float-site",
              "spectrum-perturbation-str-db", "conductance-perturbation-bool-site",
              "spectrum-perturbation-repeated-site", "verify-bic-buffer-str",
-             "verify-bic-buffer-inf", "verify-bic-mu-str", "verify-bic-mu-bool"])
+             "verify-bic-buffer-inf", "verify-bic-mu-str", "verify-bic-mu-bool",
+             "spectrum-bplus-number", "chern-flux-number"])
     def test_invalid_numeric_config_exits_2(self, tmp_path, capsys, argv, config):
         if config is not None:
             cfg = tmp_path / "cfg.json"

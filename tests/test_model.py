@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import iwalab as il
 from iwalab.invariants import slab_window
-from iwalab.model import TWO_PI, _floor_sqrt
+from iwalab.model import _floor_sqrt
 from sqrt_reference import SqrtExpr, reference_offset
 
 
@@ -358,9 +358,8 @@ class TestFields:
                                                  Fraction(2, 3))
 
     def test_side_values(self):
-        assert np.isclose(self.field.value((0, 1)), 2 * np.pi / 3)   # x = 1 > 0
-        assert np.isclose(self.field.value((0, 0)), 4 * np.pi / 3)   # x = 0
-        assert self.field.value_turns((0, 1)) == Fraction(1, 3)
+        assert self.field.value_turns((0, 1)) == Fraction(1, 3)   # x = 1 > 0
+        assert self.field.value_turns((0, 0)) == Fraction(2, 3)   # x = 0
 
     def test_infinite_slope_convention(self):
         f = il.IwatsukaField.from_turns(il.PlusInfinity, Fraction(1, 3), Fraction(2, 3))
@@ -387,18 +386,16 @@ class TestFields:
         with pytest.raises(il.DegenerateField):
             il.IwatsukaField(self.slope, b_plus_turns=0.25, b_minus_turns=1.25)
 
-    def test_radians_are_derived_from_the_turns(self):
-        # the turns are the field's only state: the radians the operators
-        # read are 2*pi*float(turns), and a positional radian call such as
-        # IwatsukaField(slope, 1.0, 2.0) is refused rather than read as turns
+    def test_turns_are_the_only_state(self):
+        # both constructors hold the same turns, and a positional radian
+        # call such as IwatsukaField(slope, 1.0, 2.0) is refused rather
+        # than read as turns
         pert = {(0, 0): Fraction(1, 12), (1, 1): 0.1}
         f = il.IwatsukaField(self.slope, b_plus_turns=Fraction(1, 3),
                              b_minus_turns=Fraction(2, 3), perturbation_turns=pert)
         assert f == il.IwatsukaField.from_turns(self.slope, Fraction(1, 3),
                                                 Fraction(2, 3), pert)
-        assert (f.b_plus, f.b_minus) == (TWO_PI * (1 / 3), TWO_PI * (2 / 3))
-        assert f.perturbation == {(0, 0): TWO_PI * (1 / 12), (1, 1): TWO_PI * 0.1}
-        assert f.value((0, 0)) == f.b_minus + TWO_PI * (1 / 12)
+        assert f.value_turns((0, 0)) == Fraction(2, 3) + Fraction(1, 12)
         with pytest.raises(TypeError):
             il.IwatsukaField(self.slope, 1.0, 2.0)
 
@@ -410,14 +407,12 @@ class TestFields:
         assert const.slope == il.RationalSlope(0, 1)
         for n in [(0, 0), (0, 1), (-3, 2), (4, -5)]:
             assert exact.value_turns(n) == const.value_turns(n) == Fraction(1, 3)
-            assert exact.value(n) == const.value(n) == 2 * np.pi / 3
 
     def test_perturbation(self):
         f = il.IwatsukaField.from_turns(self.slope, Fraction(1, 3), Fraction(2, 3),
                                         perturbation_turns={(0, 1): Fraction(1, 12)})
-        assert np.isclose(f.value((0, 1)), 2 * np.pi / 3 + np.pi / 6)
         assert f.value_turns((0, 1)) == Fraction(1, 3) + Fraction(1, 12)
-        assert np.isclose(f.value((1, 1)), f.base_value((1, 1)))
+        assert f.value_turns((1, 1)) == Fraction(1, 3)
 
     @pytest.mark.parametrize("make,base", [
         (lambda **kw: il.ConstantField.from_turns(Fraction(1, 3), **kw),
@@ -491,6 +486,23 @@ GAUGE_FIELDS = [
 ] + [il.IwatsukaField.from_turns(slope, Fraction(1, 3), Fraction(2, 3),
                                  perturbation_turns=CRITERION_7_PERTURBATION)
      for slope in (il.RationalSlope(1, 2), il.QuadraticIrrationalSlope(0, 1, 1, 2))]
+# short ids of GAUGE_FIELDS, by slope and perturbation, that stay put when a
+# field's dataclass fields change
+GAUGE_IDS = ["zero", "constant perturbed", "1/2", "-5/7", "0", "sqrt2",
+             "(-1-sqrt5)/2", "float sqrt2", "float -0.1", "+inf", "-inf",
+             "1/2 perturbed", "sqrt2 perturbed"]
+
+
+def array_gauge(field, n1, n2):
+    """field.gauge_numerators(n1, n2), after checking it against the scalar
+    gauge of circulation and value_turns: equal integers mod D at every
+    site."""
+    D, A, B = field.gauge_numerators(n1, n2)
+    for n, a, b in zip(zip(np.ravel(n1).tolist(), np.ravel(n2).tolist()),
+                       A.ravel().tolist(), B.ravel().tolist()):
+        assert a == il.model._bond_numerator(field, n, 1) % D
+        assert b == field.value_turns(n) * D % D
+    return D, A, B
 
 
 class TestGauge:
@@ -526,13 +538,41 @@ class TestGauge:
                 assert il.circulation(field, (n1, n2), exact=True) == \
                     field.value_turns((n1, n2))
 
-    @pytest.mark.parametrize("field", GAUGE_FIELDS, ids=repr)
+    @pytest.mark.parametrize("field", GAUGE_FIELDS, ids=GAUGE_IDS)
     def test_closed_form_matches_site_sums(self, field):
         # the row-count column sums against the per-site sums they replace,
         # as equal Fractions in turns
         for n in il.LatticeWindow(10).sites:
             assert il.model.vector_potential_turns(field, n, 1) == \
                 reference_potential(field, n)
+
+    @pytest.mark.parametrize("field", GAUGE_FIELDS, ids=GAUGE_IDS)
+    def test_array_gauge_matches_scalar_gauge(self, field):
+        # the array numerators the operators read against the scalar gauge,
+        # on a window off the origin
+        pos = il.LatticeWindow(10).positions() + (3, -2)
+        _, A, B = array_gauge(field, pos[:, 0], pos[:, 1])
+        assert A.dtype == B.dtype == np.int64
+
+    @pytest.mark.parametrize("rows,dtype", [(2, np.int64), (3, object)])
+    def test_array_gauge_leaves_int64_at_its_bound(self, rows, dtype):
+        # D = 3 * 2^59 and no perturbation: D * rows reaches 2^62 at three
+        # rows, where the numerators become Python integers
+        field = il.IwatsukaField.from_turns(il.RationalSlope(1, 2),
+                                            Fraction(1, 2**59), Fraction(1, 3))
+        n1, n2 = np.meshgrid(np.arange(-4, 5), np.arange(rows), indexing="ij")
+        D, A, B = array_gauge(field, n1, n2)
+        assert D == 3 * 2**59 and A.dtype == B.dtype == dtype
+        assert A.shape == B.shape == n1.shape
+
+    def test_array_gauge_of_a_subnormal_turn(self):
+        # a perturbation of the least double, 2^-1074 of a turn, has
+        # D = 3 * 2^1074: Python integers throughout
+        field = il.ConstantField.from_turns(
+            Fraction(1, 3), perturbation_turns={(0, 2): 5e-324})
+        pos = il.LatticeWindow(3).positions()
+        D, A, _ = array_gauge(field, pos[:, 0], pos[:, 1])
+        assert D == 3 * 2**1074 and A.dtype == object
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -569,16 +609,19 @@ class TestGauge:
             assert il.model.vector_potential_turns(field, n, 2) == 0
             circ = il.circulation(field, n, exact=True)
             assert type(circ) is Fraction and circ == field.value_turns(n)
+        # the array gauge at the sites an int64 array holds
+        small = np.array([n for n in sites if max(map(abs, n)) < 2**62],
+                         dtype=np.int64).reshape(-1, 2)
+        array_gauge(field, small[:, 0], small[:, 1])
 
     def test_float_perturbation_turns_stay_exact(self):
         # a float turns value is held, from either constructor, as the
         # dyadic Fraction it equals, so the exact gauge is a Fraction equal
-        # to value_turns at every site; a float gauge read
+        # to value_turns at every site; a float sum of radians read
         # 0.3333333333333335 against 1/3 at (1, 5)
         pert = {(0, 0): 0.1, (1, 1): 0.3}
         f = il.IwatsukaField.from_turns(il.RationalSlope(1, 2), 1 / 3, 2 / 3,
                                         perturbation_turns=pert)
-        assert f.perturbation == {s: il.model.TWO_PI * v for s, v in pert.items()}
         direct = il.IwatsukaField(f.slope, b_plus_turns=f.b_plus_turns,
                                   b_minus_turns=f.b_minus_turns, perturbation_turns=pert)
         for field in (f, direct):
@@ -596,8 +639,8 @@ class TestGauge:
             il.model.vector_potential_turns(f, (0, 1), 3)
 
     def test_circulation_is_exact_only(self):
-        # the float gauge is the vectorized one of operators; a float
-        # circulation is refused rather than returned
+        # there is no float gauge; a float circulation is refused rather
+        # than returned
         f = il.IwatsukaField.from_turns(il.RationalSlope(1, 2), Fraction(1, 3),
                                         Fraction(2, 3))
         assert il.circulation(f, (0, 1)) == Fraction(1, 3)

@@ -96,16 +96,19 @@ class TestTranslations:
     @pytest.mark.parametrize("field", FIELD_MATRIX + [PERTURBED] + [
         f for f in GAUGE_FIELDS if f not in FIELD_MATRIX] + [FLOAT_PERTURBED])
     def test_phases_match_scalar_gauge(self, field):
-        # the column sums of the vectorized gauge against the exact scalar
-        # gauge, entry by entry, over the slope classes of the gauge tests
+        # the translation is built from the integers of the exact scalar
+        # gauge: its entries are the phases of those numerators bit for
+        # bit, over the slope classes of the gauge tests
         win = il.LatticeWindow(8)
         s1 = magnetic_translation(field, win, 1).dense()
+        D = field.gauge_numerators(0, 0)[0]
         want = np.zeros_like(s1)
         for i, (n1, n2) in enumerate(win.sites):
             if win.contains((n1 - 1, n2)):
-                want[i, win.index((n1 - 1, n2))] = np.exp(2j * np.pi * float(
-                    il.model.vector_potential_turns(field, (n1, n2), 1)))
-        assert np.abs(s1 - want).max() < 1e-12
+                num = il.model.vector_potential_turns(field, (n1, n2), 1) * D
+                want[i, win.index((n1 - 1, n2))] = operators._turn_phases(
+                    [int(num)], D)[0]
+        assert s1.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("field", [FIELD_MATRIX[3], PERTURBED])
     def test_translation_by_negative_leg(self, field):
@@ -168,6 +171,11 @@ class TestHullProjections:
         with pytest.raises(il.DegenerateField):
             il.hull_projection(il.ConstantField.from_turns(Fraction(1, 3)),
                                win, "q")
+        # 2^-1074 of a turn apart: distinct turns whose phases coincide in
+        # floats, with numerators 0 and 1 over D = 2^1074
+        with pytest.raises(il.DegenerateField):
+            il.hull_projection(il.IwatsukaField.from_turns(HALF, 0, 5e-324),
+                               win, "q")
 
 
 GOLDEN = il.QuadraticIrrationalSlope(1, 1, 2, 5)
@@ -186,15 +194,21 @@ DIAGONAL_FIELDS = [
 class TestDiagonals:
     @pytest.mark.parametrize("field", DIAGONAL_FIELDS)
     def test_match_per_site_field_values(self, field):
-        # the vectorized field evaluation against field.value / base_value
-        # site by site, byte for byte
+        # the vectorized field evaluation against value_turns site by site,
+        # through the phase function, byte for byte; the shifted diagonal
+        # reads the unperturbed field
         win = il.LatticeWindow(6)
-        want = np.array([np.exp(1j * field.value(n)) for n in win.sites])
+        D = field.gauge_numerators(0, 0)[0]
+
+        def phases(turns):
+            return operators._turn_phases([int(t * D) for t in turns], D)
+
+        want = phases(field.value_turns(n) for n in win.sites)
         assert il.flux_operator(field, win).diagonal().tobytes() == want.tobytes()
         for shift in ((0, 0), (1, 0), (0, 1), (-2, 3)):
-            want = np.array([np.exp(1j * field.base_value((n1 - shift[0],
-                                                           n2 - shift[1])))
-                             for n1, n2 in win.sites])
+            sites = [(n1 - shift[0], n2 - shift[1]) for n1, n2 in win.sites]
+            want = phases(field.value_turns(m) - field.perturbation_turns.get(m, 0)
+                          for m in sites)
             got = shifted_flux_diagonal(field, win, shift)
             assert got.tobytes() == want.tobytes()
 
@@ -512,6 +526,27 @@ class TestRealParityBlocks:
         self._assert_blocks(il.iwatsuka_hamiltonian(field, win), np.float64,
                             monkeypatch)
 
+    # the fluxes of the bulk_chern real-space pool of perfbench, and 1/2,
+    # whose residue -D/2 is the phase -1
+    @pytest.mark.parametrize("flux", [Fraction(1, 3), Fraction(2, 3),
+                                      Fraction(1, 4), Fraction(3, 4),
+                                      Fraction(1, 5), Fraction(4, 5),
+                                      Fraction(2, 5), Fraction(3, 5),
+                                      Fraction(1, 2)], ids=str)
+    def test_bulk_chern_window_takes_two_real_half_blocks(self, flux,
+                                                          monkeypatch):
+        # the sectors compare h with its inverted and reflected copies bit
+        # for bit, so they hold only if the phase of -num is exactly the
+        # conjugate of the phase of num
+        win = il.LatticeWindow(20)
+        H = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(flux), win)
+        found = operators._symmetry_sectors(win, H.matrix)
+        assert found is not None and found[1]
+        calls = spy(monkeypatch, "svd")
+        il.SpectralData.from_operator(H)
+        assert sorted(calls) == [(shape, np.float64)
+                                 for shape in half_block_shapes(win)]
+
     @pytest.mark.parametrize("win", [il.LatticeWindow(3), SHUFFLED_SQUARE])
     def test_sectors_are_sparse_isometries(self, win):
         h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix
@@ -793,17 +828,29 @@ class TestInterfaceShiftUnitary:
     @pytest.mark.parametrize("slope", [il.RationalSlope(0, 1),
                                        il.RationalSlope(2, 3), il.PlusInfinity,
                                        il.MinusInfinity])
-    def test_is_translation_on_strip_columns(self, slope, variant):
-        # u = 1 + (s_gamma - 1) P on every column, window edge included
+    def test_is_translation_on_strip_columns(self, slope, variant, monkeypatch):
+        # u = 1 + (s_gamma - 1) P on every column, window edge included,
+        # and the gauge is read only for the strip columns u keeps: one
+        # site per leg of each
         field = il.IwatsukaField.from_turns(slope, Fraction(1, 3), Fraction(2, 3))
         win = il.SlabWindow(slope, 10.0, 7.0)
+        read, sizes = il.IwatsukaField.gauge_numerators, []
+
+        def recorded(f, n1, n2):
+            sizes.append(np.size(n1))
+            return read(f, n1, n2)
+
+        monkeypatch.setattr(il.IwatsukaField, "gauge_numerators", recorded)
         u = il.interface_shift_unitary(field, win, variant).matrix
+        monkeypatch.undo()
         gamma = (slope.q, slope.p)
         s = translation_by(field, win, gamma).matrix
         P = il.strip_projection(field, win, variant).matrix
         eye = np.eye(win.size)
         assert P.diagonal().real.sum() > 0
         assert np.abs(u - (eye + (s - eye) @ P)).max() < 1e-14
+        kept = u[:, P.diagonal().real == 1].nnz
+        assert sizes == ([gamma[0] * kept] if gamma[0] else [])
 
     @pytest.mark.parametrize("variant", ["minimal", "wide"])
     def test_sparse_on_criterion_5_window(self, variant):

@@ -67,10 +67,21 @@ def test_retired_slope_arithmetic_stays_out(name):
 
 
 def test_a_field_is_its_turns():
-    # the exact turns are a field's only state, and the radians are derived
-    # from them, so no constructor takes radians
+    # the exact turns are a field's only state, so no constructor takes
+    # radians
     assert [f.name for f in dataclasses.fields(iwalab.IwatsukaField)] == [
         "slope", "b_plus_turns", "b_minus_turns", "perturbation_turns"]
     for from_turns in (iwalab.IwatsukaField.from_turns,
                        iwalab.ConstantField.from_turns):
         assert "perturbation" not in inspect.signature(from_turns).parameters
+
+
+def test_no_radians_and_no_float_gauge():
+    # the operators read their phases from the exact integer gauge, so a
+    # field keeps no radians and operators no float field values
+    for name in ("b_plus", "b_minus", "perturbation", "value", "base_value"):
+        assert not hasattr(iwalab.IwatsukaField, name)
+    model = importlib.import_module("iwalab.model")
+    operators = importlib.import_module("iwalab.operators")
+    assert not any(hasattr(model, name) for name in ("TWO_PI", "_radians"))
+    assert not hasattr(operators, "_field_values")
