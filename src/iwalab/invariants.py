@@ -322,9 +322,17 @@ def chern_realspace(P, margin=6):
     sectors of `SpectralData` the blocks G_s* X_j G_s and G_s* M G_t
     (s != t) vanish: each A_j is one off-diagonal half-size block and its
     adjoint, and C is sector-diagonal.  For real frames every block is a
-    real product times 1 or 1j.  ||F*F - 1||_F <= GRAM_TOL certifies
-    max |P^2 - P| <= GRAM_TOL (1 + GRAM_TOL) < 1e-6; NotProjection if
-    not, or if P is not a `Projection`."""
+    real product times 1 or 1j.
+
+    A complement P = 1 - Q, Q = F F*, reads the value of Q negated:
+    D_j P = -D_j Q, so P [D1 P, D2 P] = [D1 Q, D2 Q] - Q [D1 Q, D2 Q], and
+    tr(M [D1 Q, D2 Q]) = 0 because M, X1 and X2 commute: the traces of
+    M D1Q D2Q and M D2Q D1Q are both
+    -sum_ik m_i (x1_i - x1_k)(x2_k - x2_i) Q_ik Q_ki.
+
+    ||F*F - 1||_F <= GRAM_TOL certifies max |Q^2 - Q| <= GRAM_TOL
+    (1 + GRAM_TOL) < 1e-6, and P^2 - P = Q^2 - Q for a complement;
+    NotProjection if not, or if P is not a `Projection`."""
     if not isinstance(P, Projection):
         raise NotProjection("chern_realspace reads the frames of a "
                             "Projection, not a LatticeOperator")
@@ -346,7 +354,8 @@ def chern_realspace(P, margin=6):
         x, y, z = _block(a1, s, t), _block(a2, t, u), _block(c, u, s)
         if x is not None and y is not None and z is not None:
             tr += x[0] * y[0] * z[0] * np.einsum("ij,ji->", x[1] @ y[1], z[1])
-    return float(4.0 * np.pi * tr.imag / mask.sum())  # 2 pi i <-2i Im tr>
+    ch = float(4.0 * np.pi * tr.imag / mask.sum())    # 2 pi i <-2i Im tr>
+    return -ch if P.complement else ch
 
 
 # ---------------------------------------------------------------------------

@@ -434,17 +434,24 @@ class IwatsukaField:
         A = k * plus + (abs(m) - k) * minus
         A = np.where(m < 0, -A, A)
         B = np.where(m >= first, plus, minus)
+        if not columns:
+            return D, A % D, B % D
+        # the perturbed sites' terms, on the flattened sites: each column's
+        # sites are found once and its rows compared on those sites only
+        shape = n1.shape
+        n1, n2, A, B = (x.reshape(-1) for x in (n1, n2, A, B))
         for c, entries in columns.items():
-            column = n1 == c
+            at = np.flatnonzero(n1 == c)
+            rows = n2[at]
             for p2, num in entries:
                 # a perturbed row p2 >= 1 adds to the sites on or above
                 # it, a row p2 <= 0 subtracts from the sites below it
                 if p2 >= 1:
-                    A[column & (n2 >= p2)] += num % D
+                    A[at[rows >= p2]] += num % D
                 else:
-                    A[column & (n2 < p2)] -= num % D
-                B[column & (n2 == p2)] += num % D
-        return D, A % D, B % D
+                    A[at[rows < p2]] -= num % D
+                B[at[rows == p2]] += num % D
+        return D, (A % D).reshape(shape), (B % D).reshape(shape)
 
 
 class ConstantField(IwatsukaField):

@@ -393,7 +393,9 @@ def _hermitian_blocks(op):
     op hops only between the sublattices of n1 + n2 even and odd (see
     `_sublattice_sides`), the block is the half block X = G_a* op G_b and
     sides = (a, b), solved by `gesdd`; otherwise the block is G*op G, with
-    sides None, solved by `evd` on a parity sector and `evr` whole.
+    sides None, solved by `evd` on a parity sector and `evr` whole.  A real
+    sector's block is the real part of the sparse product, made dense as a
+    Fortran-ordered real array, so no complex copy of it is formed.
     ValueError unless op is Hermitian."""
     require_hermitian(op)
     h = sparse.csr_array(op.matrix)
@@ -407,36 +409,74 @@ def _hermitian_blocks(op):
         sides = _sublattice_sides(op.window, h, g)
         if sides is not None:
             a, b = sides
-            x = (g[:, a].conj().T @ h @ g[:, b]).toarray()
-            yield g, (x.real if real else x), "gesdd", sides
+            x = g[:, a].conj().T @ h @ g[:, b]
+            yield g, (x.real if real else x).toarray(order="F"), "gesdd", sides
         elif found is None:
             yield g, op.dense(), "evr", None
         else:
-            b = (g.conj().T @ h @ g).toarray()
-            yield g, (b.real if real else b), "evd", None
+            b = g.conj().T @ h @ g
+            yield g, (b.real if real else b).toarray(order="F"), "evd", None
+
+
+@dataclass(frozen=True)
+class ChiralFactors:
+    """Eigenvectors of a Hermitian block with zero diagonal blocks, held as
+    the full SVD x = U diag(s) V* of its off-diagonal half x on rows a and
+    columns b: u is n_a x n_a and vh n_b x n_b, (n_a^2 + n_b^2) numbers for
+    the n x n eigenvector matrix they stand for, n = n_a + n_b.
+    `_eigenvector_columns` expands any run of its columns."""
+
+    u: np.ndarray
+    vh: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
 
 def _chiral_eigh(x, driver, a, b):
-    """Ascending eigenvalues and orthonormal eigenvectors of the Hermitian
-    matrix with zero diagonal blocks and off-diagonal half x on rows a and
-    columns b, from one SVD x = U diag(s) V* by the LAPACK driver:
-    eigenvalues -s and +s with eigenvectors (u; -v)/sqrt2 and
-    (u; v)/sqrt2, and |n_a - n_b| exact zeros, whose eigenvectors are the
-    null columns of U or V on the larger side."""
-    u, s, vh = svd(x, lapack_driver=driver)
-    k, n = s.size, a.size + b.size
-    v = vh.conj().T
-    pu, pv = math.sqrt(0.5) * u[:, :k], math.sqrt(0.5) * v[:, :k]
-    w = np.concatenate([-s, np.zeros(n - 2 * k), s[::-1]])
-    vec = np.zeros((n, n), dtype=u.dtype)
-    # s descends, so -s ascends on the first k columns and s on the last k
-    vec[a, :k], vec[b, :k] = pu, -pv
-    vec[a, n - k:], vec[b, n - k:] = pu[:, ::-1], pv[:, ::-1]
+    """Ascending eigenvalues of the Hermitian matrix with zero diagonal
+    blocks and off-diagonal half x on rows a and columns b, and its
+    eigenvectors as `ChiralFactors`, from one SVD x = U diag(s) V* by the
+    LAPACK driver, which may overwrite x: eigenvalues -s and +s with
+    eigenvectors (u; -v)/sqrt2 and (u; v)/sqrt2, and |n_a - n_b| exact
+    zeros, whose eigenvectors are the null columns of U or V on the larger
+    side.  The n x n eigenvector matrix is never formed."""
+    u, s, vh = svd(x, lapack_driver=driver, overwrite_a=True)
+    w = np.concatenate([-s, np.zeros(a.size + b.size - 2 * s.size), s[::-1]])
+    return w, ChiralFactors(u, vh, a, b)
+
+
+def _eigenvector_columns(v, lo, hi):
+    """Columns lo:hi of a sector's eigenvector matrix, in the order of its
+    ascending eigenvalues, as a fresh array that keeps nothing of v alive:
+    a copy of the slice for an `eigh` sector; for `ChiralFactors`, with
+    s descending and k = min(n_a, n_b), column j < k is (u_j; -v_j)/sqrt2
+    (eigenvalue -s_j), column n - 1 - j is (u_j; v_j)/sqrt2 (+s_j), and
+    the columns k..n-k-1 between are the null columns k.. of U or V on the
+    larger side."""
+    if not isinstance(v, ChiralFactors):
+        return v[:, lo:hi].copy(order="K")
+    u, vh, a, b = v.u, v.vh, v.a, v.b
+    n, k = a.size + b.size, min(a.size, b.size)
+    c = math.sqrt(0.5)
+    out = np.zeros((n, hi - lo), dtype=u.dtype)
+
+    def span(start, stop):
+        # the columns j0:j1 of [start, stop) inside [lo, hi), and theirs in out
+        j0, j1 = (min(max(lo, j), hi) for j in (start, stop))
+        return j0, j1, slice(j0 - lo, j1 - lo)
+
+    j0, j1, o = span(0, k)                                  # -s_j
+    out[a, o] = c * u[:, j0:j1]
+    out[b, o] = -(c * vh[j0:j1].conj().T)
+    j0, j1, o = span(k, n - k)                              # zeros
     if a.size > b.size:
-        vec[a, k:n - k] = u[:, k:]
+        out[a, o] = u[:, j0:j1]
     else:
-        vec[b, k:n - k] = v[:, k:]
-    return w, vec
+        out[b, o] = vh[j0:j1].conj().T
+    j0, j1, o = span(n - k, n)                              # +s_{n-1-j}
+    out[a, o] = c * u[:, n - j1:n - j0][:, ::-1]
+    out[b, o] = c * vh[n - j1:n - j0][::-1].conj().T
+    return out
 
 
 def hermitian_eigenvalues(op):
@@ -459,8 +499,11 @@ class SpectralData:
     the sectors it was solved on: triples (G, w, v) of a sparse isometry G
     onto a parity block, the block's ascending eigenvalues w and its
     eigenvectors v, so the eigenvectors of the operator are the columns of
-    G v.  A whole solve is one sector whose G is the identity.
-    `eigenvalues` holds the eigenvalues of all sectors in ascending order."""
+    G v.  v is the eigenvector matrix of an `eigh` block, or the
+    `ChiralFactors` (U, V*, a, b) of a chiral one, about half its size;
+    `_eigenvector_columns` reads columns of either.  A whole solve is one
+    sector whose G is the identity.  `eigenvalues` holds the eigenvalues of
+    all sectors in ascending order."""
 
     eigenvalues: np.ndarray
     sectors: tuple
@@ -480,38 +523,51 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class Projection:
-    """Orthogonal projection F F* held as its frames: pairs (G, v) of a
-    sparse isometry G and a block of columns v, with F the columns G v of
-    all pairs side by side.  Nothing here forms the N x N matrix except
-    `dense()`."""
+    """Orthogonal projection held as its frames: pairs (G, v) of a sparse
+    isometry G and a block of columns v, with F the columns G v of all
+    pairs side by side.  The projection is F F*, or 1 - F F* when
+    `complement` is set, so a projection of rank r is held at rank
+    min(r, N - r).  Nothing here forms the N x N matrix except `dense()`."""
 
     window: object
     frames: tuple
+    complement: bool = False
 
     def dense(self):
         """The projection as an N x N ndarray."""
-        m = np.zeros((self.window.size,) * 2, dtype=complex)
+        n = self.window.size
+        m = np.zeros((n, n), dtype=complex)
         for g, v in self.frames:
             f = g @ v
             m += f @ f.conj().T
+        if self.complement:
+            np.negative(m, out=m)
+            m[np.diag_indices(n)] += 1.0
         return m
 
     def diagonal(self):
-        """Diagonal of F F*: the squared row norms of the frames."""
+        """Diagonal of the projection: the squared row norms of the
+        frames, or one minus them for a complement."""
         d = np.zeros(self.window.size)
         for g, v in self.frames:
             f = g @ v
             d += (f.real ** 2 + f.imag ** 2).sum(axis=1)
-        return d
+        return 1.0 - d if self.complement else d
 
 
 def fermi_projection(spectral, mu):
-    """Spectral projection onto energies <= mu, as the frames (G, v_occ)
-    of the occupied eigenvectors of each sector: O(N r) memory for rank r,
-    with no N x N matrix."""
+    """Spectral projection onto energies <= mu, held at rank
+    min(r, N - r) for the r occupied states: the frames (G, v_occ) of the
+    occupied eigenvectors of each sector if 2r <= N, else the frames
+    (G, v_unocc) of the unoccupied ones with complement=True.  The columns
+    are fresh arrays from `_eigenvector_columns`, so the projection keeps
+    no sector alive: O(N min(r, N - r)) numbers and no N x N matrix."""
+    cuts = [np.searchsorted(w, mu, side="right") for _, w, _ in spectral.sectors]
+    complement = 2 * sum(cuts) > spectral.window.size
     return Projection(spectral.window, tuple(
-        (g, v[:, :np.searchsorted(w, mu, side="right")])
-        for g, w, v in spectral.sectors))
+        (g, _eigenvector_columns(v, r, w.size) if complement
+         else _eigenvector_columns(v, 0, r))
+        for (g, w, v), r in zip(spectral.sectors, cuts)), complement)
 
 
 def _smoothstep(s):
@@ -566,14 +622,17 @@ def gap_switch_operators(spectral, interval):
     """Switch calculus for a bulk gap interval: returns (g(h), g'(h),
     u = exp(2*pi*i g(h))), each f(h) summed over the sectors as
     (G v) diag f(w) (G v)* with the columns of zero weight skipped, in no
-    eigenvalue order (a whole solve reads v, not G v).  Raises EmptyGap
-    unless spectrum exists strictly below and above the interval."""
+    eigenvalue order; v is read through `_eigenvector_columns` (and a whole
+    solve takes v, not G v).  Raises EmptyGap unless spectrum exists
+    strictly below and above the interval."""
     require_spectrum_beyond(interval, spectral.eigenvalues)
     sw = SwitchFunction.from_interval(*interval)
     funcs = (sw.g, sw.gprime, lambda x: np.exp(2j * np.pi * sw.g(x)))
     out = [np.zeros((spectral.window.size,) * 2, dtype=complex) for _ in funcs]
     for g, w, v in spectral.sectors:
-        f = v if len(spectral.sectors) == 1 else g @ v
+        f = _eigenvector_columns(v, 0, w.size)
+        if len(spectral.sectors) > 1:
+            f = g @ f
         for m, func in zip(out, funcs):
             fw = np.asarray(func(w))
             keep = fw != 0

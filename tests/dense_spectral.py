@@ -4,6 +4,13 @@ and func(h) = V diag func(E) V* over it, which the library never forms."""
 import numpy as np
 
 import iwalab as il
+from iwalab import operators
+
+
+def sector_eigenvectors(v, size):
+    """All `size` eigenvector columns of a sector's v, an eigenvector
+    matrix or the `ChiralFactors` of a chiral block."""
+    return operators._eigenvector_columns(v, 0, size)
 
 
 def merged_eigenvectors(sd):
@@ -11,7 +18,8 @@ def merged_eigenvectors(sd):
     sd.eigenvalues[i]: the columns G v of the sectors, merged in the
     stable order of their eigenvalues (v itself for a whole solve)."""
     if len(sd.sectors) == 1:
-        return sd.sectors[0][2]
+        _, w, v = sd.sectors[0]
+        return sector_eigenvectors(v, w.size)
     w = np.concatenate([wb for _, wb, _ in sd.sectors])
     order = np.argsort(w, kind="stable")
     column = np.empty_like(order)
@@ -19,7 +27,7 @@ def merged_eigenvectors(sd):
     v = np.empty((w.size, w.size), dtype=complex)
     start = 0
     for g, wb, vb in sd.sectors:
-        v[:, column[start:start + wb.size]] = g @ vb
+        v[:, column[start:start + wb.size]] = g @ sector_eigenvectors(vb, wb.size)
         start += wb.size
     return v
 

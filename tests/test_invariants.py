@@ -14,7 +14,8 @@ from iwalab.invariants import TANGENTIAL_ORIENTATION, slab_geometry
 from iwalab.operators import (hull_projection, magnetic_translation,
                               strip_projection, translation_by)
 
-from dense_spectral import merged_eigenvectors, spectral_apply
+from dense_spectral import (merged_eigenvectors, sector_eigenvectors,
+                            spectral_apply)
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
 GOLDEN = il.QuadraticIrrationalSlope(1, 1, 2, 5)
@@ -339,7 +340,8 @@ class TestChernRealspace:
         sd, mu, margin = sector_case(kind)
         count, dtype = SECTOR_KINDS[kind]
         assert len(sd.sectors) == count
-        assert all(v.dtype == dtype for _, _, v in sd.sectors)
+        assert all(sector_eigenvectors(v, w.size).dtype == dtype
+                   for _, w, v in sd.sectors)
         P = il.fermi_projection(sd, mu)
         assert 0 < sum(v.shape[1] for _, v in P.frames) < sd.window.size
         ch = il.chern_realspace(P, margin=margin)
@@ -451,6 +453,66 @@ class TestChernRealspace:
         P = il.fermi_projection(sd, 0.5 * (lo + hi))
         ch = il.chern_realspace(P, margin=6)
         assert abs(ch - il.chern_momentum(flux, gap_index=gap)) < tol
+
+    def test_realspace_path_memory_at_an_upper_gap(self):
+        # flux 1/4, gap 2 fills 3N/4 states: the projection is held by its
+        # N/4 unoccupied columns and the chiral sectors by their SVD
+        # factors, so the whole path stays under 16 MiB (about 28 MiB
+        # when the occupied columns and the n x n sector vectors are held)
+        flux = Fraction(1, 4)
+        lo, hi = il.band_structure(flux).gaps[1]
+        h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(flux),
+                                    il.LatticeWindow(20))
+        tracemalloc.start()
+        try:
+            ch = il.chern_realspace(il.fermi_projection(
+                il.SpectralData.from_operator(h), 0.5 * (lo + hi)), margin=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(ch + 1.0) < 0.05
+        assert peak <= 16 * 2**20
+
+
+# a lower gap, an upper gap, and mu below and above the whole spectrum, on
+# two real parity sectors and on one complex whole solve
+COMPLEMENT_FIELDS = {
+    "sectors": il.ConstantField.from_turns(THIRD),
+    "whole": il.IwatsukaField.from_turns(HALF, THIRD, TWO_THIRDS)}
+
+
+class TestComplementProjection:
+    @pytest.fixture(scope="class", params=sorted(COMPLEMENT_FIELDS))
+    def spectral(self, request):
+        h = il.iwatsuka_hamiltonian(COMPLEMENT_FIELDS[request.param],
+                                    il.LatticeWindow(10))
+        return il.SpectralData.from_operator(h)
+
+    @pytest.mark.parametrize("mu,complement", [
+        (-1.366, False), (1.366, True), (-5.0, False), (5.0, True)],
+        ids=["lower-gap", "upper-gap", "below", "above"])
+    def test_matches_occupied_frames(self, spectral, mu, complement):
+        n = spectral.window.size
+        P = il.fermi_projection(spectral, mu)
+        assert P.complement == complement
+        assert 2 * sum(v.shape[1] for _, v in P.frames) <= n
+        occupied = il.Projection(spectral.window, tuple(
+            (g, sector_eigenvectors(v, w.size)[:, w <= mu])
+            for g, w, v in spectral.sectors), complement=False)
+        rank = sum(v.shape[1] for _, v in occupied.frames)
+        assert rank == np.count_nonzero(spectral.eigenvalues <= mu)
+        assert (2 * rank > n) == complement
+        assert abs(il.chern_realspace(P, margin=3)
+                   - il.chern_realspace(occupied, margin=3)) < 1e-12
+        assert np.abs(P.dense() - occupied.dense()).max() < 1e-12
+        assert np.abs(P.diagonal() - occupied.diagonal()).max() < 1e-12
+
+    def test_frames_are_fresh_arrays(self, spectral):
+        P = il.fermi_projection(spectral, 1.366)
+        for (_, v), (_, _, held) in zip(P.frames, spectral.sectors):
+            parts = (held.u, held.vh) if isinstance(
+                held, operators.ChiralFactors) else (held,)
+            assert not any(np.shares_memory(v, part) for part in parts)
 
 
 def reference_orientation_sign():
@@ -671,10 +733,10 @@ class TestInIntervalSwitchTraces:
         inside = (E > lo) & (E <= hi)
         geom = slab_geometry(sd.window, self.SLOPE, 8.0)
         support = int((geom.weights > 0).sum())
+        V = merged_eigenvectors(sd)
         tracemalloc.start()
         try:
-            invariants._switch_traces(E[inside],
-                                      merged_eigenvectors(sd)[:, inside], h,
+            invariants._switch_traces(E[inside], V[:, inside], h,
                                       interval, geom)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -554,6 +554,18 @@ class TestGauge:
         _, A, B = array_gauge(field, pos[:, 0], pos[:, 1])
         assert A.dtype == B.dtype == np.int64
 
+    @pytest.mark.parametrize("field", [
+        f for f, name in zip(GAUGE_FIELDS, GAUGE_IDS) if "perturbed" in name],
+        ids=[name for name in GAUGE_IDS if "perturbed" in name])
+    def test_array_gauge_keeps_the_broadcast_shape(self, field):
+        # a column of n1 against a row of n2: the perturbed sites' terms
+        # land on the sites of the broadcast grid, in its shape
+        n1, n2 = np.arange(-6, 5)[:, None], np.arange(-5, 4)[None, :]
+        _, A, B = array_gauge(field, *np.broadcast_arrays(n1, n2))
+        assert A.shape == B.shape == (11, 9)
+        _, A2, B2 = field.gauge_numerators(n1, n2)
+        assert np.array_equal(A2, A) and np.array_equal(B2, B)
+
     @pytest.mark.parametrize("rows,dtype", [(2, np.int64), (3, object)])
     def test_array_gauge_leaves_int64_at_its_bound(self, rows, dtype):
         # D = 3 * 2^59 and no perturbation: D * rows reaches 2^62 at three

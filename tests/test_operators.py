@@ -12,7 +12,8 @@ from iwalab import operators
 from iwalab.operators import (magnetic_translation, shifted_flux_diagonal,
                               translation_by)
 
-from dense_spectral import merged_eigenvectors, spectral_apply
+from dense_spectral import (merged_eigenvectors, sector_eigenvectors,
+                            spectral_apply)
 from test_model import GAUGE_FIELDS
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
@@ -649,9 +650,14 @@ class TestChiralSolve:
         calls = spy(monkeypatch, "svd")
         sd = il.SpectralData.from_operator(H)
         assert len(calls) == len(sd.sectors) == 2
-        for ((rows, cols), _), (g, w, v) in zip(calls, sd.sectors):
+        for ((rows, cols), _), (g, w, factors) in zip(calls, sd.sectors):
             # the null columns of the larger side are the only exact zeros
             assert np.count_nonzero(w == 0) == abs(rows - cols)
+            # the sector holds the SVD factors, not the w.size^2 vectors
+            assert isinstance(factors, operators.ChiralFactors)
+            assert factors.u.shape == (rows, rows)
+            assert factors.vh.shape == (cols, cols)
+            v = sector_eigenvectors(factors, w.size)
             block = (g.conj().T @ H.matrix @ g).toarray()
             assert np.abs(block @ v - v * w).max() < 1e-12
             assert np.abs(v.conj().T @ v - np.eye(w.size)).max() < 1e-12
