@@ -9,8 +9,7 @@ bulk-interface correspondence verifier (invariants).
 from .errors import (BudgetExceeded, ChernMismatch, ConfigError,
                      DegenerateField, EmptyGap, EmptyInterior, GapClosed,
                      IrrationalFlux, IrrationalSlope, IwalabError, NoCommonGap,
-                     NonHermitianPerturbation, NotInterfaceLocalized,
-                     NotProjection, SlabExceedsWindow)
+                     NotInterfaceLocalized, NotProjection, SlabExceedsWindow)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope, SlabWindow,

@@ -22,10 +22,6 @@ class IrrationalSlope(IwalabError):
     without a rational direction vector."""
 
 
-class NonHermitianPerturbation(IwalabError):
-    """A Hamiltonian perturbation failed the Hermiticity check."""
-
-
 class EmptyGap(IwalabError):
     """The requested energy interval does not separate spectrum on both
     sides, so no gap unitary exists."""

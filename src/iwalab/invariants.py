@@ -206,11 +206,12 @@ def chern_tknn(flux, filled):
 
 def chern_momentum(flux, gap_index=None, mu=None, nk=30):
     """Chern number of the Fermi projection below a bulk gap, by plaquette
-    Berry curvature (lattice field strength) summed over the magnetic
-    Brillouin zone; exactly integer-valued for a resolved gap.  The band
-    structure of the exact rational flux decides which bands lie below the
-    Fermi level, and the sum must round to their `chern_tknn`, else
-    ChernMismatch.
+    Berry curvature (the lattice field strength of the link variables of
+    Fukui, Hatsugai and Suzuki, J. Phys. Soc. Jpn. 74, 1674 (2005)) summed
+    over the magnetic Brillouin zone; exactly integer-valued for a resolved
+    gap.  The band structure of the exact rational flux decides which bands
+    lie below the Fermi level, and the sum must round to their
+    `chern_tknn`, else ChernMismatch.
 
     gap_index counts open gaps from the bottom (1-based), with the Fermi
     level at the gap's midpoint; alternatively give mu inside a gap."""
@@ -236,14 +237,15 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
         i, j = np.argwhere(closed)[0]
         raise GapClosed(f"band crossing through mu={mu:.4f} at "
                         f"k=({ks[i]:.3f},{ks[j]:.3f})")
-    # occupied frames at the corners of each plaquette, counterclockwise
-    # from (k1, k2); the links join consecutive corners
+    # the link fields u_j(k) = det(V(k)* V(k + e_j)) of the occupied frames
+    # V, and the plaquette u1(k) u2(k + e1) conj(u1(k + e2)) conj(u2(k))
+    # of the links counterclockwise around the plaquette at k
     V = v[..., :r]
-    corners = np.stack([V, np.roll(V, -1, axis=0),
-                        np.roll(V, (-1, -1), axis=(0, 1)), np.roll(V, -1, axis=1)])
-    links = np.linalg.det(corners.conj().swapaxes(-1, -2)
-                          @ np.roll(corners, -1, axis=0))
-    ch = np.angle(links.prod(axis=0)).sum() / (2.0 * np.pi)
+    Vh = V.conj().swapaxes(-1, -2)
+    u1, u2 = (np.linalg.det(Vh @ np.roll(V, -1, axis=j)) for j in (0, 1))
+    plaquette = (u1 * np.roll(u2, -1, axis=0)
+                 * np.roll(u1, -1, axis=1).conj() * u2.conj())
+    ch = np.angle(plaquette).sum() / (2.0 * np.pi)
     want = chern_tknn(flux, r)
     if round(ch) != want:
         raise ChernMismatch(f"plaquette sum {ch:.4f} on the {nk} x {nk} "
@@ -398,11 +400,6 @@ class CurrentReport:
     current: float              # T(g'(h) grad_t h), units e = hbar = 1
     winding_gap_unitary: float  # winding of exp(2 pi i g(h))
     cross_residual: float       # |current + winding/(2 pi)| / |winding/(2 pi)|
-
-    @property
-    def conductance(self):
-        """Interface conductance in e^2/h units."""
-        return self.winding_gap_unitary
 
 
 def _switch_traces(E, V, h, interval, geom):
@@ -665,18 +662,19 @@ class InvariantReport:
         return asdict(self)
 
 
-def verify_bic(field, slope=None, mu=None, L=48.0, normal_half=22.0,
+def verify_bic(field, mu=None, L=48.0, normal_half=22.0,
                buffer=DEFAULT_BUFFER):
     """End-to-end bulk-interface correspondence check.
 
     Computes the two bulk Chern numbers in momentum space, builds the
-    interface Hamiltonian on a slab window, reads its `interface_current`
-    for the widest common bulk gap (or the gap containing mu), and asserts
-    winding = Ch(+) - Ch(-) within WINDING_TOL with the current cross-check
-    within CROSS_TOL.  The slab is that of `slab_geometry` on a window
-    reaching buffer sites beyond the taper."""
-    if slope is None:
-        slope = field.slope
+    interface Hamiltonian on a slab window along the field's own slope,
+    reads its `interface_current` for the widest common bulk gap (or the
+    gap containing mu), and asserts winding = Ch(+) - Ch(-) within
+    WINDING_TOL with the current cross-check within CROSS_TOL.  The slab is
+    that of `slab_geometry` on a window reaching buffer sites beyond the
+    taper.  A constant field on a slab of another slope is the field with
+    equal turns at that slope, `IwatsukaField.from_turns(slope, t, t)`."""
+    slope = field.slope
     plus_turns, minus_turns = field.b_plus_turns, field.b_minus_turns
     gaps, bp, bm = common_gaps(plus_turns, minus_turns)
     if not gaps:

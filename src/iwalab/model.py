@@ -75,9 +75,6 @@ class _FractionSlope:
             n1, n2 = n1.astype(object), n2.astype(object)
         return -self.p * n1 + self.q * n2
 
-    def offset_signs_array(self, n1, n2):
-        return np.sign(self._scaled_offsets(n1, n2)).astype(np.int64)
-
     def floor_times(self, n1):
         """floor(alpha*n1) for a finite slope, an integer."""
         return (self.p * n1) // self.q
@@ -233,21 +230,6 @@ class _ExactIrrationalSlope:
 
     def offset_sign(self, n):
         return self._sign_of(n[1], -n[0])
-
-    def offset_signs_array(self, n1, n2):
-        """Offset signs of arrays of sites, from one floor(alpha*n1) per
-        distinct column: off the column n1 = 0, alpha*n1 is irrational, so
-        the offset is positive exactly when n2 > floor(alpha*n1)."""
-        n1, n2 = np.broadcast_arrays(np.asarray(n1, dtype=np.int64),
-                                     np.asarray(n2, dtype=np.int64))
-        columns, inverse = np.unique(n1, return_inverse=True)
-        # the first plus row of each column, a Python integer, so that the
-        # comparison is exact at any int64 column
-        first = np.array([self.floor_times(c) + 1 for c in columns.tolist()],
-                         dtype=object)
-        signs = np.where(n2 >= first[inverse.reshape(n1.shape)], 1, -1)
-        signs[(n1 == 0) & (n2 == 0)] = 0
-        return signs
 
     def compare(self, u, v):
         """Sign of u - v for offsets or integers u and v."""
@@ -486,15 +468,11 @@ def _column_numerator(field, n1, lo, hi):
     return total
 
 
-def _bond_numerator(field, n, j):
-    """Bond potential A(n, n - e_j) of the standard gauge as its integer
-    numerator over D: zero on vertical bonds; on horizontal bonds the
-    signed partial sum of the field along the column of n, over rows
-    1..n2 above row 0 and minus over rows n2+1..0 below it."""
-    if j == 2:
-        return 0
-    if j != 1:
-        raise ValueError("j must be 1 or 2")
+def _bond_numerator(field, n):
+    """Bond potential A(n, n - e1) of the standard gauge as its integer
+    numerator over D: the signed partial sum of the field along the column
+    of n, over rows 1..n2 above row 0 and minus over rows n2+1..0 below it.
+    The vertical bonds A(n, n - e2) are zero by construction."""
     n1, n2 = n
     if n2 > 0:
         return _column_numerator(field, n1, 1, n2)
@@ -503,40 +481,28 @@ def _bond_numerator(field, n, j):
     return 0
 
 
-def vector_potential_turns(field, n, j):
-    """Exact bond potential in units of full turns (value / 2*pi)."""
-    return Fraction(_bond_numerator(field, n, j), field._turn_numerators[0])
-
-
-def _bond(field, m, mp):
-    d = (mp[0] - m[0], mp[1] - m[1])
-    if d == (-1, 0):
-        return _bond_numerator(field, m, 1)
-    if d == (0, -1):
-        return _bond_numerator(field, m, 2)
-    if d == (1, 0):
-        return -_bond_numerator(field, mp, 1)
-    if d == (0, 1):
-        return -_bond_numerator(field, mp, 2)
-    raise ValueError("sites are not nearest neighbours")
+def vector_potential_turns(field, n):
+    """Exact horizontal bond potential A(n, n - e1) in units of full turns
+    (value / 2*pi); the vertical bonds carry none."""
+    return Fraction(_bond_numerator(field, n), field._turn_numerators[0])
 
 
 def circulation(field, n, exact=True):
     """Four-bond loop sum of the exact gauge around the plaquette at n, as
     one Fraction of a turn; it equals value_turns(n), which is the
-    self-test the gauge must pass.  The sum is done on the integer
-    numerators of the turns, which the operators read at arrays of sites
-    (`IwatsukaField.gauge_numerators`).  There is no float gauge: `exact`
-    stays only for callers that pass exact=True, such as
+    self-test the gauge must pass.  Of the loop n -> n - e1 -> n - e1 - e2
+    -> n - e2 -> n, the two vertical bonds are zero in the standard gauge,
+    so the sum is A(n, n - e1) - A(n - e2, n - e2 - e1): column sums up to
+    rows n2 and n2 - 1, which differ by the field at n.  It is done on the
+    integer numerators of the turns, which the operators read at arrays of
+    sites (`IwatsukaField.gauge_numerators`).  There is no float gauge:
+    `exact` stays only for callers that pass exact=True, such as
     perfbench/workloads.py, and exact=False is refused."""
     if not exact:
         raise ValueError("circulation is exact only; there is no float gauge")
     n1, n2 = n
-    a = _bond(field, (n1, n2), (n1 - 1, n2))
-    b = _bond(field, (n1 - 1, n2), (n1 - 1, n2 - 1))
-    c = _bond(field, (n1 - 1, n2 - 1), (n1, n2 - 1))
-    d = _bond(field, (n1, n2 - 1), (n1, n2))
-    return Fraction(a + b + c + d, field._turn_numerators[0])
+    return Fraction(_bond_numerator(field, n) - _bond_numerator(field, (n1, n2 - 1)),
+                    field._turn_numerators[0])
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +510,7 @@ def circulation(field, n, exact=True):
 
 class _SiteWindow:
     """The sites of a window, held once as a read-only (N, 2) int64 array
-    in index order; the tuple `sites` and the site-to-index map behind
-    `index` and `contains` are built on first read."""
+    in index order; the tuple `sites` is built on first read."""
 
     def _hold_sites(self, n1, n2):
         pos = np.stack([n1, n2], axis=1).astype(np.int64, copy=False)
@@ -560,16 +525,6 @@ class _SiteWindow:
     @functools.cached_property
     def sites(self):
         return tuple(map(tuple, self._positions.tolist()))
-
-    @functools.cached_property
-    def _index(self):
-        return {s: i for i, s in enumerate(self.sites)}
-
-    def index(self, n):
-        return self._index[tuple(n)]
-
-    def contains(self, n):
-        return tuple(n) in self._index
 
 
 class LatticeWindow(_SiteWindow):
@@ -614,14 +569,6 @@ class SlabWindow(_SiteWindow):
         self._hold_sites(n1[keep], n2[keep])
         self._t = t[keep]
         self._nu = nu[keep]
-
-    def tangential(self):
-        """Tangential coordinates v.n of the window sites."""
-        return self._t.copy()
-
-    def normal(self):
-        """Normal coordinates v_perp.n of the window sites."""
-        return self._nu.copy()
 
     def interior_mask(self, margin):
         return (np.abs(self._t) <= self.tangential_half - margin) & \

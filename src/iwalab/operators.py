@@ -27,7 +27,7 @@ from scipy import sparse
 from scipy.linalg import eigh, eigvalsh, svd, svdvals
 
 from .errors import (BudgetExceeded, DegenerateField, EmptyGap,
-                     IrrationalFlux, IrrationalSlope, NonHermitianPerturbation)
+                     IrrationalFlux, IrrationalSlope)
 
 HERMITIAN_TOL = 1e-12
 
@@ -290,20 +290,12 @@ def band_structure(flux, nk=60):
 # ---------------------------------------------------------------------------
 # Hamiltonians and spectral calculus
 
-def iwatsuka_hamiltonian(field, window, v=None):
-    """Hopping Hamiltonian s1 + s1* + s2 + s2* for the given field, plus an
-    optional Hermitian perturbation supported near the interface."""
+def iwatsuka_hamiltonian(field, window):
+    """Hopping Hamiltonian s1 + s1* + s2 + s2* for the given field.  A
+    perturbed Hamiltonian is `LatticeOperator(window, H.matrix + v)`, whose
+    Hermiticity the spectral entry points check (`require_hermitian`)."""
     S = _translation_matrix(field, window, [(1, 0), (0, 1)])      # s1 + s2
-    H = S + S.conj().T
-    if v is not None:
-        vm = v.matrix if isinstance(v, LatticeOperator) else v
-        if np.shape(vm) != H.shape:
-            raise NonHermitianPerturbation("perturbation shape mismatch")
-        vm = sparse.csr_array(vm, dtype=complex)
-        if abs(vm - vm.conj().T).max() > HERMITIAN_TOL:
-            raise NonHermitianPerturbation("perturbation is not Hermitian")
-        H = H + vm
-    return LatticeOperator(window, H)
+    return LatticeOperator(window, S + S.conj().T)
 
 
 def _site_permutation(pos, image):

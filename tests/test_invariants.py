@@ -277,6 +277,20 @@ class TestChernMomentum:
             b = il.chern_momentum(Fraction(q - p, q), gap_index=1)
             assert abs(a + b) < 1e-8
 
+    def test_plaquette_sum_holds_two_link_fields(self):
+        # the plaquettes are read from the two link fields u1, u2 of the
+        # occupied frames, nk^2 numbers each, and the bound leaves no room
+        # for copies of the frames at all four corners (10.3 MiB here)
+        il.chern_momentum(Fraction(3, 7), gap_index=6)     # warm imports
+        tracemalloc.start()
+        try:
+            ch = il.chern_momentum(Fraction(3, 7), gap_index=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(ch - 2.0) < 1e-8
+        assert peak <= 5 * 2 ** 20
+
 
 def chern_realspace_full(P, margin=6):
     """Reference real-space Chern number: the whole commutator
@@ -312,7 +326,8 @@ def sector_case(kind):
         b = [site[(2, 3)], site[(-2, -3)]]
         v = sparse.csr_array(([1j, 1j, -1j, -1j], (a + b, b + a)),
                              shape=(win.size, win.size))
-        h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(THIRD), win, v)
+        h = il.LatticeOperator(win, il.iwatsuka_hamiltonian(
+            il.ConstantField.from_turns(THIRD), win).matrix + v)
     else:
         win = il.SlabWindow(HALF, 12.0, 8.0)
         h = il.iwatsuka_hamiltonian(iw_field(HALF), win)
@@ -625,10 +640,11 @@ class TestGapUnitaryLocalization:
         def dev(rows):
             return np.abs((VJ[rows] * c) @ VJ.conj().T)
 
-        nu = np.abs(win.normal())
+        pos = win.positions()
+        nu = np.abs(pos @ HALF.normal())
         # far from the interface but clear of the window's own boundary,
         # whose open ends carry their own circulating gap channel
-        far = (nu > 15.0) & (nu <= 17.0) & (np.abs(win.tangential()) <= 10.0)
+        far = (nu > 15.0) & (nu <= 17.0) & (np.abs(pos @ HALF.tangent()) <= 10.0)
         assert far.sum() > 50
         assert dev(far).max() < 1e-3
         near = nu <= 2.0
@@ -643,7 +659,6 @@ class TestGapUnitaryLocalization:
                                         slab_geometry(win, HALF, 26.0))
         assert abs(rep.winding_gap_unitary - 2.0) < 0.1
         assert rep.cross_residual < 0.02
-        assert rep.conductance == rep.winding_gap_unitary
 
 
 def dense_switch_traces(h, sd, interval, slope, L):
@@ -1074,9 +1089,9 @@ class TestBulkInterface:
         assert rep.orientation_sign == TANGENTIAL_ORIENTATION
 
     def test_no_interface_when_fields_match(self):
-        const = il.ConstantField.from_turns(THIRD)
-        rep = il.verify_bic(const, slope=HALF, L=32.0, normal_half=20.0,
-                            buffer=10.0)
+        # the constant field on a slope-1/2 slab: equal turns at that slope
+        const = il.IwatsukaField.from_turns(HALF, THIRD, THIRD)
+        rep = il.verify_bic(const, L=32.0, normal_half=20.0, buffer=10.0)
         assert abs(rep.winding) < 0.05
         assert abs(rep.current) < 0.02
         assert rep.chern_plus == rep.chern_minus

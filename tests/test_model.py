@@ -30,6 +30,18 @@ COORDINATES = st.one_of(st.integers(-12, 12), st.integers(-10**6, 10**6),
 SITES = st.tuples(COORDINATES, COORDINATES)
 
 
+def assert_first_plus_row(slope, n1, n2):
+    """The per-site offset sign of an irrational slope at (n1, n2), and at
+    the rows floor(alpha*n1) and floor(alpha*n1) + 1 either side of the
+    interface, against the one floor per column that
+    `IwatsukaField._first_plus_row` reads: the offset is positive exactly
+    from row floor(alpha*n1) + 1 on, and zero only at the origin."""
+    f = slope.floor_times(n1)
+    for m in (n2, f, f + 1):
+        want = 1 if m > f else 0 if (n1, m) == (0, 0) else -1
+        assert slope.offset_sign((n1, m)) == want
+
+
 class TestSlopes:
     def test_rational_lowest_terms(self):
         s = il.RationalSlope(2, 4)
@@ -85,7 +97,7 @@ class TestSlopes:
         rng = range(-50, 51)
         for slope in (il.RationalSlope(1, 2), il.RationalSlope(-3, 5)):
             for n1 in rng:
-                got = slope.offset_signs_array(np.full(101, n1), np.arange(-50, 51))
+                got = np.sign(slope._scaled_offsets(np.full(101, n1), np.arange(-50, 51)))
                 want = [(x > 0) - (x < 0)
                         for x in (Fraction(-slope.p * n1, slope.q) + n2 for n2 in rng)]
                 assert got.tolist() == want
@@ -94,9 +106,9 @@ class TestSlopes:
                           il.QuadraticIrrationalSlope(1, 1, 2, 5)):
                 al = (slope.a + slope.b * mpmath.sqrt(slope.d)) / slope.c
                 for n1 in rng:
-                    got = slope.offset_signs_array(np.full(101, n1), np.arange(-50, 51))
+                    got = [slope.offset_sign((n1, n2)) for n2 in rng]
                     want = [int(mpmath.sign(-al * n1 + n2)) for n2 in rng]
-                    assert got.tolist() == want
+                    assert got == want
 
     def test_injectivity_for_irrational(self):
         sqrt2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
@@ -137,24 +149,23 @@ class TestSlopes:
            c=st.integers(1, 5), d=st.sampled_from([2, 3, 13, 101]),
            n1=st.integers(-2**31, 2**31), n2=st.integers(-2**28, 2**28))
     @settings(max_examples=300, deadline=None)
-    def test_quadratic_signs_array_at_int64_guard(self, a, b, c, d, n1, n2):
-        # sites up to |n1| = 2^31, the ones where (b*n1)^2 * d crosses 2^62
-        # (the int64 headroom of the retired integer-square comparison), and
-        # |b*n1| = 2^30, where that square overflowed for d > 8
+    def test_quadratic_floor_times_at_int64_guard(self, a, b, c, d, n1, n2):
+        # columns up to |n1| = 2^31, the ones where (b*n1)^2 * d crosses
+        # 2^62 (the int64 headroom of the retired integer-square
+        # comparison), and |b*n1| = 2^30, where that square overflowed for
+        # d > 8: the first plus row of the column, floor(alpha*n1) + 1, is
+        # where the per-site sign turns positive
         slope = il.QuadraticIrrationalSlope(a, b, c, d)
         edge = math.isqrt(2**62 // (d * b * b))
         top = 2**30 // abs(b)
-        for n1s in ([n1], [edge - 1, edge, edge + 1],
-                    [-edge, 1 - edge, -1 - edge], [top], [-top]):
-            n2s = [n2] * len(n1s)
-            got = slope.offset_signs_array(np.array(n1s), np.array(n2s))
-            assert got.tolist() == [slope.offset_sign((x, y))
-                                    for x, y in zip(n1s, n2s)]
+        for x in (n1, edge - 1, edge, edge + 1, -edge, 1 - edge, -1 - edge,
+                  top, -top):
+            assert_first_plus_row(slope, x, n2)
 
     @given(p=st.integers(-2**33, 2**33), q=st.integers(1, 2**10),
            n1=st.integers(-2**31, 2**31), n2=st.integers(-2**31, 2**31))
     @settings(max_examples=300, deadline=None)
-    def test_rational_signs_array_at_int64_guard(self, p, q, n1, n2):
+    def test_rational_scaled_offsets_at_int64_guard(self, p, q, n1, n2):
         # sites where |p*n1| + q*|n2| crosses 2^62 (the int64 headroom of
         # the vectorized offsets) and where p*n1 alone leaves int64
         slope = il.RationalSlope(p, q)
@@ -164,24 +175,24 @@ class TestSlopes:
         for n1s in ([n1], [edge - 1, edge, edge + 1],
                     [-edge - 1, -edge, 1 - edge], [top], [-top]):
             n2s = [n2] * len(n1s)
-            got = slope.offset_signs_array(np.array(n1s), np.array(n2s))
+            got = np.sign(slope._scaled_offsets(np.array(n1s), np.array(n2s)))
             assert got.tolist() == [slope.offset_sign((x, y))
                                     for x, y in zip(n1s, n2s)]
 
-    def test_rational_signs_array_regressions(self):
+    def test_rational_scaled_offsets_regressions(self):
         # list inputs are sites, not sequences to repeat
-        got = il.RationalSlope(1, 2).offset_signs_array([5, 2], [1, 4])
-        assert got.tolist() == [-1, 1]
+        got = il.RationalSlope(1, 2)._scaled_offsets([5, 2], [1, 4])
+        assert np.sign(got).tolist() == [-1, 1]
         # -p*n1 = -10^19 overflowed int64 and flipped the sign
         slope = il.RationalSlope(10**10, 1)
-        got = slope.offset_signs_array(np.array([10**9]), np.array([0]))
+        got = np.sign(slope._scaled_offsets(np.array([10**9]), np.array([0])))
         assert got.tolist() == [slope.offset_sign((10**9, 0))] == [-1]
 
-    def test_quadratic_signs_array_sqrt13_overflow(self):
+    def test_quadratic_floor_times_sqrt13_overflow(self):
         # B*B*d = 2^60 * 13 overflowed int64 here and flipped the sign
         slope = il.QuadraticIrrationalSlope(0, 1, 1, 13)
-        got = slope.offset_signs_array(np.array([-2**30]), np.array([-1]))
-        assert got.tolist() == [slope.offset_sign((-2**30, -1))] == [1]
+        assert slope.offset_sign((-2**30, -1)) == 1
+        assert_first_plus_row(slope, -2**30, -1)
 
     def test_offset_pairs_are_values(self):
         # an irrational slope's offset is the pair (k, m) of k + m*alpha:
@@ -221,23 +232,18 @@ class TestSlopes:
         assert slope.compare(x, y) == (ref - ref_y).sign() == -slope.compare(y, x)
 
     @pytest.mark.parametrize("slope", SIGNED_QUADRATICS, ids=repr)
-    def test_signs_array_matches_per_site_signs(self, slope):
+    def test_floor_times_matches_per_site_signs(self, slope):
         # one floor per column against one decision per site, on the slab
         # window of verify_bic at its defaults and on sites far past 2^31,
         # where (b*n1)^2*d outgrew the int64 of the retired integer-square
-        # comparison, out to the int64 ends; (n1, floor(alpha*n1)) and the
-        # row above it straddle the interface
-        pos = slab_window(slope, 48.0, 22.0).positions()
+        # comparison, out to the int64 ends; in each column the rows
+        # floor(alpha*n1) and floor(alpha*n1) + 1 straddle the interface
+        pos = slab_window(slope, 48.0, 22.0).positions().tolist()
         far = [(2**40 + 3, -7), (-2**62, 2**61), (2**63 - 1, 2**63 - 1),
-               (-2**63, 5), (2**63 - 1, -2**63), (0, -2**63), (0, 0)]
-        for n1 in (2**31 + 1, -2**40 - 5, 3 * 2**59, -(2**61) + 1):
-            f = slope.floor_times(n1)
-            far += [(n1, f), (n1, f + 1)]
-        for n1, n2 in (pos.T, np.array(far).T):
-            got = slope.offset_signs_array(n1, n2)
-            assert got.dtype == np.int64
-            assert got.tolist() == [slope.offset_sign(n)
-                                    for n in zip(n1.tolist(), n2.tolist())]
+               (-2**63, 5), (2**63 - 1, -2**63), (0, -2**63), (0, 0),
+               (2**31 + 1, 0), (-2**40 - 5, 0), (3 * 2**59, 0), (-(2**61) + 1, 0)]
+        for n1, n2 in pos + far:
+            assert_first_plus_row(slope, n1, n2)
 
     @given(a=_big_or_small(2**200), b=_big_or_small(2**200),
            c=st.one_of(st.integers(1, 12), st.integers(1, 2**100)), d=NONSQUARES)
@@ -314,7 +320,7 @@ class TestSlopes:
         assert [(x > 0) - (x < 0) for x in map(s.offset, sites(2**80))] == want
         # int64 sites whose scaled offsets q*x_n reach 2^116: the object path
         n1, n2 = np.array(sites(2**60)).T
-        assert s.offset_signs_array(n1, n2).tolist() == want
+        assert np.sign(s._scaled_offsets(n1, n2)).tolist() == want
 
     @pytest.mark.parametrize("value", [math.sqrt(2), 0.1, 1e-9, -math.sqrt(3),
                                        123.456, 2.0**-60])
@@ -329,7 +335,7 @@ class TestSlopes:
         n1, n2 = np.meshgrid(np.arange(-20, 21), np.arange(-20, 21), indexing="ij")
         want = [[(x > 0) - (x < 0) for x in (-r * a + b for a, b in zip(ra, rb))]
                 for ra, rb in zip(n1.tolist(), n2.tolist())]
-        assert s.offset_signs_array(n1, n2).tolist() == want
+        assert np.sign(s._scaled_offsets(n1, n2)).tolist() == want
 
     def test_float_slope_rounds_other_inputs_to_a_double(self):
         with mpmath.workprec(128):
@@ -427,7 +433,7 @@ class TestFields:
                               Fraction(1, 6)), (make(), 0)):
             assert exact.value_turns((0, 0)) == base + extra
             assert il.circulation(exact, (0, 0), exact=True) == base + extra
-            assert il.model.vector_potential_turns(exact, (0, -1), 1) == \
+            assert il.model.vector_potential_turns(exact, (0, -1)) == \
                 -(base + extra)
 
 
@@ -500,29 +506,25 @@ def array_gauge(field, n1, n2):
     D, A, B = field.gauge_numerators(n1, n2)
     for n, a, b in zip(zip(np.ravel(n1).tolist(), np.ravel(n2).tolist()),
                        A.ravel().tolist(), B.ravel().tolist()):
-        assert a == il.model._bond_numerator(field, n, 1) % D
+        assert a == il.model._bond_numerator(field, n) % D
         assert b == field.value_turns(n) * D % D
     return D, A, B
 
 
 class TestGauge:
-    def test_vertical_bonds_free(self):
-        f = il.ConstantField.from_turns(Fraction(1, 6))
-        assert il.model.vector_potential_turns(f, (4, 9), 2) == 0
-
     def test_column_sums(self):
         f = il.ConstantField.from_turns(Fraction(1, 6))
         A = il.model.vector_potential_turns
-        assert A(f, (7, 3), 1) == 3 * f.b_plus_turns
-        assert A(f, (7, -2), 1) == -2 * f.b_plus_turns
-        assert A(f, (7, 0), 1) == 0
+        assert A(f, (7, 3)) == 3 * f.b_plus_turns
+        assert A(f, (7, -2)) == -2 * f.b_plus_turns
+        assert A(f, (7, 0)) == 0
 
     def test_landau_form_for_row_independent_fields(self):
         # fields independent of n2 give A(n, n - e1) = n2 * B(n)
         f = il.IwatsukaField.from_turns(il.PlusInfinity, Fraction(1, 3), Fraction(2, 3))
         for n1 in (-2, 0, 3):
             for n2 in (-4, -1, 0, 2, 5):
-                assert il.model.vector_potential_turns(f, (n1, n2), 1) == \
+                assert il.model.vector_potential_turns(f, (n1, n2)) == \
                     n2 * f.value_turns((n1, n2))
 
     @pytest.mark.parametrize("field", [
@@ -543,7 +545,7 @@ class TestGauge:
         # the row-count column sums against the per-site sums they replace,
         # as equal Fractions in turns
         for n in il.LatticeWindow(10).sites:
-            assert il.model.vector_potential_turns(field, n, 1) == \
+            assert il.model.vector_potential_turns(field, n) == \
                 reference_potential(field, n)
 
     @pytest.mark.parametrize("field", GAUGE_FIELDS, ids=GAUGE_IDS)
@@ -615,10 +617,9 @@ class TestGauge:
         # each perturbed site and the rows next to it in its column
         sites += [(n1, n2 + dy) for n1, n2 in pert for dy in (-1, 0, 1)]
         for n in sites:
-            got = il.model.vector_potential_turns(field, n, 1)
+            got = il.model.vector_potential_turns(field, n)
             assert type(got) is Fraction
             assert got == reference_potential_turns(field, n)
-            assert il.model.vector_potential_turns(field, n, 2) == 0
             circ = il.circulation(field, n, exact=True)
             assert type(circ) is Fraction and circ == field.value_turns(n)
         # the array gauge at the sites an int64 array holds
@@ -644,12 +645,6 @@ class TestGauge:
                 assert type(circ) is Fraction and circ == field.value_turns(n)
             assert il.circulation(field, (1, 5), exact=True) == Fraction(1 / 3)
 
-    def test_bond_direction_must_be_1_or_2(self):
-        f = il.IwatsukaField.from_turns(il.RationalSlope(1, 2), Fraction(1, 3),
-                                        Fraction(2, 3))
-        with pytest.raises(ValueError, match="j must be 1 or 2"):
-            il.model.vector_potential_turns(f, (0, 1), 3)
-
     def test_circulation_is_exact_only(self):
         # there is no float gauge; a float circulation is refused rather
         # than returned
@@ -666,10 +661,7 @@ class TestWindows:
         assert w.size == 25
         assert w.sites[0] == (-2, -2)
         assert w.sites[1] == (-2, -1)          # row-major by (n1, n2)
-        assert w.index((-2, -2)) == 0
-        assert w.index((0, 0)) == 12
-        assert all(w.index(s) == i for i, s in enumerate(w.sites))
-        assert w.contains((2, 2)) and not w.contains((3, 0))
+        assert w.sites[12] == (0, 0) and w.sites[-1] == (2, 2)
         assert w.interior_mask(1).sum() == 9
 
     def test_slab_window(self):
@@ -681,9 +673,7 @@ class TestWindows:
         nu = pos @ vp
         assert np.all(np.abs(t) <= 10.0 + 1e-12)
         assert np.all(np.abs(nu) <= 5.0 + 1e-12)
-        assert np.allclose(w.tangential(), t)
-        assert np.allclose(w.normal(), nu)
-        assert w.contains((0, 0))
+        assert (0, 0) in w.sites
 
     @pytest.mark.parametrize("halves", [
         (254.5, 0.0), (1e308, 1.0), (1.0, -1e308), (1.7e308, 1.7e308),
@@ -715,4 +705,3 @@ class TestWindows:
         with pytest.raises(ValueError):
             pos[0, 0] = 99
         assert [tuple(p) for p in pos.tolist()] == list(w.sites)
-        assert all(w.index(s) == i for i, s in enumerate(w.sites))

@@ -78,10 +78,11 @@ class TestTranslations:
     @pytest.mark.parametrize("field", FIELD_MATRIX[1:3])
     def test_adjoint_product_is_domain_projection(self, field):
         win = il.LatticeWindow(4)
+        sites = set(win.sites)
         for j in (1, 2):
             s = magnetic_translation(field, win, j).matrix
             proj = s.conj().T @ s
-            want = np.diag([1.0 if win.contains((n1 + (j == 1), n2 + (j == 2)))
+            want = np.diag([1.0 if (n1 + (j == 1), n2 + (j == 2)) in sites
                             else 0.0 for (n1, n2) in win.sites])
             assert np.abs(proj - want).max() < 1e-12
 
@@ -104,10 +105,11 @@ class TestTranslations:
         s1 = magnetic_translation(field, win, 1).dense()
         D = field.gauge_numerators(0, 0)[0]
         want = np.zeros_like(s1)
+        index = {s: i for i, s in enumerate(win.sites)}
         for i, (n1, n2) in enumerate(win.sites):
-            if win.contains((n1 - 1, n2)):
-                num = il.model.vector_potential_turns(field, (n1, n2), 1) * D
-                want[i, win.index((n1 - 1, n2))] = operators._turn_phases(
+            if (n1 - 1, n2) in index:
+                num = il.model.vector_potential_turns(field, (n1, n2)) * D
+                want[i, index[n1 - 1, n2]] = operators._turn_phases(
                     [int(num)], D)[0]
         assert s1.tobytes() == want.tobytes()
 
@@ -369,14 +371,19 @@ class TestHamiltonianSpectral:
         for part in ("data", "indices", "indptr"):
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
-    def test_perturbation_must_be_hermitian(self):
+    def test_perturbation_is_checked_where_it_is_solved(self):
+        # a perturbed Hamiltonian is the sum H + v; the spectral entry
+        # points refuse it unless it is Hermitian
         win = il.LatticeWindow(3)
+        H = il.iwatsuka_hamiltonian(il.zero_field(), win)
         v = np.zeros((win.size, win.size), dtype=complex)
         v[0, 1] = 1.0
-        with pytest.raises(il.NonHermitianPerturbation):
-            il.iwatsuka_hamiltonian(il.zero_field(), win, v=v)
+        bad = il.LatticeOperator(win, H.matrix + v)
+        for solve in (il.SpectralData.from_operator, il.hermitian_eigenvalues):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                solve(bad)
         v[1, 0] = 1.0
-        il.iwatsuka_hamiltonian(il.zero_field(), win, v=v)
+        il.SpectralData.from_operator(il.LatticeOperator(win, H.matrix + v))
 
     def test_spectral_reconstruction(self):
         field = il.IwatsukaField.from_turns(HALF, Fraction(1, 3), Fraction(2, 3))
@@ -504,7 +511,8 @@ class TestParitySectors:
         win = il.LatticeWindow(3)
         i = [tuple(p) for p in win.positions()].index(site)
         v = sparse.csr_array(([0.5], ([i], [i])), shape=(win.size, win.size))
-        H = il.iwatsuka_hamiltonian(THIRD_FIELD, win, v)
+        H = il.LatticeOperator(
+            win, il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix + v)
         calls, svds = spy_eigh(monkeypatch), spy(monkeypatch, "svd")
         sd = il.SpectralData.from_operator(H)
         assert svds == [] and sorted(calls) == want
@@ -596,7 +604,8 @@ class TestRealParityBlocks:
         v = sparse.csr_array(([1j, 1j, -1j, -1j], (a + b, b + a)),
                              shape=(win.size, win.size))
         # a and b lie on one sublattice, so h is not chiral either
-        self._assert_blocks(il.iwatsuka_hamiltonian(THIRD_FIELD, win, v),
+        H = il.iwatsuka_hamiltonian(THIRD_FIELD, win)
+        self._assert_blocks(il.LatticeOperator(win, H.matrix + v),
                             np.complex128, monkeypatch, chiral=False)
 
     def test_window_without_reflection_keeps_complex_blocks(self, monkeypatch):
@@ -811,7 +820,8 @@ class TestInterfaceShiftUnitary:
         field = il.IwatsukaField.from_turns(HALF, Fraction(1, 3), Fraction(2, 3))
         win = il.LatticeWindow(8)
         u = il.interface_shift_unitary(field, win, "wide").matrix
-        ok = np.array([win.contains((n1 + 2, n2 + 1)) and win.contains((n1 - 2, n2 - 1))
+        sites = set(win.sites)
+        ok = np.array([(n1 + 2, n2 + 1) in sites and (n1 - 2, n2 - 1) in sites
                        for (n1, n2) in win.sites])
         gram = (u.conj().T @ u)[np.ix_(ok, ok)]
         assert np.abs(gram - np.eye(ok.sum())).max() < 1e-12

@@ -85,3 +85,28 @@ def test_no_radians_and_no_float_gauge():
     operators = importlib.import_module("iwalab.operators")
     assert not any(hasattr(model, name) for name in ("TWO_PI", "_radians"))
     assert not hasattr(operators, "_field_values")
+
+
+def test_options_and_methods_no_caller_reaches_stay_out():
+    # options and methods that nothing in the package, its command line or
+    # its benchmark reached: a perturbed Hamiltonian is H.matrix + v, the
+    # slab of verify_bic runs along field.slope, the window coordinates are
+    # the sites' dot products with the slope's frame, and the vertical bonds
+    # of the standard gauge are zero
+    model = importlib.import_module("iwalab.model")
+    errors = importlib.import_module("iwalab.errors")
+    assert not hasattr(iwalab, "NonHermitianPerturbation")
+    assert not hasattr(errors, "NonHermitianPerturbation")
+    assert not hasattr(model, "_bond")
+    for cls, name in ((model._FractionSlope, "offset_signs_array"),
+                      (model._ExactIrrationalSlope, "offset_signs_array"),
+                      (iwalab.SlabWindow, "tangential"),
+                      (iwalab.SlabWindow, "normal"),
+                      (iwalab.LatticeWindow, "index"),
+                      (iwalab.LatticeWindow, "contains"),
+                      (iwalab.CurrentReport, "conductance")):
+        assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    for func, name in ((iwalab.iwatsuka_hamiltonian, "v"),
+                       (iwalab.verify_bic, "slope"),
+                       (model.vector_potential_turns, "j")):
+        assert name not in inspect.signature(func).parameters
