@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from numpy.linalg import eigvalsh
 from scipy import sparse
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh
 
 from .errors import (BudgetExceeded, ChernMismatch, EmptyGap, EmptyInterior,
                      GapClosed, NoCommonGap, NotInterfaceLocalized,
@@ -74,12 +74,12 @@ CROSS_TOL = 0.02
 MOMENT_CHUNK = 512        # dense columns per block of `_winding_moments`
 
 # Shift-invert Lanczos of `_lanczos_pairs`.  A second Gram-Schmidt pass runs
-# when the first leaves less than DGKS of the vector's norm (the test of
-# Daniel, Gragg, Kaufman and Stewart that ARPACK uses).  EPS is ARPACK's
-# tol = 0 (LAPACK's dlamch('E')), the relative bound on Ritz residuals; a
-# new vector within N * EPS of the basis, the rounding bound of a length-N
-# inner product, is a breakdown.  The Ritz values are checked every
-# RITZ_STRIDE steps.
+# when the first leaves less than DGKS of the norm after the three-term
+# recurrence (the test of Daniel, Gragg, Kaufman and Stewart that ARPACK
+# uses).  EPS is ARPACK's tol = 0 (LAPACK's dlamch('E')), the relative bound
+# on Ritz residuals; a new vector within N * EPS of the basis, the rounding
+# bound of a length-N inner product, is a breakdown.  The Ritz values are
+# checked every RITZ_STRIDE steps.
 DGKS = 0.717
 EPS = 2.0 ** -53
 RITZ_STRIDE = 8
@@ -485,12 +485,14 @@ def _count_below(hs, x):
 def _lanczos_pairs(hs, lo, hi, k):
     """The k eigenpairs of the Hermitian hs in (lo, hi], sorted, by Lanczos
     on (hs - sigma)^-1 about sigma = (lo + hi) / 2 from a fixed start
-    vector, with one LU of hs - sigma and every new vector fully
-    reorthogonalized.  The LU is SuperLU's symmetric mode: a minimum-degree
-    ordering of hs^T + hs and threshold pivoting that keeps a diagonal
-    pivot unless it is below LANCZOS_PIVOT_THRESH of its column.  Candidate
-    pairs are ready once exactly k Ritz values lie in (lo, hi] and each Ritz
-    value theta of the inverse meets ARPACK's tol = 0 bound
+    vector, with one LU of hs - sigma.  Each step runs the three-term
+    recurrence, then one classical Gram-Schmidt pass against the whole
+    basis, and a second pass only when the first leaves less than DGKS of
+    the recurrence's remainder.  The LU is SuperLU's symmetric mode: a
+    minimum-degree ordering of hs^T + hs and threshold pivoting that keeps
+    a diagonal pivot unless it is below LANCZOS_PIVOT_THRESH of its column.
+    Candidate pairs are ready once exactly k Ritz values lie in (lo, hi]
+    and each Ritz value theta of the inverse meets ARPACK's tol = 0 bound
     |beta_m s_mi| <= EPS |theta|.  That bound holds for the inverse as the
     factor computes it, which need not be backward stable, so the pairs
     stand only if each (E, v) also has ||hs v - E v||_2 <= N EPS
@@ -499,8 +501,10 @@ def _lanczos_pairs(hs, lo, hi, k):
     the nearest Ritz values below lo and above hi (the start vector misses
     the rest: a wrong count or a degenerate level); on breakdown (an
     invariant subspace); or when the Krylov dimension reaches N."""
-    # imported here, on the one path that needs it, to keep
-    # scipy.sparse.linalg out of the package's import time
+    # imported here, on the one path that needs them: scipy.sparse.linalg
+    # and scipy.linalg load scipy's own OpenBLAS beside numpy's, which the
+    # dense solves of `operators` use alone
+    from scipy.linalg import eigh_tridiagonal
     from scipy.sparse.linalg import splu
 
     n = hs.shape[0]
@@ -523,17 +527,24 @@ def _lanczos_pairs(hs, lo, hi, k):
         q = basis[:m]
         w = solve(q[-1])
         w_norm = np.linalg.norm(w)
+        # the three-term recurrence, then one Gram-Schmidt pass against the
+        # basis for the rounding it leaves; alpha takes both projections
+        if m > 1:
+            w -= beta[-1] * q[-2]
+        a = np.vdot(q[-1], w)
+        w -= a * q[-1]
+        recurred = np.linalg.norm(w)
         c = (q @ w.conj()).conj()
         w -= c @ q
         norm = np.linalg.norm(w)
-        if norm < DGKS * w_norm:
+        if norm < DGKS * recurred:
             d = (q @ w.conj()).conj()
             w -= d @ q
             c += d
             norm = np.linalg.norm(w)
         if norm <= n * EPS * w_norm:       # rounding noise: breakdown
             return None
-        alpha.append(c[-1].real)
+        alpha.append((a + c[-1]).real)
         beta.append(norm)
         if m > k and m % RITZ_STRIDE == 0:
             theta, s = eigh_tridiagonal(alpha, beta[:-1])
@@ -598,9 +609,10 @@ def _interval_eigenpairs(h, interval):
     factor, and its pairs stand only if exactly k converged Ritz values lie
     in (lo, hi], so the count and the solve certify each other, and if
     each pair's residual on h itself is within rounding of the factor's
-    size.  Without a count, the full eigenvalues decide EmptyGap; then,
-    and whenever the Lanczos run returns no pairs, the dense solve
-    answers; past DENSE_FALLBACK_BYTES it raises BudgetExceeded instead.
+    size.  Without a count, the full eigenvalues (numpy's `eigvalsh`)
+    decide EmptyGap; then, and whenever the Lanczos run returns no pairs,
+    the dense subset solve (scipy's `eigh` by evr) answers; past
+    DENSE_FALLBACK_BYTES it raises BudgetExceeded instead.
     lo >= hi is a ValueError."""
     lo, hi = interval
     if not lo < hi:
@@ -617,6 +629,8 @@ def _interval_eigenpairs(h, interval):
         pairs = _lanczos_pairs(hs, lo, hi, below_hi - below_lo)
         if pairs is not None:
             return pairs
+    # numpy has no subset solve; only this fallback loads scipy.linalg
+    from scipy.linalg import eigh
     return eigh(_dense_fallback(h), driver="evr", subset_by_value=interval)
 
 

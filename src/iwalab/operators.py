@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import eigh, eigvalsh, svd
 from scipy import sparse
-from scipy.linalg import eigh, eigvalsh, svd, svdvals
 
 from .errors import (BudgetExceeded, DegenerateField, EmptyGap,
                      IrrationalFlux, IrrationalSlope)
@@ -378,17 +378,16 @@ def _sublattice_sides(window, h, g):
 
 
 def _hermitian_blocks(op):
-    """The dense blocks an eigensolve of op runs on, as (G, block, driver,
-    sides): G is the isometry onto the two parity sectors of the inversion
+    """The dense blocks an eigensolve of op runs on, as (G, block, sides):
+    G is the isometry onto the two parity sectors of the inversion
     n -> -n if op commutes exactly with it (see `_symmetry_sectors`; the
     blocks are real if op also commutes with K R), else the identity.  If
     op hops only between the sublattices of n1 + n2 even and odd (see
     `_sublattice_sides`), the block is the half block X = G_a* op G_b and
-    sides = (a, b), solved by `gesdd`; otherwise the block is G*op G, with
-    sides None, solved by `evd` on a parity sector and `evr` whole.  A real
-    sector's block is the real part of the sparse product, made dense as a
-    Fortran-ordered real array, so no complex copy of it is formed.
-    ValueError unless op is Hermitian."""
+    sides = (a, b), solved by an SVD; otherwise the block is G*op G, with
+    sides None, solved by a Hermitian eigensolve.  A real sector's block is
+    the real part of the sparse product, made dense as a real array, so no
+    complex copy of it is formed.  ValueError unless op is Hermitian."""
     require_hermitian(op)
     h = sparse.csr_array(op.matrix)
     found = _symmetry_sectors(op.window, h)
@@ -402,12 +401,12 @@ def _hermitian_blocks(op):
         if sides is not None:
             a, b = sides
             x = g[:, a].conj().T @ h @ g[:, b]
-            yield g, (x.real if real else x).toarray(order="F"), "gesdd", sides
+            yield g, (x.real if real else x).toarray(), sides
         elif found is None:
-            yield g, op.dense(), "evr", None
+            yield g, op.dense(), None
         else:
             b = g.conj().T @ h @ g
-            yield g, (b.real if real else b).toarray(order="F"), "evd", None
+            yield g, (b.real if real else b).toarray(), None
 
 
 @dataclass(frozen=True)
@@ -424,15 +423,16 @@ class ChiralFactors:
     b: np.ndarray
 
 
-def _chiral_eigh(x, driver, a, b):
+def _chiral_eigh(x, a, b):
     """Ascending eigenvalues of the Hermitian matrix with zero diagonal
     blocks and off-diagonal half x on rows a and columns b, and its
-    eigenvectors as `ChiralFactors`, from one SVD x = U diag(s) V* by the
-    LAPACK driver, which may overwrite x: eigenvalues -s and +s with
+    eigenvectors as `ChiralFactors`, from one full SVD x = U diag(s) V*
+    (numpy's `svd`, LAPACK's gesdd on a copy, so x is left as it is):
+    eigenvalues -s and +s with
     eigenvectors (u; -v)/sqrt2 and (u; v)/sqrt2, and |n_a - n_b| exact
     zeros, whose eigenvectors are the null columns of U or V on the larger
     side.  The n x n eigenvector matrix is never formed."""
-    u, s, vh = svd(x, lapack_driver=driver, overwrite_a=True)
+    u, s, vh = svd(x)
     w = np.concatenate([-s, np.zeros(a.size + b.size - 2 * s.size), s[::-1]])
     return w, ChiralFactors(u, vh, a, b)
 
@@ -474,13 +474,14 @@ def _eigenvector_columns(v, lo, hi):
 def hermitian_eigenvalues(op):
     """The ascending eigenvalues of the Hermitian operator op, solved
     without eigenvectors on the blocks `SpectralData.from_operator` solves:
-    +-s and |n_a - n_b| zeros from the singular values s of a half block."""
+    `eigvalsh` of a block, and +-s and |n_a - n_b| zeros from the singular
+    values s of a half block (`svd` with compute_uv=False)."""
     values = []
-    for _, b, driver, sides in _hermitian_blocks(op):
+    for _, b, sides in _hermitian_blocks(op):
         if sides is None:
-            values.append(eigvalsh(b, driver=driver))
+            values.append(eigvalsh(b))
         else:
-            s = svdvals(b)
+            s = svd(b, compute_uv=False)
             values += [-s, np.zeros(sum(b.shape) - 2 * s.size), s]
     return np.sort(np.concatenate(values), kind="stable")
 
@@ -491,9 +492,10 @@ class SpectralData:
     the sectors it was solved on: triples (G, w, v) of a sparse isometry G
     onto a parity block, the block's ascending eigenvalues w and its
     eigenvectors v, so the eigenvectors of the operator are the columns of
-    G v.  v is the eigenvector matrix of an `eigh` block, or the
-    `ChiralFactors` (U, V*, a, b) of a chiral one, about half its size;
-    `_eigenvector_columns` reads columns of either.  A whole solve is one
+    G v.  v is the eigenvector matrix of a block solved by numpy's `eigh`,
+    or the `ChiralFactors` (U, V*, a, b) of a chiral one from numpy's
+    `svd`, about half its size; `_eigenvector_columns` reads columns of
+    either.  Both run on the LAPACK that numpy links.  A whole solve is one
     sector whose G is the identity.  `eigenvalues` holds the eigenvalues of
     all sectors in ascending order."""
 
@@ -504,11 +506,11 @@ class SpectralData:
     @staticmethod
     def from_operator(op):
         """Eigenvalues and orthonormal eigenvectors of the Hermitian
-        operator op, solved on the blocks `_hermitian_blocks` gives."""
+        operator op, solved on the blocks `_hermitian_blocks` gives: `eigh`
+        of a block, or `_chiral_eigh` of a half block."""
         sectors = tuple(
-            (g, *(eigh(b, driver=driver) if sides is None
-                  else _chiral_eigh(b, driver, *sides)))
-            for g, b, driver, sides in _hermitian_blocks(op))
+            (g, *(eigh(b) if sides is None else _chiral_eigh(b, *sides)))
+            for g, b, sides in _hermitian_blocks(op))
         w = np.sort(np.concatenate([wb for _, wb, _ in sectors]), kind="stable")
         return SpectralData(w, sectors, op.window)
 

@@ -206,9 +206,17 @@ class TestCommands:
         def no_eigenvectors(*args, **kwargs):
             raise AssertionError("spectrum solved for eigenvectors")
 
-        # the general blocks solve by eigh, the bipartite ones by svd
+        svd = operators.svd
+
+        def singular_values_only(a, **kwargs):
+            if kwargs != {"compute_uv": False}:
+                raise AssertionError("spectrum solved for singular vectors")
+            return svd(a, **kwargs)
+
+        # the general blocks solve by eigh, the bipartite ones by svd, which
+        # must be asked for the singular values alone
         monkeypatch.setattr(operators, "eigh", no_eigenvectors)
-        monkeypatch.setattr(operators, "svd", no_eigenvectors)
+        monkeypatch.setattr(operators, "svd", singular_values_only)
         rc = cli.main(["spectrum", "--slope", "rational:1,2", "--bminus", bminus,
                        "--M", "5", "--out", str(tmp_path)])
         assert rc == 0

@@ -421,12 +421,6 @@ def spy(monkeypatch, name, record=lambda a, kwargs: (a.shape, a.dtype)):
     return calls
 
 
-def spy_eigh(monkeypatch, record=lambda a, kwargs: (a.shape, kwargs.get("driver"))):
-    """Record (matrix shape, driver), or what `record` makes of the matrix
-    and the keywords, of every operators.eigh call."""
-    return spy(monkeypatch, "eigh", record)
-
-
 def sublattice_sizes(win):
     """Site counts (n_A, n_B) of the sublattices n1 + n2 even and odd."""
     pos = win.positions()
@@ -471,7 +465,7 @@ class TestParitySectors:
     def test_matches_evr(self, field, win, monkeypatch):
         H = il.iwatsuka_hamiltonian(field, win)
         w0, v0 = scipy.linalg.eigh(H.dense(), driver="evr")
-        calls, eighs = spy(monkeypatch, "svd"), spy_eigh(monkeypatch)
+        calls, eighs = spy(monkeypatch, "svd"), spy(monkeypatch, "eigh")
         sd = il.SpectralData.from_operator(H)
         n = win.size
         assert eighs == []
@@ -497,23 +491,24 @@ class TestParitySectors:
         (THIRD_FIELD, ListedWindow(il.LatticeWindow(3).positions()[:-1]))])
     def test_asymmetric_h_is_solved_whole(self, field, win, monkeypatch):
         H = il.iwatsuka_hamiltonian(field, win)
-        calls, eighs = spy(monkeypatch, "svd"), spy_eigh(monkeypatch)
+        calls, eighs = spy(monkeypatch, "svd"), spy(monkeypatch, "eigh")
         il.SpectralData.from_operator(H)
         assert eighs == []
         assert calls == [(sublattice_sizes(win), np.complex128)]
 
     @pytest.mark.parametrize("site,want", [
-        ((0, 0), [((24, 24), "evd"), ((25, 25), "evd")]),
-        ((1, 0), [((49, 49), "evr")])], ids=["origin", "off-origin"])
+        ((0, 0), [((24, 24), np.float64), ((25, 25), np.float64)]),
+        ((1, 0), [((49, 49), np.complex128)])], ids=["origin", "off-origin"])
     def test_onsite_entry_keeps_eigh(self, site, want, monkeypatch):
         # an onsite entry joins a site to its own sublattice; at the origin
-        # it keeps the inversion symmetry, elsewhere it breaks it
+        # it keeps the inversion symmetry (two real parity blocks), elsewhere
+        # it breaks it (one complex whole solve)
         win = il.LatticeWindow(3)
         i = [tuple(p) for p in win.positions()].index(site)
         v = sparse.csr_array(([0.5], ([i], [i])), shape=(win.size, win.size))
         H = il.LatticeOperator(
             win, il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix + v)
-        calls, svds = spy_eigh(monkeypatch), spy(monkeypatch, "svd")
+        calls, svds = spy(monkeypatch, "eigh"), spy(monkeypatch, "svd")
         sd = il.SpectralData.from_operator(H)
         assert svds == [] and sorted(calls) == want
         w0 = scipy.linalg.eigh(H.dense(), driver="evr", eigvals_only=True)
@@ -573,10 +568,11 @@ class TestRealParityBlocks:
 
     def _assert_blocks(self, H, dtype, monkeypatch, chiral=True):
         """Two blocks of the dtype, with the evr eigenvalues: the half
-        blocks of one SVD each, or two evd blocks unless chiral."""
+        blocks of one SVD each, or two parity blocks of one eigh each
+        unless chiral."""
         calls = spy(monkeypatch, "svd")
-        eighs = spy_eigh(monkeypatch, lambda a, kwargs: (
-            a.shape[0], kwargs.get("driver"), a.dtype))
+        eighs = spy(monkeypatch, "eigh",
+                    lambda a, kwargs: (a.shape[0], a.dtype))
         sd = il.SpectralData.from_operator(H)
         n = H.window.size
         if chiral:
@@ -585,8 +581,8 @@ class TestRealParityBlocks:
                                      for shape in half_block_shapes(H.window)]
         else:
             assert calls == []
-            assert sorted(eighs) == [((n - 1) // 2, "evd", dtype),
-                                     ((n + 1) // 2, "evd", dtype)]
+            assert sorted(eighs) == [((n - 1) // 2, dtype),
+                                     ((n + 1) // 2, dtype)]
         w0 = scipy.linalg.eigh(H.dense(), driver="evr", eigvals_only=True)
         V, E = merged_eigenvectors(sd), sd.eigenvalues
         assert np.abs(E - w0).max() < 1e-12
@@ -630,14 +626,15 @@ class TestHermitianEigenvalues:
         field, win, split, dtype = SOLVE_KINDS[kind]
         H = il.iwatsuka_hamiltonian(field, win)
         want = il.SpectralData.from_operator(H).eigenvalues
-        eighs, svds = spy_eigh(monkeypatch), spy(monkeypatch, "svd")
-        eigvalshs = spy(monkeypatch, "eigvalsh")
-        values = spy(monkeypatch, "svdvals")
+        eighs, eigvalshs = spy(monkeypatch, "eigh"), spy(monkeypatch, "eigvalsh")
+        svds = spy(monkeypatch, "svd", lambda a, kwargs: (
+            a.shape, a.dtype, kwargs.get("compute_uv", True)))
         E = il.hermitian_eigenvalues(H)
         shapes = ([sublattice_sizes(win)] if split == "whole"
                   else half_block_shapes(win))
-        assert eighs == svds == eigvalshs == []
-        assert sorted(values) == [(shape, dtype) for shape in shapes]
+        # singular values only, on the half blocks
+        assert eighs == eigvalshs == []
+        assert sorted(svds) == [(shape, dtype, False) for shape in shapes]
         assert np.abs(E - want).max() < 1e-12
 
     def test_checks_hermiticity(self):
@@ -703,9 +700,11 @@ class TestChiralSolve:
 
         chiral = chern()
         monkeypatch.setattr(operators, "_sublattice_sides", lambda *args: None)
-        calls = spy_eigh(monkeypatch)
+        calls = spy(monkeypatch, "eigh")
         forced = chern()
-        assert sorted(driver for _, driver in calls) == ["evd", "evd"]
+        n = H.window.size
+        assert sorted(calls) == [(((n - 1) // 2,) * 2, np.float64),
+                                 (((n + 1) // 2,) * 2, np.float64)]
         assert abs(chiral - forced) < 1e-13
 
     def test_split_needs_both_checks(self):

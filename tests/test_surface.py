@@ -1,10 +1,15 @@
 """The package surface: every name a module imports is referenced in that
-module, and the pruned names stay out of the public namespace."""
+module, the pruned names stay out of the public namespace, and only the
+sparse interval solve loads scipy.linalg."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +115,50 @@ def test_options_and_methods_no_caller_reaches_stay_out():
                        (iwalab.verify_bic, "slope"),
                        (model.vector_potential_turns, "j")):
         assert name not in inspect.signature(func).parameters
+
+
+# Every entry point but verify_bic, on small windows, then verify_bic on a
+# small slab; prints whether scipy.linalg was loaded after each part.
+LAPACK_PROBE = """
+import json, sys
+from fractions import Fraction
+import iwalab as il
+from scipy import sparse
+
+loaded = lambda: "scipy.linalg" in sys.modules
+seen = {"import": loaded()}
+half, third = il.RationalSlope(1, 2), Fraction(1, 3)
+field = il.IwatsukaField.from_turns(half, third, 2 * third)
+slab = il.SlabWindow(half, 22.0, 8.0)
+il.winding(il.interface_shift_unitary(field, slab), half, 8.0)
+il.cantor_diagnostics(il.QuadraticIrrationalSlope(0, 1, 1, 2), [2])
+il.circulation(field, (0, 0))
+il.band_structure(third)
+il.chern_momentum(third, gap_index=1)
+win = il.LatticeWindow(6)
+h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(third), win)
+onsite = il.LatticeOperator(win, h.matrix + sparse.eye_array(win.size))
+for op in (h, onsite):          # the svd and the eigh blocks
+    P = il.fermi_projection(il.SpectralData.from_operator(op), -1.366)
+    il.chern_realspace(P, margin=2)
+    il.hermitian_eigenvalues(op)
+seen["dense"] = loaded()
+il.verify_bic(il.IwatsukaField.from_turns(il.RationalSlope(1, 1), third,
+                                          2 * third),
+              L=8.0, normal_half=18.0, buffer=10.0)
+seen["verify_bic"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_interval_solve_loads_scipy_linalg():
+    # the dense blocks solve on numpy's LAPACK; scipy.linalg, which loads a
+    # second OpenBLAS, comes in only with the Lanczos run of verify_bic.  A
+    # fresh process, so that no other test's imports leak in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", LAPACK_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "import": False, "dense": False, "verify_bic": True}
