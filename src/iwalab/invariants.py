@@ -485,14 +485,13 @@ def _count_below(hs, x):
 def _lanczos_pairs(hs, lo, hi, k):
     """The k eigenpairs of the Hermitian hs in (lo, hi], sorted, by Lanczos
     on (hs - sigma)^-1 about sigma = (lo + hi) / 2 from a fixed start
-    vector, with one LU of hs - sigma.  Each step runs the three-term
-    recurrence, then one classical Gram-Schmidt pass against the whole
-    basis, and a second pass only when the first leaves less than DGKS of
-    the recurrence's remainder.  The LU is SuperLU's symmetric mode: a
-    minimum-degree ordering of hs^T + hs and threshold pivoting that keeps
-    a diagonal pivot unless it is below LANCZOS_PIVOT_THRESH of its column.
-    Candidate pairs are ready once exactly k Ritz values lie in (lo, hi]
-    and each Ritz value theta of the inverse meets ARPACK's tol = 0 bound
+    vector, with one LU of hs - sigma; each step runs the three-term
+    recurrence and then one classical Gram-Schmidt pass against the basis.
+    The LU is SuperLU's symmetric mode: a minimum-degree ordering of
+    hs^T + hs and threshold pivoting that keeps a diagonal pivot unless it
+    is below LANCZOS_PIVOT_THRESH of its column.  Candidate pairs are ready
+    once exactly k Ritz values lie in (lo, hi] and each Ritz value theta of
+    the inverse meets ARPACK's tol = 0 bound
     |beta_m s_mi| <= EPS |theta|.  That bound holds for the inverse as the
     factor computes it, which need not be backward stable, so the pairs
     stand only if each (E, v) also has ||hs v - E v||_2 <= N EPS
@@ -501,9 +500,8 @@ def _lanczos_pairs(hs, lo, hi, k):
     the nearest Ritz values below lo and above hi (the start vector misses
     the rest: a wrong count or a degenerate level); on breakdown (an
     invariant subspace); or when the Krylov dimension reaches N."""
-    # imported here, on the one path that needs them: scipy.sparse.linalg
-    # and scipy.linalg load scipy's own OpenBLAS beside numpy's, which the
-    # dense solves of `operators` use alone
+    # imported here, on the one path that needs them: both load scipy's
+    # own OpenBLAS, which competes with numpy's for the cores
     from scipy.linalg import eigh_tridiagonal
     from scipy.sparse.linalg import splu
 
@@ -527,8 +525,6 @@ def _lanczos_pairs(hs, lo, hi, k):
         q = basis[:m]
         w = solve(q[-1])
         w_norm = np.linalg.norm(w)
-        # the three-term recurrence, then one Gram-Schmidt pass against the
-        # basis for the rounding it leaves; alpha takes both projections
         if m > 1:
             w -= beta[-1] * q[-2]
         a = np.vdot(q[-1], w)
@@ -609,10 +605,9 @@ def _interval_eigenpairs(h, interval):
     factor, and its pairs stand only if exactly k converged Ritz values lie
     in (lo, hi], so the count and the solve certify each other, and if
     each pair's residual on h itself is within rounding of the factor's
-    size.  Without a count, the full eigenvalues (numpy's `eigvalsh`)
-    decide EmptyGap; then, and whenever the Lanczos run returns no pairs,
-    the dense subset solve (scipy's `eigh` by evr) answers; past
-    DENSE_FALLBACK_BYTES it raises BudgetExceeded instead.
+    size.  Without a count, the full eigenvalues decide EmptyGap; then,
+    and whenever the Lanczos run returns no pairs, the dense evr subset
+    solve answers; past DENSE_FALLBACK_BYTES it raises BudgetExceeded.
     lo >= hi is a ValueError."""
     lo, hi = interval
     if not lo < hi:
@@ -629,8 +624,7 @@ def _interval_eigenpairs(h, interval):
         pairs = _lanczos_pairs(hs, lo, hi, below_hi - below_lo)
         if pairs is not None:
             return pairs
-    # numpy has no subset solve; only this fallback loads scipy.linalg
-    from scipy.linalg import eigh
+    from scipy.linalg import eigh       # numpy has no subset solve
     return eigh(_dense_fallback(h), driver="evr", subset_by_value=interval)
 
 

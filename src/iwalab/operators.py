@@ -385,9 +385,9 @@ def _hermitian_blocks(op):
     op hops only between the sublattices of n1 + n2 even and odd (see
     `_sublattice_sides`), the block is the half block X = G_a* op G_b and
     sides = (a, b), solved by an SVD; otherwise the block is G*op G, with
-    sides None, solved by a Hermitian eigensolve.  A real sector's block is
-    the real part of the sparse product, made dense as a real array, so no
-    complex copy of it is formed.  ValueError unless op is Hermitian."""
+    sides None.  Both are numpy.linalg solves, on the LAPACK numpy links.
+    A real sector's block is the real part of the sparse product, made
+    dense as a real array.  ValueError unless op is Hermitian."""
     require_hermitian(op)
     h = sparse.csr_array(op.matrix)
     found = _symmetry_sectors(op.window, h)
@@ -398,15 +398,9 @@ def _hermitian_blocks(op):
         sectors, real = found
     for g in sectors:
         sides = _sublattice_sides(op.window, h, g)
-        if sides is not None:
-            a, b = sides
-            x = g[:, a].conj().T @ h @ g[:, b]
-            yield g, (x.real if real else x).toarray(), sides
-        elif found is None:
-            yield g, op.dense(), None
-        else:
-            b = g.conj().T @ h @ g
-            yield g, (b.real if real else b).toarray(), None
+        rows, cols = (g, g) if sides is None else (g[:, sides[0]], g[:, sides[1]])
+        x = rows.conj().T @ h @ cols
+        yield g, (x.real if real else x).toarray(), sides
 
 
 @dataclass(frozen=True)
@@ -427,9 +421,8 @@ def _chiral_eigh(x, a, b):
     """Ascending eigenvalues of the Hermitian matrix with zero diagonal
     blocks and off-diagonal half x on rows a and columns b, and its
     eigenvectors as `ChiralFactors`, from one full SVD x = U diag(s) V*
-    (numpy's `svd`, LAPACK's gesdd on a copy, so x is left as it is):
-    eigenvalues -s and +s with
-    eigenvectors (u; -v)/sqrt2 and (u; v)/sqrt2, and |n_a - n_b| exact
+    (gesdd, on a copy of x): eigenvalues -s and +s with eigenvectors
+    (u; -v)/sqrt2 and (u; v)/sqrt2, and |n_a - n_b| exact
     zeros, whose eigenvectors are the null columns of U or V on the larger
     side.  The n x n eigenvector matrix is never formed."""
     u, s, vh = svd(x)
@@ -474,8 +467,7 @@ def _eigenvector_columns(v, lo, hi):
 def hermitian_eigenvalues(op):
     """The ascending eigenvalues of the Hermitian operator op, solved
     without eigenvectors on the blocks `SpectralData.from_operator` solves:
-    `eigvalsh` of a block, and +-s and |n_a - n_b| zeros from the singular
-    values s of a half block (`svd` with compute_uv=False)."""
+    +-s and |n_a - n_b| zeros from the singular values s of a half block."""
     values = []
     for _, b, sides in _hermitian_blocks(op):
         if sides is None:
@@ -492,10 +484,9 @@ class SpectralData:
     the sectors it was solved on: triples (G, w, v) of a sparse isometry G
     onto a parity block, the block's ascending eigenvalues w and its
     eigenvectors v, so the eigenvectors of the operator are the columns of
-    G v.  v is the eigenvector matrix of a block solved by numpy's `eigh`,
-    or the `ChiralFactors` (U, V*, a, b) of a chiral one from numpy's
-    `svd`, about half its size; `_eigenvector_columns` reads columns of
-    either.  Both run on the LAPACK that numpy links.  A whole solve is one
+    G v.  v is the eigenvector matrix of an `eigh` block, or the
+    `ChiralFactors` (U, V*, a, b) of a chiral one, about half its size;
+    `_eigenvector_columns` reads columns of either.  A whole solve is one
     sector whose G is the identity.  `eigenvalues` holds the eigenvalues of
     all sectors in ascending order."""
 
@@ -506,8 +497,7 @@ class SpectralData:
     @staticmethod
     def from_operator(op):
         """Eigenvalues and orthonormal eigenvectors of the Hermitian
-        operator op, solved on the blocks `_hermitian_blocks` gives: `eigh`
-        of a block, or `_chiral_eigh` of a half block."""
+        operator op, solved on the blocks `_hermitian_blocks` gives."""
         sectors = tuple(
             (g, *(eigh(b) if sides is None else _chiral_eigh(b, *sides)))
             for g, b, sides in _hermitian_blocks(op))
