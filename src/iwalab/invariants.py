@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from numpy.linalg import eigvalsh
 from scipy import sparse
 
 from .errors import (BudgetExceeded, ChernMismatch, EmptyGap, EmptyInterior,
@@ -22,11 +21,11 @@ from .errors import (BudgetExceeded, ChernMismatch, EmptyGap, EmptyInterior,
 from .model import SlabWindow
 # gap_switch_operators is no longer called here but stays importable under
 # this module, where perfbench's tracer tests look for it
-from .operators import (LatticeOperator, Projection, SwitchFunction,
-                        _as_flux_fraction, _bloch_grid, _smoothstep,
-                        band_structure, gap_switch_operators,
-                        iwatsuka_hamiltonian, require_hermitian,
-                        require_spectrum_beyond)
+from .operators import (LatticeOperator, Projection, SpectralData,
+                        SwitchFunction, _as_flux_fraction, _bloch_grid,
+                        _eigenvector_columns, _smoothstep, band_structure,
+                        gap_switch_operators, iwatsuka_hamiltonian,
+                        require_hermitian, require_spectrum_beyond)
 
 # Tangential orientation of the interface.  The compounded sign conventions
 # (shift direction of the translations, the i[v.n, .] derivation, and the
@@ -85,9 +84,10 @@ EPS = 2.0 ** -53
 RITZ_STRIDE = 8
 RESIDUAL_CHUNK = 32       # eigenvector columns per block of `_residual_norms`
 
-# Largest dense copy of h, 16 N^2 bytes, that the dense fallback of
-# `_interval_eigenpairs` may make: it admits the acceptance slabs (about
-# 4400 sites, 0.3 GB) and refuses the L = 200 slab (11147 sites, 2.0 GB).
+# Bound of 16 N^2 bytes, a dense copy of h (which is not made), on the block
+# solve that `_interval_eigenpairs` falls back to: it admits the acceptance
+# slabs (about 4400 sites, where the solve peaks 0.63 GB above the process's
+# RSS before it, 2 cores) and refuses the L = 200 slab (11147 sites).
 DENSE_FALLBACK_BYTES = 2 ** 30
 
 
@@ -425,7 +425,7 @@ def _switch_traces(E, V, h, interval, geom):
     J = float(_slab_trace(diag, geom, "interface_current"))
     # column i in S of u - 1 is V a_i, a_i = (e^{2 pi i g(E)} - 1) conj(V_i,:),
     # so its moment is a_i^H (V^H T V - t_i) a_i: |V a_i| = |a_i| holds since
-    # the Lanczos and the evr eigenvectors are both orthonormal.  The identity
+    # the Lanczos and the block eigenvectors are orthonormal.  The identity
     # adds nothing: its entries are weighted by t_i - t_i = 0
     b = (np.exp(-2j * np.pi * sw.g(E)) - 1.0) * VS       # rows conj(a_i)
     vtv = (V.conj().T * tan) @ V
@@ -585,47 +585,56 @@ def _residual_norms(hs, E, V):
     return out
 
 
-def _dense_fallback(h):
-    """The dense copy of h for the fallback solves of `_interval_eigenpairs`;
-    BudgetExceeded, before it is allocated, past DENSE_FALLBACK_BYTES."""
+def _sector_pairs(h, interval):
+    """Eigenpairs of h in (lo, hi], sorted, from the block solve of
+    `SpectralData.from_operator`: the columns G v of each sector there,
+    merged in stable ascending order.  EmptyGap unless the spectrum reaches
+    beyond both ends; first BudgetExceeded when 16 N^2 bytes, the size of
+    a dense copy of h, exceed DENSE_FALLBACK_BYTES."""
     n = h.window.size
     if 16 * n * n > DENSE_FALLBACK_BYTES:
         raise BudgetExceeded(f"the dense fallback eigensolve of {n} sites needs "
                              f"{16 * n * n} bytes, more than {DENSE_FALLBACK_BYTES}")
-    return h.dense()
+    sd = SpectralData.from_operator(h)
+    require_spectrum_beyond(interval, sd.eigenvalues)
+    E, V = [], []
+    for g, w, v in sd.sectors:
+        i, j = np.searchsorted(w, interval, side="right")
+        E.append(w[i:j])
+        V.append(g @ _eigenvector_columns(v, i, j))
+    E = np.concatenate(E)
+    order = np.argsort(E, kind="stable")
+    return E[order], np.concatenate(V, axis=1)[:, order]
 
 
 def _interval_eigenpairs(h, interval):
-    """Eigenpairs of h with eigenvalue in (lo, hi], sorted: the set of the
-    dense evr subset solve.  The inertia counts of h - lo and h - hi raise
-    EmptyGap when no eigenvalue lies below lo or every one below hi (whose
-    pivots are nonzero, so none equals hi), and give the number k of pairs
-    in between; k = 0 returns no pairs without a further factorization.
-    Otherwise `_lanczos_pairs` solves for them on a threshold-pivoted
-    factor, and its pairs stand only if exactly k converged Ritz values lie
-    in (lo, hi], so the count and the solve certify each other, and if
-    each pair's residual on h itself is within rounding of the factor's
-    size.  Without a count, the full eigenvalues decide EmptyGap; then,
-    and whenever the Lanczos run returns no pairs, the dense evr subset
-    solve answers; past DENSE_FALLBACK_BYTES it raises BudgetExceeded.
-    lo >= hi is a ValueError."""
+    """Eigenpairs of h with eigenvalue in (lo, hi], sorted.  The inertia
+    counts of h - lo and h - hi raise EmptyGap when no eigenvalue lies
+    below lo or every one below hi (whose pivots are nonzero, so none
+    equals hi), and give the number k of pairs in between; k = 0 returns
+    no pairs without a further factorization.  Otherwise `_lanczos_pairs`
+    solves for them on a threshold-pivoted factor, and its pairs stand
+    only if exactly k converged Ritz values lie in (lo, hi], so the count
+    and the solve certify each other, and if each pair's residual on h
+    itself is within rounding of the factor's size.  Every other outcome
+    (no count, inconsistent counts, no Lanczos pairs) goes to the block
+    solve of `_sector_pairs`, which decides EmptyGap itself and raises
+    BudgetExceeded past DENSE_FALLBACK_BYTES.  lo >= hi is a ValueError."""
     lo, hi = interval
     if not lo < hi:
         raise ValueError("empty interval")
     hs = h.matrix
     n = hs.shape[0]
     below_lo, below_hi = _count_below(hs, lo), _count_below(hs, hi)
-    if below_lo is None or below_hi is None:
-        require_spectrum_beyond(interval, eigvalsh(_dense_fallback(h)))
-    elif below_lo == 0 or below_hi == n:
-        raise EmptyGap(f"interval ({lo:.4f}, {hi:.4f}) has {below_lo} of {n} "
-                       f"eigenvalues below it and {n - below_hi} above")
-    elif below_hi >= below_lo:
-        pairs = _lanczos_pairs(hs, lo, hi, below_hi - below_lo)
-        if pairs is not None:
-            return pairs
-    from scipy.linalg import eigh       # numpy has no subset solve
-    return eigh(_dense_fallback(h), driver="evr", subset_by_value=interval)
+    if below_lo is not None and below_hi is not None:
+        if below_lo == 0 or below_hi == n:
+            raise EmptyGap(f"interval ({lo:.4f}, {hi:.4f}) has {below_lo} of "
+                           f"{n} eigenvalues below it and {n - below_hi} above")
+        if below_hi >= below_lo:
+            pairs = _lanczos_pairs(hs, lo, hi, below_hi - below_lo)
+            if pairs is not None:
+                return pairs
+    return _sector_pairs(h, interval)
 
 
 # ---------------------------------------------------------------------------

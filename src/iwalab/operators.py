@@ -77,14 +77,13 @@ def _turn_phases(num, D):
     return z
 
 
-def _translation_entries(field, window, gamma, periodic=False, keep=None):
+def _translation_entries(field, window, gamma, keep=None):
     """(rows, cols, phases) of the nonzero entries of s^gamma =
     s_1^{g1} s_2^{g2} on a window: row n, column n - gamma, phase that of
     the sum of the horizontal bond potentials A(m, m - e1) along the g1 leg
     ending at n (vertical bonds carry none in this gauge).  A source
-    outside the window drops the entry, unless periodic wraps a square
-    window into a torus, and so does one outside the boolean site mask
-    `keep`, before any phase is computed."""
+    outside the window drops the entry, and so does one outside the
+    boolean site mask `keep`, before any phase is computed."""
     g1, g2 = gamma
     pos = window.positions()
     n1, n2 = pos[:, 0], pos[:, 1]
@@ -92,12 +91,7 @@ def _translation_entries(field, window, gamma, periodic=False, keep=None):
     o1, o2 = n1.min() - abs(g1), n2.min() - abs(g2)
     index = np.full((n1.max() + abs(g1) - o1 + 1, n2.max() + abs(g2) - o2 + 1), -1)
     index[n1 - o1, n2 - o2] = np.arange(window.size)
-    s1, s2 = n1 - g1, n2 - g2
-    M = getattr(window, "half_width", None)
-    if periodic and M is not None:
-        s1 = (s1 + M) % (2 * M + 1) - M
-        s2 = (s2 + M) % (2 * M + 1) - M
-    cols = index[s1 - o1, s2 - o2]
+    cols = index[n1 - g1 - o1, n2 - g2 - o2]
     rows = np.flatnonzero(cols >= 0 if keep is None else (cols >= 0) & keep[cols])
     cols = cols[rows]
     if g1 == 0:
@@ -112,24 +106,21 @@ def _translation_entries(field, window, gamma, periodic=False, keep=None):
     return rows, cols, _turn_phases(num if g1 > 0 else -num, D)
 
 
-def _translation_matrix(field, window, gammas, periodic=False):
+def _translation_matrix(field, window, gammas):
     """Sparse sum of the translations s^gamma, gamma in gammas, whose
     supports must be disjoint."""
     rows, cols, phases = (np.concatenate(part) for part in zip(
-        *(_translation_entries(field, window, g, periodic) for g in gammas)))
+        *(_translation_entries(field, window, g) for g in gammas)))
     return sparse.csr_array((phases, (rows, cols)),
                             shape=(window.size, window.size))
 
 
-def magnetic_translation(field, window, j, periodic=False):
+def magnetic_translation(field, window, j):
     """Magnetic translation s_j: (s_1 psi)(n) = e^{i A(n, n-e1)} psi(n-e1),
-    (s_2 psi)(n) = psi(n-e2).  Open boundary unless periodic=True, which
-    wraps a square window into a torus (meaningful for constant fields whose
-    total flux through the torus is a 2*pi multiple)."""
+    (s_2 psi)(n) = psi(n-e2), with open boundary."""
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
-    S = _translation_matrix(field, window, [(1, 0) if j == 1 else (0, 1)],
-                            periodic)
+    S = _translation_matrix(field, window, [(1, 0) if j == 1 else (0, 1)])
     return LatticeOperator(window, S)
 
 

@@ -776,13 +776,37 @@ class TestInIntervalSwitchTraces:
         def no_eigensolve(*args, **kwargs):
             raise AssertionError("the slab check should come first")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", no_eigensolve)
-        monkeypatch.setattr(invariants, "eigvalsh", no_eigensolve)
+        monkeypatch.setattr(operators.SpectralData, "from_operator",
+                            no_eigensolve)
         monkeypatch.setattr(scipy.sparse.linalg, "splu", no_eigensolve)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigensolve)
         field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
         with pytest.raises(il.SlabExceedsWindow):
             il.verify_bic(field, L=8.0, normal_half=18.0, buffer=4.0)
+
+    def test_count_less_solve_is_one_block_solve(self, monkeypatch):
+        # at mu = -13/9 the switch interval ends at -1.0000000000000002,
+        # where the inertia count gives up: the block solve answers, once,
+        # and no dense copy of h is made
+        field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
+        h = il.iwatsuka_hamiltonian(
+            field, invariants.slab_window(self.SLOPE, **self.SIZE))
+
+        def no_dense(op):
+            raise AssertionError("the slab path makes no dense copy of h")
+
+        monkeypatch.setattr(il.LatticeOperator, "dense", no_dense)
+        calls = spy_dense_solves(monkeypatch)
+        rep = il.verify_bic(field, mu=-13 / 9, **self.SIZE)
+        assert len(calls) == 1
+        assert invariants._count_below(h.matrix, rep.delta[1]) is None
+        monkeypatch.undo()
+        E, V = dense_interval_eigenpairs(h, rep.delta)
+        want = invariants._switch_traces(
+            E, V, h, rep.delta, slab_geometry(h.window, self.SLOPE, 8.0))
+        assert abs(rep.winding - want.winding_gap_unitary) < 1e-12
+        assert abs(rep.current - want.current) < 1e-12
+        assert abs(rep.residual_cross - want.cross_residual) < 1e-12
 
     def test_empty_slab_window_before_assembly(self, monkeypatch):
         # a negative buffer empties the window, whose assembly would fail
@@ -799,21 +823,20 @@ class TestInIntervalSwitchTraces:
     def test_empty_gap_outside_spectrum(self, small_slab, monkeypatch):
         h, sd = small_slab
         bottom, top = sd.eigenvalues.min(), sd.eigenvalues.max()
-        dense = [spy(monkeypatch, scipy.linalg, "eigh"),
-                 spy(monkeypatch, invariants, "eigvalsh")]
+        dense = spy_dense_solves(monkeypatch)
         for interval in ((top + 0.1, top + 0.5), (bottom - 0.5, bottom - 0.1),
                          (bottom - 1.0, top + 1.0)):
             # the inertia counts decide, without the full eigenvalues
             with pytest.raises(il.EmptyGap):
                 invariants._interval_eigenpairs(h, interval)
-            assert dense == [[], []]
+            assert dense == []
             with pytest.raises(il.EmptyGap):
                 il.interface_current(h, interval, self.SLOPE, 8.0)
 
     def test_empty_gap_without_counts(self, small_slab, monkeypatch):
         h, sd = small_slab
         monkeypatch.setattr(invariants, "_count_below", lambda hs, x: None)
-        calls = spy(monkeypatch, invariants, "eigvalsh")
+        calls = spy_dense_solves(monkeypatch)
         top = sd.eigenvalues.max()
         with pytest.raises(il.EmptyGap):
             invariants._interval_eigenpairs(h, (top + 0.1, top + 0.5))
@@ -891,12 +914,24 @@ def spy(monkeypatch, module, name):
     return calls
 
 
-# bound here, so spies on scipy.linalg.eigh do not see the reference solves
-DENSE_EIGH = scipy.linalg.eigh
+def spy_dense_solves(monkeypatch):
+    """Record the dense eigensolves, each a `SpectralData.from_operator`."""
+    return spy(monkeypatch, operators.SpectralData, "from_operator")
 
 
 def dense_interval_eigenpairs(h, interval):
-    return DENSE_EIGH(h.dense(), driver="evr", subset_by_value=interval)
+    """The reference pairs of h in (lo, hi]: scipy's dense evr subset
+    solve."""
+    return scipy.linalg.eigh(h.dense(), driver="evr", subset_by_value=interval)
+
+
+def assert_same_pairs(pairs, reference):
+    """The same eigenvalues and the same spectral projector V V* within
+    1e-12, for orthonormal V; the eigenvector phases are each solver's own."""
+    (E, V), (Ed, Vd) = pairs, reference
+    assert E.size == Ed.size > 0
+    assert np.abs(E - Ed).max() < 1e-12
+    assert np.abs(V @ V.conj().T - Vd @ Vd.conj().T).max() < 1e-12
 
 
 class TestIntervalEigenpairs:
@@ -920,8 +955,7 @@ class TestIntervalEigenpairs:
     def test_matches_evr_on_pool(self, slope, pair, perturbed, monkeypatch):
         field = il.IwatsukaField.from_turns(
             slope, *pair, perturbation_turns=PERTURBATION if perturbed else None)
-        calls = spy(monkeypatch, scipy.linalg, "eigh")
-        full = spy(monkeypatch, invariants, "eigvalsh")
+        calls = spy_dense_solves(monkeypatch)
         arpack = [spy(monkeypatch, scipy.sparse.linalg, "eigsh"),
                   spy(monkeypatch, scipy.sparse.linalg, "eigs")]
         counts = spy(monkeypatch, scipy.sparse.linalg, "splu")
@@ -929,7 +963,7 @@ class TestIntervalEigenpairs:
         # the sparse solve was certified: two inertia counts decide the gap
         # and |J|, one shift-invert Lanczos run on a symmetric-mode,
         # threshold-pivoted LU finds the pairs
-        assert calls == [] and full == [] and arpack == [[], []]
+        assert calls == [] and arpack == [[], []]
         assert len(counts) == 3
         assert counts[2]["options"] == dict(SymmetricMode=True)
         assert (counts[2]["diag_pivot_thresh"]
@@ -958,7 +992,7 @@ class TestIntervalEigenpairs:
         # at the bic_slab size, with the shift-invert factor unpivoted, the
         # Ritz test (which checks the inverse only as the factor computes
         # it) converges to pairs with residual 3.5e-2 ||h||_1; the residual
-        # certificate on h turns them away and the dense solve answers.
+        # certificate on h turns them away and the block solve answers.
         # The inertia counts already factor unpivoted and do not change.
         # Whether an unpivoted run gets as far as the certificate depends
         # on the last bits of h, so the reach is asserted too
@@ -977,7 +1011,7 @@ class TestIntervalEigenpairs:
                 returned[name] = original(*args)
                 return returned[name]
             monkeypatch.setattr(invariants, name, recorded)
-        calls = spy(monkeypatch, scipy.linalg, "eigh")
+        calls = spy_dense_solves(monkeypatch)
         rep = il.verify_bic(field, **size)
         assert rep.passed and len(calls) == 1
         assert returned["_lanczos_pairs"] is None
@@ -985,10 +1019,8 @@ class TestIntervalEigenpairs:
         h = il.iwatsuka_hamiltonian(field, invariants.slab_window(ONE, **size))
         h_norm1 = abs(h.matrix).sum(axis=0).max()
         assert returned["_residual_norms"].max() > 1e-2 * h_norm1
-        E, V = returned["_interval_eigenpairs"]
-        Ed, Vd = dense_interval_eigenpairs(h, rep.delta)
-        assert E.size == Ed.size > 0
-        assert np.abs(E - Ed).max() < 1e-12 and np.abs(V - Vd).max() < 1e-12
+        assert_same_pairs(returned["_interval_eigenpairs"],
+                          dense_interval_eigenpairs(h, rep.delta))
 
     def test_long_run_keeps_the_basis_orthonormal(self, small_slab):
         # 67 pairs over a Krylov dimension of about 200: the three-term
@@ -1023,11 +1055,10 @@ class TestIntervalEigenpairs:
         h = il.iwatsuka_hamiltonian(iw_field(ONE), il.SlabWindow(ONE, 12.0, 8.0))
         interval = common_gap_interval()
         monkeypatch.setattr(invariants, "RITZ_STRIDE", h.matrix.shape[0])
-        calls = spy(monkeypatch, scipy.linalg, "eigh")
-        E, V = invariants._interval_eigenpairs(h, interval)
-        Ed, Vd = dense_interval_eigenpairs(h, interval)
+        calls = spy_dense_solves(monkeypatch)
+        pairs = invariants._interval_eigenpairs(h, interval)
         assert len(calls) == 1
-        assert np.array_equal(E, Ed) and np.array_equal(V, Vd)
+        assert_same_pairs(pairs, dense_interval_eigenpairs(h, interval))
 
     @pytest.mark.parametrize("error", [-1, 1])
     def test_wrong_count_falls_back(self, small_slab, monkeypatch, error):
@@ -1036,11 +1067,10 @@ class TestIntervalEigenpairs:
         monkeypatch.setattr(
             invariants, "_count_below",
             lambda hs, x: count(hs, x) + (error if x == interval[1] else 0))
-        calls = spy(monkeypatch, scipy.linalg, "eigh")
-        E, V = invariants._interval_eigenpairs(h, interval)
-        Ed, Vd = dense_interval_eigenpairs(h, interval)
+        calls = spy_dense_solves(monkeypatch)
+        pairs = invariants._interval_eigenpairs(h, interval)
         assert len(calls) == 1
-        assert np.array_equal(E, Ed) and np.array_equal(V, Vd)
+        assert_same_pairs(pairs, dense_interval_eigenpairs(h, interval))
 
     def test_empty_interval(self, monkeypatch):
         win = il.LatticeWindow(4)
@@ -1048,7 +1078,7 @@ class TestIntervalEigenpairs:
         levels = np.concatenate([np.linspace(-3.0, -1.0, half),
                                  np.linspace(1.0, 3.0, win.size - half)])
         op = il.LatticeOperator(win, sparse.diags_array(levels))
-        calls = spy(monkeypatch, scipy.linalg, "eigh")
+        calls = spy_dense_solves(monkeypatch)
         counts = spy(monkeypatch, scipy.sparse.linalg, "splu")
         E, V = invariants._interval_eigenpairs(op, (-0.5, 0.5))
         assert calls == [] and len(counts) == 2
@@ -1057,18 +1087,39 @@ class TestIntervalEigenpairs:
     def test_degenerate_level_falls_back(self, monkeypatch):
         # three distinct levels, 0.1 twice inside the interval: the Krylov
         # space of one start vector is invariant after three steps and holds
-        # one copy, so the dense solve answers
+        # one copy, so the block solve answers
         win = il.LatticeWindow(4)
         levels = np.full(win.size, -2.0)
         levels[40:42] = 0.1
         levels[42:] = 2.0
         op = il.LatticeOperator(win, sparse.diags_array(levels))
-        calls = spy(monkeypatch, scipy.linalg, "eigh")
+        calls = spy_dense_solves(monkeypatch)
         with np.errstate(all="raise"):
-            E, V = invariants._interval_eigenpairs(op, (-0.5, 0.5))
+            pairs = invariants._interval_eigenpairs(op, (-0.5, 0.5))
         Ed, Vd = dense_interval_eigenpairs(op, (-0.5, 0.5))
         assert len(calls) == 1 and Ed.size == 2
-        assert np.array_equal(E, Ed) and np.array_equal(V, Vd)
+        assert_same_pairs(pairs, (Ed, Vd))
+
+    def test_two_sector_fallback_matches_evr(self, monkeypatch):
+        # a constant field on a slab closed under n -> -n is solved on two
+        # parity sectors, whose eigenvalues in the interval interleave: the
+        # pairs of both are merged in ascending order
+        h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(THIRD),
+                                    il.SlabWindow(ZERO, 20.0, 12.0))
+        interval = common_gap_interval()
+        monkeypatch.setattr(invariants, "_lanczos_pairs", lambda *args: None)
+        solves, original = [], operators.SpectralData.from_operator
+
+        def recorded(op):
+            solves.append(original(op))
+            return solves[-1]
+
+        monkeypatch.setattr(operators.SpectralData, "from_operator", recorded)
+        E, V = invariants._interval_eigenpairs(h, interval)
+        assert len(solves) == 1 and len(solves[0].sectors) == 2
+        assert np.all(np.diff(E) >= 0)
+        assert np.abs(V.conj().T @ V - np.eye(E.size)).max() <= 1e-13
+        assert_same_pairs((E, V), dense_interval_eigenpairs(h, interval))
 
     @pytest.mark.parametrize("M,refused", [(44, False), (45, True)])
     @pytest.mark.parametrize("path", ["no-count", "no-lanczos"])
@@ -1087,10 +1138,10 @@ class TestIntervalEigenpairs:
         class Dense(Exception):
             pass
 
-        def no_dense(self):
+        def no_dense(op):
             raise Dense
 
-        monkeypatch.setattr(il.LatticeOperator, "dense", no_dense)
+        monkeypatch.setattr(operators.SpectralData, "from_operator", no_dense)
         with pytest.raises(il.BudgetExceeded if refused else Dense):
             invariants._interval_eigenpairs(h, (-0.5, 0.5))
 

@@ -128,8 +128,16 @@ class TestTranslations:
         # with the Bloch eigenvalues on the commensurate momentum grid
         field = il.ConstantField.from_turns(Fraction(1, 3))
         win = il.LatticeWindow(10)
-        s1 = magnetic_translation(field, win, 1, periodic=True).dense()
-        s2 = magnetic_translation(field, win, 2, periodic=True).dense()
+        s1, s2 = (magnetic_translation(field, win, j).dense() for j in (1, 2))
+        # the wrap entries: row (-10, n2) of s1 reads column (10, n2) with
+        # the phase of the bond potential at the row site, row (n1, -10)
+        # of s2 reads column (n1, 10) with phase 1
+        site = {tuple(p): i for i, p in enumerate(win.positions())}
+        edge = np.arange(-10, 11)
+        D, A, _ = field.gauge_numerators(np.full(edge.size, -10), edge)
+        for n, phase in zip(edge, operators._turn_phases(A, D)):
+            s1[site[-10, n], site[10, n]] = phase
+            s2[site[n, -10], site[n, 10]] = 1.0
         H = s1 + s1.conj().T + s2 + s2.conj().T
         ev_torus = np.sort(np.linalg.eigvalsh(H))
         evs = []

@@ -1,6 +1,7 @@
 """The package surface: every name a module imports is referenced in that
-module, the pruned names stay out of the public namespace, and only the
-sparse interval solve loads scipy.linalg."""
+module, the pruned names stay out of the public namespace, and the package
+has one dense eigensolver: scipy.linalg serves only the tridiagonal Ritz
+step of the Lanczos run, which alone loads it."""
 
 import ast
 import dataclasses
@@ -96,8 +97,8 @@ def test_options_and_methods_no_caller_reaches_stay_out():
     # options and methods that nothing in the package, its command line or
     # its benchmark reached: a perturbed Hamiltonian is H.matrix + v, the
     # slab of verify_bic runs along field.slope, the window coordinates are
-    # the sites' dot products with the slope's frame, and the vertical bonds
-    # of the standard gauge are zero
+    # the sites' dot products with the slope's frame, the vertical bonds of
+    # the standard gauge are zero, and a translation's boundary is open
     model = importlib.import_module("iwalab.model")
     errors = importlib.import_module("iwalab.errors")
     assert not hasattr(iwalab, "NonHermitianPerturbation")
@@ -112,9 +113,71 @@ def test_options_and_methods_no_caller_reaches_stay_out():
                       (iwalab.CurrentReport, "conductance")):
         assert not hasattr(cls, name), f"{cls.__name__}.{name}"
     for func, name in ((iwalab.iwatsuka_hamiltonian, "v"),
+                       (iwalab.magnetic_translation, "periodic"),
                        (iwalab.verify_bic, "slope"),
                        (model.vector_potential_turns, "j")):
         assert name not in inspect.signature(func).parameters
+
+
+def scipy_linalg_imports(path):
+    """(function, name) of every name a module imports from scipy.linalg,
+    or the module itself as "scipy.linalg"; function is the innermost
+    enclosing def, None at module level."""
+    found = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom) and child.module:
+                for a in child.names:
+                    if (child.module.startswith("scipy.linalg")
+                            or (child.module == "scipy" and a.name == "linalg")):
+                        found.add((func, a.name))
+            elif isinstance(child, ast.Import):
+                found.update((func, "scipy.linalg") for a in child.names
+                             if a.name.startswith("scipy.linalg"))
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def bound_names(path):
+    """Every name a module binds: imports, assignments and definitions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_one_dense_eigensolver():
+    # every dense Hermitian solve is SpectralData.from_operator's block
+    # solve on numpy's LAPACK (or hermitian_eigenvalues' values-only one);
+    # the interval fallback reuses it, so no subset solve and no eigvalsh
+    # pre-solve remain beside it
+    imports = {(path.stem, *found) for path in SRC.glob("*.py")
+               for found in scipy_linalg_imports(path)}
+    assert imports == {("invariants", "_lanczos_pairs", "eigh_tridiagonal")}
+    assert not {"eigh", "eigvalsh"} & bound_names(SRC / "invariants.py")
+
+
+def test_guard_sees_a_subset_solve(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from numpy.linalg import eigvalsh\n"
+                      "def f(h):\n    from scipy.linalg import eigh\n"
+                      "    return eigh(h)\n"
+                      "import scipy.linalg\n")
+    assert scipy_linalg_imports(module) == {("f", "eigh"),
+                                            (None, "scipy.linalg")}
+    assert {"eigh", "eigvalsh"} <= bound_names(module)
 
 
 # Every entry point but verify_bic, on small windows, then verify_bic on a
