@@ -19,8 +19,8 @@ from .errors import (BudgetExceeded, ChernMismatch, EmptyGap, EmptyInterior,
                      GapClosed, NoCommonGap, NotInterfaceLocalized,
                      NotProjection, SlabExceedsWindow)
 from .model import SlabWindow
-# gap_switch_operators is no longer called here but stays importable under
-# this module, where perfbench's tracer tests look for it
+# gap_switch_operators (a dense test reference) is not called here but stays
+# importable under this module, where perfbench's tracer tests look for it
 from .operators import (LatticeOperator, Projection, SpectralData,
                         SwitchFunction, _as_flux_fraction, _bloch_grid,
                         _eigenvector_columns, _smoothstep, band_structure,
@@ -70,8 +70,6 @@ LANCZOS_PIVOT_THRESH = 0.01
 WINDING_TOL = 0.1
 CROSS_TOL = 0.02
 
-MOMENT_CHUNK = 512        # dense columns per block of `_winding_moments`
-
 # Shift-invert Lanczos of `_lanczos_pairs`.  A second Gram-Schmidt pass runs
 # when the first leaves less than DGKS of the norm after the three-term
 # recurrence (the test of Daniel, Gragg, Kaufman and Stewart that ARPACK
@@ -84,10 +82,11 @@ EPS = 2.0 ** -53
 RITZ_STRIDE = 8
 RESIDUAL_CHUNK = 32       # eigenvector columns per block of `_residual_norms`
 
-# Bound of 16 N^2 bytes, a dense copy of h (which is not made), on the block
-# solve that `_interval_eigenpairs` falls back to: it admits the acceptance
-# slabs (about 4400 sites, where the solve peaks 0.63 GB above the process's
-# RSS before it, 2 cores) and refuses the L = 200 slab (11147 sites).
+# Bound on the proxy 16 N^2 bytes for the block solve `_interval_eigenpairs`
+# falls back to.  No N x N matrix is made; on the 4415-site acceptance slab
+# the solve raised the peak RSS by 631 MB against the 312 MB counted (2
+# cores).  It admits the acceptance slabs and refuses the L = 200 slab
+# (11147 sites).
 DENSE_FALLBACK_BYTES = 2 ** 30
 
 
@@ -95,17 +94,14 @@ DENSE_FALLBACK_BYTES = 2 ** 30
 # derivations and traces
 
 def derivation(op, v):
-    """Directional derivation i[(v.n), op], evaluated exactly as an
-    elementwise matrix operation: entry (k, i) scales by i (t_k - t_i), so
-    a sparse operator keeps its sparsity."""
+    """Directional derivation i[(v.n), op], evaluated exactly on the stored
+    entries of op: entry (k, i) scales by i (t_k - t_i), so op keeps its
+    sparsity."""
     pos = op.window.positions().astype(float)
     t = pos @ np.asarray(v, dtype=float)
-    if sparse.issparse(op.matrix):
-        c = op.matrix.tocoo()
-        m = sparse.coo_array((1j * (t[c.row] - t[c.col]) * c.data,
-                              (c.row, c.col)), shape=c.shape)
-    else:
-        m = 1j * (t[:, None] - t[None, :]) * op.matrix
+    c = op.matrix.tocoo()
+    m = sparse.coo_array((1j * (t[c.row] - t[c.col]) * c.data,
+                          (c.row, c.col)), shape=c.shape)
     return LatticeOperator(op.window, m)
 
 
@@ -364,20 +360,12 @@ def chern_realspace(P, margin=6):
 # winding numbers and currents
 
 def _winding_moments(u, tvals):
-    """sum_k |u_ki|^2 (t_k - t_i) per column i: over the stored entries of a
-    sparse u, streamed over column chunks of a dense one so no second dense
-    matrix is allocated."""
+    """sum_k |u_ki|^2 (t_k - t_i) per column i, over the stored entries of
+    the sparse u."""
     n = u.shape[1]
-    if sparse.issparse(u):
-        c = u.tocoo()
-        a2 = c.data.real ** 2 + c.data.imag ** 2
-        return np.bincount(c.col, a2 * (tvals[c.row] - tvals[c.col]), minlength=n)
-    out = np.empty(n)
-    for s in range(0, n, MOMENT_CHUNK):
-        c = slice(s, s + MOMENT_CHUNK)
-        a2 = u[:, c].real ** 2 + u[:, c].imag ** 2
-        out[c] = a2.T @ tvals - a2.sum(axis=0) * tvals[c]
-    return out
+    c = u.tocoo()
+    a2 = c.data.real ** 2 + c.data.imag ** 2
+    return np.bincount(c.col, a2 * (tvals[c.row] - tvals[c.col]), minlength=n)
 
 
 def _winding_trace(moments, geom):
@@ -589,11 +577,11 @@ def _sector_pairs(h, interval):
     """Eigenpairs of h in (lo, hi], sorted, from the block solve of
     `SpectralData.from_operator`: the columns G v of each sector there,
     merged in stable ascending order.  EmptyGap unless the spectrum reaches
-    beyond both ends; first BudgetExceeded when 16 N^2 bytes, the size of
-    a dense copy of h, exceed DENSE_FALLBACK_BYTES."""
+    beyond both ends; first BudgetExceeded when the proxy 16 N^2 bytes
+    exceeds DENSE_FALLBACK_BYTES."""
     n = h.window.size
     if 16 * n * n > DENSE_FALLBACK_BYTES:
-        raise BudgetExceeded(f"the dense fallback eigensolve of {n} sites needs "
+        raise BudgetExceeded(f"the fallback block solve of {n} sites counts "
                              f"{16 * n * n} bytes, more than {DENSE_FALLBACK_BYTES}")
     sd = SpectralData.from_operator(h)
     require_spectrum_beyond(interval, sd.eigenvalues)

@@ -1,16 +1,16 @@
 """Finite-volume operators: magnetic translations in the standard gauge,
-the flux operator, hull projections, Harper/Iwatsuka Hamiltonians, dense
-spectral calculus, switch functions with their gap unitary, and the
-interface shift unitary.
+the flux operator, hull projections, Harper/Iwatsuka Hamiltonians, their
+block eigensolve and spectral projections, switch functions with their gap
+unitary, and the interface shift unitary.
 
 Operators act on a window's site ordering with open boundary conditions: a
 translation row whose source site leaves the window is zero, so algebraic
-identities hold exactly on interior sites.  Each operator is held in the
-form it needs: translations, the Hamiltonian, the interface shift unitary
-and the diagonal operators (flux, hull projections, strip) as
-`scipy.sparse` arrays with at most a few nonzeros per row, and dense
-matrices only for the results of spectral calculus, where the Hamiltonian
-is diagonalized.
+identities hold exactly on interior sites.  Every `LatticeOperator` (the
+translations, the Hamiltonian, the interface shift unitary and the
+diagonal flux, hull and strip operators) is a `scipy.sparse` CSR array
+with at most a few nonzeros per row.  Dense matrices appear only where the
+Hamiltonian is diagonalized: the blocks of its eigensolve, and the
+eigenvector frames that hold a spectral projection.
 
 Every phase is e^{2 pi i num/D} (`_turn_phases`) of an integer numerator
 of the exact standard gauge, `IwatsukaField.gauge_numerators`: the bond
@@ -34,27 +34,18 @@ HERMITIAN_TOL = 1e-12
 
 @dataclass
 class LatticeOperator:
-    """Operator over a window's sites, held in the form it was built in: a
-    sparse CSR array, or a dense ndarray for spectral-calculus results;
-    `dense()` returns an ndarray.  `require_hermitian` checks Hermiticity."""
+    """Operator over a window's sites, held as a complex `scipy.sparse`
+    CSR array; a matrix given in another sparse format or as an ndarray is
+    stored as CSR.  `require_hermitian` checks Hermiticity."""
 
     window: object
     matrix: object
 
     def __post_init__(self):
-        if sparse.issparse(self.matrix):
-            self.matrix = sparse.csr_array(self.matrix, dtype=complex)
-        else:
-            self.matrix = np.asarray(self.matrix, dtype=complex)
+        self.matrix = sparse.csr_array(self.matrix, dtype=complex)
         n = self.window.size
         if self.matrix.shape != (n, n):
             raise ValueError("matrix does not match the window size")
-
-    def dense(self):
-        """The matrix as an ndarray (a fresh one if it is held sparse)."""
-        if sparse.issparse(self.matrix):
-            return self.matrix.toarray()
-        return self.matrix
 
     def diagonal(self):
         return self.matrix.diagonal()
@@ -156,7 +147,9 @@ def hull_projection(field, window, kind, base=(0, 0)):
     zp, zm = (_turn_phases([t.numerator], t.denominator)[0]
               for t in (field.b_plus_turns, field.b_minus_turns))
     denom = zp - zm
-    if abs(denom) < 1e-12:
+    # equal phases, or phases a subnormal apart (turns 2^-1074 apart), where
+    # dividing by zp - zm overflows; no tolerance refuses distinct fields
+    if abs(denom) < np.finfo(float).tiny:
         raise DegenerateField("coinciding flux phases")
     n0 = tuple(base)
     f0 = shifted_flux_diagonal(field, window, n0)
@@ -380,7 +373,7 @@ def _hermitian_blocks(op):
     A real sector's block is the real part of the sparse product, made
     dense as a real array.  ValueError unless op is Hermitian."""
     require_hermitian(op)
-    h = sparse.csr_array(op.matrix)
+    h = op.matrix
     found = _symmetry_sectors(op.window, h)
     if found is None:
         sectors = [sparse.eye_array(op.window.size, dtype=complex, format="csr")]
@@ -502,23 +495,11 @@ class Projection:
     isometry G and a block of columns v, with F the columns G v of all
     pairs side by side.  The projection is F F*, or 1 - F F* when
     `complement` is set, so a projection of rank r is held at rank
-    min(r, N - r).  Nothing here forms the N x N matrix except `dense()`."""
+    min(r, N - r).  Nothing here forms the N x N matrix."""
 
     window: object
     frames: tuple
     complement: bool = False
-
-    def dense(self):
-        """The projection as an N x N ndarray."""
-        n = self.window.size
-        m = np.zeros((n, n), dtype=complex)
-        for g, v in self.frames:
-            f = g @ v
-            m += f @ f.conj().T
-        if self.complement:
-            np.negative(m, out=m)
-            m[np.diag_indices(n)] += 1.0
-        return m
 
     def diagonal(self):
         """Diagonal of the projection: the squared row norms of the
@@ -587,18 +568,20 @@ def require_spectrum_beyond(interval, E):
 def require_hermitian(op):
     """Raise ValueError unless the operator op is Hermitian to
     HERMITIAN_TOL, ||h - h*||_max read off its sparse matrix in O(nnz)."""
-    h = sparse.csr_array(op.matrix)
+    h = op.matrix
     dev = abs(h - h.conj().T).max()
     if dev > HERMITIAN_TOL:
         raise ValueError(f"operator is not Hermitian: ||h - h*||_max = {dev:.2e}")
 
 
 def gap_switch_operators(spectral, interval):
-    """Switch calculus for a bulk gap interval: returns (g(h), g'(h),
-    u = exp(2*pi*i g(h))), each f(h) summed over the sectors as
-    (G v) diag f(w) (G v)* with the columns of zero weight skipped, in no
-    eigenvalue order; v is read through `_eigenvector_columns` (and a whole
-    solve takes v, not G v).  Raises EmptyGap unless spectrum exists
+    """Dense switch calculus for a bulk gap interval, the N x N reference
+    that the rank-|J| traces of `invariants._switch_traces` are tested
+    against; no caller in the package reads it.  Returns the ndarrays
+    (g(h), g'(h), u = exp(2*pi*i g(h))), each f(h) summed over the sectors
+    as (G v) diag f(w) (G v)* with the columns of zero weight skipped, in
+    no eigenvalue order; v is read through `_eigenvector_columns` (and a
+    whole solve takes v, not G v).  Raises EmptyGap unless spectrum exists
     strictly below and above the interval."""
     require_spectrum_beyond(interval, spectral.eigenvalues)
     sw = SwitchFunction.from_interval(*interval)
@@ -613,7 +596,7 @@ def gap_switch_operators(spectral, interval):
             keep = fw != 0
             fk = f if keep.all() else f[:, keep]
             m += (fk * fw[keep]) @ fk.conj().T
-    return tuple(LatticeOperator(spectral.window, m) for m in out)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

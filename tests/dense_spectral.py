@@ -1,9 +1,9 @@
-"""Dense references for `SpectralData`: the merged N x N eigenvector matrix
-and func(h) = V diag func(E) V* over it, which the library never forms."""
+"""Dense references for `SpectralData` and `Projection`: the merged N x N
+eigenvector matrix, func(h) = V diag func(E) V* over it, and the N x N
+matrix of a projection, which the library never forms."""
 
 import numpy as np
 
-import iwalab as il
 from iwalab import operators
 
 
@@ -33,11 +33,19 @@ def merged_eigenvectors(sd):
 
 
 def spectral_apply(sd, func):
-    """Operator func(H) = V diag(func(E)) V* over the merged eigenvectors,
-    summed over those whose weight func(E) is nonzero."""
+    """The ndarray func(H) = V diag(func(E)) V* over the merged
+    eigenvectors, summed over those whose weight func(E) is nonzero."""
     fvals = np.asarray(func(sd.eigenvalues))
     v = merged_eigenvectors(sd)
     keep = fvals != 0
     if not keep.all():
         v, fvals = v[:, keep], fvals[keep]
-    return il.LatticeOperator(sd.window, (v * fvals) @ v.conj().T)
+    return (v * fvals) @ v.conj().T
+
+
+def projection_matrix(P):
+    """The N x N ndarray of the projection P: F F* over the columns F = G v
+    of its frames, or 1 - F F* for a complement."""
+    f = np.hstack([g @ v for g, v in P.frames])
+    m = f @ f.conj().T
+    return np.eye(P.window.size) - m if P.complement else m

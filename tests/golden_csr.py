@@ -1,14 +1,20 @@
-"""CSR structure goldens: the SHA-256 of the `indices` and `indptr` arrays of
-`iwatsuka_hamiltonian` and `interface_shift_unitary` over a fixed set of
-(slope, perturbation, window) configurations.
+"""Goldens of integer and exactly rounded outputs.
 
-The structure is integer data, so it is compared exactly; the phases in
-`data` come from `np.exp` and are not pinned here.  Run
+- CSR structure: the SHA-256 of the `indices` and `indptr` arrays of
+  `iwatsuka_hamiltonian` and `interface_shift_unitary` over a fixed set of
+  (slope, perturbation, window) configurations.  The phases in `data` come
+  from `np.exp` and are not pinned here.
+- Slope floats: `float.hex` of `as_float()`, `tangent()` and `normal()` of
+  a fixed set of slopes.  Each is an IEEE-rounded result of exact inputs
+  (correctly rounded divisions, square roots and `math.hypot`), so it does
+  not depend on the platform.
+
+Both are compared exactly.  Run
 
     PYTHONPATH=src python tests/golden_csr.py
 
-to rewrite tests/golden/csr_structure.json; `test_golden_csr.py` compares
-the current code against it.
+to rewrite tests/golden/csr_structure.json and tests/golden/slope_floats.json;
+`test_golden_csr.py` compares the current code against them.
 """
 
 import hashlib
@@ -23,6 +29,7 @@ import iwalab as il
 from iwalab.invariants import slab_window
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden" / "csr_structure.json"
+SLOPE_FLOATS_FILE = GOLDEN_FILE.with_name("slope_floats.json")
 
 THIRD, TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
 # the criterion-7 perturbation: +-1/6 of a turn on two rows by the origin
@@ -38,6 +45,16 @@ SLOPES = {**RATIONAL_SLOPES,
           "golden": il.QuadraticIrrationalSlope(1, 1, 2, 5),
           "float-sqrt3": il.FloatIrrationalSlope(math.sqrt(3))}
 SLAB = dict(L=12.0, normal_half=10.0, buffer=4.0)
+FLOAT_SLOPES = {
+    "0": il.RationalSlope(0, 1), "1/2": il.RationalSlope(1, 2),
+    "-1/3": il.RationalSlope(-1, 3), "2": il.RationalSlope(2, 1),
+    "3/2": il.RationalSlope(3, 2), "1": il.RationalSlope(1, 1),
+    "+inf": il.PlusInfinity, "-inf": il.MinusInfinity,
+    "sqrt2": il.QuadraticIrrationalSlope(0, 1, 1, 2),
+    "golden": il.QuadraticIrrationalSlope(1, 1, 2, 5),
+    "-sqrt3/2": il.QuadraticIrrationalSlope(0, -1, 2, 3),
+    "2sqrt6/3": il.QuadraticIrrationalSlope(0, 2, 3, 6),
+    "-2sqrt6/3": il.QuadraticIrrationalSlope(0, -2, 3, 6)}
 
 
 def _field(slope, perturbed):
@@ -90,7 +107,20 @@ def compute():
     return {name: csr_digests(build()) for name, build in configurations()}
 
 
+def slope_floats(slope):
+    """`float.hex` of the slope's as_float(), tangent() and normal()."""
+    return {"as_float": float.hex(slope.as_float()),
+            "tangent": [float.hex(x) for x in slope.tangent()],
+            "normal": [float.hex(x) for x in slope.normal()]}
+
+
+def compute_slope_floats():
+    return {label: slope_floats(slope) for label, slope in FLOAT_SLOPES.items()}
+
+
 if __name__ == "__main__":
     GOLDEN_FILE.parent.mkdir(exist_ok=True)
-    GOLDEN_FILE.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
-    print(GOLDEN_FILE)
+    for path, goldens in ((GOLDEN_FILE, compute()),
+                          (SLOPE_FLOATS_FILE, compute_slope_floats())):
+        path.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
+        print(path)

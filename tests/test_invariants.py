@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 from scipy import sparse
+from scipy.sparse._compressed import _cs_matrix
 
 import iwalab as il
 from iwalab import invariants, operators
@@ -14,8 +15,8 @@ from iwalab.invariants import TANGENTIAL_ORIENTATION, slab_geometry
 from iwalab.operators import (hull_projection, magnetic_translation,
                               strip_projection, translation_by)
 
-from dense_spectral import (merged_eigenvectors, sector_eigenvectors,
-                            spectral_apply)
+from dense_spectral import (merged_eigenvectors, projection_matrix,
+                            sector_eigenvectors, spectral_apply)
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
 GOLDEN = il.QuadraticIrrationalSlope(1, 1, 2, 5)
@@ -78,8 +79,9 @@ class TestDerivation:
         s = translation_by(iw_field(HALF), win, (2, 1))
         d = il.derivation(s, v)
         assert d.matrix.nnz <= s.matrix.nnz
-        dense = il.derivation(il.LatticeOperator(win, s.dense()), v).matrix
-        assert np.array_equal(d.dense(), dense)
+        t = win.positions().astype(float) @ np.asarray(v, dtype=float)
+        dense = 1j * (t[:, None] - t[None, :]) * s.matrix.toarray()
+        assert np.array_equal(d.matrix.toarray(), dense)
 
 
 class TestTraceBulk:
@@ -296,10 +298,10 @@ def chern_realspace_full(P, margin=6):
     """Reference real-space Chern number: the whole commutator
     [D1 P, D2 P] and the whole diagonal of P times it, read on the
     interior afterwards."""
-    pm = P.dense()
-    dense = il.LatticeOperator(P.window, pm)
-    d1 = il.derivation(dense, (1, 0)).matrix
-    d2 = il.derivation(dense, (0, 1)).matrix
+    pm = projection_matrix(P)
+    x1, x2 = P.window.positions().astype(float).T
+    d1 = 1j * (x1[:, None] - x1[None, :]) * pm
+    d2 = 1j * (x2[:, None] - x2[None, :]) * pm
     comm = d1 @ d2
     comm -= d2 @ d1
     diag = np.einsum("ik,ki->i", pm, comm)      # diag(P @ comm)
@@ -377,10 +379,10 @@ class TestChernRealspace:
         # V diag(E <= mu) V* over the merged eigenvectors, the dense
         # projection the frames stand for
         sd, mu, _ = sector_case(kind)
-        full = spectral_apply(sd, lambda E: (E <= mu).astype(float)).matrix
+        full = spectral_apply(sd, lambda E: (E <= mu).astype(float))
         P = il.fermi_projection(sd, mu)
         assert not hasattr(P, "matrix")
-        assert np.abs(P.dense() - full).max() < 1e-13
+        assert np.abs(projection_matrix(P) - full).max() < 1e-13
         assert np.abs(P.diagonal() - full.diagonal()).max() < 1e-13
 
     def test_non_orthonormal_frames_rejected(self):
@@ -397,7 +399,8 @@ class TestChernRealspace:
             il.chern_realspace(il.Projection(P.window, ((g, v), (g, v))),
                                margin=margin)
         with pytest.raises(il.NotProjection):
-            il.chern_realspace(il.LatticeOperator(P.window, P.dense()),
+            il.chern_realspace(il.LatticeOperator(P.window,
+                                                  projection_matrix(P)),
                                margin=margin)
 
     def test_frame_path_memory_below_one_dense_matrix(self):
@@ -532,7 +535,8 @@ class TestComplementProjection:
         assert (2 * rank > n) == complement
         assert abs(il.chern_realspace(P, margin=3)
                    - il.chern_realspace(occupied, margin=3)) < 1e-12
-        assert np.abs(P.dense() - occupied.dense()).max() < 1e-12
+        assert np.abs(projection_matrix(P)
+                      - projection_matrix(occupied)).max() < 1e-12
         assert np.abs(P.diagonal() - occupied.diagonal()).max() < 1e-12
 
     def test_frames_are_fresh_arrays(self, spectral):
@@ -551,6 +555,18 @@ def reference_orientation_sign():
     u = il.interface_shift_unitary(iw_field(ZERO), window, variant="minimal")
     w = il.winding(u, ZERO, 32.0)
     return TANGENTIAL_ORIENTATION if w > 0 else -TANGENTIAL_ORIENTATION
+
+
+def dense_winding(u, geom):
+    """Winding of the dense unitary u on the slab geometry geom from the
+    numpy moments sum_k |u_ki|^2 (t_k - t_i), 512 columns at a time."""
+    t = geom.tangential
+    moments = np.empty(t.size)
+    for s in range(0, t.size, 512):
+        c = slice(s, s + 512)
+        a2 = u[:, c].real ** 2 + u[:, c].imag ** 2
+        moments[c] = a2.T @ t - a2.sum(0) * t[c]
+    return invariants._winding_trace(moments, geom)
 
 
 class TestWinding:
@@ -584,7 +600,8 @@ class TestWinding:
         win = il.SlabWindow(slope, 40.0, 30.0)
         u = il.interface_shift_unitary(iw_field(slope), win, variant)
         w_sparse = il.winding(u, slope, 46.0)
-        w_dense = il.winding(il.LatticeOperator(win, u.dense()), slope, 46.0)
+        w_dense = dense_winding(u.matrix.toarray(),
+                                slab_geometry(win, slope, 46.0))
         assert abs(w_sparse - w_dense) < 1e-13
 
     def test_constant_field_shift_winds_once(self):
@@ -681,11 +698,11 @@ def dense_switch_traces(h, sd, interval, slope, L):
     _, gp, u = operators.gap_switch_operators(sd, interval)
     geom = slab_geometry(sd.window, slope, L)
     t = geom.tangential * TANGENTIAL_ORIENTATION
-    H = h.dense()
-    gh = np.einsum("ik,ki->i", gp.matrix, H)
-    ght = np.einsum("ik,ki,k->i", gp.matrix, H, t)
+    H = h.matrix.toarray()
+    gh = np.einsum("ik,ki->i", gp, H)
+    ght = np.einsum("ik,ki,k->i", gp, H, t)
     current = float((geom.weights * (1j * (ght - t * gh)).real).sum() / geom.norm)
-    w = il.winding(u, slope, L)
+    w = dense_winding(u, geom)
     target = -w / (2.0 * np.pi)
     return current, w, abs(current - target) / abs(target)
 
@@ -787,18 +804,24 @@ class TestInIntervalSwitchTraces:
     def test_count_less_solve_is_one_block_solve(self, monkeypatch):
         # at mu = -13/9 the switch interval ends at -1.0000000000000002,
         # where the inertia count gives up: the block solve answers, once,
-        # and no dense copy of h is made
+        # and no dense copy of h is made: every sparse array made dense is
+        # smaller than N x N (the chiral half block is)
         field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
         h = il.iwatsuka_hamiltonian(
             field, invariants.slab_window(self.SLOPE, **self.SIZE))
+        n = h.window.size
+        shapes, toarray = [], _cs_matrix.toarray
 
-        def no_dense(op):
-            raise AssertionError("the slab path makes no dense copy of h")
+        def recorded(m, *args, **kwargs):
+            out = toarray(m, *args, **kwargs)
+            shapes.append(out.shape)
+            return out
 
-        monkeypatch.setattr(il.LatticeOperator, "dense", no_dense)
+        monkeypatch.setattr(_cs_matrix, "toarray", recorded)
         calls = spy_dense_solves(monkeypatch)
         rep = il.verify_bic(field, mu=-13 / 9, **self.SIZE)
         assert len(calls) == 1
+        assert shapes and (n, n) not in shapes
         assert invariants._count_below(h.matrix, rep.delta[1]) is None
         monkeypatch.undo()
         E, V = dense_interval_eigenpairs(h, rep.delta)
@@ -922,7 +945,8 @@ def spy_dense_solves(monkeypatch):
 def dense_interval_eigenpairs(h, interval):
     """The reference pairs of h in (lo, hi]: scipy's dense evr subset
     solve."""
-    return scipy.linalg.eigh(h.dense(), driver="evr", subset_by_value=interval)
+    return scipy.linalg.eigh(h.matrix.toarray(), driver="evr",
+                             subset_by_value=interval)
 
 
 def assert_same_pairs(pairs, reference):
@@ -1028,7 +1052,7 @@ class TestIntervalEigenpairs:
         # this checks the Gram-Schmidt pass behind it
         h, _ = small_slab
         lo, hi = -1.5, -0.5
-        E0 = scipy.linalg.eigvalsh(h.dense())
+        E0 = scipy.linalg.eigvalsh(h.matrix.toarray())
         want = E0[(E0 > lo) & (E0 <= hi)]
         E, V = invariants._lanczos_pairs(h.matrix, lo, hi, want.size)
         assert want.size > 60 and np.abs(E - want).max() < 1e-12
@@ -1036,7 +1060,7 @@ class TestIntervalEigenpairs:
 
     def test_inertia_counts(self, small_slab):
         h, (lo, hi) = small_slab
-        E = scipy.linalg.eigvalsh(h.dense())
+        E = scipy.linalg.eigvalsh(h.matrix.toarray())
         for x in (lo, hi, E.min() - 0.5, 0.1, E.max() + 0.5):
             assert invariants._count_below(h.matrix, x) == (E < x).sum()
 
@@ -1150,7 +1174,7 @@ class TestIntervalEigenpairs:
         # the Ritz values inside and the nearest ones beyond both ends have
         # converged, long before the Krylov dimension reaches N
         h, (lo, hi) = small_slab
-        E = scipy.linalg.eigvalsh(h.dense())
+        E = scipy.linalg.eigvalsh(h.matrix.toarray())
         k = int(((E > lo) & (E <= hi)).sum())
         checks = spy(monkeypatch, scipy.linalg, "eigh_tridiagonal")
         assert invariants._lanczos_pairs(h.matrix, lo, hi, k + 1) is None

@@ -12,8 +12,8 @@ from iwalab import operators
 from iwalab.operators import (magnetic_translation, shifted_flux_diagonal,
                               translation_by)
 
-from dense_spectral import (merged_eigenvectors, sector_eigenvectors,
-                            spectral_apply)
+from dense_spectral import (merged_eigenvectors, projection_matrix,
+                            sector_eigenvectors, spectral_apply)
 from test_model import GAUGE_FIELDS
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
@@ -53,6 +53,24 @@ def swept_band_edges(flux):
 def interior_dev(win, m, margin=1):
     mask = win.interior_mask(margin)
     return np.abs(m[np.ix_(mask, mask)]).max()
+
+
+def test_every_operator_is_a_complex_csr_array():
+    # one operator form: what each builder returns, and a matrix given as
+    # an ndarray, is held as a complex CSR array
+    field = il.IwatsukaField.from_turns(HALF, Fraction(1, 3), Fraction(2, 3))
+    win = il.LatticeWindow(4)
+    ops = [operators.magnetic_translation(field, win, 1),
+           operators.translation_by(field, win, (2, 1)),
+           operators.flux_operator(field, win),
+           operators.hull_projection(field, win, "q"),
+           operators.strip_projection(field, win),
+           operators.iwatsuka_hamiltonian(field, win),
+           operators.interface_shift_unitary(field, win),
+           il.LatticeOperator(win, np.eye(win.size))]
+    for op in ops:
+        assert isinstance(op.matrix, sparse.csr_array)
+        assert op.matrix.dtype == np.complex128
 
 
 class TestTranslations:
@@ -102,7 +120,7 @@ class TestTranslations:
         # gauge: its entries are the phases of those numerators bit for
         # bit, over the slope classes of the gauge tests
         win = il.LatticeWindow(8)
-        s1 = magnetic_translation(field, win, 1).dense()
+        s1 = magnetic_translation(field, win, 1).matrix.toarray()
         D = field.gauge_numerators(0, 0)[0]
         want = np.zeros_like(s1)
         index = {s: i for i, s in enumerate(win.sites)}
@@ -128,7 +146,8 @@ class TestTranslations:
         # with the Bloch eigenvalues on the commensurate momentum grid
         field = il.ConstantField.from_turns(Fraction(1, 3))
         win = il.LatticeWindow(10)
-        s1, s2 = (magnetic_translation(field, win, j).dense() for j in (1, 2))
+        s1, s2 = (magnetic_translation(field, win, j).matrix.toarray()
+                  for j in (1, 2))
         # the wrap entries: row (-10, n2) of s1 reads column (10, n2) with
         # the phase of the bond potential at the row site, row (n1, -10)
         # of s2 reads column (n1, 10) with phase 1
@@ -187,6 +206,17 @@ class TestHullProjections:
         with pytest.raises(il.DegenerateField):
             il.hull_projection(il.IwatsukaField.from_turns(HALF, 0, 5e-324),
                                win, "q")
+
+    @pytest.mark.parametrize("kind", ["q", "q_perp", "r", "l"])
+    def test_near_fields_are_not_degenerate(self, kind):
+        # turns 1e-13 apart, phases about 6e-13 apart: a distinct field
+        # whose projections are those of 1/3 | 2/3, entry for entry
+        win = il.LatticeWindow(4)
+        near, far = (il.IwatsukaField.from_turns(HALF, Fraction(1, 3), b)
+                     for b in (Fraction(1, 3) + Fraction(1, 10 ** 13),
+                               Fraction(2, 3)))
+        assert np.array_equal(il.hull_projection(near, win, kind).diagonal(),
+                              il.hull_projection(far, win, kind).diagonal())
 
 
 GOLDEN = il.QuadraticIrrationalSlope(1, 1, 2, 5)
@@ -402,17 +432,17 @@ class TestHamiltonianSpectral:
         rebuilt = (V * sd.eigenvalues) @ V.conj().T
         scale = np.abs(H.matrix).max()
         assert np.abs(rebuilt - H.matrix).max() < 1e-9 * scale
-        P = il.fermi_projection(sd, 0.0)
-        assert np.abs(P.dense() @ H.matrix - H.matrix @ P.dense()).max() < 1e-9 * scale
-        assert np.abs(P.dense() @ P.dense() - P.dense()).max() < 1e-9
-        assert np.abs(P.dense() - P.dense().conj().T).max() < 1e-9
+        P = projection_matrix(il.fermi_projection(sd, 0.0))
+        assert np.abs(P @ H.matrix - H.matrix @ P).max() < 1e-9 * scale
+        assert np.abs(P @ P - P).max() < 1e-9
+        assert np.abs(P - P.conj().T).max() < 1e-9
 
     def test_fermi_extremes(self):
         win = il.LatticeWindow(3)
         sd = il.SpectralData.from_operator(
             il.iwatsuka_hamiltonian(il.zero_field(), win))
-        assert np.abs(il.fermi_projection(sd, -5.0).dense()).max() == 0.0
-        ident = il.fermi_projection(sd, 5.0).dense()
+        assert np.abs(projection_matrix(il.fermi_projection(sd, -5.0))).max() == 0.0
+        ident = projection_matrix(il.fermi_projection(sd, 5.0))
         assert np.abs(ident - np.eye(win.size)).max() < 1e-12
 
 
@@ -472,7 +502,7 @@ class TestParitySectors:
         (THIRD_FIELD, SYMMETRIC_SLAB), (THIRD_FIELD, SHUFFLED_SQUARE)])
     def test_matches_evr(self, field, win, monkeypatch):
         H = il.iwatsuka_hamiltonian(field, win)
-        w0, v0 = scipy.linalg.eigh(H.dense(), driver="evr")
+        w0, v0 = scipy.linalg.eigh(H.matrix.toarray(), driver="evr")
         calls, eighs = spy(monkeypatch, "svd"), spy(monkeypatch, "eigh")
         sd = il.SpectralData.from_operator(H)
         n = win.size
@@ -485,7 +515,7 @@ class TestParitySectors:
         k = int(np.argmax(np.diff(w0)))
         mu = 0.5 * (w0[k] + w0[k + 1])
         occupied = v0[:, w0 <= mu]
-        P = il.fermi_projection(sd, mu).dense()
+        P = projection_matrix(il.fermi_projection(sd, mu))
         assert np.abs(P - occupied @ occupied.conj().T).max() < 1e-12
 
     @pytest.mark.parametrize("field,win", [
@@ -519,7 +549,7 @@ class TestParitySectors:
         calls, svds = spy(monkeypatch, "eigh"), spy(monkeypatch, "svd")
         sd = il.SpectralData.from_operator(H)
         assert svds == [] and sorted(calls) == want
-        w0 = scipy.linalg.eigh(H.dense(), driver="evr", eigvals_only=True)
+        w0 = scipy.linalg.eigh(H.matrix.toarray(), driver="evr", eigvals_only=True)
         assert np.abs(sd.eigenvalues - w0).max() < 1e-12
 
 
@@ -591,7 +621,7 @@ class TestRealParityBlocks:
             assert calls == []
             assert sorted(eighs) == [((n - 1) // 2, dtype),
                                      ((n + 1) // 2, dtype)]
-        w0 = scipy.linalg.eigh(H.dense(), driver="evr", eigvals_only=True)
+        w0 = scipy.linalg.eigh(H.matrix.toarray(), driver="evr", eigvals_only=True)
         V, E = merged_eigenvectors(sd), sd.eigenvalues
         assert np.abs(E - w0).max() < 1e-12
         assert np.abs(H.matrix @ V - V * E).max() < 1e-12
@@ -680,7 +710,7 @@ class TestChiralSolve:
         win = il.LatticeWindow(6)
         H = il.iwatsuka_hamiltonian(il.IwatsukaField.from_turns(
             HALF, Fraction(1, 3), Fraction(2, 3)), win)
-        w0, v0 = scipy.linalg.eigh(H.dense(), driver="evr")
+        w0, v0 = scipy.linalg.eigh(H.matrix.toarray(), driver="evr")
         calls = spy(monkeypatch, "svd")
         sd = il.SpectralData.from_operator(H)
         assert calls == [((85, 84), np.complex128)]
@@ -692,7 +722,7 @@ class TestChiralSolve:
         k = int(np.argmax(np.diff(w0)))
         mu = 0.5 * (w0[k] + w0[k + 1])
         occupied = v0[:, w0 <= mu]
-        P = il.fermi_projection(sd, mu).dense()
+        P = projection_matrix(il.fermi_projection(sd, mu))
         assert np.abs(P - occupied @ occupied.conj().T).max() < 1e-12
 
     @pytest.mark.parametrize("flux,gap", [(Fraction(1, 3), 1), (Fraction(1, 4), 2)])
@@ -745,7 +775,7 @@ class TestApply:
         assert 0 < f.sum() < f.size
         full = (V * f) @ V.conj().T
         P = spectral_apply(spectral, lambda E: (E <= -1.366).astype(float))
-        assert np.abs(P.matrix - full).max() < 1e-13
+        assert np.abs(P - full).max() < 1e-13
 
     def test_nowhere_zero_weights_are_unchanged(self, spectral):
         sw = il.SwitchFunction.from_interval(-1.8, -1.0)
@@ -755,7 +785,7 @@ class TestApply:
             return np.exp(2j * np.pi * sw.g(x))
 
         u = spectral_apply(spectral, unitary)
-        assert np.array_equal(u.matrix, (V * unitary(E)) @ V.conj().T)
+        assert np.array_equal(u, (V * unitary(E)) @ V.conj().T)
 
 
 class TestSwitch:
@@ -781,7 +811,7 @@ class TestSwitch:
         got = operators.gap_switch_operators(sd, interval)
         assert len(sd.sectors) == (1 if kind == "whole" else 2)
         for a, b in zip(got, want):
-            assert np.abs(a.matrix - b.matrix).max() < 1e-13
+            assert np.abs(a - b).max() < 1e-13
 
     def test_gap_unitary_identity_when_gap_empty(self):
         win = il.LatticeWindow(4)
@@ -792,8 +822,8 @@ class TestSwitch:
         lo = sd.eigenvalues[k] + 0.25 * spacing[k]
         hi = sd.eigenvalues[k] + 0.75 * spacing[k]
         g, gp, u = operators.gap_switch_operators(sd, (lo, hi))
-        assert np.abs(u.matrix - np.eye(win.size)).max() < 1e-9
-        assert np.abs(u.matrix @ u.matrix.conj().T - np.eye(win.size)).max() < 1e-9
+        assert np.abs(u - np.eye(win.size)).max() < 1e-9
+        assert np.abs(u @ u.conj().T - np.eye(win.size)).max() < 1e-9
 
     def test_empty_gap_raises(self):
         win = il.LatticeWindow(3)

@@ -61,6 +61,13 @@ def test_pruned_names_stay_out():
                  "offset_coordinate", "hull_metric", "flux_phase",
                  "vector_potential", "trace_bulk"):
         assert not hasattr(iwalab, name)
+    # the dense operator form: every LatticeOperator is a CSR array, a
+    # Projection is its frames, and the winding moments are sparse only
+    invariants = importlib.import_module("iwalab.invariants")
+    for owner, name in ((iwalab.LatticeOperator, "dense"),
+                        (iwalab.Projection, "dense"),
+                        (invariants, "MOMENT_CHUNK")):
+        assert not hasattr(owner, name), name
 
 
 @pytest.mark.parametrize("name", ["SqrtExpr", "_sqrt_sign"])
