@@ -8,7 +8,6 @@ calibrated once against the interface shift unitary of the minimal strip,
 whose winding must be +1, and recorded in every report.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -250,35 +249,37 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
     return ch
 
 
-def _sandwich(a, y, b):
-    """a* y b for dense a, b and a sparse y, as a pair (unit, m) with
-    a* y b = unit m: for real a and b, m is a real product when y is real
-    (unit 1) or imaginary (unit 1j), and y's parts are taken apart
-    otherwise; None when y has no nonzero entry."""
-    if not y.count_nonzero():
-        return None
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        return 1.0, a.conj().T @ (y @ b)
-    re, im = (a.T @ (part @ b) if part.count_nonzero() else None
-              for part in (y.real, y.imag))
-    if im is None:
-        return 1.0, re
-    if re is None:
-        return 1j, im
-    return 1.0, re + 1j * im
+def _frame_blocks(frames):
+    """The function x -> the upper blocks s <= t of the Hermitian
+    F* diag(x) F that are not zero, yielded one at a time as
+    ((s, t), (unit, m)) with (G_s v_s)* diag(x) G_t v_t = unit m.  Column
+    t of blocks is read off one sparse product Y = G* diag(x) G_t, G =
+    [G_1 ... G_k] the frames' isometries side by side: block (s, t) is zero
+    when Y stores no entry in the rows of sector s, and otherwise it is
+    v_s* Y_st v_t.  For real v, m is a real product when Y is real (unit 1)
+    or imaginary (unit 1j), and Y's parts are taken together otherwise."""
+    gh = sparse.vstack([g.conj().T for g, _ in frames], format="csr")
+    edge = np.cumsum([0] + [v.shape[0] for _, v in frames])
+    real = not any(np.iscomplexobj(v) for _, v in frames)
+    adjoints = [v.T if real else v.conj().T for _, v in frames]
 
+    def blocks(x):
+        ghx = gh @ sparse.diags_array(x)
+        for t, (gt, vt) in enumerate(frames):
+            y = ghx @ gt
+            rows = [s for s in range(t + 1)
+                    if y.indptr[edge[s + 1]] > y.indptr[edge[s]]]
+            # the parts are tested on y.data: sorting the indices of y.real
+            # or y.imag, as count_nonzero does, permutes a view of y.data
+            unit = 1.0
+            if real and not y.data.imag.any():
+                y = y.real
+            elif real and not y.data.real.any():
+                unit, y = 1j, y.imag
+            for s in rows:
+                yield (s, t), (unit, adjoints[s] @ (y[edge[s]:edge[s + 1]] @ vt))
 
-def _frame_blocks(frames, x):
-    """The upper blocks s <= t of the Hermitian F* diag(x) F that are not
-    zero, as ((s, t), (unit, m)) with (G_s v_s)* diag(x) G_t v_t = unit m,
-    read off the sparse G_s* diag(x) G_t."""
-    xs = sparse.diags_array(x)
-    for s, (gs, vs) in enumerate(frames):
-        for t in range(s, len(frames)):
-            gt, vt = frames[t]
-            block = _sandwich(vs, gs.conj().T @ xs @ gt, vt)
-            if block is not None:
-                yield (s, t), block
+    return blocks
 
 
 def _block(upper, s, t):
@@ -292,13 +293,14 @@ def _block(upper, s, t):
     return unit.conjugate(), m.conj().T
 
 
-def _gram_deviation(frames, size):
-    """||F*F - 1||_F, one block of F*F at a time; an off-diagonal block
-    counts twice, once more for its adjoint."""
+def _gram_deviation(frames, gram):
+    """||F*F - 1||_F from the upper blocks of F*F, yielded by `gram` one
+    at a time; an off-diagonal block counts twice, once more for its
+    adjoint."""
     # squared norms per sector; ||1||^2 stands while the diagonal block is
     # absent, and (s, s) comes before every (s, t)
     sq = [float(v.shape[1]) for _, v in frames]
-    for (s, t), (unit, m) in _frame_blocks(frames, np.ones(size)):
+    for (s, t), (unit, m) in gram:
         if s == t:
             m = unit * m
             m[np.diag_indices_from(m)] -= 1.0
@@ -316,11 +318,16 @@ def chern_realspace(P, margin=6):
     orthonormal F, P [D1 P, D2 P] = -F [A1, A2] F* with A_j = F* X_j F and
     X_j the position n_j, so the interior trace is -tr([A1, A2] C) with
     C = F* M F and M the interior mask: only r x r matrices are formed (r
-    the rank).  X_j is odd and M even under n -> -n, so on the parity
-    sectors of `SpectralData` the blocks G_s* X_j G_s and G_s* M G_t
-    (s != t) vanish: each A_j is one off-diagonal half-size block and its
-    adjoint, and C is sector-diagonal.  For real frames every block is a
-    real product times 1 or 1j.
+    the rank).  X_j is odd and M even under n -> -n, so on the sectors of
+    `SpectralData` the blocks G_s* X_j G_t within one parity and G_s* M G_t
+    between the parities are empty and never formed (`_frame_blocks`).  On
+    the two parity sectors each A_j is one off-diagonal block and its
+    adjoint, and C is sector-diagonal.  On the four quarter-turn sectors
+    each A_j has the four blocks between the even and the odd sectors, and
+    C, besides its diagonal, the blocks between the two sectors of each
+    parity, which vanish only to rounding and are formed anyway.  For real
+    frames every block is a real product times 1 or 1j.  The blocks of C
+    are made one at a time.
 
     A complement P = 1 - Q, Q = F F*, reads the value of Q negated:
     D_j P = -D_j Q, so P [D1 P, D2 P] = [D1 Q, D2 Q] - Q [D1 Q, D2 Q], and
@@ -335,7 +342,8 @@ def chern_realspace(P, margin=6):
         raise NotProjection("chern_realspace reads the frames of a "
                             "Projection, not a LatticeOperator")
     frames = P.frames
-    dev = _gram_deviation(frames, P.window.size)
+    blocks = _frame_blocks(frames)
+    dev = _gram_deviation(frames, blocks(np.ones(P.window.size)))
     if dev > GRAM_TOL:
         raise NotProjection(f"frames are not orthonormal: ||F*F - 1||_F = "
                             f"{dev:.2e} > {GRAM_TOL:.0e}")
@@ -343,15 +351,19 @@ def chern_realspace(P, margin=6):
     if not mask.any():
         raise EmptyInterior(f"margin {margin} leaves no interior sites")
     pos = P.window.positions().astype(float)
-    a1, a2, c = (dict(_frame_blocks(frames, x))
-                 for x in (pos[:, 0], pos[:, 1], mask.astype(float)))
+    a1, a2 = (dict(blocks(x)) for x in (pos[:, 0], pos[:, 1]))
     # A2 A1 = (A1 A2)*, so tr([A1, A2] C) = 2i Im tr(A1 A2 C) for the
-    # Hermitian C, summed over the sector triples (s, t, u) of A1 A2 C
+    # Hermitian C, summed over the sector triples (s, t, u) of A1 A2 C; the
+    # blocks of C are made one at a time, each used with its adjoint
     tr = 0j
-    for s, t, u in itertools.product(range(len(frames)), repeat=3):
-        x, y, z = _block(a1, s, t), _block(a2, t, u), _block(c, u, s)
-        if x is not None and y is not None and z is not None:
-            tr += x[0] * y[0] * z[0] * np.einsum("ij,ji->", x[1] @ y[1], z[1])
+    for (u, s), c in blocks(mask.astype(float)):
+        one = {(u, s): c}
+        for u, s in [(u, s)] if u == s else [(u, s), (s, u)]:
+            z = _block(one, u, s)
+            for t in range(len(frames)):
+                x, y = _block(a1, s, t), _block(a2, t, u)
+                if x is not None and y is not None:
+                    tr += x[0] * y[0] * z[0] * np.einsum("ij,ji->", x[1] @ y[1], z[1])
     ch = float(4.0 * np.pi * tr.imag / mask.sum())    # 2 pi i <-2i Im tr>
     return -ch if P.complement else ch
 

@@ -142,28 +142,29 @@ def hull_projection(field, window, kind, base=(0, 0)):
     """Diagonal interface projections built from shifted flux operators:
     kind "q" is the indicator of the b_plus side seen from the base site,
     "q_perp" its complement, "r"/"l" the single-strip differences across
-    e1/e2.  Entries are exactly 0/1 for an unperturbed two-valued field;
-    a constant field has none and raises DegenerateField."""
+    e1/e2.  Every entry of `shifted_flux_diagonal` is bitwise the phase zp
+    of b_plus or zm of b_minus, since the phase depends only on the
+    fraction, so the indicator is f == zp and the entries are exactly 0/1
+    (and -1 for "r" and "l"), with no division; equal phases zp == zm, as a
+    constant field has, raise DegenerateField."""
     zp, zm = (_turn_phases([t.numerator], t.denominator)[0]
               for t in (field.b_plus_turns, field.b_minus_turns))
-    denom = zp - zm
-    # equal phases, or phases a subnormal apart (turns 2^-1074 apart), where
-    # dividing by zp - zm overflows; no tolerance refuses distinct fields
-    if abs(denom) < np.finfo(float).tiny:
+    if zp == zm:
         raise DegenerateField("coinciding flux phases")
-    n0 = tuple(base)
-    f0 = shifted_flux_diagonal(field, window, n0)
+    n1, n2 = base
+
+    def plus(shift):
+        return (shifted_flux_diagonal(field, window, shift) == zp).astype(float)
+
     if kind == "q":
-        diag = (f0 - zm) / denom
+        diag = plus(base)
     elif kind == "q_perp":
-        diag = 1.0 - (f0 - zm) / denom
+        diag = 1.0 - plus(base)
     elif kind == "r":
         sgn = field.slope.offset_sign((-1, 0))    # sign(alpha)
-        f1 = shifted_flux_diagonal(field, window, (n0[0] + 1, n0[1]))
-        diag = sgn * (f1 - f0) / denom
+        diag = sgn * (plus((n1 + 1, n2)) - plus(base))
     elif kind == "l":
-        f2 = shifted_flux_diagonal(field, window, (n0[0], n0[1] + 1))
-        diag = (f2 - f0) / (zm - zp)
+        diag = plus(base) - plus((n1, n2 + 1))
     else:
         raise ValueError(f"unknown projection kind {kind!r}")
     return LatticeOperator(window, sparse.diags_array(diag))
@@ -294,23 +295,129 @@ def _site_permutation(pos, image):
     return perm
 
 
-def _symmetry_sectors(window, h):
-    """Isometries (G+, G-) onto the even and odd sectors of the inversion
-    P: n -> -n, and whether G*hG is real on them; None unless the window is
-    closed under P and the sparse operator h equals its inverted copy
-    exactly.  G+ holds the origin when it is a site, so it has (N+1)/2
-    columns on an odd window and G- (N-1)/2.
+def _quarter_turn(pos, h):
+    """The unitary U = D Pi_T that commutes with the sparse operator h, for
+    the quarter turn T: (n1, n2) -> (-n2, n1) of the sites pos and a
+    diagonal gauge D, as a sparse matrix; None unless pos is closed under T
+    and holds the origin and another site, and ||U h U* - h||_max <=
+    HERMITIAN_TOL.
 
-    If the window is also closed under the reflection R: n2 -> -n2 and h
-    equals the complex conjugate of its reflected copy exactly, as a
-    constant field does in the standard gauge A(n, n - e1) = b n2, then the
-    antiunitary K R (K complex conjugation) commutes with h and with P, and
-    each sector is spanned by K R-invariant vectors, in which h is real
-    symmetric: on the orbit {n, -n, Rn, -Rn}, sector s = +-1 takes
-    (c + Rc)/sqrt2 and i(c - Rc)/sqrt2 with c = (d_n + s d_-n)/sqrt2,
-    those that are nonzero, normalized (one vector on the axes, where
-    Rn = +-n).  Otherwise R is taken as the identity, which leaves the real
-    parity vectors c, and G*hG is complex Hermitian."""
+    A constant field has this magnetic covariance (Zak, Phys. Rev. 134,
+    A1602 (1964)) with D = e^{2 pi i b n1 n2} in the standard gauge.  D is
+    found from h itself: d = 1 at the origin, and d_n = d_m h_nm / h'_nm
+    for each site n and its parent m, one step nearer the origin along the
+    row n2 = 0 or, off it, along the column of n, where h' = Pi h Pi* is
+    the turned copy of h.  So d is a running product of unit ratios, taken
+    as complex numbers.  Rooted at the origin, the gauge gives U^2 = P, the
+    inversion n -> -n, on a connected h."""
+    n = len(pos)
+    turn = _site_permutation(pos, np.stack([-pos[:, 1], pos[:, 0]], axis=1))
+    if n < 2 or turn is None or not (pos == 0).all(axis=1).any():
+        return None
+    o = pos.min(axis=0)
+    grid = np.full(pos.max(axis=0) - o + 1, -1)
+    cell = tuple((pos - o).T)
+    grid[cell] = np.arange(n)
+    step = np.sign(pos)
+    step[:, 0] *= pos[:, 1] == 0
+    parent = grid[tuple((pos - step - o).T)]
+    if (parent < 0).any():
+        return None
+    back = np.empty_like(turn)
+    back[turn] = np.arange(n)
+    turned = h[back][:, back]
+    site = np.flatnonzero(parent != np.arange(n))     # all but the origin
+    num, den = (np.asarray(m[site, parent[site]]).ravel() for m in (h, turned))
+    if not (num.all() and den.all()):
+        return None
+    ratio = np.ones(grid.shape, dtype=complex)
+    ratio[tuple((pos[site] - o).T)] = num / den
+    # running products out from the origin: the row n2 = 0, then the columns
+    z1, z2 = -o
+    row = ratio[:, z2]
+    row[z1:] = np.cumprod(row[z1:])
+    row[:z1 + 1] = np.cumprod(row[z1::-1])[::-1]
+    ratio[:, z2:] = np.cumprod(ratio[:, z2:], axis=1)
+    ratio[:, :z2 + 1] = np.cumprod(ratio[:, z2::-1], axis=1)[:, ::-1]
+    d = ratio[cell]
+    D = sparse.diags_array(d)
+    if abs(D @ turned @ D.conj() - h).max() > HERMITIAN_TOL:
+        return None
+    return sparse.csc_array((d[turn], (turn, np.arange(n))), shape=(n, n))
+
+
+def _split_by(pos, g, w):
+    """The isometries g Q+ and g Q- onto the +1 and -1 eigenspaces of the
+    real symmetric involution w on the columns of the sparse isometry g, or
+    None if an eigenvalue of w is not +-1 within HERMITIAN_TOL.  w joins
+    only columns on one orbit {n, Tn, -n, -Tn, Rn, ...} of the quarter turn
+    T and the reflection R: n2 -> -n2, which holds 1, 2 or 4 of them, so
+    the eigenspaces come from one batched eigh of the orbits' blocks,
+    padded with zeros to the largest (numpy's eigh, not this module's
+    block solver).  An orbit lies on one sublattice, so each column of
+    g Q+- does too."""
+    g = sparse.csc_array(g)
+    k = g.shape[1]
+    # the orbit of each column, keyed by (max, min) of |n1|, |n2| at its
+    # first site, and the column's place in it
+    a = np.abs(pos[g.indices[g.indptr[:-1]]])
+    key = a.max(axis=1) * (a.max() + 1) + a.min(axis=1)
+    order = np.argsort(key, kind="stable")
+    _, start, count = np.unique(key[order], return_index=True,
+                                return_counts=True)
+    orbit, place = np.empty(k, dtype=int), np.empty(k, dtype=int)
+    orbit[order] = np.repeat(np.arange(start.size), count)
+    place[order] = np.arange(k) - start[orbit[order]]
+    size = count.max()
+    w = sparse.coo_array(w)
+    blocks = np.zeros((start.size, size, size))
+    blocks[orbit[w.row], place[w.row], place[w.col]] = w.data
+    val, vec = np.linalg.eigh(blocks)
+    # a padding slot holds an eigenvalue 0, every other one +-1
+    found = np.abs(val) > 0.5
+    if found.sum() != k or np.abs(np.abs(val[found]) - 1.0).max() > HERMITIAN_TOL:
+        return None
+    used = np.arange(size) < count[:, None]
+    members = order[np.minimum(start[:, None] + np.arange(size), k - 1)]
+    out = []
+    for sign in (1.0, -1.0):
+        o, j = np.nonzero(sign * val > 0.5)
+        col = np.broadcast_to(np.arange(o.size)[:, None], (o.size, size))
+        keep = used[o]
+        q = sparse.csc_array((vec[o, :, j][keep], (members[o][keep], col[keep])),
+                             shape=(k, o.size))
+        out.append(sparse.csc_array(g @ q))
+    return out
+
+
+def _symmetry_sectors(window, h):
+    """Isometries onto the symmetry sectors of the sparse operator h, and
+    whether G*hG is real on them; None unless the window is closed under
+    the inversion P: n -> -n and h equals its inverted copy exactly.
+
+    The sectors are first (G+, G-), the even and odd sectors of P.  G+
+    holds the origin when it is a site, so it has (N+1)/2 columns on an odd
+    window and G- (N-1)/2.  If the window is also closed under the
+    reflection R: n2 -> -n2 and h equals the complex conjugate of its
+    reflected copy exactly, as a constant field does in the standard gauge
+    A(n, n - e1) = b n2, then the antiunitary K R (K complex conjugation)
+    commutes with h and with P, and each sector is spanned by K R-invariant
+    vectors, in which h is real symmetric: on the orbit {n, -n, Rn, -Rn},
+    sector s = +-1 takes (c + Rc)/sqrt2 and i(c - Rc)/sqrt2 with
+    c = (d_n + s d_-n)/sqrt2, those that are nonzero, normalized (one
+    vector on the axes, where Rn = +-n).  Otherwise R is taken as the
+    identity, which leaves the real parity vectors c, and G*hG is complex
+    Hermitian.
+
+    P and K R are tested exactly (no tolerance).  If the sectors are real,
+    the window holds the origin and h commutes with a magnetic quarter turn
+    U = D Pi_T within HERMITIAN_TOL (`_quarter_turn`), then U^2 = P, and
+    K R U = U* K R, so W = G+* U G+ and W = -i G-* U G- are real symmetric
+    involutions.  Each parity sector is split into the +1 and -1
+    eigenspaces of its W (`_split_by`), four sectors in all, on which U is
+    1, -1, i and -i: (G++, G+-, G-+, G--), each about N/4 columns, with
+    G*hG still real and every column on one sublattice.  Without U, or if
+    a split fails its check, the two parity sectors stand as they are."""
     pos = window.positions()
     inv = _site_permutation(pos, -pos)
     if inv is None or (h[inv][:, inv] != h).nnz:
@@ -336,7 +443,14 @@ def _symmetry_sectors(window, h):
         norms = np.sqrt(abs(g).power(2).sum(axis=0))
         keep = np.flatnonzero(norms)
         sectors.append(g[:, keep] @ sparse.diags_array(1.0 / norms[keep]))
-    return sectors, real
+    u = _quarter_turn(pos, h) if real else None
+    if u is None:
+        return sectors, real
+    split = [_split_by(pos, g, (unit * (g.conj().T @ u @ g)).real)
+             for g, unit in zip(sectors, (1, -1j))]
+    if None in split:
+        return sectors, real
+    return split[0] + split[1], real
 
 
 def _sublattice_sides(window, h, g):
@@ -363,10 +477,12 @@ def _sublattice_sides(window, h, g):
 
 def _hermitian_blocks(op):
     """The dense blocks an eigensolve of op runs on, as (G, block, sides):
-    G is the isometry onto the two parity sectors of the inversion
-    n -> -n if op commutes exactly with it (see `_symmetry_sectors`; the
-    blocks are real if op also commutes with K R), else the identity.  If
-    op hops only between the sublattices of n1 + n2 even and odd (see
+    G is the isometry onto a sector of `_symmetry_sectors` if op commutes
+    exactly with the inversion n -> -n: one of the two parity sectors (real
+    blocks if op also commutes with K R), or, when real on a window closed
+    under the quarter turn, one of the four sectors of the magnetic quarter
+    turn, about N/4 columns each; else G is the identity.  If op hops only
+    between the sublattices of n1 + n2 even and odd (see
     `_sublattice_sides`), the block is the half block X = G_a* op G_b and
     sides = (a, b), solved by an SVD; otherwise the block is G*op G, with
     sides None.  Both are numpy.linalg solves, on the LAPACK numpy links.
@@ -466,7 +582,9 @@ def hermitian_eigenvalues(op):
 class SpectralData:
     """Dense eigendecomposition of a Hermitian lattice operator, held as
     the sectors it was solved on: triples (G, w, v) of a sparse isometry G
-    onto a parity block, the block's ascending eigenvalues w and its
+    onto a symmetry sector (one of two parity sectors, or of four
+    quarter-turn sectors on a square window), the block's ascending
+    eigenvalues w and its
     eigenvectors v, so the eigenvectors of the operator are the columns of
     G v.  v is the eigenvector matrix of an `eigh` block, or the
     `ChiralFactors` (U, V*, a, b) of a chiral one, about half its size;

@@ -1,6 +1,7 @@
 """Dense references for `SpectralData` and `Projection`: the merged N x N
-eigenvector matrix, func(h) = V diag func(E) V* over it, and the N x N
-matrix of a projection, which the library never forms."""
+eigenvector matrix, func(h) = V diag func(E) V* over it, the N x N matrix
+of a projection, which the library never forms, and the real-space Chern
+number read off that matrix."""
 
 import numpy as np
 
@@ -49,3 +50,18 @@ def projection_matrix(P):
     f = np.hstack([g @ v for g, v in P.frames])
     m = f @ f.conj().T
     return np.eye(P.window.size) - m if P.complement else m
+
+
+def chern_realspace_full(P, margin=6):
+    """Reference real-space Chern number: the commutator [D1 P, D2 P] of
+    the dense projection on the interior columns, and the diagonal of P
+    times it there."""
+    pm = projection_matrix(P)
+    x1, x2 = P.window.positions().astype(float).T
+    d1 = 1j * (x1[:, None] - x1[None, :]) * pm
+    d2 = 1j * (x2[:, None] - x2[None, :]) * pm
+    mask = P.window.interior_mask(margin)
+    comm = d1 @ d2[:, mask]
+    comm -= d2 @ d1[:, mask]
+    diag = np.einsum("ik,ki->i", pm[mask], comm)      # diag(P @ comm)
+    return float((2j * np.pi * diag.mean()).real)

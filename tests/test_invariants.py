@@ -15,8 +15,9 @@ from iwalab.invariants import TANGENTIAL_ORIENTATION, slab_geometry
 from iwalab.operators import (hull_projection, magnetic_translation,
                               strip_projection, translation_by)
 
-from dense_spectral import (merged_eigenvectors, projection_matrix,
-                            sector_eigenvectors, spectral_apply)
+from dense_spectral import (chern_realspace_full, merged_eigenvectors,
+                            projection_matrix, sector_eigenvectors,
+                            spectral_apply)
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
 GOLDEN = il.QuadraticIrrationalSlope(1, 1, 2, 5)
@@ -294,29 +295,14 @@ class TestChernMomentum:
         assert peak <= 5 * 2 ** 20
 
 
-def chern_realspace_full(P, margin=6):
-    """Reference real-space Chern number: the whole commutator
-    [D1 P, D2 P] and the whole diagonal of P times it, read on the
-    interior afterwards."""
-    pm = projection_matrix(P)
-    x1, x2 = P.window.positions().astype(float).T
-    d1 = 1j * (x1[:, None] - x1[None, :]) * pm
-    d2 = 1j * (x2[:, None] - x2[None, :]) * pm
-    comm = d1 @ d2
-    comm -= d2 @ d1
-    diag = np.einsum("ik,ki->i", pm, comm)      # diag(P @ comm)
-    mask = P.window.interior_mask(margin)
-    return float((2j * np.pi * diag[mask].mean()).real)
-
-
 def frame(win, v):
     """The projection v v* as one frame on the whole window."""
     return il.Projection(win, ((sparse.eye_array(win.size, format="csr"), v),))
 
 
 def sector_case(kind):
-    """(spectral data, mu, margin) whose sectors are two real parity
-    blocks, two complex ones, or one whole solve."""
+    """(spectral data, mu, margin) whose sectors are four real
+    quarter-turn blocks, two complex parity ones, or one whole solve."""
     win = il.LatticeWindow(8)
     if kind == "real":
         h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(THIRD), win)
@@ -337,7 +323,9 @@ def sector_case(kind):
     return il.SpectralData.from_operator(h), 0.5 * (lo + hi), 3
 
 
-SECTOR_KINDS = {"real": (2, np.float64), "complex": (2, np.complex128),
+# the constant field on the square window takes the four real sectors of the
+# inversion and the magnetic quarter turn
+SECTOR_KINDS = {"real": (4, np.float64), "complex": (2, np.complex128),
                 "whole": (1, np.complex128)}
 
 
@@ -388,11 +376,11 @@ class TestChernRealspace:
     def test_non_orthonormal_frames_rejected(self):
         sd, mu, margin = sector_case("real")
         P = il.fermi_projection(sd, mu)
-        (g, v), other = P.frames
+        (g, v), *other = P.frames
         tilted = v.copy()
         tilted[:, 0] *= 1.0 + 1e-6
         with pytest.raises(il.NotProjection):
-            il.chern_realspace(il.Projection(P.window, ((g, tilted), other)),
+            il.chern_realspace(il.Projection(P.window, ((g, tilted), *other)),
                                margin=margin)
         # orthonormal frames whose columns overlap between the frames
         with pytest.raises(il.NotProjection):
@@ -558,13 +546,17 @@ def reference_orientation_sign():
 
 
 def dense_winding(u, geom):
-    """Winding of the dense unitary u on the slab geometry geom from the
-    numpy moments sum_k |u_ki|^2 (t_k - t_i), 512 columns at a time."""
+    """Winding of the unitary u, an ndarray or a sparse array, on the slab
+    geometry geom from the numpy moments sum_k |u_ki|^2 (t_k - t_i) of its
+    dense columns, 512 at a time: no N x N copy of a sparse u is made."""
     t = geom.tangential
+    if sparse.issparse(u):
+        u = u.tocsc()
     moments = np.empty(t.size)
     for s in range(0, t.size, 512):
         c = slice(s, s + 512)
-        a2 = u[:, c].real ** 2 + u[:, c].imag ** 2
+        block = u[:, c].toarray() if sparse.issparse(u) else u[:, c]
+        a2 = block.real ** 2 + block.imag ** 2
         moments[c] = a2.T @ t - a2.sum(0) * t[c]
     return invariants._winding_trace(moments, geom)
 
@@ -600,8 +592,7 @@ class TestWinding:
         win = il.SlabWindow(slope, 40.0, 30.0)
         u = il.interface_shift_unitary(iw_field(slope), win, variant)
         w_sparse = il.winding(u, slope, 46.0)
-        w_dense = dense_winding(u.matrix.toarray(),
-                                slab_geometry(win, slope, 46.0))
+        w_dense = dense_winding(u.matrix, slab_geometry(win, slope, 46.0))
         assert abs(w_sparse - w_dense) < 1e-13
 
     def test_constant_field_shift_winds_once(self):

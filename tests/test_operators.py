@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from iwalab import operators
 from iwalab.operators import (magnetic_translation, shifted_flux_diagonal,
                               translation_by)
 
-from dense_spectral import (merged_eigenvectors, projection_matrix,
-                            sector_eigenvectors, spectral_apply)
+from dense_spectral import (chern_realspace_full, merged_eigenvectors,
+                            projection_matrix, sector_eigenvectors,
+                            spectral_apply)
 from test_model import GAUGE_FIELDS
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
@@ -201,11 +203,32 @@ class TestHullProjections:
         with pytest.raises(il.DegenerateField):
             il.hull_projection(il.ConstantField.from_turns(Fraction(1, 3)),
                                win, "q")
-        # 2^-1074 of a turn apart: distinct turns whose phases coincide in
-        # floats, with numerators 0 and 1 over D = 2^1074
+        # 2^-1080 of a turn apart: distinct turns whose phases coincide in
+        # floats, both exactly 1
         with pytest.raises(il.DegenerateField):
-            il.hull_projection(il.IwatsukaField.from_turns(HALF, 0, 5e-324),
-                               win, "q")
+            il.hull_projection(il.IwatsukaField.from_turns(
+                HALF, 0, Fraction(1, 2 ** 1080)), win, "q")
+        # 2^-1074 of a turn apart the phases are 1 and 1 + 3e-323i: they
+        # differ, so the side indicator stands, that of 1/3 | 2/3
+        tiny, far = (il.IwatsukaField.from_turns(HALF, *pair)
+                     for pair in ((0, 5e-324), (Fraction(1, 3), Fraction(2, 3))))
+        for kind in ("q", "q_perp", "r", "l"):
+            assert np.array_equal(il.hull_projection(tiny, win, kind).diagonal(),
+                                  il.hull_projection(far, win, kind).diagonal())
+
+    def test_entries_exact_for_every_flux_pair(self):
+        # every ordered pair of distinct fluxes p/q, q <= 12, among them
+        # 0 | 1/3 and 0 | 1/8, whose "q" entries the division by zp - zm
+        # gave as 1 - 5.6e-17i and 0.9999999999999999
+        fluxes = sorted({Fraction(p, q) for q in range(1, 13) for p in range(q)})
+        win = il.SlabWindow(HALF, 4.0, 3.0)
+        for plus, minus in itertools.permutations(fluxes, 2):
+            field = il.IwatsukaField.from_turns(HALF, plus, minus)
+            q, qp, r, l = (il.hull_projection(field, win, kind).diagonal()
+                           for kind in ("q", "q_perp", "r", "l"))
+            assert np.isin(q, (0, 1)).all() and np.isin(qp, (0, 1)).all()
+            assert np.array_equal(q + qp, np.ones(win.size))
+            assert np.isin(r, (-1, 0, 1)).all() and np.isin(l, (-1, 0, 1)).all()
 
     @pytest.mark.parametrize("kind", ["q", "q_perp", "r", "l"])
     def test_near_fields_are_not_degenerate(self, kind):
@@ -475,6 +498,40 @@ def half_block_shapes(win):
     return sorted([((n_a + o) // 2, n_b // 2), ((n_a - o) // 2, n_b // 2)])
 
 
+def turned_sites(win):
+    """The index of the site (-n2, n1) for each site n of the window, or
+    None unless the window is closed under the quarter turn."""
+    site = {tuple(p): i for i, p in enumerate(win.positions())}
+    turned = [site.get((-n2, n1)) for n1, n2 in win.positions()]
+    return None if None in turned else turned
+
+
+def sector_block_shapes(win):
+    """Sorted shapes of the half blocks of a constant field's sectors: on a
+    window closed under the quarter turn, the four sectors on which the
+    magnetic quarter turn is 1, -1, i and -i.  Each orbit of the quarter
+    turn and the reflection n2 -> -n2 off the origin puts a quarter of its
+    sites into each, and the origin lies on A in the first.  Otherwise the
+    two parity sectors of `half_block_shapes`."""
+    if turned_sites(win) is None:
+        return half_block_shapes(win)
+    n_a, n_b = sublattice_sizes(win)
+    o = int((win.positions() == 0).all(axis=1).any())
+    return sorted([((n_a - o) // 4 + o, n_b // 4)] + [((n_a - o) // 4, n_b // 4)] * 3)
+
+
+def quarter_turn(win, flux):
+    """The dense magnetic quarter turn U = D Pi_T of a constant field of
+    `flux` turns in the standard gauge, D = e^{2 pi i flux n1 n2}:
+    (U psi)(Tn) = d_Tn psi(n) for T: (n1, n2) -> (-n2, n1)."""
+    pos = win.positions()
+    turned = turned_sites(win)
+    u = np.zeros((win.size, win.size), dtype=complex)
+    u[turned, np.arange(win.size)] = np.exp(
+        2j * np.pi * float(flux) * pos[:, 0] * pos[:, 1])[turned]
+    return u
+
+
 class ListedWindow:
     """A window of the given sites in the given order."""
 
@@ -507,7 +564,7 @@ class TestParitySectors:
         sd = il.SpectralData.from_operator(H)
         n = win.size
         assert eighs == []
-        assert sorted(shape for shape, _ in calls) == half_block_shapes(win)
+        assert sorted(shape for shape, _ in calls) == sector_block_shapes(win)
         V, E = merged_eigenvectors(sd), sd.eigenvalues
         assert np.abs(E - w0).max() < 1e-12
         assert np.abs(H.matrix @ V - V * E).max() < 1e-12
@@ -535,12 +592,12 @@ class TestParitySectors:
         assert calls == [(sublattice_sizes(win), np.complex128)]
 
     @pytest.mark.parametrize("site,want", [
-        ((0, 0), [((24, 24), np.float64), ((25, 25), np.float64)]),
+        ((0, 0), [((12, 12), np.float64)] * 3 + [((13, 13), np.float64)]),
         ((1, 0), [((49, 49), np.complex128)])], ids=["origin", "off-origin"])
     def test_onsite_entry_keeps_eigh(self, site, want, monkeypatch):
         # an onsite entry joins a site to its own sublattice; at the origin
-        # it keeps the inversion symmetry (two real parity blocks), elsewhere
-        # it breaks it (one complex whole solve)
+        # it keeps the inversion and the quarter turn (four real blocks),
+        # elsewhere it breaks the inversion (one complex whole solve)
         win = il.LatticeWindow(3)
         i = [tuple(p) for p in win.positions()].index(site)
         v = sparse.csr_array(([0.5], ([i], [i])), shape=(win.size, win.size))
@@ -557,7 +614,8 @@ class TestRealParityBlocks:
     """Constant fields commute with the antiunitary K R (R: n2 -> -n2, K
     complex conjugation) and with the inversion, so their parity blocks are
     real symmetric; breaking either K R or the window's closure under R
-    leaves complex blocks."""
+    leaves complex blocks.  On a square window they also commute with the
+    magnetic quarter turn, which splits each parity block in two."""
 
     @pytest.mark.parametrize("field,win", [
         (il.ConstantField.from_turns(flux), win)
@@ -565,6 +623,7 @@ class TestRealParityBlocks:
                      Fraction(1, 6))
         for win in (il.LatticeWindow(3), il.LatticeWindow(8), SHUFFLED_SQUARE)])
     def test_constant_field_takes_two_real_blocks(self, field, win, monkeypatch):
+        # two real parity blocks, each split in two by the quarter turn
         self._assert_blocks(il.iwatsuka_hamiltonian(field, win), np.float64,
                             monkeypatch)
 
@@ -577,37 +636,91 @@ class TestRealParityBlocks:
                                       Fraction(1, 2)], ids=str)
     def test_bulk_chern_window_takes_two_real_half_blocks(self, flux,
                                                           monkeypatch):
-        # the sectors compare h with its inverted and reflected copies bit
-        # for bit, so they hold only if the phase of -num is exactly the
-        # conjugate of the phase of num
+        # each real parity half block split in two by the quarter turn: four
+        # quarter blocks.  The sectors compare h with its inverted and
+        # reflected copies bit for bit, so they hold only if the phase of
+        # -num is exactly the conjugate of the phase of num
         win = il.LatticeWindow(20)
         H = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(flux), win)
         found = operators._symmetry_sectors(win, H.matrix)
-        assert found is not None and found[1]
+        assert found is not None and found[1] and len(found[0]) == 4
         calls = spy(monkeypatch, "svd")
         il.SpectralData.from_operator(H)
         assert sorted(calls) == [(shape, np.float64)
-                                 for shape in half_block_shapes(win)]
+                                 for shape in sector_block_shapes(win)]
 
-    @pytest.mark.parametrize("win", [il.LatticeWindow(3), SHUFFLED_SQUARE])
+    @pytest.mark.parametrize("win", [il.LatticeWindow(3), il.LatticeWindow(5),
+                                     SHUFFLED_SQUARE])
     def test_sectors_are_sparse_isometries(self, win):
         h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix
-        (even, odd), real = operators._symmetry_sectors(win, h)
-        assert real
-        assert max(np.diff(even.indptr).max(), np.diff(odd.indptr).max()) <= 4
-        G = sparse.hstack([even, odd]).toarray()
+        sectors, real = operators._symmetry_sectors(win, h)
+        assert real and len(sectors) == 4
+        # a column spans one orbit of the quarter turn and the reflection
+        assert max(np.diff(g.indptr).max() for g in sectors) <= 8
+        G = sparse.hstack(sectors).toarray()
         assert np.abs(G.conj().T @ G - np.eye(win.size)).max() < 1e-15
-        site = {tuple(p): i for i, p in enumerate(win.positions())}
-        inverted = [site[tuple(-p)] for p in win.positions()]
-        for g, s in ((even, 1), (odd, -1)):
-            # each column is an eigenvector of the inversion with sign s
-            assert np.array_equal(g.toarray()[inverted], s * g.toarray())
-            assert np.abs((g.conj().T @ h @ g).toarray().imag).max() < 1e-15
+        pos = win.positions()
+        site = {tuple(p): i for i, p in enumerate(pos)}
+        inverted = [site[tuple(-p)] for p in pos]
+        odd = (pos[:, 0] + pos[:, 1]) % 2 == 1
+        u = quarter_turn(win, Fraction(1, 3))
+        assert np.abs(u @ h @ u.conj().T - h).max() < 1e-14
+        for g, s, chi in zip(sectors, (1, 1, -1, -1), (1, -1, 1j, -1j)):
+            g = g.toarray()
+            # each column is an eigenvector of the inversion with sign s and
+            # of the quarter turn with the character chi, on one sublattice
+            assert np.abs(g[inverted] - s * g).max() < 1e-15
+            assert np.abs(u @ g - chi * g).max() < 1e-14
+            assert all(np.unique(odd[np.flatnonzero(c)]).size == 1 for c in g.T)
+            assert np.abs((g.conj().T @ h @ g).imag).max() < 1e-15
+
+    @pytest.mark.parametrize("flux,gap", [
+        (Fraction(1, 3), 1), (Fraction(2, 3), 2), (Fraction(1, 4), 1),
+        (Fraction(3, 4), 2), (Fraction(1, 5), 4), (Fraction(4, 5), 1),
+        (Fraction(2, 5), 3), (Fraction(3, 5), 2)], ids=str)
+    def test_quarter_sectors_match_whole_solve(self, flux, gap):
+        win = il.LatticeWindow(20)
+        H = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(flux), win)
+        sd = il.SpectralData.from_operator(H)
+        assert len(sd.sectors) == 4
+        w0 = np.linalg.eigvalsh(H.matrix.toarray())
+        assert np.abs(sd.eigenvalues - w0).max() < 1e-12
+        lo, hi = il.band_structure(flux).gaps[gap - 1]
+        P = il.fermi_projection(sd, 0.5 * (lo + hi))
+        assert abs(il.chern_realspace(P, margin=6)
+                   - chern_realspace_full(P, margin=6)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["perturbed", "slab", "one-site"])
+    def test_without_quarter_turn_keeps_parity_sectors(self, kind, monkeypatch):
+        if kind == "one-site":
+            # the origin alone: an odd sector with no column, nothing to split
+            win = il.LatticeWindow(0)
+            h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix
+        elif kind == "perturbed":
+            # bonds (1, 0)-(2, 0) and their inverses strengthened: h keeps
+            # the inversion, K R and the sublattices, not the quarter turn
+            win = il.LatticeWindow(5)
+            site = {tuple(p): i for i, p in enumerate(win.positions())}
+            a, b = [site[(1, 0)], site[(-1, 0)]], [site[(2, 0)], site[(-2, 0)]]
+            v = sparse.csr_array((np.full(4, 0.5), (a + b, b + a)),
+                                 shape=(win.size, win.size))
+            h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix + v
+        else:
+            win = SYMMETRIC_SLAB
+            h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix
+        assert operators._quarter_turn(win.positions(), h) is None
+        sectors, real = operators._symmetry_sectors(win, h)
+        monkeypatch.setattr(operators, "_quarter_turn", lambda *args: None)
+        parity, parity_real = operators._symmetry_sectors(win, h)
+        assert real == parity_real and len(sectors) == len(parity) == 2
+        for g, want in zip(sectors, parity):
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(g, attr).tobytes() == getattr(want, attr).tobytes()
 
     def _assert_blocks(self, H, dtype, monkeypatch, chiral=True):
-        """Two blocks of the dtype, with the evr eigenvalues: the half
-        blocks of one SVD each, or two parity blocks of one eigh each
-        unless chiral."""
+        """Blocks of the dtype, with the evr eigenvalues: the half blocks of
+        one SVD each (four on a window closed under the quarter turn, else
+        two), or two parity blocks of one eigh each unless chiral."""
         calls = spy(monkeypatch, "svd")
         eighs = spy(monkeypatch, "eigh",
                     lambda a, kwargs: (a.shape[0], a.dtype))
@@ -616,7 +729,7 @@ class TestRealParityBlocks:
         if chiral:
             assert eighs == []
             assert sorted(calls) == [(shape, dtype)
-                                     for shape in half_block_shapes(H.window)]
+                                     for shape in sector_block_shapes(H.window)]
         else:
             assert calls == []
             assert sorted(eighs) == [((n - 1) // 2, dtype),
@@ -652,7 +765,7 @@ class TestRealParityBlocks:
 
 
 SOLVE_KINDS = {
-    "real": (THIRD_FIELD, il.LatticeWindow(6), "sectors", np.float64),
+    "real": (THIRD_FIELD, il.LatticeWindow(6), "quarters", np.float64),
     "complex": (THIRD_FIELD, SYMMETRIC_SLAB, "sectors", np.complex128),
     "whole": (il.IwatsukaField.from_turns(HALF, Fraction(1, 3), Fraction(2, 3)),
               il.LatticeWindow(6), "whole", np.complex128)}
@@ -669,7 +782,7 @@ class TestHermitianEigenvalues:
             a.shape, a.dtype, kwargs.get("compute_uv", True)))
         E = il.hermitian_eigenvalues(H)
         shapes = ([sublattice_sizes(win)] if split == "whole"
-                  else half_block_shapes(win))
+                  else sector_block_shapes(win))
         # singular values only, on the half blocks
         assert eighs == eigvalshs == []
         assert sorted(svds) == [(shape, dtype, False) for shape in shapes]
@@ -693,7 +806,7 @@ class TestChiralSolve:
         H = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(flux), win)
         calls = spy(monkeypatch, "svd")
         sd = il.SpectralData.from_operator(H)
-        assert len(calls) == len(sd.sectors) == 2
+        assert len(calls) == len(sd.sectors) == 4
         for ((rows, cols), _), (g, w, factors) in zip(calls, sd.sectors):
             # the null columns of the larger side are the only exact zeros
             assert np.count_nonzero(w == 0) == abs(rows - cols)
@@ -741,8 +854,8 @@ class TestChiralSolve:
         calls = spy(monkeypatch, "eigh")
         forced = chern()
         n = H.window.size
-        assert sorted(calls) == [(((n - 1) // 2,) * 2, np.float64),
-                                 (((n + 1) // 2,) * 2, np.float64)]
+        assert sorted(calls) == [(((n - 1) // 4,) * 2, np.float64)] * 3 + [
+            (((n - 1) // 4 + 1,) * 2, np.float64)]
         assert abs(chiral - forced) < 1e-13
 
     def test_split_needs_both_checks(self):
@@ -809,7 +922,7 @@ class TestSwitch:
         want = [spectral_apply(sd, f) for f in (
             sw.g, sw.gprime, lambda x: np.exp(2j * np.pi * sw.g(x)))]
         got = operators.gap_switch_operators(sd, interval)
-        assert len(sd.sectors) == (1 if kind == "whole" else 2)
+        assert len(sd.sectors) == (1 if kind == "whole" else 4)
         for a, b in zip(got, want):
             assert np.abs(a - b).max() < 1e-13
 

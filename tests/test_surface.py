@@ -232,3 +232,35 @@ def test_only_the_interval_solve_loads_scipy_linalg():
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {
         "import": False, "dense": False, "verify_bic": True}
+
+
+# The bulk path alone on a constant field, whose square window splits into
+# the four quarter-turn sectors: the scipy modules it must not load.
+BULK_PROBE = """
+import json, sys
+from fractions import Fraction
+import iwalab as il
+
+win = il.LatticeWindow(5)
+h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(Fraction(1, 3)), win)
+sd = il.SpectralData.from_operator(h)
+il.chern_realspace(il.fermi_projection(sd, -1.366), margin=2)
+print(json.dumps({"sectors": len(sd.sectors), "loaded": [
+    m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+    if m in sys.modules]}))
+"""
+
+
+def test_bulk_path_loads_no_further_scipy_module():
+    # importing scipy.sparse.csgraph (which brings scipy.sparse.linalg and
+    # scipy.linalg) takes about 24 ms after numpy and scipy.sparse, and
+    # scipy.linalg alone about 18 ms (2 cores, warm file cache): time that
+    # would land in the first real-space Chern number of a process.  A
+    # fresh process, so that no other test's imports leak in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", BULK_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"sectors": 4,
+                                                        "loaded": []}
