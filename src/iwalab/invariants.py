@@ -357,9 +357,10 @@ def chern_realspace(P, margin=6):
     # blocks of C are made one at a time, each used with its adjoint
     tr = 0j
     for (u, s), c in blocks(mask.astype(float)):
-        one = {(u, s): c}
-        for u, s in [(u, s)] if u == s else [(u, s), (s, u)]:
-            z = _block(one, u, s)
+        pairs = [((u, s), c)]
+        if u != s:
+            pairs.append(((s, u), (c[0].conjugate(), c[1].conj().T)))
+        for (u, s), z in pairs:
             for t in range(len(frames)):
                 x, y = _block(a1, s, t), _block(a2, t, u)
                 if x is not None and y is not None:

@@ -669,7 +669,7 @@ class TestRealParityBlocks:
             g = g.toarray()
             # each column is an eigenvector of the inversion with sign s and
             # of the quarter turn with the character chi, on one sublattice
-            assert np.abs(g[inverted] - s * g).max() < 1e-15
+            assert np.array_equal(g[inverted], s * g)
             assert np.abs(u @ g - chi * g).max() < 1e-14
             assert all(np.unique(odd[np.flatnonzero(c)]).size == 1 for c in g.T)
             assert np.abs((g.conj().T @ h @ g).imag).max() < 1e-15
