@@ -199,6 +199,43 @@ def chern_tknn(flux, filled):
     return t - q if 2 * t > q else t
 
 
+# Largest size in bytes of the Bloch eigenvectors `chern_momentum` keeps
+# between calls, those of its most recent k-grid only: nk^2 q^2 16 bytes,
+# which admits q <= 24 at nk = 30 (`operators.MAX_BLOCH_ENTRIES` bounds the
+# grid itself).  A larger stack is released when the call returns.
+_MAX_HELD_BLOCH_BYTES = 2 ** 23
+
+
+class _BlochMemo:
+    """The Bloch eigensolve `chern_momentum` keeps between calls: `held` is
+    (key, ks, w, v) for the most recent (flux, nk) grid only, kept when its
+    eigenvectors take at most _MAX_HELD_BLOCH_BYTES and released before
+    another grid is solved."""
+
+    def __init__(self):
+        self.held = None
+
+    def clear(self):
+        self.held = None
+
+    def eigensolve(self, flux, nk):
+        """(ks, w, v): the k-grid of `_bloch_grid` and the eigenvalues and
+        eigenvectors of its Bloch matrices, one batched eigh per grid."""
+        key = (flux, nk)
+        if self.held is not None and self.held[0] == key:
+            return self.held[1:]
+        self.held = None
+        ks, h = _bloch_grid(flux, nk)
+        w, v = np.linalg.eigh(h)
+        del h
+        if v.nbytes <= _MAX_HELD_BLOCH_BYTES:
+            self.held = (key, ks, w, v)
+        return ks, w, v
+
+
+_BLOCH_MEMO = _BlochMemo()
+
+
 def chern_momentum(flux, gap_index=None, mu=None, nk=30):
     """Chern number of the Fermi projection below a bulk gap, by plaquette
     Berry curvature (the lattice field strength of the link variables of
@@ -209,7 +246,14 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
     `chern_tknn`, else ChernMismatch.
 
     gap_index counts open gaps from the bottom (1-based), with the Fermi
-    level at the gap's midpoint; alternatively give mu inside a gap."""
+    level at the gap's midpoint; alternatively give mu inside a gap.
+
+    The eigenvectors depend only on the flux and the grid, so one batched
+    eigh of the grid serves every gap: the module's `_BlochMemo` keeps the
+    eigensolve of the most recent grid, up to _MAX_HELD_BLOCH_BYTES of
+    eigenvectors.  Every call checks the grid against mu and sums its
+    plaquettes afresh, so a held grid returns the same float as a fresh
+    solve."""
     if nk < 1:
         raise ValueError("nk must be >= 1")
     flux = _as_flux_fraction(flux)
@@ -225,8 +269,7 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
         lo, hi = bs.gaps[gap_index - 1]
         mu = 0.5 * (lo + hi)
     r = _occupied_count(bs, mu)
-    ks, h = _bloch_grid(flux, nk)
-    w, v = np.linalg.eigh(h)
+    ks, w, v = _BLOCH_MEMO.eigensolve(flux, nk)
     closed = (w[..., r - 1] > mu) | (w[..., r] < mu)
     if closed.any():
         i, j = np.argwhere(closed)[0]
@@ -256,19 +299,25 @@ def _frame_blocks(frames):
     t of blocks is read off one sparse product Y = G* diag(x) G_t, G =
     [G_1 ... G_k] the frames' isometries side by side: block (s, t) is zero
     when Y stores no entry in the rows of sector s, and otherwise it is
-    v_s* Y_st v_t.  For real v, m is a real product when Y is real (unit 1)
-    or imaginary (unit 1j), and Y's parts are taken together otherwise."""
+    v_s* Y_st v_t.  With diagonal=True only the blocks (t, t) are made,
+    each from the rows G_t* diag(x) G_t of Y alone.  For real v, m is a
+    real product when Y is real (unit 1) or imaginary (unit 1j), and Y's
+    parts are taken together otherwise."""
     gh = sparse.vstack([g.conj().T for g, _ in frames], format="csr")
     edge = np.cumsum([0] + [v.shape[0] for _, v in frames])
     real = not any(np.iscomplexobj(v) for _, v in frames)
     adjoints = [v.T if real else v.conj().T for _, v in frames]
 
-    def blocks(x):
-        ghx = gh @ sparse.diags_array(x)
+    def blocks(x, diagonal=False):
+        d = sparse.diags_array(x)
+        ghx = None if diagonal else gh @ d
         for t, (gt, vt) in enumerate(frames):
-            y = ghx @ gt
-            rows = [s for s in range(t + 1)
-                    if y.indptr[edge[s + 1]] > y.indptr[edge[s]]]
+            # the diagonal blocks need the rows of sector t of Y alone
+            first = t if diagonal else 0
+            y = (gh[edge[t]:edge[t + 1]] @ d if diagonal else ghx) @ gt
+            at = edge - edge[first]          # the sectors' rows in y
+            rows = [s for s in range(first, t + 1)
+                    if y.indptr[at[s + 1]] > y.indptr[at[s]]]
             # the parts are tested on y.data: sorting the indices of y.real
             # or y.imag, as count_nonzero does, permutes a view of y.data
             unit = 1.0
@@ -277,7 +326,7 @@ def _frame_blocks(frames):
             elif real and not y.data.real.any():
                 unit, y = 1j, y.imag
             for s in rows:
-                yield (s, t), (unit, adjoints[s] @ (y[edge[s]:edge[s + 1]] @ vt))
+                yield (s, t), (unit, adjoints[s] @ (y[at[s]:at[s + 1]] @ vt))
 
     return blocks
 
@@ -322,12 +371,23 @@ def chern_realspace(P, margin=6):
     `SpectralData` the blocks G_s* X_j G_t within one parity and G_s* M G_t
     between the parities are empty and never formed (`_frame_blocks`).  On
     the two parity sectors each A_j is one off-diagonal block and its
-    adjoint, and C is sector-diagonal.  On the four quarter-turn sectors
-    each A_j has the four blocks between the even and the odd sectors, and
-    C, besides its diagonal, the blocks between the two sectors of each
-    parity, which vanish only to rounding and are formed anyway.  For real
-    frames every block is a real product times 1 or 1j.  The blocks of C
-    are made one at a time.
+    adjoint, and C is sector-diagonal.  For real frames every block is a
+    real product times 1 or 1j.  The blocks of C are made one at a time.
+
+    On the four quarter-turn sectors the frames carry the characters chi_s
+    of the magnetic quarter turn U, U F_s = chi_s F_s, and U is read
+    instead of formed.  U X1 U* = X2 gives A2_st = chi_s conj(chi_t) A1_st,
+    so only A1 is formed, with its four blocks between the even and the
+    odd sectors.  U M U* = M, which the square interior mask has, makes C
+    sector-diagonal, C_st = chi_s conj(chi_t) C_st, and only its four
+    diagonal blocks are formed.  That is exact for any mask: a block C_ts
+    between two sectors of one parity meets A1_su A2_ut only for u of the
+    other parity, where chi_s chi_t = chi_u^2, so C_ts and C_st add to the
+    real part of tr(A1 A2 C) alone, and a block between the parities meets
+    no nonzero A1_su A2_ut.  The trace is then the sum over s, t of
+    chi_t conj(chi_s) tr(A1_st A1_st* C_ss).  Without characters, as on
+    the parity sectors, slabs and whole solves, A2 and every block of C
+    are formed.
 
     A complement P = 1 - Q, Q = F F*, reads the value of Q negated:
     D_j P = -D_j Q, so P [D1 P, D2 P] = [D1 Q, D2 Q] - Q [D1 Q, D2 Q], and
@@ -337,11 +397,19 @@ def chern_realspace(P, margin=6):
 
     ||F*F - 1||_F <= GRAM_TOL certifies max |Q^2 - Q| <= GRAM_TOL
     (1 + GRAM_TOL) < 1e-6, and P^2 - P = Q^2 - Q for a complement;
-    NotProjection if not, or if P is not a `Projection`."""
+    NotProjection if not, if P is not a `Projection`, or if it carries
+    characters that are not one of 1, -1, i, -i per frame.  The characters
+    are trusted beyond that, so a Projection should carry those that
+    `fermi_projection` took from its `SpectralData`."""
     if not isinstance(P, Projection):
         raise NotProjection("chern_realspace reads the frames of a "
                             "Projection, not a LatticeOperator")
     frames = P.frames
+    chi = P.characters
+    if chi is not None and (len(chi) != len(frames)
+                            or any(c not in (1, -1, 1j, -1j) for c in chi)):
+        raise NotProjection(f"{len(frames)} frames carry the quarter-turn "
+                            f"characters {chi}")
     blocks = _frame_blocks(frames)
     dev = _gram_deviation(frames, blocks(np.ones(P.window.size)))
     if dev > GRAM_TOL:
@@ -351,20 +419,33 @@ def chern_realspace(P, margin=6):
     if not mask.any():
         raise EmptyInterior(f"margin {margin} leaves no interior sites")
     pos = P.window.positions().astype(float)
-    a1, a2 = (dict(blocks(x)) for x in (pos[:, 0], pos[:, 1]))
-    # A2 A1 = (A1 A2)*, so tr([A1, A2] C) = 2i Im tr(A1 A2 C) for the
-    # Hermitian C, summed over the sector triples (s, t, u) of A1 A2 C; the
-    # blocks of C are made one at a time, each used with its adjoint
     tr = 0j
-    for (u, s), c in blocks(mask.astype(float)):
-        pairs = [((u, s), c)]
-        if u != s:
-            pairs.append(((s, u), (c[0].conjugate(), c[1].conj().T)))
-        for (u, s), z in pairs:
-            for t in range(len(frames)):
-                x, y = _block(a1, s, t), _block(a2, t, u)
-                if x is not None and y is not None:
-                    tr += x[0] * y[0] * z[0] * np.einsum("ij,ji->", x[1] @ y[1], z[1])
+    if chi is not None:
+        # the sum over u, v of chi_v conj(chi_u) tr(A1_uv A1_uv* C_uu), read
+        # off the stored upper blocks m = A1_st: tr(m m* C_ss) for u = s and
+        # tr(m* m C_tt) for u = t (units have modulus 1); each diagonal
+        # block of C is made and used once
+        a1 = dict(blocks(pos[:, 0]))
+        for (u, _), (unit, c) in blocks(mask.astype(float), diagonal=True):
+            for (s, t), (_, m) in a1.items():
+                if s == u:
+                    tr += chi[t] * chi[u].conjugate() * unit * np.vdot(m, c @ m)
+                elif t == u:
+                    tr += chi[s] * chi[u].conjugate() * unit * np.vdot(m, m @ c)
+    else:
+        a1, a2 = (dict(blocks(x)) for x in (pos[:, 0], pos[:, 1]))
+        # A2 A1 = (A1 A2)*, so tr([A1, A2] C) = 2i Im tr(A1 A2 C) for the
+        # Hermitian C, summed over the sector triples (s, t, u) of A1 A2 C;
+        # the blocks of C are made one at a time, each used with its adjoint
+        for (u, s), c in blocks(mask.astype(float)):
+            pairs = [((u, s), c)]
+            if u != s:
+                pairs.append(((s, u), (c[0].conjugate(), c[1].conj().T)))
+            for (u, s), z in pairs:
+                for t in range(len(frames)):
+                    x, y = _block(a1, s, t), _block(a2, t, u)
+                    if x is not None and y is not None:
+                        tr += x[0] * y[0] * z[0] * np.einsum("ij,ji->", x[1] @ y[1], z[1])
     ch = float(4.0 * np.pi * tr.imag / mask.sum())    # 2 pi i <-2i Im tr>
     return -ch if P.complement else ch
 

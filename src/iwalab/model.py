@@ -481,12 +481,6 @@ def _bond_numerator(field, n):
     return 0
 
 
-def vector_potential_turns(field, n):
-    """Exact horizontal bond potential A(n, n - e1) in units of full turns
-    (value / 2*pi); the vertical bonds carry none."""
-    return Fraction(_bond_numerator(field, n), field._turn_numerators[0])
-
-
 def circulation(field, n, exact=True):
     """Four-bond loop sum of the exact gauge around the plaquette at n, as
     one Fraction of a turn; it equals value_turns(n), which is the

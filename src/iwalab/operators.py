@@ -391,9 +391,11 @@ def _split_by(pos, g, w):
 
 
 def _symmetry_sectors(window, h):
-    """Isometries onto the symmetry sectors of the sparse operator h, and
-    whether G*hG is real on them; None unless the window is closed under
-    the inversion P: n -> -n and h equals its inverted copy exactly.
+    """Isometries onto the symmetry sectors of the sparse operator h,
+    whether G*hG is real on them, and the characters of the magnetic
+    quarter turn on them (None on the parity sectors); None unless the
+    window is closed under the inversion P: n -> -n and h equals its
+    inverted copy exactly.
 
     The sectors are first (G+, G-), the even and odd sectors of P.  G+
     holds the origin when it is a site, so it has (N+1)/2 columns on an odd
@@ -415,9 +417,10 @@ def _symmetry_sectors(window, h):
     K R U = U* K R, so W = G+* U G+ and W = -i G-* U G- are real symmetric
     involutions.  Each parity sector is split into the +1 and -1
     eigenspaces of its W (`_split_by`), four sectors in all, on which U is
-    1, -1, i and -i: (G++, G+-, G-+, G--), each about N/4 columns, with
-    G*hG still real and every column on one sublattice.  Without U, or if
-    a split fails its check, the two parity sectors stand as they are."""
+    1, -1, i and -i, their characters: (G++, G+-, G-+, G--), each about N/4
+    columns, with G*hG still real and every column on one sublattice.
+    Without U, or if a split fails its check, the two parity sectors stand
+    as they are."""
     pos = window.positions()
     inv = _site_permutation(pos, -pos)
     if inv is None or (h[inv][:, inv] != h).nnz:
@@ -445,12 +448,12 @@ def _symmetry_sectors(window, h):
         sectors.append(g[:, keep] @ sparse.diags_array(1.0 / norms[keep]))
     u = _quarter_turn(pos, h) if real else None
     if u is None:
-        return sectors, real
+        return sectors, real, None
     split = [_split_by(pos, g, (unit * (g.conj().T @ u @ g)).real)
              for g, unit in zip(sectors, (1, -1j))]
     if None in split:
-        return sectors, real
-    return split[0] + split[1], real
+        return sectors, real, None
+    return split[0] + split[1], real, (1, -1, 1j, -1j)
 
 
 def _sublattice_sides(window, h, g):
@@ -476,31 +479,33 @@ def _sublattice_sides(window, h, g):
 
 
 def _hermitian_blocks(op):
-    """The dense blocks an eigensolve of op runs on, as (G, block, sides):
-    G is the isometry onto a sector of `_symmetry_sectors` if op commutes
-    exactly with the inversion n -> -n: one of the two parity sectors (real
-    blocks if op also commutes with K R), or, when real on a window closed
-    under the quarter turn, one of the four sectors of the magnetic quarter
-    turn, about N/4 columns each; else G is the identity.  If op hops only
-    between the sublattices of n1 + n2 even and odd (see
-    `_sublattice_sides`), the block is the half block X = G_a* op G_b and
-    sides = (a, b), solved by an SVD; otherwise the block is G*op G, with
-    sides None.  Both are numpy.linalg solves, on the LAPACK numpy links.
-    A real sector's block is the real part of the sparse product, made
-    dense as a real array.  ValueError unless op is Hermitian."""
+    """The dense blocks an eigensolve of op runs on, as (G, block, sides,
+    chi): G is the isometry onto a sector of `_symmetry_sectors` if op
+    commutes exactly with the inversion n -> -n: one of the two parity
+    sectors (real blocks if op also commutes with K R), or, when real on a
+    window closed under the quarter turn, one of the four sectors of the
+    magnetic quarter turn, about N/4 columns each; else G is the identity.
+    chi is the character of the quarter turn on a quarter-turn sector, and
+    None on every other.  If op hops only between the sublattices of
+    n1 + n2 even and odd (see `_sublattice_sides`), the block is the half
+    block X = G_a* op G_b and sides = (a, b), solved by an SVD; otherwise
+    the block is G*op G, with sides None.  Both are numpy.linalg solves,
+    on the LAPACK numpy links.  A real sector's block is the real part of
+    the sparse product, made dense as a real array.  ValueError unless op
+    is Hermitian."""
     require_hermitian(op)
     h = op.matrix
     found = _symmetry_sectors(op.window, h)
     if found is None:
         sectors = [sparse.eye_array(op.window.size, dtype=complex, format="csr")]
-        real = False
+        real, characters = False, None
     else:
-        sectors, real = found
-    for g in sectors:
+        sectors, real, characters = found
+    for g, chi in zip(sectors, characters or [None] * len(sectors)):
         sides = _sublattice_sides(op.window, h, g)
         rows, cols = (g, g) if sides is None else (g[:, sides[0]], g[:, sides[1]])
         x = rows.conj().T @ h @ cols
-        yield g, (x.real if real else x).toarray(), sides
+        yield g, (x.real if real else x).toarray(), sides, chi
 
 
 @dataclass(frozen=True)
@@ -569,7 +574,7 @@ def hermitian_eigenvalues(op):
     without eigenvectors on the blocks `SpectralData.from_operator` solves:
     +-s and |n_a - n_b| zeros from the singular values s of a half block."""
     values = []
-    for _, b, sides in _hermitian_blocks(op):
+    for _, b, sides, _ in _hermitian_blocks(op):
         if sides is None:
             values.append(eigvalsh(b))
         else:
@@ -590,21 +595,28 @@ class SpectralData:
     `ChiralFactors` (U, V*, a, b) of a chiral one, about half its size;
     `_eigenvector_columns` reads columns of either.  A whole solve is one
     sector whose G is the identity.  `eigenvalues` holds the eigenvalues of
-    all sectors in ascending order."""
+    all sectors in ascending order.  On the four quarter-turn sectors,
+    `characters` holds the character chi_s of the magnetic quarter turn U
+    on each, U G_s = chi_s G_s: 1, -1, i and -i; it is None on any other
+    sectors."""
 
     eigenvalues: np.ndarray
     sectors: tuple
     window: object
+    characters: tuple = None
 
     @staticmethod
     def from_operator(op):
         """Eigenvalues and orthonormal eigenvectors of the Hermitian
         operator op, solved on the blocks `_hermitian_blocks` gives."""
-        sectors = tuple(
-            (g, *(eigh(b) if sides is None else _chiral_eigh(b, *sides)))
-            for g, b, sides in _hermitian_blocks(op))
+        sectors, characters = [], []
+        for g, b, sides, chi in _hermitian_blocks(op):
+            sectors.append((g, *(eigh(b) if sides is None
+                                 else _chiral_eigh(b, *sides))))
+            characters.append(chi)
         w = np.sort(np.concatenate([wb for _, wb, _ in sectors]), kind="stable")
-        return SpectralData(w, sectors, op.window)
+        return SpectralData(w, tuple(sectors), op.window,
+                            None if None in characters else tuple(characters))
 
 
 @dataclass(frozen=True)
@@ -613,11 +625,17 @@ class Projection:
     isometry G and a block of columns v, with F the columns G v of all
     pairs side by side.  The projection is F F*, or 1 - F F* when
     `complement` is set, so a projection of rank r is held at rank
-    min(r, N - r).  Nothing here forms the N x N matrix."""
+    min(r, N - r).  Nothing here forms the N x N matrix.  `characters`, if
+    set, holds per frame the character chi_s of the magnetic quarter turn
+    U on its columns, U G_s v_s = chi_s G_s v_s (see `SpectralData`).
+    `chern_realspace` reads them without forming U, so they must be those
+    `fermi_projection` takes from the sectors; a Projection built from
+    other frames should leave them None."""
 
     window: object
     frames: tuple
     complement: bool = False
+    characters: tuple = None
 
     def diagonal(self):
         """Diagonal of the projection: the squared row norms of the
@@ -635,13 +653,15 @@ def fermi_projection(spectral, mu):
     occupied eigenvectors of each sector if 2r <= N, else the frames
     (G, v_unocc) of the unoccupied ones with complement=True.  The columns
     are fresh arrays from `_eigenvector_columns`, so the projection keeps
-    no sector alive: O(N min(r, N - r)) numbers and no N x N matrix."""
+    no sector alive: O(N min(r, N - r)) numbers and no N x N matrix.  The
+    frames carry the sectors' quarter-turn characters, if any."""
     cuts = [np.searchsorted(w, mu, side="right") for _, w, _ in spectral.sectors]
     complement = 2 * sum(cuts) > spectral.window.size
     return Projection(spectral.window, tuple(
         (g, _eigenvector_columns(v, r, w.size) if complement
          else _eigenvector_columns(v, 0, r))
-        for (g, w, v), r in zip(spectral.sectors, cuts)), complement)
+        for (g, w, v), r in zip(spectral.sectors, cuts)), complement,
+        spectral.characters)
 
 
 def _smoothstep(s):

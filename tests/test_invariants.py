@@ -208,7 +208,13 @@ class TestChernMomentum:
                     checked.add((flux, g))
         assert (Fraction(1, 6), 3) in checked and len(checked) == 68
 
-    def test_gap_closed_reports_first_crossing(self, monkeypatch):
+    # nothing memoized; the grid of 1/3 held; the grid of 1/3 released by
+    # the grid of 1/5
+    @pytest.mark.parametrize("before", [(), (THIRD,), (THIRD, Fraction(1, 5))],
+                             ids=["fresh", "held", "released"])
+    def test_gap_closed_reports_first_crossing(self, monkeypatch, before):
+        for flux in before:
+            il.chern_momentum(flux, gap_index=1)
         # band structure claims band 1 of flux 1/3 ends below mu = -2.1; on
         # the grid it reaches -2, so the plaquette sum must refuse
         fake = il.BandStructure(THIRD, 30, (-2.9, -0.5, 2.0),
@@ -283,8 +289,10 @@ class TestChernMomentum:
     def test_plaquette_sum_holds_two_link_fields(self):
         # the plaquettes are read from the two link fields u1, u2 of the
         # occupied frames, nk^2 numbers each, and the bound leaves no room
-        # for copies of the frames at all four corners (10.3 MiB here)
+        # for copies of the frames at all four corners (10.3 MiB here).
+        # The memo is cleared after the warm-up, so the traced call solves
         il.chern_momentum(Fraction(3, 7), gap_index=6)     # warm imports
+        invariants._BLOCH_MEMO.clear()
         tracemalloc.start()
         try:
             ch = il.chern_momentum(Fraction(3, 7), gap_index=6)
@@ -293,6 +301,66 @@ class TestChernMomentum:
             tracemalloc.stop()
         assert abs(ch - 2.0) < 1e-8
         assert peak <= 5 * 2 ** 20
+
+    def test_open_gaps_share_one_grid(self, monkeypatch):
+        # every gap of 6/7, first or repeated, reads the one batched
+        # eigensolve of the 30 x 30 grid
+        grids, original = [], operators.harper_bloch_matrix
+
+        def recorded(flux, k):
+            if np.shape(k[0]) == (30, 30):
+                grids.append(flux)
+            return original(flux, k)
+
+        monkeypatch.setattr(operators, "harper_bloch_matrix", recorded)
+        flux = Fraction(6, 7)
+        gaps = range(1, len(il.band_structure(flux).gaps) + 1)
+        first = [il.chern_momentum(flux, gap_index=g) for g in gaps]
+        again = [il.chern_momentum(flux, gap_index=g) for g in gaps]
+        assert len(first) == 6 and grids == [flux]
+        assert [round(ch) for ch in first] == [-1, -2, -3, 3, 2, 1]
+        assert again == first
+
+    def test_memo_returns_the_fresh_bits(self):
+        # for every open gap with q <= 11: a fresh memo, the eigenvectors
+        # held from another gap of the flux, and a repeated call give the
+        # same float bit for bit
+        memo = invariants._BLOCH_MEMO
+        count = 0
+        for q in range(2, 12):
+            for p in range(1, q):
+                if math.gcd(p, q) != 1:
+                    continue
+                flux = Fraction(p, q)
+                gaps = range(1, len(il.band_structure(flux).gaps) + 1)
+                fresh = []
+                for g in gaps:
+                    memo.clear()
+                    fresh.append(il.chern_momentum(flux, gap_index=g))
+                memo.clear()
+                held = [il.chern_momentum(flux, gap_index=g) for g in gaps]
+                again = [il.chern_momentum(flux, gap_index=g) for g in gaps]
+                assert [ch.hex() for ch in held] == [ch.hex() for ch in fresh]
+                assert [ch.hex() for ch in again] == [ch.hex() for ch in fresh]
+                count += len(fresh)
+        assert count == 272
+
+    def test_eigenvectors_above_the_bound_are_not_held(self):
+        # the grid of the smallest q whose nk^2 q^2 16 bytes of eigenvectors
+        # exceed the bound is released on return, and so is the grid held
+        # before it
+        memo = invariants._BLOCH_MEMO
+        bound = invariants._MAX_HELD_BLOCH_BYTES
+        q = next(q for q in range(2, 257) if 30 ** 2 * q ** 2 * 16 > bound)
+        ch = il.chern_momentum(THIRD, gap_index=1)
+        assert memo.held[0] == (THIRD, 30)
+        assert memo.held[3].nbytes <= bound
+        big = il.chern_momentum(Fraction(1, q), gap_index=1)
+        assert memo.held is None
+        assert round(big) == 1
+        assert il.chern_momentum(Fraction(1, q), gap_index=1) == big
+        assert memo.held is None
+        assert il.chern_momentum(THIRD, gap_index=1) == ch
 
 
 def frame(win, v):
@@ -391,6 +459,19 @@ class TestChernRealspace:
                                                   projection_matrix(P)),
                                margin=margin)
 
+    @pytest.mark.parametrize("drop,chi", [(1, None), (0, (1, -1, 1j, 2))])
+    def test_characters_must_fit_the_frames(self, drop, chi):
+        # orthonormal frames pass the Gram certificate, so characters that
+        # are too many for them, or not a character of the quarter turn,
+        # must be refused before they are read
+        sd, mu, margin = sector_case("real")
+        P = il.fermi_projection(sd, mu)
+        assert P.characters == (1, -1, 1j, -1j)
+        bad = il.Projection(P.window, P.frames[drop:], P.complement,
+                            chi or P.characters)
+        with pytest.raises(il.NotProjection):
+            il.chern_realspace(bad, margin=margin)
+
     def test_frame_path_memory_below_one_dense_matrix(self):
         # from_operator, fermi_projection and chern_realspace together
         # allocate less than one complex N x N matrix
@@ -408,11 +489,14 @@ class TestChernRealspace:
         assert abs(ch - 1.0) < 0.05
         assert peak < 16 * n * n
 
-    @pytest.mark.parametrize("flux,gap", [(THIRD, 1), (Fraction(4, 5), 4)])
+    @pytest.mark.parametrize("flux,gap", [(THIRD, 1), (Fraction(4, 5), 4),
+                                          (Fraction(2, 5), 2)])
     def test_frame_kernel_memory_below_eigensolve(self, flux, gap):
         # the Chern step on top of the eigenvectors allocates less than the
-        # eigensolve itself at a low and a high filling, so the rank does
-        # not set the peak of the path
+        # eigensolve itself (4.52 MiB with the gesdd workspace) from a low
+        # filling up to 2/5 (4.37 MiB at 2/5, gap 2), so the rank does not
+        # set the peak of the path there; at 3/7, gap 3 (rank 720 of 1681)
+        # it is above (4.75 MiB)
         lo, hi = il.band_structure(flux, nk=30).gaps[gap - 1]
         h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(flux),
                                     il.LatticeWindow(20))
@@ -428,6 +512,26 @@ class TestChernRealspace:
         finally:
             tracemalloc.stop()
         assert chern_peak < eig_peak
+
+    @pytest.mark.parametrize("half,margin", [((3.0, 3.9), 0.5),
+                                             ((8.0, 8.9), 2.5)])
+    def test_characters_hold_for_an_unturned_mask(self, half, margin):
+        # a square slab window whose interior mask is not invariant under
+        # the quarter turn: C has blocks between the two sectors of one
+        # parity, and they add to the real part of the trace alone
+        win = il.SlabWindow(ZERO, *half)
+        sd = il.SpectralData.from_operator(il.iwatsuka_hamiltonian(
+            il.ConstantField.from_turns(THIRD), win))
+        P = il.fermi_projection(sd, -1.366)
+        assert P.characters == (1, -1, 1j, -1j)
+        pos, mask = win.positions(), win.interior_mask(margin)
+        turned = pos[mask] @ np.array([[0, 1], [-1, 0]])    # (-n2, n1)
+        assert set(map(tuple, turned)) != set(map(tuple, pos[mask]))
+        (g0, v0), (g1, v1) = P.frames[:2]
+        f0, f1 = g0 @ v0, g1 @ v1
+        assert np.abs(f0.conj().T @ (mask[:, None] * f1)).max() > 1e-2
+        assert abs(il.chern_realspace(P, margin=margin)
+                   - chern_realspace_full(P, margin=margin)) < 1e-12
 
     def test_agrees_with_momentum_flux_third(self):
         field = il.ConstantField.from_turns(THIRD)

@@ -433,8 +433,16 @@ class TestFields:
                               Fraction(1, 6)), (make(), 0)):
             assert exact.value_turns((0, 0)) == base + extra
             assert il.circulation(exact, (0, 0), exact=True) == base + extra
-            assert il.model.vector_potential_turns(exact, (0, -1)) == \
+            assert vector_potential_turns(exact, (0, -1)) == \
                 -(base + extra)
+
+
+def vector_potential_turns(field, n):
+    """The package's exact horizontal bond potential A(n, n - e1) in turns:
+    the integer numerator of the column sums over the field's denominator
+    D; the vertical bonds carry none."""
+    return Fraction(il.model._bond_numerator(field, n),
+                    field._turn_numerators[0])
 
 
 def reference_potential(field, n):
@@ -514,7 +522,7 @@ def array_gauge(field, n1, n2):
 class TestGauge:
     def test_column_sums(self):
         f = il.ConstantField.from_turns(Fraction(1, 6))
-        A = il.model.vector_potential_turns
+        A = vector_potential_turns
         assert A(f, (7, 3)) == 3 * f.b_plus_turns
         assert A(f, (7, -2)) == -2 * f.b_plus_turns
         assert A(f, (7, 0)) == 0
@@ -524,7 +532,7 @@ class TestGauge:
         f = il.IwatsukaField.from_turns(il.PlusInfinity, Fraction(1, 3), Fraction(2, 3))
         for n1 in (-2, 0, 3):
             for n2 in (-4, -1, 0, 2, 5):
-                assert il.model.vector_potential_turns(f, (n1, n2)) == \
+                assert vector_potential_turns(f, (n1, n2)) == \
                     n2 * f.value_turns((n1, n2))
 
     @pytest.mark.parametrize("field", [
@@ -545,7 +553,7 @@ class TestGauge:
         # the row-count column sums against the per-site sums they replace,
         # as equal Fractions in turns
         for n in il.LatticeWindow(10).sites:
-            assert il.model.vector_potential_turns(field, n) == \
+            assert vector_potential_turns(field, n) == \
                 reference_potential(field, n)
 
     @pytest.mark.parametrize("field", GAUGE_FIELDS, ids=GAUGE_IDS)
@@ -617,7 +625,7 @@ class TestGauge:
         # each perturbed site and the rows next to it in its column
         sites += [(n1, n2 + dy) for n1, n2 in pert for dy in (-1, 0, 1)]
         for n in sites:
-            got = il.model.vector_potential_turns(field, n)
+            got = vector_potential_turns(field, n)
             assert type(got) is Fraction
             assert got == reference_potential_turns(field, n)
             circ = il.circulation(field, n, exact=True)

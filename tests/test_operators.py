@@ -16,7 +16,7 @@ from iwalab.operators import (magnetic_translation, shifted_flux_diagonal,
 from dense_spectral import (chern_realspace_full, merged_eigenvectors,
                             projection_matrix, sector_eigenvectors,
                             spectral_apply)
-from test_model import GAUGE_FIELDS
+from test_model import GAUGE_FIELDS, vector_potential_turns
 
 SQRT2 = il.QuadraticIrrationalSlope(0, 1, 1, 2)
 HALF = il.RationalSlope(1, 2)
@@ -128,7 +128,7 @@ class TestTranslations:
         index = {s: i for i, s in enumerate(win.sites)}
         for i, (n1, n2) in enumerate(win.sites):
             if (n1 - 1, n2) in index:
-                num = il.model.vector_potential_turns(field, (n1, n2)) * D
+                num = vector_potential_turns(field, (n1, n2)) * D
                 want[i, index[n1 - 1, n2]] = operators._turn_phases(
                     [int(num)], D)[0]
         assert s1.tobytes() == want.tobytes()
@@ -521,15 +521,21 @@ def sector_block_shapes(win):
 
 
 def quarter_turn(win, flux):
-    """The dense magnetic quarter turn U = D Pi_T of a constant field of
-    `flux` turns in the standard gauge, D = e^{2 pi i flux n1 n2}:
-    (U psi)(Tn) = d_Tn psi(n) for T: (n1, n2) -> (-n2, n1)."""
+    """The magnetic quarter turn U = D Pi_T of a constant field of `flux`
+    turns in the standard gauge, D = e^{2 pi i flux n1 n2} with p n1 n2
+    reduced mod q for flux = p/q, as a sparse array: (U psi)(Tn) = d_Tn
+    psi(n) for T: (n1, n2) -> (-n2, n1)."""
     pos = win.positions()
     turned = turned_sites(win)
-    u = np.zeros((win.size, win.size), dtype=complex)
-    u[turned, np.arange(win.size)] = np.exp(
-        2j * np.pi * float(flux) * pos[:, 0] * pos[:, 1])[turned]
-    return u
+    p, q = flux.numerator, flux.denominator
+    d = np.exp(2j * np.pi * (p * pos[:, 0] * pos[:, 1] % q) / q)
+    return sparse.csr_array((d[turned], (turned, np.arange(win.size))),
+                            shape=(win.size, win.size))
+
+
+# the characters of the magnetic quarter turn on the four sectors G++, G+-,
+# G-+ and G--
+QUARTER_CHARACTERS = (1, -1, 1j, -1j)
 
 
 class ListedWindow:
@@ -653,8 +659,9 @@ class TestRealParityBlocks:
                                      SHUFFLED_SQUARE])
     def test_sectors_are_sparse_isometries(self, win):
         h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix
-        sectors, real = operators._symmetry_sectors(win, h)
+        sectors, real, characters = operators._symmetry_sectors(win, h)
         assert real and len(sectors) == 4
+        assert characters == QUARTER_CHARACTERS
         # a column spans one orbit of the quarter turn and the reflection
         assert max(np.diff(g.indptr).max() for g in sectors) <= 8
         G = sparse.hstack(sectors).toarray()
@@ -664,8 +671,8 @@ class TestRealParityBlocks:
         inverted = [site[tuple(-p)] for p in pos]
         odd = (pos[:, 0] + pos[:, 1]) % 2 == 1
         u = quarter_turn(win, Fraction(1, 3))
-        assert np.abs(u @ h @ u.conj().T - h).max() < 1e-14
-        for g, s, chi in zip(sectors, (1, 1, -1, -1), (1, -1, 1j, -1j)):
+        assert abs(u @ h @ u.conj().T - h).max() < 1e-14
+        for g, s, chi in zip(sectors, (1, 1, -1, -1), characters):
             g = g.toarray()
             # each column is an eigenvector of the inversion with sign s and
             # of the quarter turn with the character chi, on one sublattice
@@ -685,8 +692,15 @@ class TestRealParityBlocks:
         assert len(sd.sectors) == 4
         w0 = np.linalg.eigvalsh(H.matrix.toarray())
         assert np.abs(sd.eigenvalues - w0).max() < 1e-12
+        # the characters carried are those of the closed-form quarter turn
+        # on the sector isometries, and reach the projection's frames
+        u = quarter_turn(win, flux)
+        assert sd.characters == QUARTER_CHARACTERS
+        for (g, _, _), chi in zip(sd.sectors, sd.characters):
+            assert abs(u @ g - chi * g).max() < 1e-14
         lo, hi = il.band_structure(flux).gaps[gap - 1]
         P = il.fermi_projection(sd, 0.5 * (lo + hi))
+        assert P.characters == QUARTER_CHARACTERS
         assert abs(il.chern_realspace(P, margin=6)
                    - chern_realspace_full(P, margin=6)) < 1e-12
 
@@ -709,10 +723,11 @@ class TestRealParityBlocks:
             win = SYMMETRIC_SLAB
             h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix
         assert operators._quarter_turn(win.positions(), h) is None
-        sectors, real = operators._symmetry_sectors(win, h)
+        sectors, real, characters = operators._symmetry_sectors(win, h)
         monkeypatch.setattr(operators, "_quarter_turn", lambda *args: None)
-        parity, parity_real = operators._symmetry_sectors(win, h)
+        parity, parity_real, _ = operators._symmetry_sectors(win, h)
         assert real == parity_real and len(sectors) == len(parity) == 2
+        assert characters is None
         for g, want in zip(sectors, parity):
             for attr in ("data", "indices", "indptr"):
                 assert getattr(g, attr).tobytes() == getattr(want, attr).tobytes()
