@@ -8,6 +8,7 @@ calibrated once against the interface shift unitary of the minimal strip,
 whose winding must be +1, and recorded in every report.
 """
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -202,38 +203,19 @@ def chern_tknn(flux, filled):
 # Largest size in bytes of the Bloch eigenvectors `chern_momentum` keeps
 # between calls, those of its most recent k-grid only: nk^2 q^2 16 bytes,
 # which admits q <= 24 at nk = 30 (`operators.MAX_BLOCH_ENTRIES` bounds the
-# grid itself).  A larger stack is released when the call returns.
+# grid itself).  A larger grid is solved without being held.
 _MAX_HELD_BLOCH_BYTES = 2 ** 23
 
 
-class _BlochMemo:
-    """The Bloch eigensolve `chern_momentum` keeps between calls: `held` is
-    (key, ks, w, v) for the most recent (flux, nk) grid only, kept when its
-    eigenvectors take at most _MAX_HELD_BLOCH_BYTES and released before
-    another grid is solved."""
-
-    def __init__(self):
-        self.held = None
-
-    def clear(self):
-        self.held = None
-
-    def eigensolve(self, flux, nk):
-        """(ks, w, v): the k-grid of `_bloch_grid` and the eigenvalues and
-        eigenvectors of its Bloch matrices, one batched eigh per grid."""
-        key = (flux, nk)
-        if self.held is not None and self.held[0] == key:
-            return self.held[1:]
-        self.held = None
-        ks, h = _bloch_grid(flux, nk)
-        w, v = np.linalg.eigh(h)
-        del h
-        if v.nbytes <= _MAX_HELD_BLOCH_BYTES:
-            self.held = (key, ks, w, v)
-        return ks, w, v
+def _bloch_eigensolve(flux, nk):
+    """(ks, w, v): the k-grid of `_bloch_grid` and the eigenvalues and
+    eigenvectors of its Bloch matrices, one batched eigh per grid."""
+    ks, h = _bloch_grid(flux, nk)
+    w, v = np.linalg.eigh(h)
+    return ks, w, v
 
 
-_BLOCH_MEMO = _BlochMemo()
+_held_bloch_eigensolve = functools.lru_cache(maxsize=1)(_bloch_eigensolve)
 
 
 def chern_momentum(flux, gap_index=None, mu=None, nk=30):
@@ -247,15 +229,18 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
 
     gap_index counts open gaps from the bottom (1-based), with the Fermi
     level at the gap's midpoint; alternatively give mu inside a gap.
+    ValueError if both are given.
 
     The eigenvectors depend only on the flux and the grid, so one batched
-    eigh of the grid serves every gap: the module's `_BlochMemo` keeps the
-    eigensolve of the most recent grid, up to _MAX_HELD_BLOCH_BYTES of
-    eigenvectors.  Every call checks the grid against mu and sums its
-    plaquettes afresh, so a held grid returns the same float as a fresh
-    solve."""
+    eigh of the grid serves every gap: `_held_bloch_eigensolve` keeps the
+    eigensolve of the most recent grid if its eigenvectors take at most
+    _MAX_HELD_BLOCH_BYTES, and a larger grid releases it and is not held.
+    Every call checks the grid against mu and sums its plaquettes afresh,
+    so a held grid returns the same float as a fresh solve."""
     if nk < 1:
         raise ValueError("nk must be >= 1")
+    if gap_index is not None and mu is not None:
+        raise ValueError("give gap_index or mu, not both")
     flux = _as_flux_fraction(flux)
     if gap_index is None and mu is None:
         if flux.denominator == 1:
@@ -269,7 +254,11 @@ def chern_momentum(flux, gap_index=None, mu=None, nk=30):
         lo, hi = bs.gaps[gap_index - 1]
         mu = 0.5 * (lo + hi)
     r = _occupied_count(bs, mu)
-    ks, w, v = _BLOCH_MEMO.eigensolve(flux, nk)
+    if 16 * (nk * flux.denominator) ** 2 <= _MAX_HELD_BLOCH_BYTES:
+        ks, w, v = _held_bloch_eigensolve(flux, nk)
+    else:
+        _held_bloch_eigensolve.cache_clear()
+        ks, w, v = _bloch_eigensolve(flux, nk)
     closed = (w[..., r - 1] > mu) | (w[..., r] < mu)
     if closed.any():
         i, j = np.argwhere(closed)[0]
@@ -364,30 +353,19 @@ def chern_realspace(P, margin=6):
     value as the window grows.
 
     P is a `Projection` F F* with F the columns G_s v_s of its frames.  For
-    orthonormal F, P [D1 P, D2 P] = -F [A1, A2] F* with A_j = F* X_j F and
-    X_j the position n_j, so the interior trace is -tr([A1, A2] C) with
-    C = F* M F and M the interior mask: only r x r matrices are formed (r
-    the rank).  X_j is odd and M even under n -> -n, so on the sectors of
-    `SpectralData` the blocks G_s* X_j G_t within one parity and G_s* M G_t
-    between the parities are empty and never formed (`_frame_blocks`).  On
-    the two parity sectors each A_j is one off-diagonal block and its
-    adjoint, and C is sector-diagonal.  For real frames every block is a
-    real product times 1 or 1j.  The blocks of C are made one at a time.
+    orthonormal F, P [D1 P, D2 P] = -F [A1, A2] F* with A_j = F* X_j F, X_j
+    the position n_j, so the interior trace is -tr([A1, A2] C) with
+    C = F* M F and M the interior mask: only the blocks of these r x r
+    matrices that `_frame_blocks` finds nonzero are formed.
 
-    On the four quarter-turn sectors the frames carry the characters chi_s
-    of the magnetic quarter turn U, U F_s = chi_s F_s, and U is read
-    instead of formed.  U X1 U* = X2 gives A2_st = chi_s conj(chi_t) A1_st,
-    so only A1 is formed, with its four blocks between the even and the
-    odd sectors.  U M U* = M, which the square interior mask has, makes C
-    sector-diagonal, C_st = chi_s conj(chi_t) C_st, and only its four
-    diagonal blocks are formed.  That is exact for any mask: a block C_ts
-    between two sectors of one parity meets A1_su A2_ut only for u of the
-    other parity, where chi_s chi_t = chi_u^2, so C_ts and C_st add to the
-    real part of tr(A1 A2 C) alone, and a block between the parities meets
-    no nonzero A1_su A2_ut.  The trace is then the sum over s, t of
-    chi_t conj(chi_s) tr(A1_st A1_st* C_ss).  Without characters, as on
-    the parity sectors, slabs and whole solves, A2 and every block of C
-    are formed.
+    Frames that carry the characters chi_s of the magnetic quarter turn U,
+    U F_s = chi_s F_s, have U read instead of formed: U X1 U* = X2 gives
+    A2_st = chi_s conj(chi_t) A1_st, and U M U* = M leaves only the
+    diagonal blocks of C in Im tr(A1 A2 C).  A block C_ts between the two
+    sectors of one parity meets A1_su A2_ut only for u of the other
+    parity, where chi_s chi_t = chi_u^2, so C_ts and C_st add to the real
+    part alone, and a block between the parities meets no nonzero
+    A1_su A2_ut.
 
     A complement P = 1 - Q, Q = F F*, reads the value of Q negated:
     D_j P = -D_j Q, so P [D1 P, D2 P] = [D1 Q, D2 Q] - Q [D1 Q, D2 Q], and
@@ -419,33 +397,25 @@ def chern_realspace(P, margin=6):
     if not mask.any():
         raise EmptyInterior(f"margin {margin} leaves no interior sites")
     pos = P.window.positions().astype(float)
-    tr = 0j
-    if chi is not None:
-        # the sum over u, v of chi_v conj(chi_u) tr(A1_uv A1_uv* C_uu), read
-        # off the stored upper blocks m = A1_st: tr(m m* C_ss) for u = s and
-        # tr(m* m C_tt) for u = t (units have modulus 1); each diagonal
-        # block of C is made and used once
-        a1 = dict(blocks(pos[:, 0]))
-        for (u, _), (unit, c) in blocks(mask.astype(float), diagonal=True):
-            for (s, t), (_, m) in a1.items():
-                if s == u:
-                    tr += chi[t] * chi[u].conjugate() * unit * np.vdot(m, c @ m)
-                elif t == u:
-                    tr += chi[s] * chi[u].conjugate() * unit * np.vdot(m, m @ c)
+    a1 = dict(blocks(pos[:, 0]))
+    if chi is None:
+        a2 = dict(blocks(pos[:, 1]))
     else:
-        a1, a2 = (dict(blocks(x)) for x in (pos[:, 0], pos[:, 1]))
-        # A2 A1 = (A1 A2)*, so tr([A1, A2] C) = 2i Im tr(A1 A2 C) for the
-        # Hermitian C, summed over the sector triples (s, t, u) of A1 A2 C;
-        # the blocks of C are made one at a time, each used with its adjoint
-        for (u, s), c in blocks(mask.astype(float)):
-            pairs = [((u, s), c)]
-            if u != s:
-                pairs.append(((s, u), (c[0].conjugate(), c[1].conj().T)))
-            for (u, s), z in pairs:
-                for t in range(len(frames)):
-                    x, y = _block(a1, s, t), _block(a2, t, u)
-                    if x is not None and y is not None:
-                        tr += x[0] * y[0] * z[0] * np.einsum("ij,ji->", x[1] @ y[1], z[1])
+        a2 = {(s, t): (chi[s] * chi[t].conjugate() * unit, m)
+              for (s, t), (unit, m) in a1.items()}
+    # A2 A1 = (A1 A2)*, so tr([A1, A2] C) = 2i Im tr(A1 A2 C) for the
+    # Hermitian C, summed over the sector triples (s, t, u) of A1 A2 C; the
+    # blocks of C are made one at a time, each used with its adjoint
+    tr = 0j
+    for (u, s), c in blocks(mask.astype(float), diagonal=chi is not None):
+        pairs = [((u, s), c)]
+        if u != s:
+            pairs.append(((s, u), (c[0].conjugate(), c[1].conj().T)))
+        for (u, s), z in pairs:
+            for t in range(len(frames)):
+                x, y = _block(a1, s, t), _block(a2, t, u)
+                if x is not None and y is not None:
+                    tr += x[0] * y[0] * z[0] * np.einsum("ij,ji->", x[1] @ y[1], z[1])
     ch = float(4.0 * np.pi * tr.imag / mask.sum())    # 2 pi i <-2i Im tr>
     return -ch if P.complement else ch
 

@@ -7,6 +7,6 @@ from iwalab import invariants
 def fresh_bloch_memo():
     """Each test starts and ends with an empty `chern_momentum` memo, so
     no test reads a Bloch eigensolve another one left."""
-    invariants._BLOCH_MEMO.clear()
+    invariants._held_bloch_eigensolve.cache_clear()
     yield
-    invariants._BLOCH_MEMO.clear()
+    invariants._held_bloch_eigensolve.cache_clear()

@@ -226,6 +226,14 @@ class TestChernMomentum:
         assert str(excinfo.value) == (f"band crossing through mu=-2.1000 at "
                                       f"k=({k[0]:.3f},{k[1]:.3f})")
 
+    def test_gap_index_and_mu_are_not_both_taken(self):
+        # mu = -1.5 lies in gap 1 of 1/3, whose Chern number is +1; with
+        # gap_index=2 beside it one of the two would be silently dropped
+        assert round(il.chern_momentum(THIRD, mu=-1.5)) == 1
+        assert round(il.chern_momentum(THIRD, gap_index=2)) == -1
+        with pytest.raises(ValueError, match="not both"):
+            il.chern_momentum(THIRD, gap_index=2, mu=-1.5)
+
     def test_inexact_flux_is_irrational(self):
         # Fraction(0.333) has denominator 2**54; it must not reach numpy
         with pytest.raises(il.IrrationalFlux):
@@ -292,7 +300,7 @@ class TestChernMomentum:
         # for copies of the frames at all four corners (10.3 MiB here).
         # The memo is cleared after the warm-up, so the traced call solves
         il.chern_momentum(Fraction(3, 7), gap_index=6)     # warm imports
-        invariants._BLOCH_MEMO.clear()
+        invariants._held_bloch_eigensolve.cache_clear()
         tracemalloc.start()
         try:
             ch = il.chern_momentum(Fraction(3, 7), gap_index=6)
@@ -325,7 +333,7 @@ class TestChernMomentum:
         # for every open gap with q <= 11: a fresh memo, the eigenvectors
         # held from another gap of the flux, and a repeated call give the
         # same float bit for bit
-        memo = invariants._BLOCH_MEMO
+        memo = invariants._held_bloch_eigensolve
         count = 0
         for q in range(2, 12):
             for p in range(1, q):
@@ -335,9 +343,9 @@ class TestChernMomentum:
                 gaps = range(1, len(il.band_structure(flux).gaps) + 1)
                 fresh = []
                 for g in gaps:
-                    memo.clear()
+                    memo.cache_clear()
                     fresh.append(il.chern_momentum(flux, gap_index=g))
-                memo.clear()
+                memo.cache_clear()
                 held = [il.chern_momentum(flux, gap_index=g) for g in gaps]
                 again = [il.chern_momentum(flux, gap_index=g) for g in gaps]
                 assert [ch.hex() for ch in held] == [ch.hex() for ch in fresh]
@@ -349,17 +357,20 @@ class TestChernMomentum:
         # the grid of the smallest q whose nk^2 q^2 16 bytes of eigenvectors
         # exceed the bound is released on return, and so is the grid held
         # before it
-        memo = invariants._BLOCH_MEMO
+        memo = invariants._held_bloch_eigensolve
         bound = invariants._MAX_HELD_BLOCH_BYTES
         q = next(q for q in range(2, 257) if 30 ** 2 * q ** 2 * 16 > bound)
         ch = il.chern_momentum(THIRD, gap_index=1)
-        assert memo.held[0] == (THIRD, 30)
-        assert memo.held[3].nbytes <= bound
+        # the one grid held is that of (1/3, 30): reading it is a hit
+        hits = memo.cache_info().hits
+        assert memo.cache_info().currsize == 1
+        assert memo(THIRD, 30)[2].nbytes <= bound
+        assert memo.cache_info().hits == hits + 1
         big = il.chern_momentum(Fraction(1, q), gap_index=1)
-        assert memo.held is None
+        assert memo.cache_info().currsize == 0
         assert round(big) == 1
         assert il.chern_momentum(Fraction(1, q), gap_index=1) == big
-        assert memo.held is None
+        assert memo.cache_info().currsize == 0
         assert il.chern_momentum(THIRD, gap_index=1) == ch
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -701,8 +702,11 @@ class TestRealParityBlocks:
         lo, hi = il.band_structure(flux).gaps[gap - 1]
         P = il.fermi_projection(sd, 0.5 * (lo + hi))
         assert P.characters == QUARTER_CHARACTERS
-        assert abs(il.chern_realspace(P, margin=6)
-                   - chern_realspace_full(P, margin=6)) < 1e-12
+        ch = il.chern_realspace(P, margin=6)
+        assert abs(ch - chern_realspace_full(P, margin=6)) < 1e-12
+        # without the characters A2 and every block of C are formed
+        plain = dataclasses.replace(P, characters=None)
+        assert abs(il.chern_realspace(plain, margin=6) - ch) < 1e-12
 
     @pytest.mark.parametrize("kind", ["perturbed", "slab", "one-site"])
     def test_without_quarter_turn_keeps_parity_sectors(self, kind, monkeypatch):

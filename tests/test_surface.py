@@ -62,11 +62,15 @@ def test_pruned_names_stay_out():
                  "vector_potential", "trace_bulk"):
         assert not hasattr(iwalab, name)
     # the dense operator form: every LatticeOperator is a CSR array, a
-    # Projection is its frames, and the winding moments are sparse only
+    # Projection is its frames, and the winding moments are sparse only;
+    # and the hand-written Bloch memo, since a functools.lru_cache holds
+    # the grid of chern_momentum
     invariants = importlib.import_module("iwalab.invariants")
     for owner, name in ((iwalab.LatticeOperator, "dense"),
                         (iwalab.Projection, "dense"),
-                        (invariants, "MOMENT_CHUNK")):
+                        (invariants, "MOMENT_CHUNK"),
+                        (invariants, "_BlochMemo"),
+                        (invariants, "_BLOCH_MEMO")):
         assert not hasattr(owner, name), name
 
 
