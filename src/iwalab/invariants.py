@@ -191,9 +191,13 @@ def chern_tknn(flux, filled):
     exact integer: the t of the TKNN Diophantine equation
     filled = q*s + p*t with |t| < q/2 (Thouless, Kohmoto, Nightingale and
     den Nijs, PRL 49, 405 (1982)).  GapClosed when there is none: the
-    central gap of an even q, where the two middle bands touch."""
+    central gap of an even q, where the two middle bands touch.  ValueError
+    unless 0 <= filled <= q; no band (filled = 0) and all q bands are the
+    empty and the full projection, Chern number 0."""
     flux = _as_flux_fraction(flux)
     p, q = flux.numerator, flux.denominator
+    if not 0 <= filled <= q:
+        raise ValueError(f"flux {flux} has {q} bands, not {filled}")
     t = filled * pow(p, -1, q) % q            # p*t = filled mod q
     if 2 * t == q:
         raise GapClosed(f"flux {flux} has no open gap above {filled} bands")
@@ -378,7 +382,8 @@ def chern_realspace(P, margin=6):
     NotProjection if not, if P is not a `Projection`, or if it carries
     characters that are not one of 1, -1, i, -i per frame.  The characters
     are trusted beyond that, so a Projection should carry those that
-    `fermi_projection` took from its `SpectralData`."""
+    `fermi_projection` took from its `SpectralData`, which
+    `operators._symmetry_sectors` certified."""
     if not isinstance(P, Projection):
         raise NotProjection("chern_realspace reads the frames of a "
                             "Projection, not a LatticeOperator")

@@ -227,7 +227,10 @@ def harper_bloch_matrix(flux, k):
 
 def _bloch_grid(flux, nk):
     """The k-grid 2*pi*j/nk, j < nk, and the Bloch matrices on its square,
-    shape (nk, nk, q, q); BudgetExceeded past MAX_BLOCH_ENTRIES entries."""
+    shape (nk, nk, q, q); ValueError unless nk >= 1, BudgetExceeded past
+    MAX_BLOCH_ENTRIES entries."""
+    if nk < 1:
+        raise ValueError("nk must be >= 1")
     flux = _as_flux_fraction(flux)
     if nk * nk * flux.denominator ** 2 > MAX_BLOCH_ENTRIES:
         raise BudgetExceeded(f"the Bloch matrices at flux {flux} on the {nk} x "
@@ -346,50 +349,6 @@ def _quarter_turn(pos, h):
     return sparse.csc_array((d[turn], (turn, np.arange(n))), shape=(n, n))
 
 
-def _split_by(pos, g, w):
-    """The isometries g Q+ and g Q- onto the +1 and -1 eigenspaces of the
-    real symmetric involution w on the columns of the sparse isometry g, or
-    None if an eigenvalue of w is not +-1 within HERMITIAN_TOL.  w joins
-    only columns on one orbit {n, Tn, -n, -Tn, Rn, ...} of the quarter turn
-    T and the reflection R: n2 -> -n2, which holds 1, 2 or 4 of them, so
-    the eigenspaces come from one batched eigh of the orbits' blocks,
-    padded with zeros to the largest (numpy's eigh, not this module's
-    block solver).  An orbit lies on one sublattice, so each column of
-    g Q+- does too."""
-    g = sparse.csc_array(g)
-    k = g.shape[1]
-    # the orbit of each column, keyed by (max, min) of |n1|, |n2| at its
-    # first site, and the column's place in it
-    a = np.abs(pos[g.indices[g.indptr[:-1]]])
-    key = a.max(axis=1) * (a.max() + 1) + a.min(axis=1)
-    order = np.argsort(key, kind="stable")
-    _, start, count = np.unique(key[order], return_index=True,
-                                return_counts=True)
-    orbit, place = np.empty(k, dtype=int), np.empty(k, dtype=int)
-    orbit[order] = np.repeat(np.arange(start.size), count)
-    place[order] = np.arange(k) - start[orbit[order]]
-    size = count.max()
-    w = sparse.coo_array(w)
-    blocks = np.zeros((start.size, size, size))
-    blocks[orbit[w.row], place[w.row], place[w.col]] = w.data
-    val, vec = np.linalg.eigh(blocks)
-    # a padding slot holds an eigenvalue 0, every other one +-1
-    found = np.abs(val) > 0.5
-    if found.sum() != k or np.abs(np.abs(val[found]) - 1.0).max() > HERMITIAN_TOL:
-        return None
-    used = np.arange(size) < count[:, None]
-    members = order[np.minimum(start[:, None] + np.arange(size), k - 1)]
-    out = []
-    for sign in (1.0, -1.0):
-        o, j = np.nonzero(sign * val > 0.5)
-        col = np.broadcast_to(np.arange(o.size)[:, None], (o.size, size))
-        keep = used[o]
-        q = sparse.csc_array((vec[o, :, j][keep], (members[o][keep], col[keep])),
-                             shape=(k, o.size))
-        out.append(sparse.csc_array(g @ q))
-    return out
-
-
 def _symmetry_sectors(window, h):
     """Isometries onto the symmetry sectors of the sparse operator h,
     whether G*hG is real on them, and the characters of the magnetic
@@ -397,30 +356,35 @@ def _symmetry_sectors(window, h):
     window is closed under the inversion P: n -> -n and h equals its
     inverted copy exactly.
 
-    The sectors are first (G+, G-), the even and odd sectors of P.  G+
-    holds the origin when it is a site, so it has (N+1)/2 columns on an odd
-    window and G- (N-1)/2.  If the window is also closed under the
-    reflection R: n2 -> -n2 and h equals the complex conjugate of its
-    reflected copy exactly, as a constant field does in the standard gauge
-    A(n, n - e1) = b n2, then the antiunitary K R (K complex conjugation)
-    commutes with h and with P, and each sector is spanned by K R-invariant
-    vectors, in which h is real symmetric: on the orbit {n, -n, Rn, -Rn},
-    sector s = +-1 takes (c + Rc)/sqrt2 and i(c - Rc)/sqrt2 with
-    c = (d_n + s d_-n)/sqrt2, those that are nonzero, normalized (one
-    vector on the axes, where Rn = +-n).  Otherwise R is taken as the
-    identity, which leaves the real parity vectors c, and G*hG is complex
-    Hermitian.
+    One construction builds the sectors of a unitary U with U^2 = P: the
+    magnetic quarter turn U = D Pi_T (`_quarter_turn`), characters 1, -1,
+    i and -i, about N/4 columns each, if h is K R-real (below), the window
+    is closed under the quarter turn and U is found; else U = P itself,
+    characters 1 and -1, whose even sector holds the origin when it is a
+    site, (N+1)/2 columns on an odd window and the odd sector (N-1)/2.  On
+    the orbit n, Un, ... of each site, sector chi takes
+    x = sum_k conj(chi)^k U^k e_n, with U^2 = P taken as exact, so every
+    column has the exact parity chi^2 and lies on one sublattice.
 
-    P and K R are tested exactly (no tolerance).  If the sectors are real,
-    the window holds the origin and h commutes with a magnetic quarter turn
-    U = D Pi_T within HERMITIAN_TOL (`_quarter_turn`), then U^2 = P, and
-    K R U = U* K R, so W = G+* U G+ and W = -i G-* U G- are real symmetric
-    involutions.  Each parity sector is split into the +1 and -1
-    eigenspaces of its W (`_split_by`), four sectors in all, on which U is
-    1, -1, i and -i, their characters: (G++, G+-, G-+, G--), each about N/4
-    columns, with G*hG still real and every column on one sublattice.
-    Without U, or if a split fails its check, the two parity sectors stand
-    as they are."""
+    If the window is also closed under the reflection R: n2 -> -n2 and h
+    equals the complex conjugate of its reflected copy exactly, as a
+    constant field does in the standard gauge A(n, n - e1) = b n2, then the
+    antiunitary K R (K complex conjugation) commutes with h, K R U = U* K R,
+    and K R maps each sector to itself.  The sector then takes the K R-
+    invariant x + K R x and i(x - K R x), in which h is real symmetric: both
+    if R moves the orbit off itself, else the longer of the two, which are
+    parallel there.  Otherwise R is taken as the identity, which leaves x
+    alone, and G*hG is complex Hermitian.
+
+    Each column stores its entries quartet by quartet, in the order
+    {m, Rm, -Rm, -m}.  Along it the terms of a sparse product
+    G_s* diag(x) G_t of a P- and R-even or -odd x cancel exactly, so that
+    product stores no entry between the sectors x does not join, which
+    `invariants._frame_blocks` relies on.  P and K R are tested exactly (no
+    tolerance), and the quarter-turn sectors stand only if
+    ||U G_s - chi_s G_s||_max <= HERMITIAN_TOL on each, which certifies the
+    characters that `invariants.chern_realspace` reads; otherwise the
+    parity sectors stand."""
     pos = window.positions()
     inv = _site_permutation(pos, -pos)
     if inv is None or (h[inv][:, inv] != h).nnz:
@@ -430,30 +394,51 @@ def _symmetry_sectors(window, h):
     site = np.arange(inv.size)
     if not real:
         ref = site
-    orbit = np.stack([site, inv, ref, inv[ref]])     # n, -n, Rn, -Rn
-    orbit = orbit[:, orbit.min(axis=0) == site]      # one column per orbit
-    k = orbit.shape[1]
-    rows = np.tile(orbit, 2)
-    cols = np.broadcast_to(np.arange(2 * k), rows.shape)
-    sectors = []
-    for s in (1, -1):
-        # columns c + Rc, then i(c - Rc), up to normalization; coinciding
-        # sites of an orbit add up, and vanishing columns are dropped
-        coef = np.array([[1, 1j], [s, 1j * s], [1, -1j], [s, -1j * s]])
-        g = sparse.csc_array((np.repeat(coef, k, axis=1).ravel(),
-                              (rows.ravel(), cols.ravel())),
-                             shape=(site.size, 2 * k))
-        norms = np.sqrt(abs(g).power(2).sum(axis=0))
-        keep = np.flatnonzero(norms)
-        sectors.append(g[:, keep] @ sparse.diags_array(1.0 / norms[keep]))
-    u = _quarter_turn(pos, h) if real else None
-    if u is None:
-        return sectors, real, None
-    split = [_split_by(pos, g, (unit * (g.conj().T @ u @ g)).real)
-             for g, unit in zip(sectors, (1, -1j))]
-    if None in split:
-        return sectors, real, None
-    return split[0] + split[1], real, (1, -1, 1j, -1j)
+    for u in (_quarter_turn(pos, h) if real else None, None):
+        # the sites U^j n, j < L/2, of the orbit of each site n, for
+        # U e_n = u.data[n] e_{u.indices[n]}; U^(j + L/2) n = -U^j n
+        steps = [site] if u is None else [site, u.indices]
+        half = len(steps)
+        orbit = np.concatenate([steps, inv[steps]])
+        # one column per orbit of U and R, at its first site
+        rep = np.flatnonzero(np.minimum(orbit, ref[orbit]).min(axis=0) == site)
+        k = rep.size
+        # the quartets {m, Rm, -Rm, -m}, m = -U^j n, of the columns
+        # x + K R x, then of the columns i(x - K R x)
+        sites = np.tile(np.concatenate([[inv[s], ref[inv[s]], ref[s], s]
+                                        for s in orbit[:half, rep]]), 2)
+        # coinciding sites of an orbit add up into the first of them
+        same = sites[:, None] == sites
+        earlier = np.tri(len(sites), k=-1, dtype=bool)[..., None]
+        first = ~(same & earlier).any(axis=1)
+        characters = (1, -1) if u is None else (1, -1, 1j, -1j)
+        sectors = []
+        for chi in characters:
+            parity = np.real(chi ** half)
+            # the coefficients w of x (or of i x) on U^j n: parity w on
+            # -U^j n, and their conjugates on the reflected sites
+            w = np.ones((half, k), dtype=complex)
+            if u is not None:
+                w[1] = np.conj(chi) * u.data[rep]
+            w = np.concatenate([w, 1j * w], axis=1)
+            values = np.concatenate([[parity * wj, parity * wj.conj(), wj.conj(), wj]
+                                     for wj in w])
+            values = np.where(first, (same * values).sum(axis=1), 0)
+            norms = np.sqrt((abs(values) ** 2).sum(axis=0))
+            # on an orbit R maps onto itself, the longer column alone
+            longer = np.concatenate([norms[:k] >= norms[k:], norms[k:] > norms[:k]])
+            keep = np.flatnonzero((norms > 0) & (longer | first.all(axis=0)))
+            stored = (values[:, keep] != 0).T
+            sectors.append(sparse.csc_array(
+                ((values[:, keep] * (1.0 / norms[keep])).T[stored],
+                 sites[:, keep].T[stored],
+                 np.concatenate([[0], np.cumsum(stored.sum(axis=1))])),
+                shape=(site.size, keep.size)))
+        if u is None:
+            return sectors, real, None
+        if all(abs(u @ g - chi * g).max() <= HERMITIAN_TOL
+               for g, chi in zip(sectors, characters)):
+            return sectors, real, characters
 
 
 def _sublattice_sides(window, h, g):
@@ -481,12 +466,14 @@ def _sublattice_sides(window, h, g):
 def _hermitian_blocks(op):
     """The dense blocks an eigensolve of op runs on, as (G, block, sides,
     chi): G is the isometry onto a sector of `_symmetry_sectors` if op
-    commutes exactly with the inversion n -> -n: one of the two parity
-    sectors (real blocks if op also commutes with K R), or, when real on a
-    window closed under the quarter turn, one of the four sectors of the
-    magnetic quarter turn, about N/4 columns each; else G is the identity.
-    chi is the character of the quarter turn on a quarter-turn sector, and
-    None on every other.  If op hops only between the sublattices of
+    commutes exactly with the inversion n -> -n, built by its one orbit
+    construction: one of the four sectors of the magnetic quarter turn,
+    about N/4 columns each, when op is real on a window closed under the
+    quarter turn and the characters pass their certificate, else one of
+    the two parity sectors (real blocks if op also commutes with K R);
+    else G is the identity.  chi is the certified character of the
+    quarter turn on a quarter-turn sector, and None on every other.  If op
+    hops only between the sublattices of
     n1 + n2 even and odd (see `_sublattice_sides`), the block is the half
     block X = G_a* op G_b and sides = (a, b), solved by an SVD; otherwise
     the block is G*op G, with sides None.  Both are numpy.linalg solves,
@@ -597,8 +584,8 @@ class SpectralData:
     sector whose G is the identity.  `eigenvalues` holds the eigenvalues of
     all sectors in ascending order.  On the four quarter-turn sectors,
     `characters` holds the character chi_s of the magnetic quarter turn U
-    on each, U G_s = chi_s G_s: 1, -1, i and -i; it is None on any other
-    sectors."""
+    on each, U G_s = chi_s G_s: 1, -1, i and -i, which `_symmetry_sectors`
+    certifies to HERMITIAN_TOL; it is None on any other sectors."""
 
     eigenvalues: np.ndarray
     sectors: tuple

@@ -249,6 +249,14 @@ class TestChernMomentum:
         with pytest.raises(il.ChernMismatch):
             il.chern_momentum(Fraction(2, 5), gap_index=1, nk=nk)
 
+    @pytest.mark.parametrize("filled", [-1, 4, 7])
+    def test_tknn_rejects_bands_that_do_not_exist(self, filled):
+        # flux 1/3 has three bands; no band and all three are the empty
+        # and the full projection
+        assert il.chern_tknn(THIRD, 0) == il.chern_tknn(THIRD, 3) == 0
+        with pytest.raises(ValueError, match="3 bands"):
+            il.chern_tknn(THIRD, filled)
+
     def test_tknn_central_gap_of_even_q_is_closed(self):
         assert il.chern_tknn(Fraction(1, 6), 4) == -2
         assert il.chern_tknn(Fraction(-1, 3), 1) == il.chern_tknn(Fraction(2, 3), 1)

@@ -10,7 +10,7 @@ import scipy.linalg
 from scipy import sparse
 
 import iwalab as il
-from iwalab import operators
+from iwalab import invariants, operators
 from iwalab.operators import (magnetic_translation, shifted_flux_diagonal,
                               translation_by)
 
@@ -306,8 +306,11 @@ class TestBloch:
 
     @pytest.mark.parametrize("nk", [0, -3])
     def test_rejects_empty_grid(self, nk):
+        # an empty grid has no eigenvalues to return
         with pytest.raises(ValueError, match="nk must be >= 1"):
             il.band_structure(Fraction(1, 3), nk=nk)
+        with pytest.raises(ValueError, match="nk must be >= 1"):
+            il.bloch_spectrum(Fraction(1, 3), nk=nk)
 
     def test_chambers_edges_bound_every_k(self):
         rng = np.random.default_rng(14)
@@ -702,16 +705,41 @@ class TestRealParityBlocks:
         lo, hi = il.band_structure(flux).gaps[gap - 1]
         P = il.fermi_projection(sd, 0.5 * (lo + hi))
         assert P.characters == QUARTER_CHARACTERS
+        # the sparse products store exact zeros where the parities forbid a
+        # block: a position joins only sectors of opposite parity chi^2, the
+        # (inversion-even) interior mask only sectors of one parity
+        blocks = invariants._frame_blocks(P.frames)
+        parity = [chi ** 2 for chi in P.characters]
+        pos = win.positions().astype(float)
+        for x, one_parity in ((pos[:, 0], False), (pos[:, 1], False),
+                              (win.interior_mask(6).astype(float), True)):
+            found = [st for st, _ in blocks(x)]
+            assert found and all((parity[s] == parity[t]) == one_parity
+                                 for s, t in found)
         ch = il.chern_realspace(P, margin=6)
         assert abs(ch - chern_realspace_full(P, margin=6)) < 1e-12
         # without the characters A2 and every block of C are formed
         plain = dataclasses.replace(P, characters=None)
         assert abs(il.chern_realspace(plain, margin=6) - ch) < 1e-12
 
-    @pytest.mark.parametrize("kind", ["perturbed", "slab", "one-site"])
+    @pytest.mark.parametrize("kind", ["perturbed", "slab", "one-site",
+                                      "turned phase"])
     def test_without_quarter_turn_keeps_parity_sectors(self, kind, monkeypatch):
-        if kind == "one-site":
-            # the origin alone: an odd sector with no column, nothing to split
+        if kind == "turned phase":
+            # a quarter turn with one phase turned by 1e-9 commutes with h
+            # to 1e-9 only: its characters fail the certificate
+            win = il.LatticeWindow(5)
+            h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix
+            quarter = operators._quarter_turn
+
+            def turned(pos, h):
+                u = quarter(pos, h)
+                u.data[7] *= np.exp(1e-9j)
+                return u
+
+            monkeypatch.setattr(operators, "_quarter_turn", turned)
+        elif kind == "one-site":
+            # the origin alone: an odd sector with no column
             win = il.LatticeWindow(0)
             h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix
         elif kind == "perturbed":
@@ -726,7 +754,8 @@ class TestRealParityBlocks:
         else:
             win = SYMMETRIC_SLAB
             h = il.iwatsuka_hamiltonian(THIRD_FIELD, win).matrix
-        assert operators._quarter_turn(win.positions(), h) is None
+        u = operators._quarter_turn(win.positions(), h)
+        assert (u is not None) == (kind == "turned phase")
         sectors, real, characters = operators._symmetry_sectors(win, h)
         monkeypatch.setattr(operators, "_quarter_turn", lambda *args: None)
         parity, parity_real, _ = operators._symmetry_sectors(win, h)

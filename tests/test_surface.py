@@ -63,14 +63,17 @@ def test_pruned_names_stay_out():
         assert not hasattr(iwalab, name)
     # the dense operator form: every LatticeOperator is a CSR array, a
     # Projection is its frames, and the winding moments are sparse only;
-    # and the hand-written Bloch memo, since a functools.lru_cache holds
-    # the grid of chern_momentum
+    # the hand-written Bloch memo, since a functools.lru_cache holds the
+    # grid of chern_momentum; and the eigh split of the parity sectors,
+    # since one orbit construction builds every symmetry sector
     invariants = importlib.import_module("iwalab.invariants")
+    operators = importlib.import_module("iwalab.operators")
     for owner, name in ((iwalab.LatticeOperator, "dense"),
                         (iwalab.Projection, "dense"),
                         (invariants, "MOMENT_CHUNK"),
                         (invariants, "_BlochMemo"),
-                        (invariants, "_BLOCH_MEMO")):
+                        (invariants, "_BLOCH_MEMO"),
+                        (operators, "_split_by")):
         assert not hasattr(owner, name), name
 
 
