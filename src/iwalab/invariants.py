@@ -10,7 +10,7 @@ whose winding must be +1, and recorded in every report.
 
 import functools
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -81,6 +81,7 @@ DGKS = 0.717
 EPS = 2.0 ** -53
 RITZ_STRIDE = 8
 RESIDUAL_CHUNK = 32       # eigenvector columns per block of `_residual_norms`
+_TRACE_CHUNK = 1024       # slab-support rows per block of `_switch_traces`
 
 # Bound on the proxy 16 N^2 bytes for the block solve `_interval_eigenpairs`
 # falls back to.  No N x N matrix is made; on the 4415-site acceptance slab
@@ -452,22 +453,42 @@ def winding(u, slope, L):
     return _winding_trace(_winding_moments(u.matrix, geom.tangential), geom)
 
 
+@dataclass(frozen=True)
+class _IntervalSolve:
+    """What `_interval_eigenpairs` did: the inertia counts below lo and hi
+    (None where one gave up), the number |J| of pairs, the path ("lanczos"
+    or "block"), why the block solve ran ("no count", "counts disagree" or
+    the refusal of `_lanczos_pairs`; None on the Lanczos path), the Krylov
+    dimension (0 if no Lanczos ran) and the largest residual over the
+    certificate's bound (None if the run stopped before the certificate)."""
+    below_lo: object
+    below_hi: object
+    pairs: int
+    path: str
+    reason: object
+    krylov: int
+    residual_ratio: object
+
+
 @dataclass
 class CurrentReport:
     current: float              # T(g'(h) grad_t h), units e = hbar = 1
     winding_gap_unitary: float  # winding of exp(2 pi i g(h))
     cross_residual: float       # |current + winding/(2 pi)| / |winding/(2 pi)|
+    solve: object = None        # the _IntervalSolve of interface_current
 
 
 def _switch_traces(E, V, h, interval, geom):
     """Current, winding of the gap unitary and their cross residual from the
     |J| orthonormal eigenpairs (E, V) of h inside the switch interval.
     Outside that spectral subspace g'(h) and u - 1 vanish, so both traces
-    are read on the slab-trace support S of geom through rank-|J| factors:
-    no N x |S| matrix is formed, and memory is O(N |J|)."""
+    are read on the slab-trace support S of geom through rank-|J| factors,
+    _TRACE_CHUNK rows of S at a time: no N x |S| matrix is formed, and
+    beside V only one N x |J| array, its conjugate, is held."""
     sw = SwitchFunction.from_interval(*interval)
     S = np.flatnonzero(geom.weights > 0)
-    VS = V[S]
+    chunks = [slice(i, i + _TRACE_CHUNK)
+              for i in range(0, S.size, _TRACE_CHUNK)]
     tan = geom.tangential
     t = tan * TANGENTIAL_ORIENTATION
     # diag(g'(h) grad h)_i = i sum_k g'(h)_ik H_ki (t_k - t_i) for i in S, with
@@ -477,17 +498,27 @@ def _switch_traces(E, V, h, interval, geom):
     hs = sparse.coo_array(h.matrix[:, S])
     dh = sparse.csr_array((hs.data * (t[hs.row] - t[S[hs.col]]),
                            (hs.col, hs.row)), shape=(S.size, tan.size))
+    # conj(V) C-ordered: scipy's csr @ dense copies an operand that is not,
+    # and the Lanczos V is F-ordered
+    Vc = np.conjugate(V, out=np.empty(V.shape, V.dtype))
+    gp = sw.gprime(E)
     diag = np.zeros(tan.size)
-    diag[S] = (1j * ((VS * sw.gprime(E)) * (dh @ V.conj())).sum(axis=1)).real
+    for c in chunks:
+        diag[S[c]] = (1j * ((V[S[c]] * gp) * (dh[c] @ Vc)).sum(axis=1)).real
     J = float(_slab_trace(diag, geom, "interface_current"))
     # column i in S of u - 1 is V a_i, a_i = (e^{2 pi i g(E)} - 1) conj(V_i,:),
     # so its moment is a_i^H (V^H T V - t_i) a_i: |V a_i| = |a_i| holds since
     # the Lanczos and the block eigenvectors are orthonormal.  The identity
     # adds nothing: its entries are weighted by t_i - t_i = 0
-    b = (np.exp(-2j * np.pi * sw.g(E)) - 1.0) * VS       # rows conj(a_i)
-    vtv = (V.conj().T * tan) @ V
+    phase = np.exp(-2j * np.pi * sw.g(E)) - 1.0
+    np.multiply(Vc.T, tan, out=Vc.T)                # rows of V^H T
+    vtv = Vc.T @ V
+    del Vc
     moments = np.zeros(tan.size)
-    moments[S] = ((b @ vtv - tan[S, None] * b) * b.conj()).real.sum(axis=1)
+    for c in chunks:
+        b = phase * V[S[c]]                             # rows conj(a_i)
+        moments[S[c]] = ((b @ vtv - tan[S[c], None] * b)
+                         * b.conj()).real.sum(axis=1)
     w = _winding_trace(moments, geom)
     target = -w / (2.0 * np.pi)
     denom = abs(target)
@@ -500,11 +531,12 @@ def interface_current(h, interval, slope, L):
     supported in the bulk gap interval, together with the winding of the gap
     unitary, both on the slab of `slab_geometry`; the two must satisfy
     current = -winding/(2 pi) up to slab truncation error.  Solves only the
-    eigenpairs inside the interval; ValueError unless h is Hermitian."""
+    eigenpairs inside the interval, and hands on the `_IntervalSolve` of
+    that solve as `solve`; ValueError unless h is Hermitian."""
     require_hermitian(h)
     geom = slab_geometry(h.window, slope, L)
-    E, V = _interval_eigenpairs(h, interval)
-    return _switch_traces(E, V, h, interval, geom)
+    E, V, solve = _interval_eigenpairs(h, interval)
+    return replace(_switch_traces(E, V, h, interval, geom), solve=solve)
 
 
 def _count_below(hs, x):
@@ -552,11 +584,15 @@ def _lanczos_pairs(hs, lo, hi, k):
     |beta_m s_mi| <= EPS |theta|.  That bound holds for the inverse as the
     factor computes it, which need not be backward stable, so the pairs
     stand only if each (E, v) also has ||hs v - E v||_2 <= N EPS
-    ||hs - sigma||_F.  None when a pair fails that certificate; when more
-    than k Ritz values lie inside; when fewer do, all converged, and so are
-    the nearest Ritz values below lo and above hi (the start vector misses
-    the rest: a wrong count or a degenerate level); on breakdown (an
-    invariant subspace); or when the Krylov dimension reaches N."""
+    ||hs - sigma||_F.  Returns (found, m, ratio): the pairs (E, V) or the
+    reason they were refused, the Krylov dimension, and the largest
+    residual over that bound (None before the certificate).  The reasons:
+    "residual" when a pair fails the certificate; "too many" when more than
+    k Ritz values lie inside; "missed level" when fewer do, all converged,
+    and so are the nearest Ritz values below lo and above hi (the start
+    vector misses the rest: a wrong count or a degenerate level);
+    "breakdown" on an invariant subspace; "krylov exhausted" when the
+    Krylov dimension reaches N."""
     # imported here, on the one path that needs them: both load scipy's
     # own OpenBLAS, which competes with numpy's for the cores
     from scipy.linalg import eigh_tridiagonal
@@ -564,7 +600,7 @@ def _lanczos_pairs(hs, lo, hi, k):
 
     n = hs.shape[0]
     if k == 0:
-        return np.zeros(0), np.zeros((n, 0), complex)
+        return (np.zeros(0), np.zeros((n, 0), complex)), 0, None
     sigma = 0.5 * (lo + hi)
     shifted = sparse.csc_array(hs - sigma * sparse.eye_array(n))
     solve = splu(shifted, permc_spec="MMD_AT_PLUS_A",
@@ -596,7 +632,7 @@ def _lanczos_pairs(hs, lo, hi, k):
             c += d
             norm = np.linalg.norm(w)
         if norm <= n * EPS * w_norm:       # rounding noise: breakdown
-            return None
+            return "breakdown", m, None
         alpha.append((a + c[-1]).real)
         beta.append(norm)
         if m > k and m % RITZ_STRIDE == 0:
@@ -606,7 +642,7 @@ def _lanczos_pairs(hs, lo, hi, k):
             found = np.count_nonzero(inside)
             done = norm * np.abs(s[-1]) <= EPS * np.abs(theta)
             if found > k:
-                return None
+                return "too many", m, None
             if done[inside].all():
                 if found == k:
                     order = np.flatnonzero(inside)[np.argsort(E[inside])]
@@ -614,20 +650,22 @@ def _lanczos_pairs(hs, lo, hi, k):
                     # the certificate's temporaries reuse the basis memory
                     del q, basis
                     bound = n * EPS * np.linalg.norm(shifted.data)
-                    if _residual_norms(hs, E, V).max() > bound:
-                        return None
-                    return E, V
+                    worst = _residual_norms(hs, E, V).max()
+                    ratio = float(worst / bound)
+                    if worst > bound:
+                        return "residual", m, ratio
+                    return (E, V), m, ratio
                 # theta ascends: the pairs inside lead and trail, so the
                 # outermost of the rest are the nearest below lo and above hi
                 first, last = np.flatnonzero(~inside)[[0, -1]]
                 if theta[first] < 0 < theta[last] and done[first] and done[last]:
-                    return None
+                    return "missed level", m, None
         if m == basis.shape[0]:
             grown = np.empty((min(n, 2 * m), n), dtype)
             grown[:m] = basis
             basis = grown
         basis[m] = w / norm
-    return None
+    return "krylov exhausted", n, None
 
 
 def _residual_norms(hs, E, V):
@@ -665,16 +703,17 @@ def _sector_pairs(h, interval):
 
 
 def _interval_eigenpairs(h, interval):
-    """Eigenpairs of h with eigenvalue in (lo, hi], sorted.  The inertia
-    counts of h - lo and h - hi raise EmptyGap when no eigenvalue lies
-    below lo or every one below hi (whose pivots are nonzero, so none
+    """(E, V, solve): the eigenpairs of h with eigenvalue in (lo, hi],
+    sorted, and the `_IntervalSolve` that says how they were found.  The
+    inertia counts of h - lo and h - hi raise EmptyGap when no eigenvalue
+    lies below lo or every one below hi (whose pivots are nonzero, so none
     equals hi), and give the number k of pairs in between; k = 0 returns
     no pairs without a further factorization.  Otherwise `_lanczos_pairs`
     solves for them on a threshold-pivoted factor, and its pairs stand
     only if exactly k converged Ritz values lie in (lo, hi], so the count
     and the solve certify each other, and if each pair's residual on h
     itself is within rounding of the factor's size.  Every other outcome
-    (no count, inconsistent counts, no Lanczos pairs) goes to the block
+    (no count, counts that disagree, a Lanczos refusal) goes to the block
     solve of `_sector_pairs`, which decides EmptyGap itself and raises
     BudgetExceeded past DENSE_FALLBACK_BYTES.  lo >= hi is a ValueError."""
     lo, hi = interval
@@ -683,15 +722,20 @@ def _interval_eigenpairs(h, interval):
     hs = h.matrix
     n = hs.shape[0]
     below_lo, below_hi = _count_below(hs, lo), _count_below(hs, hi)
+    found, krylov, ratio = "no count", 0, None
     if below_lo is not None and below_hi is not None:
         if below_lo == 0 or below_hi == n:
             raise EmptyGap(f"interval ({lo:.4f}, {hi:.4f}) has {below_lo} of "
                            f"{n} eigenvalues below it and {n - below_hi} above")
+        found = "counts disagree"
         if below_hi >= below_lo:
-            pairs = _lanczos_pairs(hs, lo, hi, below_hi - below_lo)
-            if pairs is not None:
-                return pairs
-    return _sector_pairs(h, interval)
+            found, krylov, ratio = _lanczos_pairs(hs, lo, hi,
+                                                  below_hi - below_lo)
+    reason = found if isinstance(found, str) else None
+    E, V = _sector_pairs(h, interval) if reason else found
+    return E, V, _IntervalSolve(below_lo, below_hi, E.size,
+                                "block" if reason else "lanczos", reason,
+                                krylov, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Goldens of integer and exactly rounded outputs.
+"""Goldens of integer and exactly rounded outputs, and of verify_bic reports.
 
 - CSR structure: the SHA-256 of the `indices` and `indptr` arrays of
   `iwatsuka_hamiltonian` and `interface_shift_unitary` over a fixed set of
@@ -8,13 +8,18 @@
   a fixed set of slopes.  Each is an IEEE-rounded result of exact inputs
   (correctly rounded divisions, square roots and `math.hypot`), so it does
   not depend on the platform.
+- Reports: the `InvariantReport` of `verify_bic` on three configurations
+  of the `bic_slab` benchmark pool at its size.  The floats come from
+  eigensolvers and `np.exp`, which depend on the BLAS build and the libm.
 
-Both are compared exactly.  Run
+The first two are compared exactly, the reports' integer, boolean and
+string fields exactly and their floats within 1e-10.  Run
 
     PYTHONPATH=src python tests/golden_csr.py
 
-to rewrite tests/golden/csr_structure.json and tests/golden/slope_floats.json;
-`test_golden_csr.py` compares the current code against them.
+to rewrite tests/golden/csr_structure.json, tests/golden/slope_floats.json
+and tests/golden/bic_reports.json; `test_golden_csr.py` and
+`test_golden_reports.py` compare the current code against them.
 """
 
 import hashlib
@@ -30,6 +35,7 @@ from iwalab.invariants import slab_window
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden" / "csr_structure.json"
 SLOPE_FLOATS_FILE = GOLDEN_FILE.with_name("slope_floats.json")
+REPORTS_FILE = GOLDEN_FILE.with_name("bic_reports.json")
 
 THIRD, TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
 # the criterion-7 perturbation: +-1/6 of a turn on two rows by the origin
@@ -57,10 +63,19 @@ FLOAT_SLOPES = {
     "-2sqrt6/3": il.QuadraticIrrationalSlope(0, -2, 3, 6)}
 
 
-def _field(slope, perturbed):
+# the bic_slab benchmark size, and three of its pool configurations: its
+# anchor, a rational slope and an irrational one
+BIC_SIZE = dict(L=12.0, normal_half=18.0, buffer=9.0)
+BIC_CONFIGURATIONS = {
+    "1 1/3|2/3 perturbed": ("1", (THIRD, TWO_THIRDS), True),
+    "1/2 2/5|3/5": ("1/2", (Fraction(2, 5), Fraction(3, 5)), False),
+    "sqrt2 1/5|4/5 perturbed": ("sqrt2", (Fraction(1, 5), Fraction(4, 5)),
+                                True)}
+
+
+def _field(slope, perturbed, pair=(THIRD, TWO_THIRDS)):
     return il.IwatsukaField.from_turns(
-        slope, THIRD, TWO_THIRDS,
-        perturbation_turns=CRITERION_7 if perturbed else None)
+        slope, *pair, perturbation_turns=CRITERION_7 if perturbed else None)
 
 
 def configurations():
@@ -118,9 +133,21 @@ def compute_slope_floats():
     return {label: slope_floats(slope) for label, slope in FLOAT_SLOPES.items()}
 
 
+def bic_report(name):
+    """The `InvariantReport.to_dict()` of the named bic_slab configuration."""
+    label, pair, perturbed = BIC_CONFIGURATIONS[name]
+    return il.verify_bic(_field(SLOPES[label], perturbed, pair),
+                         **BIC_SIZE).to_dict()
+
+
+def compute_bic_reports():
+    return {name: bic_report(name) for name in BIC_CONFIGURATIONS}
+
+
 if __name__ == "__main__":
     GOLDEN_FILE.parent.mkdir(exist_ok=True)
     for path, goldens in ((GOLDEN_FILE, compute()),
-                          (SLOPE_FLOATS_FILE, compute_slope_floats())):
+                          (SLOPE_FLOATS_FILE, compute_slope_floats()),
+                          (REPORTS_FILE, compute_bic_reports())):
         path.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
         print(path)
