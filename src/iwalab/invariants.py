@@ -81,7 +81,6 @@ DGKS = 0.717
 EPS = 2.0 ** -53
 RITZ_STRIDE = 8
 RESIDUAL_CHUNK = 32       # eigenvector columns per block of `_residual_norms`
-_TRACE_CHUNK = 1024       # slab-support rows per block of `_switch_traces`
 
 # Bound on the proxy 16 N^2 bytes for the block solve `_interval_eigenpairs`
 # falls back to.  No N x N matrix is made; on the 4415-site acceptance slab
@@ -482,13 +481,11 @@ def _switch_traces(E, V, h, interval, geom):
     """Current, winding of the gap unitary and their cross residual from the
     |J| orthonormal eigenpairs (E, V) of h inside the switch interval.
     Outside that spectral subspace g'(h) and u - 1 vanish, so both traces
-    are read on the slab-trace support S of geom through rank-|J| factors,
-    _TRACE_CHUNK rows of S at a time: no N x |S| matrix is formed, and
-    beside V only one N x |J| array, its conjugate, is held."""
+    are read on the slab-trace support S of geom through rank-|J| factors:
+    no N x |S| matrix is formed, and beside V only one N x |J| array, its
+    conjugate, is held, with |S| x |J| temporaries."""
     sw = SwitchFunction.from_interval(*interval)
     S = np.flatnonzero(geom.weights > 0)
-    chunks = [slice(i, i + _TRACE_CHUNK)
-              for i in range(0, S.size, _TRACE_CHUNK)]
     tan = geom.tangential
     t = tan * TANGENTIAL_ORIENTATION
     # diag(g'(h) grad h)_i = i sum_k g'(h)_ik H_ki (t_k - t_i) for i in S, with
@@ -501,24 +498,19 @@ def _switch_traces(E, V, h, interval, geom):
     # conj(V) C-ordered: scipy's csr @ dense copies an operand that is not,
     # and the Lanczos V is F-ordered
     Vc = np.conjugate(V, out=np.empty(V.shape, V.dtype))
-    gp = sw.gprime(E)
     diag = np.zeros(tan.size)
-    for c in chunks:
-        diag[S[c]] = (1j * ((V[S[c]] * gp) * (dh[c] @ Vc)).sum(axis=1)).real
+    diag[S] = (1j * ((V[S] * sw.gprime(E)) * (dh @ Vc)).sum(axis=1)).real
     J = float(_slab_trace(diag, geom, "interface_current"))
     # column i in S of u - 1 is V a_i, a_i = (e^{2 pi i g(E)} - 1) conj(V_i,:),
     # so its moment is a_i^H (V^H T V - t_i) a_i: |V a_i| = |a_i| holds since
     # the Lanczos and the block eigenvectors are orthonormal.  The identity
     # adds nothing: its entries are weighted by t_i - t_i = 0
-    phase = np.exp(-2j * np.pi * sw.g(E)) - 1.0
     np.multiply(Vc.T, tan, out=Vc.T)                # rows of V^H T
     vtv = Vc.T @ V
     del Vc
     moments = np.zeros(tan.size)
-    for c in chunks:
-        b = phase * V[S[c]]                             # rows conj(a_i)
-        moments[S[c]] = ((b @ vtv - tan[S[c], None] * b)
-                         * b.conj()).real.sum(axis=1)
+    b = (np.exp(-2j * np.pi * sw.g(E)) - 1.0) * V[S]    # rows conj(a_i)
+    moments[S] = ((b @ vtv - tan[S, None] * b) * b.conj()).real.sum(axis=1)
     w = _winding_trace(moments, geom)
     target = -w / (2.0 * np.pi)
     denom = abs(target)

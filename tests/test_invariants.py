@@ -885,8 +885,8 @@ class TestInIntervalSwitchTraces:
 
     def test_switch_traces_memory_is_rank_j(self, small_slab):
         # the traces are read through rank-|J| factors: one call allocates
-        # less than two N x |J| complex arrays, conj(V) and the temporaries
-        # of one block of rows of the slab support
+        # less than two N x |J| complex arrays, conj(V) and the |S| x |J|
+        # temporaries
         h, sd = small_slab
         interval = common_gap_interval()
         lo, hi = interval
@@ -1090,10 +1090,11 @@ class TestIntervalEigenpairs:
         field = il.IwatsukaField.from_turns(
             slope, *pair, perturbation_turns=PERTURBATION if perturbed else None)
         counts = spy(monkeypatch, scipy.sparse.linalg, "splu")
+        dense = spy(monkeypatch, operators.SpectralData, "from_operator")
         rep = il.verify_bic(field, **self.SIZE)
-        # two inertia counts and the shift-invert LU of the Lanczos run,
-        # which is SuperLU's symmetric mode with threshold pivoting
-        assert len(counts) == 3
+        # no dense solve, two inertia counts and the Lanczos run's
+        # shift-invert LU, in SuperLU's symmetric mode with threshold pivoting
+        assert dense == [] and len(counts) == 3
         assert counts[2]["options"] == dict(SymmetricMode=True)
         assert (counts[2]["diag_pivot_thresh"]
                 == invariants.LANCZOS_PIVOT_THRESH)
@@ -1112,9 +1113,8 @@ class TestIntervalEigenpairs:
         geom = slab_geometry(win, slope, self.SIZE["L"])
         got = invariants._switch_traces(E, V, h, interval, geom)
         want = invariants._switch_traces(Ed, Vd, h, interval, geom)
-        assert abs(got.winding_gap_unitary - want.winding_gap_unitary) < 1e-12
-        assert abs(got.current - want.current) < 1e-12
-        assert abs(got.cross_residual - want.cross_residual) < 1e-12
+        for f in ("winding_gap_unitary", "current", "cross_residual"):
+            assert abs(getattr(got, f) - getattr(want, f)) < 1e-12
         assert rep.winding == got.winding_gap_unitary
 
     def test_residual_certificate_rejects_unpivoted_factor(self,
@@ -1264,23 +1264,23 @@ class TestIntervalEigenpairs:
         # 16 N^2 bytes: 89^2 = 7921 sites take 1.00e9, within 2^30, and
         # 91^2 = 8281 sites take 1.10e9, past it.  Lowered to the 16 N^2 of
         # 9^2 = 81 sites, the budget admits LatticeWindow(4) and refuses
-        # LatticeWindow(5), 121 sites, on the path to the block solve
+        # LatticeWindow(5), 121 sites, before the dense solve starts
         assert 16 * 89 ** 4 <= invariants.DENSE_FALLBACK_BYTES < 16 * 91 ** 4
         monkeypatch.setattr(invariants, "DENSE_FALLBACK_BYTES", 16 * 81 ** 2)
         h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(THIRD),
                                     il.LatticeWindow(M))
         reason = "no count" if path == "no-count" else "breakdown"
-        if path == "no-count":
-            monkeypatch.setattr(invariants, "_count_below", lambda hs, x: None)
-        else:
-            monkeypatch.setattr(invariants, "_lanczos_pairs",
-                                lambda *args: (reason, 1, None))
+        patch = (("_count_below", lambda hs, x: None) if path == "no-count"
+                 else ("_lanczos_pairs", lambda *args: (reason, 1, None)))
+        monkeypatch.setattr(invariants, *patch)
+        dense = spy(monkeypatch, operators.SpectralData, "from_operator")
         if refused:
             with pytest.raises(il.BudgetExceeded):
                 invariants._interval_eigenpairs(h, (-0.5, 0.5))
         else:
             solve = invariants._interval_eigenpairs(h, (-0.5, 0.5))[2]
             assert (solve.path, solve.reason) == ("block", reason)
+        assert len(dense) == (0 if refused else 1)
 
     def test_count_too_high_stops_early(self, small_slab):
         # asked for one pair more than (lo, hi] holds, the run stops once
