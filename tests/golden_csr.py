@@ -2,8 +2,16 @@
 
 - CSR structure: the SHA-256 of the `indices` and `indptr` arrays of
   `iwatsuka_hamiltonian` and `interface_shift_unitary` over a fixed set of
-  (slope, perturbation, window) configurations.  The phases in `data` come
-  from `np.exp` and are not pinned here.
+  (slope, perturbation, window) configurations.
+- CSR data: the phases in `data` of the same configurations, held as the
+  table of their distinct values and the SHA-256 of each entry's index in
+  it (`data_table`), so that a few roots of unity pin thousands of entries.
+- Symmetry sectors: the isometries of `operators._symmetry_sectors` on
+  four windows, their `indices` and `indptr` as SHA-256, their `data` as a
+  table, and whether the sectors are real and their characters.
+- Hull: the lines of `hull.csv` and `hull_patterns.json` that
+  `iwalab hull --Mmax 8` writes for five slopes, without the header lines
+  that hold the output path and the wall time (`payload_lines`).
 - Slope floats: `float.hex` of `as_float()`, `tangent()` and `normal()` of
   a fixed set of slopes.  Each is an IEEE-rounded result of exact inputs
   (correctly rounded divisions, square roots and `math.hypot`), so it does
@@ -12,30 +20,41 @@
   of the `bic_slab` benchmark pool at its size.  The floats come from
   eigensolvers and `np.exp`, which depend on the BLAS build and the libm.
 
-The first two are compared exactly, the reports' integer, boolean and
-string fields exactly and their floats within 1e-10.  Run
+The structure, the slope floats, the sector structure and the hull lines
+are compared exactly, every stored complex entry within DATA_TOL = 1e-15 of
+its golden value, the reports' integer, boolean and string fields exactly
+and their floats within 1e-10.  Run
 
     PYTHONPATH=src python tests/golden_csr.py
 
-to rewrite tests/golden/csr_structure.json, tests/golden/slope_floats.json
-and tests/golden/bic_reports.json; `test_golden_csr.py` and
-`test_golden_reports.py` compare the current code against them.
+to rewrite the files of tests/golden/; `test_golden_csr.py`,
+`test_golden_reports.py` and `test_golden_hull.py` compare the current code
+against them.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 import iwalab as il
+from iwalab import cli, operators
 from iwalab.invariants import slab_window
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden" / "csr_structure.json"
 SLOPE_FLOATS_FILE = GOLDEN_FILE.with_name("slope_floats.json")
 REPORTS_FILE = GOLDEN_FILE.with_name("bic_reports.json")
+DATA_FILE = GOLDEN_FILE.with_name("csr_data.json")
+SECTORS_FILE = GOLDEN_FILE.with_name("symmetry_sectors.json")
+HULL_FILE = GOLDEN_FILE.with_name("hull_outputs.json")
+DATA_TOL = 1e-15
 
 THIRD, TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
 # the criterion-7 perturbation: +-1/6 of a turn on two rows by the origin
@@ -122,6 +141,112 @@ def compute():
     return {name: csr_digests(build()) for name, build in configurations()}
 
 
+def data_table(data):
+    """The distinct values of the complex array data as [re, im] pairs, and
+    the SHA-256 of each entry's index among them."""
+    values, index = np.unique(data, return_inverse=True)
+    return {"values": [[z.real, z.imag] for z in values.tolist()],
+            "index": _sha(index)}
+
+
+def data_matches(data, table, tol=DATA_TOL):
+    """Whether each entry of data lies within tol of the value the golden
+    table holds at its position: the nearest table value is within tol, and
+    the digest of the nearest values' indices is the table's.  A pass is
+    sound.  Where two table values lie within 2 tol of each other, as the
+    running products of the quarter-turn gauge do, a move below tol can
+    still fail it; bit-identical data always passes."""
+    values = np.array([complex(*z) for z in table["values"]])
+    dist = abs(np.subtract.outer(np.asarray(data), values))
+    if dist.size == 0:
+        return table["index"] == _sha(np.zeros(0))
+    nearest = dist.argmin(axis=1)
+    return (dist[np.arange(nearest.size), nearest].max() <= tol
+            and _sha(nearest) == table["index"])
+
+
+def compute_data():
+    return {name: data_table(build().matrix.data) for name, build in configurations()}
+
+
+def _sector_case(window, flux):
+    """(window, h): the Hamiltonian of the constant field of flux on window."""
+    return window, il.iwatsuka_hamiltonian(il.ConstantField.from_turns(flux),
+                                           window).matrix
+
+
+# the windows whose sectors are pinned: two bulk_chern windows, where the
+# quarter turn splits the parity sectors, a slab closed under the inversion
+# and the reflection only, and a square whose site order is shuffled, so
+# that the inversion is not the reversal of the site list
+SECTOR_CASES = {
+    "square 20 flux 1/3": lambda: _sector_case(il.LatticeWindow(20), Fraction(1, 3)),
+    "square 20 flux 2/5": lambda: _sector_case(il.LatticeWindow(20), Fraction(2, 5)),
+    "slab 1/2 10x6 flux 1/3": lambda: _sector_case(
+        il.SlabWindow(il.RationalSlope(1, 2), 10.0, 6.0), THIRD),
+    "square 4 shuffled flux 1/3": lambda: _sector_case(SimpleNamespace(
+        positions=il.LatticeWindow(4).positions()[
+            np.random.default_rng(7).permutation(81)].copy, size=81), THIRD)}
+
+
+def sector_structure(name):
+    """The structure of `_symmetry_sectors` on the named case, and its
+    sectors' data: ({"real", "characters", "sectors"}, [data, ...]) with
+    the characters as [re, im] pairs (None on parity sectors) and each
+    sector's shape and the SHA-256 of its indices and indptr."""
+    sectors, real, characters = operators._symmetry_sectors(*SECTOR_CASES[name]())
+    return ({"real": real,
+             "characters": None if characters is None
+             else [[complex(c).real, complex(c).imag] for c in characters],
+             "sectors": [{"shape": list(g.shape), "indices": _sha(g.indices),
+                          "indptr": _sha(g.indptr)} for g in sectors]},
+            [g.data for g in sectors])
+
+
+def compute_sectors():
+    out = {}
+    for name in SECTOR_CASES:
+        structure, data = sector_structure(name)
+        out[name] = {**structure, "data": [data_table(d) for d in data]}
+    return out
+
+
+HULL_SLOPES = ("rational:1,2", "quadratic:0,1,1,2", "quadratic:1,1,2,5",
+               "float:0.1", "+inf")
+HULL_FILES = ("hull.csv", "hull_patterns.json")
+
+
+def payload_lines(path):
+    """The lines of a CLI output file that every run writes alike: of a CSV
+    those that do not start with '#', the header that holds the config with
+    the output path and the wall time; of a JSON file those outside its
+    top-level "meta" object, which holds the same two."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if str(path).endswith(".csv"):
+        return [line for line in lines if not line.startswith("#")]
+    start = lines.index('  "meta": {')
+    end = lines.index("  },", start)
+    return lines[:start] + lines[end + 1:]
+
+
+def hull_outputs(slope, out):
+    """The payload lines of each file `iwalab hull --Mmax 8` writes for the
+    slope into the directory out."""
+    with contextlib.redirect_stdout(io.StringIO()):      # the written paths
+        rc = cli.main(["hull", "--slope", slope, "--Mmax", "8", "--out", str(out)])
+    if rc != 0:
+        raise RuntimeError(f"iwalab hull failed for {slope}")
+    return {name: payload_lines(Path(out) / name) for name in HULL_FILES}
+
+
+def compute_hull():
+    out = {}
+    for slope in HULL_SLOPES:
+        with tempfile.TemporaryDirectory() as tmp:
+            out[slope] = hull_outputs(slope, tmp)
+    return out
+
+
 def slope_floats(slope):
     """`float.hex` of the slope's as_float(), tangent() and normal()."""
     return {"as_float": float.hex(slope.as_float()),
@@ -148,6 +273,9 @@ if __name__ == "__main__":
     GOLDEN_FILE.parent.mkdir(exist_ok=True)
     for path, goldens in ((GOLDEN_FILE, compute()),
                           (SLOPE_FLOATS_FILE, compute_slope_floats()),
-                          (REPORTS_FILE, compute_bic_reports())):
+                          (REPORTS_FILE, compute_bic_reports()),
+                          (DATA_FILE, compute_data()),
+                          (SECTORS_FILE, compute_sectors()),
+                          (HULL_FILE, compute_hull())):
         path.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
         print(path)
