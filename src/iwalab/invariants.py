@@ -127,14 +127,15 @@ def slab_geometry(window, slope, L):
     site-count quantization a hard cutoff suffers), and a normal cutoff at
     half the window's normal extent that excludes the window's own boundary
     region where open-boundary edge states live.  The taper must end at
-    least 8 sites inside the window."""
+    least 8 sites inside the window; ValueError unless L is a finite
+    number > 0."""
     pos = window.positions().astype(float)
     t = pos @ slope.tangent()
     nu = pos @ slope.normal()
     t_max = np.abs(t).max(initial=0.0)
     nu_max = np.abs(nu).max(initial=0.0)
-    if L <= 0:
-        raise ValueError("slab length must be positive")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"slab length must be a finite number > 0, not {L}")
     if L / 2.0 + DEFAULT_RAMP + 8.0 > t_max + 1e-9:
         raise SlabExceedsWindow(
             f"slab L={L} with ramp {DEFAULT_RAMP} needs tangential "

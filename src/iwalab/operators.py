@@ -68,6 +68,18 @@ def _turn_phases(num, D):
     return z
 
 
+def _site_index(pos, points):
+    """The index in the (N, 2) site array pos of each row of points, and -1
+    where that point is not a site, read from one integer grid over the
+    bounding box of both.  An injective map of the sites is one onto them
+    exactly when no image reads -1."""
+    lo = [min(pos[:, j].min(), points[:, j].min()) for j in (0, 1)]
+    hi = [max(pos[:, j].max(), points[:, j].max()) for j in (0, 1)]
+    grid = np.full((hi[0] - lo[0] + 1, hi[1] - lo[1] + 1), -1)
+    grid[pos[:, 0] - lo[0], pos[:, 1] - lo[1]] = np.arange(len(pos))
+    return grid[points[:, 0] - lo[0], points[:, 1] - lo[1]]
+
+
 def _translation_entries(field, window, gamma, keep=None):
     """(rows, cols, phases) of the nonzero entries of s^gamma =
     s_1^{g1} s_2^{g2} on a window: row n, column n - gamma, phase that of
@@ -75,22 +87,17 @@ def _translation_entries(field, window, gamma, keep=None):
     ending at n (vertical bonds carry none in this gauge).  A source
     outside the window drops the entry, and so does one outside the
     boolean site mask `keep`, before any phase is computed."""
-    g1, g2 = gamma
+    g1, _ = gamma
     pos = window.positions()
-    n1, n2 = pos[:, 0], pos[:, 1]
-    # one index grid over the window's bounding box, padded by gamma
-    o1, o2 = n1.min() - abs(g1), n2.min() - abs(g2)
-    index = np.full((n1.max() + abs(g1) - o1 + 1, n2.max() + abs(g2) - o2 + 1), -1)
-    index[n1 - o1, n2 - o2] = np.arange(window.size)
-    cols = index[n1 - g1 - o1, n2 - g2 - o2]
+    cols = _site_index(pos, pos - np.asarray(gamma))
     rows = np.flatnonzero(cols >= 0 if keep is None else (cols >= 0) & keep[cols])
     cols = cols[rows]
     if g1 == 0:
         return rows, cols, np.ones(rows.size)
     # the legs' numerators from one gauge_numerators call, summed mod D
     legs = range(g1) if g1 > 0 else range(-1, g1 - 1, -1)
-    D, A, _ = field.gauge_numerators(np.concatenate([n1[rows] - a for a in legs]),
-                                     np.tile(n2[rows], len(legs)))
+    D, A, _ = field.gauge_numerators(np.concatenate([pos[rows, 0] - a for a in legs]),
+                                     np.tile(pos[rows, 1], len(legs)))
     num = 0
     for leg in A.reshape(len(legs), -1):
         num = (num + leg) % D
@@ -286,18 +293,6 @@ def iwatsuka_hamiltonian(field, window):
     return LatticeOperator(window, S + S.conj().T)
 
 
-def _site_permutation(pos, image):
-    """The permutation perm with pos[perm] == image, or None unless the rows
-    of image are the rows of pos in some order."""
-    a = np.lexsort((pos[:, 1], pos[:, 0]))
-    b = np.lexsort((image[:, 1], image[:, 0]))
-    if not np.array_equal(pos[a], image[b]):
-        return None
-    perm = np.empty_like(a)
-    perm[b] = a
-    return perm
-
-
 def _quarter_turn(pos, h):
     """The unitary U = D Pi_T that commutes with the sparse operator h, for
     the quarter turn T: (n1, n2) -> (-n2, n1) of the sites pos and a
@@ -314,35 +309,31 @@ def _quarter_turn(pos, h):
     as complex numbers.  Rooted at the origin, the gauge gives U^2 = P, the
     inversion n -> -n, on a connected h."""
     n = len(pos)
-    turn = _site_permutation(pos, np.stack([-pos[:, 1], pos[:, 0]], axis=1))
-    if n < 2 or turn is None or not (pos == 0).all(axis=1).any():
+    turn = _site_index(pos, np.stack([-pos[:, 1], pos[:, 0]], axis=1))
+    if n < 2 or -1 in turn or not (pos == 0).all(axis=1).any():
         return None
-    o = pos.min(axis=0)
-    grid = np.full(pos.max(axis=0) - o + 1, -1)
-    cell = tuple((pos - o).T)
-    grid[cell] = np.arange(n)
     step = np.sign(pos)
     step[:, 0] *= pos[:, 1] == 0
-    parent = grid[tuple((pos - step - o).T)]
-    if (parent < 0).any():
+    parent = _site_index(pos, pos - step)
+    if -1 in parent:
         return None
-    back = np.empty_like(turn)
-    back[turn] = np.arange(n)
+    back = turn[turn[turn]]                # T^3, the inverse turn
     turned = h[back][:, back]
     site = np.flatnonzero(parent != np.arange(n))     # all but the origin
     num, den = (np.asarray(m[site, parent[site]]).ravel() for m in (h, turned))
     if not (num.all() and den.all()):
         return None
-    ratio = np.ones(grid.shape, dtype=complex)
-    ratio[tuple((pos[site] - o).T)] = num / den
+    # the ratios on the box [-R, R]^2 of the sites, closed under the turn
+    R = abs(pos).max()
+    ratio = np.ones((2 * R + 1, 2 * R + 1), dtype=complex)
+    ratio[pos[site, 0] + R, pos[site, 1] + R] = num / den
     # running products out from the origin: the row n2 = 0, then the columns
-    z1, z2 = -o
-    row = ratio[:, z2]
-    row[z1:] = np.cumprod(row[z1:])
-    row[:z1 + 1] = np.cumprod(row[z1::-1])[::-1]
-    ratio[:, z2:] = np.cumprod(ratio[:, z2:], axis=1)
-    ratio[:, :z2 + 1] = np.cumprod(ratio[:, z2::-1], axis=1)[:, ::-1]
-    d = ratio[cell]
+    row = ratio[:, R]
+    row[R:] = np.cumprod(row[R:])
+    row[:R + 1] = np.cumprod(row[R::-1])[::-1]
+    ratio[:, R:] = np.cumprod(ratio[:, R:], axis=1)
+    ratio[:, :R + 1] = np.cumprod(ratio[:, R::-1], axis=1)[:, ::-1]
+    d = ratio[pos[:, 0] + R, pos[:, 1] + R]
     D = sparse.diags_array(d)
     if abs(D @ turned @ D.conj() - h).max() > HERMITIAN_TOL:
         return None
@@ -386,11 +377,11 @@ def _symmetry_sectors(window, h):
     characters that `invariants.chern_realspace` reads; otherwise the
     parity sectors stand."""
     pos = window.positions()
-    inv = _site_permutation(pos, -pos)
-    if inv is None or (h[inv][:, inv] != h).nnz:
+    inv = _site_index(pos, -pos)
+    if -1 in inv or (h[inv][:, inv] != h).nnz:
         return None
-    ref = _site_permutation(pos, pos * (1, -1))
-    real = ref is not None and (h[ref][:, ref].conj() != h).nnz == 0
+    ref = _site_index(pos, pos * (1, -1))
+    real = -1 not in ref and (h[ref][:, ref].conj() != h).nnz == 0
     site = np.arange(inv.size)
     if not real:
         ref = site
@@ -771,9 +762,11 @@ def interface_shift_unitary(field, window, variant="minimal"):
     p^2 + q^2 of them."""
     gamma, strip = _strip_mask(field, window, variant)
     rows, cols, phases = _translation_entries(field, window, gamma, keep=strip)
-    off = np.flatnonzero(~strip)
-    U = sparse.csr_array(
-        (np.concatenate([np.ones(off.size), phases]),
-         (np.concatenate([off, rows]), np.concatenate([off, cols]))),
-        shape=(window.size, window.size))
-    return LatticeOperator(window, U)
+    n = window.size
+    index, data = np.where(strip, -1, np.arange(n)), np.ones(n, dtype=complex)
+    index[rows], data[rows] = cols, phases
+    # a partial permutation: at most one entry per row, already in row order
+    kept = index >= 0
+    return LatticeOperator(window, sparse.csr_array(
+        (data[kept], index[kept], np.concatenate([[0], np.cumsum(kept)])),
+        shape=(n, n)))

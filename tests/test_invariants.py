@@ -728,6 +728,36 @@ class TestWinding:
         assert reference_orientation_sign() == TANGENTIAL_ORIENTATION
 
 
+class TestNonFiniteSlabLength:
+    """A slab length that is not a finite number > 0 raises ValueError at
+    each slab entry point, before any factorization; a NaN length used to
+    give a NaN winding, or BudgetExceeded from `verify_bic`."""
+
+    @pytest.fixture(autouse=True)
+    def no_factorization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the slab length check should come first")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, 0.0], ids=str)
+    def test_slab_traces(self, L):
+        field = iw_field(HALF)
+        win = il.SlabWindow(HALF, 30.0, 16.0)
+        h = il.iwatsuka_hamiltonian(field, win)
+        u = il.interface_shift_unitary(field, win, "minimal")
+        with pytest.raises(ValueError, match="slab length"):
+            il.winding(u, HALF, L)
+        with pytest.raises(ValueError, match="slab length"):
+            il.trace_interface(u, HALF, L)
+        with pytest.raises(ValueError, match="slab length"):
+            il.interface_current(h, (-1.2, -1.1), HALF, L)
+
+    def test_verify_bic(self):
+        with pytest.raises(ValueError, match="nan"):
+            il.verify_bic(iw_field(HALF), L=math.nan)
+
+
 class TestCommonGaps:
     def test_conjugate_fluxes_share_gaps(self):
         gaps, bp, bm = il.common_gaps(THIRD, TWO_THIRDS)

@@ -685,13 +685,24 @@ class TestWindows:
 
     @pytest.mark.parametrize("halves", [
         (254.5, 0.0), (1e308, 1.0), (1.0, -1e308), (1.7e308, 1.7e308),
-        (math.inf, 1.0), (math.nan, 1.0)])
+        (math.inf, 1.0)])
     def test_slab_window_over_budget_allocates_nothing(self, monkeypatch, halves):
         def no_grid(*args, **kwargs):
             raise AssertionError("the window's box was allocated")
 
         monkeypatch.setattr(np, "meshgrid", no_grid)
         with pytest.raises(il.BudgetExceeded):
+            il.SlabWindow(il.RationalSlope(1, 2), *halves)
+
+    @pytest.mark.parametrize("halves", [(math.nan, 1.0), (1.0, math.nan),
+                                        (math.nan, math.inf)])
+    def test_slab_window_refuses_nan_halves(self, monkeypatch, halves):
+        # a NaN reach is no box at all, not an infinite one over budget
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the window's box was allocated")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        with pytest.raises(ValueError, match="nan"):
             il.SlabWindow(il.RationalSlope(1, 2), *halves)
 
     def test_slab_window_budget_admits_the_largest_windows(self):
