@@ -9,7 +9,8 @@ bulk-interface correspondence verifier (invariants).
 from .errors import (BudgetExceeded, ChernMismatch, ConfigError,
                      DegenerateField, EmptyGap, EmptyInterior, GapClosed,
                      IrrationalFlux, IrrationalSlope, IwalabError, NoCommonGap,
-                     NotInterfaceLocalized, NotProjection, SlabExceedsWindow)
+                     NotInterfaceLocalized, NotProjection, SlabExceedsWindow,
+                     SolveRefused)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope, SlabWindow,

@@ -58,6 +58,16 @@ class BudgetExceeded(IwalabError):
     refused before anything is allocated."""
 
 
+class SolveRefused(IwalabError):
+    """The sparse interval solve could not certify its eigenpairs; `solve`
+    is the record of what it did, and its `reason` says why."""
+
+    def __init__(self, solve):
+        super().__init__(f"the interval solve refused its eigenpairs: "
+                         f"{solve.reason}")
+        self.solve = solve
+
+
 class EmptyInterior(IwalabError):
     """The requested margin leaves no interior sites in the window."""
 

@@ -15,17 +15,16 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .errors import (BudgetExceeded, ChernMismatch, EmptyGap, EmptyInterior,
-                     GapClosed, NoCommonGap, NotInterfaceLocalized,
-                     NotProjection, SlabExceedsWindow)
+from .errors import (ChernMismatch, EmptyGap, EmptyInterior, GapClosed,
+                     NoCommonGap, NotInterfaceLocalized, NotProjection,
+                     SlabExceedsWindow, SolveRefused)
 from .model import SlabWindow
 # gap_switch_operators (a dense test reference) is not called here but stays
 # importable under this module, where perfbench's tracer tests look for it
-from .operators import (LatticeOperator, Projection, SpectralData,
-                        SwitchFunction, _as_flux_fraction, _bloch_grid,
-                        _eigenvector_columns, _smoothstep, band_structure,
-                        gap_switch_operators, iwatsuka_hamiltonian,
-                        require_hermitian, require_spectrum_beyond)
+from .operators import (LatticeOperator, Projection, SwitchFunction,
+                        _as_flux_fraction, _bloch_grid, _smoothstep,
+                        band_structure, gap_switch_operators,
+                        iwatsuka_hamiltonian, require_hermitian)
 
 # Tangential orientation of the interface.  The compounded sign conventions
 # (shift direction of the translations, the i[v.n, .] derivation, and the
@@ -38,6 +37,7 @@ TANGENTIAL_ORIENTATION = -1.0
 
 DEFAULT_RAMP = 8.0        # tangential taper width of the slab trace
 DEFAULT_BUFFER = 18.0     # window sites beyond the taper end
+TAPER_MARGIN = 8.0        # the fewest window sites beyond the taper end
 
 # Relative diagonal mass allowed in the outer fifth of the included normal
 # range.  Certifies that moving the normal cutoff changes the trace well
@@ -82,12 +82,9 @@ EPS = 2.0 ** -53
 RITZ_STRIDE = 8
 RESIDUAL_CHUNK = 32       # eigenvector columns per block of `_residual_norms`
 
-# Bound on the proxy 16 N^2 bytes for the block solve `_interval_eigenpairs`
-# falls back to.  No N x N matrix is made; on the 4415-site acceptance slab
-# the solve raised the peak RSS by 631 MB against the 312 MB counted (2
-# cores).  It admits the acceptance slabs and refuses the L = 200 slab
-# (11147 sites).
-DENSE_FALLBACK_BYTES = 2 ** 30
+# Relative offset of the side counts of `_bracketed_count`; on the
+# acceptance slab they stand at offsets 1e-7 to 1e-4 and give up at 1e-9.
+BRACKET_OFFSET = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +105,20 @@ def derivation(op, v):
 def slab_window(slope, L, normal_half, buffer=DEFAULT_BUFFER):
     """The slab window for a slab trace of length L: tangential half-extent
     L/2 + DEFAULT_RAMP + buffer, so the taper of `slab_geometry` ends
-    buffer sites inside it, and normal half-width normal_half."""
-    return SlabWindow(slope, L / 2.0 + DEFAULT_RAMP + buffer, normal_half)
+    buffer sites inside it, and normal half-width normal_half.
+    SlabExceedsWindow, before the window is built, when buffer is below
+    TAPER_MARGIN."""
+    half = L / 2.0 + DEFAULT_RAMP + buffer
+    _require_taper_inside(L, half)
+    return SlabWindow(slope, half, normal_half)
+
+
+def _require_taper_inside(L, reach):
+    """SlabExceedsWindow unless the taper of a slab of length L ends at
+    least TAPER_MARGIN sites inside the tangential half-extent reach."""
+    if L / 2.0 + DEFAULT_RAMP + TAPER_MARGIN > reach + 1e-9:
+        raise SlabExceedsWindow(f"the taper of slab L={L} ends fewer than "
+                                f"{TAPER_MARGIN} sites inside {reach:.1f}")
 
 
 @dataclass
@@ -127,8 +136,8 @@ def slab_geometry(window, slope, L):
     site-count quantization a hard cutoff suffers), and a normal cutoff at
     half the window's normal extent that excludes the window's own boundary
     region where open-boundary edge states live.  The taper must end at
-    least 8 sites inside the window; ValueError unless L is a finite
-    number > 0."""
+    least TAPER_MARGIN sites inside the window; ValueError unless L is a
+    finite number > 0."""
     pos = window.positions().astype(float)
     t = pos @ slope.tangent()
     nu = pos @ slope.normal()
@@ -136,11 +145,7 @@ def slab_geometry(window, slope, L):
     nu_max = np.abs(nu).max(initial=0.0)
     if not (math.isfinite(L) and L > 0):
         raise ValueError(f"slab length must be a finite number > 0, not {L}")
-    if L / 2.0 + DEFAULT_RAMP + 8.0 > t_max + 1e-9:
-        raise SlabExceedsWindow(
-            f"slab L={L} with ramp {DEFAULT_RAMP} needs tangential "
-            f"half-extent >= {L / 2 + DEFAULT_RAMP + 8:.1f}, window has "
-            f"{t_max:.1f}")
+    _require_taper_inside(L, t_max)
     normal_cut = nu_max / 2.0
     inside = np.abs(nu) <= normal_cut
     ramp = (L / 2.0 + DEFAULT_RAMP - np.abs(t)) / DEFAULT_RAMP
@@ -456,15 +461,15 @@ def winding(u, slope, L):
 @dataclass(frozen=True)
 class _IntervalSolve:
     """What `_interval_eigenpairs` did: the inertia counts below lo and hi
-    (None where one gave up), the number |J| of pairs, the path ("lanczos"
-    or "block"), why the block solve ran ("no count", "counts disagree" or
-    the refusal of `_lanczos_pairs`; None on the Lanczos path), the Krylov
-    dimension (0 if no Lanczos ran) and the largest residual over the
-    certificate's bound (None if the run stopped before the certificate)."""
+    (None where one gave up), the offsets of the side counts that decided
+    them (0 where the count at the end stood), why the solve was refused
+    (None if it was not), the Krylov dimension (0 if no Lanczos ran) and
+    the largest residual over the certificate's bound (None if the run
+    stopped before the certificate)."""
     below_lo: object
     below_hi: object
-    pairs: int
-    path: str
+    offset_lo: float
+    offset_hi: float
     reason: object
     krylov: int
     residual_ratio: object
@@ -504,8 +509,8 @@ def _switch_traces(E, V, h, interval, geom):
     J = float(_slab_trace(diag, geom, "interface_current"))
     # column i in S of u - 1 is V a_i, a_i = (e^{2 pi i g(E)} - 1) conj(V_i,:),
     # so its moment is a_i^H (V^H T V - t_i) a_i: |V a_i| = |a_i| holds since
-    # the Lanczos and the block eigenvectors are orthonormal.  The identity
-    # adds nothing: its entries are weighted by t_i - t_i = 0
+    # the Lanczos eigenvectors are orthonormal.  The identity adds nothing:
+    # its entries are weighted by t_i - t_i = 0
     np.multiply(Vc.T, tan, out=Vc.T)                # rows of V^H T
     vtv = Vc.T @ V
     del Vc
@@ -539,12 +544,17 @@ def _count_below(hs, x):
     Without pivoting the factorization is not backward stable, so the
     count stands only if the computed factors reproduce the permuted
     matrix, ||P_r A P_c - LU||_max <= INERTIA_BACKWARD_TOL * ||A||_max.
-    None when that fails, when the factorization pivoted off the diagonal,
-    or when it met a zero pivot."""
+    LU is formed only when `_factor_residual_bound` cannot decide that.
+    None when the check fails, when the factorization pivoted off the
+    diagonal, or when it met a zero pivot."""
     from scipy.sparse.linalg import splu
 
     n = hs.shape[0]
     shifted = sparse.csc_array(hs - x * sparse.eye_array(n))
+    # a zero diagonal is a zero first pivot; SuperLU's factorization of it
+    # can call BLAS with illegal arguments, and then fault
+    if not shifted.diagonal().any():
+        return None
     try:
         lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
@@ -554,14 +564,40 @@ def _count_below(hs, x):
     pivots = U.diagonal()
     if not (np.array_equal(lu.perm_r, lu.perm_c) and pivots.all()):
         return None
-    # P_r A P_c with P_r = P_c^T is A with rows and columns both taken in
-    # the order argsort(perm_c)
-    p = np.argsort(lu.perm_c)
-    residual = shifted[p][:, p] - L @ U
-    if (np.abs(residual.data).max(initial=0.0)
-            > INERTIA_BACKWARD_TOL * np.abs(shifted.data).max(initial=0.0)):
-        return None
+    tol = INERTIA_BACKWARD_TOL * np.abs(shifted.data).max(initial=0.0)
+    if _factor_residual_bound(L, U) > tol:
+        p = np.argsort(lu.perm_c)       # P_r A P_c = A[p][:, p], P_r = P_c^T
+        if np.abs((shifted[p][:, p] - L @ U).data).max(initial=0.0) > tol:
+            return None
     return int((pivots.real < 0).sum())
+
+
+def _factor_residual_bound(L, U):
+    """A bound on ||P_r A P_c - LU||_max from the CSC factors alone, in
+    O(nnz): |P_r A P_c - LU| <= gamma_c |L||U| (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 9.3), c the longest inner
+    product, and |L||U| <= max_i (|L| r)_i with r_k = max_j |U_kj|."""
+    c = max(np.bincount(L.indices).max(initial=0),
+            np.diff(U.indptr).max(initial=0))
+    r = np.zeros(U.shape[0])
+    np.maximum.at(r, U.indices, np.abs(U.data))
+    return c * EPS / (1.0 - c * EPS) * (abs(L) @ r).max(initial=0.0)
+
+
+def _bracketed_count(hs, x):
+    """(count, offset, reason): `_count_below` at x with offset 0, or where
+    it gives up, the counts at x -+ d, d = BRACKET_OFFSET * max(1, |x|),
+    which bound it from both sides: two that stand and agree are count(x).
+    Else the count is None, with the reason "no count" if a side count
+    gives up too and "bracket split" if an eigenvalue lies within d."""
+    count = _count_below(hs, x)
+    if count is not None:
+        return count, 0.0, None
+    d = BRACKET_OFFSET * max(1.0, abs(x))
+    sides = {_count_below(hs, x - d), _count_below(hs, x + d)}
+    if None in sides:
+        return None, d, "no count"
+    return (sides.pop(), d, None) if len(sides) == 1 else (None, d, "bracket split")
 
 
 def _lanczos_pairs(hs, lo, hi, k):
@@ -673,50 +709,22 @@ def _residual_norms(hs, E, V):
     return out
 
 
-def _sector_pairs(h, interval):
-    """Eigenpairs of h in (lo, hi], sorted, from the block solve of
-    `SpectralData.from_operator`: the columns G v of each sector there,
-    merged in stable ascending order.  EmptyGap unless the spectrum reaches
-    beyond both ends; first BudgetExceeded when the proxy 16 N^2 bytes
-    exceeds DENSE_FALLBACK_BYTES."""
-    n = h.window.size
-    if 16 * n * n > DENSE_FALLBACK_BYTES:
-        raise BudgetExceeded(f"the fallback block solve of {n} sites counts "
-                             f"{16 * n * n} bytes, more than {DENSE_FALLBACK_BYTES}")
-    sd = SpectralData.from_operator(h)
-    require_spectrum_beyond(interval, sd.eigenvalues)
-    E, V = [], []
-    for g, w, v in sd.sectors:
-        i, j = np.searchsorted(w, interval, side="right")
-        E.append(w[i:j])
-        V.append(g @ _eigenvector_columns(v, i, j))
-    E = np.concatenate(E)
-    order = np.argsort(E, kind="stable")
-    return E[order], np.concatenate(V, axis=1)[:, order]
-
-
 def _interval_eigenpairs(h, interval):
     """(E, V, solve): the eigenpairs of h with eigenvalue in (lo, hi],
     sorted, and the `_IntervalSolve` that says how they were found.  The
-    inertia counts of h - lo and h - hi raise EmptyGap when no eigenvalue
-    lies below lo or every one below hi (whose pivots are nonzero, so none
-    equals hi), and give the number k of pairs in between; k = 0 returns
-    no pairs without a further factorization.  Otherwise `_lanczos_pairs`
-    solves for them on a threshold-pivoted factor, and its pairs stand
-    only if exactly k converged Ritz values lie in (lo, hi], so the count
-    and the solve certify each other, and if each pair's residual on h
-    itself is within rounding of the factor's size.  Every other outcome
-    (no count, counts that disagree, a Lanczos refusal) goes to the block
-    solve of `_sector_pairs`, which decides EmptyGap itself and raises
-    BudgetExceeded past DENSE_FALLBACK_BYTES.  lo >= hi is a ValueError."""
+    counts of `_bracketed_count` at lo and hi raise EmptyGap when no
+    eigenvalue lies below lo or every one below hi, and give the number k
+    of pairs in between that `_lanczos_pairs` must find.  Every other
+    outcome raises SolveRefused with the record.  ValueError if lo >= hi."""
     lo, hi = interval
     if not lo < hi:
         raise ValueError("empty interval")
     hs = h.matrix
     n = hs.shape[0]
-    below_lo, below_hi = _count_below(hs, lo), _count_below(hs, hi)
-    found, krylov, ratio = "no count", 0, None
-    if below_lo is not None and below_hi is not None:
+    (below_lo, offset_lo, why_lo), (below_hi, offset_hi, why_hi) = (
+        _bracketed_count(hs, x) for x in interval)
+    found, krylov, ratio = why_lo or why_hi, 0, None
+    if found is None:
         if below_lo == 0 or below_hi == n:
             raise EmptyGap(f"interval ({lo:.4f}, {hi:.4f}) has {below_lo} of "
                            f"{n} eigenvalues below it and {n - below_hi} above")
@@ -724,11 +732,12 @@ def _interval_eigenpairs(h, interval):
         if below_hi >= below_lo:
             found, krylov, ratio = _lanczos_pairs(hs, lo, hi,
                                                   below_hi - below_lo)
-    reason = found if isinstance(found, str) else None
-    E, V = _sector_pairs(h, interval) if reason else found
-    return E, V, _IntervalSolve(below_lo, below_hi, E.size,
-                                "block" if reason else "lanczos", reason,
-                                krylov, ratio)
+    refused = isinstance(found, str)
+    solve = _IntervalSolve(below_lo, below_hi, offset_lo, offset_hi,
+                           found if refused else None, krylov, ratio)
+    if refused:
+        raise SolveRefused(solve)
+    return (*found, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -811,8 +820,6 @@ def verify_bic(field, mu=None, L=48.0, normal_half=22.0,
     ch_minus = chern_momentum(minus_turns, mu=mu)
 
     window = slab_window(slope, L, normal_half, buffer)
-    # SlabExceedsWindow before assembly, which an empty window would fail
-    slab_geometry(window, slope, L)
     report = interface_current(iwatsuka_hamiltonian(field, window), interval,
                                slope, L)
 

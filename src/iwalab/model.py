@@ -543,15 +543,17 @@ class LatticeWindow(_SiteWindow):
 class SlabWindow(_SiteWindow):
     """Rotated rectangular window adapted to an interface: all lattice sites
     with |v.n| <= tangential_half and |v_perp.n| <= normal_half, where v is
-    the unit tangent of the slope.  ValueError on a NaN half-width,
-    BudgetExceeded on a box of more than MAX_WINDOW_BOX sites."""
+    the unit tangent of the slope.  ValueError on a half-width that is
+    negative or NaN, BudgetExceeded on a box of more than MAX_WINDOW_BOX
+    sites."""
 
     def __init__(self, slope, tangential_half, normal_half):
         self.slope = slope
         self.tangential_half = float(tangential_half)
         self.normal_half = float(normal_half)
-        if math.isnan(self.tangential_half) or math.isnan(self.normal_half):
-            raise ValueError("a slab window's half-widths must be numbers, not nan")
+        if not (self.tangential_half >= 0 and self.normal_half >= 0):
+            raise ValueError(f"a slab window's half-widths must be numbers >= 0, "
+                             f"not {self.tangential_half} and {self.normal_half}")
         v = slope.tangent()
         vp = slope.normal()
         reach = math.hypot(self.tangential_half, self.normal_half)

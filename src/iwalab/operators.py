@@ -670,17 +670,6 @@ class SwitchFunction:
         return 140.0 * t ** 3 * (1.0 - t) ** 3 / (2.0 * self.delta)
 
 
-def require_spectrum_beyond(interval, E):
-    """Raise EmptyGap unless the eigenvalues E reach strictly below and
-    strictly above the interval."""
-    lo, hi = interval
-    if not lo < hi:
-        raise ValueError("empty interval")
-    if not (E.min() < lo and E.max() > hi):
-        raise EmptyGap(f"interval ({lo:.4f}, {hi:.4f}) not inside the "
-                       f"numerical spectral range [{E.min():.4f}, {E.max():.4f}]")
-
-
 def require_hermitian(op):
     """Raise ValueError unless the operator op is Hermitian to
     HERMITIAN_TOL, ||h - h*||_max read off its sparse matrix in O(nnz)."""
@@ -698,8 +687,13 @@ def gap_switch_operators(spectral, interval):
     as (G v) diag f(w) (G v)* with the columns of zero weight skipped, in
     no eigenvalue order; v is read through `_eigenvector_columns` (and a
     whole solve takes v, not G v).  Raises EmptyGap unless spectrum exists
-    strictly below and above the interval."""
-    require_spectrum_beyond(interval, spectral.eigenvalues)
+    strictly below and above the interval; ValueError if lo >= hi."""
+    (lo, hi), E = interval, spectral.eigenvalues
+    if not lo < hi:
+        raise ValueError("empty interval")
+    if not (E.min() < lo and E.max() > hi):
+        raise EmptyGap(f"interval ({lo:.4f}, {hi:.4f}) not inside the "
+                       f"numerical spectral range [{E.min():.4f}, {E.max():.4f}]")
     sw = SwitchFunction.from_interval(*interval)
     funcs = (sw.g, sw.gprime, lambda x: np.exp(2j * np.pi * sw.g(x)))
     out = [np.zeros((spectral.window.size,) * 2, dtype=complex) for _ in funcs]

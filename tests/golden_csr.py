@@ -46,7 +46,6 @@ import numpy as np
 
 import iwalab as il
 from iwalab import cli, operators
-from iwalab.invariants import slab_window
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden" / "csr_structure.json"
 SLOPE_FLOATS_FILE = GOLDEN_FILE.with_name("slope_floats.json")
@@ -69,7 +68,10 @@ SLOPES = {**RATIONAL_SLOPES,
           "sqrt2": il.QuadraticIrrationalSlope(0, 1, 1, 2),
           "golden": il.QuadraticIrrationalSlope(1, 1, 2, 5),
           "float-sqrt3": il.FloatIrrationalSlope(math.sqrt(3))}
-SLAB = dict(L=12.0, normal_half=10.0, buffer=4.0)
+# the window of a slab L = 12 with buffer 4 (tangential half 12/2 + ramp 8
+# + 4), below the taper margin slab_window asks of a slab trace: these
+# operators are pinned, never traced
+SLAB = dict(tangential_half=12.0 / 2 + 8.0 + 4.0, normal_half=10.0)
 FLOAT_SLOPES = {
     "0": il.RationalSlope(0, 1), "1/2": il.RationalSlope(1, 2),
     "-1/3": il.RationalSlope(-1, 3), "2": il.RationalSlope(2, 1),
@@ -105,7 +107,7 @@ def configurations():
         for perturbed in (False, True):
             def build(slope=slope, perturbed=perturbed):
                 return il.iwatsuka_hamiltonian(_field(slope, perturbed),
-                                               slab_window(slope, **SLAB))
+                                               il.SlabWindow(slope, **SLAB))
             out.append((f"hamiltonian {label}{' perturbed' if perturbed else ''}",
                         build))
     for flux in (THIRD, Fraction(1, 2), Fraction(2, 5)):
@@ -117,13 +119,13 @@ def configurations():
             out.append((f"shift {label} {variant}",
                         lambda slope=slope, variant=variant:
                         il.interface_shift_unitary(_field(slope, False),
-                                                   slab_window(slope, **SLAB),
+                                                   il.SlabWindow(slope, **SLAB),
                                                    variant)))
     for label in ("1/2", "+inf"):
         slope = RATIONAL_SLOPES[label]
         out.append((f"shift {label} minimal perturbed",
                     lambda slope=slope: il.interface_shift_unitary(
-                        _field(slope, True), slab_window(slope, **SLAB))))
+                        _field(slope, True), il.SlabWindow(slope, **SLAB))))
     return out
 
 

@@ -394,12 +394,24 @@ class TestCommands:
 
     @pytest.mark.parametrize("buffer", [-10, -40])
     def test_slab_exceeding_window_exits_3(self, tmp_path, capsys, buffer):
-        # at -40 the window is empty
+        # refused before the window is built; at -40 it would be empty
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"buffer": buffer}))
         rc = cli.main(["verify-bic", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "SlabExceedsWindow"
+
+    def test_refused_interval_solve_exits_3(self, tmp_path, capsys,
+                                            monkeypatch):
+        # a slab solve that no inertia count certifies is a numerical guard
+        monkeypatch.setattr(invariants, "_count_below", lambda hs, x: None)
+        rc = cli.main(["verify-bic", "--slope", "rational:1,1", "--L", "8",
+                       "--normal-half", "18", "--out", str(tmp_path)])
+        assert rc == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "SolveRefused"
+        assert payload["message"].endswith("no count")
+        assert not (tmp_path / "verify_bic.json").exists()
 
     def test_butterfly_over_budget_exits_3(self, tmp_path, capsys, monkeypatch):
         def no_bloch(*args, **kwargs):

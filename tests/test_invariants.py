@@ -869,7 +869,7 @@ class TestInIntervalSwitchTraces:
         rep = il.interface_current(h, interval, self.SLOPE, 8.0)
         current, w, cross = dense_switch_traces(h, sd, interval, self.SLOPE,
                                                 8.0)
-        assert rep.solve.path == "lanczos"
+        assert rep.solve.reason is None and rep.solve.krylov > 0
         assert abs(rep.winding_gap_unitary - w) < 1e-10
         assert abs(rep.current - current) < 1e-10
         assert abs(rep.cross_residual - cross) < 1e-10
@@ -946,11 +946,10 @@ class TestInIntervalSwitchTraces:
         with pytest.raises(il.SlabExceedsWindow):
             il.verify_bic(field, L=8.0, normal_half=18.0, buffer=4.0)
 
-    def test_count_less_solve_is_one_block_solve(self, monkeypatch):
+    def test_count_at_a_pivot_zero_is_bracketed(self, monkeypatch):
         # at mu = -13/9 the switch interval ends at -1.0000000000000002,
-        # where the inertia count gives up: the block solve answers, once,
-        # and no dense copy of h is made: every sparse array made dense is
-        # smaller than N x N (the chiral half block is)
+        # where the inertia count gives up: the side counts decide it, the
+        # Lanczos run answers, and no dense solve or N x N array is made
         field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
         h = il.iwatsuka_hamiltonian(
             field, invariants.slab_window(self.SLOPE, **self.SIZE))
@@ -964,11 +963,16 @@ class TestInIntervalSwitchTraces:
 
         monkeypatch.setattr(_cs_matrix, "toarray", recorded)
         calls = spy(monkeypatch, operators.SpectralData, "from_operator")
+        reports = returns(monkeypatch, invariants, "interface_current")
         rep = il.verify_bic(field, mu=-13 / 9, **self.SIZE)
-        assert len(calls) == 1
-        assert shapes and (n, n) not in shapes
-        assert invariants._count_below(h.matrix, rep.delta[1]) is None
+        assert calls == [] and (n, n) not in shapes
         monkeypatch.undo()
+        hi = rep.delta[1]
+        assert invariants._count_below(h.matrix, hi) is None
+        solve = reports[0].solve
+        assert solve.reason is None and solve.krylov > 0
+        assert (solve.offset_lo, solve.offset_hi) == (
+            0.0, invariants.BRACKET_OFFSET * -hi)
         E, V = dense_interval_eigenpairs(h, rep.delta)
         want = invariants._switch_traces(
             E, V, h, rep.delta, slab_geometry(h.window, self.SLOPE, 8.0))
@@ -977,16 +981,20 @@ class TestInIntervalSwitchTraces:
         assert abs(rep.residual_cross - want.cross_residual) < 1e-12
 
     def test_empty_slab_window_before_assembly(self, monkeypatch):
-        # a negative buffer empties the window, whose assembly would fail
+        # a negative buffer would empty the window: it is refused before
+        # the window is built, by the taper margin rule of slab_geometry
         def no_assembly(*args, **kwargs):
             raise AssertionError("the slab check should come first")
 
+        monkeypatch.setattr(invariants, "SlabWindow", no_assembly)
         monkeypatch.setattr(invariants, "iwatsuka_hamiltonian", no_assembly)
         monkeypatch.setattr(scipy.sparse.linalg, "splu", no_assembly)
         field = il.IwatsukaField.from_turns(self.SLOPE, THIRD, TWO_THIRDS)
-        assert invariants.slab_window(self.SLOPE, 48.0, 22.0, -40.0).size == 0
-        with pytest.raises(il.SlabExceedsWindow):
-            il.verify_bic(field, buffer=-40.0)
+        for buffer in (-40.0, invariants.TAPER_MARGIN - 0.5):
+            with pytest.raises(il.SlabExceedsWindow):
+                invariants.slab_window(self.SLOPE, 48.0, 22.0, buffer)
+            with pytest.raises(il.SlabExceedsWindow):
+                il.verify_bic(field, buffer=buffer)
 
     def test_empty_gap_outside_spectrum(self, small_slab, monkeypatch):
         h, sd = small_slab
@@ -1001,14 +1009,21 @@ class TestInIntervalSwitchTraces:
             with pytest.raises(il.EmptyGap):
                 il.interface_current(h, interval, self.SLOPE, 8.0)
 
-    def test_empty_gap_without_counts(self, small_slab, monkeypatch):
+    def test_interval_without_counts_is_refused(self, small_slab,
+                                                monkeypatch):
+        # with no count at an end, nor beside it, nothing decides the gap:
+        # the solve is refused, and no dense solve runs
         h, sd = small_slab
         monkeypatch.setattr(invariants, "_count_below", lambda hs, x: None)
         calls = spy(monkeypatch, operators.SpectralData, "from_operator")
-        top = sd.eigenvalues.max()
-        with pytest.raises(il.EmptyGap):
-            invariants._interval_eigenpairs(h, (top + 0.1, top + 0.5))
-        assert len(calls) == 1
+        lo = sd.eigenvalues.max() + 0.1
+        with pytest.raises(il.SolveRefused) as refused:
+            invariants._interval_eigenpairs(h, (lo, lo + 0.4))
+        solve = refused.value.solve
+        assert (solve.reason, solve.below_lo, solve.below_hi, solve.krylov) == (
+            "no count", None, None, 0)
+        assert solve.offset_lo == invariants.BRACKET_OFFSET * lo
+        assert calls == []
 
     def test_empty_interval_before_factorization(self, small_slab,
                                                  monkeypatch):
@@ -1082,20 +1097,30 @@ def spy(monkeypatch, module, name):
     return calls
 
 
+def returns(monkeypatch, module, name):
+    """Record what module.name returns; the spy still runs it."""
+    results, original = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return results
+
+
+def refusal(h, interval):
+    """The record of the SolveRefused that the interval solve raises."""
+    with pytest.raises(il.SolveRefused) as refused:
+        invariants._interval_eigenpairs(h, interval)
+    return refused.value.solve
+
+
 def dense_interval_eigenpairs(h, interval):
     """The reference pairs of h in (lo, hi]: scipy's dense evr subset
     solve."""
     return scipy.linalg.eigh(h.matrix.toarray(), driver="evr",
                              subset_by_value=interval)
-
-
-def assert_same_pairs(pairs, reference):
-    """The same eigenvalues and the same spectral projector V V* within
-    1e-12, for orthonormal V; the eigenvector phases are each solver's own."""
-    (E, V), (Ed, Vd) = pairs, reference
-    assert E.size == Ed.size > 0
-    assert np.abs(E - Ed).max() < 1e-12
-    assert np.abs(V @ V.conj().T - Vd @ Vd.conj().T).max() < 1e-12
 
 
 class TestIntervalEigenpairs:
@@ -1133,9 +1158,9 @@ class TestIntervalEigenpairs:
         interval = rep.delta
         E, V, solve = invariants._interval_eigenpairs(h, interval)
         Ed, Vd = dense_interval_eigenpairs(h, interval)
-        # the sparse solve was certified: the counts decide |J|, and the
-        # Lanczos pairs stand
-        assert solve.path == "lanczos"
+        # the sparse solve was certified: the counts at the ends decide |J|,
+        # and the Lanczos pairs stand
+        assert (solve.reason, solve.offset_lo, solve.offset_hi) == (None, 0, 0)
         assert solve.below_hi - solve.below_lo == E.size == Ed.size > 0
         assert np.abs(E - Ed).max() < 1e-12
         # _switch_traces reads |V a| = |a|
@@ -1152,30 +1177,31 @@ class TestIntervalEigenpairs:
         # at the bic_slab size, with the shift-invert factor unpivoted, the
         # Ritz test (which checks the inverse only as the factor computes
         # it) converges to pairs with residual 2e-2 ||h||_1; the residual
-        # certificate on h turns them away and the block solve answers.
-        # The inertia counts already factor unpivoted and do not change.
+        # certificate on h turns them away, and the solve is refused.  The
+        # inertia counts already factor unpivoted and do not change.
         # Whether an unpivoted run gets as far as the certificate depends
         # on the last bits of h, so the reach is asserted too
         size = dict(L=12.0, normal_half=18.0, buffer=9.0)
         field = il.IwatsukaField.from_turns(
             ONE, Fraction(1, 4), Fraction(3, 4),
             perturbation_turns=PERTURBATION)
+        rep = il.verify_bic(field, **size)
+        assert rep.passed
+        h = il.iwatsuka_hamiltonian(field, invariants.slab_window(ONE, **size))
         splu = scipy.sparse.linalg.splu
         monkeypatch.setattr(
             scipy.sparse.linalg, "splu",
             lambda *a, **kw: splu(*a, **{**kw, "diag_pivot_thresh": 0.0}))
-        rep = il.verify_bic(field, **size)
-        h = il.iwatsuka_hamiltonian(field, invariants.slab_window(ONE, **size))
-        E, V, solve = invariants._interval_eigenpairs(h, rep.delta)
-        assert rep.passed
-        assert (solve.path, solve.reason) == ("block", "residual")
+        with pytest.raises(il.SolveRefused, match="residual"):
+            il.verify_bic(field, **size)
+        solve = refusal(h, rep.delta)
+        assert solve.reason == "residual"
         # the worst residual over the certificate's bound N eps ||h - sigma||_F
         n, sigma = h.window.size, sum(rep.delta) / 2
         bound = n * invariants.EPS * np.linalg.norm(
             (h.matrix - sigma * sparse.eye_array(n)).data)
         h_norm1 = abs(h.matrix).sum(axis=0).max()
         assert solve.residual_ratio * bound > 1e-2 * h_norm1
-        assert_same_pairs((E, V), dense_interval_eigenpairs(h, rep.delta))
 
     def test_long_run_keeps_the_basis_orthonormal(self, small_slab):
         # 67 pairs over a Krylov dimension of about 200: the three-term
@@ -1204,7 +1230,66 @@ class TestIntervalEigenpairs:
         assert (scipy.linalg.eigvalsh(a) < 0).sum() == 2
         assert invariants._count_below(sparse.csr_array(a), 0.0) is None
 
-    def test_no_convergence_falls_back(self, monkeypatch):
+    def test_factor_bound_decides_the_counts(self, small_slab):
+        # where a count stands, the O(nnz) bound on the factors' residual
+        # decides it without the product LU; where it gives up (x = +-1),
+        # the bound is too weak and the product decides
+        h, (lo, hi) = small_slab
+        n = h.window.size
+        for x in (lo, hi, -1.0, 0.1, 1.0):
+            shifted = sparse.csc_array(h.matrix - x * sparse.eye_array(n))
+            lu = scipy.sparse.linalg.splu(
+                shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
+            p = np.argsort(lu.perm_c)
+            residual = np.abs((shifted[p][:, p] - lu.L @ lu.U).data).max()
+            bound = invariants._factor_residual_bound(lu.L, lu.U)
+            tol = (invariants.INERTIA_BACKWARD_TOL
+                   * np.abs(shifted.data).max())
+            assert residual <= bound
+            assert (bound <= tol) == (abs(x) != 1.0)
+            assert (invariants._count_below(h.matrix, x) is None) == (
+                residual > tol)
+
+    @pytest.fixture(scope="class")
+    def half_slab(self):
+        # the bic_slab slab of slope 1/2, fluxes 1/3|2/3, and its spectrum
+        h = il.iwatsuka_hamiltonian(iw_field(HALF),
+                                    invariants.slab_window(HALF, **self.SIZE))
+        return h, scipy.linalg.eigvalsh(h.matrix.toarray())
+
+    @pytest.mark.parametrize("x", [-2.0, -1.0, 1.0, 2.0, -math.sqrt(2),
+                                   math.sqrt(2)])
+    def test_bracket_counts_where_the_count_gives_up(self, half_slab, x):
+        # on the bic_slab slab of slope 1/2, fluxes 1/3|2/3, the count gives
+        # up at integers and +-sqrt(2), zeros of the unpivoted pivots; the
+        # side counts at x -+ 1e-6 max(1, |x|) stand and agree
+        h, E = half_slab
+        assert invariants._count_below(h.matrix, x) is None
+        d = invariants.BRACKET_OFFSET * max(1.0, abs(x))
+        assert invariants._bracketed_count(h.matrix, x) == (
+            (E < x).sum(), d, None)
+
+    @pytest.mark.parametrize("slope,zeros", [(HALF, 1), (ONE, 57)])
+    def test_bracket_splits_at_an_eigenvalue(self, slope, zeros,
+                                             monkeypatch):
+        # x = 0 is an eigenvalue of these chiral slabs (their two
+        # sublattices differ in size): the side counts differ by the zero
+        # modes, so count(0) is not decided.  The count at 0 itself is not
+        # factored: its first pivot is zero (at slope 1 SuperLU called ZTRSV
+        # with illegal arguments on it, and faulted at times)
+        field = il.IwatsukaField.from_turns(slope, THIRD, TWO_THIRDS)
+        h = il.iwatsuka_hamiltonian(field,
+                                    invariants.slab_window(slope, **self.SIZE))
+        E = scipy.linalg.eigvalsh(h.matrix.toarray())
+        d = invariants.BRACKET_OFFSET
+        assert (np.abs(E) < d).sum() == zeros
+        counts = spy(monkeypatch, scipy.sparse.linalg, "splu")
+        assert invariants._bracketed_count(h.matrix, 0.0) == (
+            None, d, "bracket split")
+        assert len(counts) == 2
+
+    def test_no_convergence_is_refused(self, monkeypatch):
         # with the Ritz values never checked the Lanczos run on nine well
         # separated levels ends at Krylov dimension N = 9.  (On a slab the
         # last step tends to break down instead: its new vector is rounding
@@ -1213,36 +1298,34 @@ class TestIntervalEigenpairs:
         op = il.LatticeOperator(win, sparse.diags_array(
             [-2.5, -2.0, -1.5, -1.0, 0.25, 1.0, 1.5, 2.0, 2.5]))
         monkeypatch.setattr(invariants, "RITZ_STRIDE", win.size)
-        E, V, solve = invariants._interval_eigenpairs(op, (-0.5, 0.5))
-        assert (solve.path, solve.reason, solve.krylov) == (
-            "block", "krylov exhausted", win.size)
-        assert_same_pairs((E, V), dense_interval_eigenpairs(op, (-0.5, 0.5)))
+        solve = refusal(op, (-0.5, 0.5))
+        assert (solve.reason, solve.krylov) == ("krylov exhausted", win.size)
+        assert (solve.below_lo, solve.below_hi) == (4, 5)
 
     @pytest.mark.parametrize("error", [-1, 1])
-    def test_wrong_count_falls_back(self, small_slab, monkeypatch, error):
+    def test_wrong_count_is_refused(self, small_slab, monkeypatch, error):
         # asked for one pair less, one Ritz value too many lies inside;
         # asked for one more, all converge with one level missing
         h, interval = small_slab
         count = invariants._count_below
+        k = count(h.matrix, interval[1]) - count(h.matrix, interval[0])
         monkeypatch.setattr(
             invariants, "_count_below",
             lambda hs, x: count(hs, x) + (error if x == interval[1] else 0))
-        E, V, solve = invariants._interval_eigenpairs(h, interval)
-        reason = "too many" if error < 0 else "missed level"
-        assert (solve.path, solve.reason) == ("block", reason)
-        assert solve.pairs == E.size == solve.below_hi - solve.below_lo - error
-        assert_same_pairs((E, V), dense_interval_eigenpairs(h, interval))
+        solve = refusal(h, interval)
+        assert solve.reason == ("too many" if error < 0 else "missed level")
+        assert solve.below_hi - solve.below_lo == k + error
+        assert solve.krylov > 0
 
-    def test_counts_that_disagree_fall_back(self, small_slab, monkeypatch):
+    def test_counts_that_disagree_are_refused(self, small_slab, monkeypatch):
         h, interval = small_slab
         count = invariants._count_below
         monkeypatch.setattr(
             invariants, "_count_below",
             lambda hs, x: count(hs, interval[0]) - (x == interval[1]))
-        E, V, solve = invariants._interval_eigenpairs(h, interval)
-        assert (solve.path, solve.reason) == ("block", "counts disagree")
+        solve = refusal(h, interval)
+        assert solve.reason == "counts disagree"
         assert solve.below_hi == solve.below_lo - 1 and solve.krylov == 0
-        assert_same_pairs((E, V), dense_interval_eigenpairs(h, interval))
 
     def test_empty_interval(self, monkeypatch):
         win = il.LatticeWindow(4)
@@ -1253,64 +1336,38 @@ class TestIntervalEigenpairs:
         counts = spy(monkeypatch, scipy.sparse.linalg, "splu")
         E, V, solve = invariants._interval_eigenpairs(op, (-0.5, 0.5))
         assert len(counts) == 2
-        assert (solve.path, solve.pairs, solve.krylov) == ("lanczos", 0, 0)
+        assert (solve.reason, solve.below_hi - solve.below_lo,
+                solve.krylov) == (None, 0, 0)
         assert E.shape == (0,) and V.shape == (win.size, 0)
 
-    def test_degenerate_level_falls_back(self):
+    def test_degenerate_level_is_refused(self):
         # three distinct levels, 0.1 twice inside the interval: the Krylov
         # space of one start vector is invariant after three steps and holds
-        # one copy, so the block solve answers
+        # one copy, so the run breaks down
         win = il.LatticeWindow(4)
         levels = np.full(win.size, -2.0)
         levels[40:42] = 0.1
         levels[42:] = 2.0
         op = il.LatticeOperator(win, sparse.diags_array(levels))
         with np.errstate(all="raise"):
-            E, V, solve = invariants._interval_eigenpairs(op, (-0.5, 0.5))
-        assert (solve.path, solve.reason, solve.krylov) == ("block",
-                                                           "breakdown", 3)
-        Ed, Vd = dense_interval_eigenpairs(op, (-0.5, 0.5))
-        assert Ed.size == 2
-        assert_same_pairs((E, V), (Ed, Vd))
+            solve = refusal(op, (-0.5, 0.5))
+        assert (solve.reason, solve.krylov) == ("breakdown", 3)
+        assert solve.below_hi - solve.below_lo == 2
 
-    def test_two_sector_fallback_matches_evr(self, monkeypatch):
-        # a constant field on a slab closed under n -> -n is solved on two
-        # parity sectors, whose eigenvalues in the interval interleave: the
-        # pairs of both are merged in ascending order
-        h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(THIRD),
-                                    il.SlabWindow(ZERO, 20.0, 12.0))
-        interval = common_gap_interval()
-        monkeypatch.setattr(invariants, "_count_below", lambda hs, x: None)
-        E, V, solve = invariants._interval_eigenpairs(h, interval)
-        assert (solve.path, solve.reason) == ("block", "no count")
-        assert len(operators.SpectralData.from_operator(h).sectors) == 2
-        assert np.all(np.diff(E) >= 0)
-        assert np.abs(V.conj().T @ V - np.eye(E.size)).max() <= 1e-13
-        assert_same_pairs((E, V), dense_interval_eigenpairs(h, interval))
-
-    @pytest.mark.parametrize("M,refused", [(4, False), (5, True)])
-    @pytest.mark.parametrize("path", ["no-count", "no-lanczos"])
-    def test_dense_fallback_is_bounded(self, monkeypatch, M, refused, path):
-        # 16 N^2 bytes: 89^2 = 7921 sites take 1.00e9, within 2^30, and
-        # 91^2 = 8281 sites take 1.10e9, past it.  Lowered to the 16 N^2 of
-        # 9^2 = 81 sites, the budget admits LatticeWindow(4) and refuses
-        # LatticeWindow(5), 121 sites, before the dense solve starts
-        assert 16 * 89 ** 4 <= invariants.DENSE_FALLBACK_BYTES < 16 * 91 ** 4
-        monkeypatch.setattr(invariants, "DENSE_FALLBACK_BYTES", 16 * 81 ** 2)
-        h = il.iwatsuka_hamiltonian(il.ConstantField.from_turns(THIRD),
-                                    il.LatticeWindow(M))
-        reason = "no count" if path == "no-count" else "breakdown"
-        patch = (("_count_below", lambda hs, x: None) if path == "no-count"
-                 else ("_lanczos_pairs", lambda *args: (reason, 1, None)))
-        monkeypatch.setattr(invariants, *patch)
+    @pytest.mark.parametrize("L", [48.0, 200.0])
+    def test_bracketed_end_at_acceptance_size(self, monkeypatch, L):
+        # verify_bic(mu=-13/9) puts the interval's upper end on
+        # -1.0000000000000002, where the count gives up; the side counts
+        # decide it, and the run passes on the Lanczos path with no dense
+        # solve, on the L = 200 slab (11147 sites) too
         dense = spy(monkeypatch, operators.SpectralData, "from_operator")
-        if refused:
-            with pytest.raises(il.BudgetExceeded):
-                invariants._interval_eigenpairs(h, (-0.5, 0.5))
-        else:
-            solve = invariants._interval_eigenpairs(h, (-0.5, 0.5))[2]
-            assert (solve.path, solve.reason) == ("block", reason)
-        assert len(dense) == (0 if refused else 1)
+        reports = returns(monkeypatch, invariants, "interface_current")
+        rep = il.verify_bic(iw_field(HALF), mu=-13 / 9, L=L)
+        solve = reports[0].solve
+        assert dense == [] and rep.passed
+        assert solve.reason is None and solve.krylov > 0
+        assert (solve.offset_lo, solve.offset_hi) == (
+            0.0, invariants.BRACKET_OFFSET * -rep.delta[1])
 
     def test_count_too_high_stops_early(self, small_slab):
         # asked for one pair more than (lo, hi] holds, the run stops once

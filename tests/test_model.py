@@ -684,8 +684,7 @@ class TestWindows:
         assert (0, 0) in w.sites
 
     @pytest.mark.parametrize("halves", [
-        (254.5, 0.0), (1e308, 1.0), (1.0, -1e308), (1.7e308, 1.7e308),
-        (math.inf, 1.0)])
+        (254.5, 0.0), (1e308, 1.0), (1.7e308, 1.7e308), (math.inf, 1.0)])
     def test_slab_window_over_budget_allocates_nothing(self, monkeypatch, halves):
         def no_grid(*args, **kwargs):
             raise AssertionError("the window's box was allocated")
@@ -703,6 +702,17 @@ class TestWindows:
 
         monkeypatch.setattr(np, "meshgrid", no_grid)
         with pytest.raises(ValueError, match="nan"):
+            il.SlabWindow(il.RationalSlope(1, 2), *halves)
+
+    @pytest.mark.parametrize("halves", [(1.0, -1e308), (-8.0, 22.0),
+                                        (10.0, -0.5)])
+    def test_slab_window_refuses_negative_halves(self, monkeypatch, halves):
+        # as LatticeWindow refuses a negative half-width, before the box
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the window's box was allocated")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        with pytest.raises(ValueError, match=">= 0"):
             il.SlabWindow(il.RationalSlope(1, 2), *halves)
 
     def test_slab_window_budget_admits_the_largest_windows(self):

@@ -64,8 +64,10 @@ def test_pruned_names_stay_out():
     # the dense operator form: every LatticeOperator is a CSR array, a
     # Projection is its frames, and the winding moments are sparse only;
     # the hand-written Bloch memo, since a functools.lru_cache holds the
-    # grid of chern_momentum; and the eigh split of the parity sectors,
-    # since one orbit construction builds every symmetry sector
+    # grid of chern_momentum; the eigh split of the parity sectors, since
+    # one orbit construction builds every symmetry sector; and the dense
+    # block solve of the slab interval, since bracketed counts certify the
+    # sparse one
     invariants = importlib.import_module("iwalab.invariants")
     operators = importlib.import_module("iwalab.operators")
     for owner, name in ((iwalab.LatticeOperator, "dense"),
@@ -73,7 +75,9 @@ def test_pruned_names_stay_out():
                         (invariants, "MOMENT_CHUNK"),
                         (invariants, "_BlochMemo"),
                         (invariants, "_BLOCH_MEMO"),
-                        (operators, "_split_by")):
+                        (operators, "_split_by"),
+                        (invariants, "_sector_pairs"),
+                        (invariants, "DENSE_FALLBACK_BYTES")):
         assert not hasattr(owner, name), name
 
 
