@@ -15,7 +15,7 @@ from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
                     LatticeWindow, MinusInfinity, PlusInfinity,
                     QuadraticIrrationalSlope, RationalSlope, SlabWindow,
                     circulation, zero_field)
-from .hull import Pattern, cantor_diagnostics, enumerate_hull
+from .hull import cantor_diagnostics, enumerate_hull
 from .operators import (BandStructure, LatticeOperator, Projection,
                         SpectralData, SwitchFunction, band_structure,
                         bloch_spectrum, fermi_projection, flux_operator,

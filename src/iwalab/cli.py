@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import (BudgetExceeded, ConfigError, IrrationalFlux, IwalabError,
                      NoCommonGap)
-from .hull import cantor_diagnostics, enumerate_hull
+from .hull import cantor_diagnostics, enumerate_hull, pattern_rows
 from .invariants import (DEFAULT_BUFFER, chern_momentum, chern_realspace,
                          slab_window, verify_bic, winding)
 from .model import (ConstantField, FloatIrrationalSlope, IwatsukaField,
@@ -63,26 +63,38 @@ def parse_flux(text):
     return Fraction(sign * p, q)
 
 
+# The JSON slope objects: per type, the constructor and its fields, which
+# are JSON integers, but for the float slope's value, a finite JSON number
+_SLOPE_OBJECTS = {
+    "rational": (RationalSlope, ("p", "q")),
+    "quadratic": (QuadraticIrrationalSlope, ("a", "b", "c", "d")),
+    "float": (FloatIrrationalSlope, ("value",)),
+    "+inf": (lambda: PlusInfinity, ()),
+    "-inf": (lambda: MinusInfinity, ()),
+}
+
+
 def parse_slope(spec):
     """Slope from the CLI shorthand ('rational:p,q', 'quadratic:a,b,c,d',
-    'float:value', '+inf', '-inf') or the JSON object form."""
+    'float:value', '+inf', '-inf') or the JSON object form, which holds
+    `type` and exactly that type's fields."""
     if isinstance(spec, dict):
         t = spec.get("type")
+        if not (isinstance(t, str) and t in _SLOPE_OBJECTS):
+            raise ConfigError(f"unknown slope type {t!r}")
+        make, names = _SLOPE_OBJECTS[t]
+        if set(spec) != {"type", *names}:
+            raise ConfigError(f"bad slope object {spec!r}: its fields must be "
+                              f"{', '.join(('type',) + names)}")
+        values = [spec[name] for name in names]
+        if not all(map(_is_real if t == "float" else _is_int, values)):
+            raise ConfigError(f"bad slope object {spec!r}: {', '.join(names)} "
+                              "must be " + ("a finite number" if t == "float"
+                                            else "integers"))
         try:
-            if t == "rational":
-                return RationalSlope(*_int_fields(spec, "p", "q"))
-            if t == "quadratic":
-                return QuadraticIrrationalSlope(*_int_fields(spec, "a", "b",
-                                                             "c", "d"))
-            if t == "float":
-                return FloatIrrationalSlope(spec["value"])
-            if t == "+inf":
-                return PlusInfinity
-            if t == "-inf":
-                return MinusInfinity
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            return make(*values)
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"bad slope object {spec!r}: {exc}") from exc
-        raise ConfigError(f"unknown slope type {t!r}")
     text = str(spec).strip()
     if text in ("+inf", "inf"):
         return PlusInfinity
@@ -103,14 +115,6 @@ def parse_slope(spec):
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad slope spec {text!r}: {exc}") from exc
     raise ConfigError(f"unknown slope spec {text!r}")
-
-
-def _int_fields(spec, *names):
-    """The named fields of a JSON slope object, each a JSON integer."""
-    values = [spec[name] for name in names]
-    if not all(_is_int(v) for v in values):
-        raise ValueError(f"{', '.join(names)} must be integers")
-    return values
 
 
 def parse_perturbation(entries):
@@ -262,7 +266,7 @@ def cmd_hull(cfg, t0):
             for r in cantor_diagnostics(slope, M_list)]
     written = [write_csv(cfg, t0, "hull.csv",
                          ["M", "pattern_count", "min_gap", "non_isolated"], rows)]
-    dump = {str(M): [p.to_strings() for p in enumerate_hull(slope, M)]
+    dump = {str(M): [pattern_rows(p) for p in enumerate_hull(slope, M)]
             for M in M_list if M <= 4}
     if dump:
         written.append(write_json(cfg, t0, "hull_patterns.json", "patterns", dump))

@@ -5,10 +5,11 @@ dichotomy.
 A hull configuration is never stored as an infinite pattern.  Its
 restriction to a square window is a cut of the exactly sorted window
 offsets x_n = -alpha*n1 + n2 by a threshold, and every number is read on
-finite windows in the slope's exact arithmetic.  Offsets are read only
-through the slope's offset, compare and mod_one, float() and integer
-subtraction, so the fraction slopes and the oracle-driven irrational
-slopes of `model` share this code.
+finite windows in the slope's exact arithmetic.  A window pattern is a
+read-only boolean mask of the b_plus sites, indexed [n1 + M, n2 + M].
+Offsets are read only through the slope's offset, compare and mod_one,
+float() and integer subtraction, so the fraction slopes and the
+oracle-driven irrational slopes of `model` share this code.
 """
 
 import functools
@@ -17,47 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _ExactIrrationalSlope
-
-
-class Pattern:
-    """Restriction of a hull configuration to the square window [-M, M]^2,
-    stored as the boolean mask of b_plus sites.  Equality and hashing are
-    exact."""
-
-    __slots__ = ("half_width", "_mask", "_key")
-
-    def __init__(self, half_width, plus_mask):
-        self.half_width = int(half_width)
-        m = np.asarray(plus_mask, dtype=bool)
-        if m.shape != (2 * self.half_width + 1,) * 2:
-            raise ValueError("mask shape does not match the window")
-        m.setflags(write=False)
-        self._mask = m
-        self._key = m.tobytes()
-
-    def plus_mask(self):
-        return self._mask
-
-    def to_strings(self):
-        """Rows n2 = +M .. -M as '+'/'-' strings (row-major in n1 would be
-        unreadable; this draws the lattice the usual way up)."""
-        M = self.half_width
-        rows = []
-        for n2 in range(M, -M - 1, -1):
-            rows.append("".join("+" if self._mask[n1 + M, n2 + M] else "-"
-                                for n1 in range(-M, M + 1)))
-        return rows
-
-    def __eq__(self, other):
-        return (isinstance(other, Pattern)
-                and self.half_width == other.half_width
-                and self._key == other._key)
-
-    def __hash__(self):
-        return hash((self.half_width, self._key))
-
-    def __repr__(self):
-        return f"Pattern(M={self.half_width})"
 
 
 def _exact_sorted(slope, values):
@@ -78,27 +38,30 @@ def _sorted_distinct_offsets(slope, M):
     return _exact_sorted(slope, {slope.offset((n1, n2)) for n1 in r for n2 in r})
 
 
-def _rank_grid(slope, M, values):
-    """Rank of each site's offset within the sorted distinct values."""
-    rank_of = {v: i for i, v in enumerate(values)}
-    grid = np.empty((2 * M + 1, 2 * M + 1), dtype=np.int64)
-    for n1 in range(-M, M + 1):
-        for n2 in range(-M, M + 1):
-            grid[n1 + M, n2 + M] = rank_of[slope.offset((n1, n2))]
-    return grid
-
-
 def enumerate_hull(slope, M):
     """All distinct restrictions of hull configurations to [-M, M]^2, in
-    ascending j from all-plus (j = 0) to all-minus (j = K).
+    ascending j from all-plus (j = 0) to all-minus (j = K), each a read-only
+    boolean mask indexed [n1 + M, n2 + M] and True on the b_plus sites.
 
     A window pattern depends only on how the threshold cuts the K sorted
     distinct window offsets v_0 < ... < v_(K-1), so the finite-resolution
     hull is the K + 1 up-sets [rank >= j], j = 0..K, each distinct because
     every rank is taken."""
     values = _sorted_distinct_offsets(slope, M)
-    rank = _rank_grid(slope, M, values)
-    return [Pattern(M, rank >= j) for j in range(len(values) + 1)]
+    rank_of = {v: i for i, v in enumerate(values)}
+    r = range(-M, M + 1)
+    rank = np.array([[rank_of[slope.offset((n1, n2))] for n2 in r] for n1 in r])
+    masks = [rank >= j for j in range(len(values) + 1)]
+    for mask in masks:
+        mask.setflags(write=False)
+    return masks
+
+
+def pattern_rows(mask):
+    """Rows n2 = +M .. -M of a hull pattern as '+'/'-' strings (row-major
+    in n1 would be unreadable; this draws the lattice the usual way up)."""
+    return ["".join("+" if plus else "-" for plus in row)
+            for row in mask.T[::-1]]
 
 
 @dataclass(frozen=True)

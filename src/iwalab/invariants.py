@@ -621,7 +621,8 @@ def _lanczos_pairs(hs, lo, hi, k):
     and so are the nearest Ritz values below lo and above hi (the start
     vector misses the rest: a wrong count or a degenerate level);
     "breakdown" on an invariant subspace; "krylov exhausted" when the
-    Krylov dimension reaches N."""
+    Krylov dimension reaches N; "singular shift" when sigma is an
+    eigenvalue to the factor's precision, so that hs - sigma has no LU."""
     # imported here, on the one path that needs them: both load scipy's
     # own OpenBLAS, which competes with numpy's for the cores
     from scipy.linalg import eigh_tridiagonal
@@ -632,9 +633,12 @@ def _lanczos_pairs(hs, lo, hi, k):
         return (np.zeros(0), np.zeros((n, 0), complex)), 0, None
     sigma = 0.5 * (lo + hi)
     shifted = sparse.csc_array(hs - sigma * sparse.eye_array(n))
-    solve = splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                 diag_pivot_thresh=LANCZOS_PIVOT_THRESH,
-                 options=dict(SymmetricMode=True)).solve
+    try:
+        solve = splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=LANCZOS_PIVOT_THRESH,
+                     options=dict(SymmetricMode=True)).solve
+    except RuntimeError:            # an exactly singular pivot
+        return "singular shift", 0, None
     dtype = np.result_type(hs.dtype, float)
     # a fixed start vector keeps the result byte-stable across runs
     start = np.random.default_rng(0).standard_normal(n).astype(dtype)

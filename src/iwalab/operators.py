@@ -712,11 +712,12 @@ def gap_switch_operators(spectral, interval):
 # ---------------------------------------------------------------------------
 # interface shift unitary
 
-def _tangential_vector_and_width(slope, variant):
-    """Translation vector (q, p) along the interface and the exact strip
-    width in the scaled offset -p*n1 + q*n2 (so strip membership is an
-    integer condition); at the vertical slopes +/-1/0 that is (0, +/-1)
-    and -/+n1."""
+def _strip_mask(field, window, variant):
+    """Tangential vector gamma = (q, p) and the boolean strip of the
+    variant: sites with scaled offsets -p*n1 + q*n2 in [1, k_hi], so strip
+    membership is an integer condition; at the vertical slopes +/-1/0 gamma
+    is (0, +/-1) and the scaled offset -/+n1."""
+    slope = field.slope
     if not slope.is_rational:
         raise IrrationalSlope("the interface shift unitary needs a rational "
                               "direction vector")
@@ -727,16 +728,9 @@ def _tangential_vector_and_width(slope, variant):
         k_hi = p * p + q * q          # 1 <= q*x <= p^2 + q^2
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return (q, p), k_hi
-
-
-def _strip_mask(field, window, variant):
-    """Tangential vector gamma and the boolean strip of the variant: sites
-    with scaled offsets -p*n1 + q*n2 in [1, k_hi]."""
-    gamma, k_hi = _tangential_vector_and_width(field.slope, variant)
     pos = window.positions()
-    k = field.slope._scaled_offsets(pos[:, 0], pos[:, 1])
-    return gamma, (k >= 1) & (k <= k_hi)
+    k = slope._scaled_offsets(pos[:, 0], pos[:, 1])
+    return (q, p), (k >= 1) & (k <= k_hi)
 
 
 def strip_projection(field, window, variant="minimal"):

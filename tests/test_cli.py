@@ -347,6 +347,9 @@ class TestCommands:
         (["hull"], {"slope": {"type": "rational", "p": 1.5, "q": 2}}),
         (["hull"], {"slope": {"type": "quadratic", "a": 0, "b": True,
                               "c": 1, "d": 2.9}}),
+        (["hull"], {"slope": {"type": "float", "value": True}}),
+        (["hull"], {"slope": {"type": "float", "value": "0.25"}}),
+        (["hull"], {"slope": {"type": "+inf", "extra": 1}}),
         (["verify-bic", "--L", "inf"], None),
         (["conductance", "--normal-half", "inf"], None),
         (["verify-bic"], {"perturbation": [[1.7, 0, 0.5]]}),
@@ -367,7 +370,9 @@ class TestCommands:
              "chern-gap0", "chern-gap-str", "chern-kgrid0", "chern-kgrid-3",
              "butterfly-qmax-str", "verify-bic-slope-nan", "hull-slope-inf",
              "hull-slope-obj-inf", "hull-slope-obj-p-float",
-             "hull-slope-obj-b-bool", "verify-bic-L-inf",
+             "hull-slope-obj-b-bool", "hull-slope-obj-value-bool",
+             "hull-slope-obj-value-str", "hull-slope-obj-extra-field",
+             "verify-bic-L-inf",
              "conductance-normal-inf", "verify-bic-perturbation-float-site",
              "spectrum-perturbation-str-db", "conductance-perturbation-bool-site",
              "spectrum-perturbation-repeated-site", "verify-bic-buffer-str",

@@ -54,7 +54,7 @@ class TestEnumerate:
                                          (ZERO, 2), (SQRT2, 1), (SQRT2, 2),
                                          (il.PlusInfinity, 2)])
     def test_matches_brute_force(self, slope, M):
-        got = {tuple(p.plus_mask().ravel().tolist())
+        got = {tuple(p.ravel().tolist())
                for p in il.enumerate_hull(slope, M)}
         assert got == brute_force_patterns(slope, M)
 
@@ -67,9 +67,10 @@ class TestEnumerate:
     def test_order_runs_from_all_plus_to_all_minus(self, slope):
         for M in range(0, 4):
             patterns = il.enumerate_hull(slope, M)
-            assert patterns[0].plus_mask().all()
-            assert not patterns[-1].plus_mask().any()
-            counts = [int(p.plus_mask().sum()) for p in patterns]
+            assert not any(p.flags.writeable for p in patterns)
+            assert patterns[0].all()
+            assert not patterns[-1].any()
+            counts = [int(p.sum()) for p in patterns]
             assert counts == sorted(counts, reverse=True)
 
 

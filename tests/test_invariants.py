@@ -1354,6 +1354,34 @@ class TestIntervalEigenpairs:
         assert (solve.reason, solve.krylov) == ("breakdown", 3)
         assert solve.below_hi - solve.below_lo == 2
 
+    def test_singular_shift_is_refused(self):
+        # the bic_slab-size slab of slope 1/2, fluxes 1/3|2/3, has one exact
+        # sublattice zero mode, so the shift-invert factor about 0 of an
+        # interval centred there is exactly singular
+        size = dict(L=12.0, normal_half=18.0, buffer=9.0)
+        h = il.iwatsuka_hamiltonian(iw_field(HALF),
+                                    invariants.slab_window(HALF, **size))
+        with pytest.raises(il.SolveRefused, match="singular shift") as refused:
+            il.interface_current(h, (-0.05, 0.05), HALF, size["L"])
+        solve = refused.value.solve
+        assert (solve.reason, solve.below_lo, solve.below_hi,
+                solve.krylov) == ("singular shift", 801, 868, 0)
+
+    def test_second_gram_schmidt_pass_keeps_the_pairs(self, small_slab,
+                                                      monkeypatch):
+        # with DGKS = 2 every step takes the second Gram-Schmidt pass, which
+        # removes rounding noise only: the same pairs, still certified
+        h, (lo, hi) = small_slab
+        k = (invariants._count_below(h.matrix, hi)
+             - invariants._count_below(h.matrix, lo))
+        (E0, V0), _, _ = invariants._lanczos_pairs(h.matrix, lo, hi, k)
+        monkeypatch.setattr(invariants, "DGKS", 2.0)
+        (E, V), _, ratio = invariants._lanczos_pairs(h.matrix, lo, hi, k)
+        assert k > 0 and ratio <= 1.0
+        assert np.abs(E - E0).max() < 1e-12
+        # the same start vector and recurrence fix each vector's phase
+        assert np.abs(V - V0).max() < 1e-12
+
     @pytest.mark.parametrize("L", [48.0, 200.0])
     def test_bracketed_end_at_acceptance_size(self, monkeypatch, L):
         # verify_bic(mu=-13/9) puts the interval's upper end on

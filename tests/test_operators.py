@@ -841,6 +841,23 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             il.hermitian_eigenvalues(il.magnetic_translation(THIRD_FIELD, win, 1))
 
+    @pytest.mark.parametrize("win", [il.LatticeWindow(3), SYMMETRIC_SLAB],
+                             ids=["square", "slab"])
+    def test_onsite_potential_takes_full_blocks(self, win, monkeypatch):
+        # an on-site v breaks the sublattice chirality, so no half block is
+        # split off; v even under n -> -n keeps the symmetry sectors, each
+        # a full block solved by eigvalsh
+        n1, n2 = win.positions().T
+        v = 0.3 * np.cos(n1 + 2 * n2) + 0.05 * n1 * (n1 - n2)
+        H = il.iwatsuka_hamiltonian(THIRD_FIELD, win)
+        op = il.LatticeOperator(win, H.matrix + sparse.diags_array(v))
+        sectors = len(il.SpectralData.from_operator(op).sectors)
+        eigvalshs, svds = spy(monkeypatch, "eigvalsh"), spy(monkeypatch, "svd")
+        E = il.hermitian_eigenvalues(op)
+        assert sectors > 1 and len(eigvalshs) == sectors and svds == []
+        want = np.linalg.eigvalsh(op.matrix.toarray())
+        assert np.abs(E - want).max() < 1e-12
+
 
 class TestChiralSolve:
     """A nearest-neighbour h anticommutes with the sublattice sign

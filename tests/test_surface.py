@@ -55,11 +55,12 @@ def test_guard_sees_a_leftover(tmp_path):
 
 
 def test_pruned_names_stay_out():
-    # the float scalar gauge, the symbolic hull points and the bulk trace,
-    # which nothing in the package, its command line or its benchmark read
+    # the float scalar gauge, the symbolic hull points, the bulk trace and
+    # the hull pattern wrapper (a pattern is its mask), which nothing in the
+    # package, its command line or its benchmark read
     for name in ("HullPoint", "point_pattern", "shift_point",
                  "offset_coordinate", "hull_metric", "flux_phase",
-                 "vector_potential", "trace_bulk"):
+                 "vector_potential", "trace_bulk", "Pattern"):
         assert not hasattr(iwalab, name)
     # the dense operator form: every LatticeOperator is a CSR array, a
     # Projection is its frames, and the winding moments are sparse only;
@@ -67,7 +68,9 @@ def test_pruned_names_stay_out():
     # grid of chern_momentum; the eigh split of the parity sectors, since
     # one orbit construction builds every symmetry sector; and the dense
     # block solve of the slab interval, since bracketed counts certify the
-    # sparse one
+    # sparse one; the rank grid and the strip width, each folded into its
+    # one caller
+    hull = importlib.import_module("iwalab.hull")
     invariants = importlib.import_module("iwalab.invariants")
     operators = importlib.import_module("iwalab.operators")
     for owner, name in ((iwalab.LatticeOperator, "dense"),
@@ -77,7 +80,10 @@ def test_pruned_names_stay_out():
                         (invariants, "_BLOCH_MEMO"),
                         (operators, "_split_by"),
                         (invariants, "_sector_pairs"),
-                        (invariants, "DENSE_FALLBACK_BYTES")):
+                        (invariants, "DENSE_FALLBACK_BYTES"),
+                        (hull, "Pattern"),
+                        (hull, "_rank_grid"),
+                        (operators, "_tangential_vector_and_width")):
         assert not hasattr(owner, name), name
 
 
